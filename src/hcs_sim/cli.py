@@ -21,10 +21,9 @@ from hcs_sim.core_model import (
     ResourceVector,
     StepSpec,
     ValidationError,
-    validate_job,
 )
 from hcs_sim.hcs_scheduler import SchedulerMode
-from hcs_sim.metrics import cost_vs_baseline, emit_report, summary_dict, write_json
+from hcs_sim.metrics import cost_vs_baseline, emit_report, round9, summary_dict, write_json
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     ExplicitArrivals,
@@ -129,8 +128,7 @@ def _parse_workload(name: str, obj, check: _Check) -> BatchJob | None:
             continue
         fields = check.section(s, sp, {
             "step_id": None, "cpu_millicores": None, "memory_mb": None,
-            "replicas": 1, "service_time": None, "feed_forward": True,
-            "fragment_size_bytes": 1_048_576})
+            "replicas": 1, "service_time": None, "feed_forward": True})
         for key in ("step_id", "cpu_millicores", "memory_mb", "service_time"):
             if key not in s:
                 check.err(f"{sp}.{key}", "is required")
@@ -144,12 +142,10 @@ def _parse_workload(name: str, obj, check: _Check) -> BatchJob | None:
         svc = check.number(fields["service_time"], f"{sp}.service_time",
                            minimum=0, exclusive=True)
         ff = check.boolean(fields["feed_forward"], f"{sp}.feed_forward", default=True)
-        fsize = check.number(fields["fragment_size_bytes"], f"{sp}.fragment_size_bytes",
-                             minimum=1, integer=True, default=1_048_576)
-        if None in (sid, cpu, mem, replicas, svc, fsize) or ff is None:
+        if None in (sid, cpu, mem, replicas, svc) or ff is None:
             continue
         try:
-            steps.append(StepSpec(sid, ResourceVector(cpu, mem), replicas, svc, ff, fsize))
+            steps.append(StepSpec(sid, ResourceVector(cpu, mem), replicas, svc, ff))
         except ValidationError as e:
             check.err(sp, str(e))
     edges = []
@@ -171,7 +167,7 @@ def _parse_workload(name: str, obj, check: _Check) -> BatchJob | None:
         return None
 
 
-def _parse_arrivals(obj, check: _Check, workload_names: list[str]):
+def _parse_arrivals(obj, check: _Check):
     if not isinstance(obj, dict):
         check.err("arrivals", "must be an object")
         return None
@@ -205,30 +201,21 @@ def _parse_arrivals(obj, check: _Check, workload_names: list[str]):
             isinstance(t, (int, float)) and not isinstance(t, bool) for t in times):
         check.err("arrivals.times", "must be a list of numbers")
         return None
-    if any(t < 0 for t in times):
-        check.err("arrivals.times", "must be >= 0")
-        return None
-    if sorted(times) != times:
-        check.err("arrivals.times", "must be sorted ascending")
-        return None
     templates = got["templates"]
     if templates is not None:
         if (not isinstance(templates, list)
                 or not all(isinstance(t, str) for t in templates)):
             check.err("arrivals.templates", "must be a list of template names")
             return None
-        if len(templates) != len(times):
-            check.err("arrivals.templates", "must match times in length")
-            return None
-        unknown = sorted(set(templates) - set(workload_names))
-        if unknown:
-            check.err("arrivals.templates", f"unknown templates: {', '.join(unknown)}")
-            return None
         templates = tuple(templates)
-    return ExplicitArrivals(tuple(float(t) for t in times), templates)
+    try:
+        return ExplicitArrivals(tuple(float(t) for t in times), templates)
+    except ValidationError as e:
+        check.problems.extend(e.problems)
+        return None
 
 
-def _parse_faults(obj, check: _Check, node_count: int):
+def _parse_faults(obj, check: _Check):
     faults = []
     if obj is None:
         return ()
@@ -247,9 +234,6 @@ def _parse_faults(obj, check: _Check, node_count: int):
             t = check.number(got["time"], f"{path}.time", minimum=0)
             nid = check.number(got["node_id"], f"{path}.node_id", minimum=0, integer=True)
             if t is None or nid is None:
-                continue
-            if nid >= node_count:
-                check.err(f"{path}.node_id", f"must be < {node_count}")
                 continue
             faults.append(NodeFailureFault(float(t), nid))
         elif kind == "driver_restart":
@@ -358,46 +342,36 @@ def load_scenario(path: str | Path) -> LoadResult:
     if top["arrivals"] is None:
         check.err("arrivals", "section is required")
     else:
-        arrivals = _parse_arrivals(top["arrivals"], check, list(catalog))
+        arrivals = _parse_arrivals(top["arrivals"], check)
 
     horizon = check.number(top["horizon"], "horizon", minimum=0, exclusive=True)
     output_dir = check.string(top["output_dir"], "output_dir")
-    faults = _parse_faults(top["faults"], check, node_count)
-
-    # semantic checks need the assembled pieces
-    if policy == "cheapest_first" and node_count == 0:
-        check.err("edge.node_count", "must be >= 1 unless scheduler.policy is cloud_only")
-    if timeout and edge_speed and cloud_speed:
-        min_speed = cloud_speed if policy == "cloud_only" else min(edge_speed, cloud_speed)
-        for name, job in catalog.items():
-            for p in validate_job(job, timeout, min_speed):
-                check.err(f"workloads.{name}",
-                          f"{p} (per-fragment execution timeout rule)")
-    if horizon is not None:
-        for i, f in enumerate(faults):
-            if f.time > horizon:
-                check.err(f"faults[{i}].time", f"is past the horizon {horizon}")
+    faults = _parse_faults(top["faults"], check)
 
     if check.problems:
         return LoadResult(None, None, sorted(set(check.problems)))
 
-    scenario = Scenario(
-        scenario_id=scenario_id,
-        node_capacities=tuple(node_cap for _ in range(node_count)),
-        catalog=catalog,
-        arrivals=arrivals,
-        cost_params=CostParams(float(c_cpu), float(c_mem)),
-        mode=SchedulerMode(policy),
-        placement=PlacementPolicy(placement),
-        round_length=float(round_length),
-        eviction_deadline=float(eviction),
-        edge_speed=float(edge_speed),
-        cloud_speed=float(cloud_speed),
-        cloud_concurrency=cloud_conc,
-        execution_timeout=float(timeout),
-        horizon=float(horizon) if horizon is not None else None,
-        faults=faults,
-    )
+    # the scenario's own rules span sections; each violation is one diagnostic
+    try:
+        scenario = Scenario(
+            scenario_id=scenario_id,
+            node_capacities=tuple(node_cap for _ in range(node_count)),
+            catalog=catalog,
+            arrivals=arrivals,
+            cost_params=CostParams(float(c_cpu), float(c_mem)),
+            mode=SchedulerMode(policy),
+            placement=PlacementPolicy(placement),
+            round_length=float(round_length),
+            eviction_deadline=float(eviction),
+            edge_speed=float(edge_speed),
+            cloud_speed=float(cloud_speed),
+            cloud_concurrency=cloud_conc,
+            execution_timeout=float(timeout),
+            horizon=float(horizon) if horizon is not None else None,
+            faults=faults,
+        )
+    except ValidationError as e:
+        return LoadResult(None, None, sorted(set(e.problems)))
     return LoadResult(scenario, output_dir, [])
 
 
@@ -467,7 +441,7 @@ def cmd_baseline(args) -> int:
     pct = cost_vs_baseline(hybrid, baseline)
     write_json(out / "baseline_summary.json", {
         "scenario_id": scenario.scenario_id,
-        "cost_vs_baseline_percent": float(format(pct, ".9g")),
+        "cost_vs_baseline_percent": round9(pct),
         "hybrid": summary_dict(hybrid),
         "cloud_only": summary_dict(baseline),
     })
@@ -505,8 +479,8 @@ def cmd_replicate(args) -> int:
         for k in series:
             series[k].append(d[k])
     aggregate = {
-        k: {"mean": float(format(statistics.mean(v), ".9g")),
-            "stdev": float(format(statistics.stdev(v) if len(v) > 1 else 0.0, ".9g"))}
+        k: {"mean": round9(statistics.mean(v)),
+            "stdev": round9(statistics.stdev(v) if len(v) > 1 else 0.0)}
         for k, v in series.items()}
     write_json(out / "replicate_summary.json", {
         "scenario_id": scenario.scenario_id,

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class ValidationError(ValueError):
-    """User-supplied input breaks a documented invariant."""
+    """User-supplied input breaks documented invariants, one per `problems` entry."""
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -32,9 +37,6 @@ class ResourceVector:
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu_millicores - other.cpu_millicores,
                               self.memory_mb - other.memory_mb)
-
-    def scaled(self, count: int) -> "ResourceVector":
-        return ResourceVector(self.cpu_millicores * count, self.memory_mb * count)
 
     def fits_within(self, other: "ResourceVector") -> bool:
         return (self.cpu_millicores <= other.cpu_millicores
@@ -62,7 +64,6 @@ class StepSpec:
     replicas: int
     service_time_per_fragment: float
     feed_forward: bool = True
-    fragment_size_bytes: int = 1_048_576
 
     def __post_init__(self) -> None:
         if not self.step_id:
@@ -71,12 +72,6 @@ class StepSpec:
             raise ValidationError(f"step {self.step_id}: replicas must be >= 1")
         if self.service_time_per_fragment <= 0:
             raise ValidationError(f"step {self.step_id}: service_time_per_fragment must be > 0")
-        if self.fragment_size_bytes <= 0:
-            raise ValidationError(f"step {self.step_id}: fragment_size_bytes must be > 0")
-
-    @property
-    def total_demand(self) -> ResourceVector:
-        return self.demand_per_replica.scaled(self.replicas)
 
 
 @dataclass(frozen=True)
@@ -107,6 +102,25 @@ class PipelineDag:
 
     def terminal_ids(self) -> list[str]:
         return [s.step_id for s in self.steps if not self.successors(s.step_id)]
+
+    @cached_property
+    def order(self) -> tuple[str, ...]:
+        """Stable topological order of step ids, computed once per graph.
+
+        Jobs of one template share the graph, so they share the order. Assumes
+        a graph without dag_violations, as every Scenario template is.
+        """
+        order: list[str] = []
+        indeg = {s.step_id: len(self.predecessors(s.step_id)) for s in self.steps}
+        ready = [sid for sid, d in indeg.items() if d == 0]
+        while ready:
+            sid = ready.pop(0)
+            order.append(sid)
+            for nxt in self.successors(sid):
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    ready.append(nxt)
+        return tuple(order)
 
 
 def dag_violations(dag: PipelineDag) -> list[str]:
@@ -155,17 +169,7 @@ def topological_order(dag: PipelineDag) -> list[str]:
     problems = dag_violations(dag)
     if problems:
         raise ValidationError("; ".join(problems))
-    order: list[str] = []
-    indeg = {s.step_id: len(dag.predecessors(s.step_id)) for s in dag.steps}
-    ready = [sid for sid, d in indeg.items() if d == 0]
-    while ready:
-        sid = ready.pop(0)
-        order.append(sid)
-        for nxt in dag.successors(sid):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    return order
+    return list(dag.order)
 
 
 @dataclass(frozen=True)
@@ -252,15 +256,13 @@ def validate_job(job: BatchJob, execution_timeout: float = 60.0,
     Args:
         job: candidate job.
         execution_timeout: per-fragment wall-clock limit enforced at admission.
-        min_speed_factor: slowest region's speed factor; effective service time
-            is service_time / speed, and the slowest region is the binding one.
+        min_speed_factor: slowest region's speed factor, > 0; effective service
+            time is service_time / speed, and the slowest region is the binding one.
 
     Returns:
         Human-readable violations; callers decide whether to raise.
     """
     problems = [f"job {job.job_id}: {p}" for p in dag_violations(job.dag)]
-    if min_speed_factor <= 0:
-        raise ValidationError("min_speed_factor must be > 0")
     for s in job.dag.steps:
         effective = s.service_time_per_fragment / min_speed_factor
         if effective > execution_timeout:

@@ -95,6 +95,8 @@ class HcsScheduler:
     physically held right now (including steps inside an eviction window),
     `_reserved` is capacity promised to steps that activate at an eviction
     expiry, and `evicting` marks residents whose space frees at that expiry.
+    The settings are a Scenario's, which guarantees positive round and
+    eviction lengths and at least one node in cheapest-first mode.
     """
 
     def __init__(self, nodes: list[NodeState], cost_params: CostParams | None = None,
@@ -102,10 +104,6 @@ class HcsScheduler:
                  round_length: float = DEFAULT_ROUND_LENGTH,
                  eviction_deadline: float = DEFAULT_EVICTION_DEADLINE,
                  mode: SchedulerMode = SchedulerMode.CHEAPEST_FIRST):
-        if round_length <= 0 or eviction_deadline <= 0:
-            raise ValidationError("round_length and eviction_deadline must be > 0")
-        if not nodes and mode is SchedulerMode.CHEAPEST_FIRST:
-            raise ValidationError("cheapest-first scheduling needs at least one edge node")
         self.nodes = nodes
         self.cost_params = cost_params or CostParams()
         self.policy = policy

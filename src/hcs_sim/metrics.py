@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from hcs_sim.core_model import InternalConsistencyError, ValidationError
@@ -149,9 +149,6 @@ class MetricsCollector:
         if entry is not None:
             entry.deploy_end = end
 
-    def has_open_entry(self, job_id: str, step_id: str) -> bool:
-        return (job_id, step_id) in self._open
-
     def close_all(self, end: float) -> None:
         for key in sorted(self._open):
             self.close_entry(key[0], key[1], end)
@@ -203,7 +200,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _round9(value: float) -> float:
+def round9(value: float) -> float:
+    """A float rounded to the 9 significant digits the reports print."""
     return float(format(value, ".9g"))
 
 
@@ -228,11 +226,11 @@ def summary_dict(report: RunReport) -> dict:
         "mode": report.mode,
         "placement": report.placement,
         "job_count": len(report.job_outcomes),
-        "total_cost": _round9(report.total_cost),
-        "mean_utilization": _round9(report.mean_utilization),
-        "peak_utilization": _round9(report.peak_utilization),
-        "deadline_met_fraction": _round9(report.deadline_met_fraction),
-        "end_time": _round9(report.end_time),
+        "total_cost": round9(report.total_cost),
+        "mean_utilization": round9(report.mean_utilization),
+        "peak_utilization": round9(report.peak_utilization),
+        "deadline_met_fraction": round9(report.deadline_met_fraction),
+        "end_time": round9(report.end_time),
         "horizon_reached": report.horizon_reached,
     }
 

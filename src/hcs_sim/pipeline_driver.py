@@ -1,15 +1,13 @@
 """Per-job pipeline driver: fragment dispatch through the DAG, journaling,
-eviction handoff and a trailing-window completion-rate estimator."""
+eviction handoff and restart recovery."""
 
 from __future__ import annotations
 
-import bisect
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from hcs_sim.core_model import (
     BatchJob,
-    CloudPlacement,
     EdgePlacement,
     InternalConsistencyError,
     Placement,
@@ -17,19 +15,12 @@ from hcs_sim.core_model import (
     StepState,
     ValidationError,
     assert_step_transition,
-    topological_order,
 )
-
-DEFAULT_RATE_WINDOW = 30.0
 
 
 def cloud_pool_size(step: StepSpec, cloud_concurrency: int | None = None) -> int:
     """Worker pool for a cloud deployment: configured override or one per replica."""
-    if cloud_concurrency is not None:
-        if cloud_concurrency < 1:
-            raise ValidationError("cloud_concurrency must be >= 1")
-        return cloud_concurrency
-    return step.replicas
+    return step.replicas if cloud_concurrency is None else cloud_concurrency
 
 
 @dataclass(frozen=True)
@@ -51,14 +42,6 @@ class DriverEffects:
 
 
 @dataclass
-class RateEstimate:
-    window: float
-    completions_in_window: int
-    remaining_fragments: int
-    estimate: float | None
-
-
-@dataclass
 class _StepRuntime:
     spec: StepSpec
     state: StepState = StepState.PENDING
@@ -77,26 +60,21 @@ class PipelineDriver:
 
     The journal (per-step sets of completed fragments) is the durable record:
     a restart loses in-flight work but never journaled completions, and no
-    fragment is ever journaled twice at the same step.
+    fragment is ever journaled twice at the same step. The job's graph, the
+    speeds and the pools come from a Scenario, which has validated them.
     """
 
-    def __init__(self, job: BatchJob, edge_speed: float = 0.8, cloud_speed: float = 1.0,
-                 cloud_concurrency: int | None = None):
-        if edge_speed <= 0 or cloud_speed <= 0:
-            raise ValidationError("region speed factors must be > 0")
+    def __init__(self, job: BatchJob, edge_speed: float = 0.8, cloud_speed: float = 1.0):
         self.job = job
         self.edge_speed = edge_speed
         self.cloud_speed = cloud_speed
-        self.cloud_concurrency = cloud_concurrency
-        self.topo = topological_order(job.dag)  # also validates the dag
+        self.topo = job.dag.order
         self.m = job.fragment_count
         self.journal: dict[str, set[int]] = {sid: set() for sid in self.topo}
         self.steps: dict[str, _StepRuntime] = {}
         self._preds = {sid: job.dag.predecessors(sid) for sid in self.topo}
         self._succs = {sid: job.dag.successors(sid) for sid in self.topo}
         self.terminal_ids = job.dag.terminal_ids()
-        self._terminal_times: list[float] = []
-        self.completion_counts: Counter = Counter()
         self.completed_at: float | None = None
         for sid in self.topo:
             rt = _StepRuntime(job.dag.step(sid))
@@ -152,8 +130,6 @@ class PipelineDriver:
         if rt.endpoint is not None or rt.state is not StepState.PENDING:
             raise InternalConsistencyError(
                 f"step {step_id} deployed twice (state {rt.state.value})")
-        if pool_size < 1:
-            raise ValidationError("pool_size must be >= 1")
         rt.endpoint = endpoint
         rt.pool = pool_size
         if rt.spec.feed_forward or rt.barrier_released:
@@ -187,9 +163,6 @@ class PipelineDriver:
             raise InternalConsistencyError(
                 f"fragment {fragment} journaled twice at step {step_id}")
         self.journal[step_id].add(fragment)
-        self.completion_counts[(step_id, fragment)] += 1
-        if step_id in self.terminal_ids:
-            self._terminal_times.append(now)
 
         effects = DriverEffects()
         if len(self.journal[step_id]) == self.m:
@@ -319,23 +292,3 @@ class PipelineDriver:
             else:
                 rt.state = StepState.WAITING
         return dispatches
-
-    # -- progress estimation --------------------------------------------------
-
-    def estimate_remaining(self, now: float, window: float = DEFAULT_RATE_WINDOW) -> RateEstimate:
-        """Remaining-time estimate from the trailing terminal-completion rate.
-
-        estimate = remaining_terminal_fragments / (completions_in_window / window);
-        zero remaining work estimates 0, and an empty window yields no estimate.
-        """
-        if window <= 0:
-            raise ValidationError("window must be > 0")
-        remaining = sum(self.m - len(self.journal[t]) for t in self.terminal_ids)
-        lo = bisect.bisect_right(self._terminal_times, now - window)
-        hi = bisect.bisect_right(self._terminal_times, now)
-        count = hi - lo
-        if remaining == 0:
-            return RateEstimate(window, count, 0, 0.0)
-        if count == 0:
-            return RateEstimate(window, 0, remaining, None)
-        return RateEstimate(window, count, remaining, remaining / (count / window))

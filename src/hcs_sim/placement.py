@@ -1,4 +1,4 @@
-"""Greedy replica placement over finite edge nodes, plus an exhaustive feasibility oracle."""
+"""Greedy replica placement over finite edge nodes."""
 
 from __future__ import annotations
 
@@ -122,13 +122,6 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
     return PlacementPlan(step, assignments), new_cursor
 
 
-def try_place(step: StepSpec, nodes: list[NodeState], policy: PlacementPolicy,
-              rr_cursor: int = 0) -> tuple[PlacementPlan | None, int]:
-    """Plan against live node state without mutating it."""
-    free = [(n.free.cpu_millicores, n.free.memory_mb) if n.alive else None for n in nodes]
-    return try_place_free(step, free, policy, rr_cursor)
-
-
 def apply_plan(plan: PlacementPlan, nodes: list[NodeState]) -> None:
     """Commit a plan's allocations. Capacity overrun means the planner is broken."""
     for node_id, load in plan.node_loads().items():
@@ -154,39 +147,3 @@ def release(plan: PlacementPlan, nodes: list[NodeState]) -> None:
                 f"release of unheld allocation on node {node_id}: {load} > {node.allocated}")
         node.allocated = node.allocated - load
 
-
-def oracle_feasible(step: StepSpec, nodes: list[NodeState],
-                    max_replicas: int = 12, max_nodes: int = 6) -> bool:
-    """Exhaustive feasibility check for one replica set, intended for tests.
-
-    Searches every way to split the replica count across nodes (replicas are
-    interchangeable, so assignments are multisets of node choices). Refuses
-    instances larger than the stated bounds rather than run forever.
-    """
-    alive = [n for n in nodes if n.alive]
-    if step.replicas > max_replicas or len(alive) > max_nodes:
-        raise ValidationError(
-            f"oracle limited to {max_replicas} replicas over {max_nodes} nodes")
-    d = step.demand_per_replica
-    caps = []
-    for n in alive:
-        per_dim = []
-        if d.cpu_millicores > 0:
-            per_dim.append(n.free.cpu_millicores // d.cpu_millicores)
-        if d.memory_mb > 0:
-            per_dim.append(n.free.memory_mb // d.memory_mb)
-        caps.append(min(per_dim) if per_dim else step.replicas)
-
-    def search(i: int, remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        if i == len(caps):
-            return False
-        if sum(caps[i:]) < remaining:
-            return False
-        for take in range(min(caps[i], remaining), -1, -1):
-            if search(i + 1, remaining - take):
-                return True
-        return False
-
-    return search(0, step.replicas)

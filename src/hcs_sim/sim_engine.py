@@ -19,6 +19,7 @@ from hcs_sim.core_model import (
     CostParams,
     EdgePlacement,
     InternalConsistencyError,
+    Placement,
     ResourceVector,
     ValidationError,
     validate_job,
@@ -66,6 +67,12 @@ class PoissonArrivals:
     seed: int
     count: int
 
+    def __post_init__(self) -> None:
+        if self.rate <= 0:
+            raise ValidationError("arrivals.rate: must be > 0")
+        if self.count < 0:
+            raise ValidationError("arrivals.count: must be >= 0")
+
 
 @dataclass(frozen=True)
 class ExplicitArrivals:
@@ -73,6 +80,14 @@ class ExplicitArrivals:
 
     times: tuple[float, ...]
     templates: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if any(t < 0 for t in self.times):
+            raise ValidationError("arrivals.times: must be >= 0")
+        if list(self.times) != sorted(self.times):
+            raise ValidationError("arrivals.times: must be sorted ascending")
+        if self.templates is not None and len(self.templates) != len(self.times):
+            raise ValidationError("arrivals.templates: must match times in length")
 
 
 ArrivalProcess = PoissonArrivals | ExplicitArrivals
@@ -83,11 +98,19 @@ class NodeFailureFault:
     time: float
     node_id: int
 
+    def __post_init__(self) -> None:
+        if self.time < 0 or self.node_id < 0:
+            raise ValidationError(f"{self}: time and node_id must be >= 0")
+
 
 @dataclass(frozen=True)
 class DriverRestartFault:
     time: float
     job_index: int  # position in the generated arrival schedule
+
+    def __post_init__(self) -> None:
+        if self.time < 0 or self.job_index < 0:
+            raise ValidationError(f"{self}: time and job_index must be >= 0")
 
 
 Fault = NodeFailureFault | DriverRestartFault
@@ -102,7 +125,11 @@ class ScheduledArrival:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a run depends on; equal scenarios give byte-identical reports."""
+    """Everything a run depends on; equal scenarios give byte-identical reports.
+
+    Valid by construction: every rule that spans fields is checked here, and
+    all violations are raised together in one ValidationError.
+    """
 
     scenario_id: str
     node_capacities: tuple[ResourceVector, ...]
@@ -120,6 +147,53 @@ class Scenario:
     horizon: float | None = None
     faults: tuple[Fault, ...] = ()
 
+    def __post_init__(self) -> None:
+        problems: list[str] = []
+        if self.edge_speed <= 0 or self.cloud_speed <= 0:
+            problems.append("edge and cloud speed factors must be > 0")
+        if self.horizon is not None and self.horizon <= 0:
+            problems.append("horizon: must be > 0 when set")
+        if self.round_length <= 0 or self.eviction_deadline <= 0:
+            problems.append("round_length and eviction_deadline must be > 0")
+        if self.cloud_concurrency is not None and self.cloud_concurrency < 1:
+            problems.append("cloud_concurrency: must be >= 1")
+        if self.mode is SchedulerMode.CHEAPEST_FIRST and not self.node_capacities:
+            problems.append("node_count: must be >= 1 unless the mode is cloud_only")
+        if not self.catalog:
+            problems.append("workload catalog must not be empty")
+        if self.edge_speed > 0 and self.cloud_speed > 0:
+            # the slowest region a step can land on binds the timeout rule
+            min_speed = (self.cloud_speed if self.mode is SchedulerMode.CLOUD_ONLY
+                         else min(self.edge_speed, self.cloud_speed))
+            for name, template in self.catalog.items():
+                problems.extend(f"workloads.{name}: {p}" for p in
+                                validate_job(template, self.execution_timeout, min_speed))
+        if isinstance(self.arrivals, PoissonArrivals):
+            arrival_count = self.arrivals.count
+        else:
+            arrival_count = len(self.arrivals.times)
+            unknown = sorted(set(self.arrivals.templates or ()) - set(self.catalog))
+            if unknown:
+                problems.append(f"arrivals.templates: unknown templates: {', '.join(unknown)}")
+        killed: dict[int, int] = {}
+        for i, f in enumerate(self.faults):
+            if self.horizon is not None and f.time > self.horizon:
+                problems.append(f"faults[{i}].time: is past the horizon {self.horizon:g}")
+            if isinstance(f, NodeFailureFault):
+                if f.node_id >= len(self.node_capacities):
+                    problems.append(f"faults[{i}].node_id: must be < "
+                                    f"{len(self.node_capacities)}, the node count")
+                elif f.node_id in killed:
+                    problems.append(f"faults[{i}].node_id: node {f.node_id} already "
+                                    f"fails in faults[{killed[f.node_id]}]")
+                else:
+                    killed[f.node_id] = i
+            elif f.job_index >= arrival_count:
+                problems.append(f"faults[{i}].job_index: must be < {arrival_count}, "
+                                f"the arrival count")
+        if problems:
+            raise ValidationError(*problems)
+
 
 def generate_arrivals(process: ArrivalProcess,
                       catalog: dict[str, BatchJob]) -> list[ScheduledArrival]:
@@ -131,12 +205,6 @@ def generate_arrivals(process: ArrivalProcess,
     """
     names = list(catalog)
     if isinstance(process, PoissonArrivals):
-        if process.rate <= 0:
-            raise ValidationError("arrivals.rate must be > 0")
-        if process.count < 0:
-            raise ValidationError("arrivals.count must be >= 0")
-        if not names:
-            raise ValidationError("workload catalog must not be empty")
         rng = np.random.Generator(np.random.PCG64(process.seed))
         out: list[ScheduledArrival] = []
         t = 0.0
@@ -149,21 +217,8 @@ def generate_arrivals(process: ArrivalProcess,
             out.append(ScheduledArrival(t, name, job))
         return out
 
-    times = list(process.times)
-    if any(t < 0 for t in times):
-        raise ValidationError("explicit arrival times must be >= 0")
-    if times != sorted(times):
-        raise ValidationError("explicit arrival times must be sorted")
-    if times and not names:
-        raise ValidationError("workload catalog must not be empty")
-    if process.templates is not None:
-        if len(process.templates) != len(times):
-            raise ValidationError("arrivals.templates must match times in length")
-        unknown = [t for t in process.templates if t not in catalog]
-        if unknown:
-            raise ValidationError(f"unknown arrival templates: {unknown}")
     out = []
-    for i, t in enumerate(times):
+    for i, t in enumerate(process.times):
         name = process.templates[i] if process.templates else names[i % len(names)]
         job = dataclasses.replace(
             catalog[name], job_id=f"{name}-{i:04d}", arrival_time=t)
@@ -172,45 +227,9 @@ def generate_arrivals(process: ArrivalProcess,
 
 
 def inject_faults(scenario: Scenario, faults: list[Fault]) -> Scenario:
-    """Return a scenario with extra fault events merged in, after validation."""
-    merged = list(scenario.faults) + list(faults)
-    seen_nodes: set[int] = set()
-    for f in merged:
-        if f.time < 0:
-            raise ValidationError(f"fault time {f.time} must be >= 0")
-        if scenario.horizon is not None and f.time > scenario.horizon:
-            raise ValidationError(f"fault at {f.time} is past the horizon {scenario.horizon}")
-        if isinstance(f, NodeFailureFault):
-            if not 0 <= f.node_id < len(scenario.node_capacities):
-                raise ValidationError(f"fault references unknown node {f.node_id}")
-            if f.node_id in seen_nodes:
-                raise ValidationError(f"node {f.node_id} fails more than once")
-            seen_nodes.add(f.node_id)
-        elif f.job_index < 0:
-            raise ValidationError(f"fault job_index {f.job_index} must be >= 0")
-    merged.sort(key=lambda f: f.time)
+    """Return a scenario with extra fault events merged in, in time order."""
+    merged = sorted([*scenario.faults, *faults], key=lambda f: f.time)
     return dataclasses.replace(scenario, faults=tuple(merged))
-
-
-def _validate_scenario(scenario: Scenario) -> None:
-    if scenario.edge_speed <= 0 or scenario.cloud_speed <= 0:
-        raise ValidationError("region speed factors must be > 0")
-    if scenario.horizon is not None and scenario.horizon <= 0:
-        raise ValidationError("horizon must be > 0 when set")
-    if scenario.mode is SchedulerMode.CLOUD_ONLY:
-        min_speed = scenario.cloud_speed
-    else:
-        min_speed = min(scenario.edge_speed, scenario.cloud_speed)
-    problems: list[str] = []
-    for name, template in scenario.catalog.items():
-        for p in validate_job(template, scenario.execution_timeout, min_speed):
-            problems.append(f"template {name}: {p}")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    for f in scenario.faults:
-        if isinstance(f, NodeFailureFault):
-            if not 0 <= f.node_id < len(scenario.node_capacities):
-                raise ValidationError(f"fault references unknown node {f.node_id}")
 
 
 class _Engine:
@@ -244,9 +263,6 @@ class _Engine:
             if isinstance(f, NodeFailureFault):
                 self._push(f.time, EventKind.NODE_FAILURE, f.node_id)
             else:
-                if f.job_index >= len(arrivals):
-                    raise ValidationError(
-                        f"fault job_index {f.job_index} exceeds arrival count {len(arrivals)}")
                 self._push(f.time, EventKind.DRIVER_RESTART,
                            arrivals[f.job_index].job.job_id)
         if scenario.horizon is not None:
@@ -264,9 +280,8 @@ class _Engine:
 
     def _on_arrival(self, index: int, now: float) -> None:
         a = self.arrivals[index]
-        s = self.scenario
         self.drivers[a.job.job_id] = PipelineDriver(
-            a.job, s.edge_speed, s.cloud_speed, s.cloud_concurrency)
+            a.job, self.scenario.edge_speed, self.scenario.cloud_speed)
         self.templates[a.job.job_id] = a.template
         self.sched.submit_request(a.job, now)
         self.arrived += 1
@@ -282,49 +297,56 @@ class _Engine:
         """Deliver directives to drivers; deferred ones become expiry events."""
         edge_changed = False
         for d in decision.directives:
-            if isinstance(d, DeployEdge):
-                if d.effective_time > now:
-                    self._push(d.effective_time, EventKind.EVICTION_EXPIRE,
-                               (d.job_id, d.step_id))
-                    continue
+            if isinstance(d, Evict):
                 drv = self.drivers[d.job_id]
-                endpoint = EdgePlacement(d.plan.assignments)
-                if drv.step_runtime(d.step_id).endpoint is None:
-                    out = drv.on_deploy(d.step_id, endpoint, d.plan.step.replicas, now)
-                else:
-                    out = drv.redeploy(d.step_id, endpoint, d.plan.step.replicas, now)
-                    self.collector.close_entry(d.job_id, d.step_id, now)
-                self.collector.open_entry(d.job_id, d.step_id, "edge",
-                                          self.sched.rcost_of(d.plan.step), now)
-                self._push_dispatches(out)
-                edge_changed = True
-            elif isinstance(d, DeployCloud):
-                if d.effective_time > now:
-                    continue  # victim handoff; the expiry event performs it
-                drv = self.drivers[d.job_id]
-                step = drv.job.dag.step(d.step_id)
-                endpoint = CloudPlacement(d.endpoint_label)
-                pool = cloud_pool_size(step, self.scenario.cloud_concurrency)
-                if drv.step_runtime(d.step_id).endpoint is None:
-                    out = drv.on_deploy(d.step_id, endpoint, pool, now)
-                else:
-                    # lost its edge deployment to a failure; moves right away
-                    out = drv.redeploy(d.step_id, endpoint, pool, now)
-                    self.collector.close_entry(d.job_id, d.step_id, now)
-                    edge_changed = True
-                self.collector.open_entry(d.job_id, d.step_id, "cloud",
-                                          self.sched.rcost_of(step), now)
-                self._push_dispatches(out)
-            else:
-                drv = self.drivers[d.job_id]
-                step = drv.job.dag.step(d.step_id)
+                pool = cloud_pool_size(drv.job.dag.step(d.step_id),
+                                       self.scenario.cloud_concurrency)
                 endpoint = CloudPlacement(cloud_label(d.job_id, d.step_id))
-                pool = cloud_pool_size(step, self.scenario.cloud_concurrency)
                 drv.on_eviction_notice(d.step_id, d.expiry_time, endpoint, pool, now)
                 self._push(d.expiry_time, EventKind.EVICTION_EXPIRE,
                            (d.job_id, d.step_id))
+            elif d.effective_time > now:
+                # a deferred DeployCloud is a victim's handoff, performed by
+                # the victim's expiry event; a deferred DeployEdge waits for it
+                if isinstance(d, DeployEdge):
+                    self._push(d.effective_time, EventKind.EVICTION_EXPIRE,
+                               (d.job_id, d.step_id))
+            elif isinstance(d, DeployEdge):
+                self._move_step(d.job_id, d.step_id, EdgePlacement(d.plan.assignments), now)
+                edge_changed = True
+            else:
+                # a cloud redeploy replaces an edge deployment lost to a failure
+                replaced = self._move_step(d.job_id, d.step_id,
+                                           CloudPlacement(d.endpoint_label), now)
+                edge_changed = edge_changed or replaced
         if edge_changed:
             self.collector.sample(now)
+
+    def _move_step(self, job_id: str, step_id: str, endpoint: Placement | None,
+                   now: float) -> bool:
+        """Deploy a step at endpoint now, or with endpoint None complete the
+        cloud switch its eviction notice announced.
+
+        The open ledger entry, if any, closes and one for the new region opens;
+        the new dispatches are scheduled. Returns whether an existing
+        deployment was replaced.
+        """
+        drv = self.drivers[job_id]
+        step = drv.job.dag.step(step_id)
+        region = "edge" if isinstance(endpoint, EdgePlacement) else "cloud"
+        self.collector.close_entry(job_id, step_id, now)
+        self.collector.open_entry(job_id, step_id, region, self.sched.rcost_of(step), now)
+        if endpoint is None:
+            out = drv.switch_at_expiry(step_id, now)
+            replaced = True
+        else:
+            pool = (step.replicas if region == "edge"
+                    else cloud_pool_size(step, self.scenario.cloud_concurrency))
+            replaced = drv.step_runtime(step_id).endpoint is not None
+            deploy = drv.redeploy if replaced else drv.on_deploy
+            out = deploy(step_id, endpoint, pool, now)
+        self._push_dispatches(out)
+        return replaced
 
     def _on_fragment_complete(self, d: Dispatch, now: float) -> None:
         drv = self.drivers[d.job_id]
@@ -346,21 +368,13 @@ class _Engine:
 
     def _on_eviction_expire(self, key: tuple[str, str], now: float) -> None:
         job_id, step_id = key
-        drv = self.drivers[job_id]
         if self.sched.expire_eviction(key, now):
             # victim's window closed: billing moves to the cloud from here on
-            step = drv.job.dag.step(step_id)
-            self.collector.close_entry(job_id, step_id, now)
-            self.collector.open_entry(job_id, step_id, "cloud",
-                                      self.sched.rcost_of(step), now)
-            self._push_dispatches(drv.switch_at_expiry(step_id, now))
+            self._move_step(job_id, step_id, None, now)
             self.collector.sample(now)
         elif self.sched.has_reservation(key):
             plan = self.sched.activate_reservation(key, now)
-            self.collector.open_entry(job_id, step_id, "edge",
-                                      self.sched.rcost_of(plan.step), now)
-            self._push_dispatches(drv.on_deploy(
-                step_id, EdgePlacement(plan.assignments), plan.step.replicas, now))
+            self._move_step(job_id, step_id, EdgePlacement(plan.assignments), now)
             self.collector.sample(now)
         # else: the step completed inside the window, or a node failure
         # already re-homed it; nothing left to do
@@ -452,8 +466,7 @@ def run_detailed(scenario: Scenario,
                  arrivals: list[ScheduledArrival] | None = None
                  ) -> tuple[RunReport, dict[str, PipelineDriver]]:
     """Like run(), but also returns the final per-job drivers so callers can
-    inspect journals and completion counts (e.g. exactly-once verification)."""
-    _validate_scenario(scenario)
+    inspect journals (e.g. exactly-once verification)."""
     if arrivals is None:
         arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
     log.info("run %s: %d arrivals, mode=%s placement=%s",

@@ -1,4 +1,4 @@
-"""Brute-force reference models used only by tests.
+"""Brute-force reference models and probes used only by tests.
 
 Deliberately written with a different structure from the package under test:
 a scan-everything time-stepping loop over explicit worker slots, no event
@@ -6,6 +6,13 @@ queue, no epochs, no eviction handling. Slow but obviously correct.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from contextlib import contextmanager
+
+from hcs_sim.core_model import ValidationError
+from hcs_sim.pipeline_driver import PipelineDriver
+from hcs_sim.placement import try_place_free
 
 
 def pipeline_makespan(steps, edges, fragments, pools=None, speed=1.0):
@@ -92,3 +99,67 @@ def chain_makespan(n_steps, fragments, service=1.0, feed_forward=True, pool=1, s
     edges = [(f"s{i}", f"s{i+1}") for i in range(n_steps - 1)]
     pools = {f"s{i}": pool for i in range(n_steps)}
     return pipeline_makespan(steps, edges, fragments, pools, speed)
+
+
+def try_place(step, nodes, policy, rr_cursor=0):
+    """Plan against live node state without mutating it."""
+    free = [(n.free.cpu_millicores, n.free.memory_mb) if n.alive else None for n in nodes]
+    return try_place_free(step, free, policy, rr_cursor)
+
+
+def oracle_feasible(step, nodes, max_replicas=12, max_nodes=6):
+    """Exhaustive feasibility check for one replica set.
+
+    Searches every way to split the replica count across nodes (replicas are
+    interchangeable, so assignments are multisets of node choices). Refuses
+    instances larger than the stated bounds rather than run forever.
+    """
+    alive = [n for n in nodes if n.alive]
+    if step.replicas > max_replicas or len(alive) > max_nodes:
+        raise ValidationError(
+            f"oracle limited to {max_replicas} replicas over {max_nodes} nodes")
+    d = step.demand_per_replica
+    caps = []
+    for n in alive:
+        per_dim = []
+        if d.cpu_millicores > 0:
+            per_dim.append(n.free.cpu_millicores // d.cpu_millicores)
+        if d.memory_mb > 0:
+            per_dim.append(n.free.memory_mb // d.memory_mb)
+        caps.append(min(per_dim) if per_dim else step.replicas)
+
+    def search(i, remaining):
+        if remaining == 0:
+            return True
+        if i == len(caps):
+            return False
+        if sum(caps[i:]) < remaining:
+            return False
+        for take in range(min(caps[i], remaining), -1, -1):
+            if search(i + 1, remaining - take):
+                return True
+        return False
+
+    return search(0, step.replicas)
+
+
+@contextmanager
+def counting_completions():
+    """Count every PipelineDriver.on_fragment_complete call while active.
+
+    Yields a Counter keyed by (job_id, step_id, fragment). It counts calls,
+    independently of the journal, so exactly-once checks do not rely on the
+    bookkeeping they verify.
+    """
+    counts = Counter()
+    real = PipelineDriver.on_fragment_complete
+
+    def counting(self, step_id, fragment, now):
+        counts[(self.job.job_id, step_id, fragment)] += 1
+        return real(self, step_id, fragment, now)
+
+    PipelineDriver.on_fragment_complete = counting
+    try:
+        yield counts
+    finally:
+        PipelineDriver.on_fragment_complete = real

@@ -18,7 +18,8 @@ from types import SimpleNamespace
 import pytest
 
 import test_scheduler
-from oracles import chain_makespan, pipeline_makespan
+from oracles import (chain_makespan, counting_completions, oracle_feasible,
+                     pipeline_makespan, try_place)
 
 from hcs_sim import (
     BatchJob,
@@ -40,7 +41,7 @@ from hcs_sim import (
     time_weighted_utilization,
 )
 from hcs_sim.core_model import rcost
-from hcs_sim.placement import NodeState, oracle_feasible, try_place
+from hcs_sim.placement import NodeState
 from hcs_sim.sim_engine import run_detailed
 
 SCENARIO_FILE = (Path(__file__).resolve().parent.parent
@@ -280,20 +281,22 @@ def test_faults_preserve_exactly_once_completion(announce):
         arrivals=ExplicitArrivals((5.0, 20.0, 40.0, 65.0, 95.0, 110.0)),
         faults=(NodeFailureFault(75.0, 0), DriverRestartFault(60.0, 1)))
     clean_report, clean_drivers = run_detailed(dataclasses.replace(base, faults=()))
-    fault_report, fault_drivers = run_detailed(base)
+    with counting_completions() as completions:
+        fault_report, fault_drivers = run_detailed(base)
 
     problems = []
     for job_id, drv in fault_drivers.items():
-        if not drv.is_complete:
+        if not drv.is_complete():
             problems.append((job_id, "incomplete"))
         for sid, done in drv.journal.items():
             if done != set(range(drv.m)):
                 problems.append((job_id, sid, "journal gap"))
             if done != clean_drivers[job_id].journal[sid]:
                 problems.append((job_id, sid, "journal differs from fault-free run"))
-        if any(count != 1 for count in drv.completion_counts.values()):
+        counts = [n for (jid, _, _), n in completions.items() if jid == job_id]
+        if any(count != 1 for count in counts):
             problems.append((job_id, "a fragment completed more than once"))
-        if len(drv.completion_counts) != drv.m * len(drv.journal):
+        if len(counts) != drv.m * len(drv.journal):
             problems.append((job_id, "missing completion records"))
     if not all(o.completed for o in fault_report.job_outcomes):
         problems.append("an outcome is incomplete")

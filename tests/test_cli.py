@@ -1,14 +1,24 @@
 """Scenario file validation, subcommand orchestration, and artifact layout."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hcs_sim
 from hcs_sim.cli import load_scenario, main
+from hcs_sim.core_model import BatchJob, PipelineDag, ResourceVector, StepSpec, ValidationError
 from hcs_sim.placement import PlacementPolicy
-from hcs_sim.sim_engine import ExplicitArrivals, PoissonArrivals
+from hcs_sim.sim_engine import (
+    DriverRestartFault,
+    ExplicitArrivals,
+    NodeFailureFault,
+    PoissonArrivals,
+    Scenario,
+)
 
 
 def minimal_config() -> dict:
@@ -68,11 +78,13 @@ class TestLoadScenario:
         cfg["extra_top"] = 1
         cfg["edge"]["colour"] = "blue"
         cfg["workloads"]["w"]["steps"][0]["nodes"] = 3
+        cfg["workloads"]["w"]["steps"][0]["fragment_size_bytes"] = 1024
         res = load_scenario(write_config(tmp_path, cfg))
         assert res.scenario is None
         assert "extra_top: unknown key" in res.diagnostics
         assert "edge.colour: unknown key" in res.diagnostics
         assert "workloads.w.steps[0].nodes: unknown key" in res.diagnostics
+        assert "workloads.w.steps[0].fragment_size_bytes: unknown key" in res.diagnostics
 
     def test_all_violations_reported_at_once(self, tmp_path):
         cfg = minimal_config()
@@ -139,6 +151,109 @@ class TestLoadScenario:
         assert any("node_id" in d for d in res.diagnostics)
 
 
+def library_scenario(**overrides) -> Scenario:
+    """The scenario minimal_config() loads to, built directly."""
+    fields = dict(
+        scenario_id="scenario",
+        node_capacities=(ResourceVector(2000, 2048),) * 2,
+        catalog={"w": library_template()},
+        arrivals=ExplicitArrivals((1.0, 2.0)),
+    )
+    fields.update(overrides)
+    return Scenario(**fields)
+
+
+def library_template(service_time=1.0, edges=()) -> BatchJob:
+    step = StepSpec("s0", ResourceVector(500, 256), 1, service_time)
+    return BatchJob("w", PipelineDag([step], edges), 5, 300.0)
+
+
+def faults(*items):
+    return lambda c: c.update(faults=list(items))
+
+
+# (case, edit to minimal_config(), overrides for library_scenario(), text in
+# the loader's diagnostic). Overrides are built lazily so that a fault or
+# arrival type that rejects its own fields raises inside pytest.raises.
+RULES = [
+    ("edge-speed", lambda c: c["edge"].update(speed_factor=0),
+     lambda: dict(edge_speed=0.0), "edge.speed_factor"),
+    ("cloud-speed", lambda c: c.update(cloud={"speed_factor": -1.0}),
+     lambda: dict(cloud_speed=-1.0), "cloud.speed_factor"),
+    ("horizon", lambda c: c.update(horizon=0),
+     lambda: dict(horizon=0.0), "horizon"),
+    ("round-length", lambda c: c.update(scheduler={"round_length": 0}),
+     lambda: dict(round_length=0.0), "round_length"),
+    ("eviction-deadline", lambda c: c.update(scheduler={"eviction_deadline": 0}),
+     lambda: dict(eviction_deadline=0.0), "eviction_deadline"),
+    ("cloud-concurrency-hybrid", lambda c: c.update(cloud={"cloud_concurrency": 0}),
+     lambda: dict(cloud_concurrency=0), "cloud_concurrency"),
+    ("no-edge-nodes-hybrid", lambda c: c["edge"].update(node_count=0),
+     lambda: dict(node_capacities=()), "node_count"),
+    ("empty-catalog", lambda c: c.update(workloads={}),
+     lambda: dict(catalog={}), "workloads"),
+    ("dag", lambda c: c["workloads"]["w"].update(edges=[["s0", "ghost"]]),
+     lambda: dict(catalog={"w": library_template(edges=[("s0", "ghost")])}), "ghost"),
+    ("execution-timeout", lambda c: c["workloads"]["w"]["steps"][0].update(service_time=61.0),
+     lambda: dict(catalog={"w": library_template(service_time=61.0)}), "execution timeout"),
+    ("poisson-rate", lambda c: c.update(
+        arrivals={"kind": "poisson", "rate": 0, "seed": 1, "count": 3}),
+     lambda: dict(arrivals=PoissonArrivals(0.0, 1, 3)), "arrivals.rate"),
+    ("poisson-count", lambda c: c.update(
+        arrivals={"kind": "poisson", "rate": 1.0, "seed": 1, "count": -1}),
+     lambda: dict(arrivals=PoissonArrivals(1.0, 1, -1)), "arrivals.count"),
+    ("negative-arrival-time", lambda c: c["arrivals"].update(times=[-1.0, 2.0]),
+     lambda: dict(arrivals=ExplicitArrivals((-1.0, 2.0))), "arrivals.times"),
+    ("unsorted-arrival-times", lambda c: c["arrivals"].update(times=[2.0, 1.0]),
+     lambda: dict(arrivals=ExplicitArrivals((2.0, 1.0))), "sorted"),
+    ("template-count", lambda c: c["arrivals"].update(templates=["w"]),
+     lambda: dict(arrivals=ExplicitArrivals((1.0, 2.0), ("w",))), "arrivals.templates"),
+    ("unknown-template", lambda c: c["arrivals"].update(templates=["w", "zzz"]),
+     lambda: dict(arrivals=ExplicitArrivals((1.0, 2.0), ("w", "zzz"))), "zzz"),
+    ("unknown-node", faults({"kind": "node_failure", "time": 1.0, "node_id": 7}),
+     lambda: dict(faults=(NodeFailureFault(1.0, 7),)), "node_id"),
+    ("double-node-kill", faults({"kind": "node_failure", "time": 1.0, "node_id": 0},
+                                {"kind": "node_failure", "time": 200.0, "node_id": 0}),
+     lambda: dict(faults=(NodeFailureFault(1.0, 0), NodeFailureFault(200.0, 0))),
+     "already fails"),
+    ("negative-fault-time", faults({"kind": "node_failure", "time": -1.0, "node_id": 0}),
+     lambda: dict(faults=(NodeFailureFault(-1.0, 0),)), "faults[0].time"),
+    ("negative-job-index", faults({"kind": "driver_restart", "time": 1.0, "job_index": -1}),
+     lambda: dict(faults=(DriverRestartFault(1.0, -1),)), "job_index"),
+    ("job-index-out-of-range",
+     faults({"kind": "driver_restart", "time": 10.0, "job_index": 2}),
+     lambda: dict(faults=(DriverRestartFault(10.0, 2),)), "job_index"),
+    ("fault-past-horizon",
+     lambda c: c.update(horizon=100.0, faults=[
+         {"kind": "node_failure", "time": 200.0, "node_id": 0}]),
+     lambda: dict(horizon=100.0, faults=(NodeFailureFault(200.0, 0),)),
+     "past the horizon"),
+]
+
+
+@pytest.mark.parametrize("edit, overrides, diagnostic",
+                         [pytest.param(*r[1:], id=r[0]) for r in RULES])
+def test_one_rule_every_entry_point(tmp_path, capsys, edit, overrides, diagnostic):
+    """Each scenario rule rejects the file before any simulation and the
+    directly built Scenario on construction, whatever the mode or the run."""
+    cfg = minimal_config()
+    edit(cfg)
+    path = write_config(tmp_path, cfg)
+    res = load_scenario(path)
+    assert res.scenario is None
+    assert any(diagnostic in d for d in res.diagnostics), res.diagnostics
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(ValidationError):
+        library_scenario(**overrides())
+
+
+def test_library_scenario_matches_the_loaded_one(tmp_path):
+    assert library_scenario() == load_scenario(
+        write_config(tmp_path, minimal_config())).scenario
+
+
 class TestRunCommand:
     def test_run_writes_artifacts_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_config())
@@ -183,10 +298,13 @@ class TestRunCommand:
 
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, minimal_config())
+        # the child imports the same hcs_sim as this process, installed or not
+        src = str(Path(hcs_sim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "hcs_sim.cli", "run", "--config", cfg,
              "--out", str(tmp_path / "o")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
 
 

@@ -41,7 +41,6 @@ class TestResourceVector:
         b = ResourceVector(400, 112)
         assert a + b == ResourceVector(1400, 624)
         assert a - b == ResourceVector(600, 400)
-        assert b.scaled(3) == ResourceVector(1200, 336)
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
@@ -117,8 +116,6 @@ class TestSpecValidation:
             make_step(replicas=0)
         with pytest.raises(ValidationError):
             make_step(service=0.0)
-        with pytest.raises(ValidationError):
-            StepSpec("x", ResourceVector(1, 1), 1, 1.0, fragment_size_bytes=0)
         with pytest.raises(ValidationError):
             BatchJob("j", PipelineDag([make_step()]), 0, 10.0)
         with pytest.raises(ValidationError):

@@ -1,5 +1,5 @@
-"""Pipeline driver behaviour: pipelining laws, barriers, eviction handoff,
-journal-based recovery and the rate estimator."""
+"""Pipeline driver behaviour: pipelining laws, barriers, eviction handoff
+and journal-based recovery."""
 
 import heapq
 import math
@@ -19,7 +19,7 @@ from hcs_sim.core_model import (
 )
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
 
-from oracles import chain_makespan, pipeline_makespan
+from oracles import chain_makespan, counting_completions, pipeline_makespan
 
 CLOUD = CloudPlacement("cloud://test")
 EDGE = EdgePlacement({0: 0})
@@ -102,12 +102,13 @@ class TestPipeliningLaws:
                 edges = [(f"s{i}", f"s{i+1}") for i in range(n - 1)]
             job = make_job(n, m, service, ff_flags=flags, replicas=replicas, edges=edges)
             drv = PipelineDriver(job, cloud_speed=1.0)
-            got = run_to_completion(drv)
+            with counting_completions() as completions:
+                got = run_to_completion(drv)
             want = pipeline_makespan(
                 [(s.step_id, service, s.feed_forward) for s in job.dag.steps],
                 edges, m, {s.step_id: replicas for s in job.dag.steps}, speed=1.0)
             assert math.isclose(got, want, rel_tol=1e-9), (trial, got, want)
-            assert all(v == 1 for v in drv.completion_counts.values())
+            assert all(v == 1 for v in completions.values())
 
     def test_edge_speed_stretches_durations(self):
         drv = PipelineDriver(make_job(1, 5, 1.0), edge_speed=0.8)
@@ -241,24 +242,26 @@ class TestRecovery:
                 heapq.heappush(heap, (d.finish_time, seq, d))
                 seq += 1
         restarted = False
-        while heap:
-            t, _, d = heapq.heappop(heap)
-            if not restarted and t > 7.0:
-                heapq.heappush(heap, (t, seq, d))
-                seq += 1
-                for nd in drv.resume_from_journal(7.0):
+        with counting_completions() as completions:
+            while heap:
+                t, _, d = heapq.heappop(heap)
+                if not restarted and t > 7.0:
+                    heapq.heappush(heap, (t, seq, d))
+                    seq += 1
+                    for nd in drv.resume_from_journal(7.0):
+                        heapq.heappush(heap, (nd.finish_time, seq, nd))
+                        seq += 1
+                    restarted = True
+                    continue
+                if not drv.is_current_completion(d.step_id, d.fragment, d.finish_time,
+                                                 d.epoch):
+                    continue
+                for nd in drv.on_fragment_complete(d.step_id, d.fragment, t).dispatches:
                     heapq.heappush(heap, (nd.finish_time, seq, nd))
                     seq += 1
-                restarted = True
-                continue
-            if not drv.is_current_completion(d.step_id, d.fragment, d.finish_time, d.epoch):
-                continue
-            for nd in drv.on_fragment_complete(d.step_id, d.fragment, t).dispatches:
-                heapq.heappush(heap, (nd.finish_time, seq, nd))
-                seq += 1
         assert drv.is_complete()
-        assert all(v == 1 for v in drv.completion_counts.values())
-        assert sum(drv.completion_counts.values()) == 40
+        assert all(v == 1 for v in completions.values())
+        assert sum(completions.values()) == 40
 
     def test_redeploy_requeues_in_flight(self):
         drv = PipelineDriver(make_job(1, 6, 5.0, replicas=2), edge_speed=1.0)
@@ -268,33 +271,3 @@ class TestRecovery:
         for d in disp:
             assert not drv.is_current_completion("s0", d.fragment, d.finish_time, d.epoch)
 
-
-class TestRateEstimator:
-    def test_frozen_example_fifty_seconds(self):
-        # 100 fragments, 1/s service: at t=50 there are 50 left and 30
-        # completions inside the 30 s window -> estimate 50 s
-        drv = PipelineDriver(make_job(1, 100, 1.0), cloud_speed=1.0)
-        run_to_completion(drv, pools={"s0": 1}, until=50.0)
-        est = drv.estimate_remaining(50.0)
-        assert est.completions_in_window == 30
-        assert est.remaining_fragments == 50
-        assert est.estimate == 50.0
-
-    def test_no_completions_yields_unknown(self):
-        drv = PipelineDriver(make_job(1, 10, 100.0))
-        est = drv.estimate_remaining(5.0)
-        assert est.estimate is None and est.completions_in_window == 0
-
-    def test_all_done_estimates_zero(self):
-        drv = PipelineDriver(make_job(1, 4), cloud_speed=1.0)
-        run_to_completion(drv)
-        est = drv.estimate_remaining(100.0)
-        assert est.estimate == 0.0 and est.remaining_fragments == 0
-
-    def test_only_terminal_steps_counted(self):
-        drv = PipelineDriver(make_job(2, 10, 1.0), cloud_speed=1.0)
-        run_to_completion(drv, pools={"s0": 10, "s1": 1}, until=3.5)
-        est = drv.estimate_remaining(3.5)
-        # terminal step s1 has completed 2 fragments (at t=2 and t=3)
-        assert est.remaining_fragments == 8
-        assert est.completions_in_window == 2

@@ -188,11 +188,11 @@ class TestMetricsCollector:
     def test_entry_lifecycle(self):
         c = self.make()
         c.open_entry("j", "s", "cloud", 2.5, 10.0)
-        assert c.has_open_entry("j", "s")
+        assert c.entries[0].deploy_end is None
         with pytest.raises(InternalConsistencyError):
             c.open_entry("j", "s", "cloud", 2.5, 11.0)
         c.close_entry("j", "s", 30.0)
-        assert not c.has_open_entry("j", "s")
+        assert c.entries[0].deploy_end == 30.0
         assert c.entries[0].cost == pytest.approx(50.0)
         c.close_entry("j", "s", 40.0)  # double close tolerated, no effect
         assert c.entries[0].deploy_end == 30.0

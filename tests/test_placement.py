@@ -5,14 +5,9 @@ import random
 import pytest
 
 from hcs_sim.core_model import InternalConsistencyError, ResourceVector, StepSpec, ValidationError
-from hcs_sim.placement import (
-    NodeState,
-    PlacementPolicy,
-    apply_plan,
-    oracle_feasible,
-    release,
-    try_place,
-)
+from hcs_sim.placement import NodeState, PlacementPolicy, apply_plan, release
+
+from oracles import oracle_feasible, try_place
 
 
 def nodes_of(*cpu_free, mem=8192, used_mem=0):

@@ -104,8 +104,9 @@ class TestGenerateArrivals:
             generate_arrivals(ExplicitArrivals((5.0, 1.0)), self.CATALOG)
 
     def test_unknown_template_rejected(self):
+        # the catalog belongs to the scenario, which owns the rule
         with pytest.raises(ValidationError):
-            generate_arrivals(ExplicitArrivals((1.0,), ("zzz",)), self.CATALOG)
+            scenario(catalog=self.CATALOG, arrivals=ExplicitArrivals((1.0,), ("zzz",)))
 
 
 class TestSingleJobTrace:
@@ -326,9 +327,8 @@ class TestInjectFaults:
             inject_faults(scenario(horizon=100.0), [NodeFailureFault(200.0, 0)])
 
     def test_job_index_out_of_range_fails_at_run(self):
-        s = scenario(faults=(DriverRestartFault(10.0, 5),))
         with pytest.raises(ValidationError):
-            run(s)
+            run(scenario(faults=(DriverRestartFault(10.0, 5),)))
 
 
 class TestHorizon:
