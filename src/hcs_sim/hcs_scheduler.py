@@ -269,9 +269,11 @@ class HcsScheduler:
 
     # -- window lifecycle -------------------------------------------------------
 
-    def expire_eviction(self, key: StepKey, now: float) -> bool:
-        """Victim's window ended: free its edge space, pin it to the cloud."""
-        if key not in self.evicting:
+    def expire_eviction(self, key: StepKey, expiry: float) -> bool:
+        """Victim's window ending at expiry closed: free its edge space, pin it
+        to the cloud. False if the step has no window ending then (it
+        completed, a failure re-homed it, or its window is a later one)."""
+        if self.evicting.get(key) != expiry:
             return False
         del self.evicting[key]
         release(self.resident.pop(key), self.nodes)

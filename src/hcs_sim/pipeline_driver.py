@@ -1,10 +1,34 @@
-"""Per-job pipeline driver: fragment dispatch through the DAG, journaling,
-eviction handoff and restart recovery."""
+"""Per-job pipeline driver: per-step fragment schedules through the DAG,
+journaling at commit, eviction handoff and restart recovery.
+
+Between two interruptions of a job nothing outside it touches its fragments.
+Each step is then a FIFO queue in front of a pool of p workers, and its
+fragment finish times follow the max-plus recurrence
+f[k] = max(a[k], f[k-p]) + d, with a[k] the ready time and d the service time
+over the region's speed. The driver keeps the durable state of its last
+commit (journal, ready queues, in-flight fragments, step states, pending
+eviction switches) and projects every step's schedule from it, one plain loop
+per step in topological order; the engine schedules one event per projected
+step completion. An interruption first commits the schedule up to its
+instant: fragments finished by then are journaled, started ones are in
+flight, ready ones queue. The interruption then applies and the job is
+projected again.
+
+Every step takes its fragments in index order: sources queue them so, a FIFO
+pool of equal service times finishes them in start order, a requeue puts the
+lower (cancelled or lost) indices first, and a fragment becomes ready at a
+join no earlier than every lower one. So completions at equal times, which
+the event queue would order by insertion, are ordered by fragment index.
+"""
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heapreplace
+from itertools import accumulate, repeat
 
 from hcs_sim.core_model import (
     BatchJob,
@@ -23,36 +47,50 @@ def cloud_pool_size(step: StepSpec, cloud_concurrency: int | None = None) -> int
     return step.replicas if cloud_concurrency is None else cloud_concurrency
 
 
-@dataclass(frozen=True)
-class Dispatch:
-    """One fragment handed to a worker; the engine schedules its completion."""
-
-    job_id: str
-    step_id: str
-    fragment: int
-    finish_time: float
-    epoch: int
-
-
-@dataclass
-class DriverEffects:
-    dispatches: list[Dispatch] = field(default_factory=list)
-    completed_steps: list[str] = field(default_factory=list)
-    job_completed: bool = False
-
-
 @dataclass
 class _StepRuntime:
     spec: StepSpec
     state: StepState = StepState.PENDING
     endpoint: Placement | None = None
     pool: int = 0
-    epoch: int = 0
     ready: deque = field(default_factory=deque)
     in_flight: dict[int, float] = field(default_factory=dict)
     # (expiry, new_endpoint, new_pool) once an eviction notice arrives
     pending_switch: tuple[float, Placement, int] | None = None
     barrier_released: bool = False
+
+
+def _fifo(times: list[float], busy: list[float], free: int, t0: float,
+          duration: float, cut: float) -> list[float]:
+    """Finish times of the queued fragments that start by cut, in queue order.
+
+    times are the ready times (non-decreasing, at least one), busy the finish
+    times of the fragments in flight and free the idle workers at t0. Each
+    fragment takes the earliest free worker: start = max(ready, worker free),
+    finish = start + duration, the same float operations as one dispatch at
+    a time.
+    """
+    workers = busy + [t0] * free
+    if len(workers) == 1 and times[-1] <= max(times[0], workers[0]):
+        # one worker and every fragment ready by the first start: each starts
+        # when the previous finishes; starts[i] and starts[i + 1] bound item i
+        first = max(times[0], workers[0])
+        if first > cut:
+            return []
+        starts = list(accumulate(repeat(duration, len(times)), initial=first))
+        return starts[1:bisect_right(starts, cut, 0, len(times)) + 1]
+    fins: list[float] = []
+    heapify(workers)
+    for ready in times:
+        start = workers[0]
+        if ready > start:
+            start = ready
+        if start > cut:
+            break
+        finish = start + duration
+        heapreplace(workers, finish)
+        fins.append(finish)
+    return fins
 
 
 class PipelineDriver:
@@ -62,6 +100,12 @@ class PipelineDriver:
     a restart loses in-flight work but never journaled completions, and no
     fragment is ever journaled twice at the same step. The job's graph, the
     speeds and the pools come from a Scenario, which has validated them.
+
+    Protocol: project(now) plans the job and returns its step completions;
+    the caller reports each with on_step_complete(step, time) while the plan
+    is current (version unchanged). Every interruption method commits the
+    plan first, and the caller projects again after the interruptions of one
+    instant.
     """
 
     def __init__(self, job: BatchJob, edge_speed: float = 0.8, cloud_speed: float = 1.0):
@@ -76,6 +120,9 @@ class PipelineDriver:
         self._succs = {sid: job.dag.successors(sid) for sid in self.topo}
         self.terminal_ids = job.dag.terminal_ids()
         self.completed_at: float | None = None
+        self.version = 0  # bumped by every projection
+        self._planned_at: float | None = None  # start of the current plan
+        self._steps_done = 0
         for sid in self.topo:
             rt = _StepRuntime(job.dag.step(sid))
             if not self._preds[sid]:
@@ -94,38 +141,159 @@ class PipelineDriver:
     def is_complete(self) -> bool:
         return all(self.steps[t].state is StepState.COMPLETED for t in self.terminal_ids)
 
-    def is_current_completion(self, step_id: str, fragment: int,
-                              finish_time: float, epoch: int) -> bool:
-        """Whether a scheduled completion is still live (not cancelled or superseded)."""
-        rt = self.steps.get(step_id)
-        if rt is None or rt.epoch != epoch:
-            return False
-        return rt.in_flight.get(fragment) == finish_time
-
     def _speed(self, endpoint: Placement) -> float:
         return self.edge_speed if isinstance(endpoint, EdgePlacement) else self.cloud_speed
 
     def _service(self, rt: _StepRuntime) -> float:
         return rt.spec.service_time_per_fragment / self._speed(rt.endpoint)
 
-    # -- dispatching --------------------------------------------------------
+    # -- plans ----------------------------------------------------------------
 
-    def _dispatch(self, step_id: str, now: float) -> list[Dispatch]:
-        rt = self.steps[step_id]
-        out: list[Dispatch] = []
+    def project(self, now: float) -> list[tuple[str, float]]:
+        """Plan every step from the state committed at now.
+
+        Returns (step_id, completion time) for each step the plan finishes;
+        the plan holds until the next commit and is identified by version.
+        """
+        if self._planned_at is not None:
+            raise InternalConsistencyError(f"job {self.job.job_id} projected twice")
+        self._planned_at = now
+        self.version += 1
+        return list(self._follow(now, math.inf, False).items())
+
+    def commit(self, now: float) -> None:
+        """Move the durable state along the current plan to now (no-op without one)."""
+        if self._planned_at is None:
+            return
+        start, self._planned_at = self._planned_at, None
+        self._follow(start, now, True)
+
+    def on_step_complete(self, step_id: str, now: float) -> bool:
+        """A step completion of the current plan happened; returns whether the
+        whole job finished with it, in which case the plan is committed."""
+        if self.steps[step_id].state is StepState.COMPLETED:
+            raise InternalConsistencyError(f"step {step_id} completed twice")
+        self._steps_done += 1
+        if self._steps_done < len(self.topo):
+            return False
+        self.commit(now)
+        if not self.is_complete():
+            raise InternalConsistencyError(
+                f"job {self.job.job_id}: every step reported complete, journal disagrees")
+        self.completed_at = now
+        return True
+
+    def _journal(self, step_id: str, fragments: list[int]) -> None:
+        """Record completed fragments at a step; the only writer of the journal."""
+        journal = self.journal[step_id]
+        before = len(journal)
+        journal.update(fragments)
+        if len(journal) != before + len(fragments):
+            raise InternalConsistencyError(f"fragment journaled twice at step {step_id}")
+
+    def _arrivals(self, sid: str, t0: float, done: dict, finished: dict
+                  ) -> tuple[list[float], list[int], bool]:
+        """Fragments the plan makes ready at a step, in the order they queue.
+
+        Returns their ready times and ids, and whether the step is a barrier
+        that releases within the plan.
+        """
+        preds = self._preds[sid]
+        if self.steps[sid].spec.feed_forward:
+            if len(preds) == 1:
+                return (*done[preds[0]], False)
+            # a join: a fragment is ready once every predecessor finished it,
+            # at the last of those completions within the plan
+            ready: dict[int, float] = {}
+            for p in preds:
+                for fin, f in zip(*done[p]):
+                    if fin > ready.get(f, t0):
+                        ready[f] = fin
+            planned = [(set(done[p][1]), self.journal[p]) for p in preds]
+            order = sorted((t, f) for f, t in ready.items()
+                           if all(f in now or f in before for now, before in planned))
+            return [t for t, _ in order], [f for _, f in order], False
+        if not all(p in finished or self.steps[p].state is StepState.COMPLETED
+                   for p in preds):
+            return [], [], False
+        # a barrier releases at its last predecessor's completion
+        when = max(finished[p] for p in preds if p in finished)
+        frags = [f for f in range(self.m) if f not in self.journal[sid]]
+        return [when] * len(frags), frags, True
+
+    def _follow(self, t0: float, cut: float, commit: bool) -> dict[str, float]:
+        """Walk every step's schedule from the durable state at t0 up to cut.
+
+        Returns the completion time of each step the schedule finishes by
+        cut. With commit, the durable state then moves to cut.
+        """
+        # per step, the completions by cut in queue order: (finish times, fragments)
+        done: dict[str, tuple[list[float], list[int]]] = {}
+        finished: dict[str, float] = {}
+        for sid in self.topo:
+            rt = self.steps[sid]
+            if rt.state is StepState.COMPLETED:
+                done[sid] = ([], [])
+                continue
+            frags = list(rt.ready)
+            times = [t0] * len(frags)
+            released = False
+            if self._preds[sid] and (rt.spec.feed_forward or not rt.barrier_released):
+                a_times, a_frags, released = self._arrivals(sid, t0, done, finished)
+                times += a_times
+                frags += a_frags
+            flight = sorted((fin, f) for f, fin in rt.in_flight.items())
+            landed = bisect_right(flight, (cut, math.inf))
+            fins = [fin for fin, _ in flight[:landed]]
+            out = [f for _, f in flight[:landed]]
+            new_fins: list[float] = []
+            if (frags and rt.endpoint is not None and rt.pending_switch is None
+                    and (rt.spec.feed_forward or rt.barrier_released or released)):
+                new_fins = _fifo(times, [fin for fin, _ in flight], rt.pool - len(flight),
+                                 t0, self._service(rt), cut)
+            n_started = len(new_fins)
+            n_landed = bisect_right(new_fins, cut)
+            fins += new_fins[:n_landed]
+            out += frags[:n_landed]
+            done[sid] = (fins, out)
+            journal = self.journal[sid]
+            if len(journal) + len(out) == self.m:
+                finished[sid] = fins[-1]
+            if not commit:
+                continue
+
+            if out:
+                self._journal(sid, out)
+            rt.in_flight = {f: fin for f, fin in rt.in_flight.items() if fin > cut}
+            rt.in_flight.update(zip(frags[n_landed:n_started], new_fins[n_landed:]))
+            rt.ready = deque(frags[n_started:])
+            if released:
+                rt.barrier_released = True
+                if rt.state is StepState.WAITING:
+                    assert_step_transition(rt.state, StepState.RUNNING)
+                    rt.state = StepState.RUNNING
+            if len(journal) == self.m:
+                if rt.in_flight or rt.ready:
+                    raise InternalConsistencyError(f"step {sid} complete with work left")
+                assert_step_transition(rt.state, StepState.COMPLETED)
+                rt.state = StepState.COMPLETED
+                rt.pending_switch = None
+        return finished
+
+    def _start_ready(self, rt: _StepRuntime, now: float) -> None:
+        """Hand ready fragments to idle workers at an interruption's instant."""
         if rt.state is not StepState.RUNNING or rt.pending_switch is not None:
-            return out
-        duration = self._service(rt)
+            return
+        finish = now + self._service(rt)
         while rt.ready and len(rt.in_flight) < rt.pool:
-            frag = rt.ready.popleft()
-            finish = now + duration
-            rt.in_flight[frag] = finish
-            out.append(Dispatch(self.job.job_id, step_id, frag, finish, rt.epoch))
-        return out
+            rt.in_flight[rt.ready.popleft()] = finish
+
+    # -- deployment -----------------------------------------------------------
 
     def on_deploy(self, step_id: str, endpoint: Placement, pool_size: int,
-                  now: float) -> list[Dispatch]:
-        """First deployment of a step; dispatches up to pool_size ready fragments."""
+                  now: float) -> None:
+        """First deployment of a step; starts up to pool_size ready fragments."""
+        self.commit(now)
         rt = self.step_runtime(step_id)
         if rt.endpoint is not None or rt.state is not StepState.PENDING:
             raise InternalConsistencyError(
@@ -138,64 +306,7 @@ class PipelineDriver:
         else:
             assert_step_transition(rt.state, StepState.WAITING)
             rt.state = StepState.WAITING
-        return self._dispatch(step_id, now)
-
-    # -- completions --------------------------------------------------------
-
-    def on_fragment_complete(self, step_id: str, fragment: int, now: float) -> DriverEffects:
-        """Journal a completion, refill the freed worker, wake successors.
-
-        Args:
-            step_id: step whose worker finished.
-            fragment: fragment index that completed.
-            now: completion time.
-
-        Returns:
-            New dispatches, any steps that just completed, and whether the
-            whole job finished with this completion.
-        """
-        rt = self.step_runtime(step_id)
-        if fragment not in rt.in_flight:
-            raise InternalConsistencyError(
-                f"completion for {step_id}#{fragment} which is not in flight")
-        del rt.in_flight[fragment]
-        if fragment in self.journal[step_id]:
-            raise InternalConsistencyError(
-                f"fragment {fragment} journaled twice at step {step_id}")
-        self.journal[step_id].add(fragment)
-
-        effects = DriverEffects()
-        if len(self.journal[step_id]) == self.m:
-            if rt.in_flight:
-                raise InternalConsistencyError(
-                    f"step {step_id} complete with work in flight")
-            assert_step_transition(rt.state, StepState.COMPLETED)
-            rt.state = StepState.COMPLETED
-            rt.pending_switch = None
-            rt.ready.clear()
-            effects.completed_steps.append(step_id)
-        else:
-            effects.dispatches.extend(self._dispatch(step_id, now))
-
-        for succ in self._succs[step_id]:
-            srt = self.steps[succ]
-            if srt.spec.feed_forward:
-                if all(fragment in self.journal[p] for p in self._preds[succ]):
-                    srt.ready.append(fragment)
-                    effects.dispatches.extend(self._dispatch(succ, now))
-            elif not srt.barrier_released and len(self.journal[step_id]) == self.m:
-                if all(len(self.journal[p]) == self.m for p in self._preds[succ]):
-                    srt.barrier_released = True
-                    srt.ready = deque(f for f in range(self.m) if f not in self.journal[succ])
-                    if srt.state is StepState.WAITING:
-                        assert_step_transition(srt.state, StepState.RUNNING)
-                        srt.state = StepState.RUNNING
-                    effects.dispatches.extend(self._dispatch(succ, now))
-
-        if effects.completed_steps and self.is_complete() and self.completed_at is None:
-            self.completed_at = now
-            effects.job_completed = True
-        return effects
+        self._start_ready(rt, now)
 
     # -- eviction and failure handoff ----------------------------------------
 
@@ -206,6 +317,7 @@ class PipelineDriver:
         In-flight fragments finishing by the expiry run to completion; the rest
         go back to the front of the ready queue for the replacement endpoint.
         """
+        self.commit(now)
         rt = self.step_runtime(step_id)
         if not isinstance(rt.endpoint, EdgePlacement):
             raise InternalConsistencyError(f"eviction notice for non-edge step {step_id}")
@@ -218,8 +330,9 @@ class PipelineDriver:
         rt.pending_switch = (expiry, new_endpoint, new_pool)
         return cancelled
 
-    def switch_at_expiry(self, step_id: str, now: float) -> list[Dispatch]:
-        """Move a noticed step onto its replacement endpoint and resume dispatch."""
+    def switch_at_expiry(self, step_id: str, now: float) -> None:
+        """Move a noticed step onto its replacement endpoint and resume work."""
+        self.commit(now)
         rt = self.step_runtime(step_id)
         if rt.pending_switch is None:
             raise InternalConsistencyError(f"step {step_id} has no pending switch")
@@ -232,12 +345,12 @@ class PipelineDriver:
         rt.pending_switch = None
         rt.endpoint = endpoint
         rt.pool = pool
-        rt.epoch += 1
-        return self._dispatch(step_id, now)
+        self._start_ready(rt, now)
 
     def redeploy(self, step_id: str, endpoint: Placement, pool_size: int,
-                 now: float) -> list[Dispatch]:
+                 now: float) -> None:
         """Replace a lost deployment (node failure): in-flight work requeues."""
+        self.commit(now)
         rt = self.step_runtime(step_id)
         if rt.endpoint is None or rt.state is StepState.COMPLETED:
             raise InternalConsistencyError(f"redeploy of undeployed/completed step {step_id}")
@@ -247,22 +360,20 @@ class PipelineDriver:
         rt.pending_switch = None
         rt.endpoint = endpoint
         rt.pool = pool_size
-        rt.epoch += 1
-        return self._dispatch(step_id, now)
+        self._start_ready(rt, now)
 
     # -- restart ------------------------------------------------------------
 
-    def resume_from_journal(self, now: float) -> list[Dispatch]:
+    def resume_from_journal(self, now: float) -> None:
         """Rebuild volatile dispatch state after a driver restart.
 
         The journal, endpoint assignments and pending eviction notices are
         durable; the in-flight set is lost, so unjournaled fragments are
-        re-queued and re-dispatched. Already-journaled work is never resent.
+        re-queued and started again. Already-journaled work is never resent.
         """
-        dispatches: list[Dispatch] = []
+        self.commit(now)
         for sid in self.topo:
             rt = self.steps[sid]
-            rt.epoch += 1
             rt.in_flight.clear()
             if len(self.journal[sid]) == self.m:
                 if rt.state is not StepState.COMPLETED:
@@ -288,7 +399,6 @@ class PipelineDriver:
                 rt.state = StepState.PENDING
             elif rt.spec.feed_forward or rt.barrier_released:
                 rt.state = StepState.RUNNING
-                dispatches.extend(self._dispatch(sid, now))
+                self._start_ready(rt, now)
             else:
                 rt.state = StepState.WAITING
-        return dispatches

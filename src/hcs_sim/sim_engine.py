@@ -1,6 +1,13 @@
 """Deterministic discrete-event core: clock, total event ordering, seeded
 Poisson arrival generation, fault injection, and the scheduler/driver
-orchestration loop."""
+orchestration loop.
+
+Fragments never enter the event queue. Each job's driver projects per-step
+schedules; the queue holds one event per projected step completion, tagged
+with the plan's version, next to arrivals, rounds, eviction expiries and
+faults. An event that touches a job commits its plan up to that instant, and
+the job is projected again once the event is handled.
+"""
 
 from __future__ import annotations
 
@@ -36,7 +43,7 @@ from hcs_sim.hcs_scheduler import (
     cloud_label,
 )
 from hcs_sim.metrics import JobOutcome, MetricsCollector, RunReport
-from hcs_sim.pipeline_driver import Dispatch, PipelineDriver, cloud_pool_size
+from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
 from hcs_sim.placement import NodeState, PlacementPolicy
 
 log = logging.getLogger(__name__)
@@ -45,12 +52,13 @@ log = logging.getLogger(__name__)
 class EventKind(IntEnum):
     """Tie-break priority at equal timestamps, lowest first.
 
-    Completions and eviction expirations must be visible before the round
+    Step completions (the last fragment of a step, as a job's current plan
+    projects it) and eviction expirations must be visible before the round
     that schedules over them; arrivals land before the round boundary they
     sit on.
     """
 
-    FRAGMENT_COMPLETE = 0
+    STEP_COMPLETE = 0
     EVICTION_EXPIRE = 1
     NODE_FAILURE = 2
     DRIVER_RESTART = 3
@@ -235,6 +243,8 @@ def inject_faults(scenario: Scenario, faults: list[Fault]) -> Scenario:
 class _Engine:
     """One run's mutable state; single-threaded, shares nothing."""
 
+    driver_type = PipelineDriver
+
     def __init__(self, scenario: Scenario, arrivals: list[ScheduledArrival]):
         self.scenario = scenario
         self.arrivals = arrivals
@@ -244,6 +254,7 @@ class _Engine:
             scenario.round_length, scenario.eviction_deadline, scenario.mode)
         self.collector = MetricsCollector(self.nodes)
         self.drivers: dict[str, PipelineDriver] = {}
+        self._touched: dict[str, PipelineDriver] = {}  # jobs to project again
         self.templates: dict[str, str] = {}
         self.heap: list[tuple[float, int, int, object]] = []
         self.seq = 0
@@ -252,10 +263,11 @@ class _Engine:
         self.arrived = 0
         self.horizon_reached = False
         self._ticks: set[float] = set()
-        # generous ceiling: each fragment-step pair re-dispatches only a
-        # bounded number of times (one eviction, node failures, restarts)
-        work = sum(a.job.fragment_count * len(a.job.dag.steps) for a in arrivals)
-        self._event_budget = 10_000 + 100 * (work + len(arrivals) + len(scenario.faults))
+        # generous ceiling: each step is projected again only a bounded
+        # number of times (its deployments, one eviction, node failures,
+        # restarts), each time with one completion event
+        steps = sum(len(a.job.dag.steps) for a in arrivals)
+        self._event_budget = 10_000 + 100 * (steps + len(arrivals) + len(scenario.faults))
 
         for i, a in enumerate(arrivals):
             self._push(a.time, EventKind.JOB_ARRIVAL, i)
@@ -272,15 +284,21 @@ class _Engine:
         heapq.heappush(self.heap, (time, int(kind), self.seq, payload))
         self.seq += 1
 
-    def _push_dispatches(self, dispatches: list[Dispatch]) -> None:
-        for d in dispatches:
-            self._push(d.finish_time, EventKind.FRAGMENT_COMPLETE, d)
+    def _touch(self, drv: PipelineDriver) -> None:
+        """Mark a job whose driver an event interrupted, to project it again."""
+        self._touched[drv.job.job_id] = drv
+
+    def _project_touched(self, now: float) -> None:
+        for job_id, drv in self._touched.items():
+            for step_id, time in drv.project(now):
+                self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))
+        self._touched.clear()
 
     # -- event handlers -------------------------------------------------------
 
     def _on_arrival(self, index: int, now: float) -> None:
         a = self.arrivals[index]
-        self.drivers[a.job.job_id] = PipelineDriver(
+        self.drivers[a.job.job_id] = self.driver_type(
             a.job, self.scenario.edge_speed, self.scenario.cloud_speed)
         self.templates[a.job.job_id] = a.template
         self.sched.submit_request(a.job, now)
@@ -303,14 +321,15 @@ class _Engine:
                                        self.scenario.cloud_concurrency)
                 endpoint = CloudPlacement(cloud_label(d.job_id, d.step_id))
                 drv.on_eviction_notice(d.step_id, d.expiry_time, endpoint, pool, now)
+                self._touch(drv)
                 self._push(d.expiry_time, EventKind.EVICTION_EXPIRE,
-                           (d.job_id, d.step_id))
+                           (d.job_id, d.step_id, d.expiry_time))
             elif d.effective_time > now:
                 # a deferred DeployCloud is a victim's handoff, performed by
                 # the victim's expiry event; a deferred DeployEdge waits for it
                 if isinstance(d, DeployEdge):
                     self._push(d.effective_time, EventKind.EVICTION_EXPIRE,
-                               (d.job_id, d.step_id))
+                               (d.job_id, d.step_id, d.effective_time))
             elif isinstance(d, DeployEdge):
                 self._move_step(d.job_id, d.step_id, EdgePlacement(d.plan.assignments), now)
                 edge_changed = True
@@ -328,8 +347,8 @@ class _Engine:
         cloud switch its eviction notice announced.
 
         The open ledger entry, if any, closes and one for the new region opens;
-        the new dispatches are scheduled. Returns whether an existing
-        deployment was replaced.
+        the job is projected again after the event. Returns whether an
+        existing deployment was replaced.
         """
         drv = self.drivers[job_id]
         step = drv.job.dag.step(step_id)
@@ -337,38 +356,38 @@ class _Engine:
         self.collector.close_entry(job_id, step_id, now)
         self.collector.open_entry(job_id, step_id, region, self.sched.rcost_of(step), now)
         if endpoint is None:
-            out = drv.switch_at_expiry(step_id, now)
+            drv.switch_at_expiry(step_id, now)
             replaced = True
         else:
             pool = (step.replicas if region == "edge"
                     else cloud_pool_size(step, self.scenario.cloud_concurrency))
             replaced = drv.step_runtime(step_id).endpoint is not None
             deploy = drv.redeploy if replaced else drv.on_deploy
-            out = deploy(step_id, endpoint, pool, now)
-        self._push_dispatches(out)
+            deploy(step_id, endpoint, pool, now)
+        self._touch(drv)
         return replaced
 
-    def _on_fragment_complete(self, d: Dispatch, now: float) -> None:
-        drv = self.drivers[d.job_id]
-        if not drv.is_current_completion(d.step_id, d.fragment, d.finish_time, d.epoch):
-            return  # cancelled by eviction, failure, or restart
-        effects = drv.on_fragment_complete(d.step_id, d.fragment, now)
-        self._push_dispatches(effects.dispatches)
-        edge_changed = False
-        for sid in effects.completed_steps:
-            region = self.sched.complete_step(d.job_id, sid, now)
-            self.collector.close_entry(d.job_id, sid, now)
-            edge_changed = edge_changed or region == "edge"
-        if edge_changed:
+    def _on_completion(self, event: tuple[str, str, int], now: float) -> bool:
+        """Handle a projected step completion; returns whether it was live."""
+        job_id, step_id, version = event
+        drv = self.drivers[job_id]
+        if version != drv.version:
+            return False  # the plan was superseded by an interruption
+        region = self.sched.complete_step(job_id, step_id, now)
+        self.collector.close_entry(job_id, step_id, now)
+        if region == "edge":
             self.collector.sample(now)
-        if effects.job_completed:
+        if drv.on_step_complete(step_id, now):
             self.collector.record_outcome(JobOutcome(
-                d.job_id, self.templates[d.job_id],
-                drv.job.arrival_time, now, drv.job.deadline))
+                job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
+        return True
 
-    def _on_eviction_expire(self, key: tuple[str, str], now: float) -> None:
-        job_id, step_id = key
-        if self.sched.expire_eviction(key, now):
+    def _on_eviction_expire(self, event: tuple[str, str, float], now: float) -> None:
+        job_id, step_id, expiry = event
+        key = (job_id, step_id)
+        # a step's window may end at another time than this event's: a
+        # failure re-homed its reservation and a later round evicted it
+        if self.sched.expire_eviction(key, expiry):
             # victim's window closed: billing moves to the cloud from here on
             self._move_step(job_id, step_id, None, now)
             self.collector.sample(now)
@@ -389,7 +408,8 @@ class _Engine:
         drv = self.drivers.get(job_id)
         if drv is None or drv.is_complete():
             return  # not arrived yet, or already done: restart is a no-op
-        self._push_dispatches(drv.resume_from_journal(now))
+        drv.resume_from_journal(now)
+        self._touch(drv)
 
     # -- the loop ---------------------------------------------------------------
 
@@ -405,13 +425,16 @@ class _Engine:
                 raise InternalConsistencyError(
                     f"event budget {self._event_budget} exhausted; likely a livelock")
             self.now = time
+            if kind == EventKind.STEP_COMPLETE:
+                # a superseded completion leaves no trace, not even the end time
+                if self._on_completion(payload, time):
+                    self.last_event_time = time
+                continue
             if kind == EventKind.SIMULATION_END:
                 self._finish_at_horizon(time)
                 break
             self.last_event_time = time
-            if kind == EventKind.FRAGMENT_COMPLETE:
-                self._on_fragment_complete(payload, time)
-            elif kind == EventKind.EVICTION_EXPIRE:
+            if kind == EventKind.EVICTION_EXPIRE:
                 self._on_eviction_expire(payload, time)
             elif kind == EventKind.NODE_FAILURE:
                 self._on_node_failure(payload, time)
@@ -423,6 +446,8 @@ class _Engine:
                 self._on_round_tick(time)
             else:
                 raise InternalConsistencyError(f"unknown event kind {kind}")
+            if self._touched:
+                self._project_touched(time)
 
         end_time = self.horizon if self.horizon_reached else self.last_event_time
         if not self.horizon_reached:
@@ -450,13 +475,15 @@ class _Engine:
 
     def _finish_at_horizon(self, now: float) -> None:
         """Mark the cut if the cap interrupted work; unfinished jobs count as
-        missed with the horizon as their completion time."""
+        missed with the horizon as their completion time, and their journals
+        hold what finished by it."""
         unfinished = [a for a in self.arrivals[:self.arrived]
                       if not self.drivers[a.job.job_id].is_complete()]
         if not unfinished and self.arrived == len(self.arrivals):
             return
         self.horizon_reached = True
         for a in unfinished:
+            self.drivers[a.job.job_id].commit(now)
             self.collector.record_outcome(JobOutcome(
                 a.job.job_id, a.template, a.job.arrival_time,
                 completion=now, deadline=a.job.deadline, completed=False))

@@ -1,0 +1,250 @@
+"""Differential test: the per-step engine against the per-fragment oracle.
+
+Both engines run the same generated scenarios; every emitted artifact (plot
+data included) must match byte for byte, and so must every job's final
+journal. The generator favours ties: service times of 1 or 2 s at equal
+speeds, DAG joins of up to three predecessors, barriers, pools of 1 to 3,
+node failures, driver restarts and horizons that cut jobs mid-run.
+
+Run a wider sweep from a checkout with
+
+    PYTHONPATH=src python3 tests/test_differential.py --seeds 0:4000
+
+which prints the first differing seed and file, or the number of seeds that
+matched.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from hcs_sim.core_model import (
+    BatchJob,
+    CostParams,
+    PipelineDag,
+    ResourceVector,
+    StepSpec,
+)
+from hcs_sim.hcs_scheduler import HcsScheduler, SchedulerMode
+from hcs_sim.metrics import emit_report
+from hcs_sim.placement import PlacementPolicy
+from hcs_sim.sim_engine import (
+    DriverRestartFault,
+    ExplicitArrivals,
+    NodeFailureFault,
+    Scenario,
+    generate_arrivals,
+    run_detailed,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from oracles import fragment_run_detailed  # noqa: E402
+
+TIER1_SEEDS = range(0, 300)
+
+
+def random_template(rng: random.Random, name: str) -> BatchJob:
+    """A DAG of 1-6 steps; a non-source step has 1-3 predecessors."""
+    n = rng.choice([1, 2, 3, 3, 4, 4, 5, 6])
+    steps, edges = [], []
+    for i in range(n):
+        if i:
+            preds = rng.sample(range(i), rng.randint(1, min(3, i)))
+            edges += [(f"s{p}", f"s{i}") for p in sorted(preds)]
+        steps.append(StepSpec(
+            f"s{i}", ResourceVector(rng.choice([250, 500, 750, 1000, 1500]),
+                                    rng.choice([64, 128, 256, 512])),
+            rng.randint(1, 3), rng.choice([1.0, 2.0]),
+            feed_forward=i == 0 or rng.random() < 0.7))
+    rng.shuffle(edges)  # the order of a step's successors must not matter
+    return BatchJob(name, PipelineDag(steps, edges), rng.randint(1, 12),
+                    rng.choice([20.0, 60.0, 1e6]))
+
+
+def random_scenario(seed: int) -> Scenario:
+    rng = random.Random(seed)
+    nodes = tuple(ResourceVector(rng.choice([1000, 2000, 3000]), 4096)
+                  for _ in range(rng.randint(1, 4)))
+    catalog = {f"t{i}": random_template(rng, f"t{i}") for i in range(rng.randint(1, 3))}
+    count = rng.randint(1, 8)
+    step = rng.choice([1.0, 2.5, 5.0])
+    times = tuple(sorted(step * rng.randint(0, 20) for _ in range(count)))
+    round_length = rng.choice([5.0, 10.0, 30.0])
+    eviction = rng.choice([round_length, 3.0, 7.0, 30.0])
+    if rng.random() < 0.7:
+        edge_speed = cloud_speed = 1.0
+    else:
+        edge_speed, cloud_speed = rng.choice([(0.8, 1.0), (1.0, 2.0), (0.5, 1.0)])
+    horizon = rng.choice([None, None, rng.uniform(10.0, 120.0)])
+    last = horizon if horizon is not None else 150.0
+    faults = []
+    for node in rng.sample(range(len(nodes)), rng.randint(0, len(nodes))):
+        if rng.random() < 0.5:
+            faults.append(NodeFailureFault(rng.choice([rng.uniform(0.0, last),
+                                                       round_length * rng.randint(1, 4)]),
+                                           node))
+    for _ in range(rng.randint(0, 3)):
+        t = rng.uniform(0.0, last)
+        faults.append(DriverRestartFault(min(t, last), rng.randrange(count)))
+    faults = [f for f in faults if f.time <= last]
+    faults.sort(key=lambda f: f.time)
+    return Scenario(
+        scenario_id=f"diff-{seed}",
+        node_capacities=nodes,
+        catalog=catalog,
+        arrivals=ExplicitArrivals(times, tuple(rng.choice(sorted(catalog))
+                                               for _ in range(count))),
+        cost_params=CostParams(c_cpu=rng.choice([1000.0, 10.0]), c_mem=0.1),
+        mode=SchedulerMode.CLOUD_ONLY if rng.random() < 0.15 else SchedulerMode.CHEAPEST_FIRST,
+        placement=rng.choice(list(PlacementPolicy)),
+        round_length=round_length,
+        eviction_deadline=eviction,
+        edge_speed=edge_speed,
+        cloud_speed=cloud_speed,
+        cloud_concurrency=rng.choice([None, None, 1, 2, 3]),
+        horizon=horizon,
+        faults=tuple(faults),
+    )
+
+
+def differences(scenario: Scenario) -> list[str]:
+    """Artifacts and journals on which the two engines disagree."""
+    arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
+    fast, fast_drivers = run_detailed(scenario, arrivals)
+    slow, slow_drivers = fragment_run_detailed(scenario, arrivals)
+    with tempfile.TemporaryDirectory() as tmp:
+        a = [p.relative_to(tmp).as_posix()
+             for p in emit_report(fast, Path(tmp) / "fast", emit_plot_data=True)]
+        b = [p.relative_to(tmp).as_posix()
+             for p in emit_report(slow, Path(tmp) / "slow", emit_plot_data=True)]
+        names = sorted({n.split("/", 1)[1] for n in a + b})
+        out = [n for n in names
+               if (Path(tmp) / "fast" / n).read_bytes() != (Path(tmp) / "slow" / n).read_bytes()]
+    for job_id, drv in sorted(fast_drivers.items()):
+        for sid, journal in drv.journal.items():
+            if journal != slow_drivers[job_id].journal[sid]:
+                out.append(f"journal {job_id}/{sid}")
+    return out
+
+
+def test_generated_scenarios_match_the_oracle():
+    mismatched = {seed: diff for seed in TIER1_SEEDS
+                  if (diff := differences(random_scenario(seed)))}
+    assert not mismatched, mismatched
+
+
+def test_generator_reaches_the_hard_cases(monkeypatch):
+    """The tier-1 seeds exercise joins, barriers, evictions, faults and cuts."""
+    seen = set()
+    real_expire = HcsScheduler.expire_eviction
+
+    def expire(self, key, expiry):
+        closed = real_expire(self, key, expiry)
+        if closed:
+            seen.add("eviction")
+        return closed
+
+    monkeypatch.setattr(HcsScheduler, "expire_eviction", expire)
+    for seed in TIER1_SEEDS:
+        sc = random_scenario(seed)
+        for job in sc.catalog.values():
+            for s in job.dag.steps:
+                if s.feed_forward and len(job.dag.predecessors(s.step_id)) == 3:
+                    seen.add("join3")
+                if not s.feed_forward:
+                    seen.add("barrier")
+        seen.update(type(f).__name__ for f in sc.faults)
+        if run_detailed(sc)[0].horizon_reached:
+            seen.add("cut")
+        if sc.mode is SchedulerMode.CLOUD_ONLY:
+            seen.add("cloud_only")
+        seen.add(sc.placement.value)
+    assert {"join3", "barrier", "eviction", "NodeFailureFault", "DriverRestartFault", "cut",
+            "cloud_only", *(p.value for p in PlacementPolicy)} <= seen
+
+
+def _step(sid, cpu, replicas=1, service=1.0, ff=True):
+    return StepSpec(sid, ResourceVector(cpu, 128), replicas, service, feed_forward=ff)
+
+
+def _eviction_scenario(**kw) -> Scenario:
+    """A cheap job runs a -> b on the edge from t=10; at the t=20 round a
+    dearer newcomer evicts a (cheaper than b) with a 5 s window. a's
+    fragments 10 and 11 are in flight, finishing together at 22."""
+    cheap = BatchJob("cheap", PipelineDag(
+        [_step("a", 250, replicas=2, service=2.0), _step("b", 1000)], [("a", "b")]), 16, 1e6)
+    dear = BatchJob("dear", PipelineDag([_step("x", 1000)]), 4, 1e6)
+    return Scenario(scenario_id="hand", node_capacities=(ResourceVector(2000, 4096),),
+                    catalog={"cheap": cheap, "dear": dear},
+                    arrivals=ExplicitArrivals((1.0, 12.0), ("cheap", "dear")),
+                    round_length=10.0, eviction_deadline=5.0, edge_speed=1.0, **kw)
+
+
+def _join_tie_scenario() -> Scenario:
+    """s1 and s2 (pools of 2) finish fragments 0 and 1 together at t=13 and
+    feed the join s3, whose pool of 1 takes them one at a time; the horizon
+    cuts between the two."""
+    job = BatchJob("t", PipelineDag(
+        [_step("s0", 250, replicas=2), _step("s1", 250, replicas=2, service=2.0),
+         _step("s2", 250, replicas=2, service=2.0), _step("s3", 250)],
+        [("s0", "s2"), ("s0", "s1"), ("s2", "s3"), ("s1", "s3")]), 6, 1e6)
+    return Scenario(scenario_id="hand", node_capacities=(ResourceVector(2000, 4096),),
+                    catalog={"t": job}, arrivals=ExplicitArrivals((0.0,)),
+                    round_length=10.0, edge_speed=1.0, horizon=14.5)
+
+
+def _regions(report, step_id):
+    return [(e.region, e.deploy_start) for e in report.cost_ledger if e.step_id == step_id]
+
+
+# name -> (scenario, what its run must show so the case tests what it says)
+HAND_BUILT = {
+    "eviction-mid-step-feeds-successor": (
+        _eviction_scenario,
+        lambda report, drivers: (_regions(report, "a") == [("edge", 10.0), ("cloud", 25.0)]
+                                 and _regions(report, "b") == [("edge", 10.0)])),
+    "restart-inside-eviction-window": (
+        lambda: _eviction_scenario(faults=(DriverRestartFault(22.5, 0),)),
+        lambda report, drivers: _regions(report, "a") == [("edge", 10.0), ("cloud", 25.0)]),
+    "join-tie-with-pools": (
+        _join_tie_scenario,
+        lambda report, drivers: report.horizon_reached
+        and drivers["t-0000"].journal["s3"] == {0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_cases_match_the_oracle(case):
+    build, reaches = HAND_BUILT[case]
+    assert reaches(*run_detailed(build()))
+    assert differences(build()) == []
+
+
+def _parse_seeds(text: str) -> range:
+    start, _, stop = text.partition(":")
+    return range(int(start), int(stop)) if stop else range(int(start), int(start) + 1)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Sweep generated scenarios through "
+                                                 "both engines.")
+    parser.add_argument("--seeds", type=_parse_seeds, default=TIER1_SEEDS,
+                        help="START:STOP (half-open) or one seed")
+    args = parser.parse_args(argv)
+    for seed in args.seeds:
+        diff = differences(random_scenario(seed))
+        if diff:
+            print(f"seed {seed}: {', '.join(diff)}")
+            return 1
+    print(f"{len(args.seeds)} seeds, no differences")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,25 +36,16 @@ def make_job(n_steps=3, fragments=5, service=1.0, ff=True, replicas=1,
 
 
 def run_to_completion(driver, endpoint=CLOUD, pools=None, deploy_at=0.0, until=None):
-    """Deploy every step at once and drain the completion queue in time order."""
-    heap = []
-    seq = 0
+    """Deploy every step at once and report the projected step completions in
+    time order; with until, commit there instead of passing it."""
     for sid in driver.topo:
         pool = (pools or {}).get(sid, driver.steps[sid].spec.replicas)
-        for d in driver.on_deploy(sid, endpoint, pool, deploy_at):
-            heapq.heappush(heap, (d.finish_time, seq, d))
-            seq += 1
-    while heap:
-        t, _, d = heapq.heappop(heap)
+        driver.on_deploy(sid, endpoint, pool, deploy_at)
+    for t, sid in sorted((t, sid) for sid, t in driver.project(deploy_at)):
         if until is not None and t > until:
-            heapq.heappush(heap, (t, seq, d))
+            driver.commit(until)
             return None
-        if not driver.is_current_completion(d.step_id, d.fragment, d.finish_time, d.epoch):
-            continue
-        eff = driver.on_fragment_complete(d.step_id, d.fragment, t)
-        for nd in eff.dispatches:
-            heapq.heappush(heap, (nd.finish_time, seq, nd))
-            seq += 1
+        driver.on_step_complete(sid, t)
     return driver.completed_at
 
 
@@ -124,16 +115,18 @@ class TestDeploySemantics:
 
     def test_barrier_step_waits_until_all_predecessors_finish(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
-        d0 = drv.on_deploy("s0", CLOUD, 3, 0.0)
+        drv.on_deploy("s0", CLOUD, 1, 0.0)
         drv.on_deploy("s1", CLOUD, 3, 0.0)
         assert drv.steps["s1"].state is StepState.WAITING
-        eff = drv.on_fragment_complete("s0", d0[0].fragment, 1.0)
-        assert drv.steps["s1"].state is StepState.WAITING and not eff.dispatches
-        drv.on_fragment_complete("s0", d0[1].fragment, 1.0)
-        eff = drv.on_fragment_complete("s0", d0[2].fragment, 1.0)
+        drv.project(0.0)
+        drv.commit(2.5)  # two of the three fragments are done at s0
+        assert len(drv.journal["s0"]) == 2
+        assert drv.steps["s1"].state is StepState.WAITING and not drv.steps["s1"].in_flight
+        drv.project(2.5)
+        drv.commit(3.0)
         # all fragments released at once
         assert drv.steps["s1"].state is StepState.RUNNING
-        assert len(eff.dispatches) == 3
+        assert list(drv.steps["s1"].in_flight.values()) == [4.0, 4.0, 4.0]
 
     def test_double_deploy_rejected(self):
         drv = PipelineDriver(make_job(1, 1))
@@ -143,9 +136,15 @@ class TestDeploySemantics:
 
     def test_pool_bounds_concurrency(self):
         drv = PipelineDriver(make_job(1, 10, replicas=3), cloud_speed=1.0)
-        dispatches = drv.on_deploy("s0", CLOUD, 3, 0.0)
-        assert len(dispatches) == 3
+        drv.on_deploy("s0", CLOUD, 3, 0.0)
         assert len(drv.steps["s0"].in_flight) == 3
+        drv.project(0.0)
+        for t in (0.5, 1.0, 2.5):
+            drv.commit(t)
+            assert len(drv.steps["s0"].in_flight) == 3
+            drv.project(t)
+        drv.commit(3.0)
+        assert len(drv.journal["s0"]) == 9 and list(drv.steps["s0"].in_flight) == [9]
 
     def test_cloud_pool_size_default_and_override(self):
         step = StepSpec("s", ResourceVector(100, 16), 4, 1.0)
@@ -157,40 +156,43 @@ class TestEviction:
     def make_running(self, m=6, service=2.0):
         drv = PipelineDriver(make_job(1, m, service, replicas=2), edge_speed=1.0,
                              cloud_speed=1.0)
-        disp = drv.on_deploy("s0", EdgePlacement({0: 0, 1: 0}), 2, 0.0)
-        return drv, disp
+        drv.on_deploy("s0", EdgePlacement({0: 0, 1: 0}), 2, 0.0)
+        drv.project(0.0)
+        return drv
 
     def test_in_flight_finishing_by_expiry_survives(self):
-        drv, disp = self.make_running()
+        drv = self.make_running()
         # fragments 0,1 in flight finishing at t=2; notice at t=1 with expiry t=5
         cancelled = drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 1.0)
         assert cancelled == []
         assert set(drv.steps["s0"].in_flight) == {0, 1}
 
     def test_in_flight_past_expiry_cancelled_and_requeued(self):
-        drv, disp = self.make_running(service=10.0)
+        drv = self.make_running(service=10.0)
+        version = drv.version
         cancelled = drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 1.0)
         assert cancelled == [0, 1]
         assert list(drv.steps["s0"].ready)[:2] == [0, 1]
         assert not drv.steps["s0"].in_flight
-        # stale completion events are no longer current
-        for d in disp:
-            assert not drv.is_current_completion("s0", d.fragment, d.finish_time, d.epoch)
+        # the plan that completed them is superseded, and nothing completes now
+        assert drv.project(1.0) == [] and drv.version == version + 1
 
     def test_no_dispatch_between_notice_and_expiry(self):
-        drv, disp = self.make_running(service=2.0)
+        drv = self.make_running(service=2.0)
         drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 1.0)
-        eff = drv.on_fragment_complete("s0", 0, 2.0)  # finishes before expiry, counts
-        assert eff.dispatches == []
-        assert 0 in drv.journal["s0"]
+        drv.project(1.0)
+        drv.commit(4.9)  # 0 and 1 finish at 2.0, before expiry, and count
+        assert not drv.steps["s0"].in_flight
+        assert drv.journal["s0"] == {0, 1}
+        assert list(drv.steps["s0"].ready) == [2, 3, 4, 5]
 
     def test_switch_resumes_on_new_endpoint(self):
-        drv, disp = self.make_running(service=2.0)
+        drv = self.make_running(service=2.0)
         drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 1.0)
-        drv.on_fragment_complete("s0", 0, 2.0)
-        drv.on_fragment_complete("s0", 1, 2.0)
-        out = drv.switch_at_expiry("s0", 5.0)
-        assert len(out) == 2 and all(d.finish_time == 7.0 for d in out)
+        drv.project(1.0)
+        drv.switch_at_expiry("s0", 5.0)
+        assert drv.journal["s0"] == {0, 1}
+        assert list(drv.steps["s0"].in_flight.values()) == [7.0, 7.0]
         assert isinstance(drv.steps["s0"].endpoint, CloudPlacement)
 
     def test_waiting_step_switches_silently(self):
@@ -198,8 +200,8 @@ class TestEviction:
         drv.on_deploy("s0", EdgePlacement({0: 0}), 1, 0.0)
         drv.on_deploy("s1", EdgePlacement({0: 1}), 1, 0.0)
         assert drv.on_eviction_notice("s1", 30.0, CLOUD, 1, 0.0) == []
-        out = drv.switch_at_expiry("s1", 30.0)
-        assert out == [] and drv.steps["s1"].state is StepState.WAITING
+        drv.switch_at_expiry("s1", 30.0)
+        assert not drv.steps["s1"].in_flight and drv.steps["s1"].state is StepState.WAITING
 
     def test_notice_for_cloud_step_rejected(self):
         drv = PipelineDriver(make_job(1, 2))
@@ -208,11 +210,11 @@ class TestEviction:
             drv.on_eviction_notice("s0", 5.0, CLOUD, 1, 0.0)
 
     def test_completion_during_window_clears_switch(self):
-        drv, disp = self.make_running(m=2, service=1.0)
+        drv = self.make_running(m=2, service=1.0)
         drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 0.5)
-        drv.on_fragment_complete("s0", 0, 1.0)
-        eff = drv.on_fragment_complete("s0", 1, 1.0)
-        assert eff.completed_steps == ["s0"] and eff.job_completed
+        assert drv.project(0.5) == [("s0", 1.0)]
+        assert drv.on_step_complete("s0", 1.0) and drv.completed_at == 1.0
+        assert drv.steps["s0"].state is StepState.COMPLETED
         assert drv.steps["s0"].pending_switch is None
 
 
@@ -231,43 +233,46 @@ class TestRecovery:
         drv = PipelineDriver(make_job(2, 5), cloud_speed=1.0)
         run_to_completion(drv)
         assert drv.is_complete()
-        assert drv.resume_from_journal(100.0) == []
+        drv.resume_from_journal(100.0)
+        assert all(not rt.in_flight and not rt.ready and rt.state is StepState.COMPLETED
+                   for rt in drv.steps.values())
+        assert drv.journal == {"s0": set(range(5)), "s1": set(range(5))}
 
     def test_resume_drops_stale_completions_and_preserves_exactly_once(self):
         drv = PipelineDriver(make_job(2, 20, 1.0), cloud_speed=1.0)
-        heap = []
-        seq = 0
         for sid in drv.topo:
-            for d in drv.on_deploy(sid, CLOUD, 1, 0.0):
-                heapq.heappush(heap, (d.finish_time, seq, d))
-                seq += 1
+            drv.on_deploy(sid, CLOUD, 1, 0.0)
+        plan = drv.project(0.0)
+        heap = [(t, sid, drv.version) for sid, t in plan]
+        heapq.heapify(heap)
         restarted = False
+        stale = 0
         with counting_completions() as completions:
             while heap:
-                t, _, d = heapq.heappop(heap)
+                t, sid, version = heapq.heappop(heap)
                 if not restarted and t > 7.0:
-                    heapq.heappush(heap, (t, seq, d))
-                    seq += 1
-                    for nd in drv.resume_from_journal(7.0):
-                        heapq.heappush(heap, (nd.finish_time, seq, nd))
-                        seq += 1
+                    heapq.heappush(heap, (t, sid, version))
+                    drv.resume_from_journal(7.0)
+                    for nsid, nt in drv.project(7.0):
+                        heapq.heappush(heap, (nt, nsid, drv.version))
                     restarted = True
                     continue
-                if not drv.is_current_completion(d.step_id, d.fragment, d.finish_time,
-                                                 d.epoch):
+                if version != drv.version:
+                    stale += 1
                     continue
-                for nd in drv.on_fragment_complete(d.step_id, d.fragment, t).dispatches:
-                    heapq.heappush(heap, (nd.finish_time, seq, nd))
-                    seq += 1
-        assert drv.is_complete()
+                drv.on_step_complete(sid, t)
+        assert drv.is_complete() and drv.completed_at == 21.0
+        assert stale == 2  # the first plan's completions of s0 and s1
         assert all(v == 1 for v in completions.values())
         assert sum(completions.values()) == 40
 
     def test_redeploy_requeues_in_flight(self):
         drv = PipelineDriver(make_job(1, 6, 5.0, replicas=2), edge_speed=1.0)
-        disp = drv.on_deploy("s0", EdgePlacement({0: 0, 1: 0}), 2, 0.0)
-        out = drv.redeploy("s0", CLOUD, 2, 2.0)
-        assert [d.fragment for d in out] == [0, 1]  # same fragments, new epoch
-        for d in disp:
-            assert not drv.is_current_completion("s0", d.fragment, d.finish_time, d.epoch)
+        drv.on_deploy("s0", EdgePlacement({0: 0, 1: 0}), 2, 0.0)
+        drv.project(0.0)
+        version = drv.version
+        drv.redeploy("s0", CLOUD, 2, 2.0)
+        # same fragments, restarted on the cloud; the old plan is superseded
+        assert drv.steps["s0"].in_flight == {0: 7.0, 1: 7.0}
+        assert drv.project(2.0) == [("s0", 17.0)] and drv.version == version + 1
 

@@ -10,6 +10,7 @@ from hcs_sim.core_model import (
     CostParams,
     PipelineDag,
     ResourceVector,
+    InternalConsistencyError,
     StepSpec,
     ValidationError,
 )
@@ -390,3 +391,62 @@ class TestDeterminism:
         recomputed = sum(e.rcost_per_second * (e.deploy_end - e.deploy_start)
                          for e in r.cost_ledger if e.region == "cloud")
         assert r.total_cost == pytest.approx(recomputed, rel=1e-12)
+
+
+class TestRegressions:
+    def test_stale_eviction_expiry_is_ignored(self):
+        # X's deferred DeployEdge at the t=20 round schedules an expiry at 50
+        # for its reservation; the t=25 failure re-places X on the edge at
+        # once, and the t=30 round evicts X with expiry 60. The event at 50
+        # must not switch X.
+        def one(mem, m, svc):
+            return template([step("s", 1000, mem, 1, svc)], frags=m, deadline=1e6)
+
+        sc = scenario(
+            node_capacities=tuple(vec(1000, 4096) for _ in range(3)),
+            catalog={"V": one(100, 20, 10.0), "W": one(50, 20, 10.0), "Y": one(90, 1, 12.0),
+                     "X": one(80, 10, 10.0), "Z": one(200, 10, 10.0)},
+            arrivals=ExplicitArrivals((1.0, 1.0, 1.0, 15.0, 28.0),
+                                      ("V", "W", "Y", "X", "Z")),
+            round_length=10.0, eviction_deadline=30.0, edge_speed=1.0,
+            faults=(NodeFailureFault(25.0, 2),))
+        report = run(sc)
+        assert all(o.completed for o in report.job_outcomes) and len(report.job_outcomes) == 5
+        x = [(e.region, e.deploy_start, e.deploy_end) for e in report.cost_ledger
+             if e.job_id == "X-0003"]
+        assert x == [("edge", 25.0, 60.0), ("cloud", 60.0, 150.0)]
+
+    def test_cancelled_fragment_does_not_set_end_time(self):
+        # the edge fragment (finishing at 32.5) dies with its node at 31; the
+        # cloud redeploy finishes it at 32.0, which is the end of the run
+        sc = scenario(
+            node_capacities=(vec(1000, 4096),),
+            catalog={"one": template([step("s", 1000, 512, 1, 2.0)])},
+            arrivals=ExplicitArrivals((1.0,)),
+            edge_speed=0.8, cloud_speed=2.0,
+            faults=(NodeFailureFault(31.0, 0),))
+        report = run(sc)
+        assert [o.completion for o in report.job_outcomes] == [32.0]
+        assert report.end_time == 32.0
+
+
+class TestEventBudget:
+    def test_budget_counts_steps_not_fragments(self):
+        from hcs_sim.sim_engine import _Engine
+        sc = scenario(catalog={"two": template([step("a"), step("b")], [("a", "b")],
+                                               frags=500)},
+                      arrivals=ExplicitArrivals((1.0, 2.0, 3.0)),
+                      faults=(DriverRestartFault(40.0, 0),))
+        engine = _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        assert engine._event_budget == 10_000 + 100 * (3 * 2 + 3 + 1)
+
+    def test_livelock_trips_the_budget(self, monkeypatch):
+        from hcs_sim.sim_engine import EventKind, _Engine
+        def repush(self, event, now):
+            # a broken handler that re-schedules the same completion forever
+            self._push(now, EventKind.STEP_COMPLETE, event)
+            return True
+
+        monkeypatch.setattr(_Engine, "_on_completion", repush)
+        with pytest.raises(InternalConsistencyError, match="event budget 10200 exhausted"):
+            run(scenario())
