@@ -72,8 +72,10 @@ def _fifo(times: list[float], busy: list[float], free: int, t0: float,
     """
     workers = busy + [t0] * free
     if len(workers) == 1 and times[-1] <= max(times[0], workers[0]):
-        # one worker and every fragment ready by the first start: each starts
-        # when the previous finishes; starts[i] and starts[i + 1] bound item i
+        # one worker and every fragment ready by the first start, the common
+        # case of a backlogged single-replica step: each starts when the
+        # previous finishes, a running sum computed in C; starts[i] and
+        # starts[i + 1] bound item i
         first = max(times[0], workers[0])
         if first > cut:
             return []

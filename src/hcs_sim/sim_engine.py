@@ -6,7 +6,7 @@ Fragments never enter the event queue. Each job's driver projects per-step
 schedules; the queue holds one event per projected step completion, tagged
 with the plan's version, next to arrivals, rounds, eviction expiries and
 faults. An event that touches a job commits its plan up to that instant, and
-the job is projected again once the event is handled.
+the job is projected again once every event of that instant is handled.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import dataclasses
 import heapq
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -263,11 +264,16 @@ class _Engine:
         self.arrived = 0
         self.horizon_reached = False
         self._ticks: set[float] = set()
-        # generous ceiling: each step is projected again only a bounded
-        # number of times (its deployments, one eviction, node failures,
-        # restarts), each time with one completion event
-        steps = sum(len(a.job.dag.steps) for a in arrivals)
-        self._event_budget = 10_000 + 100 * (steps + len(arrivals) + len(scenario.faults))
+        # generous ceiling: a job is projected once per instant that touches
+        # it, and each projection pushes at most one event per step. Those
+        # instants are a few per step (its round, the rounds that evict or
+        # re-home it, their expiries), its restarts and the node failures.
+        restarts = Counter(f.job_index for f in scenario.faults
+                           if isinstance(f, DriverRestartFault))
+        failures = len(scenario.faults) - restarts.total()
+        pushes = sum(len(a.job.dag.steps) * (len(a.job.dag.steps) + restarts[i] + failures)
+                     for i, a in enumerate(arrivals))
+        self._event_budget = 10_000 + 100 * (pushes + len(arrivals) + len(scenario.faults))
 
         for i, a in enumerate(arrivals):
             self._push(a.time, EventKind.JOB_ARRIVAL, i)
@@ -446,7 +452,10 @@ class _Engine:
                 self._on_round_tick(time)
             else:
                 raise InternalConsistencyError(f"unknown event kind {kind}")
-            if self._touched:
+            # a projection at this instant only yields completions after
+            # it, so the jobs touched here are projected once, after the
+            # instant's last event
+            if self._touched and (not self.heap or self.heap[0][0] > time):
                 self._project_touched(time)
 
         end_time = self.horizon if self.horizon_reached else self.last_event_time

@@ -25,6 +25,7 @@ from hcs_sim.sim_engine import (
     generate_arrivals,
     inject_faults,
     run,
+    run_detailed,
 )
 
 
@@ -438,7 +439,29 @@ class TestEventBudget:
                       arrivals=ExplicitArrivals((1.0, 2.0, 3.0)),
                       faults=(DriverRestartFault(40.0, 0),))
         engine = _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog))
-        assert engine._event_budget == 10_000 + 100 * (3 * 2 + 3 + 1)
+        # job 0: 2 steps, re-projected at most per step and per restart
+        pushes = 2 * (2 + 1) + 2 * 2 + 2 * 2
+        assert engine._event_budget == 10_000 + 100 * (pushes + 3 + 1)
+
+    def test_many_steps_evicted_in_one_round(self):
+        # 300 steps of one cheap job fill the node from the t=30 round; the
+        # t=60 round evicts all of them for a dearer newcomer, and their
+        # windows expire together at 65. The job is projected once per
+        # instant (30, 60, 65); projected after each of the 300 expiries,
+        # its stale completions alone would exhaust the event budget.
+        n = 300
+        cheap = template([step(f"s{i}", 10, 10, 1, 50.0) for i in range(n)], deadline=1e6)
+        dear = template([step("x", 3000, 100, 1, 1.0)], deadline=1e6)
+        sc = scenario(node_capacities=(vec(3000, 4096),),
+                      catalog={"cheap": cheap, "dear": dear},
+                      arrivals=ExplicitArrivals((1.0, 31.0), ("cheap", "dear")),
+                      eviction_deadline=5.0, edge_speed=1.0)
+        report, drivers = run_detailed(sc)
+        assert all(o.completed for o in report.job_outcomes) and len(report.job_outcomes) == 2
+        assert drivers["cheap-0000"].version == 3
+        cheap_regions = {(e.region, e.deploy_start, e.deploy_end)
+                         for e in report.cost_ledger if e.job_id == "cheap-0000"}
+        assert cheap_regions == {("edge", 30.0, 65.0), ("cloud", 65.0, 115.0)}
 
     def test_livelock_trips_the_budget(self, monkeypatch):
         from hcs_sim.sim_engine import EventKind, _Engine
