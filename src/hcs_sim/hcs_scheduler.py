@@ -10,6 +10,7 @@ to the cloud. Anything sent to the cloud stays there for its lifetime.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -28,6 +29,7 @@ from hcs_sim.placement import (
     PlacementPolicy,
     apply_plan,
     release,
+    replica_slots,
     try_place_free,
 )
 
@@ -87,16 +89,55 @@ def cloud_label(job_id: str, step_id: str) -> str:
     return f"cloud://{job_id}/{step_id}"
 
 
+def _clamp(book: list[int] | None, extra=(0, 0)) -> tuple[int, int] | None:
+    """A book entry plus extra, each dimension at least 0 (None stays None)."""
+    if book is None:
+        return None
+    cpu, mem = book[0] + extra[0], book[1] + extra[1]
+    return (cpu if cpu > 0 else 0, mem if mem > 0 else 0)
+
+
+def _add_load(book: list, plan: PlacementPlan, sign: int = 1) -> None:
+    """Add (sign 1) or remove (sign -1) a plan's load on a per-node book."""
+    d = plan.step.demand_per_replica
+    cpu, mem = sign * d.cpu_millicores, sign * d.memory_mb
+    for node_id in plan.assignments.values():
+        book[node_id][0] += cpu
+        book[node_id][1] += mem
+
+
+def _covered(failed: list[tuple[int, int, int]], shape: tuple[int, int, int]) -> bool:
+    """Whether a (cpu, mem, replicas) shape is at least as large, coordinate
+    by coordinate, as one that failed."""
+    cpu, mem, replicas = shape
+    return any(cpu >= a and mem >= b and replicas >= c for a, b, c in failed)
+
+
 class HcsScheduler:
     """Owns edge capacity accounting and emits deployment directives.
 
     Time comes in from the caller; the scheduler never schedules its own
-    events. Capacity is tracked three ways: `nodes[i].allocated` is what is
-    physically held right now (including steps inside an eviction window),
-    `_reserved` is capacity promised to steps that activate at an eviction
-    expiry, and `evicting` marks residents whose space frees at that expiry.
-    The settings are a Scenario's, which guarantees positive round and
-    eviction lengths and at least one node in cheapest-first mode.
+    events. `nodes[i].allocated` is what is physically held right now,
+    including steps inside an eviction window; `reservations` promise
+    capacity to steps that activate at an eviction expiry; `evicting` marks
+    residents whose space frees at that expiry. Per-node books keep what a
+    placement reads, updated by the method that changes the state behind
+    them, so no request rebuilds a view of the nodes or walks the residents:
+
+    - `_free`: capacity - allocated - reserved, None for a dead node. It can
+      dip below zero where a reservation is backed by evicting space.
+      Updated with every `apply_plan`/`release`, reservation and node failure.
+    - `_evicting_load`: the load of the residents in an eviction window.
+      Updated when a window opens, expires, completes or dies with its node.
+    - `_free_now` and `_free_after_evictions`: those two books clamped at
+      zero, as `try_place_free` reads them (the second adds the evicting
+      load back). Re-derived for each node a book entry changes on.
+    - `_victims`: the residents outside an eviction window in (rcost, key)
+      order, so eviction candidates are a prefix.
+
+    `_check_capacity_books` recomputes all of them from scratch. The
+    settings are a Scenario's, which guarantees positive round and eviction
+    lengths and at least one node in cheapest-first mode.
     """
 
     def __init__(self, nodes: list[NodeState], cost_params: CostParams | None = None,
@@ -119,51 +160,60 @@ class HcsScheduler:
         self.pending: list[_Request] = []
         self.rr_cursor = 0
         self._jobs: dict[str, BatchJob] = {}
-        self._reserved: list[ResourceVector] = [ResourceVector() for _ in nodes]
+        self._rcosts: dict[int, tuple[float, StepSpec]] = {}
+        self._free: list[list[int] | None] = [
+            [n.capacity.cpu_millicores - n.allocated.cpu_millicores,
+             n.capacity.memory_mb - n.allocated.memory_mb] if n.alive else None
+            for n in nodes]
+        self._evicting_load: list[list[int]] = [[0, 0] for _ in nodes]
+        self._free_now: list[tuple[int, int] | None] = [
+            _clamp(f) for f in self._free]
+        self._free_after_evictions = list(self._free_now)
+        self._victims: list[tuple[float, StepKey]] = []
 
-    # -- capacity views -------------------------------------------------------
+    # -- capacity books ---------------------------------------------------------
 
-    def _free_now(self) -> list[tuple[int, int] | None]:
-        """Capacity free right now and not promised to anyone.
+    def _book(self, book: list, plan: PlacementPlan, sign: int) -> None:
+        """_add_load on one of the two books, then re-derive the views it feeds."""
+        _add_load(book, plan, sign)
+        for node_id in set(plan.assignments.values()):
+            free = self._free[node_id]
+            self._free_now[node_id] = _clamp(free)
+            self._free_after_evictions[node_id] = _clamp(free, self._evicting_load[node_id])
 
-        Reservations may be backed by space evicting steps still hold, so the
-        raw difference can dip below zero; clamping keeps the view conservative
-        (such space is simply not available until the window expires).
-        """
-        out: list[tuple[int, int] | None] = []
-        for node, res in zip(self.nodes, self._reserved):
-            if not node.alive:
-                out.append(None)
-                continue
-            cpu = node.capacity.cpu_millicores - node.allocated.cpu_millicores - res.cpu_millicores
-            mem = node.capacity.memory_mb - node.allocated.memory_mb - res.memory_mb
-            out.append((max(0, cpu), max(0, mem)))
-        return out
+    def _hold(self, key: StepKey, plan: PlacementPlan) -> None:
+        """Allocate a plan to a resident that cheaper newcomers cannot evict."""
+        apply_plan(plan, self.nodes)
+        self._book(self._free, plan, -1)
+        self.resident[key] = plan
+        insort(self._victims, (self.rcost_of(plan.step), key))
 
-    def _evicting_loads(self) -> list[ResourceVector]:
-        loads = [ResourceVector() for _ in self.nodes]
-        for key in self.evicting:
-            for node_id, load in self.resident[key].node_loads().items():
-                loads[node_id] = loads[node_id] + load
-        return loads
+    def _drop(self, key: StepKey) -> None:
+        """Release a resident's allocation, closing its eviction window if open."""
+        plan = self.resident.pop(key)
+        release(plan, self.nodes)
+        self._book(self._free, plan, 1)
+        if self.evicting.pop(key, None) is not None:
+            self._book(self._evicting_load, plan, -1)
+        else:
+            del self._victims[bisect_left(self._victims, (self.rcost_of(plan.step), key))]
 
-    def _free_after_evictions(self) -> list[tuple[int, int] | None]:
-        """Capacity view once every pending eviction window has expired."""
-        loads = self._evicting_loads()
-        out: list[tuple[int, int] | None] = []
-        for node, res, ev in zip(self.nodes, self._reserved, loads):
-            if not node.alive:
-                out.append(None)
-                continue
-            cpu = (node.capacity.cpu_millicores - node.allocated.cpu_millicores
-                   - res.cpu_millicores + ev.cpu_millicores)
-            mem = (node.capacity.memory_mb - node.allocated.memory_mb
-                   - res.memory_mb + ev.memory_mb)
-            out.append((max(0, cpu), max(0, mem)))
-        return out
+    def _unreserve(self, key: StepKey) -> PlacementPlan:
+        plan, _ = self.reservations.pop(key)
+        self._book(self._free, plan, 1)
+        return plan
 
     def rcost_of(self, step: StepSpec) -> float:
-        return rcost(step, self.cost_params)
+        """rcost under this scheduler's prices, computed once per step spec.
+
+        Keyed by identity, which costs less than hashing the spec: jobs of one
+        template share their specs, and the cache holds each spec it keys, so
+        no other object can take its id.
+        """
+        hit = self._rcosts.get(id(step))
+        if hit is None:
+            hit = self._rcosts[id(step)] = (rcost(step, self.cost_params), step)
+        return hit[0]
 
     # -- request intake -------------------------------------------------------
 
@@ -194,21 +244,39 @@ class HcsScheduler:
         steps are never evicted for a cheaper same-round peer. Rule order per
         request: sticky cloud, free edge capacity, eviction of strictly
         cheaper residents, cloud fallback.
+
+        Within a round free capacity only shrinks, so a (cpu, mem, replicas)
+        shape that found no free room rules out every shape at least as large
+        for the rest of the round. So does a failed eviction try: what a try
+        could free, the space after pending evictions plus every strictly
+        cheaper resident, only shrinks as the round goes on. Later requests
+        cost no more, so they have no more candidates; a step placed this
+        round costs at least as much as any later request, so it is never
+        one; and an eviction turns candidates into evicting space while its
+        reservation takes space away.
         """
         decision = ScheduleDecision(now)
         requests = sorted(
             self.pending,
             key=lambda r: (-self.rcost_of(r.step), r.arrival, r.job.job_id, r.step.step_id))
         self.pending = []
+        no_room: list[tuple[int, int, int]] = []
+        no_victims: list[tuple[int, int, int]] = []
         for req in requests:
             key = (req.job.job_id, req.step.step_id)
             if self.mode is SchedulerMode.CLOUD_ONLY or key in self.cloud_sticky:
                 self._deploy_cloud_now(key, decision, now)
                 continue
-            if self._try_deploy_edge_now(req, key, decision, now):
-                continue
-            if self._try_deploy_with_eviction(req, key, decision, now):
-                continue
+            d = req.step.demand_per_replica
+            shape = (d.cpu_millicores, d.memory_mb, req.step.replicas)
+            if not _covered(no_room, shape):
+                if self._try_deploy_edge_now(req.step, key, decision, now):
+                    continue
+                no_room.append(shape)
+            if not _covered(no_victims, shape):
+                if self._try_deploy_with_eviction(req.step, key, decision, now):
+                    continue
+                no_victims.append(shape)
             self._deploy_cloud_now(key, decision, now)
         self._check_capacity_books()
         return decision
@@ -218,52 +286,63 @@ class HcsScheduler:
         self.cloud_active.add(key)
         decision.directives.append(DeployCloud(key[0], key[1], cloud_label(*key), now))
 
-    def _try_deploy_edge_now(self, req: _Request, key: StepKey,
+    def _try_deploy_edge_now(self, step: StepSpec, key: StepKey,
                              decision: ScheduleDecision, now: float) -> bool:
-        plan, cursor = try_place_free(req.step, self._free_now(), self.policy, self.rr_cursor)
+        plan, cursor = try_place_free(step, self._free_now, self.policy, self.rr_cursor)
         if plan is None:
             return False
-        apply_plan(plan, self.nodes)
+        self._hold(key, plan)
         self.rr_cursor = cursor
-        self.resident[key] = plan
         decision.directives.append(DeployEdge(key[0], key[1], plan, now))
         return True
 
-    def _try_deploy_with_eviction(self, req: _Request, key: StepKey,
+    def _try_deploy_with_eviction(self, step: StepSpec, key: StepKey,
                                   decision: ScheduleDecision, now: float) -> bool:
-        expiry = now + self.eviction_deadline
-        newcomer_cost = self.rcost_of(req.step)
-        base = self._free_after_evictions()
-        plan, cursor = try_place_free(req.step, base, self.policy, self.rr_cursor)
-        victims: list[StepKey] = []
+        """Place at the expiry of a fresh window over the cheapest residents.
+
+        Evicts the shortest prefix of the strictly cheaper residents after
+        which the replica slots (see `replica_slots`) suffice, and plans once
+        on that view: the greedy policies place a replica set exactly when
+        its slots suffice, so this is the first prefix a re-plan per
+        candidate would accept.
+        """
+        cost = self.rcost_of(step)
+        demand = step.demand_per_replica
+        base = self._free_after_evictions
+        slots = sum(replica_slots(f, demand) for f in base)
+        freed: dict[int, tuple[int, int]] = {}
+        taken = 0
+        stop = bisect_left(self._victims, (cost,))
+        while slots < step.replicas and taken < stop:
+            victim = self.resident[self._victims[taken][1]]
+            taken += 1
+            vd = victim.step.demand_per_replica
+            for node_id in victim.assignments.values():
+                f = freed.get(node_id) or base[node_id]
+                slots -= replica_slots(f, demand)
+                f = freed[node_id] = (f[0] + vd.cpu_millicores, f[1] + vd.memory_mb)
+                slots += replica_slots(f, demand)
+        if slots < step.replicas:
+            return False
+        view = list(base) if freed else base
+        for node_id, f in freed.items():
+            view[node_id] = f
+        plan, cursor = try_place_free(step, view, self.policy, self.rr_cursor)
         if plan is None:
-            candidates = sorted(
-                (k for k in self.resident
-                 if k not in self.evicting and self.rcost_of(self.resident[k].step) < newcomer_cost),
-                key=lambda k: (self.rcost_of(self.resident[k].step), k))
-            freed = [list(f) if f is not None else None for f in base]
-            for cand in candidates:
-                victims.append(cand)
-                for node_id, load in self.resident[cand].node_loads().items():
-                    if freed[node_id] is not None:
-                        freed[node_id][0] += load.cpu_millicores
-                        freed[node_id][1] += load.memory_mb
-                view = [tuple(f) if f is not None else None for f in freed]
-                plan, cursor = try_place_free(req.step, view, self.policy, self.rr_cursor)
-                if plan is not None:
-                    break
-            if plan is None:
-                return False
+            raise InternalConsistencyError(f"{key}: {slots} replica slots but no placement")
+        expiry = now + self.eviction_deadline
+        victims = [k for _, k in self._victims[:taken]]
+        del self._victims[:taken]
         for vic in victims:
             self.evicting[vic] = expiry
+            self._book(self._evicting_load, self.resident[vic], 1)
             decision.directives.append(Evict(vic[0], vic[1], expiry))
             decision.directives.append(DeployCloud(vic[0], vic[1], cloud_label(*vic), expiry))
             log.debug("t=%s evict %s (rcost %.1f) for %s (rcost %.1f)", now, vic,
-                      self.rcost_of(self.resident[vic].step), key, newcomer_cost)
+                      self.rcost_of(self.resident[vic].step), key, cost)
         self.rr_cursor = cursor
         self.reservations[key] = (plan, expiry)
-        for node_id, load in plan.node_loads().items():
-            self._reserved[node_id] = self._reserved[node_id] + load
+        self._book(self._free, plan, -1)
         decision.directives.append(DeployEdge(key[0], key[1], plan, expiry))
         return True
 
@@ -275,8 +354,7 @@ class HcsScheduler:
         completed, a failure re-homed it, or its window is a later one)."""
         if self.evicting.get(key) != expiry:
             return False
-        del self.evicting[key]
-        release(self.resident.pop(key), self.nodes)
+        self._drop(key)
         self.cloud_sticky.add(key)
         self.cloud_active.add(key)
         return True
@@ -288,13 +366,10 @@ class HcsScheduler:
         """Turn a promised deploy-at-expiry plan into a live allocation."""
         if key not in self.reservations:
             raise InternalConsistencyError(f"no reservation for {key}")
-        plan, expiry = self.reservations.pop(key)
-        if now + 1e-12 < expiry:
+        if now + 1e-12 < self.reservations[key][1]:
             raise InternalConsistencyError(f"reservation for {key} activated before expiry")
-        for node_id, load in plan.node_loads().items():
-            self._reserved[node_id] = self._reserved[node_id] - load
-        apply_plan(plan, self.nodes)
-        self.resident[key] = plan
+        plan = self._unreserve(key)
+        self._hold(key, plan)
         self._check_capacity_books()
         return plan
 
@@ -311,8 +386,7 @@ class HcsScheduler:
             raise InternalConsistencyError(f"step {key} completed twice")
         self.completed.add(key)
         if key in self.resident:
-            release(self.resident.pop(key), self.nodes)
-            self.evicting.pop(key, None)  # cancels the pending cloud handoff
+            self._drop(key)  # an open window's pending cloud handoff is cancelled
             return "edge"
         if key in self.cloud_active:
             self.cloud_active.remove(key)
@@ -337,22 +411,20 @@ class HcsScheduler:
         decision = ScheduleDecision(now)
 
         hit_residents = [k for k, plan in self.resident.items()
-                         if node_id in plan.node_loads()]
+                         if node_id in plan.assignments.values()]
         hit_reservations = [k for k, (plan, _) in self.reservations.items()
-                            if node_id in plan.node_loads()]
-        was_evicting: set[StepKey] = set()
+                            if node_id in plan.assignments.values()]
+        was_evicting = {k for k in hit_residents if k in self.evicting}
         for key in hit_residents:
-            release(self.resident.pop(key), self.nodes)
-            if key in self.evicting:
-                del self.evicting[key]
-                was_evicting.add(key)
+            self._drop(key)
         for key in hit_reservations:
-            plan, _ = self.reservations.pop(key)
-            for nid, load in plan.node_loads().items():
-                self._reserved[nid] = self._reserved[nid] - load
+            self._unreserve(key)
         node.alive = False
-        if node.allocated != ResourceVector() or self._reserved[node_id] != ResourceVector():
+        cap = node.capacity
+        if (node.allocated != ResourceVector()
+                or self._free[node_id] != [cap.cpu_millicores, cap.memory_mb]):
             raise InternalConsistencyError(f"dead node {node_id} still holds allocations")
+        self._free[node_id] = self._free_now[node_id] = self._free_after_evictions[node_id] = None
 
         def by_cost(k: StepKey):
             return (-self.rcost_of(self._jobs[k[0]].dag.step(k[1])), k)
@@ -371,27 +443,40 @@ class HcsScheduler:
     def _replace_or_offload(self, key: StepKey, decision: ScheduleDecision,
                             now: float) -> None:
         step = self._jobs[key[0]].dag.step(key[1])
-        plan, cursor = try_place_free(step, self._free_now(), self.policy, self.rr_cursor)
-        if plan is not None:
-            apply_plan(plan, self.nodes)
-            self.rr_cursor = cursor
-            self.resident[key] = plan
-            decision.directives.append(DeployEdge(key[0], key[1], plan, now))
-        else:
+        if not self._try_deploy_edge_now(step, key, decision, now):
             self._deploy_cloud_now(key, decision, now)
 
     # -- invariants -----------------------------------------------------------------
 
     def _check_capacity_books(self) -> None:
-        """Physical and promised capacity must both respect node limits."""
-        evicting_loads = self._evicting_loads()
-        for node, res, ev in zip(self.nodes, self._reserved, evicting_loads):
-            if not node.allocated.fits_within(node.capacity):
+        """Physical and promised capacity must both respect node limits, and
+        every book must equal its recompute from the nodes, the plans and the
+        reservations."""
+        reserved = [[0, 0] for _ in self.nodes]
+        evicting = [[0, 0] for _ in self.nodes]
+        for plan, _ in self.reservations.values():
+            _add_load(reserved, plan)
+        for key in self.evicting:
+            _add_load(evicting, self.resident[key])
+        free: list[list[int] | None] = []
+        for node, res, ev in zip(self.nodes, reserved, evicting):
+            cap, alloc = node.capacity, node.allocated
+            if not alloc.fits_within(cap):
                 raise InternalConsistencyError(f"node {node.node_id} physically over capacity")
-            promised = node.allocated - ev + res
-            if not promised.fits_within(node.capacity):
+            f = [cap.cpu_millicores - alloc.cpu_millicores - res[0],
+                 cap.memory_mb - alloc.memory_mb - res[1]]
+            if f[0] + ev[0] < 0 or f[1] + ev[1] < 0:
                 raise InternalConsistencyError(
                     f"node {node.node_id} over capacity after pending evictions")
+            free.append(f if node.alive else None)
+        if (free != self._free or evicting != self._evicting_load
+                or list(map(_clamp, free)) != self._free_now
+                or list(map(_clamp, free, evicting)) != self._free_after_evictions):
+            raise InternalConsistencyError("capacity books differ from their recompute")
+        victims = sorted((self.rcost_of(plan.step), key) for key, plan in self.resident.items()
+                         if key not in self.evicting)
+        if victims != self._victims:
+            raise InternalConsistencyError("eviction candidate order drifted")
         overlap = set(self.resident) & self.cloud_sticky
         if overlap:
             raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")

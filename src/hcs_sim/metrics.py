@@ -122,14 +122,14 @@ class MetricsCollector:
         self.outcomes: list[JobOutcome] = []
 
     def sample(self, now: float) -> None:
-        alive = [n for n in self.nodes if n.alive]
-        s = UtilizationSample(
-            now,
-            sum(n.allocated.cpu_millicores for n in alive),
-            sum(n.capacity.cpu_millicores for n in alive),
-            sum(n.allocated.memory_mb for n in alive),
-            sum(n.capacity.memory_mb for n in alive),
-        )
+        cpu = cpu_cap = mem = mem_cap = 0
+        for n in self.nodes:
+            if n.alive:
+                cpu += n.allocated.cpu_millicores
+                cpu_cap += n.capacity.cpu_millicores
+                mem += n.allocated.memory_mb
+                mem_cap += n.capacity.memory_mb
+        s = UtilizationSample(now, cpu, cpu_cap, mem, mem_cap)
         if self.samples and self.samples[-1].time == now:
             self.samples[-1] = s  # several changes at one instant collapse
         else:

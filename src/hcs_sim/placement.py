@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,8 +51,21 @@ class PlacementPlan:
         return loads
 
 
-def _fits(free: tuple[int, int], demand: tuple[int, int]) -> bool:
-    return free[0] >= demand[0] and free[1] >= demand[1]
+def replica_slots(free: tuple[int, int] | None, demand: ResourceVector) -> float:
+    """How many replicas of demand fit in one node's free (cpu, memory).
+
+    A dimension with zero demand is unbounded, and a dead node (None) has no
+    slot. Every policy of try_place_free puts each replica on some node with
+    a slot left, and a replica takes exactly one slot of its node, so a
+    replica set is placed exactly when its nodes' slots sum to its replica
+    count or more.
+    """
+    if free is None:
+        return 0
+    cpu, mem = demand.cpu_millicores, demand.memory_mb
+    if cpu:
+        return min(free[0] // cpu, free[1] // mem) if mem else free[0] // cpu
+    return free[1] // mem if mem else math.inf
 
 
 def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
@@ -61,7 +75,8 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
 
     Args:
         step: step whose replicas are being placed.
-        free: per-node (cpu_millicores, memory_mb) still free; None marks a dead node.
+        free: per-node (cpu_millicores, memory_mb) still free; None marks a
+            dead node. Read only: a caller may pass its live books.
         policy: greedy rule choosing a node per replica.
         rr_cursor: round-robin position; ignored by the other policies.
 
@@ -69,8 +84,8 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
         (plan, new_cursor). plan is None when the replica set does not fit,
         in which case no capacity or cursor change escapes.
     """
-    demand = (step.demand_per_replica.cpu_millicores, step.demand_per_replica.memory_mb)
-    remaining = [None if f is None else list(f) for f in free]
+    dc, dm = step.demand_per_replica.cpu_millicores, step.demand_per_replica.memory_mb
+    remaining = free  # the caller's list, copied before the first write
     n = len(remaining)
     if n == 0:
         return None, rr_cursor
@@ -81,13 +96,13 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
         chosen = -1
         if policy is PlacementPolicy.FIRST_FIT:
             for i, f in enumerate(remaining):
-                if f is not None and _fits(f, demand):
+                if f is not None and f[0] >= dc and f[1] >= dm:
                     chosen = i
                     break
         elif policy is PlacementPolicy.BEST_FIT:
             best = None
             for i, f in enumerate(remaining):
-                if f is None or not _fits(f, demand):
+                if f is None or f[0] < dc or f[1] < dm:
                     continue
                 key = (f[0], f[1], i)  # least remaining cpu, then memory, then index
                 if best is None or key < best:
@@ -96,7 +111,7 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
         elif policy is PlacementPolicy.WORST_FIT:
             best = None
             for i, f in enumerate(remaining):
-                if f is None or not _fits(f, demand):
+                if f is None or f[0] < dc or f[1] < dm:
                     continue
                 key = (-f[0], -f[1], i)  # most remaining cpu, then memory, then index
                 if best is None or key < best:
@@ -106,7 +121,7 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
             for off in range(n):
                 i = (cursor + off) % n
                 f = remaining[i]
-                if f is not None and _fits(f, demand):
+                if f is not None and f[0] >= dc and f[1] >= dm:
                     chosen = i
                     cursor = (i + 1) % n
                     break
@@ -115,8 +130,10 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
         if chosen < 0:
             return None, rr_cursor
         assignments[replica] = chosen
-        remaining[chosen][0] -= demand[0]
-        remaining[chosen][1] -= demand[1]
+        if remaining is free:
+            remaining = list(free)
+        f = remaining[chosen]
+        remaining[chosen] = (f[0] - dc, f[1] - dm)
 
     new_cursor = cursor if policy is PlacementPolicy.ROUND_ROBIN else rr_cursor
     return PlacementPlan(step, assignments), new_cursor

@@ -4,7 +4,9 @@ Deliberately written with a different structure from the package under test:
 a scan-everything time-stepping loop over explicit worker slots, no event
 queue, no epochs, no eviction handling. Slow but obviously correct. Next to
 it, the per-fragment engine the package used before per-step schedules: one
-event per fragment completion, the differential oracle for the fast engine.
+event per fragment completion, the differential oracle for the fast engine;
+and the scheduler before incremental capacity books, the differential oracle
+for the scheduler.
 """
 
 from __future__ import annotations
@@ -14,14 +16,28 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from hcs_sim.core_model import (
+    CostParams,
     EdgePlacement,
     InternalConsistencyError,
+    ResourceVector,
     StepState,
     ValidationError,
+    rcost,
+)
+from hcs_sim.hcs_scheduler import (
+    DEFAULT_EVICTION_DEADLINE,
+    DEFAULT_ROUND_LENGTH,
+    DeployCloud,
+    DeployEdge,
+    Evict,
+    HcsScheduler,
+    ScheduleDecision,
+    SchedulerMode,
+    cloud_label,
 )
 from hcs_sim.metrics import JobOutcome
 from hcs_sim.pipeline_driver import PipelineDriver
-from hcs_sim.placement import try_place_free
+from hcs_sim.placement import PlacementPolicy, apply_plan, release, try_place_free
 from hcs_sim.sim_engine import EventKind, _Engine, generate_arrivals
 
 
@@ -387,3 +403,227 @@ def fragment_run_detailed(scenario, arrivals=None):
         arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
     engine = FragmentEngine(scenario, arrivals)
     return engine.run(), engine.drivers
+
+
+# -- the scheduler without capacity books ----------------------------------------
+
+
+class ReferenceScheduler:
+    """HcsScheduler as it was before incremental capacity books.
+
+    Every capacity view is rebuilt from NodeState and the reservations for
+    each request, rcost is recomputed at each use, and an eviction try filters
+    and sorts all residents, then re-plans once per candidate victim. Same
+    constructor, attributes and calls as HcsScheduler, so both can take one
+    call stream.
+    """
+
+    submit_request = HcsScheduler.submit_request
+    next_round_at = HcsScheduler.next_round_at
+    has_reservation = HcsScheduler.has_reservation
+    _deploy_cloud_now = HcsScheduler._deploy_cloud_now
+
+    def __init__(self, nodes, cost_params=None, policy=PlacementPolicy.FIRST_FIT,
+                 round_length=DEFAULT_ROUND_LENGTH,
+                 eviction_deadline=DEFAULT_EVICTION_DEADLINE,
+                 mode=SchedulerMode.CHEAPEST_FIRST):
+        self.nodes = nodes
+        self.cost_params = cost_params or CostParams()
+        self.policy = policy
+        self.round_length = round_length
+        self.eviction_deadline = eviction_deadline
+        self.mode = mode
+        self.resident = {}
+        self.evicting = {}
+        self.reservations = {}
+        self.cloud_sticky = set()
+        self.cloud_active = set()
+        self.completed = set()
+        self.pending = []
+        self.rr_cursor = 0
+        self._jobs = {}
+        self._reserved = [ResourceVector() for _ in nodes]
+
+    def _free_now(self):
+        out = []
+        for node, res in zip(self.nodes, self._reserved):
+            if not node.alive:
+                out.append(None)
+                continue
+            cpu = node.capacity.cpu_millicores - node.allocated.cpu_millicores - res.cpu_millicores
+            mem = node.capacity.memory_mb - node.allocated.memory_mb - res.memory_mb
+            out.append((max(0, cpu), max(0, mem)))
+        return out
+
+    def _evicting_loads(self):
+        loads = [ResourceVector() for _ in self.nodes]
+        for key in self.evicting:
+            for node_id, load in self.resident[key].node_loads().items():
+                loads[node_id] = loads[node_id] + load
+        return loads
+
+    def _free_after_evictions(self):
+        out = []
+        for node, res, ev in zip(self.nodes, self._reserved, self._evicting_loads()):
+            if not node.alive:
+                out.append(None)
+                continue
+            cpu = (node.capacity.cpu_millicores - node.allocated.cpu_millicores
+                   - res.cpu_millicores + ev.cpu_millicores)
+            mem = (node.capacity.memory_mb - node.allocated.memory_mb
+                   - res.memory_mb + ev.memory_mb)
+            out.append((max(0, cpu), max(0, mem)))
+        return out
+
+    def rcost_of(self, step):
+        return rcost(step, self.cost_params)
+
+    def run_round(self, now):
+        decision = ScheduleDecision(now)
+        requests = sorted(
+            self.pending,
+            key=lambda r: (-self.rcost_of(r.step), r.arrival, r.job.job_id, r.step.step_id))
+        self.pending = []
+        for req in requests:
+            key = (req.job.job_id, req.step.step_id)
+            if self.mode is SchedulerMode.CLOUD_ONLY or key in self.cloud_sticky:
+                self._deploy_cloud_now(key, decision, now)
+            elif not (self._try_deploy_edge_now(req.step, key, decision, now)
+                      or self._try_deploy_with_eviction(req.step, key, decision, now)):
+                self._deploy_cloud_now(key, decision, now)
+        self._check_capacity_books()
+        return decision
+
+    def _try_deploy_edge_now(self, step, key, decision, now):
+        plan, cursor = try_place_free(step, self._free_now(), self.policy, self.rr_cursor)
+        if plan is None:
+            return False
+        apply_plan(plan, self.nodes)
+        self.rr_cursor = cursor
+        self.resident[key] = plan
+        decision.directives.append(DeployEdge(key[0], key[1], plan, now))
+        return True
+
+    def _try_deploy_with_eviction(self, step, key, decision, now):
+        expiry = now + self.eviction_deadline
+        newcomer_cost = self.rcost_of(step)
+        base = self._free_after_evictions()
+        plan, cursor = try_place_free(step, base, self.policy, self.rr_cursor)
+        victims = []
+        if plan is None:
+            candidates = sorted(
+                (k for k in self.resident
+                 if k not in self.evicting and self.rcost_of(self.resident[k].step) < newcomer_cost),
+                key=lambda k: (self.rcost_of(self.resident[k].step), k))
+            freed = [list(f) if f is not None else None for f in base]
+            for cand in candidates:
+                victims.append(cand)
+                for node_id, load in self.resident[cand].node_loads().items():
+                    freed[node_id][0] += load.cpu_millicores
+                    freed[node_id][1] += load.memory_mb
+                view = [tuple(f) if f is not None else None for f in freed]
+                plan, cursor = try_place_free(step, view, self.policy, self.rr_cursor)
+                if plan is not None:
+                    break
+            if plan is None:
+                return False
+        for vic in victims:
+            self.evicting[vic] = expiry
+            decision.directives.append(Evict(vic[0], vic[1], expiry))
+            decision.directives.append(DeployCloud(vic[0], vic[1], cloud_label(*vic), expiry))
+        self.rr_cursor = cursor
+        self.reservations[key] = (plan, expiry)
+        for node_id, load in plan.node_loads().items():
+            self._reserved[node_id] = self._reserved[node_id] + load
+        decision.directives.append(DeployEdge(key[0], key[1], plan, expiry))
+        return True
+
+    def expire_eviction(self, key, expiry):
+        if self.evicting.get(key) != expiry:
+            return False
+        del self.evicting[key]
+        release(self.resident.pop(key), self.nodes)
+        self.cloud_sticky.add(key)
+        self.cloud_active.add(key)
+        return True
+
+    def activate_reservation(self, key, now):
+        if key not in self.reservations:
+            raise InternalConsistencyError(f"no reservation for {key}")
+        plan, expiry = self.reservations.pop(key)
+        if now + 1e-12 < expiry:
+            raise InternalConsistencyError(f"reservation for {key} activated before expiry")
+        for node_id, load in plan.node_loads().items():
+            self._reserved[node_id] = self._reserved[node_id] - load
+        apply_plan(plan, self.nodes)
+        self.resident[key] = plan
+        self._check_capacity_books()
+        return plan
+
+    def complete_step(self, job_id, step_id, now):
+        key = (job_id, step_id)
+        if key in self.completed:
+            raise InternalConsistencyError(f"step {key} completed twice")
+        self.completed.add(key)
+        if key in self.resident:
+            release(self.resident.pop(key), self.nodes)
+            self.evicting.pop(key, None)
+            return "edge"
+        if key in self.cloud_active:
+            self.cloud_active.remove(key)
+            return "cloud"
+        raise InternalConsistencyError(f"completion for unknown deployment {key}")
+
+    def handle_node_failure(self, node_id, now):
+        if node_id < 0 or node_id >= len(self.nodes):
+            raise ValidationError(f"unknown node {node_id}")
+        node = self.nodes[node_id]
+        if not node.alive:
+            raise ValidationError(f"node {node_id} already dead")
+        decision = ScheduleDecision(now)
+        hit_residents = [k for k, plan in self.resident.items()
+                         if node_id in plan.node_loads()]
+        hit_reservations = [k for k, (plan, _) in self.reservations.items()
+                            if node_id in plan.node_loads()]
+        was_evicting = set()
+        for key in hit_residents:
+            release(self.resident.pop(key), self.nodes)
+            if key in self.evicting:
+                del self.evicting[key]
+                was_evicting.add(key)
+        for key in hit_reservations:
+            plan, _ = self.reservations.pop(key)
+            for nid, load in plan.node_loads().items():
+                self._reserved[nid] = self._reserved[nid] - load
+        node.alive = False
+        if node.allocated != ResourceVector() or self._reserved[node_id] != ResourceVector():
+            raise InternalConsistencyError(f"dead node {node_id} still holds allocations")
+
+        def by_cost(k):
+            return (-self.rcost_of(self._jobs[k[0]].dag.step(k[1])), k)
+
+        for key in sorted(hit_residents, key=by_cost):
+            if key in was_evicting:
+                self._deploy_cloud_now(key, decision, now)
+            else:
+                self._replace_or_offload(key, decision, now)
+        for key in sorted(hit_reservations, key=by_cost):
+            self._replace_or_offload(key, decision, now)
+        self._check_capacity_books()
+        return decision
+
+    def _replace_or_offload(self, key, decision, now):
+        step = self._jobs[key[0]].dag.step(key[1])
+        if not self._try_deploy_edge_now(step, key, decision, now):
+            self._deploy_cloud_now(key, decision, now)
+
+    def _check_capacity_books(self):
+        for node, res, ev in zip(self.nodes, self._reserved, self._evicting_loads()):
+            if not node.allocated.fits_within(node.capacity):
+                raise InternalConsistencyError(f"node {node.node_id} physically over capacity")
+            if not (node.allocated - ev + res).fits_within(node.capacity):
+                raise InternalConsistencyError(
+                    f"node {node.node_id} over capacity after pending evictions")
+        overlap = set(self.resident) & self.cloud_sticky
+        if overlap:
+            raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")

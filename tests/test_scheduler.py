@@ -285,6 +285,65 @@ class TestNodeFailure:
         assert a_cloud and not s.has_reservation(("a", "s0"))
 
 
+class TestCapacityBooks:
+    def loaded(self):
+        """r and h resident, g evicting for f, which holds a reservation."""
+        s = HcsScheduler(one_node(cpu=6000), cost_params=QUARTER_CPU)
+        for name, cpu in [("r", 2000), ("g", 1000), ("h", 1500)]:
+            s.submit_request(job_with_step(name, cpu), 0.0)
+        s.run_round(30.0)
+        s.submit_request(job_with_step("f", 2500), 31.0)
+        s.run_round(60.0)
+        assert list(s.evicting) == [("g", "s0")] and s.has_reservation(("f", "s0"))
+        assert [k for _, k in s._victims] == [("h", "s0"), ("r", "s0")]
+        return s
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s._free[0].__setitem__(0, s._free[0][0] - 1),
+        lambda s: s._evicting_load[0].__setitem__(1, 1),
+        lambda s: s._free_now.__setitem__(0, (0, 0)),
+        lambda s: s._free_after_evictions.__setitem__(0, (6000, 8192)),
+        lambda s: s._victims.reverse(),
+        lambda s: s._victims.pop(),
+    ], ids=["free", "evicting", "free_now", "free_after_evictions", "victim_order",
+            "victim_missing"])
+    def test_a_drifted_book_is_an_internal_error(self, corrupt):
+        s = self.loaded()
+        s._check_capacity_books()
+        corrupt(s)
+        with pytest.raises(InternalConsistencyError):
+            s._check_capacity_books()
+
+
+class TestRoundMemo:
+    """A try that failed rules out larger shapes for the rest of its round
+    only, and never for failure handling."""
+
+    def test_no_fit_ends_with_its_round(self):
+        s = HcsScheduler(one_node(cpu=1000), cost_params=QUARTER_CPU)
+        s.submit_request(job_with_step("a", 1000), 0.0)
+        s.submit_request(job_with_step("b", 1000), 0.0)
+        d = s.run_round(30.0)
+        assert [e.job_id for e in edges_of(d)] == ["a"]
+        assert [c.job_id for c in clouds_of(d)] == ["b"]
+        s.complete_step("a", "s0", 40.0)
+        s.submit_request(job_with_step("c", 1000), 41.0)
+        d = s.run_round(60.0)
+        assert [(e.job_id, e.effective_time) for e in edges_of(d)] == [("c", 60.0)]
+
+    def test_failure_replacement_after_a_failed_try(self):
+        nodes = [NodeState(0, ResourceVector(1000, 8192)), NodeState(1, ResourceVector(1000, 8192))]
+        s = HcsScheduler(nodes, cost_params=QUARTER_CPU)
+        for name in "xyz":
+            s.submit_request(job_with_step(name, 1000), 0.0)
+        d = s.run_round(30.0)
+        assert [c.job_id for c in clouds_of(d)] == ["z"]
+        s.complete_step("y", "s0", 35.0)
+        d = s.handle_node_failure(0, 40.0)
+        assert [(e.job_id, e.plan.assignments, e.effective_time)
+                for e in edges_of(d)] == [("x", {0: 1}, 40.0)]
+
+
 class TestInvariantStreams:
     """Scaled-down randomized stream harness; the acceptance suite runs the
     full-width version. Checks capacity books, stickiness monotonicity,
@@ -329,7 +388,7 @@ class TestInvariantStreams:
                 if isinstance(d, DeployCloud) and d.effective_time == now \
                         and (d.job_id, d.step_id) not in evicted:
                     step = s._jobs[d.job_id].dag.step(d.step_id)
-                    plan, _ = try_place_free(step, s._free_after_evictions(),
+                    plan, _ = try_place_free(step, s._free_after_evictions,
                                              policy, s.rr_cursor)
                     assert plan is None, "cloud fallback while edge had room"
             assert sticky_seen <= s.cloud_sticky, "cloud_sticky shrank"

@@ -22,6 +22,7 @@ from hcs_sim.sim_engine import (
     NodeFailureFault,
     PoissonArrivals,
     Scenario,
+    _Engine,
     generate_arrivals,
     inject_faults,
     run,
@@ -273,6 +274,42 @@ class TestNodeFailure:
         assert [e.region for e in rich_entries] == ["cloud"]
         assert rich_entries[0].deploy_start == 70.0
         assert all(o.completed for o in r.job_outcomes)
+
+    def test_every_node_dies_while_resident_reserved_and_evicting(self):
+        # round 10: r on node 0, g on node 1; round 20: f evicts g and holds
+        # a reservation on node 1 from 50; both nodes die inside that window
+        long = dict(mem=0, svc=1.0)
+        sc = scenario(
+            node_capacities=(vec(4000, 8192), vec(4000, 8192)),
+            catalog={"r": template([step(cpu=3000, **long)], frags=60),
+                     "g": template([step(cpu=2000, **long)], frags=60),
+                     "f": template([step(cpu=4000, **long)], frags=60)},
+            arrivals=ExplicitArrivals((1.0, 2.0, 12.0), ("r", "g", "f")),
+            cost_params=CostParams(c_cpu=250.0, c_mem=0.0),
+            round_length=10.0, eviction_deadline=30.0,
+            faults=(NodeFailureFault(25.0, 0), NodeFailureFault(26.0, 1)),
+        )
+        engine = _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        sched = engine.sched
+        real_failure = sched.handle_node_failure
+        held = []
+
+        def failure(node_id, now):
+            held.append((set(sched.resident) - set(sched.evicting), set(sched.evicting),
+                         set(sched.reservations)))
+            return real_failure(node_id, now)
+
+        sched.handle_node_failure = failure
+        report = engine.run()
+        assert held[0] == ({("r-0000", "s0")}, {("g-0001", "s0")}, {("f-0002", "s0")})
+        assert all(o.completed for o in report.job_outcomes) and len(report.job_outcomes) == 3
+        last = {e.job_id: e for e in report.cost_ledger}
+        assert {j: (e.region, e.deploy_start) for j, e in last.items()} == {
+            "r-0000": ("cloud", 25.0), "g-0001": ("cloud", 26.0), "f-0002": ("cloud", 26.0)}
+        assert not (sched.resident or sched.evicting or sched.reservations or sched._victims)
+        assert sched._free == sched._free_now == sched._free_after_evictions == [None, None]
+        assert sched._evicting_load == [[0, 0], [0, 0]]
+        assert report.utilization[-1].capacity_cpu_millicores == 0
 
 
 class TestDriverRestart:
