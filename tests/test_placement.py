@@ -3,8 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hcs_sim.core_model import InternalConsistencyError, ResourceVector, StepSpec, ValidationError
 from hcs_sim.placement import (
@@ -12,8 +10,6 @@ from hcs_sim.placement import (
     PlacementPolicy,
     apply_plan,
     release,
-    replica_slots,
-    try_place_free,
 )
 
 from oracles import oracle_feasible, try_place
@@ -174,26 +170,3 @@ class TestSoundness:
                 release(plan, nodes)
                 assert [nd.allocated for nd in nodes] == snapshot
 
-
-# free views as the scheduler passes them: dead nodes, and dimensions
-# clamped to zero where reservations exceed what is physically free
-_dimension = st.one_of(st.just(0), st.integers(0, 6000))
-_free_views = st.lists(st.one_of(st.none(), st.tuples(_dimension, _dimension)), max_size=8)
-
-
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
-@given(free=_free_views, cpu=st.sampled_from([0, 1, 250, 1000, 2500]),
-       mem=st.sampled_from([0, 1, 256, 4096]), replicas=st.integers(1, 4),
-       cursor=st.integers(0, 9))
-def test_slot_count_decides_every_policy(free, cpu, mem, replicas, cursor):
-    """Every greedy policy places a replica set iff its slots sum to the
-    replica count, a failed try keeps the cursor, and the view is unchanged."""
-    step = step_of(cpu, mem, replicas)
-    slots = sum(replica_slots(f, step.demand_per_replica) for f in free)
-    before = list(free)
-    for policy in PlacementPolicy:
-        plan, new_cursor = try_place_free(step, free, policy, cursor)
-        assert (plan is not None) == (slots >= replicas), policy
-        if plan is None:
-            assert new_cursor == cursor, policy
-        assert free == before, policy

@@ -1,0 +1,38 @@
+"""Property test: a replica set's slot count decides every greedy policy.
+
+Needs hypothesis (the `test` extra in pyproject.toml); without it this
+module is skipped and the rest of the suite runs unchanged.
+"""
+
+import pytest
+
+from hcs_sim.core_model import ResourceVector, StepSpec
+from hcs_sim.placement import PlacementPolicy, replica_slots, try_place_free
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# free views as the scheduler passes them: dead nodes, and dimensions
+# clamped to zero where reservations exceed what is physically free
+_dimension = st.one_of(st.just(0), st.integers(0, 6000))
+_free_views = st.lists(st.one_of(st.none(), st.tuples(_dimension, _dimension)), max_size=8)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(free=_free_views, cpu=st.sampled_from([0, 1, 250, 1000, 2500]),
+       mem=st.sampled_from([0, 1, 256, 4096]), replicas=st.integers(1, 4),
+       cursor=st.integers(0, 9))
+def test_slot_count_decides_every_policy(free, cpu, mem, replicas, cursor):
+    """Every greedy policy places a replica set iff its slots sum to the
+    replica count, a failed try keeps the cursor, and the view is unchanged."""
+    step = StepSpec("s", ResourceVector(cpu, mem), replicas, 1.0)
+    slots = sum(replica_slots(f, step.demand_per_replica) for f in free)
+    before = list(free)
+    for policy in PlacementPolicy:
+        plan, new_cursor = try_place_free(step, free, policy, cursor)
+        assert (plan is not None) == (slots >= replicas), policy
+        if plan is None:
+            assert new_cursor == cursor, policy
+        assert free == before, policy
