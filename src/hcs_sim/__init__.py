@@ -2,9 +2,7 @@
 
 from hcs_sim.core_model import (
     BatchJob,
-    CloudPlacement,
     CostParams,
-    EdgePlacement,
     InternalConsistencyError,
     PipelineDag,
     ResourceVector,
@@ -40,11 +38,9 @@ from hcs_sim.sim_engine import (
 
 __all__ = [
     "BatchJob",
-    "CloudPlacement",
     "CostLedgerEntry",
     "CostParams",
     "DriverRestartFault",
-    "EdgePlacement",
     "ExplicitArrivals",
     "HcsScheduler",
     "InternalConsistencyError",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -164,14 +164,6 @@ def dag_violations(dag: PipelineDag) -> list[str]:
     return problems
 
 
-def topological_order(dag: PipelineDag) -> list[str]:
-    """Stable topological order of step ids; raises ValidationError on a cyclic graph."""
-    problems = dag_violations(dag)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return list(dag.order)
-
-
 @dataclass(frozen=True)
 class BatchJob:
     """A batch of fragments pushed through a pipeline under a completion deadline."""
@@ -212,23 +204,6 @@ VALID_STEP_TRANSITIONS: dict[StepState, tuple[StepState, ...]] = {
 def assert_step_transition(current: StepState, target: StepState) -> None:
     if target not in VALID_STEP_TRANSITIONS[current]:
         raise InternalConsistencyError(f"illegal step transition {current.value} -> {target.value}")
-
-
-@dataclass(frozen=True)
-class EdgePlacement:
-    """Deployment endpoint on the private cluster: replica index -> node id."""
-
-    assignments: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CloudPlacement:
-    """Deployment endpoint on the public cloud."""
-
-    endpoint_label: str
-
-
-Placement = EdgePlacement | CloudPlacement
 
 
 def rcost(step: StepSpec, params: CostParams) -> float:

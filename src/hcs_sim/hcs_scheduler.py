@@ -58,12 +58,13 @@ class DeployEdge:
 class DeployCloud:
     job_id: str
     step_id: str
-    endpoint_label: str
     effective_time: float
 
 
 @dataclass(frozen=True)
 class Evict:
+    """The step keeps its edge space until expiry_time, then moves to the cloud."""
+
     job_id: str
     step_id: str
     expiry_time: float
@@ -74,7 +75,6 @@ Directive = DeployEdge | DeployCloud | Evict
 
 @dataclass
 class ScheduleDecision:
-    round_time: float
     directives: list[Directive] = field(default_factory=list)
 
 
@@ -83,10 +83,6 @@ class _Request:
     job: BatchJob
     step: StepSpec
     arrival: float
-
-
-def cloud_label(job_id: str, step_id: str) -> str:
-    return f"cloud://{job_id}/{step_id}"
 
 
 def _clamp(book: list[int] | None, extra=(0, 0)) -> tuple[int, int] | None:
@@ -117,8 +113,10 @@ class HcsScheduler:
     """Owns edge capacity accounting and emits deployment directives.
 
     Time comes in from the caller; the scheduler never schedules its own
-    events. `nodes[i].allocated` is what is physically held right now,
-    including steps inside an eviction window; `reservations` promise
+    events. It is the only writer of `nodes[i].allocated`, what is
+    physically held right now including steps inside an eviction window,
+    and of `nodes[i].alive`; `edge_writes` counts those writes, so a caller
+    sees whether the edge changed without asking why. `reservations` promise
     capacity to steps that activate at an eviction expiry; `evicting` marks
     residents whose space frees at that expiry. Per-node books keep what a
     placement reads, updated by the method that changes the state behind
@@ -159,6 +157,7 @@ class HcsScheduler:
         self.completed: set[StepKey] = set()
         self.pending: list[_Request] = []
         self.rr_cursor = 0
+        self.edge_writes = 0
         self._jobs: dict[str, BatchJob] = {}
         self._rcosts: dict[int, tuple[float, StepSpec]] = {}
         self._free: list[list[int] | None] = [
@@ -184,6 +183,7 @@ class HcsScheduler:
     def _hold(self, key: StepKey, plan: PlacementPlan) -> None:
         """Allocate a plan to a resident that cheaper newcomers cannot evict."""
         apply_plan(plan, self.nodes)
+        self.edge_writes += 1
         self._book(self._free, plan, -1)
         self.resident[key] = plan
         insort(self._victims, (self.rcost_of(plan.step), key))
@@ -192,6 +192,7 @@ class HcsScheduler:
         """Release a resident's allocation, closing its eviction window if open."""
         plan = self.resident.pop(key)
         release(plan, self.nodes)
+        self.edge_writes += 1
         self._book(self._free, plan, 1)
         if self.evicting.pop(key, None) is not None:
             self._book(self._evicting_load, plan, -1)
@@ -255,7 +256,7 @@ class HcsScheduler:
         one; and an eviction turns candidates into evicting space while its
         reservation takes space away.
         """
-        decision = ScheduleDecision(now)
+        decision = ScheduleDecision()
         requests = sorted(
             self.pending,
             key=lambda r: (-self.rcost_of(r.step), r.arrival, r.job.job_id, r.step.step_id))
@@ -284,7 +285,7 @@ class HcsScheduler:
     def _deploy_cloud_now(self, key: StepKey, decision: ScheduleDecision, now: float) -> None:
         self.cloud_sticky.add(key)
         self.cloud_active.add(key)
-        decision.directives.append(DeployCloud(key[0], key[1], cloud_label(*key), now))
+        decision.directives.append(DeployCloud(key[0], key[1], now))
 
     def _try_deploy_edge_now(self, step: StepSpec, key: StepKey,
                              decision: ScheduleDecision, now: float) -> bool:
@@ -337,7 +338,6 @@ class HcsScheduler:
             self.evicting[vic] = expiry
             self._book(self._evicting_load, self.resident[vic], 1)
             decision.directives.append(Evict(vic[0], vic[1], expiry))
-            decision.directives.append(DeployCloud(vic[0], vic[1], cloud_label(*vic), expiry))
             log.debug("t=%s evict %s (rcost %.1f) for %s (rcost %.1f)", now, vic,
                       self.rcost_of(self.resident[vic].step), key, cost)
         self.rr_cursor = cursor
@@ -375,23 +375,18 @@ class HcsScheduler:
 
     # -- completions ------------------------------------------------------------
 
-    def complete_step(self, job_id: str, step_id: str, now: float) -> str:
-        """All fragments of a step are journaled; release whatever it held.
-
-        Returns the region the step was occupying ("edge" or "cloud") so the
-        caller knows whether edge utilization changed.
-        """
+    def complete_step(self, job_id: str, step_id: str, now: float) -> None:
+        """All fragments of a step are journaled; release whatever it held."""
         key = (job_id, step_id)
         if key in self.completed:
             raise InternalConsistencyError(f"step {key} completed twice")
         self.completed.add(key)
         if key in self.resident:
             self._drop(key)  # an open window's pending cloud handoff is cancelled
-            return "edge"
-        if key in self.cloud_active:
+        elif key in self.cloud_active:
             self.cloud_active.remove(key)
-            return "cloud"
-        raise InternalConsistencyError(f"completion for unknown deployment {key}")
+        else:
+            raise InternalConsistencyError(f"completion for unknown deployment {key}")
 
     # -- faults -------------------------------------------------------------------
 
@@ -408,7 +403,7 @@ class HcsScheduler:
         node = self.nodes[node_id]
         if not node.alive:
             raise ValidationError(f"node {node_id} already dead")
-        decision = ScheduleDecision(now)
+        decision = ScheduleDecision()
 
         hit_residents = [k for k, plan in self.resident.items()
                          if node_id in plan.assignments.values()]
@@ -420,6 +415,7 @@ class HcsScheduler:
         for key in hit_reservations:
             self._unreserve(key)
         node.alive = False
+        self.edge_writes += 1
         cap = node.capacity
         if (node.allocated != ResourceVector()
                 or self._free[node_id] != [cap.cpu_millicores, cap.memory_mb]):
@@ -449,9 +445,9 @@ class HcsScheduler:
     # -- invariants -----------------------------------------------------------------
 
     def _check_capacity_books(self) -> None:
-        """Physical and promised capacity must both respect node limits, and
-        every book must equal its recompute from the nodes, the plans and the
-        reservations."""
+        """Physical and promised capacity must both respect node limits, a
+        dead node must hold nothing, and every book must equal its recompute
+        from the nodes, the plans and the reservations."""
         reserved = [[0, 0] for _ in self.nodes]
         evicting = [[0, 0] for _ in self.nodes]
         for plan, _ in self.reservations.values():
@@ -463,6 +459,8 @@ class HcsScheduler:
             cap, alloc = node.capacity, node.allocated
             if not alloc.fits_within(cap):
                 raise InternalConsistencyError(f"node {node.node_id} physically over capacity")
+            if not node.alive and alloc != ResourceVector():
+                raise InternalConsistencyError(f"dead node {node.node_id} holds allocations")
             f = [cap.cpu_millicores - alloc.cpu_millicores - res[0],
                  cap.memory_mb - alloc.memory_mb - res[1]]
             if f[0] + ev[0] < 0 or f[1] + ev[1] < 0:

@@ -122,6 +122,7 @@ class MetricsCollector:
         self.outcomes: list[JobOutcome] = []
 
     def sample(self, now: float) -> None:
+        """Record the edge allocation and live capacity at now."""
         cpu = cpu_cap = mem = mem_cap = 0
         for n in self.nodes:
             if n.alive:
@@ -129,11 +130,7 @@ class MetricsCollector:
                 cpu_cap += n.capacity.cpu_millicores
                 mem += n.allocated.memory_mb
                 mem_cap += n.capacity.memory_mb
-        s = UtilizationSample(now, cpu, cpu_cap, mem, mem_cap)
-        if self.samples and self.samples[-1].time == now:
-            self.samples[-1] = s  # several changes at one instant collapse
-        else:
-            self.samples.append(s)
+        self.samples.append(UtilizationSample(now, cpu, cpu_cap, mem, mem_cap))
 
     def open_entry(self, job_id: str, step_id: str, region: str,
                    rcost_per_second: float, start: float) -> None:

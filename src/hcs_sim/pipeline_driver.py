@@ -32,9 +32,7 @@ from itertools import accumulate, repeat
 
 from hcs_sim.core_model import (
     BatchJob,
-    EdgePlacement,
     InternalConsistencyError,
-    Placement,
     StepSpec,
     StepState,
     ValidationError,
@@ -51,12 +49,12 @@ def cloud_pool_size(step: StepSpec, cloud_concurrency: int | None = None) -> int
 class _StepRuntime:
     spec: StepSpec
     state: StepState = StepState.PENDING
-    endpoint: Placement | None = None
+    region: str | None = None  # "edge" or "cloud" once deployed
     pool: int = 0
     ready: deque = field(default_factory=deque)
     in_flight: dict[int, float] = field(default_factory=dict)
-    # (expiry, new_endpoint, new_pool) once an eviction notice arrives
-    pending_switch: tuple[float, Placement, int] | None = None
+    # (expiry, cloud pool) once an eviction notice arrives
+    pending_switch: tuple[float, int] | None = None
     barrier_released: bool = False
 
 
@@ -107,7 +105,8 @@ class PipelineDriver:
     the caller reports each with on_step_complete(step, time) while the plan
     is current (version unchanged). Every interruption method commits the
     plan first, and the caller projects again after the interruptions of one
-    instant.
+    instant. A step runs in a region, "edge" or "cloud", which sets its
+    speed; an eviction notice always moves it to the cloud at its expiry.
     """
 
     def __init__(self, job: BatchJob, edge_speed: float = 0.8, cloud_speed: float = 1.0):
@@ -119,7 +118,6 @@ class PipelineDriver:
         self.journal: dict[str, set[int]] = {sid: set() for sid in self.topo}
         self.steps: dict[str, _StepRuntime] = {}
         self._preds = {sid: job.dag.predecessors(sid) for sid in self.topo}
-        self._succs = {sid: job.dag.successors(sid) for sid in self.topo}
         self.terminal_ids = job.dag.terminal_ids()
         self.completed_at: float | None = None
         self.version = 0  # bumped by every projection
@@ -143,11 +141,9 @@ class PipelineDriver:
     def is_complete(self) -> bool:
         return all(self.steps[t].state is StepState.COMPLETED for t in self.terminal_ids)
 
-    def _speed(self, endpoint: Placement) -> float:
-        return self.edge_speed if isinstance(endpoint, EdgePlacement) else self.cloud_speed
-
     def _service(self, rt: _StepRuntime) -> float:
-        return rt.spec.service_time_per_fragment / self._speed(rt.endpoint)
+        speed = self.edge_speed if rt.region == "edge" else self.cloud_speed
+        return rt.spec.service_time_per_fragment / speed
 
     # -- plans ----------------------------------------------------------------
 
@@ -249,7 +245,7 @@ class PipelineDriver:
             fins = [fin for fin, _ in flight[:landed]]
             out = [f for _, f in flight[:landed]]
             new_fins: list[float] = []
-            if (frags and rt.endpoint is not None and rt.pending_switch is None
+            if (frags and rt.region is not None and rt.pending_switch is None
                     and (rt.spec.feed_forward or rt.barrier_released or released)):
                 new_fins = _fifo(times, [fin for fin, _ in flight], rt.pool - len(flight),
                                  t0, self._service(rt), cut)
@@ -292,15 +288,14 @@ class PipelineDriver:
 
     # -- deployment -----------------------------------------------------------
 
-    def on_deploy(self, step_id: str, endpoint: Placement, pool_size: int,
-                  now: float) -> None:
+    def on_deploy(self, step_id: str, region: str, pool_size: int, now: float) -> None:
         """First deployment of a step; starts up to pool_size ready fragments."""
         self.commit(now)
         rt = self.step_runtime(step_id)
-        if rt.endpoint is not None or rt.state is not StepState.PENDING:
+        if rt.region is not None or rt.state is not StepState.PENDING:
             raise InternalConsistencyError(
                 f"step {step_id} deployed twice (state {rt.state.value})")
-        rt.endpoint = endpoint
+        rt.region = region
         rt.pool = pool_size
         if rt.spec.feed_forward or rt.barrier_released:
             assert_step_transition(rt.state, StepState.RUNNING)
@@ -312,16 +307,17 @@ class PipelineDriver:
 
     # -- eviction and failure handoff ----------------------------------------
 
-    def on_eviction_notice(self, step_id: str, expiry: float, new_endpoint: Placement,
-                           new_pool: int, now: float) -> list[int]:
+    def on_eviction_notice(self, step_id: str, expiry: float, cloud_pool: int,
+                           now: float) -> list[int]:
         """Stop feeding the edge deployment; cancel work that cannot finish in time.
 
         In-flight fragments finishing by the expiry run to completion; the rest
-        go back to the front of the ready queue for the replacement endpoint.
+        go back to the front of the ready queue for the cloud deployment of
+        cloud_pool workers that takes over at the expiry.
         """
         self.commit(now)
         rt = self.step_runtime(step_id)
-        if not isinstance(rt.endpoint, EdgePlacement):
+        if rt.region != "edge":
             raise InternalConsistencyError(f"eviction notice for non-edge step {step_id}")
         if rt.pending_switch is not None:
             raise InternalConsistencyError(f"step {step_id} already has an eviction pending")
@@ -329,38 +325,37 @@ class PipelineDriver:
         for f in cancelled:
             del rt.in_flight[f]
         rt.ready.extendleft(reversed(cancelled))
-        rt.pending_switch = (expiry, new_endpoint, new_pool)
+        rt.pending_switch = (expiry, cloud_pool)
         return cancelled
 
     def switch_at_expiry(self, step_id: str, now: float) -> None:
-        """Move a noticed step onto its replacement endpoint and resume work."""
+        """Move a noticed step to the cloud and resume work."""
         self.commit(now)
         rt = self.step_runtime(step_id)
         if rt.pending_switch is None:
             raise InternalConsistencyError(f"step {step_id} has no pending switch")
-        expiry, endpoint, pool = rt.pending_switch
+        expiry, pool = rt.pending_switch
         if now < expiry:
             raise InternalConsistencyError(f"switch for {step_id} before expiry")
         if rt.in_flight:
             raise InternalConsistencyError(
                 f"step {step_id} still has in-flight work at eviction expiry")
         rt.pending_switch = None
-        rt.endpoint = endpoint
+        rt.region = "cloud"
         rt.pool = pool
         self._start_ready(rt, now)
 
-    def redeploy(self, step_id: str, endpoint: Placement, pool_size: int,
-                 now: float) -> None:
+    def redeploy(self, step_id: str, region: str, pool_size: int, now: float) -> None:
         """Replace a lost deployment (node failure): in-flight work requeues."""
         self.commit(now)
         rt = self.step_runtime(step_id)
-        if rt.endpoint is None or rt.state is StepState.COMPLETED:
+        if rt.region is None or rt.state is StepState.COMPLETED:
             raise InternalConsistencyError(f"redeploy of undeployed/completed step {step_id}")
         lost = sorted(rt.in_flight)
         rt.in_flight.clear()
         rt.ready.extendleft(reversed(lost))
         rt.pending_switch = None
-        rt.endpoint = endpoint
+        rt.region = region
         rt.pool = pool_size
         self._start_ready(rt, now)
 
@@ -369,7 +364,7 @@ class PipelineDriver:
     def resume_from_journal(self, now: float) -> None:
         """Rebuild volatile dispatch state after a driver restart.
 
-        The journal, endpoint assignments and pending eviction notices are
+        The journal, the regions and pending eviction notices are
         durable; the in-flight set is lost, so unjournaled fragments are
         re-queued and started again. Already-journaled work is never resent.
         """
@@ -397,7 +392,7 @@ class PipelineDriver:
                     rt.ready = deque(f for f in range(self.m) if f not in self.journal[sid])
                 else:
                     rt.ready = deque()
-            if rt.endpoint is None:
+            if rt.region is None:
                 rt.state = StepState.PENDING
             elif rt.spec.feed_forward or rt.barrier_released:
                 rt.state = StepState.RUNNING

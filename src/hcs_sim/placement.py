@@ -30,10 +30,6 @@ class NodeState:
     allocated: ResourceVector = field(default_factory=ResourceVector)
     alive: bool = True
 
-    @property
-    def free(self) -> ResourceVector:
-        return self.capacity - self.allocated
-
 
 @dataclass
 class PlacementPlan:
@@ -150,9 +146,6 @@ def apply_plan(plan: PlacementPlan, nodes: list[NodeState]) -> None:
             raise InternalConsistencyError(
                 f"node {node_id} over capacity: {new_alloc} > {node.capacity}")
         node.allocated = new_alloc
-    for node in nodes:
-        if not node.alive and node.allocated != ResourceVector():
-            raise InternalConsistencyError(f"dead node {node.node_id} holds allocations")
 
 
 def release(plan: PlacementPlan, nodes: list[NodeState]) -> None:

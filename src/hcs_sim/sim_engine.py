@@ -7,6 +7,9 @@ schedules; the queue holds one event per projected step completion, tagged
 with the plan's version, next to arrivals, rounds, eviction expiries and
 faults. An event that touches a job commits its plan up to that instant, and
 the job is projected again once every event of that instant is handled.
+At that same point the engine takes the instant's one utilization sample,
+when the scheduler's edge writes moved since the last sample; the horizon
+takes its sample without projecting.
 """
 
 from __future__ import annotations
@@ -23,11 +26,8 @@ import numpy as np
 
 from hcs_sim.core_model import (
     BatchJob,
-    CloudPlacement,
     CostParams,
-    EdgePlacement,
     InternalConsistencyError,
-    Placement,
     ResourceVector,
     ValidationError,
     validate_job,
@@ -35,13 +35,11 @@ from hcs_sim.core_model import (
 from hcs_sim.hcs_scheduler import (
     DEFAULT_EVICTION_DEADLINE,
     DEFAULT_ROUND_LENGTH,
-    DeployCloud,
     DeployEdge,
     Evict,
     HcsScheduler,
     ScheduleDecision,
     SchedulerMode,
-    cloud_label,
 )
 from hcs_sim.metrics import JobOutcome, MetricsCollector, RunReport
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
@@ -256,6 +254,7 @@ class _Engine:
         self.collector = MetricsCollector(self.nodes)
         self.drivers: dict[str, PipelineDriver] = {}
         self._touched: dict[str, PipelineDriver] = {}  # jobs to project again
+        self._sampled_writes = 0  # sched.edge_writes at the last sample
         self.templates: dict[str, str] = {}
         self.heap: list[tuple[float, int, int, object]] = []
         self.seq = 0
@@ -294,11 +293,16 @@ class _Engine:
         """Mark a job whose driver an event interrupted, to project it again."""
         self._touched[drv.job.job_id] = drv
 
-    def _project_touched(self, now: float) -> None:
+    def _end_instant(self, now: float) -> None:
+        """After an instant's last event: project the jobs it touched, and
+        sample utilization if the edge changed."""
         for job_id, drv in self._touched.items():
             for step_id, time in drv.project(now):
                 self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))
         self._touched.clear()
+        if self.sched.edge_writes != self._sampled_writes:
+            self._sampled_writes = self.sched.edge_writes
+            self.collector.sample(now)
 
     # -- event handlers -------------------------------------------------------
 
@@ -319,59 +323,43 @@ class _Engine:
 
     def _apply_decision(self, decision: ScheduleDecision, now: float) -> None:
         """Deliver directives to drivers; deferred ones become expiry events."""
-        edge_changed = False
         for d in decision.directives:
             if isinstance(d, Evict):
                 drv = self.drivers[d.job_id]
                 pool = cloud_pool_size(drv.job.dag.step(d.step_id),
                                        self.scenario.cloud_concurrency)
-                endpoint = CloudPlacement(cloud_label(d.job_id, d.step_id))
-                drv.on_eviction_notice(d.step_id, d.expiry_time, endpoint, pool, now)
+                drv.on_eviction_notice(d.step_id, d.expiry_time, pool, now)
                 self._touch(drv)
                 self._push(d.expiry_time, EventKind.EVICTION_EXPIRE,
                            (d.job_id, d.step_id, d.expiry_time))
             elif d.effective_time > now:
-                # a deferred DeployCloud is a victim's handoff, performed by
-                # the victim's expiry event; a deferred DeployEdge waits for it
-                if isinstance(d, DeployEdge):
-                    self._push(d.effective_time, EventKind.EVICTION_EXPIRE,
-                               (d.job_id, d.step_id, d.effective_time))
-            elif isinstance(d, DeployEdge):
-                self._move_step(d.job_id, d.step_id, EdgePlacement(d.plan.assignments), now)
-                edge_changed = True
+                # a deferred DeployEdge waits for the expiry of the window it rides
+                self._push(d.effective_time, EventKind.EVICTION_EXPIRE,
+                           (d.job_id, d.step_id, d.effective_time))
             else:
-                # a cloud redeploy replaces an edge deployment lost to a failure
-                replaced = self._move_step(d.job_id, d.step_id,
-                                           CloudPlacement(d.endpoint_label), now)
-                edge_changed = edge_changed or replaced
-        if edge_changed:
-            self.collector.sample(now)
+                region = "edge" if isinstance(d, DeployEdge) else "cloud"
+                self._move_step(d.job_id, d.step_id, region, now)
 
-    def _move_step(self, job_id: str, step_id: str, endpoint: Placement | None,
-                   now: float) -> bool:
-        """Deploy a step at endpoint now, or with endpoint None complete the
+    def _move_step(self, job_id: str, step_id: str, region: str | None, now: float) -> None:
+        """Deploy a step in region now, or with region None complete the
         cloud switch its eviction notice announced.
 
         The open ledger entry, if any, closes and one for the new region opens;
-        the job is projected again after the event. Returns whether an
-        existing deployment was replaced.
+        the job is projected again after the event.
         """
         drv = self.drivers[job_id]
         step = drv.job.dag.step(step_id)
-        region = "edge" if isinstance(endpoint, EdgePlacement) else "cloud"
         self.collector.close_entry(job_id, step_id, now)
-        self.collector.open_entry(job_id, step_id, region, self.sched.rcost_of(step), now)
-        if endpoint is None:
+        self.collector.open_entry(job_id, step_id, region or "cloud",
+                                  self.sched.rcost_of(step), now)
+        if region is None:
             drv.switch_at_expiry(step_id, now)
-            replaced = True
         else:
             pool = (step.replicas if region == "edge"
                     else cloud_pool_size(step, self.scenario.cloud_concurrency))
-            replaced = drv.step_runtime(step_id).endpoint is not None
-            deploy = drv.redeploy if replaced else drv.on_deploy
-            deploy(step_id, endpoint, pool, now)
+            deploy = drv.redeploy if drv.step_runtime(step_id).region else drv.on_deploy
+            deploy(step_id, region, pool, now)
         self._touch(drv)
-        return replaced
 
     def _on_completion(self, event: tuple[str, str, int], now: float) -> bool:
         """Handle a projected step completion; returns whether it was live."""
@@ -379,10 +367,8 @@ class _Engine:
         drv = self.drivers[job_id]
         if version != drv.version:
             return False  # the plan was superseded by an interruption
-        region = self.sched.complete_step(job_id, step_id, now)
+        self.sched.complete_step(job_id, step_id, now)
         self.collector.close_entry(job_id, step_id, now)
-        if region == "edge":
-            self.collector.sample(now)
         if drv.on_step_complete(step_id, now):
             self.collector.record_outcome(JobOutcome(
                 job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
@@ -396,19 +382,14 @@ class _Engine:
         if self.sched.expire_eviction(key, expiry):
             # victim's window closed: billing moves to the cloud from here on
             self._move_step(job_id, step_id, None, now)
-            self.collector.sample(now)
         elif self.sched.has_reservation(key):
-            plan = self.sched.activate_reservation(key, now)
-            self._move_step(job_id, step_id, EdgePlacement(plan.assignments), now)
-            self.collector.sample(now)
+            self.sched.activate_reservation(key, now)
+            self._move_step(job_id, step_id, "edge", now)
         # else: the step completed inside the window, or a node failure
         # already re-homed it; nothing left to do
 
     def _on_node_failure(self, node_id: int, now: float) -> None:
-        decision = self.sched.handle_node_failure(node_id, now)
-        self.collector.sample(now)
-        self._apply_decision(decision, now)
-        self.collector.sample(now)
+        self._apply_decision(self.sched.handle_node_failure(node_id, now), now)
 
     def _on_driver_restart(self, job_id: str, now: float) -> None:
         drv = self.drivers.get(job_id)
@@ -435,28 +416,30 @@ class _Engine:
                 # a superseded completion leaves no trace, not even the end time
                 if self._on_completion(payload, time):
                     self.last_event_time = time
-                continue
-            if kind == EventKind.SIMULATION_END:
+            elif kind == EventKind.SIMULATION_END:
                 self._finish_at_horizon(time)
+                self._touched.clear()  # the cut ends every plan
+                self._end_instant(time)
                 break
-            self.last_event_time = time
-            if kind == EventKind.EVICTION_EXPIRE:
-                self._on_eviction_expire(payload, time)
-            elif kind == EventKind.NODE_FAILURE:
-                self._on_node_failure(payload, time)
-            elif kind == EventKind.DRIVER_RESTART:
-                self._on_driver_restart(payload, time)
-            elif kind == EventKind.JOB_ARRIVAL:
-                self._on_arrival(payload, time)
-            elif kind == EventKind.ROUND_TICK:
-                self._on_round_tick(time)
             else:
-                raise InternalConsistencyError(f"unknown event kind {kind}")
+                self.last_event_time = time
+                if kind == EventKind.EVICTION_EXPIRE:
+                    self._on_eviction_expire(payload, time)
+                elif kind == EventKind.NODE_FAILURE:
+                    self._on_node_failure(payload, time)
+                elif kind == EventKind.DRIVER_RESTART:
+                    self._on_driver_restart(payload, time)
+                elif kind == EventKind.JOB_ARRIVAL:
+                    self._on_arrival(payload, time)
+                elif kind == EventKind.ROUND_TICK:
+                    self._on_round_tick(time)
+                else:
+                    raise InternalConsistencyError(f"unknown event kind {kind}")
             # a projection at this instant only yields completions after
-            # it, so the jobs touched here are projected once, after the
-            # instant's last event
-            if self._touched and (not self.heap or self.heap[0][0] > time):
-                self._project_touched(time)
+            # it, so the jobs touched here are projected once, and the edge
+            # sampled once, after the instant's last event
+            if not self.heap or self.heap[0][0] > time:
+                self._end_instant(time)
 
         end_time = self.horizon if self.horizon_reached else self.last_event_time
         if not self.horizon_reached:

@@ -17,23 +17,21 @@ from dataclasses import dataclass, field
 
 from hcs_sim.core_model import (
     CostParams,
-    EdgePlacement,
     InternalConsistencyError,
     ResourceVector,
     StepState,
     ValidationError,
+    dag_violations,
     rcost,
 )
 from hcs_sim.hcs_scheduler import (
     DEFAULT_EVICTION_DEADLINE,
     DEFAULT_ROUND_LENGTH,
-    DeployCloud,
     DeployEdge,
     Evict,
     HcsScheduler,
     ScheduleDecision,
     SchedulerMode,
-    cloud_label,
 )
 from hcs_sim.metrics import JobOutcome
 from hcs_sim.pipeline_driver import PipelineDriver
@@ -127,9 +125,23 @@ def chain_makespan(n_steps, fragments, service=1.0, feed_forward=True, pool=1, s
     return pipeline_makespan(steps, edges, fragments, pools, speed)
 
 
+def topological_order(dag):
+    """Stable topological order of step ids; raises ValidationError on a cyclic graph."""
+    problems = dag_violations(dag)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return list(dag.order)
+
+
+def free_of(node):
+    """What a node has left: capacity minus allocation."""
+    return node.capacity - node.allocated
+
+
 def try_place(step, nodes, policy, rr_cursor=0):
     """Plan against live node state without mutating it."""
-    free = [(n.free.cpu_millicores, n.free.memory_mb) if n.alive else None for n in nodes]
+    free = [(free_of(n).cpu_millicores, free_of(n).memory_mb) if n.alive else None
+            for n in nodes]
     return try_place_free(step, free, policy, rr_cursor)
 
 
@@ -147,11 +159,12 @@ def oracle_feasible(step, nodes, max_replicas=12, max_nodes=6):
     d = step.demand_per_replica
     caps = []
     for n in alive:
+        free = free_of(n)
         per_dim = []
         if d.cpu_millicores > 0:
-            per_dim.append(n.free.cpu_millicores // d.cpu_millicores)
+            per_dim.append(free.cpu_millicores // d.cpu_millicores)
         if d.memory_mb > 0:
-            per_dim.append(n.free.memory_mb // d.memory_mb)
+            per_dim.append(free.memory_mb // d.memory_mb)
         caps.append(min(per_dim) if per_dim else step.replicas)
 
     def search(i, remaining):
@@ -199,12 +212,12 @@ def counting_completions():
 class _FragmentStep:
     spec: object
     state: StepState = StepState.PENDING
-    endpoint: object = None
+    region: str | None = None
     pool: int = 0
     epoch: int = 0
     ready: deque = field(default_factory=deque)
     in_flight: dict = field(default_factory=dict)  # fragment -> finish time
-    pending_switch: tuple | None = None  # (expiry, endpoint, pool)
+    pending_switch: tuple | None = None  # (expiry, cloud pool)
     barrier_released: bool = False
 
 
@@ -253,16 +266,16 @@ class FragmentDriver:
         rt = self.steps[step_id]
         if rt.state is not StepState.RUNNING or rt.pending_switch is not None:
             return
-        speed = self.edge_speed if isinstance(rt.endpoint, EdgePlacement) else self.cloud_speed
+        speed = self.edge_speed if rt.region == "edge" else self.cloud_speed
         duration = rt.spec.service_time_per_fragment / speed
         while rt.ready and len(rt.in_flight) < rt.pool:
             frag = rt.ready.popleft()
             rt.in_flight[frag] = now + duration
             self.outbox.append((now + duration, step_id, frag, rt.epoch))
 
-    def on_deploy(self, step_id, endpoint, pool_size, now):
+    def on_deploy(self, step_id, region, pool_size, now):
         rt = self.steps[step_id]
-        rt.endpoint = endpoint
+        rt.region = region
         rt.pool = pool_size
         released = rt.spec.feed_forward or rt.barrier_released
         rt.state = StepState.RUNNING if released else StepState.WAITING
@@ -304,31 +317,32 @@ class FragmentDriver:
             self.completed_at = now
         return completed, job_done
 
-    def on_eviction_notice(self, step_id, expiry, new_endpoint, new_pool, now):
+    def on_eviction_notice(self, step_id, expiry, cloud_pool, now):
         rt = self.steps[step_id]
         cancelled = sorted(f for f, fin in rt.in_flight.items() if fin > expiry)
         for f in cancelled:
             del rt.in_flight[f]
         rt.ready.extendleft(reversed(cancelled))
-        rt.pending_switch = (expiry, new_endpoint, new_pool)
+        rt.pending_switch = (expiry, cloud_pool)
         return cancelled
 
     def switch_at_expiry(self, step_id, now):
         rt = self.steps[step_id]
-        expiry, rt.endpoint, rt.pool = rt.pending_switch
+        expiry, rt.pool = rt.pending_switch
         if now < expiry or rt.in_flight:
             raise InternalConsistencyError(f"bad switch for {step_id}")
+        rt.region = "cloud"
         rt.pending_switch = None
         rt.epoch += 1
         self._dispatch(step_id, now)
 
-    def redeploy(self, step_id, endpoint, pool_size, now):
+    def redeploy(self, step_id, region, pool_size, now):
         rt = self.steps[step_id]
         lost = sorted(rt.in_flight)
         rt.in_flight.clear()
         rt.ready.extendleft(reversed(lost))
         rt.pending_switch = None
-        rt.endpoint = endpoint
+        rt.region = region
         rt.pool = pool_size
         rt.epoch += 1
         self._dispatch(step_id, now)
@@ -350,7 +364,7 @@ class FragmentDriver:
                                  and all(f in self.journal[p] for p in preds))
             else:
                 rt.ready = deque()
-            if rt.endpoint is None:
+            if rt.region is None:
                 rt.state = StepState.PENDING
             elif rt.spec.feed_forward or rt.barrier_released:
                 rt.state = StepState.RUNNING
@@ -387,10 +401,8 @@ class FragmentEngine(_Engine):
         self._touch(drv)
         job_id = drv.job.job_id
         for sid in completed:
-            region = self.sched.complete_step(job_id, sid, now)
+            self.sched.complete_step(job_id, sid, now)
             self.collector.close_entry(job_id, sid, now)
-            if region == "edge":
-                self.collector.sample(now)
         if job_done:
             self.collector.record_outcome(JobOutcome(
                 job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
@@ -479,7 +491,7 @@ class ReferenceScheduler:
         return rcost(step, self.cost_params)
 
     def run_round(self, now):
-        decision = ScheduleDecision(now)
+        decision = ScheduleDecision()
         requests = sorted(
             self.pending,
             key=lambda r: (-self.rcost_of(r.step), r.arrival, r.job.job_id, r.step.step_id))
@@ -530,7 +542,6 @@ class ReferenceScheduler:
         for vic in victims:
             self.evicting[vic] = expiry
             decision.directives.append(Evict(vic[0], vic[1], expiry))
-            decision.directives.append(DeployCloud(vic[0], vic[1], cloud_label(*vic), expiry))
         self.rr_cursor = cursor
         self.reservations[key] = (plan, expiry)
         for node_id, load in plan.node_loads().items():
@@ -568,11 +579,10 @@ class ReferenceScheduler:
         if key in self.resident:
             release(self.resident.pop(key), self.nodes)
             self.evicting.pop(key, None)
-            return "edge"
-        if key in self.cloud_active:
+        elif key in self.cloud_active:
             self.cloud_active.remove(key)
-            return "cloud"
-        raise InternalConsistencyError(f"completion for unknown deployment {key}")
+        else:
+            raise InternalConsistencyError(f"completion for unknown deployment {key}")
 
     def handle_node_failure(self, node_id, now):
         if node_id < 0 or node_id >= len(self.nodes):
@@ -580,7 +590,7 @@ class ReferenceScheduler:
         node = self.nodes[node_id]
         if not node.alive:
             raise ValidationError(f"node {node_id} already dead")
-        decision = ScheduleDecision(now)
+        decision = ScheduleDecision()
         hit_residents = [k for k, plan in self.resident.items()
                          if node_id in plan.node_loads()]
         hit_reservations = [k for k, (plan, _) in self.reservations.items()
@@ -621,6 +631,8 @@ class ReferenceScheduler:
         for node, res, ev in zip(self.nodes, self._reserved, self._evicting_loads()):
             if not node.allocated.fits_within(node.capacity):
                 raise InternalConsistencyError(f"node {node.node_id} physically over capacity")
+            if not node.alive and node.allocated != ResourceVector():
+                raise InternalConsistencyError(f"dead node {node.node_id} holds allocations")
             if not (node.allocated - ev + res).fits_within(node.capacity):
                 raise InternalConsistencyError(
                     f"node {node.node_id} over capacity after pending evictions")

@@ -17,10 +17,11 @@ from hcs_sim.core_model import (
     assert_step_transition,
     dag_violations,
     rcost,
-    topological_order,
     total_cost,
     validate_job,
 )
+
+from oracles import topological_order
 
 REL = 1e-9
 

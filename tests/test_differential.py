@@ -6,12 +6,16 @@ journal. The generator favours ties: service times of 1 or 2 s at equal
 speeds, DAG joins of up to three predecessors, barriers, pools of 1 to 3,
 node failures, driver restarts and horizons that cut jobs mid-run.
 
+Both engines sample utilization in the loop they share, so the trace is also
+checked against a model of its own, rebuilt from the cost ledger and the
+faults (see utilization_violations).
+
 Run a wider sweep from a checkout with
 
     PYTHONPATH=src python3 tests/test_differential.py --seeds 0:4000
 
-which prints the first differing seed and file, or the number of seeds that
-matched.
+which prints the first seed with a differing file or a broken utilization
+rule, or the number of seeds that passed.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from hcs_sim.core_model import (
     StepSpec,
 )
 from hcs_sim.hcs_scheduler import HcsScheduler, SchedulerMode
-from hcs_sim.metrics import emit_report
+from hcs_sim.metrics import RunReport, emit_report
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     DriverRestartFault,
@@ -113,8 +117,53 @@ def random_scenario(seed: int) -> Scenario:
     )
 
 
+def utilization_violations(scenario: Scenario, report: RunReport) -> list[str]:
+    """Utilization rules the report breaks, from the ledger and the faults.
+
+    The trace holds one sample per instant at which the edge allocation or
+    the live capacity changed, with the state after that instant: so its
+    times are the starts and (before the end) the ends of the edge ledger
+    entries and the node failures, possibly plus the end time. A sample
+    before the end allocates what the edge entries open at it demand, and
+    every sample counts the capacity of the nodes not failed by then.
+    """
+    end = report.end_time
+    times = [s.time for s in report.utilization]
+    if times != sorted(set(times)):
+        return ["sample times repeat or go back"]
+    template = {job_id: name for _, job_id, name in report.arrivals}
+    edge = []  # (start, end, cpu, memory) of each edge deployment
+    for e in report.cost_ledger:
+        if e.region == "edge":
+            spec = scenario.catalog[template[e.job_id]].dag.step(e.step_id)
+            d = spec.demand_per_replica
+            edge.append((e.deploy_start, e.deploy_end,
+                         d.cpu_millicores * spec.replicas, d.memory_mb * spec.replicas))
+    failures = [f for f in scenario.faults if isinstance(f, NodeFailureFault)]
+    changes = ({a for a, _, _, _ in edge} | {b for _, b, _, _ in edge if b < end}
+               | {f.time for f in failures})
+    problems = []
+    if changes - set(times):
+        problems.append(f"no sample at {min(changes - set(times))}")
+    if set(times) - changes - {end}:
+        problems.append(f"sample at {min(set(times) - changes - {end})} without a change")
+    for s in report.utilization:
+        if s.time < end:
+            held = [(c, m) for a, b, c, m in edge if a <= s.time < b]
+            want = (sum(c for c, _ in held), sum(m for _, m in held))
+            if (s.allocated_cpu_millicores, s.allocated_memory_mb) != want:
+                problems.append(f"allocation at {s.time} is not the edge ledger's {want}")
+        dead = {f.node_id for f in failures if f.time <= s.time}
+        live = [c for i, c in enumerate(scenario.node_capacities) if i not in dead]
+        want = (sum(c.cpu_millicores for c in live), sum(c.memory_mb for c in live))
+        if (s.capacity_cpu_millicores, s.capacity_memory_mb) != want:
+            problems.append(f"capacity at {s.time} is not the live nodes' {want}")
+    return problems
+
+
 def differences(scenario: Scenario) -> list[str]:
-    """Artifacts and journals on which the two engines disagree."""
+    """Artifacts and journals on which the two engines disagree, and the
+    utilization rules the per-step engine's report breaks."""
     arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
     fast, fast_drivers = run_detailed(scenario, arrivals)
     slow, slow_drivers = fragment_run_detailed(scenario, arrivals)
@@ -130,7 +179,7 @@ def differences(scenario: Scenario) -> list[str]:
         for sid, journal in drv.journal.items():
             if journal != slow_drivers[job_id].journal[sid]:
                 out.append(f"journal {job_id}/{sid}")
-    return out
+    return out + [f"utilization: {p}" for p in utilization_violations(scenario, fast)]
 
 
 def test_generated_scenarios_match_the_oracle():
@@ -242,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         if diff:
             print(f"seed {seed}: {', '.join(diff)}")
             return 1
-    print(f"{len(args.seeds)} seeds, no differences")
+    print(f"{len(args.seeds)} seeds, no differences, utilization rules hold")
     return 0
 
 

@@ -9,8 +9,6 @@ import pytest
 
 from hcs_sim.core_model import (
     BatchJob,
-    CloudPlacement,
-    EdgePlacement,
     InternalConsistencyError,
     PipelineDag,
     ResourceVector,
@@ -21,8 +19,8 @@ from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
 
 from oracles import chain_makespan, counting_completions, pipeline_makespan
 
-CLOUD = CloudPlacement("cloud://test")
-EDGE = EdgePlacement({0: 0})
+CLOUD = "cloud"
+EDGE = "edge"
 
 
 def make_job(n_steps=3, fragments=5, service=1.0, ff=True, replicas=1,
@@ -35,12 +33,12 @@ def make_job(n_steps=3, fragments=5, service=1.0, ff=True, replicas=1,
     return BatchJob(job_id, PipelineDag(steps, edges), fragments, deadline)
 
 
-def run_to_completion(driver, endpoint=CLOUD, pools=None, deploy_at=0.0, until=None):
+def run_to_completion(driver, region=CLOUD, pools=None, deploy_at=0.0, until=None):
     """Deploy every step at once and report the projected step completions in
     time order; with until, commit there instead of passing it."""
     for sid in driver.topo:
         pool = (pools or {}).get(sid, driver.steps[sid].spec.replicas)
-        driver.on_deploy(sid, endpoint, pool, deploy_at)
+        driver.on_deploy(sid, region, pool, deploy_at)
     for t, sid in sorted((t, sid) for sid, t in driver.project(deploy_at)):
         if until is not None and t > until:
             driver.commit(until)
@@ -103,7 +101,7 @@ class TestPipeliningLaws:
 
     def test_edge_speed_stretches_durations(self):
         drv = PipelineDriver(make_job(1, 5, 1.0), edge_speed=0.8)
-        assert run_to_completion(drv, endpoint=EdgePlacement({0: 0})) == 6.25
+        assert run_to_completion(drv, region=EDGE) == 6.25
 
 
 class TestDeploySemantics:
@@ -156,21 +154,21 @@ class TestEviction:
     def make_running(self, m=6, service=2.0):
         drv = PipelineDriver(make_job(1, m, service, replicas=2), edge_speed=1.0,
                              cloud_speed=1.0)
-        drv.on_deploy("s0", EdgePlacement({0: 0, 1: 0}), 2, 0.0)
+        drv.on_deploy("s0", EDGE, 2, 0.0)
         drv.project(0.0)
         return drv
 
     def test_in_flight_finishing_by_expiry_survives(self):
         drv = self.make_running()
         # fragments 0,1 in flight finishing at t=2; notice at t=1 with expiry t=5
-        cancelled = drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 1.0)
+        cancelled = drv.on_eviction_notice("s0", 5.0, 2, 1.0)
         assert cancelled == []
         assert set(drv.steps["s0"].in_flight) == {0, 1}
 
     def test_in_flight_past_expiry_cancelled_and_requeued(self):
         drv = self.make_running(service=10.0)
         version = drv.version
-        cancelled = drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 1.0)
+        cancelled = drv.on_eviction_notice("s0", 5.0, 2, 1.0)
         assert cancelled == [0, 1]
         assert list(drv.steps["s0"].ready)[:2] == [0, 1]
         assert not drv.steps["s0"].in_flight
@@ -179,7 +177,7 @@ class TestEviction:
 
     def test_no_dispatch_between_notice_and_expiry(self):
         drv = self.make_running(service=2.0)
-        drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 1.0)
+        drv.on_eviction_notice("s0", 5.0, 2, 1.0)
         drv.project(1.0)
         drv.commit(4.9)  # 0 and 1 finish at 2.0, before expiry, and count
         assert not drv.steps["s0"].in_flight
@@ -188,18 +186,18 @@ class TestEviction:
 
     def test_switch_resumes_on_new_endpoint(self):
         drv = self.make_running(service=2.0)
-        drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 1.0)
+        drv.on_eviction_notice("s0", 5.0, 2, 1.0)
         drv.project(1.0)
         drv.switch_at_expiry("s0", 5.0)
         assert drv.journal["s0"] == {0, 1}
         assert list(drv.steps["s0"].in_flight.values()) == [7.0, 7.0]
-        assert isinstance(drv.steps["s0"].endpoint, CloudPlacement)
+        assert drv.steps["s0"].region == "cloud"
 
     def test_waiting_step_switches_silently(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
-        drv.on_deploy("s0", EdgePlacement({0: 0}), 1, 0.0)
-        drv.on_deploy("s1", EdgePlacement({0: 1}), 1, 0.0)
-        assert drv.on_eviction_notice("s1", 30.0, CLOUD, 1, 0.0) == []
+        drv.on_deploy("s0", EDGE, 1, 0.0)
+        drv.on_deploy("s1", EDGE, 1, 0.0)
+        assert drv.on_eviction_notice("s1", 30.0, 1, 0.0) == []
         drv.switch_at_expiry("s1", 30.0)
         assert not drv.steps["s1"].in_flight and drv.steps["s1"].state is StepState.WAITING
 
@@ -207,11 +205,11 @@ class TestEviction:
         drv = PipelineDriver(make_job(1, 2))
         drv.on_deploy("s0", CLOUD, 1, 0.0)
         with pytest.raises(InternalConsistencyError):
-            drv.on_eviction_notice("s0", 5.0, CLOUD, 1, 0.0)
+            drv.on_eviction_notice("s0", 5.0, 1, 0.0)
 
     def test_completion_during_window_clears_switch(self):
         drv = self.make_running(m=2, service=1.0)
-        drv.on_eviction_notice("s0", 5.0, CLOUD, 2, 0.5)
+        drv.on_eviction_notice("s0", 5.0, 2, 0.5)
         assert drv.project(0.5) == [("s0", 1.0)]
         assert drv.on_step_complete("s0", 1.0) and drv.completed_at == 1.0
         assert drv.steps["s0"].state is StepState.COMPLETED
@@ -268,7 +266,7 @@ class TestRecovery:
 
     def test_redeploy_requeues_in_flight(self):
         drv = PipelineDriver(make_job(1, 6, 5.0, replicas=2), edge_speed=1.0)
-        drv.on_deploy("s0", EdgePlacement({0: 0, 1: 0}), 2, 0.0)
+        drv.on_deploy("s0", EDGE, 2, 0.0)
         drv.project(0.0)
         version = drv.version
         drv.redeploy("s0", CLOUD, 2, 2.0)

@@ -169,14 +169,6 @@ class TestMetricsCollector:
                  NodeState(1, ResourceVector(1000, 1000))]
         return MetricsCollector(nodes)
 
-    def test_same_time_samples_collapse(self):
-        c = self.make()
-        c.sample(5.0)
-        c.nodes[0].allocated = ResourceVector(600, 0)
-        c.sample(5.0)
-        assert len(c.samples) == 1
-        assert c.samples[0].allocated_cpu_millicores == 600
-
     def test_dead_nodes_leave_the_denominator(self):
         c = self.make()
         c.sample(1.0)

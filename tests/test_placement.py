@@ -12,7 +12,7 @@ from hcs_sim.placement import (
     release,
 )
 
-from oracles import oracle_feasible, try_place
+from oracles import free_of, oracle_feasible, try_place
 
 
 def nodes_of(*cpu_free, mem=8192, used_mem=0):
@@ -97,11 +97,11 @@ class TestApplyRelease:
         nodes = nodes_of(4000, 4000)
         plan, _ = try_place(step_of(replicas=4), nodes, PlacementPolicy.WORST_FIT)
         apply_plan(plan, nodes)
-        assert nodes[0].free.cpu_millicores == 2000
-        assert nodes[1].free.cpu_millicores == 2000
+        assert free_of(nodes[0]).cpu_millicores == 2000
+        assert free_of(nodes[1]).cpu_millicores == 2000
         release(plan, nodes)
-        assert nodes[0].free.cpu_millicores == 4000
-        assert nodes[1].free.cpu_millicores == 4000
+        assert free_of(nodes[0]).cpu_millicores == 4000
+        assert free_of(nodes[1]).cpu_millicores == 4000
 
     def test_over_apply_is_internal_error(self):
         nodes = nodes_of(1000)

@@ -101,8 +101,7 @@ class TestEviction:
         d = s.run_round(60.0)
         ev = evicts_of(d)
         assert len(ev) == 1 and ev[0].job_id == "g" and ev[0].expiry_time == 90.0
-        g_cloud = [c for c in clouds_of(d) if c.job_id == "g"]
-        assert g_cloud and g_cloud[0].effective_time == 90.0
+        assert not clouds_of(d)  # the Evict alone moves g to the cloud at 90
         f_edge = edges_of(d)
         assert f_edge and f_edge[0].job_id == "f" and f_edge[0].effective_time == 90.0
         # during the window g still physically holds its space
@@ -148,7 +147,8 @@ class TestEviction:
         s.run_round(30.0)
         s.submit_request(job_with_step("f", 4000), 31.0)
         s.run_round(60.0)
-        assert s.complete_step("g", "s0", 75.0) == "edge"
+        s.complete_step("g", "s0", 75.0)
+        assert ("g", "s0") not in s.resident
         assert s.expire_eviction(("g", "s0"), 90.0) is False
         assert ("g", "s0") not in s.cloud_sticky
 
@@ -205,14 +205,16 @@ class TestCompletion:
         s = HcsScheduler(one_node())
         s.submit_request(job_with_step("a", 1000), 0.0)
         s.run_round(30.0)
-        assert s.complete_step("a", "s0", 45.0) == "edge"
+        s.complete_step("a", "s0", 45.0)
         assert s.nodes[0].allocated == ResourceVector()
 
     def test_cloud_completion(self):
         s = HcsScheduler(one_node(cpu=100))
         s.submit_request(job_with_step("a", 1000), 0.0)
         s.run_round(30.0)
-        assert s.complete_step("a", "s0", 45.0) == "cloud"
+        assert ("a", "s0") in s.cloud_active
+        s.complete_step("a", "s0", 45.0)
+        assert ("a", "s0") not in s.cloud_active and ("a", "s0") in s.completed
 
     def test_unknown_or_double_completion_is_internal_error(self):
         s = HcsScheduler(one_node())
@@ -314,6 +316,15 @@ class TestCapacityBooks:
         with pytest.raises(InternalConsistencyError):
             s._check_capacity_books()
 
+    def test_a_dead_node_holding_allocations_is_an_internal_error(self):
+        s = HcsScheduler([NodeState(0, ResourceVector(1000, 8192)),
+                          NodeState(1, ResourceVector(1000, 8192))])
+        s.handle_node_failure(1, 10.0)
+        s._check_capacity_books()
+        s.nodes[1].allocated = ResourceVector(500, 0)
+        with pytest.raises(InternalConsistencyError, match="dead node 1"):
+            s._check_capacity_books()
+
 
 class TestRoundMemo:
     """A try that failed rules out larger shapes for the rest of its round
@@ -370,8 +381,6 @@ class TestInvariantStreams:
                 job_seq += 1
                 s.submit_request(job, now - rng.uniform(0.0, 29.9))
             decision = s.run_round(now)
-            evicted = {(e.job_id, e.step_id) for e in decision.directives
-                       if isinstance(e, Evict)}
             deploys = {}
             for d in decision.directives:
                 key = (d.job_id, d.step_id)
@@ -379,14 +388,14 @@ class TestInvariantStreams:
                     assert key not in sticky_seen, "sticky step returned to edge"
                     deploys[key] = deploys.get(key, 0) + 1
                     active[key] = "edge"
-                elif isinstance(d, DeployCloud) and key not in evicted:
+                elif isinstance(d, DeployCloud):
                     deploys[key] = deploys.get(key, 0) + 1
                     active[key] = "cloud"
             assert all(n == 1 for n in deploys.values()), "step deployed twice in a round"
             # edge-priority: immediate cloud fallbacks must not fit post-round
             for d in decision.directives:
-                if isinstance(d, DeployCloud) and d.effective_time == now \
-                        and (d.job_id, d.step_id) not in evicted:
+                if isinstance(d, DeployCloud):
+                    assert d.effective_time == now, "cloud deployment deferred"
                     step = s._jobs[d.job_id].dag.step(d.step_id)
                     plan, _ = try_place_free(step, s._free_after_evictions,
                                              policy, s.rr_cursor)

@@ -384,6 +384,17 @@ class TestHorizon:
         assert all(e.deploy_end is not None and e.deploy_end <= 50.0
                    for e in r.cost_ledger)
 
+    def test_the_horizon_instant_is_sampled(self):
+        # the t=10 round deploys the step on the edge; the horizon at 10
+        # ends the run after it, and the trace still shows that round
+        sc = scenario(node_capacities=(vec(2000, 8192),),
+                      catalog={"t": template([step(cpu=1000)])},
+                      arrivals=ExplicitArrivals((1.0,), ("t",)),
+                      round_length=10.0, horizon=10.0)
+        r = run(sc)
+        assert r.horizon_reached
+        assert [(s.time, s.allocated_cpu_millicores) for s in r.utilization] == [(10.0, 1000)]
+
     def test_horizon_after_completion_is_clean(self):
         r = run(scenario(horizon=10_000.0))
         assert not r.horizon_reached
