@@ -10,7 +10,6 @@ from hcs_sim.core_model import (
     StepState,
     ValidationError,
     rcost,
-    total_cost,
     validate_job,
 )
 from hcs_sim.hcs_scheduler import HcsScheduler, SchedulerMode
@@ -66,6 +65,5 @@ __all__ = [
     "rcost",
     "run",
     "time_weighted_utilization",
-    "total_cost",
     "validate_job",
 ]

@@ -186,7 +186,7 @@ def _parse_arrivals(obj, check: _Check):
         if generator != "pcg64":
             check.err("arrivals.generator", 'only "pcg64" is supported')
         rate = check.number(got["rate"], "arrivals.rate", minimum=0, exclusive=True)
-        seed = check.number(got["seed"], "arrivals.seed", integer=True)
+        seed = check.number(got["seed"], "arrivals.seed", minimum=0, integer=True)
         count = check.number(got["count"], "arrivals.count", minimum=0, integer=True)
         if None in (rate, seed, count):
             return None
@@ -467,12 +467,14 @@ def cmd_replicate(args) -> int:
     if not seeds:
         print("error: --seeds is empty", file=sys.stderr)
         return 1
+    # every seed is checked before the first run
+    scenarios = [(seed, dataclasses.replace(
+        scenario, arrivals=dataclasses.replace(scenario.arrivals, seed=seed)))
+        for seed in seeds]
     per_seed: dict[str, dict] = {}
     series: dict[str, list[float]] = {
         "total_cost": [], "mean_utilization": [], "deadline_met_fraction": []}
-    for seed in seeds:
-        s = dataclasses.replace(
-            scenario, arrivals=dataclasses.replace(scenario.arrivals, seed=seed))
+    for seed, s in scenarios:
         report = _run_one(s, out / f"seed-{seed}", args.emit_plot_data)
         d = summary_dict(report)
         per_seed[str(seed)] = d

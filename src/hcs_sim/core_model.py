@@ -217,13 +217,6 @@ def rcost(step: StepSpec, params: CostParams) -> float:
     return per_replica * step.replicas
 
 
-def total_cost(step: StepSpec, params: CostParams, deployed_time: float) -> float:
-    """Cloud cost of a deployment held for deployed_time seconds."""
-    if deployed_time < 0:
-        raise ValidationError("deployed_time must be >= 0")
-    return rcost(step, params) * deployed_time
-
-
 def validate_job(job: BatchJob, execution_timeout: float = 60.0,
                  min_speed_factor: float = 1.0) -> list[str]:
     """Collect every invariant violation in a job spec; empty list means acceptable.

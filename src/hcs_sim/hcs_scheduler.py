@@ -56,9 +56,10 @@ class DeployEdge:
 
 @dataclass(frozen=True)
 class DeployCloud:
+    """The step moves to the cloud now, and stays there."""
+
     job_id: str
     step_id: str
-    effective_time: float
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,8 @@ class HcsScheduler:
     - `_victims`: the residents outside an eviction window in (rcost, key)
       order, so eviction candidates are a prefix.
 
-    `_check_capacity_books` recomputes all of them from scratch. The
+    `_check_capacity_books` recomputes all of them from scratch, after each
+    round and node failure, and from `end_instant` after activations. The
     settings are a Scenario's, which guarantees positive round and eviction
     lengths and at least one node in cheapest-first mode.
     """
@@ -169,6 +171,7 @@ class HcsScheduler:
             _clamp(f) for f in self._free]
         self._free_after_evictions = list(self._free_now)
         self._victims: list[tuple[float, StepKey]] = []
+        self._unchecked = False  # activations since the last book check
 
     # -- capacity books ---------------------------------------------------------
 
@@ -266,7 +269,7 @@ class HcsScheduler:
         for req in requests:
             key = (req.job.job_id, req.step.step_id)
             if self.mode is SchedulerMode.CLOUD_ONLY or key in self.cloud_sticky:
-                self._deploy_cloud_now(key, decision, now)
+                self._deploy_cloud_now(key, decision)
                 continue
             d = req.step.demand_per_replica
             shape = (d.cpu_millicores, d.memory_mb, req.step.replicas)
@@ -278,14 +281,14 @@ class HcsScheduler:
                 if self._try_deploy_with_eviction(req.step, key, decision, now):
                     continue
                 no_victims.append(shape)
-            self._deploy_cloud_now(key, decision, now)
+            self._deploy_cloud_now(key, decision)
         self._check_capacity_books()
         return decision
 
-    def _deploy_cloud_now(self, key: StepKey, decision: ScheduleDecision, now: float) -> None:
+    def _deploy_cloud_now(self, key: StepKey, decision: ScheduleDecision) -> None:
         self.cloud_sticky.add(key)
         self.cloud_active.add(key)
-        decision.directives.append(DeployCloud(key[0], key[1], now))
+        decision.directives.append(DeployCloud(key[0], key[1]))
 
     def _try_deploy_edge_now(self, step: StepSpec, key: StepKey,
                              decision: ScheduleDecision, now: float) -> bool:
@@ -370,8 +373,14 @@ class HcsScheduler:
             raise InternalConsistencyError(f"reservation for {key} activated before expiry")
         plan = self._unreserve(key)
         self._hold(key, plan)
-        self._check_capacity_books()
+        self._unchecked = True
         return plan
+
+    def end_instant(self) -> None:
+        """Check the books once for the activations of the instant ending, if
+        no round or node failure checked them since."""
+        if self._unchecked:
+            self._check_capacity_books()
 
     # -- completions ------------------------------------------------------------
 
@@ -428,7 +437,7 @@ class HcsScheduler:
         for key in sorted(hit_residents, key=by_cost):
             if key in was_evicting:
                 # already promised to the cloud; go now, the window is moot
-                self._deploy_cloud_now(key, decision, now)
+                self._deploy_cloud_now(key, decision)
             else:
                 self._replace_or_offload(key, decision, now)
         for key in sorted(hit_reservations, key=by_cost):
@@ -440,7 +449,7 @@ class HcsScheduler:
                             now: float) -> None:
         step = self._jobs[key[0]].dag.step(key[1])
         if not self._try_deploy_edge_now(step, key, decision, now):
-            self._deploy_cloud_now(key, decision, now)
+            self._deploy_cloud_now(key, decision)
 
     # -- invariants -----------------------------------------------------------------
 
@@ -478,3 +487,4 @@ class HcsScheduler:
         overlap = set(self.resident) & self.cloud_sticky
         if overlap:
             raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")
+        self._unchecked = False

@@ -372,26 +372,21 @@ class PipelineDriver:
         for sid in self.topo:
             rt = self.steps[sid]
             rt.in_flight.clear()
-            if len(self.journal[sid]) == self.m:
+            journal = self.journal[sid]
+            if len(journal) == self.m:
                 if rt.state is not StepState.COMPLETED:
                     rt.state = StepState.COMPLETED
                 rt.ready.clear()
                 continue
-            preds = self._preds[sid]
-            rt.barrier_released = (not preds) or all(
-                len(self.journal[p]) == self.m for p in preds)
-            if not preds:
-                rt.ready = deque(f for f in range(self.m) if f not in self.journal[sid])
+            upstream = [self.journal[p] for p in self._preds[sid]]
+            rt.barrier_released = all(len(j) == self.m for j in upstream)
+            if rt.barrier_released:
+                rt.ready = deque(f for f in range(self.m) if f not in journal)
             elif rt.spec.feed_forward:
-                rt.ready = deque(
-                    f for f in range(self.m)
-                    if f not in self.journal[sid]
-                    and all(f in self.journal[p] for p in preds))
+                rt.ready = deque(f for f in range(self.m) if f not in journal
+                                 and all(f in j for j in upstream))
             else:
-                if rt.barrier_released:
-                    rt.ready = deque(f for f in range(self.m) if f not in self.journal[sid])
-                else:
-                    rt.ready = deque()
+                rt.ready = deque()
             if rt.region is None:
                 rt.state = StepState.PENDING
             elif rt.spec.feed_forward or rt.barrier_released:

@@ -22,8 +22,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-import numpy as np
-
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -35,13 +33,14 @@ from hcs_sim.core_model import (
 from hcs_sim.hcs_scheduler import (
     DEFAULT_EVICTION_DEADLINE,
     DEFAULT_ROUND_LENGTH,
-    DeployEdge,
+    DeployCloud,
     Evict,
     HcsScheduler,
     ScheduleDecision,
     SchedulerMode,
 )
 from hcs_sim.metrics import JobOutcome, MetricsCollector, RunReport
+from hcs_sim.pcg64 import Pcg64
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
 from hcs_sim.placement import NodeState, PlacementPolicy
 
@@ -79,6 +78,8 @@ class PoissonArrivals:
             raise ValidationError("arrivals.rate: must be > 0")
         if self.count < 0:
             raise ValidationError("arrivals.count: must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("arrivals.seed: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -212,13 +213,13 @@ def generate_arrivals(process: ArrivalProcess,
     """
     names = list(catalog)
     if isinstance(process, PoissonArrivals):
-        rng = np.random.Generator(np.random.PCG64(process.seed))
+        rng = Pcg64(process.seed)
         out: list[ScheduledArrival] = []
         t = 0.0
         for i in range(process.count):
-            u = float(rng.random())
+            u = rng.random()
             t += -math.log1p(-u) / process.rate
-            name = names[int(rng.integers(0, len(names)))]
+            name = names[rng.integers(len(names))]
             job = dataclasses.replace(
                 catalog[name], job_id=f"{name}-{i:04d}", arrival_time=t)
             out.append(ScheduledArrival(t, name, job))
@@ -294,8 +295,10 @@ class _Engine:
         self._touched[drv.job.job_id] = drv
 
     def _end_instant(self, now: float) -> None:
-        """After an instant's last event: project the jobs it touched, and
+        """After an instant's last event: check the scheduler's books if it
+        activated reservations, project the jobs the instant touched, and
         sample utilization if the edge changed."""
+        self.sched.end_instant()
         for job_id, drv in self._touched.items():
             for step_id, time in drv.project(now):
                 self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))
@@ -332,13 +335,14 @@ class _Engine:
                 self._touch(drv)
                 self._push(d.expiry_time, EventKind.EVICTION_EXPIRE,
                            (d.job_id, d.step_id, d.expiry_time))
+            elif isinstance(d, DeployCloud):
+                self._move_step(d.job_id, d.step_id, "cloud", now)
             elif d.effective_time > now:
                 # a deferred DeployEdge waits for the expiry of the window it rides
                 self._push(d.effective_time, EventKind.EVICTION_EXPIRE,
                            (d.job_id, d.step_id, d.effective_time))
             else:
-                region = "edge" if isinstance(d, DeployEdge) else "cloud"
-                self._move_step(d.job_id, d.step_id, region, now)
+                self._move_step(d.job_id, d.step_id, "edge", now)
 
     def _move_step(self, job_id: str, step_id: str, region: str | None, now: float) -> None:
         """Deploy a step in region now, or with region None complete the

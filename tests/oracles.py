@@ -138,6 +138,13 @@ def free_of(node):
     return node.capacity - node.allocated
 
 
+def total_cost(step, params, deployed_time):
+    """Cloud cost of a deployment held for deployed_time seconds."""
+    if deployed_time < 0:
+        raise ValidationError("deployed_time must be >= 0")
+    return rcost(step, params) * deployed_time
+
+
 def try_place(step, nodes, policy, rr_cursor=0):
     """Plan against live node state without mutating it."""
     free = [(free_of(n).cpu_millicores, free_of(n).memory_mb) if n.alive else None
@@ -499,10 +506,10 @@ class ReferenceScheduler:
         for req in requests:
             key = (req.job.job_id, req.step.step_id)
             if self.mode is SchedulerMode.CLOUD_ONLY or key in self.cloud_sticky:
-                self._deploy_cloud_now(key, decision, now)
+                self._deploy_cloud_now(key, decision)
             elif not (self._try_deploy_edge_now(req.step, key, decision, now)
                       or self._try_deploy_with_eviction(req.step, key, decision, now)):
-                self._deploy_cloud_now(key, decision, now)
+                self._deploy_cloud_now(key, decision)
         self._check_capacity_books()
         return decision
 
@@ -614,7 +621,7 @@ class ReferenceScheduler:
 
         for key in sorted(hit_residents, key=by_cost):
             if key in was_evicting:
-                self._deploy_cloud_now(key, decision, now)
+                self._deploy_cloud_now(key, decision)
             else:
                 self._replace_or_offload(key, decision, now)
         for key in sorted(hit_reservations, key=by_cost):
@@ -625,7 +632,7 @@ class ReferenceScheduler:
     def _replace_or_offload(self, key, decision, now):
         step = self._jobs[key[0]].dag.step(key[1])
         if not self._try_deploy_edge_now(step, key, decision, now):
-            self._deploy_cloud_now(key, decision, now)
+            self._deploy_cloud_now(key, decision)
 
     def _check_capacity_books(self):
         for node, res, ev in zip(self.nodes, self._reserved, self._evicting_loads()):

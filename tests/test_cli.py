@@ -199,6 +199,9 @@ RULES = [
     ("poisson-rate", lambda c: c.update(
         arrivals={"kind": "poisson", "rate": 0, "seed": 1, "count": 3}),
      lambda: dict(arrivals=PoissonArrivals(0.0, 1, 3)), "arrivals.rate"),
+    ("poisson-seed", lambda c: c.update(
+        arrivals={"kind": "poisson", "rate": 1.0, "seed": -1, "count": 3}),
+     lambda: dict(arrivals=PoissonArrivals(1.0, -1, 3)), "arrivals.seed"),
     ("poisson-count", lambda c: c.update(
         arrivals={"kind": "poisson", "rate": 1.0, "seed": 1, "count": -1}),
      lambda: dict(arrivals=PoissonArrivals(1.0, 1, -1)), "arrivals.count"),
@@ -307,6 +310,15 @@ class TestRunCommand:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_no_numpy(self):
+        src = str(Path(hcs_sim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, hcs_sim.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestSweepCommand:
     def test_sweep_all_shares_one_arrival_schedule(self, tmp_path):
@@ -373,3 +385,13 @@ class TestReplicateCommand:
         assert main(["replicate", "--config", path, "--out", str(tmp_path / "o"),
                      "--seeds", "a,b"]) == 1
         assert "--seeds" in capsys.readouterr().err
+
+    def test_negative_seed_is_an_error_before_any_run(self, tmp_path, capsys):
+        cfg = minimal_config()
+        cfg["arrivals"] = {"kind": "poisson", "rate": 0.05, "seed": 1, "count": 2}
+        path = write_config(tmp_path, cfg)
+        assert main(["replicate", "--config", path, "--out", str(tmp_path / "o"),
+                     "--seeds", "2,-1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: arrivals.seed" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()

@@ -17,11 +17,10 @@ from hcs_sim.core_model import (
     assert_step_transition,
     dag_violations,
     rcost,
-    total_cost,
     validate_job,
 )
 
-from oracles import topological_order
+from oracles import topological_order, total_cost
 
 REL = 1e-9
 

@@ -2,9 +2,11 @@
 eviction handoffs, faults, horizon, and determinism."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+from hcs_sim.cli import load_scenario
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -14,7 +16,7 @@ from hcs_sim.core_model import (
     StepSpec,
     ValidationError,
 )
-from hcs_sim.hcs_scheduler import SchedulerMode
+from hcs_sim.hcs_scheduler import HcsScheduler, SchedulerMode
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     DriverRestartFault,
@@ -95,6 +97,17 @@ class TestGenerateArrivals:
         ids = [a.job.job_id for a in arr]
         assert len(set(ids)) == 100
         assert all(a.job.arrival_time == a.time for a in arr)
+
+    def test_reference_stream_is_pinned(self):
+        """The first arrivals of scenarios/saturating_mix.json (seed 2024), as
+        numpy's Generator(PCG64(2024)) drew them."""
+        s = load_scenario(Path(__file__).resolve().parent.parent
+                          / "scenarios" / "saturating_mix.json").scenario
+        arr = generate_arrivals(s.arrivals, s.catalog)[:6]
+        assert [(a.time, a.template) for a in arr] == [
+            (5.495079691945971, "alpha"), (7.3012740257268405, "beta"),
+            (15.139185992252871, "barrier"), (15.887583050685615, "barrier"),
+            (16.287569773505368, "alpha"), (18.461889398095728, "beta")]
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValidationError):
@@ -210,6 +223,23 @@ class TestEvictionHandoff:
         r = run(self.build())
         points = [(s.time, s.allocated_cpu_millicores) for s in r.utilization]
         assert points == [(30.0, 1000), (90.0, 3500), (115.0, 0)]
+
+    def test_books_are_checked_at_an_activation_between_rounds(self, monkeypatch):
+        """With a 10 s window the reservation activates at 70, between the
+        rounds at 60 and 90; a drift it leaves stops the run at 70."""
+        real = HcsScheduler.activate_reservation
+
+        def drifting(self, key, now):
+            plan = real(self, key, now)
+            self._victims.append((0.0, ("ghost", "s0")))
+            return plan
+
+        monkeypatch.setattr(HcsScheduler, "activate_reservation", drifting)
+        sc = dataclasses.replace(self.build(), eviction_deadline=10.0)
+        engine = _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        with pytest.raises(InternalConsistencyError, match="candidate order"):
+            engine.run()
+        assert engine.now == 70.0
 
 
 class TestNodeFailure:
