@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import statistics
 import sys
@@ -48,7 +49,12 @@ class LoadResult:
 
 
 class _Check:
-    """Collects every config violation instead of stopping at the first."""
+    """Collects every config violation instead of stopping at the first.
+
+    It checks only what a JSON file needs: shapes, types, choices, unknown and
+    required keys. Range rules and defaults belong to the domain types; their
+    problems come back with the object's file path in front.
+    """
 
     def __init__(self):
         self.problems: list[str] = []
@@ -56,287 +62,257 @@ class _Check:
     def err(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
-    def section(self, obj: dict, path: str, allowed: dict) -> dict:
-        """Reject unknown keys; return {key: value-or-default} for known ones."""
+    def section(self, obj, path: str, keys: tuple[str, ...],
+                required: tuple[str, ...] = ()) -> dict | None:
+        """{key: value, None when absent or null} for an object; unknown keys
+        and absent required keys are problems. A non-object is a problem and
+        gives None."""
+        if not isinstance(obj, dict):
+            self.err(path, "must be an object")
+            return None
         for key in obj:
-            if key not in allowed:
+            if key not in keys:
                 self.err(f"{path}.{key}" if path else key, "unknown key")
-        return {k: obj.get(k, d) for k, d in allowed.items()}
+        for key in required:
+            if obj.get(key) is None:
+                self.err(f"{path}.{key}", "is required")
+        return {key: obj.get(key) for key in keys}
 
-    def number(self, value, path: str, minimum=None, exclusive=False,
-               integer=False, default=None):
+    def number(self, value, path: str, integer=False):
         if value is None:
-            return default
+            return None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.err(path, "must be a number")
-            return default
+            return None
         if integer and not isinstance(value, int):
             self.err(path, "must be an integer")
-            return default
-        if minimum is not None:
-            if exclusive and not value > minimum:
-                self.err(path, f"must be > {minimum}")
-                return default
-            if not exclusive and not value >= minimum:
-                self.err(path, f"must be >= {minimum}")
-                return default
+            return None
         return value
+
+    def real(self, value, path: str) -> float | None:
+        """A number as the float the domain field holds."""
+        value = self.number(value, path)
+        return None if value is None else float(value)
 
     def string(self, value, path: str, choices=None, default=None):
         if value is None:
             return default
         if not isinstance(value, str):
             self.err(path, "must be a string")
-            return default
+            return None
         if choices is not None and value not in choices:
             self.err(path, f"must be one of {', '.join(choices)}")
-            return default
+            return None
         return value
 
-    def boolean(self, value, path: str, default=None):
-        if value is None:
-            return default
-        if not isinstance(value, bool):
+    def boolean(self, value, path: str):
+        if value is not None and not isinstance(value, bool):
             self.err(path, "must be true or false")
-            return default
+            return None
         return value
+
+    def build(self, prefix: str, cls, *args, **kwargs):
+        """cls(*args, **kwargs), or None after recording each of its problems
+        with prefix, the object's file path, in front."""
+        try:
+            return cls(*args, **kwargs)
+        except ValidationError as e:
+            self.problems.extend(prefix + p for p in e.problems)
+            return None
+
+
+def _given(**fields) -> dict:
+    """The fields the file sets; the domain type's defaults fill in the rest."""
+    return {key: value for key, value in fields.items() if value is not None}
+
+
+def _finite(token: str, kind=float):
+    """A JSON number token as kind; NaN, Infinity, -Infinity and literals past
+    the float range are not numbers a scenario can hold."""
+    if not math.isfinite(float(token)):
+        raise ValueError(f"{token} is not a finite number")
+    return kind(token)
+
+
+def _parse_step(obj, path: str, check: _Check) -> StepSpec | None:
+    got = check.section(obj, path, (
+        "step_id", "cpu_millicores", "memory_mb", "replicas", "service_time",
+        "feed_forward"), required=("step_id", "cpu_millicores", "memory_mb", "service_time"))
+    if got is None:
+        return None
+    sid = check.string(got["step_id"], f"{path}.step_id")
+    cpu = check.number(got["cpu_millicores"], f"{path}.cpu_millicores", integer=True)
+    mem = check.number(got["memory_mb"], f"{path}.memory_mb", integer=True)
+    replicas = (1 if got["replicas"] is None
+                else check.number(got["replicas"], f"{path}.replicas", integer=True))
+    svc = check.number(got["service_time"], f"{path}.service_time")
+    ff = check.boolean(got["feed_forward"], f"{path}.feed_forward")
+    if None in (sid, cpu, mem, replicas, svc):
+        return None
+    # a bad demand is already a problem; the step is still built to report its own
+    demand = check.build(f"{path}.", ResourceVector, cpu, mem)
+    return check.build(f"{path}.", StepSpec, sid, demand, replicas, svc,
+                       **_given(feed_forward=ff))
 
 
 def _parse_workload(name: str, obj, check: _Check) -> BatchJob | None:
     path = f"workloads.{name}"
-    if not isinstance(obj, dict):
-        check.err(path, "must be an object")
+    got = check.section(obj, path, ("fragment_count", "deadline", "steps", "edges"),
+                        required=("fragment_count", "deadline", "steps"))
+    if got is None:
         return None
-    got = check.section(obj, path, {
-        "fragment_count": None, "deadline": None, "steps": None, "edges": []})
-    for key in ("fragment_count", "deadline", "steps"):
-        if key not in obj:
-            check.err(f"{path}.{key}", "is required")
-    frags = check.number(got["fragment_count"], f"{path}.fragment_count",
-                         minimum=1, integer=True)
-    deadline = check.number(got["deadline"], f"{path}.deadline", minimum=0,
-                            exclusive=True)
-    steps_raw = got["steps"]
-    if not isinstance(steps_raw, list) or not steps_raw:
-        check.err(f"{path}.steps", "must be a non-empty list")
+    frags = check.number(got["fragment_count"], f"{path}.fragment_count", integer=True)
+    deadline = check.number(got["deadline"], f"{path}.deadline")
+    if not isinstance(got["steps"], list):
+        check.err(f"{path}.steps", "must be a list")
         return None
-    steps: list[StepSpec] = []
-    for i, s in enumerate(steps_raw):
-        sp = f"{path}.steps[{i}]"
-        if not isinstance(s, dict):
-            check.err(sp, "must be an object")
-            continue
-        fields = check.section(s, sp, {
-            "step_id": None, "cpu_millicores": None, "memory_mb": None,
-            "replicas": 1, "service_time": None, "feed_forward": True})
-        for key in ("step_id", "cpu_millicores", "memory_mb", "service_time"):
-            if key not in s:
-                check.err(f"{sp}.{key}", "is required")
-        sid = check.string(fields["step_id"], f"{sp}.step_id")
-        cpu = check.number(fields["cpu_millicores"], f"{sp}.cpu_millicores",
-                           minimum=0, integer=True)
-        mem = check.number(fields["memory_mb"], f"{sp}.memory_mb",
-                           minimum=0, integer=True)
-        replicas = check.number(fields["replicas"], f"{sp}.replicas",
-                                minimum=1, integer=True, default=1)
-        svc = check.number(fields["service_time"], f"{sp}.service_time",
-                           minimum=0, exclusive=True)
-        ff = check.boolean(fields["feed_forward"], f"{sp}.feed_forward", default=True)
-        if None in (sid, cpu, mem, replicas, svc) or ff is None:
-            continue
-        try:
-            steps.append(StepSpec(sid, ResourceVector(cpu, mem), replicas, svc, ff))
-        except ValidationError as e:
-            check.err(sp, str(e))
+    steps = [_parse_step(s, f"{path}.steps[{i}]", check) for i, s in enumerate(got["steps"])]
     edges = []
-    if not isinstance(got["edges"], list):
+    if not isinstance(got["edges"], (list, type(None))):
         check.err(f"{path}.edges", "must be a list of [from, to] pairs")
     else:
-        for i, e in enumerate(got["edges"]):
+        for i, e in enumerate(got["edges"] or ()):
             if (not isinstance(e, list) or len(e) != 2
                     or not all(isinstance(x, str) for x in e)):
                 check.err(f"{path}.edges[{i}]", "must be a [from, to] pair of step ids")
             else:
                 edges.append((e[0], e[1]))
-    if frags is None or deadline is None or len(steps) != len(steps_raw):
+    if frags is None or deadline is None:
         return None
-    try:
-        return BatchJob(name, PipelineDag(steps, edges), frags, deadline)
-    except ValidationError as e:
-        check.err(path, str(e))
-        return None
+    return check.build(f"{path}.", BatchJob, name,
+                       PipelineDag([s for s in steps if s], edges), frags, deadline)
 
 
 def _parse_arrivals(obj, check: _Check):
     if not isinstance(obj, dict):
         check.err("arrivals", "must be an object")
         return None
+    if obj.get("kind") is None:
+        check.err("arrivals.kind", "is required")
     kind = check.string(obj.get("kind"), "arrivals.kind", choices=("poisson", "explicit"))
-    if kind is None:
-        return None
     if kind == "poisson":
-        got = check.section(obj, "arrivals", {
-            "kind": None, "generator": "pcg64", "rate": None, "seed": None,
-            "count": None})
-        for key in ("rate", "seed", "count"):
-            if key not in obj:
-                check.err(f"arrivals.{key}", "is required")
-        generator = check.string(got["generator"], "arrivals.generator",
-                                 default="pcg64")
-        if generator != "pcg64":
-            check.err("arrivals.generator", 'only "pcg64" is supported')
-        rate = check.number(got["rate"], "arrivals.rate", minimum=0, exclusive=True)
-        seed = check.number(got["seed"], "arrivals.seed", minimum=0, integer=True)
-        count = check.number(got["count"], "arrivals.count", minimum=0, integer=True)
+        got = check.section(obj, "arrivals", ("kind", "generator", "rate", "seed", "count"),
+                            required=("rate", "seed", "count"))
+        check.string(got["generator"], "arrivals.generator", choices=("pcg64",))
+        rate = check.real(got["rate"], "arrivals.rate")
+        seed = check.number(got["seed"], "arrivals.seed", integer=True)
+        count = check.number(got["count"], "arrivals.count", integer=True)
         if None in (rate, seed, count):
             return None
-        return PoissonArrivals(float(rate), seed, count)
-    got = check.section(obj, "arrivals", {"kind": None, "times": None,
-                                          "templates": None})
-    if "times" not in obj:
-        check.err("arrivals.times", "is required")
+        # the arrival types write the arrivals. path themselves
+        return check.build("", PoissonArrivals, rate, seed, count)
+    if kind != "explicit":
         return None
-    times = got["times"]
+    got = check.section(obj, "arrivals", ("kind", "times", "templates"), required=("times",))
+    times, templates = got["times"], got["templates"]
+    if times is None:
+        return None
     if not isinstance(times, list) or not all(
             isinstance(t, (int, float)) and not isinstance(t, bool) for t in times):
         check.err("arrivals.times", "must be a list of numbers")
         return None
-    templates = got["templates"]
     if templates is not None:
         if (not isinstance(templates, list)
                 or not all(isinstance(t, str) for t in templates)):
             check.err("arrivals.templates", "must be a list of template names")
             return None
         templates = tuple(templates)
-    try:
-        return ExplicitArrivals(tuple(float(t) for t in times), templates)
-    except ValidationError as e:
-        check.problems.extend(e.problems)
-        return None
+    return check.build("", ExplicitArrivals, tuple(float(t) for t in times), templates)
 
 
-def _parse_faults(obj, check: _Check):
-    faults = []
-    if obj is None:
-        return ()
+def _parse_faults(obj, check: _Check) -> tuple:
     if not isinstance(obj, list):
         check.err("faults", "must be a list")
         return ()
+    faults = []
     for i, f in enumerate(obj):
         path = f"faults[{i}]"
         if not isinstance(f, dict):
             check.err(path, "must be an object")
             continue
+        if f.get("kind") is None:
+            check.err(f"{path}.kind", "is required")
         kind = check.string(f.get("kind"), f"{path}.kind",
                             choices=("node_failure", "driver_restart"))
-        if kind == "node_failure":
-            got = check.section(f, path, {"kind": None, "time": None, "node_id": None})
-            t = check.number(got["time"], f"{path}.time", minimum=0)
-            nid = check.number(got["node_id"], f"{path}.node_id", minimum=0, integer=True)
-            if t is None or nid is None:
-                continue
-            faults.append(NodeFailureFault(float(t), nid))
-        elif kind == "driver_restart":
-            got = check.section(f, path, {"kind": None, "time": None, "job_index": None})
-            t = check.number(got["time"], f"{path}.time", minimum=0)
-            idx = check.number(got["job_index"], f"{path}.job_index", minimum=0,
-                               integer=True)
-            if t is None or idx is None:
-                continue
-            faults.append(DriverRestartFault(float(t), idx))
+        if kind is None:
+            continue
+        cls, target = ((NodeFailureFault, "node_id") if kind == "node_failure"
+                       else (DriverRestartFault, "job_index"))
+        got = check.section(f, path, ("kind", "time", target), required=("time", target))
+        t = check.real(got["time"], f"{path}.time")
+        ref = check.number(got[target], f"{path}.{target}", integer=True)
+        if t is not None and ref is not None:
+            faults.append(check.build(f"{path}.", cls, t, ref))
     return tuple(faults)
 
 
 def load_scenario(path: str | Path) -> LoadResult:
-    """Parse and validate a scenario file, reporting every violation at once."""
+    """Parse and validate a scenario file, reporting every violation at once.
+
+    The first pass reports every problem of the file's shape and types and of
+    the objects built inside it; the second, every problem of the Scenario.
+    """
     check = _Check()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         return LoadResult(None, None, [f"{path}: {e.strerror or e}"])
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
+        raw = json.loads(text, parse_constant=_finite, parse_float=_finite,
+                         parse_int=lambda token: _finite(token, int))
+    except ValueError as e:  # JSONDecodeError is one
         return LoadResult(None, None, [f"{path}: invalid JSON: {e}"])
     if not isinstance(raw, dict):
         return LoadResult(None, None, [f"{path}: top level must be an object"])
 
-    top = check.section(raw, "", {
-        "scenario_id": None, "edge": None, "cloud": {}, "cost": {},
-        "scheduler": {}, "workloads": None, "arrivals": None, "faults": None,
-        "horizon": None, "output_dir": None})
+    top = check.section(raw, "", (
+        "scenario_id", "edge", "cloud", "cost", "scheduler", "workloads", "arrivals",
+        "faults", "horizon", "output_dir"))
+    scenario_id = check.string(top["scenario_id"], "scenario_id", default=Path(path).stem)
 
-    scenario_id = check.string(top["scenario_id"], "scenario_id",
-                               default=Path(path).stem)
-
-    edge_raw = top["edge"]
-    node_count, node_cap, edge_speed = 0, ResourceVector(1, 1), 0.8
-    if not isinstance(edge_raw, dict):
+    nodes: tuple[ResourceVector, ...] = ()
+    edge = top["edge"]
+    if not isinstance(edge, dict):
         check.err("edge", "section is required (node_count, node_cpu_millicores, "
                           "node_memory_mb)")
+        edge = {}
     else:
-        got = check.section(edge_raw, "edge", {
-            "node_count": None, "node_cpu_millicores": None,
-            "node_memory_mb": None, "speed_factor": 0.8})
-        if "node_count" not in edge_raw:
-            check.err("edge.node_count", "is required")
-        node_count = check.number(got["node_count"], "edge.node_count",
-                                  minimum=0, integer=True, default=0)
-        cpu = check.number(got["node_cpu_millicores"], "edge.node_cpu_millicores",
-                           minimum=1, integer=True)
-        mem = check.number(got["node_memory_mb"], "edge.node_memory_mb",
-                           minimum=1, integer=True)
-        edge_speed = check.number(got["speed_factor"], "edge.speed_factor",
-                                  minimum=0, exclusive=True, default=0.8)
-        if node_count and (cpu is None or mem is None):
+        edge = check.section(edge, "edge", (
+            "node_count", "node_cpu_millicores", "node_memory_mb", "speed_factor"),
+            required=("node_count",))
+        node_count = check.number(edge["node_count"], "edge.node_count", integer=True)
+        cpu = check.number(edge["node_cpu_millicores"], "edge.node_cpu_millicores",
+                           integer=True)
+        mem = check.number(edge["node_memory_mb"], "edge.node_memory_mb", integer=True)
+        # the count exists only in the file: the scenario holds one capacity per node
+        if node_count is not None and not node_count >= 0:
+            check.err("edge.node_count", "must be >= 0")
+        elif node_count and (cpu is None or mem is None):
             check.err("edge", "node_cpu_millicores and node_memory_mb are required")
         elif node_count:
-            node_cap = ResourceVector(cpu, mem)
+            # the node's keys are the capacity's keys with node_ in front
+            nodes = (check.build("edge.node_", ResourceVector, cpu, mem),) * node_count
 
-    cloud = check.section(top["cloud"] if isinstance(top["cloud"], dict) else {},
-                          "cloud", {"speed_factor": 1.0, "cloud_concurrency": None})
-    if not isinstance(top["cloud"], dict):
-        check.err("cloud", "must be an object")
-    cloud_speed = check.number(cloud["speed_factor"], "cloud.speed_factor",
-                               minimum=0, exclusive=True, default=1.0)
-    cloud_conc = check.number(cloud["cloud_concurrency"], "cloud.cloud_concurrency",
-                              minimum=1, integer=True)
+    cloud = check.section(raw.get("cloud", {}), "cloud",
+                          ("speed_factor", "cloud_concurrency")) or {}
+    cost = check.section(raw.get("cost", {}), "cost", ("c_cpu", "c_mem")) or {}
+    cost_params = check.build("cost.", CostParams, **_given(
+        c_cpu=check.real(cost.get("c_cpu"), "cost.c_cpu"),
+        c_mem=check.real(cost.get("c_mem"), "cost.c_mem")))
+    sched = check.section(raw.get("scheduler", {}), "scheduler", (
+        "policy", "placement", "round_length", "eviction_deadline",
+        "execution_timeout")) or {}
+    policy = check.string(sched.get("policy"), "scheduler.policy",
+                          choices=("cheapest_first", "cloud_only"))
+    placement = check.string(sched.get("placement"), "scheduler.placement",
+                             choices=_PLACEMENTS)
 
-    cost = check.section(top["cost"] if isinstance(top["cost"], dict) else {},
-                         "cost", {"c_cpu": 1000.0, "c_mem": 0.1})
-    if not isinstance(top["cost"], dict):
-        check.err("cost", "must be an object")
-    c_cpu = check.number(cost["c_cpu"], "cost.c_cpu", minimum=0, default=1000.0)
-    c_mem = check.number(cost["c_mem"], "cost.c_mem", minimum=0, default=0.1)
-
-    sched = check.section(top["scheduler"] if isinstance(top["scheduler"], dict) else {},
-                          "scheduler", {
-                              "policy": "cheapest_first", "placement": "ff",
-                              "round_length": 30.0, "eviction_deadline": 30.0,
-                              "execution_timeout": 60.0})
-    if not isinstance(top["scheduler"], dict):
-        check.err("scheduler", "must be an object")
-    policy = check.string(sched["policy"], "scheduler.policy",
-                          choices=("cheapest_first", "cloud_only"),
-                          default="cheapest_first")
-    placement = check.string(sched["placement"], "scheduler.placement",
-                             choices=_PLACEMENTS, default="ff")
-    round_length = check.number(sched["round_length"], "scheduler.round_length",
-                                minimum=0, exclusive=True, default=30.0)
-    eviction = check.number(sched["eviction_deadline"], "scheduler.eviction_deadline",
-                            minimum=0, exclusive=True, default=30.0)
-    timeout = check.number(sched["execution_timeout"], "scheduler.execution_timeout",
-                           minimum=0, exclusive=True, default=60.0)
-
-    workloads_raw = top["workloads"]
     catalog: dict[str, BatchJob] = {}
-    if not isinstance(workloads_raw, dict) or not workloads_raw:
+    if not isinstance(top["workloads"], dict):
         check.err("workloads", "must be a non-empty object of named templates")
     else:
-        for name, w in workloads_raw.items():
-            job = _parse_workload(name, w, check)
-            if job is not None:
-                catalog[name] = job
+        for name, w in top["workloads"].items():
+            catalog[name] = _parse_workload(name, w, check)
 
     arrivals = None
     if top["arrivals"] is None:
@@ -344,32 +320,27 @@ def load_scenario(path: str | Path) -> LoadResult:
     else:
         arrivals = _parse_arrivals(top["arrivals"], check)
 
-    horizon = check.number(top["horizon"], "horizon", minimum=0, exclusive=True)
+    settings = _given(
+        cost_params=cost_params,
+        mode=policy and SchedulerMode(policy),
+        placement=placement and PlacementPolicy(placement),
+        round_length=check.real(sched.get("round_length"), "scheduler.round_length"),
+        eviction_deadline=check.real(sched.get("eviction_deadline"),
+                                     "scheduler.eviction_deadline"),
+        edge_speed=check.real(edge.get("speed_factor"), "edge.speed_factor"),
+        cloud_speed=check.real(cloud.get("speed_factor"), "cloud.speed_factor"),
+        cloud_concurrency=check.number(cloud.get("cloud_concurrency"),
+                                       "cloud.cloud_concurrency", integer=True),
+        execution_timeout=check.real(sched.get("execution_timeout"),
+                                     "scheduler.execution_timeout"),
+        horizon=check.real(top["horizon"], "horizon"),
+        faults=None if top["faults"] is None else _parse_faults(top["faults"], check))
     output_dir = check.string(top["output_dir"], "output_dir")
-    faults = _parse_faults(top["faults"], check)
 
     if check.problems:
         return LoadResult(None, None, sorted(set(check.problems)))
-
-    # the scenario's own rules span sections; each violation is one diagnostic
     try:
-        scenario = Scenario(
-            scenario_id=scenario_id,
-            node_capacities=tuple(node_cap for _ in range(node_count)),
-            catalog=catalog,
-            arrivals=arrivals,
-            cost_params=CostParams(float(c_cpu), float(c_mem)),
-            mode=SchedulerMode(policy),
-            placement=PlacementPolicy(placement),
-            round_length=float(round_length),
-            eviction_deadline=float(eviction),
-            edge_speed=float(edge_speed),
-            cloud_speed=float(cloud_speed),
-            cloud_concurrency=cloud_conc,
-            execution_timeout=float(timeout),
-            horizon=float(horizon) if horizon is not None else None,
-            faults=faults,
-        )
+        scenario = Scenario(scenario_id, nodes, catalog, arrivals, **settings)
     except ValidationError as e:
         return LoadResult(None, None, sorted(set(e.problems)))
     return LoadResult(scenario, output_dir, [])
@@ -466,6 +437,11 @@ def cmd_replicate(args) -> int:
         return 1
     if not seeds:
         print("error: --seeds is empty", file=sys.stderr)
+        return 1
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        print(f"error: --seeds lists {', '.join(map(str, repeated))} more than once",
+              file=sys.stderr)
         return 1
     # every seed is checked before the first run
     scenarios = [(seed, dataclasses.replace(

@@ -15,6 +15,16 @@ class ValidationError(ValueError):
         self.problems = list(problems)
 
 
+def require(*checks: tuple[object, str]) -> None:
+    """Raise one ValidationError naming the problem of every false condition.
+
+    Each condition is written so that NaN fails it (`x > 0`, not `x <= 0`).
+    """
+    problems = [problem for ok, problem in checks if not ok]
+    if problems:
+        raise ValidationError(*problems)
+
+
 class InternalConsistencyError(RuntimeError):
     """Internal bookkeeping broke an invariant; indicates a bug, aborts the run."""
 
@@ -27,8 +37,10 @@ class ResourceVector:
     memory_mb: int = 0
 
     def __post_init__(self) -> None:
-        if self.cpu_millicores < 0 or self.memory_mb < 0:
-            raise ValidationError(f"resource components must be non-negative, got {self}")
+        # built at every allocation change: the problem list waits for a failed check
+        if not (self.cpu_millicores >= 0 and self.memory_mb >= 0):
+            require((self.cpu_millicores >= 0, "cpu_millicores: must be >= 0"),
+                    (self.memory_mb >= 0, "memory_mb: must be >= 0"))
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.cpu_millicores + other.cpu_millicores,
@@ -51,8 +63,8 @@ class CostParams:
     c_mem: float = 0.1     # price per MB per second
 
     def __post_init__(self) -> None:
-        if self.c_cpu < 0 or self.c_mem < 0:
-            raise ValidationError("cost parameters must be non-negative")
+        require((self.c_cpu >= 0, "c_cpu: must be >= 0"),
+                (self.c_mem >= 0, "c_mem: must be >= 0"))
 
 
 @dataclass(frozen=True)
@@ -66,12 +78,9 @@ class StepSpec:
     feed_forward: bool = True
 
     def __post_init__(self) -> None:
-        if not self.step_id:
-            raise ValidationError("step_id must be non-empty")
-        if self.replicas < 1:
-            raise ValidationError(f"step {self.step_id}: replicas must be >= 1")
-        if self.service_time_per_fragment <= 0:
-            raise ValidationError(f"step {self.step_id}: service_time_per_fragment must be > 0")
+        require((self.step_id, "step_id: must be non-empty"),
+                (self.replicas >= 1, "replicas: must be >= 1"),
+                (self.service_time_per_fragment > 0, "service_time: must be > 0"))
 
 
 @dataclass(frozen=True)
@@ -175,14 +184,13 @@ class BatchJob:
     arrival_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.job_id:
-            raise ValidationError("job_id must be non-empty")
-        if self.fragment_count < 1:
-            raise ValidationError(f"job {self.job_id}: fragment_count must be >= 1")
-        if self.deadline <= 0:
-            raise ValidationError(f"job {self.job_id}: deadline must be > 0")
-        if self.arrival_time < 0:
-            raise ValidationError(f"job {self.job_id}: arrival_time must be >= 0")
+        # built once per arrival: the problem list waits for a failed check
+        if not (self.job_id and self.fragment_count >= 1 and self.deadline > 0
+                and self.arrival_time >= 0):
+            require((self.job_id, "job_id: must be non-empty"),
+                    (self.fragment_count >= 1, "fragment_count: must be >= 1"),
+                    (self.deadline > 0, "deadline: must be > 0"),
+                    (self.arrival_time >= 0, "arrival_time: must be >= 0"))
 
 
 class StepState(Enum):

@@ -119,7 +119,6 @@ class PipelineDriver:
         self.steps: dict[str, _StepRuntime] = {}
         self._preds = {sid: job.dag.predecessors(sid) for sid in self.topo}
         self.terminal_ids = job.dag.terminal_ids()
-        self.completed_at: float | None = None
         self.version = 0  # bumped by every projection
         self._planned_at: float | None = None  # start of the current plan
         self._steps_done = 0
@@ -178,7 +177,6 @@ class PipelineDriver:
         if not self.is_complete():
             raise InternalConsistencyError(
                 f"job {self.job.job_id}: every step reported complete, journal disagrees")
-        self.completed_at = now
         return True
 
     def _journal(self, step_id: str, fragments: list[int]) -> None:

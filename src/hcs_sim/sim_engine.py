@@ -28,6 +28,7 @@ from hcs_sim.core_model import (
     InternalConsistencyError,
     ResourceVector,
     ValidationError,
+    require,
     validate_job,
 )
 from hcs_sim.hcs_scheduler import (
@@ -74,12 +75,9 @@ class PoissonArrivals:
     count: int
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValidationError("arrivals.rate: must be > 0")
-        if self.count < 0:
-            raise ValidationError("arrivals.count: must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("arrivals.seed: must be >= 0")
+        require((self.rate > 0, "arrivals.rate: must be > 0"),
+                (self.seed >= 0, "arrivals.seed: must be >= 0"),
+                (self.count >= 0, "arrivals.count: must be >= 0"))
 
 
 @dataclass(frozen=True)
@@ -90,12 +88,11 @@ class ExplicitArrivals:
     templates: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if any(t < 0 for t in self.times):
-            raise ValidationError("arrivals.times: must be >= 0")
-        if list(self.times) != sorted(self.times):
-            raise ValidationError("arrivals.times: must be sorted ascending")
-        if self.templates is not None and len(self.templates) != len(self.times):
-            raise ValidationError("arrivals.templates: must match times in length")
+        require((all(t >= 0 for t in self.times), "arrivals.times: must be >= 0"),
+                (list(self.times) == sorted(self.times),
+                 "arrivals.times: must be sorted ascending"),
+                (self.templates is None or len(self.templates) == len(self.times),
+                 "arrivals.templates: must match times in length"))
 
 
 ArrivalProcess = PoissonArrivals | ExplicitArrivals
@@ -107,8 +104,8 @@ class NodeFailureFault:
     node_id: int
 
     def __post_init__(self) -> None:
-        if self.time < 0 or self.node_id < 0:
-            raise ValidationError(f"{self}: time and node_id must be >= 0")
+        require((self.time >= 0, "time: must be >= 0"),
+                (self.node_id >= 0, "node_id: must be >= 0"))
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,8 @@ class DriverRestartFault:
     job_index: int  # position in the generated arrival schedule
 
     def __post_init__(self) -> None:
-        if self.time < 0 or self.job_index < 0:
-            raise ValidationError(f"{self}: time and job_index must be >= 0")
+        require((self.time >= 0, "time: must be >= 0"),
+                (self.job_index >= 0, "job_index: must be >= 0"))
 
 
 Fault = NodeFailureFault | DriverRestartFault
@@ -135,8 +132,9 @@ class ScheduledArrival:
 class Scenario:
     """Everything a run depends on; equal scenarios give byte-identical reports.
 
-    Valid by construction: every rule that spans fields is checked here, and
-    all violations are raised together in one ValidationError.
+    Valid by construction: every rule on its own fields and every rule that
+    spans fields is checked here, and all violations are raised together in
+    one ValidationError, each under its scenario-file path.
     """
 
     scenario_id: str
@@ -156,20 +154,24 @@ class Scenario:
     faults: tuple[Fault, ...] = ()
 
     def __post_init__(self) -> None:
-        problems: list[str] = []
-        if self.edge_speed <= 0 or self.cloud_speed <= 0:
-            problems.append("edge and cloud speed factors must be > 0")
-        if self.horizon is not None and self.horizon <= 0:
-            problems.append("horizon: must be > 0 when set")
-        if self.round_length <= 0 or self.eviction_deadline <= 0:
-            problems.append("round_length and eviction_deadline must be > 0")
-        if self.cloud_concurrency is not None and self.cloud_concurrency < 1:
-            problems.append("cloud_concurrency: must be >= 1")
-        if self.mode is SchedulerMode.CHEAPEST_FIRST and not self.node_capacities:
-            problems.append("node_count: must be >= 1 unless the mode is cloud_only")
-        if not self.catalog:
-            problems.append("workload catalog must not be empty")
-        if self.edge_speed > 0 and self.cloud_speed > 0:
+        problems = [problem for ok, problem in (
+            (self.edge_speed > 0, "edge.speed_factor: must be > 0"),
+            (self.cloud_speed > 0, "cloud.speed_factor: must be > 0"),
+            (self.cloud_concurrency is None or self.cloud_concurrency >= 1,
+             "cloud.cloud_concurrency: must be >= 1"),
+            (all(c.cpu_millicores >= 1 for c in self.node_capacities),
+             "edge.node_cpu_millicores: must be >= 1"),
+            (all(c.memory_mb >= 1 for c in self.node_capacities),
+             "edge.node_memory_mb: must be >= 1"),
+            (self.node_capacities or self.mode is SchedulerMode.CLOUD_ONLY,
+             "node_count: must be >= 1 unless the mode is cloud_only"),
+            (self.round_length > 0, "scheduler.round_length: must be > 0"),
+            (self.eviction_deadline > 0, "scheduler.eviction_deadline: must be > 0"),
+            (self.execution_timeout > 0, "scheduler.execution_timeout: must be > 0"),
+            (self.horizon is None or self.horizon > 0, "horizon: must be > 0"),
+            (self.catalog, "workloads: must be a non-empty object of named templates"),
+        ) if not ok]
+        if self.edge_speed > 0 and self.cloud_speed > 0 and self.execution_timeout > 0:
             # the slowest region a step can land on binds the timeout rule
             min_speed = (self.cloud_speed if self.mode is SchedulerMode.CLOUD_ONLY
                          else min(self.edge_speed, self.cloud_speed))

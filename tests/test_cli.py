@@ -10,7 +10,15 @@ import pytest
 
 import hcs_sim
 from hcs_sim.cli import load_scenario, main
-from hcs_sim.core_model import BatchJob, PipelineDag, ResourceVector, StepSpec, ValidationError
+from hcs_sim.core_model import (
+    BatchJob,
+    CostParams,
+    PipelineDag,
+    ResourceVector,
+    StepSpec,
+    ValidationError,
+)
+from hcs_sim.hcs_scheduler import SchedulerMode
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     DriverRestartFault,
@@ -137,6 +145,26 @@ class TestLoadScenario:
         res = load_scenario(bad)
         assert any("invalid JSON" in d for d in res.diagnostics)
 
+    def test_required_keys_absent_or_null(self, tmp_path):
+        cfg = minimal_config()
+        cfg["arrivals"] = {"times": [1.0]}
+        cfg["faults"] = [{"kind": "node_failure"}, {"time": 1.0}]
+        cfg["workloads"]["w"]["fragment_count"] = None
+        res = load_scenario(write_config(tmp_path, cfg))
+        assert res.scenario is None
+        assert res.diagnostics == [
+            "arrivals.kind: is required", "faults[0].node_id: is required",
+            "faults[0].time: is required", "faults[1].kind: is required",
+            "workloads.w.fragment_count: is required"]
+
+    def test_scenario_field_ranges_come_with_the_scenario_rules(self, tmp_path):
+        cfg = minimal_config()
+        cfg["horizon"] = 0
+        cfg["workloads"]["w"]["edges"] = [["s0", "ghost"]]
+        res = load_scenario(write_config(tmp_path, cfg))
+        assert res.diagnostics == [
+            "horizon: must be > 0", "workloads.w: job w: edge references unknown step 'ghost'"]
+
     def test_faults_parse_and_validate(self, tmp_path):
         cfg = minimal_config()
         cfg["faults"] = [
@@ -163,9 +191,14 @@ def library_scenario(**overrides) -> Scenario:
     return Scenario(**fields)
 
 
-def library_template(service_time=1.0, edges=()) -> BatchJob:
-    step = StepSpec("s0", ResourceVector(500, 256), 1, service_time)
-    return BatchJob("w", PipelineDag([step], edges), 5, 300.0)
+def library_template(service_time=1.0, edges=(), replicas=1, cpu=500, memory=256,
+                     fragments=5, deadline=300.0) -> BatchJob:
+    step = StepSpec("s0", ResourceVector(cpu, memory), replicas, service_time)
+    return BatchJob("w", PipelineDag([step], edges), fragments, deadline)
+
+
+def step_edit(**fields):
+    return lambda c: c["workloads"]["w"]["steps"][0].update(fields)
 
 
 def faults(*items):
@@ -192,6 +225,9 @@ RULES = [
      lambda: dict(node_capacities=()), "node_count"),
     ("empty-catalog", lambda c: c.update(workloads={}),
      lambda: dict(catalog={}), "workloads"),
+    ("empty-steps", lambda c: c["workloads"]["w"].update(steps=[]),
+     lambda: dict(catalog={"w": BatchJob("w", PipelineDag([]), 5, 300.0)}),
+     "workloads.w: job w: pipeline has no steps"),
     ("dag", lambda c: c["workloads"]["w"].update(edges=[["s0", "ghost"]]),
      lambda: dict(catalog={"w": library_template(edges=[("s0", "ghost")])}), "ghost"),
     ("execution-timeout", lambda c: c["workloads"]["w"]["steps"][0].update(service_time=61.0),
@@ -231,6 +267,36 @@ RULES = [
          {"kind": "node_failure", "time": 200.0, "node_id": 0}]),
      lambda: dict(horizon=100.0, faults=(NodeFailureFault(200.0, 0),)),
      "past the horizon"),
+    ("replicas", step_edit(replicas=0),
+     lambda: dict(catalog={"w": library_template(replicas=0)}),
+     "workloads.w.steps[0].replicas: must be >= 1"),
+    ("service-time", step_edit(service_time=0),
+     lambda: dict(catalog={"w": library_template(service_time=0.0)}),
+     "workloads.w.steps[0].service_time: must be > 0"),
+    ("step-cpu", step_edit(cpu_millicores=-1),
+     lambda: dict(catalog={"w": library_template(cpu=-1)}),
+     "workloads.w.steps[0].cpu_millicores: must be >= 0"),
+    ("step-memory", step_edit(memory_mb=-1),
+     lambda: dict(catalog={"w": library_template(memory=-1)}),
+     "workloads.w.steps[0].memory_mb: must be >= 0"),
+    ("fragment-count", lambda c: c["workloads"]["w"].update(fragment_count=0),
+     lambda: dict(catalog={"w": library_template(fragments=0)}),
+     "workloads.w.fragment_count: must be >= 1"),
+    ("deadline", lambda c: c["workloads"]["w"].update(deadline=0),
+     lambda: dict(catalog={"w": library_template(deadline=0.0)}),
+     "workloads.w.deadline: must be > 0"),
+    ("c-cpu", lambda c: c.update(cost={"c_cpu": -1.0}),
+     lambda: dict(cost_params=CostParams(c_cpu=-1.0)), "cost.c_cpu: must be >= 0"),
+    ("c-mem", lambda c: c.update(cost={"c_mem": -0.5}),
+     lambda: dict(cost_params=CostParams(c_mem=-0.5)), "cost.c_mem: must be >= 0"),
+    ("execution-timeout-zero", lambda c: c.update(scheduler={"execution_timeout": 0}),
+     lambda: dict(execution_timeout=0.0), "scheduler.execution_timeout: must be > 0"),
+    ("node-cpu", lambda c: c["edge"].update(node_cpu_millicores=0),
+     lambda: dict(node_capacities=(ResourceVector(0, 2048),) * 2),
+     "edge.node_cpu_millicores: must be >= 1"),
+    ("node-memory", lambda c: c["edge"].update(node_memory_mb=0),
+     lambda: dict(node_capacities=(ResourceVector(2000, 0),) * 2),
+     "edge.node_memory_mb: must be >= 1"),
 ]
 
 
@@ -252,9 +318,94 @@ def test_one_rule_every_entry_point(tmp_path, capsys, edit, overrides, diagnosti
         library_scenario(**overrides())
 
 
+HUGE = "1" + "0" * 400
+
+
+# each edit writes the token itself or, for a literal json.dumps cannot write,
+# the placeholder 1234.5 that the token replaces
+@pytest.mark.parametrize("edit, token", [
+    pytest.param(lambda c: c["arrivals"].update(times=[float("nan")]), "NaN",
+                 id="nan-arrival-time"),
+    pytest.param(lambda c: c.update(cost={"c_cpu": float("inf")},
+                                    scheduler={"policy": "cloud_only"}), "Infinity",
+                 id="infinite-price"),
+    pytest.param(lambda c: c["edge"].update(speed_factor=float("inf")), "Infinity",
+                 id="infinite-speed"),
+    pytest.param(lambda c: c.update(horizon=1234.5), "1e400", id="overflowing-float"),
+    pytest.param(lambda c: c.update(horizon=1234.5), HUGE, id="overflowing-integer"),
+])
+def test_non_finite_numbers_are_invalid_json(tmp_path, capsys, edit, token):
+    cfg = minimal_config()
+    edit(cfg)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg).replace("1234.5", token), encoding="utf-8")
+    assert token in path.read_text(encoding="utf-8")
+    assert load_scenario(path).diagnostics == [
+        f"{path}: invalid JSON: {token} is not a finite number"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_library_scenario_matches_the_loaded_one(tmp_path):
     assert library_scenario() == load_scenario(
         write_config(tmp_path, minimal_config())).scenario
+
+
+NAN = float("nan")
+DAG = PipelineDag([StepSpec("s0", ResourceVector(1, 1), 1, 1.0)])
+
+
+# (case, constructor call, every problem it must report in one ValidationError)
+OWN_FIELDS = [
+    ("resource-vector", lambda: ResourceVector(-1, -1),
+     ["cpu_millicores: must be >= 0", "memory_mb: must be >= 0"]),
+    ("cost-params", lambda: CostParams(-1.0, NAN),
+     ["c_cpu: must be >= 0", "c_mem: must be >= 0"]),
+    ("step-spec", lambda: StepSpec("", ResourceVector(), 0, NAN),
+     ["step_id: must be non-empty", "replicas: must be >= 1", "service_time: must be > 0"]),
+    ("batch-job", lambda: BatchJob("", DAG, 0, NAN, -1.0),
+     ["job_id: must be non-empty", "fragment_count: must be >= 1", "deadline: must be > 0",
+      "arrival_time: must be >= 0"]),
+    ("poisson-arrivals", lambda: PoissonArrivals(0.0, -1, -1),
+     ["arrivals.rate: must be > 0", "arrivals.seed: must be >= 0",
+      "arrivals.count: must be >= 0"]),
+    ("explicit-arrivals", lambda: ExplicitArrivals((2.0, -1.0), ("w",)),
+     ["arrivals.times: must be >= 0", "arrivals.times: must be sorted ascending",
+      "arrivals.templates: must match times in length"]),
+    ("explicit-arrivals-nan", lambda: ExplicitArrivals((NAN,)),
+     ["arrivals.times: must be >= 0"]),
+    ("node-failure", lambda: NodeFailureFault(NAN, -1),
+     ["time: must be >= 0", "node_id: must be >= 0"]),
+    ("driver-restart", lambda: DriverRestartFault(-1.0, -1),
+     ["time: must be >= 0", "job_index: must be >= 0"]),
+    ("scenario", lambda: library_scenario(
+        node_capacities=(ResourceVector(0, 0),), edge_speed=NAN, cloud_speed=0.0,
+        cloud_concurrency=0, round_length=NAN, eviction_deadline=-1.0,
+        execution_timeout=NAN, horizon=0.0),
+     ["edge.speed_factor: must be > 0", "cloud.speed_factor: must be > 0",
+      "cloud.cloud_concurrency: must be >= 1", "edge.node_cpu_millicores: must be >= 1",
+      "edge.node_memory_mb: must be >= 1", "scheduler.round_length: must be > 0",
+      "scheduler.eviction_deadline: must be > 0",
+      "scheduler.execution_timeout: must be > 0", "horizon: must be > 0"]),
+]
+
+
+@pytest.mark.parametrize("build, problems", [pytest.param(*r[1:], id=r[0]) for r in OWN_FIELDS])
+def test_each_type_reports_all_of_its_own_bad_fields_at_once(build, problems):
+    """NaN fails every range rule, as it fails the loader's number check."""
+    with pytest.raises(ValidationError) as e:
+        build()
+    assert e.value.problems == problems
+
+
+def test_zero_capacity_node_rejected():
+    with pytest.raises(ValidationError) as e:
+        library_scenario(node_capacities=(ResourceVector(2000, 2048), ResourceVector(0, 0)),
+                         mode=SchedulerMode.CLOUD_ONLY)
+    assert e.value.problems == ["edge.node_cpu_millicores: must be >= 1",
+                                "edge.node_memory_mb: must be >= 1"]
 
 
 class TestRunCommand:
@@ -385,6 +536,16 @@ class TestReplicateCommand:
         assert main(["replicate", "--config", path, "--out", str(tmp_path / "o"),
                      "--seeds", "a,b"]) == 1
         assert "--seeds" in capsys.readouterr().err
+
+    def test_repeated_seed_is_an_error_before_any_run(self, tmp_path, capsys):
+        cfg = minimal_config()
+        cfg["arrivals"] = {"kind": "poisson", "rate": 0.05, "seed": 1, "count": 2}
+        path = write_config(tmp_path, cfg)
+        assert main(["replicate", "--config", path, "--out", str(tmp_path / "o"),
+                     "--seeds", "3,3,4"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --seeds lists 3 more than once\n"
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_is_an_error_before_any_run(self, tmp_path, capsys):
         cfg = minimal_config()

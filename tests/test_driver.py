@@ -35,7 +35,8 @@ def make_job(n_steps=3, fragments=5, service=1.0, ff=True, replicas=1,
 
 def run_to_completion(driver, region=CLOUD, pools=None, deploy_at=0.0, until=None):
     """Deploy every step at once and report the projected step completions in
-    time order; with until, commit there instead of passing it."""
+    time order; returns the time of the one that completed the job, or None
+    when until, where the plan is committed instead, comes first."""
     for sid in driver.topo:
         pool = (pools or {}).get(sid, driver.steps[sid].spec.replicas)
         driver.on_deploy(sid, region, pool, deploy_at)
@@ -43,8 +44,9 @@ def run_to_completion(driver, region=CLOUD, pools=None, deploy_at=0.0, until=Non
         if until is not None and t > until:
             driver.commit(until)
             return None
-        driver.on_step_complete(sid, t)
-    return driver.completed_at
+        if driver.on_step_complete(sid, t):
+            return t
+    return None
 
 
 class TestPipeliningLaws:
@@ -211,7 +213,7 @@ class TestEviction:
         drv = self.make_running(m=2, service=1.0)
         drv.on_eviction_notice("s0", 5.0, 2, 0.5)
         assert drv.project(0.5) == [("s0", 1.0)]
-        assert drv.on_step_complete("s0", 1.0) and drv.completed_at == 1.0
+        assert drv.on_step_complete("s0", 1.0)
         assert drv.steps["s0"].state is StepState.COMPLETED
         assert drv.steps["s0"].pending_switch is None
 
@@ -245,6 +247,7 @@ class TestRecovery:
         heapq.heapify(heap)
         restarted = False
         stale = 0
+        completed_at = None
         with counting_completions() as completions:
             while heap:
                 t, sid, version = heapq.heappop(heap)
@@ -258,8 +261,9 @@ class TestRecovery:
                 if version != drv.version:
                     stale += 1
                     continue
-                drv.on_step_complete(sid, t)
-        assert drv.is_complete() and drv.completed_at == 21.0
+                if drv.on_step_complete(sid, t):
+                    completed_at = t
+        assert drv.is_complete() and completed_at == 21.0
         assert stale == 2  # the first plan's completions of s0 and s1
         assert all(v == 1 for v in completions.values())
         assert sum(completions.values()) == 40
