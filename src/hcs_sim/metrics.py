@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from hcs_sim.core_model import InternalConsistencyError, ValidationError
@@ -189,25 +190,36 @@ def cost_vs_baseline(report: RunReport, baseline: RunReport) -> float:
     return 100.0 * hybrid / base
 
 
+_FLOAT = ".9g"  # every float the reports print
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".9g")
+        return format(value, _FLOAT)
     return str(value)
 
 
 def round9(value: float) -> float:
     """A float rounded to the 9 significant digits the reports print."""
-    return float(format(value, ".9g"))
+    return float(format(value, _FLOAT))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write rows formatted column by column: a column of only floats, only
+    strs or only ints takes one path for all its cells, any other cell _fmt."""
+    cols: list = list(zip(*rows, strict=True))
+    for i, col in enumerate(cols):
+        kinds = set(map(type, col))
+        if kinds == {float}:
+            cols[i] = map(format, col, repeat(_FLOAT))
+        elif kinds != {str} and kinds != {int}:  # csv writes an int as str does
+            cols[i] = map(_fmt, col)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*cols))
 
 
 def write_json(path: Path, obj: dict) -> None:

@@ -9,10 +9,10 @@ over the region's speed. The driver keeps the durable state of its last
 commit (journal, ready queues, in-flight fragments, step states, pending
 eviction switches) and projects every step's schedule from it, one plain loop
 per step in topological order; the engine schedules one event per projected
-step completion. An interruption first commits the schedule up to its
-instant: fragments finished by then are journaled, started ones are in
-flight, ready ones queue. The interruption then applies and the job is
-projected again.
+step completion. The projection is kept as the plan. An interruption first
+commits it up to its instant, cutting each step's planned queue by bisection:
+fragments finished by then are journaled, started ones are in flight, ready
+ones queue. The interruption then applies and the job is projected again.
 
 Every step takes its fragments in index order: sources queue them so, a FIFO
 pool of equal service times finishes them in start order, a requeue puts the
@@ -23,10 +23,10 @@ the event queue would order by insertion, are ordered by fragment index.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from heapq import heapify, heapreplace
 from itertools import accumulate, repeat
 
@@ -59,38 +59,38 @@ class _StepRuntime:
 
 
 def _fifo(times: list[float], busy: list[float], free: int, t0: float,
-          duration: float, cut: float) -> list[float]:
-    """Finish times of the queued fragments that start by cut, in queue order.
+          duration: float) -> list[float]:
+    """Finish times of the queued fragments, in queue order.
 
     times are the ready times (non-decreasing, at least one), busy the finish
     times of the fragments in flight and free the idle workers at t0. Each
     fragment takes the earliest free worker: start = max(ready, worker free),
     finish = start + duration, the same float operations as one dispatch at
-    a time.
+    a time. Starts, and so finishes, are non-decreasing in queue order.
     """
     workers = busy + [t0] * free
     if len(workers) == 1 and times[-1] <= max(times[0], workers[0]):
         # one worker and every fragment ready by the first start, the common
         # case of a backlogged single-replica step: each starts when the
-        # previous finishes, a running sum computed in C; starts[i] and
-        # starts[i + 1] bound item i
-        first = max(times[0], workers[0])
-        if first > cut:
-            return []
-        starts = list(accumulate(repeat(duration, len(times)), initial=first))
-        return starts[1:bisect_right(starts, cut, 0, len(times)) + 1]
+        # previous finishes, a running sum computed in C
+        first = max(times[0], workers[0]) + duration
+        return list(accumulate(repeat(duration, len(times) - 1), initial=first))
     fins: list[float] = []
     heapify(workers)
     for ready in times:
         start = workers[0]
         if ready > start:
             start = ready
-        if start > cut:
-            break
         finish = start + duration
         heapreplace(workers, finish)
         fins.append(finish)
     return fins
+
+
+@cache
+def _full_journal(m: int) -> frozenset[int]:
+    """The journal of a finished step, one shared object per fragment count."""
+    return frozenset(range(m))
 
 
 class PipelineDriver:
@@ -98,7 +98,8 @@ class PipelineDriver:
 
     The journal (per-step sets of completed fragments) is the durable record:
     a restart loses in-flight work but never journaled completions, and no
-    fragment is ever journaled twice at the same step. The job's graph, the
+    fragment is ever journaled twice at the same step. A finished step's set
+    is the frozenset shared by every step with its fragment count. The job's graph, the
     speeds and the pools come from a Scenario, which has validated them.
 
     Protocol: project(now) plans the job and returns its step completions;
@@ -115,12 +116,12 @@ class PipelineDriver:
         self.cloud_speed = cloud_speed
         self.topo = job.dag.order
         self.m = job.fragment_count
-        self.journal: dict[str, set[int]] = {sid: set() for sid in self.topo}
+        self.journal: dict[str, set[int] | frozenset[int]] = {sid: set() for sid in self.topo}
         self.steps: dict[str, _StepRuntime] = {}
         self._preds = {sid: job.dag.predecessors(sid) for sid in self.topo}
         self.terminal_ids = job.dag.terminal_ids()
         self.version = 0  # bumped by every projection
-        self._planned_at: float | None = None  # start of the current plan
+        self._plan: list[tuple] | None = None  # per unfinished step, see _follow
         self._steps_done = 0
         for sid in self.topo:
             rt = _StepRuntime(job.dag.step(sid))
@@ -152,18 +153,46 @@ class PipelineDriver:
         Returns (step_id, completion time) for each step the plan finishes;
         the plan holds until the next commit and is identified by version.
         """
-        if self._planned_at is not None:
+        if self._plan is not None:
             raise InternalConsistencyError(f"job {self.job.job_id} projected twice")
-        self._planned_at = now
         self.version += 1
-        return list(self._follow(now, math.inf, False).items())
+        return list(self._follow(now).items())
 
     def commit(self, now: float) -> None:
-        """Move the durable state along the current plan to now (no-op without one)."""
-        if self._planned_at is None:
+        """Move the durable state along the current plan to now (no-op without one).
+
+        Each step's plan is cut at now by bisection. Its ready times and its
+        finish times are non-decreasing in queue order, and a FIFO pool has
+        started, by now, the fewer of the fragments ready and the workers
+        freed (idle at the plan's start, or released by a finish).
+        """
+        plan, self._plan = self._plan, None
+        if plan is None:
             return
-        start, self._planned_at = self._planned_at, None
-        self._follow(start, now, True)
+        for sid, rt, frags, n_ready, a_times, fins, free, release in plan:
+            landed = sorted((fin, f) for f, fin in rt.in_flight.items() if fin <= now)
+            n_landed = bisect_right(fins, now)
+            n_arrived = n_ready + bisect_right(a_times, now)
+            n_started = 0 if free is None else min(n_arrived, free + len(landed) + n_landed)
+            out = [f for _, f in landed] + frags[:n_landed]
+            if out:
+                self._journal(sid, out)
+            if landed:
+                rt.in_flight = {f: fin for f, fin in rt.in_flight.items() if fin > now}
+            rt.in_flight.update(zip(frags[n_landed:n_started], fins[n_landed:n_started]))
+            rt.ready = deque(frags[n_started:n_arrived])
+            if release is not None and release <= now:
+                rt.barrier_released = True
+                if rt.state is StepState.WAITING:
+                    assert_step_transition(rt.state, StepState.RUNNING)
+                    rt.state = StepState.RUNNING
+            if len(self.journal[sid]) == self.m:
+                if rt.in_flight or rt.ready:
+                    raise InternalConsistencyError(f"step {sid} complete with work left")
+                assert_step_transition(rt.state, StepState.COMPLETED)
+                rt.state = StepState.COMPLETED
+                rt.pending_switch = None
+                self.journal[sid] = _full_journal(self.m)
 
     def on_step_complete(self, step_id: str, now: float) -> bool:
         """A step completion of the current plan happened; returns whether the
@@ -183,21 +212,23 @@ class PipelineDriver:
         """Record completed fragments at a step; the only writer of the journal."""
         journal = self.journal[step_id]
         before = len(journal)
+        if before == self.m:  # a finished step's journal is the shared frozen set
+            raise InternalConsistencyError(f"fragment journaled twice at step {step_id}")
         journal.update(fragments)
         if len(journal) != before + len(fragments):
             raise InternalConsistencyError(f"fragment journaled twice at step {step_id}")
 
     def _arrivals(self, sid: str, t0: float, done: dict, finished: dict
-                  ) -> tuple[list[float], list[int], bool]:
+                  ) -> tuple[list[float], list[int], float | None]:
         """Fragments the plan makes ready at a step, in the order they queue.
 
-        Returns their ready times and ids, and whether the step is a barrier
-        that releases within the plan.
+        Returns their ready times and ids, and, for a barrier that releases
+        within the plan, its release time.
         """
         preds = self._preds[sid]
         if self.steps[sid].spec.feed_forward:
             if len(preds) == 1:
-                return (*done[preds[0]], False)
+                return (*done[preds[0]], None)
             # a join: a fragment is ready once every predecessor finished it,
             # at the last of those completions within the plan
             ready: dict[int, float] = {}
@@ -208,72 +239,57 @@ class PipelineDriver:
             planned = [(set(done[p][1]), self.journal[p]) for p in preds]
             order = sorted((t, f) for f, t in ready.items()
                            if all(f in now or f in before for now, before in planned))
-            return [t for t, _ in order], [f for _, f in order], False
+            return [t for t, _ in order], [f for _, f in order], None
         if not all(p in finished or self.steps[p].state is StepState.COMPLETED
                    for p in preds):
-            return [], [], False
+            return [], [], None
         # a barrier releases at its last predecessor's completion
         when = max(finished[p] for p in preds if p in finished)
         frags = [f for f in range(self.m) if f not in self.journal[sid]]
-        return [when] * len(frags), frags, True
+        return [when] * len(frags), frags, when
 
-    def _follow(self, t0: float, cut: float, commit: bool) -> dict[str, float]:
-        """Walk every step's schedule from the durable state at t0 up to cut.
+    def _follow(self, t0: float) -> dict[str, float]:
+        """Walk every step's schedule from the durable state at t0 and keep it
+        as the plan commit cuts.
 
-        Returns the completion time of each step the schedule finishes by
-        cut. With commit, the durable state then moves to cut.
+        Returns the completion time of each step the schedule finishes. A
+        step's plan holds its queue (ready fragments, then the ones that
+        arrive), the number ready at t0, the arrival times, the finish times
+        of the queue, the idle workers at t0 (None when the step does not
+        dispatch) and the barrier's release time (None when it does not
+        release). It stores no copy of the in-flight set or the ready queue:
+        every mutator commits before it changes them.
         """
-        # per step, the completions by cut in queue order: (finish times, fragments)
+        # per step, its completions in the plan, in order: (finish times, fragments)
         done: dict[str, tuple[list[float], list[int]]] = {}
         finished: dict[str, float] = {}
+        plan = []
         for sid in self.topo:
             rt = self.steps[sid]
             if rt.state is StepState.COMPLETED:
                 done[sid] = ([], [])
                 continue
             frags = list(rt.ready)
-            times = [t0] * len(frags)
-            released = False
+            n_ready = len(frags)
+            a_times: list[float] = []
+            release = None
             if self._preds[sid] and (rt.spec.feed_forward or not rt.barrier_released):
-                a_times, a_frags, released = self._arrivals(sid, t0, done, finished)
-                times += a_times
+                a_times, a_frags, release = self._arrivals(sid, t0, done, finished)
                 frags += a_frags
             flight = sorted((fin, f) for f, fin in rt.in_flight.items())
-            landed = bisect_right(flight, (cut, math.inf))
-            fins = [fin for fin, _ in flight[:landed]]
-            out = [f for _, f in flight[:landed]]
-            new_fins: list[float] = []
+            busy = [fin for fin, _ in flight]
+            fins: list[float] = []
+            free = None
             if (frags and rt.region is not None and rt.pending_switch is None
-                    and (rt.spec.feed_forward or rt.barrier_released or released)):
-                new_fins = _fifo(times, [fin for fin, _ in flight], rt.pool - len(flight),
-                                 t0, self._service(rt), cut)
-            n_started = len(new_fins)
-            n_landed = bisect_right(new_fins, cut)
-            fins += new_fins[:n_landed]
-            out += frags[:n_landed]
-            done[sid] = (fins, out)
-            journal = self.journal[sid]
-            if len(journal) + len(out) == self.m:
-                finished[sid] = fins[-1]
-            if not commit:
-                continue
-
-            if out:
-                self._journal(sid, out)
-            rt.in_flight = {f: fin for f, fin in rt.in_flight.items() if fin > cut}
-            rt.in_flight.update(zip(frags[n_landed:n_started], new_fins[n_landed:]))
-            rt.ready = deque(frags[n_started:])
-            if released:
-                rt.barrier_released = True
-                if rt.state is StepState.WAITING:
-                    assert_step_transition(rt.state, StepState.RUNNING)
-                    rt.state = StepState.RUNNING
-            if len(journal) == self.m:
-                if rt.in_flight or rt.ready:
-                    raise InternalConsistencyError(f"step {sid} complete with work left")
-                assert_step_transition(rt.state, StepState.COMPLETED)
-                rt.state = StepState.COMPLETED
-                rt.pending_switch = None
+                    and (rt.spec.feed_forward or rt.barrier_released or release is not None)):
+                free = rt.pool - len(flight)
+                fins = _fifo([t0] * n_ready + a_times, busy, free, t0, self._service(rt))
+            all_fins = busy + fins if busy else fins
+            done[sid] = (all_fins, [f for _, f in flight] + frags[:len(fins)])
+            if len(self.journal[sid]) + len(all_fins) == self.m:
+                finished[sid] = all_fins[-1]
+            plan.append((sid, rt, frags, n_ready, a_times, fins, free, release))
+        self._plan = plan
         return finished
 
     def _start_ready(self, rt: _StepRuntime, now: float) -> None:

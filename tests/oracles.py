@@ -5,12 +5,16 @@ a scan-everything time-stepping loop over explicit worker slots, no event
 queue, no epochs, no eviction handling. Slow but obviously correct. Next to
 it, the per-fragment engine the package used before per-step schedules: one
 event per fragment completion, the differential oracle for the fast engine;
-and the scheduler before incremental capacity books, the differential oracle
-for the scheduler.
+the driver's commit before plans were kept, which walks the schedule again
+instead of cutting the stored plan; the per-cell report writer; and the
+scheduler before incremental capacity books, the differential oracle for
+the scheduler.
 """
 
 from __future__ import annotations
 
+import csv
+import heapq
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,7 +37,7 @@ from hcs_sim.hcs_scheduler import (
     ScheduleDecision,
     SchedulerMode,
 )
-from hcs_sim.metrics import JobOutcome
+from hcs_sim.metrics import JobOutcome, _fmt
 from hcs_sim.pipeline_driver import PipelineDriver
 from hcs_sim.placement import PlacementPolicy, apply_plan, release, try_place_free
 from hcs_sim.sim_engine import EventKind, _Engine, generate_arrivals
@@ -210,6 +214,111 @@ def counting_completions():
         yield counts
     finally:
         PipelineDriver._journal = real
+
+
+# -- the re-walking commit -------------------------------------------------------
+
+
+def _fifo_until(times, busy, free, t0, duration, cut):
+    """Finish times of the queued fragments that start by cut, one dispatch
+    at a time through a heap of worker free times."""
+    workers = busy + [t0] * free
+    heapq.heapify(workers)
+    fins = []
+    for ready in times:
+        start = max(ready, workers[0])
+        if start > cut:
+            break
+        heapq.heapreplace(workers, start + duration)
+        fins.append(start + duration)
+    return fins
+
+
+def _rewalk_arrivals(drv, sid, t0, done, finished):
+    """Fragments a walk up to its cut makes ready at a step: (ready times,
+    fragments, whether a barrier releases)."""
+    preds = drv._preds[sid]
+    if drv.steps[sid].spec.feed_forward:
+        if len(preds) == 1:
+            return (*done[preds[0]], False)
+        ready = {}
+        for p in preds:
+            for fin, f in zip(*done[p]):
+                if fin > ready.get(f, t0):
+                    ready[f] = fin
+        planned = [(set(done[p][1]), drv.journal[p]) for p in preds]
+        order = sorted((t, f) for f, t in ready.items()
+                       if all(f in now or f in before for now, before in planned))
+        return [t for t, _ in order], [f for _, f in order], False
+    if not all(p in finished or drv.steps[p].state is StepState.COMPLETED for p in preds):
+        return [], [], False
+    when = max(finished[p] for p in preds if p in finished)
+    frags = [f for f in range(drv.m) if f not in drv.journal[sid]]
+    return [when] * len(frags), frags, True
+
+
+def rewalk_commit(drv, t0, cut):
+    """PipelineDriver.commit as it was before plans were kept: drop the plan
+    projected at t0 and walk every step's schedule again from the committed
+    state, up to cut, moving the durable state along it."""
+    drv._plan = None
+    done = {}
+    finished = {}
+    for sid in drv.topo:
+        rt = drv.steps[sid]
+        if rt.state is StepState.COMPLETED:
+            done[sid] = ([], [])
+            continue
+        frags = list(rt.ready)
+        times = [t0] * len(frags)
+        released = False
+        if drv._preds[sid] and (rt.spec.feed_forward or not rt.barrier_released):
+            a_times, a_frags, released = _rewalk_arrivals(drv, sid, t0, done, finished)
+            times += a_times
+            frags += a_frags
+        flight = sorted((fin, f) for f, fin in rt.in_flight.items())
+        landed = [(fin, f) for fin, f in flight if fin <= cut]
+        fins = [fin for fin, _ in landed]
+        out = [f for _, f in landed]
+        new_fins = []
+        if (frags and rt.region is not None and rt.pending_switch is None
+                and (rt.spec.feed_forward or rt.barrier_released or released)):
+            new_fins = _fifo_until(times, [fin for fin, _ in flight], rt.pool - len(flight),
+                                   t0, drv._service(rt), cut)
+        n_started = len(new_fins)
+        n_landed = sum(1 for fin in new_fins if fin <= cut)
+        fins += new_fins[:n_landed]
+        out += frags[:n_landed]
+        done[sid] = (fins, out)
+        journal = drv.journal[sid]
+        if len(journal) + len(out) == drv.m:
+            finished[sid] = fins[-1]
+        if out:
+            drv._journal(sid, out)
+        rt.in_flight = {f: fin for f, fin in rt.in_flight.items() if fin > cut}
+        rt.in_flight.update(zip(frags[n_landed:n_started], new_fins[n_landed:]))
+        rt.ready = deque(frags[n_started:])
+        if released:
+            rt.barrier_released = True
+            if rt.state is StepState.WAITING:
+                rt.state = StepState.RUNNING
+        if len(drv.journal[sid]) == drv.m:
+            if rt.in_flight or rt.ready:
+                raise InternalConsistencyError(f"step {sid} complete with work left")
+            rt.state = StepState.COMPLETED
+            rt.pending_switch = None
+
+
+# -- the per-cell report writer ---------------------------------------------------
+
+
+def write_csv_per_cell(path, header, rows):
+    """metrics._write_csv as it was: every cell through metrics._fmt."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
 # -- the per-fragment engine ----------------------------------------------------

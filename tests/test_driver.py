@@ -1,9 +1,14 @@
 """Pipeline driver behaviour: pipelining laws, barriers, eviction handoff
 and journal-based recovery."""
 
+import copy
+import dataclasses
 import heapq
 import math
 import random
+from bisect import bisect_right
+from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +20,11 @@ from hcs_sim.core_model import (
     StepSpec,
     StepState,
 )
+from hcs_sim.cli import load_scenario
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
+from hcs_sim.sim_engine import run_detailed
 
-from oracles import chain_makespan, counting_completions, pipeline_makespan
+from oracles import chain_makespan, counting_completions, pipeline_makespan, rewalk_commit
 
 CLOUD = "cloud"
 EDGE = "edge"
@@ -127,6 +134,21 @@ class TestDeploySemantics:
         # all fragments released at once
         assert drv.steps["s1"].state is StepState.RUNNING
         assert list(drv.steps["s1"].in_flight.values()) == [4.0, 4.0, 4.0]
+
+    def test_barrier_commits_at_its_release_instant(self):
+        drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
+        drv.on_deploy("s0", CLOUD, 1, 0.0)
+        drv.on_deploy("s1", CLOUD, 3, 0.0)
+        assert ("s0", 3.0) in drv.project(0.0)
+        at, before = copy.deepcopy(drv), copy.deepcopy(drv)
+        at.commit(3.0)
+        rt = at.steps["s1"]
+        assert rt.state is StepState.RUNNING and rt.barrier_released
+        assert rt.in_flight == {0: 4.0, 1: 4.0, 2: 4.0} and not rt.ready
+        before.commit(3.0 - 1e-9)
+        rt = before.steps["s1"]
+        assert rt.state is StepState.WAITING and not rt.barrier_released
+        assert not rt.in_flight and not rt.ready
 
     def test_double_deploy_rejected(self):
         drv = PipelineDriver(make_job(1, 1))
@@ -278,3 +300,108 @@ class TestRecovery:
         assert drv.steps["s0"].in_flight == {0: 7.0, 1: 7.0}
         assert drv.project(2.0) == [("s0", 17.0)] and drv.version == version + 1
 
+
+def _clone(drv):
+    """A copy of a driver whose commit leaves the original as it was."""
+    c = copy.copy(drv)
+    c.journal = {sid: set(j) for sid, j in drv.journal.items()}
+    c.steps = {sid: dataclasses.replace(rt, ready=deque(rt.ready), in_flight=dict(rt.in_flight))
+               for sid, rt in drv.steps.items()}
+    c._plan = [(sid, c.steps[sid], *rest) for sid, _, *rest in drv._plan]
+    return c
+
+
+def _state(drv):
+    return ({sid: set(j) for sid, j in drv.journal.items()},
+            {sid: (rt.in_flight, list(rt.ready), rt.state, rt.barrier_released,
+                   rt.pending_switch) for sid, rt in drv.steps.items()})
+
+
+def _random_job(rng, trial):
+    shape = rng.choice(["chain", "join", "join"])
+    if shape == "chain":
+        ids = [f"s{i}" for i in range(rng.randrange(1, 5))]
+        edges = list(zip(ids, ids[1:]))
+    else:  # three sources joined at s3, sometimes followed by s4
+        ids = [f"s{i}" for i in range(rng.choice([4, 5]))]
+        edges = [("s0", "s3"), ("s1", "s3"), ("s2", "s3")] + [("s3", "s4")] * (len(ids) == 5)
+    steps = [StepSpec(sid, ResourceVector(100, 16), rng.randrange(1, 5),
+                      rng.choice([0.5, 1.0, 1.5, 2.0]), feed_forward=rng.random() < 0.6)
+             for sid in ids]
+    return BatchJob(f"j{trial}", PipelineDag(steps, edges), rng.randrange(1, 13), 1e6)
+
+
+def _interrupt(drv, rng, now):
+    """One random interruption at now, as the engine may deliver it."""
+    drv.commit(now)  # so the choices see the state the interruption meets
+    rts = drv.steps
+    choices = ["commit", "restart"]
+    choices += [("deploy", s) for s, rt in rts.items() if rt.region is None]
+    choices += [("notice", s) for s, rt in rts.items() if rt.region == EDGE
+                and rt.pending_switch is None and rt.state is not StepState.COMPLETED]
+    choices += [("switch", s) for s, rt in rts.items()
+                if rt.pending_switch is not None and rt.pending_switch[0] <= now]
+    choices += [("redeploy", s) for s, rt in rts.items()
+                if rt.region is not None and rt.state is not StepState.COMPLETED]
+    pick = rng.choice(choices)
+    if pick == "commit":
+        pass
+    elif pick == "restart":
+        drv.resume_from_journal(now)
+    elif pick[0] == "deploy":
+        drv.on_deploy(pick[1], rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), now)
+    elif pick[0] == "notice":
+        drv.on_eviction_notice(pick[1], now + rng.choice([0.0, 0.7, 3.0]),
+                               rng.randrange(1, 5), now)
+    elif pick[0] == "switch":
+        drv.switch_at_expiry(pick[1], now)
+    else:
+        drv.redeploy(pick[1], rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), now)
+
+
+def test_commit_cuts_the_plan_as_a_rewalk_would():
+    """Committing the stored plan at any instant leaves the same durable
+    state as walking the schedule again from the plan's start up to it."""
+    rng = random.Random(8)
+    cuts_checked = workers_bound = 0
+    for trial in range(150):
+        job = _random_job(rng, trial)
+        drv = PipelineDriver(job, edge_speed=0.8, cloud_speed=1.0)
+        for sid in drv.topo:
+            if rng.random() < 0.7:
+                drv.on_deploy(sid, rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), 0.0)
+        t0 = 0.0
+        for _ in range(8):
+            drv.project(t0)
+            times = {t0}
+            for _, rt, _, _, a_times, fins, _, _ in drv._plan:
+                times.update(a_times, fins, rt.in_flight.values())
+            cuts = sorted({c + e for c in times for e in (-1e-9, 0.0, 1e-9)})
+            # cuts where the workers freed, not the fragments ready, bound the starts
+            for _, rt, _, n_ready, a_times, fins, free, _ in drv._plan:
+                for cut in cuts if free is not None else ():
+                    freed = free + sum(fin <= cut for fin in [*rt.in_flight.values(), *fins])
+                    workers_bound += freed < n_ready + bisect_right(a_times, cut)
+            for cut in cuts:
+                cut_drv, walk_drv = _clone(drv), _clone(drv)
+                cut_drv.commit(cut)
+                rewalk_commit(walk_drv, t0, cut)
+                assert _state(cut_drv) == _state(walk_drv), (trial, t0, cut)
+                cuts_checked += 1
+            t0 = rng.choice([c for c in cuts if c < 30.0] or [t0])
+            _interrupt(drv, rng, t0)
+            if drv.is_complete():
+                break
+    assert cuts_checked > 10000 and workers_bound > 1000
+
+
+def test_finished_steps_share_one_journal():
+    scenario = load_scenario(Path(__file__).resolve().parent.parent
+                             / "scenarios" / "saturating_mix.json").scenario
+    _, drivers = run_detailed(scenario)
+    assert all(drv.is_complete() for drv in drivers.values())
+    counts = {drv.m for drv in drivers.values()}
+    assert len({id(j) for d in drivers.values() for j in d.journal.values()}) == len(counts)
+    drv = next(iter(drivers.values()))
+    with pytest.raises(InternalConsistencyError, match="journaled twice"):
+        drv._journal(drv.topo[0], [0])

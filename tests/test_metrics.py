@@ -12,11 +12,14 @@ from hcs_sim.metrics import (
     MetricsCollector,
     RunReport,
     UtilizationSample,
+    _write_csv,
     cost_vs_baseline,
     emit_report,
     time_weighted_utilization,
 )
 from hcs_sim.placement import NodeState
+
+from oracles import write_csv_per_cell
 
 
 def sample(t: float, alloc: int, cap: int = 1000) -> UtilizationSample:
@@ -250,6 +253,19 @@ class TestEmitReport:
         cost_lines = (tmp_path / "plot_cost.csv").read_text(encoding="utf-8").splitlines()
         # cumulative: 1/3 at t=61, then +150 at t=90
         assert cost_lines[-1].split(",")[1] == format(1.0 / 3.0 + 150.0, ".9g")
+
+    @pytest.mark.parametrize("rows", [
+        [[True, 3, -0.0, 'a, "b"', 1, None],
+         [False, -7, 1e-10, "plain", 2.5, 0.1],
+         [True, 0, 123456789.5, "", 4, "x"]],
+        [],
+    ])
+    def test_column_writer_matches_the_per_cell_writer(self, tmp_path, rows):
+        header = ["flag", "count", "value", "label", "mixed", "other"]
+        _write_csv(tmp_path / "columns.csv", header, rows)
+        write_csv_per_cell(tmp_path / "cells.csv", header, rows)
+        assert ((tmp_path / "columns.csv").read_bytes()
+                == (tmp_path / "cells.csv").read_bytes())
 
     def test_outcomes_sorted_by_arrival(self, tmp_path):
         emit_report(self.full_report(), tmp_path)
