@@ -23,7 +23,7 @@ from hcs_sim.metrics import (
     time_weighted_utilization,
 )
 from hcs_sim.pipeline_driver import PipelineDriver
-from hcs_sim.placement import NodeState, PlacementPolicy
+from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     DriverRestartFault,
     ExplicitArrivals,
@@ -45,7 +45,6 @@ __all__ = [
     "InternalConsistencyError",
     "JobOutcome",
     "NodeFailureFault",
-    "NodeState",
     "PipelineDag",
     "PipelineDriver",
     "PlacementPolicy",

@@ -37,22 +37,8 @@ class ResourceVector:
     memory_mb: int = 0
 
     def __post_init__(self) -> None:
-        # built at every allocation change: the problem list waits for a failed check
-        if not (self.cpu_millicores >= 0 and self.memory_mb >= 0):
-            require((self.cpu_millicores >= 0, "cpu_millicores: must be >= 0"),
-                    (self.memory_mb >= 0, "memory_mb: must be >= 0"))
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu_millicores + other.cpu_millicores,
-                              self.memory_mb + other.memory_mb)
-
-    def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.cpu_millicores - other.cpu_millicores,
-                              self.memory_mb - other.memory_mb)
-
-    def fits_within(self, other: "ResourceVector") -> bool:
-        return (self.cpu_millicores <= other.cpu_millicores
-                and self.memory_mb <= other.memory_mb)
+        require((self.cpu_millicores >= 0, "cpu_millicores: must be >= 0"),
+                (self.memory_mb >= 0, "memory_mb: must be >= 0"))
 
 
 @dataclass(frozen=True)

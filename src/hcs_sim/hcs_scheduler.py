@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,15 +24,7 @@ from hcs_sim.core_model import (
     ValidationError,
     rcost,
 )
-from hcs_sim.placement import (
-    NodeState,
-    PlacementPlan,
-    PlacementPolicy,
-    apply_plan,
-    release,
-    replica_slots,
-    try_place_free,
-)
+from hcs_sim.placement import PlacementPlan, PlacementPolicy, replica_slots, try_place_free
 
 log = logging.getLogger(__name__)
 
@@ -111,21 +104,24 @@ def _covered(failed: list[tuple[int, int, int]], shape: tuple[int, int, int]) ->
 
 
 class HcsScheduler:
-    """Owns edge capacity accounting and emits deployment directives.
+    """Owns the edge allocation account and emits deployment directives.
 
     Time comes in from the caller; the scheduler never schedules its own
-    events. It is the only writer of `nodes[i].allocated`, what is
-    physically held right now including steps inside an eviction window,
-    and of `nodes[i].alive`; `edge_writes` counts those writes, so a caller
-    sees whether the edge changed without asking why. `reservations` promise
-    capacity to steps that activate at an eviction expiry; `evicting` marks
-    residents whose space frees at that expiry. Per-node books keep what a
-    placement reads, updated by the method that changes the state behind
-    them, so no request rebuilds a view of the nodes or walks the residents:
+    events. It is the only owner of what each edge node holds: `_held`, the
+    load physically held right now including steps inside an eviction
+    window, written only by `_hold` and `_drop`, and `alive`, written only by
+    `handle_node_failure`. `edge_writes` counts holds, drops and deaths, so
+    a caller sees whether the edge changed without asking why, and
+    `edge_usage` sums what a utilization sample records. `reservations`
+    promise capacity to steps that activate at an eviction expiry;
+    `evicting` marks residents whose space frees at that expiry. Per-node
+    books keep what a placement reads, updated by the method that changes
+    the state behind them, so no request rebuilds a view of the nodes or
+    walks the residents:
 
-    - `_free`: capacity - allocated - reserved, None for a dead node. It can
-      dip below zero where a reservation is backed by evicting space.
-      Updated with every `apply_plan`/`release`, reservation and node failure.
+    - `_free`: capacity - held - reserved, None for a dead node. It can dip
+      below zero where a reservation is backed by evicting space. Updated
+      with every hold, drop, reservation and node failure.
     - `_evicting_load`: the load of the residents in an eviction window.
       Updated when a window opens, expires, completes or dies with its node.
     - `_free_now` and `_free_after_evictions`: those two books clamped at
@@ -134,18 +130,21 @@ class HcsScheduler:
     - `_victims`: the residents outside an eviction window in (rcost, key)
       order, so eviction candidates are a prefix.
 
-    `_check_capacity_books` recomputes all of them from scratch, after each
-    round and node failure, and from `end_instant` after activations. The
+    `_check_capacity_books` recomputes all of them, `_held` included, from
+    the residents, windows and reservations, after each round and node
+    failure, and from `end_instant` after activations. The
     settings are a Scenario's, which guarantees positive round and eviction
     lengths and at least one node in cheapest-first mode.
     """
 
-    def __init__(self, nodes: list[NodeState], cost_params: CostParams | None = None,
+    def __init__(self, capacities: Sequence[ResourceVector],
+                 cost_params: CostParams | None = None,
                  policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
                  round_length: float = DEFAULT_ROUND_LENGTH,
                  eviction_deadline: float = DEFAULT_EVICTION_DEADLINE,
                  mode: SchedulerMode = SchedulerMode.CHEAPEST_FIRST):
-        self.nodes = nodes
+        self.capacities = tuple(capacities)
+        self.alive = [True] * len(self.capacities)
         self.cost_params = cost_params or CostParams()
         self.policy = policy
         self.round_length = round_length
@@ -162,11 +161,10 @@ class HcsScheduler:
         self.edge_writes = 0
         self._jobs: dict[str, BatchJob] = {}
         self._rcosts: dict[int, tuple[float, StepSpec]] = {}
+        self._held: list[list[int]] = [[0, 0] for _ in self.capacities]
         self._free: list[list[int] | None] = [
-            [n.capacity.cpu_millicores - n.allocated.cpu_millicores,
-             n.capacity.memory_mb - n.allocated.memory_mb] if n.alive else None
-            for n in nodes]
-        self._evicting_load: list[list[int]] = [[0, 0] for _ in nodes]
+            [c.cpu_millicores, c.memory_mb] for c in self.capacities]
+        self._evicting_load: list[list[int]] = [[0, 0] for _ in self.capacities]
         self._free_now: list[tuple[int, int] | None] = [
             _clamp(f) for f in self._free]
         self._free_after_evictions = list(self._free_now)
@@ -184,8 +182,20 @@ class HcsScheduler:
             self._free_after_evictions[node_id] = _clamp(free, self._evicting_load[node_id])
 
     def _hold(self, key: StepKey, plan: PlacementPlan) -> None:
-        """Allocate a plan to a resident that cheaper newcomers cannot evict."""
-        apply_plan(plan, self.nodes)
+        """Allocate a plan to a resident that cheaper newcomers cannot evict.
+
+        A replica on a dead node or a node held over capacity means the
+        planner is broken. Checked per plan, so an activation that runs
+        before its victims' release is caught within the instant.
+        """
+        _add_load(self._held, plan)
+        for node_id in set(plan.assignments.values()):
+            if not self.alive[node_id]:
+                raise InternalConsistencyError(f"plan assigns replicas to dead node {node_id}")
+            (cpu, mem), cap = self._held[node_id], self.capacities[node_id]
+            if cpu > cap.cpu_millicores or mem > cap.memory_mb:
+                raise InternalConsistencyError(
+                    f"node {node_id} over capacity: {cpu, mem} > {cap}")
         self.edge_writes += 1
         self._book(self._free, plan, -1)
         self.resident[key] = plan
@@ -194,7 +204,11 @@ class HcsScheduler:
     def _drop(self, key: StepKey) -> None:
         """Release a resident's allocation, closing its eviction window if open."""
         plan = self.resident.pop(key)
-        release(plan, self.nodes)
+        _add_load(self._held, plan, -1)
+        for node_id in set(plan.assignments.values()):
+            if min(self._held[node_id]) < 0:
+                raise InternalConsistencyError(
+                    f"release of unheld allocation on node {node_id}")
         self.edge_writes += 1
         self._book(self._free, plan, 1)
         if self.evicting.pop(key, None) is not None:
@@ -376,6 +390,18 @@ class HcsScheduler:
         self._unchecked = True
         return plan
 
+    def edge_usage(self) -> tuple[int, int, int, int]:
+        """(held cpu, capacity cpu, held memory, capacity memory) summed over
+        the alive nodes: what a utilization sample records."""
+        cpu = cpu_cap = mem = mem_cap = 0
+        for alive, (c, m), cap in zip(self.alive, self._held, self.capacities):
+            if alive:
+                cpu += c
+                cpu_cap += cap.cpu_millicores
+                mem += m
+                mem_cap += cap.memory_mb
+        return cpu, cpu_cap, mem, mem_cap
+
     def end_instant(self) -> None:
         """Check the books once for the activations of the instant ending, if
         no round or node failure checked them since."""
@@ -407,10 +433,9 @@ class HcsScheduler:
         (sticky). Reservations touching the dead node are re-planned the same
         way. No new evictions are triggered by failure handling.
         """
-        if node_id < 0 or node_id >= len(self.nodes):
+        if node_id < 0 or node_id >= len(self.capacities):
             raise ValidationError(f"unknown node {node_id}")
-        node = self.nodes[node_id]
-        if not node.alive:
+        if not self.alive[node_id]:
             raise ValidationError(f"node {node_id} already dead")
         decision = ScheduleDecision()
 
@@ -423,10 +448,10 @@ class HcsScheduler:
             self._drop(key)
         for key in hit_reservations:
             self._unreserve(key)
-        node.alive = False
+        self.alive[node_id] = False
         self.edge_writes += 1
-        cap = node.capacity
-        if (node.allocated != ResourceVector()
+        cap = self.capacities[node_id]
+        if (self._held[node_id] != [0, 0]
                 or self._free[node_id] != [cap.cpu_millicores, cap.memory_mb]):
             raise InternalConsistencyError(f"dead node {node_id} still holds allocations")
         self._free[node_id] = self._free_now[node_id] = self._free_after_evictions[node_id] = None
@@ -456,27 +481,31 @@ class HcsScheduler:
     def _check_capacity_books(self) -> None:
         """Physical and promised capacity must both respect node limits, a
         dead node must hold nothing, and every book must equal its recompute
-        from the nodes, the plans and the reservations."""
-        reserved = [[0, 0] for _ in self.nodes]
-        evicting = [[0, 0] for _ in self.nodes]
+        from the resident plans, the eviction windows and the reservations."""
+        held = [[0, 0] for _ in self.capacities]
+        reserved = [[0, 0] for _ in self.capacities]
+        evicting = [[0, 0] for _ in self.capacities]
+        for plan in self.resident.values():
+            _add_load(held, plan)
         for plan, _ in self.reservations.values():
             _add_load(reserved, plan)
         for key in self.evicting:
             _add_load(evicting, self.resident[key])
         free: list[list[int] | None] = []
-        for node, res, ev in zip(self.nodes, reserved, evicting):
-            cap, alloc = node.capacity, node.allocated
-            if not alloc.fits_within(cap):
-                raise InternalConsistencyError(f"node {node.node_id} physically over capacity")
-            if not node.alive and alloc != ResourceVector():
-                raise InternalConsistencyError(f"dead node {node.node_id} holds allocations")
-            f = [cap.cpu_millicores - alloc.cpu_millicores - res[0],
-                 cap.memory_mb - alloc.memory_mb - res[1]]
+        for node_id, (cap, alive, h, res, ev) in enumerate(
+                zip(self.capacities, self.alive, held, reserved, evicting)):
+            f = [cap.cpu_millicores - h[0], cap.memory_mb - h[1]]
+            if f[0] < 0 or f[1] < 0:
+                raise InternalConsistencyError(f"node {node_id} physically over capacity")
+            if not alive and h != [0, 0]:
+                raise InternalConsistencyError(f"dead node {node_id} holds allocations")
+            f[0] -= res[0]
+            f[1] -= res[1]
             if f[0] + ev[0] < 0 or f[1] + ev[1] < 0:
                 raise InternalConsistencyError(
-                    f"node {node.node_id} over capacity after pending evictions")
-            free.append(f if node.alive else None)
-        if (free != self._free or evicting != self._evicting_load
+                    f"node {node_id} over capacity after pending evictions")
+            free.append(f if alive else None)
+        if (held != self._held or free != self._free or evicting != self._evicting_load
                 or list(map(_clamp, free)) != self._free_now
                 or list(map(_clamp, free, evicting)) != self._free_after_evictions):
             raise InternalConsistencyError("capacity books differ from their recompute")

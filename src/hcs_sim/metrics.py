@@ -10,7 +10,6 @@ from itertools import repeat
 from pathlib import Path
 
 from hcs_sim.core_model import InternalConsistencyError, ValidationError
-from hcs_sim.placement import NodeState
 
 
 @dataclass(frozen=True)
@@ -115,23 +114,16 @@ class RunReport:
 class MetricsCollector:
     """Accumulates samples and ledger entries as the engine reports them."""
 
-    def __init__(self, nodes: list[NodeState]):
-        self.nodes = nodes
+    def __init__(self):
         self.samples: list[UtilizationSample] = []
         self.entries: list[CostLedgerEntry] = []
         self._open: dict[tuple[str, str], CostLedgerEntry] = {}
         self.outcomes: list[JobOutcome] = []
 
-    def sample(self, now: float) -> None:
-        """Record the edge allocation and live capacity at now."""
-        cpu = cpu_cap = mem = mem_cap = 0
-        for n in self.nodes:
-            if n.alive:
-                cpu += n.allocated.cpu_millicores
-                cpu_cap += n.capacity.cpu_millicores
-                mem += n.allocated.memory_mb
-                mem_cap += n.capacity.memory_mb
-        self.samples.append(UtilizationSample(now, cpu, cpu_cap, mem, mem_cap))
+    def sample(self, now: float, usage: tuple[int, int, int, int]) -> None:
+        """Record the edge allocation and live capacity at now, given as
+        (allocated cpu, capacity cpu, allocated memory, capacity memory)."""
+        self.samples.append(UtilizationSample(now, *usage))
 
     def open_entry(self, job_id: str, step_id: str, region: str,
                    rcost_per_second: float, start: float) -> None:

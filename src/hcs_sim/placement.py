@@ -1,17 +1,12 @@
-"""Greedy replica placement over finite edge nodes."""
+"""Greedy replica placement policies over per-node free capacity."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from hcs_sim.core_model import (
-    InternalConsistencyError,
-    ResourceVector,
-    StepSpec,
-    ValidationError,
-)
+from hcs_sim.core_model import ResourceVector, StepSpec, ValidationError
 
 
 class PlacementPolicy(str, Enum):
@@ -22,29 +17,11 @@ class PlacementPolicy(str, Enum):
 
 
 @dataclass
-class NodeState:
-    """Mutable capacity account for one edge node."""
-
-    node_id: int
-    capacity: ResourceVector
-    allocated: ResourceVector = field(default_factory=ResourceVector)
-    alive: bool = True
-
-
-@dataclass
 class PlacementPlan:
     """Committed outcome of a placement attempt: replica index -> node id."""
 
     step: StepSpec
     assignments: dict[int, int]
-
-    def node_loads(self) -> dict[int, ResourceVector]:
-        """Demand this plan puts on each node it touches."""
-        loads: dict[int, ResourceVector] = {}
-        d = self.step.demand_per_replica
-        for _, node_id in sorted(self.assignments.items()):
-            loads[node_id] = loads.get(node_id, ResourceVector()) + d
-        return loads
 
 
 def replica_slots(free: tuple[int, int] | None, demand: ResourceVector) -> float:
@@ -133,27 +110,4 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
 
     new_cursor = cursor if policy is PlacementPolicy.ROUND_ROBIN else rr_cursor
     return PlacementPlan(step, assignments), new_cursor
-
-
-def apply_plan(plan: PlacementPlan, nodes: list[NodeState]) -> None:
-    """Commit a plan's allocations. Capacity overrun means the planner is broken."""
-    for node_id, load in plan.node_loads().items():
-        node = nodes[node_id]
-        if not node.alive:
-            raise InternalConsistencyError(f"plan assigns replicas to dead node {node_id}")
-        new_alloc = node.allocated + load
-        if not new_alloc.fits_within(node.capacity):
-            raise InternalConsistencyError(
-                f"node {node_id} over capacity: {new_alloc} > {node.capacity}")
-        node.allocated = new_alloc
-
-
-def release(plan: PlacementPlan, nodes: list[NodeState]) -> None:
-    """Return a plan's allocations. Releasing more than held means double release."""
-    for node_id, load in plan.node_loads().items():
-        node = nodes[node_id]
-        if not load.fits_within(node.allocated):
-            raise InternalConsistencyError(
-                f"release of unheld allocation on node {node_id}: {load} > {node.allocated}")
-        node.allocated = node.allocated - load
 

@@ -43,7 +43,7 @@ from hcs_sim.hcs_scheduler import (
 from hcs_sim.metrics import JobOutcome, MetricsCollector, RunReport
 from hcs_sim.pcg64 import Pcg64
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
-from hcs_sim.placement import NodeState, PlacementPolicy
+from hcs_sim.placement import PlacementPolicy
 
 log = logging.getLogger(__name__)
 
@@ -250,11 +250,10 @@ class _Engine:
     def __init__(self, scenario: Scenario, arrivals: list[ScheduledArrival]):
         self.scenario = scenario
         self.arrivals = arrivals
-        self.nodes = [NodeState(i, cap) for i, cap in enumerate(scenario.node_capacities)]
         self.sched = HcsScheduler(
-            self.nodes, scenario.cost_params, scenario.placement,
+            scenario.node_capacities, scenario.cost_params, scenario.placement,
             scenario.round_length, scenario.eviction_deadline, scenario.mode)
-        self.collector = MetricsCollector(self.nodes)
+        self.collector = MetricsCollector()
         self.drivers: dict[str, PipelineDriver] = {}
         self._touched: dict[str, PipelineDriver] = {}  # jobs to project again
         self._sampled_writes = 0  # sched.edge_writes at the last sample
@@ -307,7 +306,7 @@ class _Engine:
         self._touched.clear()
         if self.sched.edge_writes != self._sampled_writes:
             self._sampled_writes = self.sched.edge_writes
-            self.collector.sample(now)
+            self.collector.sample(now, self.sched.edge_usage())
 
     # -- event handlers -------------------------------------------------------
 

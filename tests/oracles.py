@@ -8,7 +8,8 @@ event per fragment completion, the differential oracle for the fast engine;
 the driver's commit before plans were kept, which walks the schedule again
 instead of cutting the stored plan; the per-cell report writer; and the
 scheduler before incremental capacity books, the differential oracle for
-the scheduler.
+the scheduler, with the per-node allocation account it kept before the
+scheduler's books owned edge allocation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from hcs_sim.hcs_scheduler import (
 )
 from hcs_sim.metrics import JobOutcome, _fmt
 from hcs_sim.pipeline_driver import PipelineDriver
-from hcs_sim.placement import PlacementPolicy, apply_plan, release, try_place_free
+from hcs_sim.placement import PlacementPolicy, try_place_free
 from hcs_sim.sim_engine import EventKind, _Engine, generate_arrivals
 
 
@@ -137,9 +138,64 @@ def topological_order(dag):
     return list(dag.order)
 
 
+def vec_add(a, b):
+    return ResourceVector(a.cpu_millicores + b.cpu_millicores, a.memory_mb + b.memory_mb)
+
+
+def vec_sub(a, b):
+    """a - b; a negative dimension is a ValidationError."""
+    return ResourceVector(a.cpu_millicores - b.cpu_millicores, a.memory_mb - b.memory_mb)
+
+
+def fits_within(a, b):
+    return a.cpu_millicores <= b.cpu_millicores and a.memory_mb <= b.memory_mb
+
+
+@dataclass
+class NodeState:
+    """Mutable capacity account for one edge node."""
+
+    node_id: int
+    capacity: ResourceVector
+    allocated: ResourceVector = field(default_factory=ResourceVector)
+    alive: bool = True
+
+
+def node_loads(plan):
+    """Demand a plan puts on each node it touches."""
+    loads = {}
+    d = plan.step.demand_per_replica
+    for _, node_id in sorted(plan.assignments.items()):
+        loads[node_id] = vec_add(loads.get(node_id, ResourceVector()), d)
+    return loads
+
+
+def apply_plan(plan, nodes):
+    """Commit a plan's allocations. Capacity overrun means the planner is broken."""
+    for node_id, load in node_loads(plan).items():
+        node = nodes[node_id]
+        if not node.alive:
+            raise InternalConsistencyError(f"plan assigns replicas to dead node {node_id}")
+        new_alloc = vec_add(node.allocated, load)
+        if not fits_within(new_alloc, node.capacity):
+            raise InternalConsistencyError(
+                f"node {node_id} over capacity: {new_alloc} > {node.capacity}")
+        node.allocated = new_alloc
+
+
+def release(plan, nodes):
+    """Return a plan's allocations. Releasing more than held means double release."""
+    for node_id, load in node_loads(plan).items():
+        node = nodes[node_id]
+        if not fits_within(load, node.allocated):
+            raise InternalConsistencyError(
+                f"release of unheld allocation on node {node_id}: {load} > {node.allocated}")
+        node.allocated = vec_sub(node.allocated, load)
+
+
 def free_of(node):
     """What a node has left: capacity minus allocation."""
-    return node.capacity - node.allocated
+    return vec_sub(node.capacity, node.allocated)
 
 
 def total_cost(step, params, deployed_time):
@@ -541,9 +597,10 @@ class ReferenceScheduler:
 
     Every capacity view is rebuilt from NodeState and the reservations for
     each request, rcost is recomputed at each use, and an eviction try filters
-    and sorts all residents, then re-plans once per candidate victim. Same
-    constructor, attributes and calls as HcsScheduler, so both can take one
-    call stream.
+    and sorts all residents, then re-plans once per candidate victim. Each
+    node's allocation is its own NodeState, written by apply_plan and
+    release. Same constructor and calls as HcsScheduler, so both can take
+    one call stream.
     """
 
     submit_request = HcsScheduler.submit_request
@@ -551,11 +608,11 @@ class ReferenceScheduler:
     has_reservation = HcsScheduler.has_reservation
     _deploy_cloud_now = HcsScheduler._deploy_cloud_now
 
-    def __init__(self, nodes, cost_params=None, policy=PlacementPolicy.FIRST_FIT,
+    def __init__(self, capacities, cost_params=None, policy=PlacementPolicy.FIRST_FIT,
                  round_length=DEFAULT_ROUND_LENGTH,
                  eviction_deadline=DEFAULT_EVICTION_DEADLINE,
                  mode=SchedulerMode.CHEAPEST_FIRST):
-        self.nodes = nodes
+        self.nodes = [NodeState(i, c) for i, c in enumerate(capacities)]
         self.cost_params = cost_params or CostParams()
         self.policy = policy
         self.round_length = round_length
@@ -570,7 +627,7 @@ class ReferenceScheduler:
         self.pending = []
         self.rr_cursor = 0
         self._jobs = {}
-        self._reserved = [ResourceVector() for _ in nodes]
+        self._reserved = [ResourceVector() for _ in self.nodes]
 
     def _free_now(self):
         out = []
@@ -586,8 +643,8 @@ class ReferenceScheduler:
     def _evicting_loads(self):
         loads = [ResourceVector() for _ in self.nodes]
         for key in self.evicting:
-            for node_id, load in self.resident[key].node_loads().items():
-                loads[node_id] = loads[node_id] + load
+            for node_id, load in node_loads(self.resident[key]).items():
+                loads[node_id] = vec_add(loads[node_id], load)
         return loads
 
     def _free_after_evictions(self):
@@ -646,7 +703,7 @@ class ReferenceScheduler:
             freed = [list(f) if f is not None else None for f in base]
             for cand in candidates:
                 victims.append(cand)
-                for node_id, load in self.resident[cand].node_loads().items():
+                for node_id, load in node_loads(self.resident[cand]).items():
                     freed[node_id][0] += load.cpu_millicores
                     freed[node_id][1] += load.memory_mb
                 view = [tuple(f) if f is not None else None for f in freed]
@@ -660,8 +717,8 @@ class ReferenceScheduler:
             decision.directives.append(Evict(vic[0], vic[1], expiry))
         self.rr_cursor = cursor
         self.reservations[key] = (plan, expiry)
-        for node_id, load in plan.node_loads().items():
-            self._reserved[node_id] = self._reserved[node_id] + load
+        for node_id, load in node_loads(plan).items():
+            self._reserved[node_id] = vec_add(self._reserved[node_id], load)
         decision.directives.append(DeployEdge(key[0], key[1], plan, expiry))
         return True
 
@@ -680,8 +737,8 @@ class ReferenceScheduler:
         plan, expiry = self.reservations.pop(key)
         if now + 1e-12 < expiry:
             raise InternalConsistencyError(f"reservation for {key} activated before expiry")
-        for node_id, load in plan.node_loads().items():
-            self._reserved[node_id] = self._reserved[node_id] - load
+        for node_id, load in node_loads(plan).items():
+            self._reserved[node_id] = vec_sub(self._reserved[node_id], load)
         apply_plan(plan, self.nodes)
         self.resident[key] = plan
         self._check_capacity_books()
@@ -708,9 +765,9 @@ class ReferenceScheduler:
             raise ValidationError(f"node {node_id} already dead")
         decision = ScheduleDecision()
         hit_residents = [k for k, plan in self.resident.items()
-                         if node_id in plan.node_loads()]
+                         if node_id in node_loads(plan)]
         hit_reservations = [k for k, (plan, _) in self.reservations.items()
-                            if node_id in plan.node_loads()]
+                            if node_id in node_loads(plan)]
         was_evicting = set()
         for key in hit_residents:
             release(self.resident.pop(key), self.nodes)
@@ -719,8 +776,8 @@ class ReferenceScheduler:
                 was_evicting.add(key)
         for key in hit_reservations:
             plan, _ = self.reservations.pop(key)
-            for nid, load in plan.node_loads().items():
-                self._reserved[nid] = self._reserved[nid] - load
+            for nid, load in node_loads(plan).items():
+                self._reserved[nid] = vec_sub(self._reserved[nid], load)
         node.alive = False
         if node.allocated != ResourceVector() or self._reserved[node_id] != ResourceVector():
             raise InternalConsistencyError(f"dead node {node_id} still holds allocations")
@@ -745,11 +802,11 @@ class ReferenceScheduler:
 
     def _check_capacity_books(self):
         for node, res, ev in zip(self.nodes, self._reserved, self._evicting_loads()):
-            if not node.allocated.fits_within(node.capacity):
+            if not fits_within(node.allocated, node.capacity):
                 raise InternalConsistencyError(f"node {node.node_id} physically over capacity")
             if not node.alive and node.allocated != ResourceVector():
                 raise InternalConsistencyError(f"dead node {node.node_id} holds allocations")
-            if not (node.allocated - ev + res).fits_within(node.capacity):
+            if not fits_within(vec_add(vec_sub(node.allocated, ev), res), node.capacity):
                 raise InternalConsistencyError(
                     f"node {node.node_id} over capacity after pending evictions")
         overlap = set(self.resident) & self.cloud_sticky

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 import test_scheduler
-from oracles import (chain_makespan, counting_completions, oracle_feasible,
+from oracles import (NodeState, chain_makespan, counting_completions, oracle_feasible,
                      pipeline_makespan, try_place)
 
 from hcs_sim import (
@@ -41,7 +41,6 @@ from hcs_sim import (
     time_weighted_utilization,
 )
 from hcs_sim.core_model import rcost
-from hcs_sim.placement import NodeState
 from hcs_sim.sim_engine import run_detailed
 
 SCENARIO_FILE = (Path(__file__).resolve().parent.parent

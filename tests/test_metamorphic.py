@@ -12,7 +12,18 @@ float equality:
   execution timeout, horizon) leaves every utilization ratio and outcome
   verdict as it was and doubles exactly every time and every cost.
 
-Both run on the generated scenarios of test_differential.py and on the
+Two more laws bound the edge allocation account:
+
+- scaling every step demand and every node capacity by an integer f keeps
+  each node's replica slots `free // demand` and the order best-fit and
+  worst-fit rank nodes by, so it leaves every interval, outcome and
+  `cpu_utilization` as it was and multiplies every allocated and capacity
+  number of a sample, every rcost_per_second, every cost and the total
+  cost by exactly f (a power of two, so rcost scales exactly);
+- in cloud-only mode the edge holds nothing, so adding nodes and changing
+  the placement policy changes nothing but the utilization trace.
+
+All run on the generated scenarios of test_differential.py and on the
 reference scenario.
 """
 
@@ -25,8 +36,10 @@ from pathlib import Path
 import pytest
 
 from hcs_sim.cli import load_scenario
-from hcs_sim.core_model import CostParams, PipelineDag
+from hcs_sim.core_model import CostParams, PipelineDag, ResourceVector
+from hcs_sim.hcs_scheduler import SchedulerMode
 from hcs_sim.metrics import RunReport
+from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import PoissonArrivals, Scenario, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -69,6 +82,31 @@ def with_time(s: Scenario, factor: float) -> Scenario:
         horizon=None if s.horizon is None else s.horizon * factor)
 
 
+def with_demand(s: Scenario, factor: int) -> Scenario:
+    def scaled(v: ResourceVector) -> ResourceVector:
+        return ResourceVector(v.cpu_millicores * factor, v.memory_mb * factor)
+
+    def template(job):
+        steps = [dataclasses.replace(st, demand_per_replica=scaled(st.demand_per_replica))
+                 for st in job.dag.steps]
+        return dataclasses.replace(job, dag=PipelineDag(steps, job.dag.edges))
+
+    return dataclasses.replace(
+        s, catalog={name: template(job) for name, job in s.catalog.items()},
+        node_capacities=tuple(map(scaled, s.node_capacities)))
+
+
+def cloud_only(s: Scenario) -> Scenario:
+    return dataclasses.replace(s, mode=SchedulerMode.CLOUD_ONLY)
+
+
+def with_more_nodes(s: Scenario) -> Scenario:
+    """Three more 1000/1000 nodes under worst-fit placement."""
+    return dataclasses.replace(
+        s, node_capacities=s.node_capacities + (ResourceVector(1000, 1000),) * 3,
+        placement=PlacementPolicy.WORST_FIT)
+
+
 def price_law_breaks(a: RunReport, b: RunReport, f: float) -> list[str]:
     """What of b is not a with every price scaled by f."""
     out = []
@@ -83,6 +121,36 @@ def price_law_breaks(a: RunReport, b: RunReport, f: float) -> list[str]:
     if b.total_cost != a.total_cost * f:
         out.append(f"total_cost {b.total_cost!r} != {a.total_cost!r} * {f}")
     return out
+
+
+def demand_law_breaks(a: RunReport, b: RunReport, f: int) -> list[str]:
+    """What of b is not a with every demand and node capacity scaled by f."""
+    out = []
+    if (a.arrivals, a.job_outcomes, a.end_time, a.horizon_reached) != (
+            b.arrivals, b.job_outcomes, b.end_time, b.horizon_reached):
+        out.append("arrivals, outcomes or end differ")
+    if [(s.time, s.allocated_cpu_millicores * f, s.capacity_cpu_millicores * f,
+         s.allocated_memory_mb * f, s.capacity_memory_mb * f, s.cpu_ratio)
+            for s in a.utilization] != [
+            (s.time, s.allocated_cpu_millicores, s.capacity_cpu_millicores,
+             s.allocated_memory_mb, s.capacity_memory_mb, s.cpu_ratio) for s in b.utilization]:
+        out.append("samples are not scaled")
+    if [(e.job_id, e.step_id, e.region, e.deploy_start, e.deploy_end,
+         e.rcost_per_second * f, e.cost * f) for e in a.cost_ledger] != [
+            (e.job_id, e.step_id, e.region, e.deploy_start, e.deploy_end,
+             e.rcost_per_second, e.cost) for e in b.cost_ledger]:
+        out.append("ledger is not scaled")
+    if b.total_cost != a.total_cost * f:
+        out.append(f"total_cost {b.total_cost!r} != {a.total_cost!r} * {f}")
+    return out
+
+
+def edge_law_breaks(a: RunReport, b: RunReport) -> list[str]:
+    """What of b, beyond its utilization trace, differs from a."""
+    if (a.arrivals, a.cost_ledger, a.job_outcomes, a.end_time, a.horizon_reached) != (
+            b.arrivals, b.cost_ledger, b.job_outcomes, b.end_time, b.horizon_reached):
+        return ["arrivals, ledger, outcomes or end differ"]
+    return []
 
 
 def time_law_breaks(a: RunReport, b: RunReport, f: float) -> list[str]:
@@ -123,8 +191,24 @@ def test_doubling_time_doubles_every_time_and_cost():
     assert not broken, broken
 
 
+def test_scaling_demand_and_capacity_scales_every_allocation_and_cost():
+    broken = {name: breaks for name, s in scenarios()
+              if (breaks := demand_law_breaks(run(s), run(with_demand(s, 4)), 4))}
+    assert not broken, broken
+
+
+def test_cloud_only_runs_ignore_the_edge_cluster():
+    broken = {name: breaks for name, s in scenarios()
+              if (breaks := edge_law_breaks(run(cloud_only(s)),
+                                            run(cloud_only(with_more_nodes(s)))))}
+    assert not broken, broken
+
+
 def test_the_laws_see_a_change():
-    """A scaled run that ignored its scaling would break both laws."""
+    """A scaled run that ignored its scaling would break the scaling laws,
+    and a run that kept the edge would break the cloud-only law."""
     s = load_scenario(REFERENCE).scenario
     base = run(s)
     assert price_law_breaks(base, base, 8.0) and time_law_breaks(base, base, 2.0)
+    assert demand_law_breaks(base, base, 4)
+    assert edge_law_breaks(run(cloud_only(s)), run(with_more_nodes(s)))

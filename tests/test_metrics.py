@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from hcs_sim.core_model import InternalConsistencyError, ResourceVector, ValidationError
+from hcs_sim.core_model import InternalConsistencyError, ResourceVector, StepSpec, ValidationError
+from hcs_sim.hcs_scheduler import HcsScheduler
 from hcs_sim.metrics import (
     CostLedgerEntry,
     JobOutcome,
@@ -17,7 +18,7 @@ from hcs_sim.metrics import (
     emit_report,
     time_weighted_utilization,
 )
-from hcs_sim.placement import NodeState
+from hcs_sim.placement import PlacementPlan
 
 from oracles import write_csv_per_cell
 
@@ -168,16 +169,15 @@ class TestRunReport:
 
 class TestMetricsCollector:
     def make(self) -> MetricsCollector:
-        nodes = [NodeState(0, ResourceVector(1000, 1000)),
-                 NodeState(1, ResourceVector(1000, 1000))]
-        return MetricsCollector(nodes)
+        return MetricsCollector()
 
     def test_dead_nodes_leave_the_denominator(self):
+        s = HcsScheduler([ResourceVector(1000, 1000), ResourceVector(1000, 1000)])
         c = self.make()
-        c.sample(1.0)
+        c.sample(1.0, s.edge_usage())
         assert c.samples[-1].capacity_cpu_millicores == 2000
-        c.nodes[1].alive = False
-        c.sample(2.0)
+        s.handle_node_failure(1, 2.0)
+        c.sample(2.0, s.edge_usage())
         assert c.samples[-1].capacity_cpu_millicores == 1000
 
     def test_entry_lifecycle(self):
@@ -275,10 +275,11 @@ class TestEmitReport:
 
 class TestUtilizationInvariant:
     def test_samples_never_exceed_capacity(self):
-        nodes = [NodeState(0, ResourceVector(1000, 2000))]
-        c = MetricsCollector(nodes)
-        nodes[0].allocated = ResourceVector(1000, 2000)
-        c.sample(1.0)
+        s = HcsScheduler([ResourceVector(1000, 2000)])
+        s._hold(("j", "s"), PlacementPlan(StepSpec("s", ResourceVector(1000, 2000), 1, 1.0),
+                                          {0: 0}))
+        c = MetricsCollector()
+        c.sample(1.0, s.edge_usage())
         s = c.samples[0]
         assert s.cpu_ratio <= 1.0
         assert s.allocated_memory_mb <= s.capacity_memory_mb

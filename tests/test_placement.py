@@ -1,18 +1,14 @@
-"""Placement policy behaviour against hand-worked layouts and the exhaustive oracle."""
+"""Placement policy behaviour against hand-worked layouts and the exhaustive oracle,
+on the test-only NodeState account of tests/oracles.py."""
 
 import random
 
 import pytest
 
-from hcs_sim.core_model import InternalConsistencyError, ResourceVector, StepSpec, ValidationError
-from hcs_sim.placement import (
-    NodeState,
-    PlacementPolicy,
-    apply_plan,
-    release,
-)
+from hcs_sim.core_model import ResourceVector, StepSpec, ValidationError
+from hcs_sim.placement import PlacementPolicy
 
-from oracles import free_of, oracle_feasible, try_place
+from oracles import NodeState, apply_plan, oracle_feasible, release, try_place
 
 
 def nodes_of(*cpu_free, mem=8192, used_mem=0):
@@ -90,31 +86,6 @@ class TestPolicies:
         before = nodes[0].allocated
         try_place(step_of(replicas=3), nodes, PlacementPolicy.FIRST_FIT)
         assert nodes[0].allocated == before
-
-
-class TestApplyRelease:
-    def test_round_trip(self):
-        nodes = nodes_of(4000, 4000)
-        plan, _ = try_place(step_of(replicas=4), nodes, PlacementPolicy.WORST_FIT)
-        apply_plan(plan, nodes)
-        assert free_of(nodes[0]).cpu_millicores == 2000
-        assert free_of(nodes[1]).cpu_millicores == 2000
-        release(plan, nodes)
-        assert free_of(nodes[0]).cpu_millicores == 4000
-        assert free_of(nodes[1]).cpu_millicores == 4000
-
-    def test_over_apply_is_internal_error(self):
-        nodes = nodes_of(1000)
-        plan, _ = try_place(step_of(), nodes, PlacementPolicy.FIRST_FIT)
-        apply_plan(plan, nodes)
-        with pytest.raises(InternalConsistencyError):
-            apply_plan(plan, nodes)
-
-    def test_release_unheld_is_internal_error(self):
-        nodes = nodes_of(4000)
-        plan, _ = try_place(step_of(), nodes, PlacementPolicy.FIRST_FIT)
-        with pytest.raises(InternalConsistencyError):
-            release(plan, nodes)
 
 
 class TestOracle:

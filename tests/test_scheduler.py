@@ -2,6 +2,7 @@
 capacity safety and node-failure handling."""
 
 import random
+from bisect import insort
 
 import pytest
 
@@ -20,8 +21,9 @@ from hcs_sim.hcs_scheduler import (
     Evict,
     HcsScheduler,
     SchedulerMode,
+    _add_load,
 )
-from hcs_sim.placement import NodeState, PlacementPolicy, try_place_free
+from hcs_sim.placement import PlacementPlan, PlacementPolicy, try_place_free
 
 # c_cpu=250, c_mem=0 makes rcost equal cpu/4, so demands map to round rcosts
 QUARTER_CPU = CostParams(c_cpu=250.0, c_mem=0.0)
@@ -35,7 +37,7 @@ def job_with_step(job_id, cpu, replicas=1, step_id="s0", mem=0):
 
 
 def one_node(cpu=4000, mem=8192):
-    return [NodeState(0, ResourceVector(cpu, mem))]
+    return [ResourceVector(cpu, mem)]
 
 
 def edges_of(decision):
@@ -78,7 +80,7 @@ class TestRounds:
         s.submit_request(job_with_step("a", 1000), 5.0)
         d = s.run_round(30.0)
         assert len(edges_of(d)) == 1 and edges_of(d)[0].effective_time == 30.0
-        assert s.nodes[0].allocated.cpu_millicores == 1000
+        assert s._held[0][0] == 1000
 
     def test_expensive_first_ordering(self):
         # cheap job arrives first but the expensive one gets the edge
@@ -105,7 +107,7 @@ class TestEviction:
         f_edge = edges_of(d)
         assert f_edge and f_edge[0].job_id == "f" and f_edge[0].effective_time == 90.0
         # during the window g still physically holds its space
-        assert s.nodes[0].allocated.cpu_millicores == 2000
+        assert s._held[0][0] == 2000
         assert s.has_reservation(("f", "s0"))
 
     def test_victims_strictly_cheaper(self):
@@ -138,7 +140,7 @@ class TestEviction:
         assert s.expire_eviction(("g", "s0"), 90.0) is True
         plan = s.activate_reservation(("f", "s0"), 90.0)
         assert plan.assignments == {0: 0}
-        assert s.nodes[0].allocated.cpu_millicores == 4000
+        assert s._held[0][0] == 4000
         assert ("g", "s0") in s.cloud_sticky and ("f", "s0") in s.resident
 
     def test_victim_completion_cancels_handoff(self):
@@ -168,7 +170,7 @@ class TestEviction:
         s.expire_eviction(("v", "s0"), 90.0)
         s.activate_reservation(("a", "s0"), 90.0)
         s.activate_reservation(("b", "s0"), 90.0)
-        assert s.nodes[0].allocated.cpu_millicores == 3500
+        assert s._held[0][0] == 3500
 
     def test_evicting_step_never_reevicted(self):
         s = HcsScheduler(one_node(cpu=4000), cost_params=MEM_COST)
@@ -197,7 +199,7 @@ class TestSticky:
             s.submit_request(job_with_step(f"j{i}", 100), float(i))
         d = s.run_round(30.0)
         assert len(clouds_of(d)) == 5 and not edges_of(d)
-        assert s.nodes[0].allocated == ResourceVector()
+        assert s._held[0] == [0, 0]
 
 
 class TestCompletion:
@@ -206,7 +208,7 @@ class TestCompletion:
         s.submit_request(job_with_step("a", 1000), 0.0)
         s.run_round(30.0)
         s.complete_step("a", "s0", 45.0)
-        assert s.nodes[0].allocated == ResourceVector()
+        assert s._held[0] == [0, 0]
 
     def test_cloud_completion(self):
         s = HcsScheduler(one_node(cpu=100))
@@ -229,8 +231,7 @@ class TestCompletion:
 
 class TestNodeFailure:
     def two_nodes(self):
-        return [NodeState(0, ResourceVector(2000, 8192)),
-                NodeState(1, ResourceVector(2000, 8192))]
+        return [ResourceVector(2000, 8192), ResourceVector(2000, 8192)]
 
     def test_replan_onto_survivors(self):
         s = HcsScheduler(self.two_nodes(), policy=PlacementPolicy.WORST_FIT)
@@ -241,7 +242,7 @@ class TestNodeFailure:
         moved = edges_of(d)
         assert len(moved) == 1 and set(moved[0].plan.assignments.values()) == {0}
         assert moved[0].effective_time == 40.0
-        assert not s.nodes[1].alive and s.nodes[1].allocated == ResourceVector()
+        assert not s.alive[1] and s._held[1] == [0, 0]
 
     def test_offload_when_no_survivor_fits(self):
         s = HcsScheduler(self.two_nodes())
@@ -307,8 +308,9 @@ class TestCapacityBooks:
         lambda s: s._free_after_evictions.__setitem__(0, (6000, 8192)),
         lambda s: s._victims.reverse(),
         lambda s: s._victims.pop(),
+        lambda s: s._held[0].__setitem__(0, s._held[0][0] + 1),
     ], ids=["free", "evicting", "free_now", "free_after_evictions", "victim_order",
-            "victim_missing"])
+            "victim_missing", "held"])
     def test_a_drifted_book_is_an_internal_error(self, corrupt):
         s = self.loaded()
         s._check_capacity_books()
@@ -317,13 +319,63 @@ class TestCapacityBooks:
             s._check_capacity_books()
 
     def test_a_dead_node_holding_allocations_is_an_internal_error(self):
-        s = HcsScheduler([NodeState(0, ResourceVector(1000, 8192)),
-                          NodeState(1, ResourceVector(1000, 8192))])
+        s = HcsScheduler([ResourceVector(1000, 8192), ResourceVector(1000, 8192)])
         s.handle_node_failure(1, 10.0)
         s._check_capacity_books()
-        s.nodes[1].allocated = ResourceVector(500, 0)
+        s._held[1][0] = 500  # a held load no resident plan backs
+        with pytest.raises(InternalConsistencyError, match="books differ"):
+            s._check_capacity_books()
+        s._held[1][0] = 0
+        # a resident on the dead node with every book in step: only the
+        # recompute's look at `alive` can refuse it
+        plan = PlacementPlan(job_with_step("ghost", 500).dag.steps[0], {0: 1})
+        s.resident[("ghost", "s0")] = plan
+        _add_load(s._held, plan)
+        insort(s._victims, (s.rcost_of(plan.step), ("ghost", "s0")))
         with pytest.raises(InternalConsistencyError, match="dead node 1"):
             s._check_capacity_books()
+
+
+class TestHoldAndDrop:
+    """`_hold` and `_drop` are the only writers of the held load, and refuse
+    what only a broken planner or a double release could ask."""
+
+    def plan(self, cpu, node_ids, mem=0):
+        step = StepSpec("s0", ResourceVector(cpu, mem), len(node_ids), 1.0)
+        return PlacementPlan(step, dict(enumerate(node_ids)))
+
+    def test_round_trip(self):
+        s = HcsScheduler([ResourceVector(4000, 8192), ResourceVector(4000, 8192)])
+        s._hold(("a", "s0"), self.plan(1000, [0, 1, 1], mem=100))
+        assert s._held == [[1000, 100], [2000, 200]]
+        assert s.edge_usage() == (3000, 8000, 300, 16384)
+        s._check_capacity_books()
+        s._drop(("a", "s0"))
+        assert s._held == [[0, 0], [0, 0]] and s._free == [[4000, 8192], [4000, 8192]]
+        assert s.edge_writes == 2
+        s._check_capacity_books()
+
+    def test_hold_on_a_dead_node_is_an_internal_error(self):
+        s = HcsScheduler([ResourceVector(4000, 8192), ResourceVector(4000, 8192)])
+        s.handle_node_failure(1, 10.0)
+        with pytest.raises(InternalConsistencyError,
+                           match="plan assigns replicas to dead node 1"):
+            s._hold(("a", "s0"), self.plan(1000, [0, 1]))
+
+    @pytest.mark.parametrize("cpu, mem", [(600, 0), (0, 5000)], ids=["cpu", "memory"])
+    def test_hold_past_capacity_is_an_internal_error(self, cpu, mem):
+        s = HcsScheduler(one_node(cpu=1000, mem=8192))
+        s._hold(("a", "s0"), self.plan(cpu, [0], mem=mem))
+        with pytest.raises(InternalConsistencyError, match="node 0 over capacity"):
+            s._hold(("b", "s0"), self.plan(cpu, [0], mem=mem))
+
+    def test_drop_of_unheld_allocation_is_an_internal_error(self):
+        s = HcsScheduler(one_node())
+        s._hold(("a", "s0"), self.plan(1000, [0]))
+        s._held[0] = [0, 0]
+        with pytest.raises(InternalConsistencyError,
+                           match="release of unheld allocation on node 0"):
+            s._drop(("a", "s0"))
 
 
 class TestRoundMemo:
@@ -343,7 +395,7 @@ class TestRoundMemo:
         assert [(e.job_id, e.effective_time) for e in edges_of(d)] == [("c", 60.0)]
 
     def test_failure_replacement_after_a_failed_try(self):
-        nodes = [NodeState(0, ResourceVector(1000, 8192)), NodeState(1, ResourceVector(1000, 8192))]
+        nodes = [ResourceVector(1000, 8192), ResourceVector(1000, 8192)]
         s = HcsScheduler(nodes, cost_params=QUARTER_CPU)
         for name in "xyz":
             s.submit_request(job_with_step(name, 1000), 0.0)
@@ -363,9 +415,8 @@ class TestInvariantStreams:
     def run_stream(self, seed):
         rng = random.Random(seed)
         n_nodes = rng.randrange(1, 4)
-        nodes = [NodeState(i, ResourceVector(rng.choice([1000, 2000, 4000]),
-                                             rng.choice([2048, 4096, 8192])))
-                 for i in range(n_nodes)]
+        nodes = [ResourceVector(rng.choice([1000, 2000, 4000]), rng.choice([2048, 4096, 8192]))
+                 for _ in range(n_nodes)]
         policy = rng.choice(list(PlacementPolicy))
         s = HcsScheduler(nodes, policy=policy)
         active = {}  # key -> region
@@ -424,7 +475,7 @@ class TestInvariantStreams:
 
     def test_decisions_deterministic(self):
         def trace(seed):
-            s = HcsScheduler([NodeState(0, ResourceVector(3000, 8192))])
+            s = HcsScheduler([ResourceVector(3000, 8192)])
             rng = random.Random(seed)
             out = []
             for r in range(6):

@@ -6,8 +6,8 @@ jobs, eviction expiries and reservation activations, step completions and
 node failures, on 1 to 200 nodes under every placement policy. Every call must
 return the same (directives included), and at every instant the calls reach
 the two must hold the same round-robin cursor, residents, eviction windows,
-reservations, cloud sets and node allocations, with the fast scheduler's
-capacity books equal to their recompute.
+reservations, cloud sets, node allocations and utilization numbers, with the
+fast scheduler's capacity books equal to their recompute.
 
 Run a wider sweep from a checkout with
 
@@ -27,7 +27,7 @@ from pathlib import Path
 from hcs_sim import hcs_scheduler
 from hcs_sim.core_model import BatchJob, CostParams, PipelineDag, ResourceVector, StepSpec
 from hcs_sim.hcs_scheduler import HcsScheduler
-from hcs_sim.placement import NodeState, PlacementPolicy
+from hcs_sim.placement import PlacementPolicy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import ReferenceScheduler  # noqa: E402
@@ -42,12 +42,11 @@ class Mismatch(AssertionError):
 
 
 class Pair:
-    """One fast and one reference scheduler over equal but separate nodes."""
+    """One fast and one reference scheduler over the same node capacities."""
 
     def __init__(self, capacities, **settings):
-        self.fast = HcsScheduler([NodeState(i, c) for i, c in enumerate(capacities)], **settings)
-        self.ref = ReferenceScheduler([NodeState(i, c) for i, c in enumerate(capacities)],
-                                      **settings)
+        self.fast = HcsScheduler(capacities, **settings)
+        self.ref = ReferenceScheduler(capacities, **settings)
         self.calls = 0
 
     def __call__(self, method, *args):
@@ -63,13 +62,24 @@ class Pair:
         return got
 
     def compare(self) -> None:
-        """Both schedulers hold the same state, and the books are exact."""
+        """Both schedulers hold the same state, the books are exact, and a
+        utilization sample would read the same numbers from both."""
         for name in STATE:
             if getattr(self.fast, name) != getattr(self.ref, name):
                 raise Mismatch(f"after call {self.calls}: {name} differs")
-        if ([(n.alive, n.allocated) for n in self.fast.nodes]
-                != [(n.alive, n.allocated) for n in self.ref.nodes]):
+        nodes = self.ref.nodes
+        if ([(alive, tuple(held)) for alive, held in zip(self.fast.alive, self.fast._held)]
+                != [(n.alive, (n.allocated.cpu_millicores, n.allocated.memory_mb))
+                    for n in nodes]):
             raise Mismatch(f"after call {self.calls}: node allocations differ")
+        live = [n for n in nodes if n.alive]
+        want = (sum(n.allocated.cpu_millicores for n in live),
+                sum(n.capacity.cpu_millicores for n in live),
+                sum(n.allocated.memory_mb for n in live),
+                sum(n.capacity.memory_mb for n in live))
+        if self.fast.edge_usage() != want:
+            raise Mismatch(f"after call {self.calls}: edge usage "
+                           f"{self.fast.edge_usage()} differs from the reference's {want}")
         self.fast._check_capacity_books()
 
 
@@ -121,7 +131,7 @@ def run_stream(seed: int) -> Pair:
                     pair("expire_eviction", key, e)
                 for key in sorted(k for k, (_, x) in fast.reservations.items() if x == e):
                     pair("activate_reservation", key, e)
-            alive = [n.node_id for n in fast.nodes if n.alive]
+            alive = [i for i, up in enumerate(fast.alive) if up]
             if alive and rng.random() < fail_rate:
                 pair("handle_node_failure", rng.choice(alive), t)
             active = sorted((set(fast.resident) | fast.cloud_active) - fast.completed)
@@ -158,9 +168,9 @@ def test_streams_match_the_reference(monkeypatch):
             fast = run_stream(seed).fast
         except Mismatch as e:
             raise Mismatch(f"seed {seed}: {e}") from None
-        alive = sum(n.alive for n in fast.nodes)
-        seen.add("all_dead" if alive == 0 else "some_dead" if alive < len(fast.nodes) else "")
-        seen.add("wide" if len(fast.nodes) > 150 else fast.policy.value)
+        alive = sum(fast.alive)
+        seen.add("all_dead" if alive == 0 else "some_dead" if alive < len(fast.alive) else "")
+        seen.add("wide" if len(fast.alive) > 150 else fast.policy.value)
     assert {"no_room_memo", "no_victims_memo", "wide", "all_dead", "some_dead",
             *(p.value for p in PlacementPolicy)} <= seen, seen
 
