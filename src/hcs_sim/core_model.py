@@ -95,8 +95,15 @@ class PipelineDag:
     def source_ids(self) -> list[str]:
         return [s.step_id for s in self.steps if not self.predecessors(s.step_id)]
 
-    def terminal_ids(self) -> list[str]:
-        return [s.step_id for s in self.steps if not self.successors(s.step_id)]
+    @cached_property
+    def terminal_ids(self) -> tuple[str, ...]:
+        """Steps without successors, computed once per graph."""
+        return tuple(s.step_id for s in self.steps if not self.successors(s.step_id))
+
+    @cached_property
+    def predecessors_by_step(self) -> dict[str, tuple[str, ...]]:
+        """Each step's predecessors in edge order, computed once per graph."""
+        return {s.step_id: tuple(self.predecessors(s.step_id)) for s in self.steps}
 
     @cached_property
     def order(self) -> tuple[str, ...]:

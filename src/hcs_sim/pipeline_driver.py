@@ -19,6 +19,11 @@ pool of equal service times finishes them in start order, a requeue puts the
 lower (cancelled or lost) indices first, and a fragment becomes ready at a
 join no earlier than every lower one. So completions at equal times, which
 the event queue would order by insertion, are ordered by fragment index.
+A feed-forward fragment arrives in the commit that journals it at its last
+predecessor, and a barrier releases, and sets its step's state, in the commit
+that completes its last predecessor. So after a commit, a step's unjournaled
+available fragments are exactly its in-flight ones followed by its ready
+queue, in index order, and a driver restart only requeues the in-flight ones.
 """
 
 from __future__ import annotations
@@ -118,8 +123,8 @@ class PipelineDriver:
         self.m = job.fragment_count
         self.journal: dict[str, set[int] | frozenset[int]] = {sid: set() for sid in self.topo}
         self.steps: dict[str, _StepRuntime] = {}
-        self._preds = {sid: job.dag.predecessors(sid) for sid in self.topo}
-        self.terminal_ids = job.dag.terminal_ids()
+        self._preds = job.dag.predecessors_by_step
+        self.terminal_ids = job.dag.terminal_ids
         self.version = 0  # bumped by every projection
         self._plan: list[tuple] | None = None  # per unfinished step, see _follow
         self._steps_done = 0
@@ -243,10 +248,12 @@ class PipelineDriver:
         if not all(p in finished or self.steps[p].state is StepState.COMPLETED
                    for p in preds):
             return [], [], None
-        # a barrier releases at its last predecessor's completion
+        # a barrier releases at its last predecessor's completion, and its
+        # step journals nothing before that
+        if self.journal[sid]:
+            raise InternalConsistencyError(f"barrier step {sid} journaled before release")
         when = max(finished[p] for p in preds if p in finished)
-        frags = [f for f in range(self.m) if f not in self.journal[sid]]
-        return [when] * len(frags), frags, when
+        return [when] * self.m, list(range(self.m)), when
 
     def _follow(self, t0: float) -> dict[str, float]:
         """Walk every step's schedule from the durable state at t0 and keep it
@@ -299,6 +306,12 @@ class PipelineDriver:
         finish = now + self._service(rt)
         while rt.ready and len(rt.in_flight) < rt.pool:
             rt.in_flight[rt.ready.popleft()] = finish
+
+    def _requeue(self, rt: _StepRuntime, now: float) -> None:
+        """Requeue in-flight fragments at the front, in index order, and start them."""
+        rt.ready.extendleft(sorted(rt.in_flight, reverse=True))
+        rt.in_flight.clear()
+        self._start_ready(rt, now)
 
     # -- deployment -----------------------------------------------------------
 
@@ -365,46 +378,22 @@ class PipelineDriver:
         rt = self.step_runtime(step_id)
         if rt.region is None or rt.state is StepState.COMPLETED:
             raise InternalConsistencyError(f"redeploy of undeployed/completed step {step_id}")
-        lost = sorted(rt.in_flight)
-        rt.in_flight.clear()
-        rt.ready.extendleft(reversed(lost))
         rt.pending_switch = None
         rt.region = region
         rt.pool = pool_size
-        self._start_ready(rt, now)
+        self._requeue(rt, now)
 
     # -- restart ------------------------------------------------------------
 
     def resume_from_journal(self, now: float) -> None:
-        """Rebuild volatile dispatch state after a driver restart.
+        """Restart the driver: in-flight work is lost and starts again.
 
-        The journal, the regions and pending eviction notices are
-        durable; the in-flight set is lost, so unjournaled fragments are
-        re-queued and started again. Already-journaled work is never resent.
+        The journal, regions, step states and eviction notices are durable.
+        After the commit a step's unjournaled available fragments are exactly
+        its in-flight ones followed by its ready queue, in index order (see the
+        module docstring), so requeueing the in-flight ones is the whole
+        rebuild. Journaled work is never resent.
         """
         self.commit(now)
-        for sid in self.topo:
-            rt = self.steps[sid]
-            rt.in_flight.clear()
-            journal = self.journal[sid]
-            if len(journal) == self.m:
-                if rt.state is not StepState.COMPLETED:
-                    rt.state = StepState.COMPLETED
-                rt.ready.clear()
-                continue
-            upstream = [self.journal[p] for p in self._preds[sid]]
-            rt.barrier_released = all(len(j) == self.m for j in upstream)
-            if rt.barrier_released:
-                rt.ready = deque(f for f in range(self.m) if f not in journal)
-            elif rt.spec.feed_forward:
-                rt.ready = deque(f for f in range(self.m) if f not in journal
-                                 and all(f in j for j in upstream))
-            else:
-                rt.ready = deque()
-            if rt.region is None:
-                rt.state = StepState.PENDING
-            elif rt.spec.feed_forward or rt.barrier_released:
-                rt.state = StepState.RUNNING
-                self._start_ready(rt, now)
-            else:
-                rt.state = StepState.WAITING
+        for rt in self.steps.values():
+            self._requeue(rt, now)

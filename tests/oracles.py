@@ -6,10 +6,11 @@ queue, no epochs, no eviction handling. Slow but obviously correct. Next to
 it, the per-fragment engine the package used before per-step schedules: one
 event per fragment completion, the differential oracle for the fast engine;
 the driver's commit before plans were kept, which walks the schedule again
-instead of cutting the stored plan; the per-cell report writer; and the
-scheduler before incremental capacity books, the differential oracle for
-the scheduler, with the per-node allocation account it kept before the
-scheduler's books owned edge allocation.
+instead of cutting the stored plan; the driver's restart before it only
+requeued in-flight work, which rebuilds every queue from the journal; the
+per-cell report writer; and the scheduler before incremental capacity books,
+the differential oracle for the scheduler, with the per-node allocation
+account it kept before the scheduler's books owned edge allocation.
 """
 
 from __future__ import annotations
@@ -365,6 +366,38 @@ def rewalk_commit(drv, t0, cut):
             rt.pending_switch = None
 
 
+def rebuild_from_journal(drv, now):
+    """PipelineDriver.resume_from_journal as it was before a restart only
+    requeued in-flight work: commit, then rebuild every step's ready queue,
+    barrier flag and state from the journal by a scan of its fragments."""
+    drv.commit(now)
+    for sid in drv.topo:
+        rt = drv.steps[sid]
+        rt.in_flight.clear()
+        journal = drv.journal[sid]
+        if len(journal) == drv.m:
+            if rt.state is not StepState.COMPLETED:
+                rt.state = StepState.COMPLETED
+            rt.ready.clear()
+            continue
+        upstream = [drv.journal[p] for p in drv._preds[sid]]
+        rt.barrier_released = all(len(j) == drv.m for j in upstream)
+        if rt.barrier_released:
+            rt.ready = deque(f for f in range(drv.m) if f not in journal)
+        elif rt.spec.feed_forward:
+            rt.ready = deque(f for f in range(drv.m) if f not in journal
+                             and all(f in j for j in upstream))
+        else:
+            rt.ready = deque()
+        if rt.region is None:
+            rt.state = StepState.PENDING
+        elif rt.spec.feed_forward or rt.barrier_released:
+            rt.state = StepState.RUNNING
+            drv._start_ready(rt, now)
+        else:
+            rt.state = StepState.WAITING
+
+
 # -- the per-cell report writer ---------------------------------------------------
 
 
@@ -410,7 +443,7 @@ class FragmentDriver:
         self.journal = {sid: set() for sid in self.topo}
         self._preds = {sid: job.dag.predecessors(sid) for sid in self.topo}
         self._succs = {sid: job.dag.successors(sid) for sid in self.topo}
-        self.terminal_ids = job.dag.terminal_ids()
+        self.terminal_ids = job.dag.terminal_ids
         self.completed_at = None
         self.outbox = []
         self.steps = {}

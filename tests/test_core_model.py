@@ -188,7 +188,7 @@ class TestDag:
         dag = PipelineDag([make_step("a"), make_step("b"), make_step("c")],
                           [("a", "c"), ("b", "c")])
         assert dag.source_ids() == ["a", "b"]
-        assert dag.terminal_ids() == ["c"]
+        assert dag.terminal_ids == ("c",)
         assert dag_violations(dag) == []
 
 

@@ -248,8 +248,23 @@ def _join_tie_scenario() -> Scenario:
                     round_length=10.0, edge_speed=1.0, horizon=14.5)
 
 
+def _restart_scenario(*faults, barrier=False) -> Scenario:
+    """A job a -> b of 4 fragments arrives at t=0 and runs on edge node 0 from
+    the t=10 round: a takes 1 s per fragment and completes at 14, b 2 s per
+    fragment, fed forward (done at 19) or behind a barrier (done at 22)."""
+    job = BatchJob("p", PipelineDag(
+        [_step("a", 500), _step("b", 500, service=2.0, ff=not barrier)], [("a", "b")]), 4, 1e6)
+    return Scenario(scenario_id="hand", node_capacities=(ResourceVector(2000, 4096),) * 2,
+                    catalog={"p": job}, arrivals=ExplicitArrivals((0.0,)),
+                    round_length=10.0, edge_speed=1.0, faults=faults)
+
+
 def _regions(report, step_id):
     return [(e.region, e.deploy_start) for e in report.cost_ledger if e.step_id == step_id]
+
+
+def _spans(report, step_id):
+    return [(e.deploy_start, e.deploy_end) for e in report.cost_ledger if e.step_id == step_id]
 
 
 # name -> (scenario, what its run must show so the case tests what it says)
@@ -265,6 +280,28 @@ HAND_BUILT = {
         _join_tie_scenario,
         lambda report, drivers: report.horizon_reached
         and drivers["t-0000"].journal["s3"] == {0}),
+    # a's completion is handled first and closes its entry at 14; the restart
+    # loses b's fragment 1 (13 -> 15), so b finishes at 20, not 19
+    "restart-at-step-completion": (
+        lambda: _restart_scenario(DriverRestartFault(14.0, 0)),
+        lambda report, drivers: _spans(report, "a") == [(10.0, 14.0)]
+        and _spans(report, "b") == [(10.0, 20.0)]),
+    # the driver exists from the arrival at 0, no step is deployed before 10
+    "restart-before-first-round": (
+        lambda: _restart_scenario(DriverRestartFault(5.0, 0)),
+        lambda report, drivers: min(e.deploy_start for e in report.cost_ledger) == 10.0
+        and _spans(report, "b") == [(10.0, 19.0)]),
+    # b is deployed at 10 and waits for a, which loses fragment 2 (12 -> 13)
+    "restart-while-barrier-waits": (
+        lambda: _restart_scenario(DriverRestartFault(12.5, 0), barrier=True),
+        lambda report, drivers: _spans(report, "a") == [(10.0, 14.5)]
+        and _spans(report, "b") == [(10.0, 22.5)]),
+    # node 0 fails at 12.5 and both steps move to node 1; the restart at the
+    # same instant requeues the fragments the move has just started
+    "restart-with-failure-that-rehomes": (
+        lambda: _restart_scenario(NodeFailureFault(12.5, 0), DriverRestartFault(12.5, 0)),
+        lambda report, drivers: _regions(report, "a") == [("edge", 10.0), ("edge", 12.5)]
+        and _regions(report, "b") == [("edge", 10.0), ("edge", 12.5)]),
 }
 
 

@@ -24,7 +24,13 @@ from hcs_sim.cli import load_scenario
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
 from hcs_sim.sim_engine import run_detailed
 
-from oracles import chain_makespan, counting_completions, pipeline_makespan, rewalk_commit
+from oracles import (
+    chain_makespan,
+    counting_completions,
+    pipeline_makespan,
+    rebuild_from_journal,
+    rewalk_commit,
+)
 
 CLOUD = "cloud"
 EDGE = "edge"
@@ -149,6 +155,13 @@ class TestDeploySemantics:
         rt = before.steps["s1"]
         assert rt.state is StepState.WAITING and not rt.barrier_released
         assert not rt.in_flight and not rt.ready
+
+    def test_barrier_journaled_before_release_is_an_internal_error(self):
+        drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
+        drv.on_deploy("s0", CLOUD, 1, 0.0)
+        drv.journal["s1"].add(0)
+        with pytest.raises(InternalConsistencyError, match="journaled before release"):
+            drv.project(0.0)
 
     def test_double_deploy_rejected(self):
         drv = PipelineDriver(make_job(1, 1))
@@ -307,7 +320,8 @@ def _clone(drv):
     c.journal = {sid: set(j) for sid, j in drv.journal.items()}
     c.steps = {sid: dataclasses.replace(rt, ready=deque(rt.ready), in_flight=dict(rt.in_flight))
                for sid, rt in drv.steps.items()}
-    c._plan = [(sid, c.steps[sid], *rest) for sid, _, *rest in drv._plan]
+    if drv._plan is not None:
+        c._plan = [(sid, c.steps[sid], *rest) for sid, _, *rest in drv._plan]
     return c
 
 
@@ -359,12 +373,11 @@ def _interrupt(drv, rng, now):
         drv.redeploy(pick[1], rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), now)
 
 
-def test_commit_cuts_the_plan_as_a_rewalk_would():
-    """Committing the stored plan at any instant leaves the same durable
-    state as walking the schedule again from the plan's start up to it."""
-    rng = random.Random(8)
-    cuts_checked = workers_bound = 0
-    for trial in range(150):
+def _random_plans(rng, trials):
+    """Random jobs, each projected up to 8 times with a random interruption
+    between projections. Yields (trial, driver, plan start, cuts), the cuts
+    being every time the plan holds and the instants just around it."""
+    for trial in range(trials):
         job = _random_job(rng, trial)
         drv = PipelineDriver(job, edge_speed=0.8, cloud_speed=1.0)
         for sid in drv.topo:
@@ -377,22 +390,58 @@ def test_commit_cuts_the_plan_as_a_rewalk_would():
             for _, rt, _, _, a_times, fins, _, _ in drv._plan:
                 times.update(a_times, fins, rt.in_flight.values())
             cuts = sorted({c + e for c in times for e in (-1e-9, 0.0, 1e-9)})
-            # cuts where the workers freed, not the fragments ready, bound the starts
-            for _, rt, _, n_ready, a_times, fins, free, _ in drv._plan:
-                for cut in cuts if free is not None else ():
-                    freed = free + sum(fin <= cut for fin in [*rt.in_flight.values(), *fins])
-                    workers_bound += freed < n_ready + bisect_right(a_times, cut)
-            for cut in cuts:
-                cut_drv, walk_drv = _clone(drv), _clone(drv)
-                cut_drv.commit(cut)
-                rewalk_commit(walk_drv, t0, cut)
-                assert _state(cut_drv) == _state(walk_drv), (trial, t0, cut)
-                cuts_checked += 1
+            yield trial, drv, t0, cuts
             t0 = rng.choice([c for c in cuts if c < 30.0] or [t0])
             _interrupt(drv, rng, t0)
             if drv.is_complete():
                 break
+
+
+def test_commit_cuts_the_plan_as_a_rewalk_would():
+    """Committing the stored plan at any instant leaves the same durable
+    state as walking the schedule again from the plan's start up to it."""
+    cuts_checked = workers_bound = 0
+    for trial, drv, t0, cuts in _random_plans(random.Random(8), 150):
+        # cuts where the workers freed, not the fragments ready, bound the starts
+        for _, rt, _, n_ready, a_times, fins, free, _ in drv._plan:
+            for cut in cuts if free is not None else ():
+                freed = free + sum(fin <= cut for fin in [*rt.in_flight.values(), *fins])
+                workers_bound += freed < n_ready + bisect_right(a_times, cut)
+        for cut in cuts:
+            cut_drv, walk_drv = _clone(drv), _clone(drv)
+            cut_drv.commit(cut)
+            rewalk_commit(walk_drv, t0, cut)
+            assert _state(cut_drv) == _state(walk_drv), (trial, t0, cut)
+            cuts_checked += 1
     assert cuts_checked > 10000 and workers_bound > 1000
+
+
+def _restart_state(drv):
+    """The durable state a restart leaves; a feed-forward step's barrier flag
+    is left out, because nothing reads it."""
+    return ({sid: set(j) for sid, j in drv.journal.items()},
+            {sid: (rt.in_flight, list(rt.ready), rt.state, rt.pending_switch,
+                   None if rt.spec.feed_forward else rt.barrier_released)
+             for sid, rt in drv.steps.items()})
+
+
+def test_restart_requeues_as_a_rebuild_from_the_journal_would():
+    """A restart at any instant of a plan leaves the same state as rebuilding
+    every step's queue, barrier flag and state from the journal."""
+    cuts_checked = in_window = barrier_waiting = 0
+    for trial, drv, _, cuts in _random_plans(random.Random(11), 140):
+        for cut in cuts:
+            restarted = _clone(drv)
+            restarted.commit(cut)
+            rebuilt = _clone(restarted)
+            restarted.resume_from_journal(cut)
+            rebuild_from_journal(rebuilt, cut)
+            assert _restart_state(restarted) == _restart_state(rebuilt), (trial, cut)
+            rts = restarted.steps.values()
+            cuts_checked += 1
+            in_window += any(rt.pending_switch is not None for rt in rts)
+            barrier_waiting += any(rt.state is StepState.WAITING for rt in rts)
+    assert cuts_checked > 10000 and in_window > 1000 and barrier_waiting > 1000
 
 
 def test_finished_steps_share_one_journal():
