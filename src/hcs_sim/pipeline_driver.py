@@ -21,17 +21,19 @@ join no earlier than every lower one. So completions at equal times, which
 the event queue would order by insertion, are ordered by fragment index.
 A feed-forward fragment arrives in the commit that journals it at its last
 predecessor, and a barrier releases, and sets its step's state, in the commit
-that completes its last predecessor. So after a commit, a step's unjournaled
-available fragments are exactly its in-flight ones followed by its ready
-queue, in index order, and a driver restart only requeues the in-flight ones.
+that completes its last predecessor. Hence the law the state is written in:
+after every mutation a step's journal is the prefix 0..k-1, its in-flight
+fragments are the next i indices, with non-decreasing finish times, and its
+ready queue is the r indices after those. A step keeps k, the i finish times
+and r, never a fragment id; a driver restart only requeues the in-flight
+ones, and the fragments that become ready at a join are the common prefix of
+its predecessors' journaled and planned ones.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
 from heapq import heapify, heapreplace
 from itertools import accumulate, repeat
 
@@ -52,12 +54,21 @@ def cloud_pool_size(step: StepSpec, cloud_concurrency: int | None = None) -> int
 
 @dataclass
 class _StepRuntime:
+    """A step's durable state, as counts of its fragments in index order.
+
+    Fragments 0..done-1 are journaled; flight holds the finish times,
+    non-decreasing, of the next len(flight), which are in flight; the ready
+    fragments after those queue. flight is only ever replaced, never changed
+    in place: a plan shares it.
+    """
+
     spec: StepSpec
     state: StepState = StepState.PENDING
     region: str | None = None  # "edge" or "cloud" once deployed
     pool: int = 0
-    ready: deque = field(default_factory=deque)
-    in_flight: dict[int, float] = field(default_factory=dict)
+    done: int = 0
+    flight: list[float] = field(default_factory=list)
+    ready: int = 0
     # (expiry, cloud pool) once an eviction notice arrives
     pending_switch: tuple[float, int] | None = None
     barrier_released: bool = False
@@ -92,20 +103,14 @@ def _fifo(times: list[float], busy: list[float], free: int, t0: float,
     return fins
 
 
-@cache
-def _full_journal(m: int) -> frozenset[int]:
-    """The journal of a finished step, one shared object per fragment count."""
-    return frozenset(range(m))
-
-
 class PipelineDriver:
     """Drives one job's fragments through its pipeline.
 
-    The journal (per-step sets of completed fragments) is the durable record:
-    a restart loses in-flight work but never journaled completions, and no
-    fragment is ever journaled twice at the same step. A finished step's set
-    is the frozenset shared by every step with its fragment count. The job's graph, the
-    speeds and the pools come from a Scenario, which has validated them.
+    The journal (each step's count of completed fragments, a prefix of the
+    indices) is the durable record: a restart loses in-flight work but never
+    journaled completions, and no count passes the fragment count. The job's
+    graph, the speeds and the pools come from a Scenario, which has validated
+    them.
 
     Protocol: project(now) plans the job and returns its step completions;
     the caller reports each with on_step_complete(step, time) while the plan
@@ -121,7 +126,6 @@ class PipelineDriver:
         self.cloud_speed = cloud_speed
         self.topo = job.dag.order
         self.m = job.fragment_count
-        self.journal: dict[str, set[int] | frozenset[int]] = {sid: set() for sid in self.topo}
         self.steps: dict[str, _StepRuntime] = {}
         self._preds = job.dag.predecessors_by_step
         self.terminal_ids = job.dag.terminal_ids
@@ -131,7 +135,7 @@ class PipelineDriver:
         for sid in self.topo:
             rt = _StepRuntime(job.dag.step(sid))
             if not self._preds[sid]:
-                rt.ready = deque(range(self.m))
+                rt.ready = self.m
                 rt.barrier_released = True
             self.steps[sid] = rt
 
@@ -174,30 +178,30 @@ class PipelineDriver:
         plan, self._plan = self._plan, None
         if plan is None:
             return
-        for sid, rt, frags, n_ready, a_times, fins, free, release in plan:
-            landed = sorted((fin, f) for f, fin in rt.in_flight.items() if fin <= now)
+        for sid, rt, n_ready, a_times, fins, free, release in plan:
+            flight = rt.flight
+            n_fl = bisect_right(flight, now)
             n_landed = bisect_right(fins, now)
+            if n_landed and n_fl < len(flight):
+                raise InternalConsistencyError(
+                    f"step {sid}: a queued fragment finished before an in-flight one")
             n_arrived = n_ready + bisect_right(a_times, now)
-            n_started = 0 if free is None else min(n_arrived, free + len(landed) + n_landed)
-            out = [f for _, f in landed] + frags[:n_landed]
-            if out:
-                self._journal(sid, out)
-            if landed:
-                rt.in_flight = {f: fin for f, fin in rt.in_flight.items() if fin > now}
-            rt.in_flight.update(zip(frags[n_landed:n_started], fins[n_landed:n_started]))
-            rt.ready = deque(frags[n_started:n_arrived])
+            n_started = 0 if free is None else min(n_arrived, free + n_fl + n_landed)
+            if n_fl or n_landed:
+                self._journal(rt, n_fl + n_landed)
+            rt.flight = flight[n_fl:] + fins[n_landed:n_started]
+            rt.ready = n_arrived - n_started
             if release is not None and release <= now:
                 rt.barrier_released = True
                 if rt.state is StepState.WAITING:
                     assert_step_transition(rt.state, StepState.RUNNING)
                     rt.state = StepState.RUNNING
-            if len(self.journal[sid]) == self.m:
-                if rt.in_flight or rt.ready:
+            if rt.done == self.m:
+                if rt.flight or rt.ready:
                     raise InternalConsistencyError(f"step {sid} complete with work left")
                 assert_step_transition(rt.state, StepState.COMPLETED)
                 rt.state = StepState.COMPLETED
                 rt.pending_switch = None
-                self.journal[sid] = _full_journal(self.m)
 
     def on_step_complete(self, step_id: str, now: float) -> bool:
         """A step completion of the current plan happened; returns whether the
@@ -213,89 +217,82 @@ class PipelineDriver:
                 f"job {self.job.job_id}: every step reported complete, journal disagrees")
         return True
 
-    def _journal(self, step_id: str, fragments: list[int]) -> None:
-        """Record completed fragments at a step; the only writer of the journal."""
-        journal = self.journal[step_id]
-        before = len(journal)
-        if before == self.m:  # a finished step's journal is the shared frozen set
-            raise InternalConsistencyError(f"fragment journaled twice at step {step_id}")
-        journal.update(fragments)
-        if len(journal) != before + len(fragments):
-            raise InternalConsistencyError(f"fragment journaled twice at step {step_id}")
+    def _journal(self, rt: _StepRuntime, count: int) -> None:
+        """Record the next count completed fragments at a step; the only
+        writer of the journal."""
+        if rt.done + count > self.m:
+            raise InternalConsistencyError(
+                f"fragment journaled twice at step {rt.spec.step_id}")
+        rt.done += count
 
-    def _arrivals(self, sid: str, t0: float, done: dict, finished: dict
-                  ) -> tuple[list[float], list[int], float | None]:
-        """Fragments the plan makes ready at a step, in the order they queue.
-
-        Returns their ready times and ids, and, for a barrier that releases
-        within the plan, its release time.
+    def _arrivals(self, sid: str, rt: _StepRuntime, t0: float, done: dict,
+                  finished: dict) -> tuple[list[float], float | None]:
+        """Ready times of the fragments the plan makes ready at a step, in
+        index order after its available ones, and, for a barrier that
+        releases within the plan, its release time.
         """
         preds = self._preds[sid]
-        if self.steps[sid].spec.feed_forward:
+        if rt.spec.feed_forward:
             if len(preds) == 1:
-                return (*done[preds[0]], None)
+                return done[preds[0]], None
             # a join: a fragment is ready once every predecessor finished it,
-            # at the last of those completions within the plan
-            ready: dict[int, float] = {}
+            # at the last of those completions within the plan; a predecessor
+            # that journaled it before t0 counts t0, earlier than every finish
+            # of the plan, so max picks the same float as a walk would
+            avail = rt.done + len(rt.flight) + rt.ready
+            aligned = []
             for p in preds:
-                for fin, f in zip(*done[p]):
-                    if fin > ready.get(f, t0):
-                        ready[f] = fin
-            planned = [(set(done[p][1]), self.journal[p]) for p in preds]
-            order = sorted((t, f) for f, t in ready.items()
-                           if all(f in now or f in before for now, before in planned))
-            return [t for t, _ in order], [f for _, f in order], None
+                lead = self.steps[p].done - avail
+                aligned.append([t0] * lead + done[p] if lead else done[p])
+            return list(map(max, *aligned)), None
         if not all(p in finished or self.steps[p].state is StepState.COMPLETED
                    for p in preds):
-            return [], [], None
+            return [], None
         # a barrier releases at its last predecessor's completion, and its
         # step journals nothing before that
-        if self.journal[sid]:
+        if rt.done:
             raise InternalConsistencyError(f"barrier step {sid} journaled before release")
         when = max(finished[p] for p in preds if p in finished)
-        return [when] * self.m, list(range(self.m)), when
+        return [when] * self.m, when
 
     def _follow(self, t0: float) -> dict[str, float]:
         """Walk every step's schedule from the durable state at t0 and keep it
         as the plan commit cuts.
 
         Returns the completion time of each step the schedule finishes. A
-        step's plan holds its queue (ready fragments, then the ones that
-        arrive), the number ready at t0, the arrival times, the finish times
-        of the queue, the idle workers at t0 (None when the step does not
-        dispatch) and the barrier's release time (None when it does not
-        release). It stores no copy of the in-flight set or the ready queue:
-        every mutator commits before it changes them.
+        step's plan holds the number of fragments ready at t0, the ready
+        times of the ones that arrive after them, the finish times of the
+        queue, the idle workers at t0 (None when the step does not dispatch)
+        and the barrier's release time (None when it does not release). It
+        stores no copy of the in-flight finish times: every mutator commits
+        before it replaces them.
         """
-        # per step, its completions in the plan, in order: (finish times, fragments)
-        done: dict[str, tuple[list[float], list[int]]] = {}
+        # per step, the finish times of its next unjournaled fragments in the plan
+        done: dict[str, list[float]] = {}
         finished: dict[str, float] = {}
         plan = []
         for sid in self.topo:
             rt = self.steps[sid]
             if rt.state is StepState.COMPLETED:
-                done[sid] = ([], [])
+                done[sid] = []
                 continue
-            frags = list(rt.ready)
-            n_ready = len(frags)
+            n_ready = rt.ready
             a_times: list[float] = []
             release = None
             if self._preds[sid] and (rt.spec.feed_forward or not rt.barrier_released):
-                a_times, a_frags, release = self._arrivals(sid, t0, done, finished)
-                frags += a_frags
-            flight = sorted((fin, f) for f, fin in rt.in_flight.items())
-            busy = [fin for fin, _ in flight]
+                a_times, release = self._arrivals(sid, rt, t0, done, finished)
+            busy = rt.flight
             fins: list[float] = []
             free = None
-            if (frags and rt.region is not None and rt.pending_switch is None
+            if ((n_ready or a_times) and rt.region is not None and rt.pending_switch is None
                     and (rt.spec.feed_forward or rt.barrier_released or release is not None)):
-                free = rt.pool - len(flight)
+                free = rt.pool - len(busy)
                 fins = _fifo([t0] * n_ready + a_times, busy, free, t0, self._service(rt))
             all_fins = busy + fins if busy else fins
-            done[sid] = (all_fins, [f for _, f in flight] + frags[:len(fins)])
-            if len(self.journal[sid]) + len(all_fins) == self.m:
+            done[sid] = all_fins
+            if rt.done + len(all_fins) == self.m:
                 finished[sid] = all_fins[-1]
-            plan.append((sid, rt, frags, n_ready, a_times, fins, free, release))
+            plan.append((sid, rt, n_ready, a_times, fins, free, release))
         self._plan = plan
         return finished
 
@@ -303,14 +300,15 @@ class PipelineDriver:
         """Hand ready fragments to idle workers at an interruption's instant."""
         if rt.state is not StepState.RUNNING or rt.pending_switch is not None:
             return
-        finish = now + self._service(rt)
-        while rt.ready and len(rt.in_flight) < rt.pool:
-            rt.in_flight[rt.ready.popleft()] = finish
+        n = min(rt.ready, rt.pool - len(rt.flight))
+        if n > 0:
+            rt.flight = rt.flight + [now + self._service(rt)] * n
+            rt.ready -= n
 
     def _requeue(self, rt: _StepRuntime, now: float) -> None:
-        """Requeue in-flight fragments at the front, in index order, and start them."""
-        rt.ready.extendleft(sorted(rt.in_flight, reverse=True))
-        rt.in_flight.clear()
+        """Requeue in-flight fragments at the front of the queue and start them."""
+        rt.ready += len(rt.flight)
+        rt.flight = []
         self._start_ready(rt, now)
 
     # -- deployment -----------------------------------------------------------
@@ -335,7 +333,7 @@ class PipelineDriver:
     # -- eviction and failure handoff ----------------------------------------
 
     def on_eviction_notice(self, step_id: str, expiry: float, cloud_pool: int,
-                           now: float) -> list[int]:
+                           now: float) -> None:
         """Stop feeding the edge deployment; cancel work that cannot finish in time.
 
         In-flight fragments finishing by the expiry run to completion; the rest
@@ -348,12 +346,10 @@ class PipelineDriver:
             raise InternalConsistencyError(f"eviction notice for non-edge step {step_id}")
         if rt.pending_switch is not None:
             raise InternalConsistencyError(f"step {step_id} already has an eviction pending")
-        cancelled = sorted(f for f, fin in rt.in_flight.items() if fin > expiry)
-        for f in cancelled:
-            del rt.in_flight[f]
-        rt.ready.extendleft(reversed(cancelled))
+        keep = bisect_right(rt.flight, expiry)
+        rt.ready += len(rt.flight) - keep
+        rt.flight = rt.flight[:keep]
         rt.pending_switch = (expiry, cloud_pool)
-        return cancelled
 
     def switch_at_expiry(self, step_id: str, now: float) -> None:
         """Move a noticed step to the cloud and resume work."""
@@ -364,7 +360,7 @@ class PipelineDriver:
         expiry, pool = rt.pending_switch
         if now < expiry:
             raise InternalConsistencyError(f"switch for {step_id} before expiry")
-        if rt.in_flight:
+        if rt.flight:
             raise InternalConsistencyError(
                 f"step {step_id} still has in-flight work at eviction expiry")
         rt.pending_switch = None
@@ -389,10 +385,9 @@ class PipelineDriver:
         """Restart the driver: in-flight work is lost and starts again.
 
         The journal, regions, step states and eviction notices are durable.
-        After the commit a step's unjournaled available fragments are exactly
-        its in-flight ones followed by its ready queue, in index order (see the
-        module docstring), so requeueing the in-flight ones is the whole
-        rebuild. Journaled work is never resent.
+        After the commit a step's in-flight fragments are the ones just past
+        its journal and before its ready ones (see the module docstring), so
+        requeueing them is the whole rebuild. Journaled work is never resent.
         """
         self.commit(now)
         for rt in self.steps.values():

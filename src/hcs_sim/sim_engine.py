@@ -490,7 +490,7 @@ def run_detailed(scenario: Scenario,
                  arrivals: list[ScheduledArrival] | None = None
                  ) -> tuple[RunReport, dict[str, PipelineDriver]]:
     """Like run(), but also returns the final per-job drivers so callers can
-    inspect journals (e.g. exactly-once verification)."""
+    inspect each step's journal count (e.g. exactly-once verification)."""
     if arrivals is None:
         arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
     log.info("run %s: %d arrivals, mode=%s placement=%s",

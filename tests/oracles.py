@@ -4,11 +4,13 @@ Deliberately written with a different structure from the package under test:
 a scan-everything time-stepping loop over explicit worker slots, no event
 queue, no epochs, no eviction handling. Slow but obviously correct. Next to
 it, the per-fragment engine the package used before per-step schedules: one
-event per fragment completion, the differential oracle for the fast engine;
-the driver's commit before plans were kept, which walks the schedule again
-instead of cutting the stored plan; the driver's restart before it only
-requeued in-flight work, which rebuilds every queue from the journal; the
-per-cell report writer; and the scheduler before incremental capacity books,
+event per fragment completion, the differential oracle for the fast engine,
+which also checks the prefix law the driver's per-step counts rest on; a view
+that expands those counts into fragment ids; the driver's commit before plans
+were kept, which walks the schedule again, over fragment ids, instead of
+cutting the stored plan; the driver's restart before it only requeued
+in-flight work, which rebuilds every queue from the journals; the per-cell
+report writer; and the scheduler before incremental capacity books,
 the differential oracle for the scheduler, with the per-node allocation
 account it kept before the scheduler's books owned edge allocation.
 """
@@ -254,23 +256,53 @@ def oracle_feasible(step, nodes, max_replicas=12, max_nodes=6):
 def counting_completions():
     """Count every fragment PipelineDriver journals while active.
 
-    Yields a Counter keyed by (job_id, step_id, fragment). It counts what is
-    handed to the journal's only writer, independently of the journal, so
-    exactly-once checks do not rely on the bookkeeping they verify.
+    Yields a Counter keyed by (job_id, step_id, fragment). It counts the
+    indices handed to the journal's only writer, range(done, done + count),
+    independently of the journal, so exactly-once checks do not rely on the
+    bookkeeping they verify.
     """
     counts = Counter()
     real = PipelineDriver._journal
 
-    def counting(self, step_id, fragments):
-        for f in fragments:
-            counts[(self.job.job_id, step_id, f)] += 1
-        return real(self, step_id, fragments)
+    def counting(self, rt, count):
+        for f in range(rt.done, rt.done + count):
+            counts[(self.job.job_id, rt.spec.step_id, f)] += 1
+        return real(self, rt, count)
 
     PipelineDriver._journal = counting
     try:
         yield counts
     finally:
         PipelineDriver._journal = real
+
+
+def prefix_law_breach(journal, in_flight, ready):
+    """How a step's fragments break the law PipelineDriver keeps them by, or
+    None: the journal is 0..k-1, the in-flight fragments are the next i
+    indices with non-decreasing finish times, and the ready queue holds the
+    r indices after those, in order."""
+    k, i = len(journal), len(in_flight)
+    if journal != set(range(k)):
+        return "journal is not a prefix"
+    if sorted(in_flight) != list(range(k, k + i)):
+        return "in-flight fragments do not follow the journal"
+    fins = [in_flight[f] for f in range(k, k + i)]
+    if fins != sorted(fins):
+        return "in-flight finish times decrease"
+    if list(ready) != list(range(k + i, k + i + len(ready))):
+        return "ready queue does not follow the in-flight fragments"
+    return None
+
+
+def fragment_view(drv):
+    """A PipelineDriver's per-step counts expanded into fragment ids:
+    {step: (journal set, {fragment: finish}, ready list)}."""
+    view = {}
+    for sid, rt in drv.steps.items():
+        k, i = rt.done, len(rt.flight)
+        view[sid] = (set(range(k)), dict(zip(range(k, k + i), rt.flight)),
+                     list(range(k + i, k + i + rt.ready)))
+    return view
 
 
 # -- the re-walking commit -------------------------------------------------------
@@ -291,7 +323,7 @@ def _fifo_until(times, busy, free, t0, duration, cut):
     return fins
 
 
-def _rewalk_arrivals(drv, sid, t0, done, finished):
+def _rewalk_arrivals(drv, view, sid, t0, done, finished):
     """Fragments a walk up to its cut makes ready at a step: (ready times,
     fragments, whether a barrier releases)."""
     preds = drv._preds[sid]
@@ -303,22 +335,25 @@ def _rewalk_arrivals(drv, sid, t0, done, finished):
             for fin, f in zip(*done[p]):
                 if fin > ready.get(f, t0):
                     ready[f] = fin
-        planned = [(set(done[p][1]), drv.journal[p]) for p in preds]
+        planned = [(set(done[p][1]), view[p][0]) for p in preds]
         order = sorted((t, f) for f, t in ready.items()
                        if all(f in now or f in before for now, before in planned))
         return [t for t, _ in order], [f for _, f in order], False
     if not all(p in finished or drv.steps[p].state is StepState.COMPLETED for p in preds):
         return [], [], False
     when = max(finished[p] for p in preds if p in finished)
-    frags = [f for f in range(drv.m) if f not in drv.journal[sid]]
+    frags = [f for f in range(drv.m) if f not in view[sid][0]]
     return [when] * len(frags), frags, True
 
 
 def rewalk_commit(drv, t0, cut):
-    """PipelineDriver.commit as it was before plans were kept: drop the plan
-    projected at t0 and walk every step's schedule again from the committed
-    state, up to cut, moving the durable state along it."""
+    """PipelineDriver.commit as it was before plans were kept and before
+    steps kept counts: drop the plan projected at t0 and walk every step's
+    schedule again from the committed state, expanded into fragment ids, up
+    to cut, moving the durable state along it; the ids it leaves must obey
+    the prefix law to be written back as counts."""
     drv._plan = None
+    view = fragment_view(drv)
     done = {}
     finished = {}
     for sid in drv.topo:
@@ -326,14 +361,15 @@ def rewalk_commit(drv, t0, cut):
         if rt.state is StepState.COMPLETED:
             done[sid] = ([], [])
             continue
-        frags = list(rt.ready)
+        journal, in_flight, queue = view[sid]
+        frags = list(queue)
         times = [t0] * len(frags)
         released = False
         if drv._preds[sid] and (rt.spec.feed_forward or not rt.barrier_released):
-            a_times, a_frags, released = _rewalk_arrivals(drv, sid, t0, done, finished)
+            a_times, a_frags, released = _rewalk_arrivals(drv, view, sid, t0, done, finished)
             times += a_times
             frags += a_frags
-        flight = sorted((fin, f) for f, fin in rt.in_flight.items())
+        flight = sorted((fin, f) for f, fin in in_flight.items())
         landed = [(fin, f) for fin, f in flight if fin <= cut]
         fins = [fin for fin, _ in landed]
         out = [f for _, f in landed]
@@ -347,20 +383,27 @@ def rewalk_commit(drv, t0, cut):
         fins += new_fins[:n_landed]
         out += frags[:n_landed]
         done[sid] = (fins, out)
-        journal = drv.journal[sid]
         if len(journal) + len(out) == drv.m:
             finished[sid] = fins[-1]
+        if journal & set(out) or len(set(out)) != len(out):
+            raise InternalConsistencyError(f"fragment journaled twice at step {sid}")
+        journal |= set(out)
+        in_flight = {f: fin for f, fin in in_flight.items() if fin > cut}
+        in_flight.update(zip(frags[n_landed:n_started], new_fins[n_landed:]))
+        queue = frags[n_started:]
+        breach = prefix_law_breach(journal, in_flight, queue)
+        if breach:
+            raise AssertionError(f"step {sid} after the walk: {breach}")
         if out:
-            drv._journal(sid, out)
-        rt.in_flight = {f: fin for f, fin in rt.in_flight.items() if fin > cut}
-        rt.in_flight.update(zip(frags[n_landed:n_started], new_fins[n_landed:]))
-        rt.ready = deque(frags[n_started:])
+            drv._journal(rt, len(out))
+        rt.flight = [in_flight[f] for f in sorted(in_flight)]
+        rt.ready = len(queue)
         if released:
             rt.barrier_released = True
             if rt.state is StepState.WAITING:
                 rt.state = StepState.RUNNING
-        if len(drv.journal[sid]) == drv.m:
-            if rt.in_flight or rt.ready:
+        if len(journal) == drv.m:
+            if in_flight or queue:
                 raise InternalConsistencyError(f"step {sid} complete with work left")
             rt.state = StepState.COMPLETED
             rt.pending_switch = None
@@ -369,26 +412,25 @@ def rewalk_commit(drv, t0, cut):
 def rebuild_from_journal(drv, now):
     """PipelineDriver.resume_from_journal as it was before a restart only
     requeued in-flight work: commit, then rebuild every step's ready queue,
-    barrier flag and state from the journal by a scan of its fragments."""
+    barrier flag and state from its own and its predecessors' journals."""
     drv.commit(now)
     for sid in drv.topo:
         rt = drv.steps[sid]
-        rt.in_flight.clear()
-        journal = drv.journal[sid]
-        if len(journal) == drv.m:
+        rt.flight = []
+        if rt.done == drv.m:
             if rt.state is not StepState.COMPLETED:
                 rt.state = StepState.COMPLETED
-            rt.ready.clear()
+            rt.ready = 0
             continue
-        upstream = [drv.journal[p] for p in drv._preds[sid]]
-        rt.barrier_released = all(len(j) == drv.m for j in upstream)
+        upstream = [drv.steps[p].done for p in drv._preds[sid]]
+        rt.barrier_released = all(n == drv.m for n in upstream)
         if rt.barrier_released:
-            rt.ready = deque(f for f in range(drv.m) if f not in journal)
+            rt.ready = drv.m - rt.done
         elif rt.spec.feed_forward:
-            rt.ready = deque(f for f in range(drv.m) if f not in journal
-                             and all(f in j for j in upstream))
+            # journaled at every predecessor and not here
+            rt.ready = len(range(rt.done, min(upstream)))
         else:
-            rt.ready = deque()
+            rt.ready = 0
         if rt.region is None:
             rt.state = StepState.PENDING
         elif rt.spec.feed_forward or rt.barrier_released:
@@ -584,6 +626,12 @@ class FragmentEngine(_Engine):
     Shares the scheduler and metrics orchestration with the package's engine
     and replaces only how work is timed: the driver's dispatches are pushed
     as they happen, and a completion is live while its dispatch is current.
+
+    It also checks the prefix law (see prefix_law_breach) that lets
+    PipelineDriver keep counts instead of fragment ids: at every step of the
+    driver after each live completion, and of every driver at the end of each
+    instant. law_checks counts the step states checked, law_breaches names
+    the (job, step, breach) found.
     """
 
     driver_type = FragmentDriver
@@ -592,6 +640,20 @@ class FragmentEngine(_Engine):
         super().__init__(scenario, arrivals)
         work = sum(a.job.fragment_count * len(a.job.dag.steps) for a in arrivals)
         self._event_budget = 10_000 + 100 * (work + len(arrivals) + len(scenario.faults))
+        self.law_checks = 0
+        self.law_breaches = set()
+
+    def _check_prefix_law(self, drivers):
+        for drv in drivers:
+            for sid, rt in drv.steps.items():
+                breach = prefix_law_breach(drv.journal[sid], rt.in_flight, rt.ready)
+                if breach:
+                    self.law_breaches.add((drv.job.job_id, sid, breach))
+                self.law_checks += 1
+
+    def _end_instant(self, now):
+        super()._end_instant(now)
+        self._check_prefix_law(self.drivers.values())
 
     def _touch(self, drv):
         for finish, step_id, fragment, epoch in drv.outbox:
@@ -603,6 +665,7 @@ class FragmentEngine(_Engine):
         if not drv.is_current(step_id, fragment, finish, epoch):
             return False  # cancelled by eviction, failure, or restart
         completed, job_done = drv.on_fragment_complete(step_id, fragment, now)
+        self._check_prefix_law((drv,))
         self._touch(drv)
         job_id = drv.job.job_id
         for sid in completed:
@@ -612,14 +675,6 @@ class FragmentEngine(_Engine):
             self.collector.record_outcome(JobOutcome(
                 job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
         return True
-
-
-def fragment_run_detailed(scenario, arrivals=None):
-    """sim_engine.run_detailed on the per-fragment engine."""
-    if arrivals is None:
-        arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
-    engine = FragmentEngine(scenario, arrivals)
-    return engine.run(), engine.drivers
 
 
 # -- the scheduler without capacity books ----------------------------------------

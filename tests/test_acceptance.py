@@ -287,15 +287,15 @@ def test_faults_preserve_exactly_once_completion(announce):
     for job_id, drv in fault_drivers.items():
         if not drv.is_complete():
             problems.append((job_id, "incomplete"))
-        for sid, done in drv.journal.items():
-            if done != set(range(drv.m)):
+        for sid, rt in drv.steps.items():
+            if rt.done != drv.m:
                 problems.append((job_id, sid, "journal gap"))
-            if done != clean_drivers[job_id].journal[sid]:
+            if rt.done != clean_drivers[job_id].steps[sid].done:
                 problems.append((job_id, sid, "journal differs from fault-free run"))
         counts = [n for (jid, _, _), n in completions.items() if jid == job_id]
         if any(count != 1 for count in counts):
             problems.append((job_id, "a fragment completed more than once"))
-        if len(counts) != drv.m * len(drv.journal):
+        if len(counts) != drv.m * len(drv.steps):
             problems.append((job_id, "missing completion records"))
     if not all(o.completed for o in fault_report.job_outcomes):
         problems.append("an outcome is incomplete")

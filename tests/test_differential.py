@@ -8,14 +8,18 @@ node failures, driver restarts and horizons that cut jobs mid-run.
 
 Both engines sample utilization in the loop they share, so the trace is also
 checked against a model of its own, rebuilt from the cost ledger and the
-faults (see utilization_violations).
+faults (see utilization_violations). The per-fragment run also checks, after
+each live completion and at the end of each instant, the prefix law that
+lets the per-step driver keep counts: each step's journal is 0..k-1, its
+in-flight fragments follow with non-decreasing finish times, and its ready
+queue follows them.
 
 Run a wider sweep from a checkout with
 
     PYTHONPATH=src python3 tests/test_differential.py --seeds 0:4000
 
-which prints the first seed with a differing file or a broken utilization
-rule, or the number of seeds that passed.
+which prints the first seed with a differing file, a broken utilization
+rule or a prefix-law breach, or the number of seeds that passed.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from hcs_sim.sim_engine import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import fragment_run_detailed  # noqa: E402
+from oracles import FragmentEngine  # noqa: E402
 
 TIER1_SEEDS = range(0, 300)
 
@@ -161,12 +165,15 @@ def utilization_violations(scenario: Scenario, report: RunReport) -> list[str]:
     return problems
 
 
-def differences(scenario: Scenario) -> list[str]:
-    """Artifacts and journals on which the two engines disagree, and the
-    utilization rules the per-step engine's report breaks."""
+def differences(scenario: Scenario) -> tuple[list[str], int]:
+    """Artifacts and journals on which the two engines disagree, the
+    utilization rules the per-step engine's report breaks and the prefix-law
+    breaches of the per-fragment run; and how many step states that run
+    checked against the prefix law."""
     arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
     fast, fast_drivers = run_detailed(scenario, arrivals)
-    slow, slow_drivers = fragment_run_detailed(scenario, arrivals)
+    slow_engine = FragmentEngine(scenario, arrivals)
+    slow, slow_drivers = slow_engine.run(), slow_engine.drivers
     with tempfile.TemporaryDirectory() as tmp:
         a = [p.relative_to(tmp).as_posix()
              for p in emit_report(fast, Path(tmp) / "fast", emit_plot_data=True)]
@@ -176,16 +183,25 @@ def differences(scenario: Scenario) -> list[str]:
         out = [n for n in names
                if (Path(tmp) / "fast" / n).read_bytes() != (Path(tmp) / "slow" / n).read_bytes()]
     for job_id, drv in sorted(fast_drivers.items()):
-        for sid, journal in drv.journal.items():
-            if journal != slow_drivers[job_id].journal[sid]:
+        for sid, rt in drv.steps.items():
+            if slow_drivers[job_id].journal[sid] != set(range(rt.done)):
                 out.append(f"journal {job_id}/{sid}")
-    return out + [f"utilization: {p}" for p in utilization_violations(scenario, fast)]
+    out += [f"prefix law {job_id}/{sid}: {breach}"
+            for job_id, sid, breach in sorted(slow_engine.law_breaches)]
+    out += [f"utilization: {p}" for p in utilization_violations(scenario, fast)]
+    return out, slow_engine.law_checks
 
 
 def test_generated_scenarios_match_the_oracle():
-    mismatched = {seed: diff for seed in TIER1_SEEDS
-                  if (diff := differences(random_scenario(seed)))}
+    mismatched = {}
+    law_checks = 0
+    for seed in TIER1_SEEDS:
+        diff, checks = differences(random_scenario(seed))
+        law_checks += checks
+        if diff:
+            mismatched[seed] = diff
     assert not mismatched, mismatched
+    assert law_checks > 100_000
 
 
 def test_generator_reaches_the_hard_cases(monkeypatch):
@@ -222,9 +238,9 @@ def _step(sid, cpu, replicas=1, service=1.0, ff=True):
     return StepSpec(sid, ResourceVector(cpu, 128), replicas, service, feed_forward=ff)
 
 
-def _eviction_scenario(**kw) -> Scenario:
+def _eviction_scenario(window=5.0, **kw) -> Scenario:
     """A cheap job runs a -> b on the edge from t=10; at the t=20 round a
-    dearer newcomer evicts a (cheaper than b) with a 5 s window. a's
+    dearer newcomer evicts a (cheaper than b) with a window of 5 s. a's
     fragments 10 and 11 are in flight, finishing together at 22."""
     cheap = BatchJob("cheap", PipelineDag(
         [_step("a", 250, replicas=2, service=2.0), _step("b", 1000)], [("a", "b")]), 16, 1e6)
@@ -232,7 +248,7 @@ def _eviction_scenario(**kw) -> Scenario:
     return Scenario(scenario_id="hand", node_capacities=(ResourceVector(2000, 4096),),
                     catalog={"cheap": cheap, "dear": dear},
                     arrivals=ExplicitArrivals((1.0, 12.0), ("cheap", "dear")),
-                    round_length=10.0, eviction_deadline=5.0, edge_speed=1.0, **kw)
+                    round_length=10.0, eviction_deadline=window, edge_speed=1.0, **kw)
 
 
 def _join_tie_scenario() -> Scenario:
@@ -273,13 +289,18 @@ HAND_BUILT = {
         _eviction_scenario,
         lambda report, drivers: (_regions(report, "a") == [("edge", 10.0), ("cloud", 25.0)]
                                  and _regions(report, "b") == [("edge", 10.0)])),
+    # a 1 s window cancels a's fragments 10 and 11, which requeue ahead of
+    # 12-15: the cloud's two workers take 10-15 from 21 and finish at 27
+    "eviction-cancels-in-flight-work": (
+        lambda: _eviction_scenario(window=1.0),
+        lambda report, drivers: _spans(report, "a") == [(10.0, 21.0), (21.0, 27.0)]),
     "restart-inside-eviction-window": (
         lambda: _eviction_scenario(faults=(DriverRestartFault(22.5, 0),)),
         lambda report, drivers: _regions(report, "a") == [("edge", 10.0), ("cloud", 25.0)]),
     "join-tie-with-pools": (
         _join_tie_scenario,
         lambda report, drivers: report.horizon_reached
-        and drivers["t-0000"].journal["s3"] == {0}),
+        and drivers["t-0000"].steps["s3"].done == 1),
     # a's completion is handled first and closes its entry at 14; the restart
     # loses b's fragment 1 (13 -> 15), so b finishes at 20, not 19
     "restart-at-step-completion": (
@@ -309,7 +330,7 @@ HAND_BUILT = {
 def test_hand_built_cases_match_the_oracle(case):
     build, reaches = HAND_BUILT[case]
     assert reaches(*run_detailed(build()))
-    assert differences(build()) == []
+    assert differences(build())[0] == []
 
 
 def _parse_seeds(text: str) -> range:
@@ -323,12 +344,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=_parse_seeds, default=TIER1_SEEDS,
                         help="START:STOP (half-open) or one seed")
     args = parser.parse_args(argv)
+    law_checks = 0
     for seed in args.seeds:
-        diff = differences(random_scenario(seed))
+        diff, checks = differences(random_scenario(seed))
+        law_checks += checks
         if diff:
             print(f"seed {seed}: {', '.join(diff)}")
             return 1
-    print(f"{len(args.seeds)} seeds, no differences, utilization rules hold")
+    print(f"{len(args.seeds)} seeds, no differences, utilization rules hold, "
+          f"prefix law held at {law_checks} step checks")
     return 0
 
 

@@ -2,13 +2,10 @@
 and journal-based recovery."""
 
 import copy
-import dataclasses
 import heapq
 import math
 import random
 from bisect import bisect_right
-from collections import deque
-from pathlib import Path
 
 import pytest
 
@@ -20,13 +17,12 @@ from hcs_sim.core_model import (
     StepSpec,
     StepState,
 )
-from hcs_sim.cli import load_scenario
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
-from hcs_sim.sim_engine import run_detailed
 
 from oracles import (
     chain_makespan,
     counting_completions,
+    fragment_view,
     pipeline_makespan,
     rebuild_from_journal,
     rewalk_commit,
@@ -123,8 +119,8 @@ class TestDeploySemantics:
     def test_non_source_feed_forward_runs_with_nothing_in_flight(self):
         drv = PipelineDriver(make_job(2, 5))
         drv.on_deploy("s1", CLOUD, 1, 0.0)
-        rt = drv.steps["s1"]
-        assert rt.state is StepState.RUNNING and not rt.in_flight
+        _, in_flight, _ = fragment_view(drv)["s1"]
+        assert drv.steps["s1"].state is StepState.RUNNING and not in_flight
 
     def test_barrier_step_waits_until_all_predecessors_finish(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
@@ -133,13 +129,13 @@ class TestDeploySemantics:
         assert drv.steps["s1"].state is StepState.WAITING
         drv.project(0.0)
         drv.commit(2.5)  # two of the three fragments are done at s0
-        assert len(drv.journal["s0"]) == 2
-        assert drv.steps["s1"].state is StepState.WAITING and not drv.steps["s1"].in_flight
+        assert len(fragment_view(drv)["s0"][0]) == 2
+        assert drv.steps["s1"].state is StepState.WAITING and not fragment_view(drv)["s1"][1]
         drv.project(2.5)
         drv.commit(3.0)
         # all fragments released at once
         assert drv.steps["s1"].state is StepState.RUNNING
-        assert list(drv.steps["s1"].in_flight.values()) == [4.0, 4.0, 4.0]
+        assert list(fragment_view(drv)["s1"][1].values()) == [4.0, 4.0, 4.0]
 
     def test_barrier_commits_at_its_release_instant(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
@@ -150,16 +146,18 @@ class TestDeploySemantics:
         at.commit(3.0)
         rt = at.steps["s1"]
         assert rt.state is StepState.RUNNING and rt.barrier_released
-        assert rt.in_flight == {0: 4.0, 1: 4.0, 2: 4.0} and not rt.ready
+        _, in_flight, ready = fragment_view(at)["s1"]
+        assert in_flight == {0: 4.0, 1: 4.0, 2: 4.0} and not ready
         before.commit(3.0 - 1e-9)
         rt = before.steps["s1"]
         assert rt.state is StepState.WAITING and not rt.barrier_released
-        assert not rt.in_flight and not rt.ready
+        _, in_flight, ready = fragment_view(before)["s1"]
+        assert not in_flight and not ready
 
     def test_barrier_journaled_before_release_is_an_internal_error(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
         drv.on_deploy("s0", CLOUD, 1, 0.0)
-        drv.journal["s1"].add(0)
+        drv.steps["s1"].done = 1
         with pytest.raises(InternalConsistencyError, match="journaled before release"):
             drv.project(0.0)
 
@@ -172,14 +170,15 @@ class TestDeploySemantics:
     def test_pool_bounds_concurrency(self):
         drv = PipelineDriver(make_job(1, 10, replicas=3), cloud_speed=1.0)
         drv.on_deploy("s0", CLOUD, 3, 0.0)
-        assert len(drv.steps["s0"].in_flight) == 3
+        assert len(fragment_view(drv)["s0"][1]) == 3
         drv.project(0.0)
         for t in (0.5, 1.0, 2.5):
             drv.commit(t)
-            assert len(drv.steps["s0"].in_flight) == 3
+            assert len(fragment_view(drv)["s0"][1]) == 3
             drv.project(t)
         drv.commit(3.0)
-        assert len(drv.journal["s0"]) == 9 and list(drv.steps["s0"].in_flight) == [9]
+        journal, in_flight, _ = fragment_view(drv)["s0"]
+        assert len(journal) == 9 and list(in_flight) == [9]
 
     def test_cloud_pool_size_default_and_override(self):
         step = StepSpec("s", ResourceVector(100, 16), 4, 1.0)
@@ -198,17 +197,17 @@ class TestEviction:
     def test_in_flight_finishing_by_expiry_survives(self):
         drv = self.make_running()
         # fragments 0,1 in flight finishing at t=2; notice at t=1 with expiry t=5
-        cancelled = drv.on_eviction_notice("s0", 5.0, 2, 1.0)
-        assert cancelled == []
-        assert set(drv.steps["s0"].in_flight) == {0, 1}
+        drv.on_eviction_notice("s0", 5.0, 2, 1.0)
+        _, in_flight, ready = fragment_view(drv)["s0"]
+        assert set(in_flight) == {0, 1} and ready == [2, 3, 4, 5]
 
     def test_in_flight_past_expiry_cancelled_and_requeued(self):
         drv = self.make_running(service=10.0)
         version = drv.version
-        cancelled = drv.on_eviction_notice("s0", 5.0, 2, 1.0)
-        assert cancelled == [0, 1]
-        assert list(drv.steps["s0"].ready)[:2] == [0, 1]
-        assert not drv.steps["s0"].in_flight
+        drv.on_eviction_notice("s0", 5.0, 2, 1.0)
+        _, in_flight, ready = fragment_view(drv)["s0"]
+        assert ready[:2] == [0, 1]
+        assert not in_flight
         # the plan that completed them is superseded, and nothing completes now
         assert drv.project(1.0) == [] and drv.version == version + 1
 
@@ -217,26 +216,29 @@ class TestEviction:
         drv.on_eviction_notice("s0", 5.0, 2, 1.0)
         drv.project(1.0)
         drv.commit(4.9)  # 0 and 1 finish at 2.0, before expiry, and count
-        assert not drv.steps["s0"].in_flight
-        assert drv.journal["s0"] == {0, 1}
-        assert list(drv.steps["s0"].ready) == [2, 3, 4, 5]
+        journal, in_flight, ready = fragment_view(drv)["s0"]
+        assert not in_flight
+        assert journal == {0, 1}
+        assert ready == [2, 3, 4, 5]
 
     def test_switch_resumes_on_new_endpoint(self):
         drv = self.make_running(service=2.0)
         drv.on_eviction_notice("s0", 5.0, 2, 1.0)
         drv.project(1.0)
         drv.switch_at_expiry("s0", 5.0)
-        assert drv.journal["s0"] == {0, 1}
-        assert list(drv.steps["s0"].in_flight.values()) == [7.0, 7.0]
+        journal, in_flight, _ = fragment_view(drv)["s0"]
+        assert journal == {0, 1}
+        assert list(in_flight.values()) == [7.0, 7.0]
         assert drv.steps["s0"].region == "cloud"
 
     def test_waiting_step_switches_silently(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
         drv.on_deploy("s0", EDGE, 1, 0.0)
         drv.on_deploy("s1", EDGE, 1, 0.0)
-        assert drv.on_eviction_notice("s1", 30.0, 1, 0.0) == []
+        drv.on_eviction_notice("s1", 30.0, 1, 0.0)
+        assert fragment_view(drv)["s1"] == (set(), {}, [])
         drv.switch_at_expiry("s1", 30.0)
-        assert not drv.steps["s1"].in_flight and drv.steps["s1"].state is StepState.WAITING
+        assert not fragment_view(drv)["s1"][1] and drv.steps["s1"].state is StepState.WAITING
 
     def test_notice_for_cloud_step_rejected(self):
         drv = PipelineDriver(make_job(1, 2))
@@ -257,21 +259,21 @@ class TestRecovery:
     def test_resume_redispatches_only_unjournaled(self):
         drv = PipelineDriver(make_job(2, 100, 1.0), cloud_speed=1.0)
         run_to_completion(drv, pools={"s0": 1, "s1": 1}, until=40.0)
-        assert len(drv.journal["s0"]) == 40
+        assert len(fragment_view(drv)["s0"][0]) == 40
         drv.resume_from_journal(40.0)
         # exactly the 60 unjournaled fragments are pending again at step s0
-        rt = drv.steps["s0"]
-        assert len(rt.ready) + len(rt.in_flight) == 60
-        assert set(rt.ready) | set(rt.in_flight) == set(range(100)) - drv.journal["s0"]
+        journal, in_flight, ready = fragment_view(drv)["s0"]
+        assert len(ready) + len(in_flight) == 60
+        assert set(ready) | set(in_flight) == set(range(100)) - journal
 
     def test_resume_with_full_journal_is_noop(self):
         drv = PipelineDriver(make_job(2, 5), cloud_speed=1.0)
         run_to_completion(drv)
         assert drv.is_complete()
         drv.resume_from_journal(100.0)
-        assert all(not rt.in_flight and not rt.ready and rt.state is StepState.COMPLETED
-                   for rt in drv.steps.values())
-        assert drv.journal == {"s0": set(range(5)), "s1": set(range(5))}
+        assert all(rt.state is StepState.COMPLETED for rt in drv.steps.values())
+        assert fragment_view(drv) == {"s0": (set(range(5)), {}, []),
+                                      "s1": (set(range(5)), {}, [])}
 
     def test_resume_drops_stale_completions_and_preserves_exactly_once(self):
         drv = PipelineDriver(make_job(2, 20, 1.0), cloud_speed=1.0)
@@ -310,25 +312,30 @@ class TestRecovery:
         version = drv.version
         drv.redeploy("s0", CLOUD, 2, 2.0)
         # same fragments, restarted on the cloud; the old plan is superseded
-        assert drv.steps["s0"].in_flight == {0: 7.0, 1: 7.0}
+        assert fragment_view(drv)["s0"][1] == {0: 7.0, 1: 7.0}
         assert drv.project(2.0) == [("s0", 17.0)] and drv.version == version + 1
 
 
+def _shallow(obj):
+    """copy.copy without its reduce protocol, about a third of the time."""
+    c = object.__new__(type(obj))
+    c.__dict__.update(obj.__dict__)
+    return c
+
+
 def _clone(drv):
-    """A copy of a driver whose commit leaves the original as it was."""
-    c = copy.copy(drv)
-    c.journal = {sid: set(j) for sid, j in drv.journal.items()}
-    c.steps = {sid: dataclasses.replace(rt, ready=deque(rt.ready), in_flight=dict(rt.in_flight))
-               for sid, rt in drv.steps.items()}
+    """A copy of a driver whose commit leaves the original as it was: a step
+    holds scalars and a finish-time list the driver only ever replaces."""
+    c = _shallow(drv)
+    c.steps = {sid: _shallow(rt) for sid, rt in drv.steps.items()}
     if drv._plan is not None:
         c._plan = [(sid, c.steps[sid], *rest) for sid, _, *rest in drv._plan]
     return c
 
 
 def _state(drv):
-    return ({sid: set(j) for sid, j in drv.journal.items()},
-            {sid: (rt.in_flight, list(rt.ready), rt.state, rt.barrier_released,
-                   rt.pending_switch) for sid, rt in drv.steps.items()})
+    return {sid: (rt.done, rt.flight, rt.ready, rt.state, rt.barrier_released,
+                  rt.pending_switch) for sid, rt in drv.steps.items()}
 
 
 def _random_job(rng, trial):
@@ -387,8 +394,8 @@ def _random_plans(rng, trials):
         for _ in range(8):
             drv.project(t0)
             times = {t0}
-            for _, rt, _, _, a_times, fins, _, _ in drv._plan:
-                times.update(a_times, fins, rt.in_flight.values())
+            for _, rt, _, a_times, fins, _, _ in drv._plan:
+                times.update(a_times, fins, rt.flight)
             cuts = sorted({c + e for c in times for e in (-1e-9, 0.0, 1e-9)})
             yield trial, drv, t0, cuts
             t0 = rng.choice([c for c in cuts if c < 30.0] or [t0])
@@ -403,9 +410,9 @@ def test_commit_cuts_the_plan_as_a_rewalk_would():
     cuts_checked = workers_bound = 0
     for trial, drv, t0, cuts in _random_plans(random.Random(8), 150):
         # cuts where the workers freed, not the fragments ready, bound the starts
-        for _, rt, _, n_ready, a_times, fins, free, _ in drv._plan:
+        for _, rt, n_ready, a_times, fins, free, _ in drv._plan:
             for cut in cuts if free is not None else ():
-                freed = free + sum(fin <= cut for fin in [*rt.in_flight.values(), *fins])
+                freed = free + sum(fin <= cut for fin in [*rt.flight, *fins])
                 workers_bound += freed < n_ready + bisect_right(a_times, cut)
         for cut in cuts:
             cut_drv, walk_drv = _clone(drv), _clone(drv)
@@ -419,10 +426,9 @@ def test_commit_cuts_the_plan_as_a_rewalk_would():
 def _restart_state(drv):
     """The durable state a restart leaves; a feed-forward step's barrier flag
     is left out, because nothing reads it."""
-    return ({sid: set(j) for sid, j in drv.journal.items()},
-            {sid: (rt.in_flight, list(rt.ready), rt.state, rt.pending_switch,
-                   None if rt.spec.feed_forward else rt.barrier_released)
-             for sid, rt in drv.steps.items()})
+    return {sid: (rt.done, rt.flight, rt.ready, rt.state, rt.pending_switch,
+                  None if rt.spec.feed_forward else rt.barrier_released)
+            for sid, rt in drv.steps.items()}
 
 
 def test_restart_requeues_as_a_rebuild_from_the_journal_would():
@@ -444,13 +450,23 @@ def test_restart_requeues_as_a_rebuild_from_the_journal_would():
     assert cuts_checked > 10000 and in_window > 1000 and barrier_waiting > 1000
 
 
-def test_finished_steps_share_one_journal():
-    scenario = load_scenario(Path(__file__).resolve().parent.parent
-                             / "scenarios" / "saturating_mix.json").scenario
-    _, drivers = run_detailed(scenario)
-    assert all(drv.is_complete() for drv in drivers.values())
-    counts = {drv.m for drv in drivers.values()}
-    assert len({id(j) for d in drivers.values() for j in d.journal.values()}) == len(counts)
-    drv = next(iter(drivers.values()))
+def test_journaling_past_the_fragment_count_is_an_internal_error():
+    drv = PipelineDriver(make_job(2, 5), cloud_speed=1.0)
+    run_to_completion(drv)
+    assert drv.is_complete()
     with pytest.raises(InternalConsistencyError, match="journaled twice"):
-        drv._journal(drv.topo[0], [0])
+        drv._journal(drv.steps["s0"], 1)
+    drv = PipelineDriver(make_job(1, 5))
+    drv._journal(drv.steps["s0"], 3)
+    with pytest.raises(InternalConsistencyError, match="journaled twice"):
+        drv._journal(drv.steps["s0"], 3)
+    assert drv.steps["s0"].done == 3
+
+
+def test_queued_fragment_landing_before_an_in_flight_one_is_an_internal_error():
+    drv = PipelineDriver(make_job(1, 5, 1.0, replicas=2), cloud_speed=1.0)
+    drv.on_deploy("s0", CLOUD, 2, 0.0)
+    drv.project(0.0)  # 0 and 1 finish at 1.0, 2 and 3 at 2.0, 4 at 3.0
+    drv.steps["s0"].flight = [1.0, 9.0]  # break the law: 1 finishes after 2 and 3
+    with pytest.raises(InternalConsistencyError, match="before an in-flight one"):
+        drv.commit(2.0)
