@@ -38,7 +38,7 @@ from hcs_sim.sim_engine import (
 
 log = logging.getLogger(__name__)
 
-_PLACEMENTS = ("ff", "bf", "rr", "wf")
+_PLACEMENTS = tuple(p.value for p in PlacementPolicy)
 
 
 @dataclass
@@ -303,7 +303,7 @@ def load_scenario(path: str | Path) -> LoadResult:
         "policy", "placement", "round_length", "eviction_deadline",
         "execution_timeout")) or {}
     policy = check.string(sched.get("policy"), "scheduler.policy",
-                          choices=("cheapest_first", "cloud_only"))
+                          choices=tuple(m.value for m in SchedulerMode))
     placement = check.string(sched.get("placement"), "scheduler.placement",
                              choices=_PLACEMENTS)
 

@@ -107,10 +107,14 @@ class PipelineDag:
 
     @cached_property
     def order(self) -> tuple[str, ...]:
-        """Stable topological order of step ids, computed once per graph.
+        """Stable topological order of step ids (Kahn's algorithm), computed
+        once per graph.
 
-        Jobs of one template share the graph, so they share the order. Assumes
-        a graph without dag_violations, as every Scenario template is.
+        Jobs of one template share the graph, so they share the order. With
+        unique ids and known endpoints, a step on or behind a cycle never
+        becomes ready, so the order is short exactly when the graph is
+        cyclic; dag_violations reads that, and every Scenario template has
+        passed it.
         """
         order: list[str] = []
         indeg = {s.step_id: len(self.predecessors(s.step_id)) for s in self.steps}
@@ -148,20 +152,7 @@ def dag_violations(dag: PipelineDag) -> list[str]:
         return problems
     if not dag.source_ids():
         problems.append("pipeline has no source step")
-    # Kahn's algorithm; leftovers mean a cycle.
-    indeg = {sid: 0 for sid in ids}
-    for _, b in dag.edges:
-        indeg[b] += 1
-    queue = [sid for sid in ids if indeg[sid] == 0]
-    visited = 0
-    while queue:
-        sid = queue.pop()
-        visited += 1
-        for nxt in dag.successors(sid):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                queue.append(nxt)
-    if visited != len(ids):
+    if len(dag.order) != len(ids):
         problems.append("cycle detected")
     return problems
 

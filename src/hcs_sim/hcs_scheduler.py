@@ -41,10 +41,11 @@ class SchedulerMode(str, Enum):
 
 @dataclass(frozen=True)
 class DeployEdge:
+    """The step deploys on the edge now, as the plan places its replicas."""
+
     job_id: str
     step_id: str
     plan: PlacementPlan
-    effective_time: float
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ Directive = DeployEdge | DeployCloud | Evict
 
 @dataclass
 class ScheduleDecision:
-    directives: list[Directive] = field(default_factory=list)
+    directives: list[Directive] = field(default_factory=list)  # to apply now
+    expiry: float | None = None  # when the windows it opened close, if any
 
 
 @dataclass
@@ -114,7 +116,9 @@ class HcsScheduler:
     a caller sees whether the edge changed without asking why, and
     `edge_usage` sums what a utilization sample records. `reservations`
     promise capacity to steps that activate at an eviction expiry;
-    `evicting` marks residents whose space frees at that expiry. Per-node
+    `evicting` marks residents whose space frees at that expiry. A round
+    that opens windows names their expiry in its decision, and the caller
+    calls `close_windows` then: the one place a window ends. Per-node
     books keep what a placement reads, updated by the method that changes
     the state behind them, so no request rebuilds a view of the nodes or
     walks the residents:
@@ -132,9 +136,9 @@ class HcsScheduler:
 
     `_check_capacity_books` recomputes all of them, `_held` included, from
     the residents, windows and reservations, after each round and node
-    failure, and from `end_instant` after activations. The
-    settings are a Scenario's, which guarantees positive round and eviction
-    lengths and at least one node in cheapest-first mode.
+    failure, and from `end_instant` after `close_windows` activates
+    reservations. The settings are a Scenario's, which guarantees positive
+    round and eviction lengths and at least one node in cheapest-first mode.
     """
 
     def __init__(self, capacities: Sequence[ResourceVector],
@@ -311,12 +315,13 @@ class HcsScheduler:
             return False
         self._hold(key, plan)
         self.rr_cursor = cursor
-        decision.directives.append(DeployEdge(key[0], key[1], plan, now))
+        decision.directives.append(DeployEdge(key[0], key[1], plan))
         return True
 
     def _try_deploy_with_eviction(self, step: StepSpec, key: StepKey,
                                   decision: ScheduleDecision, now: float) -> bool:
-        """Place at the expiry of a fresh window over the cheapest residents.
+        """Reserve a plan for the expiry of a fresh window over the cheapest
+        residents, and name that expiry in the decision.
 
         Evicts the shortest prefix of the strictly cheaper residents after
         which the replica slots (see `replica_slots`) suffice, and plans once
@@ -360,35 +365,29 @@ class HcsScheduler:
         self.rr_cursor = cursor
         self.reservations[key] = (plan, expiry)
         self._book(self._free, plan, -1)
-        decision.directives.append(DeployEdge(key[0], key[1], plan, expiry))
+        decision.expiry = expiry
         return True
 
     # -- window lifecycle -------------------------------------------------------
 
-    def expire_eviction(self, key: StepKey, expiry: float) -> bool:
-        """Victim's window ending at expiry closed: free its edge space, pin it
-        to the cloud. False if the step has no window ending then (it
-        completed, a failure re-homed it, or its window is a later one)."""
-        if self.evicting.get(key) != expiry:
-            return False
-        self._drop(key)
-        self.cloud_sticky.add(key)
-        self.cloud_active.add(key)
-        return True
+    def close_windows(self, expiry: float) -> ScheduleDecision:
+        """Close the windows that end at expiry: each victim's space frees and
+        it moves to the cloud, then each reservation made with them deploys.
 
-    def has_reservation(self, key: StepKey) -> bool:
-        return key in self.reservations
-
-    def activate_reservation(self, key: StepKey, now: float) -> PlacementPlan:
-        """Turn a promised deploy-at-expiry plan into a live allocation."""
-        if key not in self.reservations:
-            raise InternalConsistencyError(f"no reservation for {key}")
-        if now + 1e-12 < self.reservations[key][1]:
-            raise InternalConsistencyError(f"reservation for {key} activated before expiry")
-        plan = self._unreserve(key)
-        self._hold(key, plan)
-        self._unchecked = True
-        return plan
+        Victims go first, so every activation holds space already dropped.
+        A step whose window ends at another time (it completed inside its
+        window, or a failure re-homed it) is left where it is.
+        """
+        decision = ScheduleDecision()
+        for key in [k for k, e in self.evicting.items() if e == expiry]:
+            self._drop(key)
+            self._deploy_cloud_now(key, decision)
+        for key in [k for k, (_, e) in self.reservations.items() if e == expiry]:
+            plan = self._unreserve(key)
+            self._hold(key, plan)
+            decision.directives.append(DeployEdge(key[0], key[1], plan))
+            self._unchecked = True
+        return decision
 
     def edge_usage(self) -> tuple[int, int, int, int]:
         """(held cpu, capacity cpu, held memory, capacity memory) summed over

@@ -69,8 +69,9 @@ class _StepRuntime:
     done: int = 0
     flight: list[float] = field(default_factory=list)
     ready: int = 0
-    # (expiry, cloud pool) once an eviction notice arrives
-    pending_switch: tuple[float, int] | None = None
+    # the expiry of the eviction window a notice opened; the step dispatches
+    # nothing until the redeploy that ends the window
+    pending_switch: float | None = None
     barrier_released: bool = False
 
 
@@ -117,7 +118,8 @@ class PipelineDriver:
     is current (version unchanged). Every interruption method commits the
     plan first, and the caller projects again after the interruptions of one
     instant. A step runs in a region, "edge" or "cloud", which sets its
-    speed; an eviction notice always moves it to the cloud at its expiry.
+    speed; after an eviction notice it dispatches nothing until the redeploy
+    that moves it to the cloud at the expiry.
     """
 
     def __init__(self, job: BatchJob, edge_speed: float = 0.8, cloud_speed: float = 1.0):
@@ -332,13 +334,12 @@ class PipelineDriver:
 
     # -- eviction and failure handoff ----------------------------------------
 
-    def on_eviction_notice(self, step_id: str, expiry: float, cloud_pool: int,
-                           now: float) -> None:
+    def on_eviction_notice(self, step_id: str, expiry: float, now: float) -> None:
         """Stop feeding the edge deployment; cancel work that cannot finish in time.
 
         In-flight fragments finishing by the expiry run to completion; the rest
-        go back to the front of the ready queue for the cloud deployment of
-        cloud_pool workers that takes over at the expiry.
+        go back to the front of the ready queue for the cloud deployment that
+        a redeploy starts at the expiry.
         """
         self.commit(now)
         rt = self.step_runtime(step_id)
@@ -349,31 +350,20 @@ class PipelineDriver:
         keep = bisect_right(rt.flight, expiry)
         rt.ready += len(rt.flight) - keep
         rt.flight = rt.flight[:keep]
-        rt.pending_switch = (expiry, cloud_pool)
-
-    def switch_at_expiry(self, step_id: str, now: float) -> None:
-        """Move a noticed step to the cloud and resume work."""
-        self.commit(now)
-        rt = self.step_runtime(step_id)
-        if rt.pending_switch is None:
-            raise InternalConsistencyError(f"step {step_id} has no pending switch")
-        expiry, pool = rt.pending_switch
-        if now < expiry:
-            raise InternalConsistencyError(f"switch for {step_id} before expiry")
-        if rt.flight:
-            raise InternalConsistencyError(
-                f"step {step_id} still has in-flight work at eviction expiry")
-        rt.pending_switch = None
-        rt.region = "cloud"
-        rt.pool = pool
-        self._start_ready(rt, now)
+        rt.pending_switch = expiry
 
     def redeploy(self, step_id: str, region: str, pool_size: int, now: float) -> None:
-        """Replace a lost deployment (node failure): in-flight work requeues."""
+        """Move a deployed step: a node failure lost its deployment, or its
+        eviction window ended. In-flight work requeues; from a window's expiry
+        on, nothing may still be in flight, since the notice kept only the
+        fragments finishing by then."""
         self.commit(now)
         rt = self.step_runtime(step_id)
         if rt.region is None or rt.state is StepState.COMPLETED:
             raise InternalConsistencyError(f"redeploy of undeployed/completed step {step_id}")
+        if rt.pending_switch is not None and now >= rt.pending_switch and rt.flight:
+            raise InternalConsistencyError(
+                f"step {step_id} still has in-flight work at eviction expiry")
         rt.pending_switch = None
         rt.region = region
         rt.pool = pool_size

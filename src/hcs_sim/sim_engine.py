@@ -4,9 +4,12 @@ orchestration loop.
 
 Fragments never enter the event queue. Each job's driver projects per-step
 schedules; the queue holds one event per projected step completion, tagged
-with the plan's version, next to arrivals, rounds, eviction expiries and
-faults. An event that touches a job commits its plan up to that instant, and
-the job is projected again once every event of that instant is handled.
+with the plan's version, next to arrivals, rounds, faults and one eviction
+expiry per round that opened windows, at which the scheduler closes them.
+Every decision the scheduler returns, a round's, a failure's or an
+expiry's, is applied the same way. An event that touches a job commits its
+plan up to that instant, and the job is projected again once every event of
+that instant is handled.
 At that same point the engine takes the instant's one utilization sample,
 when the scheduler's edge writes moved since the last sample; the horizon
 takes its sample without projecting.
@@ -54,7 +57,8 @@ class EventKind(IntEnum):
     Step completions (the last fragment of a step, as a job's current plan
     projects it) and eviction expirations must be visible before the round
     that schedules over them; arrivals land before the round boundary they
-    sit on.
+    sit on. An eviction expiry is pushed once for each round whose decision
+    opened windows, even if they have all gone moot by then.
     """
 
     STEP_COMPLETE = 0
@@ -326,28 +330,22 @@ class _Engine:
         self._apply_decision(self.sched.run_round(now), now)
 
     def _apply_decision(self, decision: ScheduleDecision, now: float) -> None:
-        """Deliver directives to drivers; deferred ones become expiry events."""
+        """Deliver directives to drivers, and schedule the close of the
+        windows the decision opened."""
         for d in decision.directives:
             if isinstance(d, Evict):
                 drv = self.drivers[d.job_id]
-                pool = cloud_pool_size(drv.job.dag.step(d.step_id),
-                                       self.scenario.cloud_concurrency)
-                drv.on_eviction_notice(d.step_id, d.expiry_time, pool, now)
+                drv.on_eviction_notice(d.step_id, d.expiry_time, now)
                 self._touch(drv)
-                self._push(d.expiry_time, EventKind.EVICTION_EXPIRE,
-                           (d.job_id, d.step_id, d.expiry_time))
-            elif isinstance(d, DeployCloud):
-                self._move_step(d.job_id, d.step_id, "cloud", now)
-            elif d.effective_time > now:
-                # a deferred DeployEdge waits for the expiry of the window it rides
-                self._push(d.effective_time, EventKind.EVICTION_EXPIRE,
-                           (d.job_id, d.step_id, d.effective_time))
             else:
-                self._move_step(d.job_id, d.step_id, "edge", now)
+                region = "cloud" if isinstance(d, DeployCloud) else "edge"
+                self._move_step(d.job_id, d.step_id, region, now)
+        if decision.expiry is not None:
+            self._push(decision.expiry, EventKind.EVICTION_EXPIRE, None)
 
-    def _move_step(self, job_id: str, step_id: str, region: str | None, now: float) -> None:
-        """Deploy a step in region now, or with region None complete the
-        cloud switch its eviction notice announced.
+    def _move_step(self, job_id: str, step_id: str, region: str, now: float) -> None:
+        """Deploy a step in region now: first deployment, a re-homing after a
+        failure, or the cloud switch at its eviction window's end.
 
         The open ledger entry, if any, closes and one for the new region opens;
         the job is projected again after the event.
@@ -355,15 +353,11 @@ class _Engine:
         drv = self.drivers[job_id]
         step = drv.job.dag.step(step_id)
         self.collector.close_entry(job_id, step_id, now)
-        self.collector.open_entry(job_id, step_id, region or "cloud",
-                                  self.sched.rcost_of(step), now)
-        if region is None:
-            drv.switch_at_expiry(step_id, now)
-        else:
-            pool = (step.replicas if region == "edge"
-                    else cloud_pool_size(step, self.scenario.cloud_concurrency))
-            deploy = drv.redeploy if drv.step_runtime(step_id).region else drv.on_deploy
-            deploy(step_id, region, pool, now)
+        self.collector.open_entry(job_id, step_id, region, self.sched.rcost_of(step), now)
+        pool = (step.replicas if region == "edge"
+                else cloud_pool_size(step, self.scenario.cloud_concurrency))
+        deploy = drv.redeploy if drv.step_runtime(step_id).region else drv.on_deploy
+        deploy(step_id, region, pool, now)
         self._touch(drv)
 
     def _on_completion(self, event: tuple[str, str, int], now: float) -> bool:
@@ -378,20 +372,6 @@ class _Engine:
             self.collector.record_outcome(JobOutcome(
                 job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
         return True
-
-    def _on_eviction_expire(self, event: tuple[str, str, float], now: float) -> None:
-        job_id, step_id, expiry = event
-        key = (job_id, step_id)
-        # a step's window may end at another time than this event's: a
-        # failure re-homed its reservation and a later round evicted it
-        if self.sched.expire_eviction(key, expiry):
-            # victim's window closed: billing moves to the cloud from here on
-            self._move_step(job_id, step_id, None, now)
-        elif self.sched.has_reservation(key):
-            self.sched.activate_reservation(key, now)
-            self._move_step(job_id, step_id, "edge", now)
-        # else: the step completed inside the window, or a node failure
-        # already re-homed it; nothing left to do
 
     def _on_node_failure(self, node_id: int, now: float) -> None:
         self._apply_decision(self.sched.handle_node_failure(node_id, now), now)
@@ -429,7 +409,7 @@ class _Engine:
             else:
                 self.last_event_time = time
                 if kind == EventKind.EVICTION_EXPIRE:
-                    self._on_eviction_expire(payload, time)
+                    self._apply_decision(self.sched.close_windows(time), time)
                 elif kind == EventKind.NODE_FAILURE:
                     self._on_node_failure(payload, time)
                 elif kind == EventKind.DRIVER_RESTART:

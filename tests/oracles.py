@@ -35,6 +35,7 @@ from hcs_sim.core_model import (
 from hcs_sim.hcs_scheduler import (
     DEFAULT_EVICTION_DEADLINE,
     DEFAULT_ROUND_LENGTH,
+    DeployCloud,
     DeployEdge,
     Evict,
     HcsScheduler,
@@ -464,7 +465,7 @@ class _FragmentStep:
     epoch: int = 0
     ready: deque = field(default_factory=deque)
     in_flight: dict = field(default_factory=dict)  # fragment -> finish time
-    pending_switch: tuple | None = None  # (expiry, cloud pool)
+    pending_switch: float | None = None  # the eviction window's expiry
     barrier_released: bool = False
 
 
@@ -564,27 +565,19 @@ class FragmentDriver:
             self.completed_at = now
         return completed, job_done
 
-    def on_eviction_notice(self, step_id, expiry, cloud_pool, now):
+    def on_eviction_notice(self, step_id, expiry, now):
         rt = self.steps[step_id]
         cancelled = sorted(f for f, fin in rt.in_flight.items() if fin > expiry)
         for f in cancelled:
             del rt.in_flight[f]
         rt.ready.extendleft(reversed(cancelled))
-        rt.pending_switch = (expiry, cloud_pool)
+        rt.pending_switch = expiry
         return cancelled
-
-    def switch_at_expiry(self, step_id, now):
-        rt = self.steps[step_id]
-        expiry, rt.pool = rt.pending_switch
-        if now < expiry or rt.in_flight:
-            raise InternalConsistencyError(f"bad switch for {step_id}")
-        rt.region = "cloud"
-        rt.pending_switch = None
-        rt.epoch += 1
-        self._dispatch(step_id, now)
 
     def redeploy(self, step_id, region, pool_size, now):
         rt = self.steps[step_id]
+        if rt.pending_switch is not None and now >= rt.pending_switch and rt.in_flight:
+            raise InternalConsistencyError(f"bad switch for {step_id}")
         lost = sorted(rt.in_flight)
         rt.in_flight.clear()
         rt.ready.extendleft(reversed(lost))
@@ -693,7 +686,6 @@ class ReferenceScheduler:
 
     submit_request = HcsScheduler.submit_request
     next_round_at = HcsScheduler.next_round_at
-    has_reservation = HcsScheduler.has_reservation
     _deploy_cloud_now = HcsScheduler._deploy_cloud_now
 
     def __init__(self, capacities, cost_params=None, policy=PlacementPolicy.FIRST_FIT,
@@ -774,7 +766,7 @@ class ReferenceScheduler:
         apply_plan(plan, self.nodes)
         self.rr_cursor = cursor
         self.resident[key] = plan
-        decision.directives.append(DeployEdge(key[0], key[1], plan, now))
+        decision.directives.append(DeployEdge(key[0], key[1], plan))
         return True
 
     def _try_deploy_with_eviction(self, step, key, decision, now):
@@ -807,8 +799,20 @@ class ReferenceScheduler:
         self.reservations[key] = (plan, expiry)
         for node_id, load in node_loads(plan).items():
             self._reserved[node_id] = vec_add(self._reserved[node_id], load)
-        decision.directives.append(DeployEdge(key[0], key[1], plan, expiry))
+        decision.expiry = expiry
         return True
+
+    def close_windows(self, expiry):
+        """Expire each victim of a window ending at expiry, then activate
+        each reservation made with them, one by one."""
+        decision = ScheduleDecision()
+        for key in [k for k, e in self.evicting.items() if e == expiry]:
+            self.expire_eviction(key, expiry)
+            decision.directives.append(DeployCloud(key[0], key[1]))
+        for key in [k for k, (_, e) in self.reservations.items() if e == expiry]:
+            plan = self.activate_reservation(key, expiry)
+            decision.directives.append(DeployEdge(key[0], key[1], plan))
+        return decision
 
     def expire_eviction(self, key, expiry):
         if self.evicting.get(key) != expiry:

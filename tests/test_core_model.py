@@ -129,6 +129,10 @@ class TestSpecValidation:
         job = BatchJob("j", PipelineDag(steps, [("a", "b"), ("b", "a")]), 1, 10.0)
         problems = validate_job(job, 60.0)
         assert any("cycle" in p for p in problems)
+        # a cycle behind a source
+        steps = [make_step("a"), make_step("b"), make_step("c")]
+        job = BatchJob("j", PipelineDag(steps, [("a", "b"), ("b", "c"), ("c", "b")]), 1, 10.0)
+        assert validate_job(job, 60.0) == ["job j: cycle detected"]
 
     def test_timeout_violation(self):
         steps = [StepSpec("slow", ResourceVector(100, 10), 1, 61.0)]

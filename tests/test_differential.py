@@ -39,8 +39,9 @@ from hcs_sim.core_model import (
     ResourceVector,
     StepSpec,
 )
-from hcs_sim.hcs_scheduler import HcsScheduler, SchedulerMode
+from hcs_sim.hcs_scheduler import DeployCloud, HcsScheduler, SchedulerMode
 from hcs_sim.metrics import RunReport, emit_report
+from hcs_sim.pipeline_driver import PipelineDriver
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     DriverRestartFault,
@@ -84,7 +85,8 @@ def random_scenario(seed: int) -> Scenario:
     step = rng.choice([1.0, 2.5, 5.0])
     times = tuple(sorted(step * rng.randint(0, 20) for _ in range(count)))
     round_length = rng.choice([5.0, 10.0, 30.0])
-    eviction = rng.choice([round_length, 3.0, 7.0, 30.0])
+    # a 0.5 s window is shorter than every service time, so it cancels work
+    eviction = rng.choice([round_length, 3.0, 7.0, 30.0, 0.5])
     if rng.random() < 0.7:
         edge_speed = cloud_speed = 1.0
     else:
@@ -205,17 +207,27 @@ def test_generated_scenarios_match_the_oracle():
 
 
 def test_generator_reaches_the_hard_cases(monkeypatch):
-    """The tier-1 seeds exercise joins, barriers, evictions, faults and cuts."""
+    """The tier-1 seeds exercise joins, barriers, evictions, evictions that
+    cancel in-flight work, faults and cuts."""
     seen = set()
-    real_expire = HcsScheduler.expire_eviction
+    real_close = HcsScheduler.close_windows
+    real_notice = PipelineDriver.on_eviction_notice
 
-    def expire(self, key, expiry):
-        closed = real_expire(self, key, expiry)
-        if closed:
+    def close(self, expiry):
+        decision = real_close(self, expiry)
+        if any(isinstance(d, DeployCloud) for d in decision.directives):
             seen.add("eviction")
-        return closed
+        return decision
 
-    monkeypatch.setattr(HcsScheduler, "expire_eviction", expire)
+    def notice(self, step_id, expiry, now):
+        self.commit(now)  # so the count below is the one the notice meets
+        in_flight = len(self.steps[step_id].flight)
+        real_notice(self, step_id, expiry, now)
+        if len(self.steps[step_id].flight) < in_flight:
+            seen.add("eviction-cancels")
+
+    monkeypatch.setattr(HcsScheduler, "close_windows", close)
+    monkeypatch.setattr(PipelineDriver, "on_eviction_notice", notice)
     for seed in TIER1_SEEDS:
         sc = random_scenario(seed)
         for job in sc.catalog.values():
@@ -230,8 +242,8 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
         if sc.mode is SchedulerMode.CLOUD_ONLY:
             seen.add("cloud_only")
         seen.add(sc.placement.value)
-    assert {"join3", "barrier", "eviction", "NodeFailureFault", "DriverRestartFault", "cut",
-            "cloud_only", *(p.value for p in PlacementPolicy)} <= seen
+    assert {"join3", "barrier", "eviction", "eviction-cancels", "NodeFailureFault",
+            "DriverRestartFault", "cut", "cloud_only", *(p.value for p in PlacementPolicy)} <= seen
 
 
 def _step(sid, cpu, replicas=1, service=1.0, ff=True):

@@ -197,14 +197,14 @@ class TestEviction:
     def test_in_flight_finishing_by_expiry_survives(self):
         drv = self.make_running()
         # fragments 0,1 in flight finishing at t=2; notice at t=1 with expiry t=5
-        drv.on_eviction_notice("s0", 5.0, 2, 1.0)
+        drv.on_eviction_notice("s0", 5.0, 1.0)
         _, in_flight, ready = fragment_view(drv)["s0"]
         assert set(in_flight) == {0, 1} and ready == [2, 3, 4, 5]
 
     def test_in_flight_past_expiry_cancelled_and_requeued(self):
         drv = self.make_running(service=10.0)
         version = drv.version
-        drv.on_eviction_notice("s0", 5.0, 2, 1.0)
+        drv.on_eviction_notice("s0", 5.0, 1.0)
         _, in_flight, ready = fragment_view(drv)["s0"]
         assert ready[:2] == [0, 1]
         assert not in_flight
@@ -213,7 +213,7 @@ class TestEviction:
 
     def test_no_dispatch_between_notice_and_expiry(self):
         drv = self.make_running(service=2.0)
-        drv.on_eviction_notice("s0", 5.0, 2, 1.0)
+        drv.on_eviction_notice("s0", 5.0, 1.0)
         drv.project(1.0)
         drv.commit(4.9)  # 0 and 1 finish at 2.0, before expiry, and count
         journal, in_flight, ready = fragment_view(drv)["s0"]
@@ -223,9 +223,9 @@ class TestEviction:
 
     def test_switch_resumes_on_new_endpoint(self):
         drv = self.make_running(service=2.0)
-        drv.on_eviction_notice("s0", 5.0, 2, 1.0)
+        drv.on_eviction_notice("s0", 5.0, 1.0)
         drv.project(1.0)
-        drv.switch_at_expiry("s0", 5.0)
+        drv.redeploy("s0", CLOUD, 2, 5.0)
         journal, in_flight, _ = fragment_view(drv)["s0"]
         assert journal == {0, 1}
         assert list(in_flight.values()) == [7.0, 7.0]
@@ -235,23 +235,39 @@ class TestEviction:
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
         drv.on_deploy("s0", EDGE, 1, 0.0)
         drv.on_deploy("s1", EDGE, 1, 0.0)
-        drv.on_eviction_notice("s1", 30.0, 1, 0.0)
+        drv.on_eviction_notice("s1", 30.0, 0.0)
         assert fragment_view(drv)["s1"] == (set(), {}, [])
-        drv.switch_at_expiry("s1", 30.0)
+        drv.redeploy("s1", CLOUD, 1, 30.0)
         assert not fragment_view(drv)["s1"][1] and drv.steps["s1"].state is StepState.WAITING
 
     def test_notice_for_cloud_step_rejected(self):
         drv = PipelineDriver(make_job(1, 2))
         drv.on_deploy("s0", CLOUD, 1, 0.0)
         with pytest.raises(InternalConsistencyError):
-            drv.on_eviction_notice("s0", 5.0, 1, 0.0)
+            drv.on_eviction_notice("s0", 5.0, 0.0)
 
     def test_completion_during_window_clears_switch(self):
         drv = self.make_running(m=2, service=1.0)
-        drv.on_eviction_notice("s0", 5.0, 2, 0.5)
+        drv.on_eviction_notice("s0", 5.0, 0.5)
         assert drv.project(0.5) == [("s0", 1.0)]
         assert drv.on_step_complete("s0", 1.0)
         assert drv.steps["s0"].state is StepState.COMPLETED
+        assert drv.steps["s0"].pending_switch is None
+
+    @pytest.mark.parametrize("at", [5.0, 5.5])
+    def test_work_in_flight_at_a_redeploy_from_the_expiry_is_an_internal_error(self, at):
+        drv = self.make_running(service=2.0)
+        drv.on_eviction_notice("s0", 5.0, 1.0)
+        drv.steps["s0"].flight = [6.0, 6.0]  # past the expiry, which the notice cut
+        with pytest.raises(InternalConsistencyError, match="in-flight work at eviction expiry"):
+            drv.redeploy("s0", CLOUD, 2, at)
+
+    def test_redeploy_inside_the_window_requeues_in_flight(self):
+        # a node failure inside the window: fragments 0 and 1 start again
+        drv = self.make_running(service=2.0)
+        drv.on_eviction_notice("s0", 5.0, 1.0)
+        drv.redeploy("s0", CLOUD, 2, 1.5)
+        assert fragment_view(drv)["s0"][1] == {0: 3.5, 1: 3.5}
         assert drv.steps["s0"].pending_switch is None
 
 
@@ -352,8 +368,9 @@ def _random_job(rng, trial):
     return BatchJob(f"j{trial}", PipelineDag(steps, edges), rng.randrange(1, 13), 1e6)
 
 
-def _interrupt(drv, rng, now):
-    """One random interruption at now, as the engine may deliver it."""
+def _interrupt(drv, rng, now, pools):
+    """One random interruption at now, as the engine may deliver it; pools
+    keeps the cloud pool drawn at each notice for its switch."""
     drv.commit(now)  # so the choices see the state the interruption meets
     rts = drv.steps
     choices = ["commit", "restart"]
@@ -361,7 +378,7 @@ def _interrupt(drv, rng, now):
     choices += [("notice", s) for s, rt in rts.items() if rt.region == EDGE
                 and rt.pending_switch is None and rt.state is not StepState.COMPLETED]
     choices += [("switch", s) for s, rt in rts.items()
-                if rt.pending_switch is not None and rt.pending_switch[0] <= now]
+                if rt.pending_switch is not None and rt.pending_switch <= now]
     choices += [("redeploy", s) for s, rt in rts.items()
                 if rt.region is not None and rt.state is not StepState.COMPLETED]
     pick = rng.choice(choices)
@@ -372,10 +389,11 @@ def _interrupt(drv, rng, now):
     elif pick[0] == "deploy":
         drv.on_deploy(pick[1], rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), now)
     elif pick[0] == "notice":
-        drv.on_eviction_notice(pick[1], now + rng.choice([0.0, 0.7, 3.0]),
-                               rng.randrange(1, 5), now)
+        expiry = now + rng.choice([0.0, 0.7, 3.0])
+        pools[pick[1]] = rng.randrange(1, 5)
+        drv.on_eviction_notice(pick[1], expiry, now)
     elif pick[0] == "switch":
-        drv.switch_at_expiry(pick[1], now)
+        drv.redeploy(pick[1], CLOUD, pools[pick[1]], now)
     else:
         drv.redeploy(pick[1], rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), now)
 
@@ -391,6 +409,7 @@ def _random_plans(rng, trials):
             if rng.random() < 0.7:
                 drv.on_deploy(sid, rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), 0.0)
         t0 = 0.0
+        pools = {}
         for _ in range(8):
             drv.project(t0)
             times = {t0}
@@ -399,7 +418,7 @@ def _random_plans(rng, trials):
             cuts = sorted({c + e for c in times for e in (-1e-9, 0.0, 1e-9)})
             yield trial, drv, t0, cuts
             t0 = rng.choice([c for c in cuts if c < 30.0] or [t0])
-            _interrupt(drv, rng, t0)
+            _interrupt(drv, rng, t0, pools)
             if drv.is_complete():
                 break
 

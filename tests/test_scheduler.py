@@ -52,6 +52,11 @@ def evicts_of(decision):
     return [d for d in decision.directives if isinstance(d, Evict)]
 
 
+def plan_of(s, job_id, assignments):
+    """The plan that places job_id's one step on assignments."""
+    return PlacementPlan(s._jobs[job_id].dag.steps[0], assignments)
+
+
 class TestRounds:
     def test_boundary_arithmetic(self):
         s = HcsScheduler(one_node())
@@ -79,7 +84,7 @@ class TestRounds:
         s = HcsScheduler(one_node())
         s.submit_request(job_with_step("a", 1000), 5.0)
         d = s.run_round(30.0)
-        assert len(edges_of(d)) == 1 and edges_of(d)[0].effective_time == 30.0
+        assert len(edges_of(d)) == 1 and d.expiry is None and not s.reservations
         assert s._held[0][0] == 1000
 
     def test_expensive_first_ordering(self):
@@ -104,11 +109,11 @@ class TestEviction:
         ev = evicts_of(d)
         assert len(ev) == 1 and ev[0].job_id == "g" and ev[0].expiry_time == 90.0
         assert not clouds_of(d)  # the Evict alone moves g to the cloud at 90
-        f_edge = edges_of(d)
-        assert f_edge and f_edge[0].job_id == "f" and f_edge[0].effective_time == 90.0
+        # f deploys when the window closes, on the space reserved for it now
+        assert not edges_of(d) and d.expiry == 90.0
+        assert s.reservations[("f", "s0")][1] == 90.0
         # during the window g still physically holds its space
         assert s._held[0][0] == 2000
-        assert s.has_reservation(("f", "s0"))
 
     def test_victims_strictly_cheaper(self):
         # equal-cost newcomer must not evict
@@ -137,9 +142,10 @@ class TestEviction:
         s.run_round(30.0)
         s.submit_request(job_with_step("f", 4000), 31.0)
         s.run_round(60.0)
-        assert s.expire_eviction(("g", "s0"), 90.0) is True
-        plan = s.activate_reservation(("f", "s0"), 90.0)
-        assert plan.assignments == {0: 0}
+        d = s.close_windows(90.0)
+        assert d.directives == [DeployCloud("g", "s0"),
+                                DeployEdge("f", "s0", plan_of(s, "f", {0: 0}))]
+        assert d.expiry is None
         assert s._held[0][0] == 4000
         assert ("g", "s0") in s.cloud_sticky and ("f", "s0") in s.resident
 
@@ -151,7 +157,8 @@ class TestEviction:
         s.run_round(60.0)
         s.complete_step("g", "s0", 75.0)
         assert ("g", "s0") not in s.resident
-        assert s.expire_eviction(("g", "s0"), 90.0) is False
+        d = s.close_windows(90.0)
+        assert d.directives == [DeployEdge("f", "s0", plan_of(s, "f", {0: 0}))]
         assert ("g", "s0") not in s.cloud_sticky
 
     def test_second_newcomer_rides_existing_window(self):
@@ -164,13 +171,32 @@ class TestEviction:
         s.submit_request(job_with_step("b", 1500, mem=80), 32.0)
         d = s.run_round(60.0)
         assert [e.job_id for e in evicts_of(d)] == ["v"]
-        by_job = {e.job_id: e for e in edges_of(d)}
-        assert by_job["a"].effective_time == 90.0
-        assert by_job["b"].effective_time == 90.0
-        s.expire_eviction(("v", "s0"), 90.0)
-        s.activate_reservation(("a", "s0"), 90.0)
-        s.activate_reservation(("b", "s0"), 90.0)
+        assert not edges_of(d) and d.expiry == 90.0
+        assert s.reservations[("a", "s0")][1] == s.reservations[("b", "s0")][1] == 90.0
+        d = s.close_windows(90.0)
+        assert d.directives == [DeployCloud("v", "s0"),
+                                DeployEdge("a", "s0", plan_of(s, "a", {0: 0})),
+                                DeployEdge("b", "s0", plan_of(s, "b", {0: 0}))]
         assert s._held[0][0] == 3500
+
+    def test_reservation_a_failure_rehomed_stays_put(self):
+        # k holds node 0 and g node 1; f evicts g and reserves node 1. Once k
+        # completes, node 1's failure sends g to the cloud now and re-places f
+        # on node 0, so nothing is left for the window to close at 90
+        s = HcsScheduler([ResourceVector(4000, 8192)] * 2, cost_params=QUARTER_CPU)
+        s.submit_request(job_with_step("k", 4000), 0.0)
+        s.submit_request(job_with_step("g", 2000), 0.0)
+        s.run_round(30.0)
+        s.submit_request(job_with_step("f", 4000), 31.0)
+        d = s.run_round(60.0)
+        assert [e.job_id for e in evicts_of(d)] == ["g"]
+        assert s.reservations[("f", "s0")][0].assignments == {0: 1}
+        s.complete_step("k", "s0", 65.0)
+        d = s.handle_node_failure(1, 70.0)
+        assert d.directives == [DeployCloud("g", "s0"),
+                                DeployEdge("f", "s0", plan_of(s, "f", {0: 0}))]
+        assert s.close_windows(90.0).directives == []
+        assert s.resident == {("f", "s0"): plan_of(s, "f", {0: 0})}
 
     def test_evicting_step_never_reevicted(self):
         s = HcsScheduler(one_node(cpu=4000), cost_params=MEM_COST)
@@ -241,7 +267,7 @@ class TestNodeFailure:
         d = s.handle_node_failure(1, 40.0)
         moved = edges_of(d)
         assert len(moved) == 1 and set(moved[0].plan.assignments.values()) == {0}
-        assert moved[0].effective_time == 40.0
+        assert d.expiry is None
         assert not s.alive[1] and s._held[1] == [0, 0]
 
     def test_offload_when_no_survivor_fits(self):
@@ -285,7 +311,7 @@ class TestNodeFailure:
         assert v_cloud
         assert ("v", "s0") in s.cloud_sticky
         # a's reservation died with the node; no edge left, so cloud
-        assert a_cloud and not s.has_reservation(("a", "s0"))
+        assert a_cloud and ("a", "s0") not in s.reservations
 
 
 class TestCapacityBooks:
@@ -297,7 +323,7 @@ class TestCapacityBooks:
         s.run_round(30.0)
         s.submit_request(job_with_step("f", 2500), 31.0)
         s.run_round(60.0)
-        assert list(s.evicting) == [("g", "s0")] and s.has_reservation(("f", "s0"))
+        assert list(s.evicting) == [("g", "s0")] and ("f", "s0") in s.reservations
         assert [k for _, k in s._victims] == [("h", "s0"), ("r", "s0")]
         return s
 
@@ -392,7 +418,7 @@ class TestRoundMemo:
         s.complete_step("a", "s0", 40.0)
         s.submit_request(job_with_step("c", 1000), 41.0)
         d = s.run_round(60.0)
-        assert [(e.job_id, e.effective_time) for e in edges_of(d)] == [("c", 60.0)]
+        assert [e.job_id for e in edges_of(d)] == ["c"] and d.expiry is None
 
     def test_failure_replacement_after_a_failed_try(self):
         nodes = [ResourceVector(1000, 8192), ResourceVector(1000, 8192)]
@@ -403,8 +429,8 @@ class TestRoundMemo:
         assert [c.job_id for c in clouds_of(d)] == ["z"]
         s.complete_step("y", "s0", 35.0)
         d = s.handle_node_failure(0, 40.0)
-        assert [(e.job_id, e.plan.assignments, e.effective_time)
-                for e in edges_of(d)] == [("x", {0: 1}, 40.0)]
+        assert [(e.job_id, e.plan.assignments) for e in edges_of(d)] == [("x", {0: 1})]
+        assert d.expiry is None
 
 
 class TestInvariantStreams:
@@ -452,15 +478,13 @@ class TestInvariantStreams:
                     assert plan is None, "cloud fallback while edge had room"
             assert sticky_seen <= s.cloud_sticky, "cloud_sticky shrank"
             sticky_seen = set(s.cloud_sticky)
-            # window lifecycle: expire everything scheduled for this round
+            # window lifecycle: close everything scheduled for this round
             expiries = sorted(set(s.evicting.values()) | {e for _, e in s.reservations.values()})
             for t in [e for e in expiries if e <= now + 30.0]:
-                for key in sorted([k for k, e in s.evicting.items() if e == t]):
-                    s.expire_eviction(key, t)
-                    active[key] = "cloud"
-                for key in sorted([k for k, (_, e) in s.reservations.items() if e == t]):
-                    s.activate_reservation(key, t)
-                    active[key] = "edge"
+                for d in s.close_windows(t).directives:
+                    active[(d.job_id, d.step_id)] = (
+                        "edge" if isinstance(d, DeployEdge) else "cloud")
+                s.end_instant()
             # randomly complete some active steps
             keys = sorted(active)
             rng.shuffle(keys)

@@ -2,12 +2,13 @@
 from-scratch ReferenceScheduler in tests/oracles.py.
 
 Both schedulers take the same generated call stream: rounds of submitted
-jobs, eviction expiries and reservation activations, step completions and
-node failures, on 1 to 200 nodes under every placement policy. Every call must
-return the same (directives included), and at every instant the calls reach
-the two must hold the same round-robin cursor, residents, eviction windows,
-reservations, cloud sets, node allocations and utilization numbers, with the
-fast scheduler's capacity books equal to their recompute.
+jobs, the closing of eviction windows at each expiry, step completions and
+node failures, on 1 to 200 nodes under every placement policy. Every call
+must return the same (directives and a decision's expiry included), and at
+every instant the calls reach the two must hold the same round-robin cursor,
+residents, eviction windows, reservations, cloud sets, node allocations and
+utilization numbers, with the fast scheduler's capacity books equal to their
+recompute.
 
 Run a wider sweep from a checkout with
 
@@ -55,7 +56,7 @@ class Pair:
         got = getattr(self.fast, method)(*args)
         want = getattr(self.ref, method)(*args)
         if hasattr(got, "directives"):
-            got, want = got.directives, want.directives
+            got, want = (got.directives, got.expiry), (want.directives, want.expiry)
         if got != want:
             raise Mismatch(f"call {self.calls} {method}{args}: "
                            f"returned {got!r}, reference {want!r}")
@@ -127,10 +128,7 @@ def run_stream(seed: int) -> Pair:
             due = sorted({e for e in fast.evicting.values() if e <= t}
                          | {e for _, e in fast.reservations.values() if e <= t})
             for e in due:
-                for key in sorted(k for k, x in fast.evicting.items() if x == e):
-                    pair("expire_eviction", key, e)
-                for key in sorted(k for k, (_, x) in fast.reservations.items() if x == e):
-                    pair("activate_reservation", key, e)
+                pair("close_windows", e)
             alive = [i for i, up in enumerate(fast.alive) if up]
             if alive and rng.random() < fail_rate:
                 pair("handle_node_failure", rng.choice(alive), t)

@@ -20,6 +20,7 @@ from hcs_sim.hcs_scheduler import HcsScheduler, SchedulerMode
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     DriverRestartFault,
+    EventKind,
     ExplicitArrivals,
     NodeFailureFault,
     PoissonArrivals,
@@ -227,19 +228,33 @@ class TestEvictionHandoff:
     def test_books_are_checked_at_an_activation_between_rounds(self, monkeypatch):
         """With a 10 s window the reservation activates at 70, between the
         rounds at 60 and 90; a drift it leaves stops the run at 70."""
-        real = HcsScheduler.activate_reservation
+        real = HcsScheduler.close_windows
 
-        def drifting(self, key, now):
-            plan = real(self, key, now)
+        def drifting(self, expiry):
+            decision = real(self, expiry)
             self._victims.append((0.0, ("ghost", "s0")))
-            return plan
+            return decision
 
-        monkeypatch.setattr(HcsScheduler, "activate_reservation", drifting)
+        monkeypatch.setattr(HcsScheduler, "close_windows", drifting)
         sc = dataclasses.replace(self.build(), eviction_deadline=10.0)
         engine = _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog))
         with pytest.raises(InternalConsistencyError, match="candidate order"):
             engine.run()
         assert engine.now == 70.0
+
+    def test_one_expiry_event_closes_the_window(self, monkeypatch):
+        """The round at 60 evicts cheap for rich: one expiry event at 90
+        moves the victim and deploys the reservation."""
+        pushed = []
+        real = _Engine._push
+
+        def push(self, time, kind, payload):
+            pushed.append((time, kind))
+            real(self, time, kind, payload)
+
+        monkeypatch.setattr(_Engine, "_push", push)
+        run(self.build())
+        assert [t for t, kind in pushed if kind == EventKind.EVICTION_EXPIRE] == [90.0]
 
 
 class TestNodeFailure:
@@ -474,10 +489,9 @@ class TestDeterminism:
 
 class TestRegressions:
     def test_stale_eviction_expiry_is_ignored(self):
-        # X's deferred DeployEdge at the t=20 round schedules an expiry at 50
-        # for its reservation; the t=25 failure re-places X on the edge at
-        # once, and the t=30 round evicts X with expiry 60. The event at 50
-        # must not switch X.
+        # the t=20 round reserves space for X and names the expiry 50; the
+        # t=25 failure re-places X on the edge at once, and the t=30 round
+        # evicts X with expiry 60. The windows closed at 50 must not move X.
         def one(mem, m, svc):
             return template([step("s", 1000, mem, 1, svc)], frags=m, deadline=1e6)
 
