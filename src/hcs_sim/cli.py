@@ -9,7 +9,6 @@ import json
 import logging
 import math
 import os
-import statistics
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -456,6 +455,8 @@ def cmd_replicate(args) -> int:
         per_seed[str(seed)] = d
         for k in series:
             series[k].append(d[k])
+    import statistics  # its only user; fractions and decimal load with it
+
     aggregate = {
         k: {"mean": round9(statistics.mean(v)),
             "stdev": round9(statistics.stdev(v) if len(v) > 1 else 0.0)}

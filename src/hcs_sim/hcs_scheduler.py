@@ -133,6 +133,12 @@ class HcsScheduler:
       load back). Re-derived for each node a book entry changes on.
     - `_victims`: the residents outside an eviction window in (rcost, key)
       order, so eviction candidates are a prefix.
+    - `_ff_from`: per demand shape (cpu, mem), the node first fit starts
+      from, kept under first-fit placement only. No live node below it has
+      room for one replica of that shape in `_free_now`. A first-fit plan
+      sets it to its first node, and `_book` lowers it to the lowest node
+      it touches whenever `_free` grows (a drop or an unreserve); holds,
+      reservations and node deaths only take space, so they leave it.
 
     `_check_capacity_books` recomputes all of them, `_held` included, from
     the residents, windows and reservations, after each round and node
@@ -173,17 +179,25 @@ class HcsScheduler:
             _clamp(f) for f in self._free]
         self._free_after_evictions = list(self._free_now)
         self._victims: list[tuple[float, StepKey]] = []
+        self._ff_from: dict[tuple[int, int], int] = {}
         self._unchecked = False  # activations since the last book check
 
     # -- capacity books ---------------------------------------------------------
 
     def _book(self, book: list, plan: PlacementPlan, sign: int) -> None:
-        """_add_load on one of the two books, then re-derive the views it feeds."""
+        """_add_load on one of the two books, then re-derive the views it
+        feeds; space freed on `_free` lowers the first-fit bounds past it."""
         _add_load(book, plan, sign)
-        for node_id in set(plan.assignments.values()):
+        nodes = set(plan.assignments.values())
+        for node_id in nodes:
             free = self._free[node_id]
             self._free_now[node_id] = _clamp(free)
             self._free_after_evictions[node_id] = _clamp(free, self._evicting_load[node_id])
+        if sign > 0 and book is self._free:
+            low = min(nodes)
+            for shape, start in self._ff_from.items():
+                if start > low:
+                    self._ff_from[shape] = low
 
     def _hold(self, key: StepKey, plan: PlacementPlan) -> None:
         """Allocate a plan to a resident that cheaper newcomers cannot evict.
@@ -292,7 +306,7 @@ class HcsScheduler:
             d = req.step.demand_per_replica
             shape = (d.cpu_millicores, d.memory_mb, req.step.replicas)
             if not _covered(no_room, shape):
-                if self._try_deploy_edge_now(req.step, key, decision, now):
+                if self._try_deploy_edge_now(req.step, key, decision):
                     continue
                 no_room.append(shape)
             if not _covered(no_victims, shape):
@@ -309,10 +323,15 @@ class HcsScheduler:
         decision.directives.append(DeployCloud(key[0], key[1]))
 
     def _try_deploy_edge_now(self, step: StepSpec, key: StepKey,
-                             decision: ScheduleDecision, now: float) -> bool:
-        plan, cursor = try_place_free(step, self._free_now, self.policy, self.rr_cursor)
+                             decision: ScheduleDecision) -> bool:
+        d = step.demand_per_replica
+        shape = (d.cpu_millicores, d.memory_mb)
+        plan, cursor = try_place_free(step, self._free_now, self.policy, self.rr_cursor,
+                                      self._ff_from.get(shape, 0))
         if plan is None:
             return False
+        if self.policy is PlacementPolicy.FIRST_FIT:
+            self._ff_from[shape] = plan.assignments[0]
         self._hold(key, plan)
         self.rr_cursor = cursor
         decision.directives.append(DeployEdge(key[0], key[1], plan))
@@ -350,6 +369,7 @@ class HcsScheduler:
         view = list(base) if freed else base
         for node_id, f in freed.items():
             view[node_id] = f
+        # the first-fit bounds hold on `_free_now` only, so this plan starts at node 0
         plan, cursor = try_place_free(step, view, self.policy, self.rr_cursor)
         if plan is None:
             raise InternalConsistencyError(f"{key}: {slots} replica slots but no placement")
@@ -463,24 +483,24 @@ class HcsScheduler:
                 # already promised to the cloud; go now, the window is moot
                 self._deploy_cloud_now(key, decision)
             else:
-                self._replace_or_offload(key, decision, now)
+                self._replace_or_offload(key, decision)
         for key in sorted(hit_reservations, key=by_cost):
-            self._replace_or_offload(key, decision, now)
+            self._replace_or_offload(key, decision)
         self._check_capacity_books()
         return decision
 
-    def _replace_or_offload(self, key: StepKey, decision: ScheduleDecision,
-                            now: float) -> None:
+    def _replace_or_offload(self, key: StepKey, decision: ScheduleDecision) -> None:
         step = self._jobs[key[0]].dag.step(key[1])
-        if not self._try_deploy_edge_now(step, key, decision, now):
+        if not self._try_deploy_edge_now(step, key, decision):
             self._deploy_cloud_now(key, decision)
 
     # -- invariants -----------------------------------------------------------------
 
     def _check_capacity_books(self) -> None:
         """Physical and promised capacity must both respect node limits, a
-        dead node must hold nothing, and every book must equal its recompute
-        from the resident plans, the eviction windows and the reservations."""
+        dead node must hold nothing, every book must equal its recompute
+        from the resident plans, the eviction windows and the reservations,
+        and no live node below a first-fit bound may have room for its shape."""
         held = [[0, 0] for _ in self.capacities]
         reserved = [[0, 0] for _ in self.capacities]
         evicting = [[0, 0] for _ in self.capacities]
@@ -512,6 +532,11 @@ class HcsScheduler:
                          if key not in self.evicting)
         if victims != self._victims:
             raise InternalConsistencyError("eviction candidate order drifted")
+        for (cpu, mem), start in self._ff_from.items():
+            for node_id, f in enumerate(self._free_now[:start]):
+                if f is not None and f[0] >= cpu and f[1] >= mem:
+                    raise InternalConsistencyError(
+                        f"node {node_id} has room for {cpu, mem} below first-fit bound {start}")
         overlap = set(self.resident) & self.cloud_sticky
         if overlap:
             raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")

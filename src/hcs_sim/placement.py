@@ -42,9 +42,16 @@ def replica_slots(free: tuple[int, int] | None, demand: ResourceVector) -> float
 
 
 def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
-                   policy: PlacementPolicy, rr_cursor: int = 0,
+                   policy: PlacementPolicy, rr_cursor: int = 0, start: int = 0,
                    ) -> tuple[PlacementPlan | None, int]:
     """Plan a full replica set against per-node free capacity, all-or-nothing.
+
+    First fit walks the nodes from start and fills each node with room
+    before it moves on: once a node's slots (see `replica_slots`) are used
+    it no longer fits, and the nodes before it did not fit and only lost
+    space, so this is the plan that placing one replica at a time on the
+    lowest node with room would make. The caller guarantees that no node
+    below start has room for one replica.
 
     Args:
         step: step whose replicas are being placed.
@@ -52,27 +59,36 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
             dead node. Read only: a caller may pass its live books.
         policy: greedy rule choosing a node per replica.
         rr_cursor: round-robin position; ignored by the other policies.
+        start: first node first fit looks at; ignored by the other policies.
 
     Returns:
         (plan, new_cursor). plan is None when the replica set does not fit,
         in which case no capacity or cursor change escapes.
     """
-    dc, dm = step.demand_per_replica.cpu_millicores, step.demand_per_replica.memory_mb
+    demand = step.demand_per_replica
+    dc, dm = demand.cpu_millicores, demand.memory_mb
+    if policy is PlacementPolicy.FIRST_FIT:
+        assignments: dict[int, int] = {}
+        placed, replicas = 0, step.replicas
+        for i in range(start, len(free)):
+            f = free[i]
+            if f is not None and f[0] >= dc and f[1] >= dm:
+                take = min(replica_slots(f, demand), replicas - placed)
+                assignments.update(dict.fromkeys(range(placed, placed + take), i))
+                placed += take
+                if placed == replicas:
+                    return PlacementPlan(step, assignments), rr_cursor
+        return None, rr_cursor
     remaining = free  # the caller's list, copied before the first write
     n = len(remaining)
     if n == 0:
         return None, rr_cursor
-    assignments: dict[int, int] = {}
+    assignments = {}
     cursor = rr_cursor % n
 
     for replica in range(step.replicas):
         chosen = -1
-        if policy is PlacementPolicy.FIRST_FIT:
-            for i, f in enumerate(remaining):
-                if f is not None and f[0] >= dc and f[1] >= dm:
-                    chosen = i
-                    break
-        elif policy is PlacementPolicy.BEST_FIT:
+        if policy is PlacementPolicy.BEST_FIT:
             best = None
             for i, f in enumerate(remaining):
                 if f is None or f[0] < dc or f[1] < dm:

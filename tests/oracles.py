@@ -10,9 +10,11 @@ that expands those counts into fragment ids; the driver's commit before plans
 were kept, which walks the schedule again, over fragment ids, instead of
 cutting the stored plan; the driver's restart before it only requeued
 in-flight work, which rebuilds every queue from the journals; the per-cell
-report writer; and the scheduler before incremental capacity books,
-the differential oracle for the scheduler, with the per-node allocation
-account it kept before the scheduler's books owned edge allocation.
+report writer; the placement before first fit started from a per-shape
+bound, which places one replica at a time, first fit scanning from node 0
+for each; and the scheduler before incremental capacity books, the
+differential oracle for the scheduler, with the per-node allocation account
+it kept before the scheduler's books owned edge allocation.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from hcs_sim.core_model import (
     CostParams,
     InternalConsistencyError,
     ResourceVector,
+    StepSpec,
     StepState,
     ValidationError,
     dag_violations,
@@ -44,7 +47,7 @@ from hcs_sim.hcs_scheduler import (
 )
 from hcs_sim.metrics import JobOutcome, _fmt
 from hcs_sim.pipeline_driver import PipelineDriver
-from hcs_sim.placement import PlacementPolicy, try_place_free
+from hcs_sim.placement import PlacementPlan, PlacementPolicy
 from hcs_sim.sim_engine import EventKind, _Engine, generate_arrivals
 
 
@@ -207,6 +210,77 @@ def total_cost(step, params, deployed_time):
     if deployed_time < 0:
         raise ValidationError("deployed_time must be >= 0")
     return rcost(step, params) * deployed_time
+
+
+def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
+                   policy: PlacementPolicy, rr_cursor: int = 0,
+                   ) -> tuple[PlacementPlan | None, int]:
+    """Plan a full replica set against per-node free capacity, all-or-nothing.
+
+    Args:
+        step: step whose replicas are being placed.
+        free: per-node (cpu_millicores, memory_mb) still free; None marks a
+            dead node. Read only: a caller may pass its live books.
+        policy: greedy rule choosing a node per replica.
+        rr_cursor: round-robin position; ignored by the other policies.
+
+    Returns:
+        (plan, new_cursor). plan is None when the replica set does not fit,
+        in which case no capacity or cursor change escapes.
+    """
+    dc, dm = step.demand_per_replica.cpu_millicores, step.demand_per_replica.memory_mb
+    remaining = free  # the caller's list, copied before the first write
+    n = len(remaining)
+    if n == 0:
+        return None, rr_cursor
+    assignments: dict[int, int] = {}
+    cursor = rr_cursor % n
+
+    for replica in range(step.replicas):
+        chosen = -1
+        if policy is PlacementPolicy.FIRST_FIT:
+            for i, f in enumerate(remaining):
+                if f is not None and f[0] >= dc and f[1] >= dm:
+                    chosen = i
+                    break
+        elif policy is PlacementPolicy.BEST_FIT:
+            best = None
+            for i, f in enumerate(remaining):
+                if f is None or f[0] < dc or f[1] < dm:
+                    continue
+                key = (f[0], f[1], i)  # least remaining cpu, then memory, then index
+                if best is None or key < best:
+                    best = key
+                    chosen = i
+        elif policy is PlacementPolicy.WORST_FIT:
+            best = None
+            for i, f in enumerate(remaining):
+                if f is None or f[0] < dc or f[1] < dm:
+                    continue
+                key = (-f[0], -f[1], i)  # most remaining cpu, then memory, then index
+                if best is None or key < best:
+                    best = key
+                    chosen = i
+        elif policy is PlacementPolicy.ROUND_ROBIN:
+            for off in range(n):
+                i = (cursor + off) % n
+                f = remaining[i]
+                if f is not None and f[0] >= dc and f[1] >= dm:
+                    chosen = i
+                    cursor = (i + 1) % n
+                    break
+        else:
+            raise ValidationError(f"unknown policy {policy!r}")
+        if chosen < 0:
+            return None, rr_cursor
+        assignments[replica] = chosen
+        if remaining is free:
+            remaining = list(free)
+        f = remaining[chosen]
+        remaining[chosen] = (f[0] - dc, f[1] - dm)
+
+    new_cursor = cursor if policy is PlacementPolicy.ROUND_ROBIN else rr_cursor
+    return PlacementPlan(step, assignments), new_cursor
 
 
 def try_place(step, nodes, policy, rr_cursor=0):
@@ -680,8 +754,9 @@ class ReferenceScheduler:
     each request, rcost is recomputed at each use, and an eviction try filters
     and sorts all residents, then re-plans once per candidate victim. Each
     node's allocation is its own NodeState, written by apply_plan and
-    release. Same constructor and calls as HcsScheduler, so both can take
-    one call stream.
+    release, and every plan comes from the oracle try_place_free above,
+    which places one replica at a time. Same constructor and
+    calls as HcsScheduler, so both can take one call stream.
     """
 
     submit_request = HcsScheduler.submit_request

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from hcs_sim import hcs_scheduler
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -208,10 +209,13 @@ def test_generated_scenarios_match_the_oracle():
 
 def test_generator_reaches_the_hard_cases(monkeypatch):
     """The tier-1 seeds exercise joins, barriers, evictions, evictions that
-    cancel in-flight work, faults and cuts."""
+    cancel in-flight work, faults, cuts, a first fit whose bound skips a node
+    and a bound that a release lowers."""
     seen = set()
     real_close = HcsScheduler.close_windows
     real_notice = PipelineDriver.on_eviction_notice
+    real_place = hcs_scheduler.try_place_free
+    real_book = HcsScheduler._book
 
     def close(self, expiry):
         decision = real_close(self, expiry)
@@ -226,8 +230,21 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
         if len(self.steps[step_id].flight) < in_flight:
             seen.add("eviction-cancels")
 
+    def place(step, free, policy, rr_cursor=0, start=0):
+        if policy is PlacementPolicy.FIRST_FIT and start > 0:
+            seen.add("first-fit-skip")
+        return real_place(step, free, policy, rr_cursor, start)
+
+    def book(self, book, plan, sign):
+        before = dict(self._ff_from)
+        real_book(self, book, plan, sign)
+        if any(self._ff_from[shape] < start for shape, start in before.items()):
+            seen.add("first-fit-lowered")
+
     monkeypatch.setattr(HcsScheduler, "close_windows", close)
     monkeypatch.setattr(PipelineDriver, "on_eviction_notice", notice)
+    monkeypatch.setattr(hcs_scheduler, "try_place_free", place)
+    monkeypatch.setattr(HcsScheduler, "_book", book)
     for seed in TIER1_SEEDS:
         sc = random_scenario(seed)
         for job in sc.catalog.values():
@@ -243,7 +260,8 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
             seen.add("cloud_only")
         seen.add(sc.placement.value)
     assert {"join3", "barrier", "eviction", "eviction-cancels", "NodeFailureFault",
-            "DriverRestartFault", "cut", "cloud_only", *(p.value for p in PlacementPolicy)} <= seen
+            "DriverRestartFault", "cut", "cloud_only", "first-fit-skip", "first-fit-lowered",
+            *(p.value for p in PlacementPolicy)} <= seen
 
 
 def _step(sid, cpu, replicas=1, service=1.0, ff=True):

@@ -1,4 +1,6 @@
-"""Property test: a replica set's slot count decides every greedy policy.
+"""Property test: a replica set's slot count decides every greedy policy,
+and the package's placement makes the plans of the one-replica-at-a-time
+oracle in tests/oracles.py.
 
 Needs hypothesis (the `test` extra in pyproject.toml); without it this
 module is skipped and the rest of the suite runs unchanged.
@@ -8,6 +10,8 @@ import pytest
 
 from hcs_sim.core_model import ResourceVector, StepSpec
 from hcs_sim.placement import PlacementPolicy, replica_slots, try_place_free
+
+import oracles
 
 pytest.importorskip("hypothesis")
 
@@ -20,13 +24,15 @@ _dimension = st.one_of(st.just(0), st.integers(0, 6000))
 _free_views = st.lists(st.one_of(st.none(), st.tuples(_dimension, _dimension)), max_size=8)
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(free=_free_views, cpu=st.sampled_from([0, 1, 250, 1000, 2500]),
        mem=st.sampled_from([0, 1, 256, 4096]), replicas=st.integers(1, 4),
        cursor=st.integers(0, 9))
 def test_slot_count_decides_every_policy(free, cpu, mem, replicas, cursor):
     """Every greedy policy places a replica set iff its slots sum to the
-    replica count, a failed try keeps the cursor, and the view is unchanged."""
+    replica count, a failed try keeps the cursor, the view is unchanged,
+    and the plan and cursor are the oracle's; first fit's are so from
+    every start up to the first node with room for one replica."""
     step = StepSpec("s", ResourceVector(cpu, mem), replicas, 1.0)
     slots = sum(replica_slots(f, step.demand_per_replica) for f in free)
     before = list(free)
@@ -36,3 +42,10 @@ def test_slot_count_decides_every_policy(free, cpu, mem, replicas, cursor):
         if plan is None:
             assert new_cursor == cursor, policy
         assert free == before, policy
+        assert (plan, new_cursor) == oracles.try_place_free(step, free, policy, cursor), policy
+    first_room = next((i for i, f in enumerate(free)
+                       if f is not None and f[0] >= cpu and f[1] >= mem), len(free))
+    want = oracles.try_place_free(step, free, PlacementPolicy.FIRST_FIT, cursor)
+    for start in range(first_room + 1):
+        assert try_place_free(step, free, PlacementPolicy.FIRST_FIT, cursor, start) == want, start
+

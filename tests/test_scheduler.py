@@ -327,18 +327,27 @@ class TestCapacityBooks:
         assert [k for _, k in s._victims] == [("h", "s0"), ("r", "s0")]
         return s
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda s: s._free[0].__setitem__(0, s._free[0][0] - 1),
-        lambda s: s._evicting_load[0].__setitem__(1, 1),
-        lambda s: s._free_now.__setitem__(0, (0, 0)),
-        lambda s: s._free_after_evictions.__setitem__(0, (6000, 8192)),
-        lambda s: s._victims.reverse(),
-        lambda s: s._victims.pop(),
-        lambda s: s._held[0].__setitem__(0, s._held[0][0] + 1),
+    def spare(self):
+        """a on node 0 of two, with room left there for another of its shape."""
+        s = HcsScheduler([ResourceVector(4000, 8192)] * 2)
+        s.submit_request(job_with_step("a", 1000), 0.0)
+        s.run_round(30.0)
+        assert s._ff_from == {(1000, 0): 0} and s._free_now[0] == (3000, 8192)
+        return s
+
+    @pytest.mark.parametrize("fixture, corrupt", [
+        ("loaded", lambda s: s._free[0].__setitem__(0, s._free[0][0] - 1)),
+        ("loaded", lambda s: s._evicting_load[0].__setitem__(1, 1)),
+        ("loaded", lambda s: s._free_now.__setitem__(0, (0, 0))),
+        ("loaded", lambda s: s._free_after_evictions.__setitem__(0, (6000, 8192))),
+        ("loaded", lambda s: s._victims.reverse()),
+        ("loaded", lambda s: s._victims.pop()),
+        ("loaded", lambda s: s._held[0].__setitem__(0, s._held[0][0] + 1)),
+        ("spare", lambda s: s._ff_from.__setitem__((1000, 0), 1)),
     ], ids=["free", "evicting", "free_now", "free_after_evictions", "victim_order",
-            "victim_missing", "held"])
-    def test_a_drifted_book_is_an_internal_error(self, corrupt):
-        s = self.loaded()
+            "victim_missing", "held", "first_fit_bound"])
+    def test_a_drifted_book_is_an_internal_error(self, fixture, corrupt):
+        s = getattr(self, fixture)()
         s._check_capacity_books()
         corrupt(s)
         with pytest.raises(InternalConsistencyError):
