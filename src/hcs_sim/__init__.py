@@ -7,7 +7,6 @@ from hcs_sim.core_model import (
     PipelineDag,
     ResourceVector,
     StepSpec,
-    StepState,
     ValidationError,
     rcost,
     validate_job,
@@ -54,7 +53,6 @@ __all__ = [
     "Scenario",
     "SchedulerMode",
     "StepSpec",
-    "StepState",
     "UtilizationSample",
     "ValidationError",
     "cost_vs_baseline",

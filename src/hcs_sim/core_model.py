@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 
@@ -175,27 +174,6 @@ class BatchJob:
                     (self.fragment_count >= 1, "fragment_count: must be >= 1"),
                     (self.deadline > 0, "deadline: must be > 0"),
                     (self.arrival_time >= 0, "arrival_time: must be >= 0"))
-
-
-class StepState(Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    WAITING = "waiting"
-    COMPLETED = "completed"
-
-
-# Legal state-machine moves; anything else is a driver bug.
-VALID_STEP_TRANSITIONS: dict[StepState, tuple[StepState, ...]] = {
-    StepState.PENDING: (StepState.RUNNING, StepState.WAITING),
-    StepState.WAITING: (StepState.RUNNING,),
-    StepState.RUNNING: (StepState.COMPLETED,),
-    StepState.COMPLETED: (),
-}
-
-
-def assert_step_transition(current: StepState, target: StepState) -> None:
-    if target not in VALID_STEP_TRANSITIONS[current]:
-        raise InternalConsistencyError(f"illegal step transition {current.value} -> {target.value}")
 
 
 def rcost(step: StepSpec, params: CostParams) -> float:

@@ -164,7 +164,6 @@ class HcsScheduler:
         self.evicting: dict[StepKey, float] = {}
         self.reservations: dict[StepKey, tuple[PlacementPlan, float]] = {}
         self.cloud_sticky: set[StepKey] = set()
-        self.cloud_active: set[StepKey] = set()
         self.completed: set[StepKey] = set()
         self.pending: list[_Request] = []
         self.rr_cursor = 0
@@ -319,7 +318,6 @@ class HcsScheduler:
 
     def _deploy_cloud_now(self, key: StepKey, decision: ScheduleDecision) -> None:
         self.cloud_sticky.add(key)
-        self.cloud_active.add(key)
         decision.directives.append(DeployCloud(key[0], key[1]))
 
     def _try_deploy_edge_now(self, step: StepSpec, key: StepKey,
@@ -429,7 +427,7 @@ class HcsScheduler:
 
     # -- completions ------------------------------------------------------------
 
-    def complete_step(self, job_id: str, step_id: str, now: float) -> None:
+    def complete_step(self, job_id: str, step_id: str) -> None:
         """All fragments of a step are journaled; release whatever it held."""
         key = (job_id, step_id)
         if key in self.completed:
@@ -437,14 +435,12 @@ class HcsScheduler:
         self.completed.add(key)
         if key in self.resident:
             self._drop(key)  # an open window's pending cloud handoff is cancelled
-        elif key in self.cloud_active:
-            self.cloud_active.remove(key)
-        else:
+        elif key not in self.cloud_sticky:
             raise InternalConsistencyError(f"completion for unknown deployment {key}")
 
     # -- faults -------------------------------------------------------------------
 
-    def handle_node_failure(self, node_id: int, now: float) -> ScheduleDecision:
+    def handle_node_failure(self, node_id: int) -> ScheduleDecision:
         """Kill a node and re-place every step that lost replicas on it.
 
         Affected residents lose their whole plan and are re-placed most

@@ -6,7 +6,7 @@ Each step is then a FIFO queue in front of a pool of p workers, and its
 fragment finish times follow the max-plus recurrence
 f[k] = max(a[k], f[k-p]) + d, with a[k] the ready time and d the service time
 over the region's speed. The driver keeps the durable state of its last
-commit (journal, ready queues, in-flight fragments, step states, pending
+commit (journal, ready queues, in-flight fragments, regions, pending
 eviction switches) and projects every step's schedule from it, one plain loop
 per step in topological order; the engine schedules one event per projected
 step completion. The projection is kept as the plan. An interruption first
@@ -20,14 +20,22 @@ lower (cancelled or lost) indices first, and a fragment becomes ready at a
 join no earlier than every lower one. So completions at equal times, which
 the event queue would order by insertion, are ordered by fragment index.
 A feed-forward fragment arrives in the commit that journals it at its last
-predecessor, and a barrier releases, and sets its step's state, in the commit
-that completes its last predecessor. Hence the law the state is written in:
-after every mutation a step's journal is the prefix 0..k-1, its in-flight
-fragments are the next i indices, with non-decreasing finish times, and its
-ready queue is the r indices after those. A step keeps k, the i finish times
-and r, never a fragment id; a driver restart only requeues the in-flight
-ones, and the fragments that become ready at a join are the common prefix of
-its predecessors' journaled and planned ones.
+predecessor, and a barrier releases in the commit that completes its last
+predecessor. Hence the law the state is written in: after every mutation a
+step's journal is the prefix 0..k-1, its in-flight fragments are the next i
+indices, with non-decreasing finish times, and its ready queue is the r
+indices after those. A step keeps k, the i finish times and r, never a
+fragment id; a driver restart only requeues the in-flight ones, and the
+fragments that become ready at a join are the common prefix of its
+predecessors' journaled and planned ones.
+
+A step's lifecycle is not stored: it is COMPLETED when k is the fragment
+count, PENDING while it has no region, and otherwise RUNNING when it is
+feed-forward or every predecessor is complete, WAITING when it is not. Two
+facts make the counts enough. An undeployed step has a pool of 0, so it
+never dispatches. A barrier's ready count stays 0 until its predecessors
+complete: it gains fragments only at its release, and in-flight fragments
+only go back to the queue after a dispatch.
 """
 
 from __future__ import annotations
@@ -41,9 +49,7 @@ from hcs_sim.core_model import (
     BatchJob,
     InternalConsistencyError,
     StepSpec,
-    StepState,
     ValidationError,
-    assert_step_transition,
 )
 
 
@@ -59,20 +65,20 @@ class _StepRuntime:
     Fragments 0..done-1 are journaled; flight holds the finish times,
     non-decreasing, of the next len(flight), which are in flight; the ready
     fragments after those queue. flight is only ever replaced, never changed
-    in place: a plan shares it.
+    in place: a plan shares it. The step's lifecycle follows from these
+    counts, its region and its predecessors' counts (see the module
+    docstring).
     """
 
     spec: StepSpec
-    state: StepState = StepState.PENDING
     region: str | None = None  # "edge" or "cloud" once deployed
-    pool: int = 0
+    pool: int = 0  # 0 until deployed, so an undeployed step never dispatches
     done: int = 0
     flight: list[float] = field(default_factory=list)
     ready: int = 0
     # the expiry of the eviction window a notice opened; the step dispatches
-    # nothing until the redeploy that ends the window
+    # nothing until the deploy that ends the window
     pending_switch: float | None = None
-    barrier_released: bool = False
 
 
 def _fifo(times: list[float], busy: list[float], free: int, t0: float,
@@ -118,7 +124,7 @@ class PipelineDriver:
     is current (version unchanged). Every interruption method commits the
     plan first, and the caller projects again after the interruptions of one
     instant. A step runs in a region, "edge" or "cloud", which sets its
-    speed; after an eviction notice it dispatches nothing until the redeploy
+    speed; after an eviction notice it dispatches nothing until the deploy
     that moves it to the cloud at the expiry.
     """
 
@@ -138,7 +144,6 @@ class PipelineDriver:
             rt = _StepRuntime(job.dag.step(sid))
             if not self._preds[sid]:
                 rt.ready = self.m
-                rt.barrier_released = True
             self.steps[sid] = rt
 
     # -- queries ------------------------------------------------------------
@@ -150,7 +155,7 @@ class PipelineDriver:
         return rt
 
     def is_complete(self) -> bool:
-        return all(self.steps[t].state is StepState.COMPLETED for t in self.terminal_ids)
+        return all(self.steps[t].done == self.m for t in self.terminal_ids)
 
     def _service(self, rt: _StepRuntime) -> float:
         speed = self.edge_speed if rt.region == "edge" else self.cloud_speed
@@ -180,7 +185,7 @@ class PipelineDriver:
         plan, self._plan = self._plan, None
         if plan is None:
             return
-        for sid, rt, n_ready, a_times, fins, free, release in plan:
+        for sid, rt, n_ready, a_times, fins, free in plan:
             flight = rt.flight
             n_fl = bisect_right(flight, now)
             n_landed = bisect_right(fins, now)
@@ -193,22 +198,15 @@ class PipelineDriver:
                 self._journal(rt, n_fl + n_landed)
             rt.flight = flight[n_fl:] + fins[n_landed:n_started]
             rt.ready = n_arrived - n_started
-            if release is not None and release <= now:
-                rt.barrier_released = True
-                if rt.state is StepState.WAITING:
-                    assert_step_transition(rt.state, StepState.RUNNING)
-                    rt.state = StepState.RUNNING
             if rt.done == self.m:
                 if rt.flight or rt.ready:
                     raise InternalConsistencyError(f"step {sid} complete with work left")
-                assert_step_transition(rt.state, StepState.COMPLETED)
-                rt.state = StepState.COMPLETED
                 rt.pending_switch = None
 
     def on_step_complete(self, step_id: str, now: float) -> bool:
         """A step completion of the current plan happened; returns whether the
         whole job finished with it, in which case the plan is committed."""
-        if self.steps[step_id].state is StepState.COMPLETED:
+        if self.steps[step_id].done == self.m:
             raise InternalConsistencyError(f"step {step_id} completed twice")
         self._steps_done += 1
         if self._steps_done < len(self.topo):
@@ -228,15 +226,13 @@ class PipelineDriver:
         rt.done += count
 
     def _arrivals(self, sid: str, rt: _StepRuntime, t0: float, done: dict,
-                  finished: dict) -> tuple[list[float], float | None]:
+                  finished: dict) -> list[float]:
         """Ready times of the fragments the plan makes ready at a step, in
-        index order after its available ones, and, for a barrier that
-        releases within the plan, its release time.
-        """
+        index order after its available ones."""
         preds = self._preds[sid]
         if rt.spec.feed_forward:
             if len(preds) == 1:
-                return done[preds[0]], None
+                return done[preds[0]]
             # a join: a fragment is ready once every predecessor finished it,
             # at the last of those completions within the plan; a predecessor
             # that journaled it before t0 counts t0, earlier than every finish
@@ -246,16 +242,16 @@ class PipelineDriver:
             for p in preds:
                 lead = self.steps[p].done - avail
                 aligned.append([t0] * lead + done[p] if lead else done[p])
-            return list(map(max, *aligned)), None
-        if not all(p in finished or self.steps[p].state is StepState.COMPLETED
-                   for p in preds):
-            return [], None
+            return list(map(max, *aligned))
         # a barrier releases at its last predecessor's completion, and its
-        # step journals nothing before that
+        # step journals nothing before that; released before the plan, its
+        # fragments are counted in its ready ones
+        ends = [finished[p] for p in preds if p in finished]
+        if not ends or not all(p in finished or self.steps[p].done == self.m for p in preds):
+            return []
         if rt.done:
             raise InternalConsistencyError(f"barrier step {sid} journaled before release")
-        when = max(finished[p] for p in preds if p in finished)
-        return [when] * self.m, when
+        return [max(ends)] * self.m
 
     def _follow(self, t0: float) -> dict[str, float]:
         """Walk every step's schedule from the durable state at t0 and keep it
@@ -264,10 +260,9 @@ class PipelineDriver:
         Returns the completion time of each step the schedule finishes. A
         step's plan holds the number of fragments ready at t0, the ready
         times of the ones that arrive after them, the finish times of the
-        queue, the idle workers at t0 (None when the step does not dispatch)
-        and the barrier's release time (None when it does not release). It
-        stores no copy of the in-flight finish times: every mutator commits
-        before it replaces them.
+        queue and the idle workers at t0 (None when the step does not
+        dispatch). It stores no copy of the in-flight finish times: every
+        mutator commits before it replaces them.
         """
         # per step, the finish times of its next unjournaled fragments in the plan
         done: dict[str, list[float]] = {}
@@ -275,32 +270,28 @@ class PipelineDriver:
         plan = []
         for sid in self.topo:
             rt = self.steps[sid]
-            if rt.state is StepState.COMPLETED:
+            if rt.done == self.m:
                 done[sid] = []
                 continue
             n_ready = rt.ready
-            a_times: list[float] = []
-            release = None
-            if self._preds[sid] and (rt.spec.feed_forward or not rt.barrier_released):
-                a_times, release = self._arrivals(sid, rt, t0, done, finished)
+            a_times = self._arrivals(sid, rt, t0, done, finished) if self._preds[sid] else []
             busy = rt.flight
             fins: list[float] = []
             free = None
-            if ((n_ready or a_times) and rt.region is not None and rt.pending_switch is None
-                    and (rt.spec.feed_forward or rt.barrier_released or release is not None)):
+            if (n_ready or a_times) and rt.region is not None and rt.pending_switch is None:
                 free = rt.pool - len(busy)
                 fins = _fifo([t0] * n_ready + a_times, busy, free, t0, self._service(rt))
             all_fins = busy + fins if busy else fins
             done[sid] = all_fins
             if rt.done + len(all_fins) == self.m:
                 finished[sid] = all_fins[-1]
-            plan.append((sid, rt, n_ready, a_times, fins, free, release))
+            plan.append((sid, rt, n_ready, a_times, fins, free))
         self._plan = plan
         return finished
 
     def _start_ready(self, rt: _StepRuntime, now: float) -> None:
         """Hand ready fragments to idle workers at an interruption's instant."""
-        if rt.state is not StepState.RUNNING or rt.pending_switch is not None:
+        if rt.pending_switch is not None:
             return
         n = min(rt.ready, rt.pool - len(rt.flight))
         if n > 0:
@@ -315,31 +306,33 @@ class PipelineDriver:
 
     # -- deployment -----------------------------------------------------------
 
-    def on_deploy(self, step_id: str, region: str, pool_size: int, now: float) -> None:
-        """First deployment of a step; starts up to pool_size ready fragments."""
+    def deploy(self, step_id: str, region: str, pool_size: int, now: float) -> None:
+        """Deploy a step in region with pool_size workers: its first
+        deployment, or a move after a node failure lost its deployment or its
+        eviction window ended. In-flight work requeues (a first deployment has
+        none) and ready work starts; from a window's expiry on, nothing may
+        still be in flight, since the notice kept only the fragments finishing
+        by then."""
         self.commit(now)
         rt = self.step_runtime(step_id)
-        if rt.region is not None or rt.state is not StepState.PENDING:
+        if rt.done == self.m:
+            raise InternalConsistencyError(f"deploy of completed step {step_id}")
+        if rt.pending_switch is not None and now >= rt.pending_switch and rt.flight:
             raise InternalConsistencyError(
-                f"step {step_id} deployed twice (state {rt.state.value})")
+                f"step {step_id} still has in-flight work at eviction expiry")
+        rt.pending_switch = None
         rt.region = region
         rt.pool = pool_size
-        if rt.spec.feed_forward or rt.barrier_released:
-            assert_step_transition(rt.state, StepState.RUNNING)
-            rt.state = StepState.RUNNING
-        else:
-            assert_step_transition(rt.state, StepState.WAITING)
-            rt.state = StepState.WAITING
-        self._start_ready(rt, now)
+        self._requeue(rt, now)
 
-    # -- eviction and failure handoff ----------------------------------------
+    # -- eviction -------------------------------------------------------------
 
     def on_eviction_notice(self, step_id: str, expiry: float, now: float) -> None:
         """Stop feeding the edge deployment; cancel work that cannot finish in time.
 
         In-flight fragments finishing by the expiry run to completion; the rest
         go back to the front of the ready queue for the cloud deployment that
-        a redeploy starts at the expiry.
+        a deploy starts at the expiry.
         """
         self.commit(now)
         rt = self.step_runtime(step_id)
@@ -352,32 +345,15 @@ class PipelineDriver:
         rt.flight = rt.flight[:keep]
         rt.pending_switch = expiry
 
-    def redeploy(self, step_id: str, region: str, pool_size: int, now: float) -> None:
-        """Move a deployed step: a node failure lost its deployment, or its
-        eviction window ended. In-flight work requeues; from a window's expiry
-        on, nothing may still be in flight, since the notice kept only the
-        fragments finishing by then."""
-        self.commit(now)
-        rt = self.step_runtime(step_id)
-        if rt.region is None or rt.state is StepState.COMPLETED:
-            raise InternalConsistencyError(f"redeploy of undeployed/completed step {step_id}")
-        if rt.pending_switch is not None and now >= rt.pending_switch and rt.flight:
-            raise InternalConsistencyError(
-                f"step {step_id} still has in-flight work at eviction expiry")
-        rt.pending_switch = None
-        rt.region = region
-        rt.pool = pool_size
-        self._requeue(rt, now)
-
     # -- restart ------------------------------------------------------------
 
     def resume_from_journal(self, now: float) -> None:
         """Restart the driver: in-flight work is lost and starts again.
 
-        The journal, regions, step states and eviction notices are durable.
-        After the commit a step's in-flight fragments are the ones just past
-        its journal and before its ready ones (see the module docstring), so
-        requeueing them is the whole rebuild. Journaled work is never resent.
+        The journal, regions and eviction notices are durable. After the
+        commit a step's in-flight fragments are the ones just past its journal
+        and before its ready ones (see the module docstring), so requeueing
+        them is the whole rebuild. Journaled work is never resent.
         """
         self.commit(now)
         for rt in self.steps.values():

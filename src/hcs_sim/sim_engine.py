@@ -356,8 +356,7 @@ class _Engine:
         self.collector.open_entry(job_id, step_id, region, self.sched.rcost_of(step), now)
         pool = (step.replicas if region == "edge"
                 else cloud_pool_size(step, self.scenario.cloud_concurrency))
-        deploy = drv.redeploy if drv.step_runtime(step_id).region else drv.on_deploy
-        deploy(step_id, region, pool, now)
+        drv.deploy(step_id, region, pool, now)
         self._touch(drv)
 
     def _on_completion(self, event: tuple[str, str, int], now: float) -> bool:
@@ -366,7 +365,7 @@ class _Engine:
         drv = self.drivers[job_id]
         if version != drv.version:
             return False  # the plan was superseded by an interruption
-        self.sched.complete_step(job_id, step_id, now)
+        self.sched.complete_step(job_id, step_id)
         self.collector.close_entry(job_id, step_id, now)
         if drv.on_step_complete(step_id, now):
             self.collector.record_outcome(JobOutcome(
@@ -374,7 +373,7 @@ class _Engine:
         return True
 
     def _on_node_failure(self, node_id: int, now: float) -> None:
-        self._apply_decision(self.sched.handle_node_failure(node_id, now), now)
+        self._apply_decision(self.sched.handle_node_failure(node_id), now)
 
     def _on_driver_restart(self, job_id: str, now: float) -> None:
         drv = self.drivers.get(job_id)

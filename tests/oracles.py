@@ -5,10 +5,11 @@ a scan-everything time-stepping loop over explicit worker slots, no event
 queue, no epochs, no eviction handling. Slow but obviously correct. Next to
 it, the per-fragment engine the package used before per-step schedules: one
 event per fragment completion, the differential oracle for the fast engine,
-which also checks the prefix law the driver's per-step counts rest on; a view
-that expands those counts into fragment ids; the driver's commit before plans
-were kept, which walks the schedule again, over fragment ids, instead of
-cutting the stored plan; the driver's restart before it only requeued
+which also checks the prefix law the driver's per-step counts rest on and
+stores the step lifecycle the driver derives; that derivation, from the
+driver's counts; a view that expands those counts into fragment ids; the
+driver's commit before plans were kept, which walks the schedule again,
+over fragment ids, instead of cutting the stored plan; the driver's restart before it only requeued
 in-flight work, which rebuilds every queue from the journals; the per-cell
 report writer; the placement before first fit started from a per-shape
 bound, which places one replica at a time, first fit scanning from node 0
@@ -24,13 +25,13 @@ import heapq
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from enum import Enum
 
 from hcs_sim.core_model import (
     CostParams,
     InternalConsistencyError,
     ResourceVector,
     StepSpec,
-    StepState,
     ValidationError,
     dag_violations,
     rcost,
@@ -414,7 +415,7 @@ def _rewalk_arrivals(drv, view, sid, t0, done, finished):
         order = sorted((t, f) for f, t in ready.items()
                        if all(f in now or f in before for now, before in planned))
         return [t for t, _ in order], [f for _, f in order], False
-    if not all(p in finished or drv.steps[p].state is StepState.COMPLETED for p in preds):
+    if not all(p in finished or drv.steps[p].done == drv.m for p in preds):
         return [], [], False
     when = max(finished[p] for p in preds if p in finished)
     frags = [f for f in range(drv.m) if f not in view[sid][0]]
@@ -426,21 +427,24 @@ def rewalk_commit(drv, t0, cut):
     steps kept counts: drop the plan projected at t0 and walk every step's
     schedule again from the committed state, expanded into fragment ids, up
     to cut, moving the durable state along it; the ids it leaves must obey
-    the prefix law to be written back as counts."""
+    the prefix law to be written back as counts. Which barriers were released
+    is read before the walk, which journals their predecessors as it goes."""
     drv._plan = None
     view = fragment_view(drv)
     done = {}
     finished = {}
+    was_released = {sid: all(drv.steps[p].done == drv.m for p in drv._preds[sid])
+                    for sid in drv.topo}
     for sid in drv.topo:
         rt = drv.steps[sid]
-        if rt.state is StepState.COMPLETED:
+        if rt.done == drv.m:
             done[sid] = ([], [])
             continue
         journal, in_flight, queue = view[sid]
         frags = list(queue)
         times = [t0] * len(frags)
         released = False
-        if drv._preds[sid] and (rt.spec.feed_forward or not rt.barrier_released):
+        if drv._preds[sid] and (rt.spec.feed_forward or not was_released[sid]):
             a_times, a_frags, released = _rewalk_arrivals(drv, view, sid, t0, done, finished)
             times += a_times
             frags += a_frags
@@ -450,7 +454,7 @@ def rewalk_commit(drv, t0, cut):
         out = [f for _, f in landed]
         new_fins = []
         if (frags and rt.region is not None and rt.pending_switch is None
-                and (rt.spec.feed_forward or rt.barrier_released or released)):
+                and (rt.spec.feed_forward or was_released[sid] or released)):
             new_fins = _fifo_until(times, [fin for fin, _ in flight], rt.pool - len(flight),
                                    t0, drv._service(rt), cut)
         n_started = len(new_fins)
@@ -473,46 +477,52 @@ def rewalk_commit(drv, t0, cut):
             drv._journal(rt, len(out))
         rt.flight = [in_flight[f] for f in sorted(in_flight)]
         rt.ready = len(queue)
-        if released:
-            rt.barrier_released = True
-            if rt.state is StepState.WAITING:
-                rt.state = StepState.RUNNING
         if len(journal) == drv.m:
             if in_flight or queue:
                 raise InternalConsistencyError(f"step {sid} complete with work left")
-            rt.state = StepState.COMPLETED
             rt.pending_switch = None
 
 
 def rebuild_from_journal(drv, now):
     """PipelineDriver.resume_from_journal as it was before a restart only
-    requeued in-flight work: commit, then rebuild every step's ready queue,
-    barrier flag and state from its own and its predecessors' journals."""
+    requeued in-flight work: commit, then rebuild every step's ready queue
+    from its own and its predecessors' journals and start what it can."""
     drv.commit(now)
     for sid in drv.topo:
         rt = drv.steps[sid]
         rt.flight = []
-        if rt.done == drv.m:
-            if rt.state is not StepState.COMPLETED:
-                rt.state = StepState.COMPLETED
-            rt.ready = 0
-            continue
         upstream = [drv.steps[p].done for p in drv._preds[sid]]
-        rt.barrier_released = all(n == drv.m for n in upstream)
-        if rt.barrier_released:
+        if all(n == drv.m for n in upstream):
             rt.ready = drv.m - rt.done
         elif rt.spec.feed_forward:
             # journaled at every predecessor and not here
             rt.ready = len(range(rt.done, min(upstream)))
         else:
             rt.ready = 0
-        if rt.region is None:
-            rt.state = StepState.PENDING
-        elif rt.spec.feed_forward or rt.barrier_released:
-            rt.state = StepState.RUNNING
-            drv._start_ready(rt, now)
-        else:
-            rt.state = StepState.WAITING
+        drv._start_ready(rt, now)
+
+
+# -- the step lifecycle -------------------------------------------------------------
+
+
+class StepState(Enum):
+    PENDING = "pending"
+    RUNNING = "running"
+    WAITING = "waiting"
+    COMPLETED = "completed"
+
+
+def step_state(drv, sid):
+    """A PipelineDriver step's lifecycle, derived from the counts as the
+    driver's module docstring states it."""
+    rt = drv.steps[sid]
+    if rt.done == drv.m:
+        return StepState.COMPLETED
+    if rt.region is None:
+        return StepState.PENDING
+    if rt.spec.feed_forward or all(drv.steps[p].done == drv.m for p in drv._preds[sid]):
+        return StepState.RUNNING
+    return StepState.WAITING
 
 
 # -- the per-cell report writer ---------------------------------------------------
@@ -602,6 +612,12 @@ class FragmentDriver:
         released = rt.spec.feed_forward or rt.barrier_released
         rt.state = StepState.RUNNING if released else StepState.WAITING
         self._dispatch(step_id, now)
+
+    def deploy(self, step_id, region, pool_size, now):
+        if self.steps[step_id].region is None:
+            self.on_deploy(step_id, region, pool_size, now)
+        else:
+            self.redeploy(step_id, region, pool_size, now)
 
     def on_fragment_complete(self, step_id, fragment, now):
         """Journal a completion, refill the freed worker, wake successors.
@@ -736,7 +752,7 @@ class FragmentEngine(_Engine):
         self._touch(drv)
         job_id = drv.job.job_id
         for sid in completed:
-            self.sched.complete_step(job_id, sid, now)
+            self.sched.complete_step(job_id, sid)
             self.collector.close_entry(job_id, sid, now)
         if job_done:
             self.collector.record_outcome(JobOutcome(
@@ -755,13 +771,14 @@ class ReferenceScheduler:
     and sorts all residents, then re-plans once per candidate victim. Each
     node's allocation is its own NodeState, written by apply_plan and
     release, and every plan comes from the oracle try_place_free above,
-    which places one replica at a time. Same constructor and
-    calls as HcsScheduler, so both can take one call stream.
+    which places one replica at a time. It also keeps cloud_active, the
+    cloud deployments not yet complete, which HcsScheduler reads off as
+    cloud_sticky - completed. Same constructor and calls as HcsScheduler, so
+    both can take one call stream.
     """
 
     submit_request = HcsScheduler.submit_request
     next_round_at = HcsScheduler.next_round_at
-    _deploy_cloud_now = HcsScheduler._deploy_cloud_now
 
     def __init__(self, capacities, cost_params=None, policy=PlacementPolicy.FIRST_FIT,
                  round_length=DEFAULT_ROUND_LENGTH,
@@ -828,13 +845,13 @@ class ReferenceScheduler:
             key = (req.job.job_id, req.step.step_id)
             if self.mode is SchedulerMode.CLOUD_ONLY or key in self.cloud_sticky:
                 self._deploy_cloud_now(key, decision)
-            elif not (self._try_deploy_edge_now(req.step, key, decision, now)
+            elif not (self._try_deploy_edge_now(req.step, key, decision)
                       or self._try_deploy_with_eviction(req.step, key, decision, now)):
                 self._deploy_cloud_now(key, decision)
         self._check_capacity_books()
         return decision
 
-    def _try_deploy_edge_now(self, step, key, decision, now):
+    def _try_deploy_edge_now(self, step, key, decision):
         plan, cursor = try_place_free(step, self._free_now(), self.policy, self.rr_cursor)
         if plan is None:
             return False
@@ -889,6 +906,11 @@ class ReferenceScheduler:
             decision.directives.append(DeployEdge(key[0], key[1], plan))
         return decision
 
+    def _deploy_cloud_now(self, key, decision):
+        self.cloud_sticky.add(key)
+        self.cloud_active.add(key)
+        decision.directives.append(DeployCloud(key[0], key[1]))
+
     def expire_eviction(self, key, expiry):
         if self.evicting.get(key) != expiry:
             return False
@@ -911,7 +933,7 @@ class ReferenceScheduler:
         self._check_capacity_books()
         return plan
 
-    def complete_step(self, job_id, step_id, now):
+    def complete_step(self, job_id, step_id):
         key = (job_id, step_id)
         if key in self.completed:
             raise InternalConsistencyError(f"step {key} completed twice")
@@ -924,7 +946,7 @@ class ReferenceScheduler:
         else:
             raise InternalConsistencyError(f"completion for unknown deployment {key}")
 
-    def handle_node_failure(self, node_id, now):
+    def handle_node_failure(self, node_id):
         if node_id < 0 or node_id >= len(self.nodes):
             raise ValidationError(f"unknown node {node_id}")
         node = self.nodes[node_id]
@@ -956,15 +978,15 @@ class ReferenceScheduler:
             if key in was_evicting:
                 self._deploy_cloud_now(key, decision)
             else:
-                self._replace_or_offload(key, decision, now)
+                self._replace_or_offload(key, decision)
         for key in sorted(hit_reservations, key=by_cost):
-            self._replace_or_offload(key, decision, now)
+            self._replace_or_offload(key, decision)
         self._check_capacity_books()
         return decision
 
-    def _replace_or_offload(self, key, decision, now):
+    def _replace_or_offload(self, key, decision):
         step = self._jobs[key[0]].dag.step(key[1])
-        if not self._try_deploy_edge_now(step, key, decision, now):
+        if not self._try_deploy_edge_now(step, key, decision):
             self._deploy_cloud_now(key, decision)
 
     def _check_capacity_books(self):

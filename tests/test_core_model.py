@@ -8,13 +8,10 @@ import pytest
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
-    InternalConsistencyError,
     PipelineDag,
     ResourceVector,
     StepSpec,
-    StepState,
     ValidationError,
-    assert_step_transition,
     dag_violations,
     rcost,
     validate_job,
@@ -195,18 +192,3 @@ class TestDag:
         assert dag.terminal_ids == ("c",)
         assert dag_violations(dag) == []
 
-
-class TestStepState:
-    def test_legal_transitions(self):
-        assert_step_transition(StepState.PENDING, StepState.RUNNING)
-        assert_step_transition(StepState.PENDING, StepState.WAITING)
-        assert_step_transition(StepState.WAITING, StepState.RUNNING)
-        assert_step_transition(StepState.RUNNING, StepState.COMPLETED)
-
-    def test_illegal_transitions_raise(self):
-        for cur, tgt in [(StepState.COMPLETED, StepState.RUNNING),
-                         (StepState.RUNNING, StepState.WAITING),
-                         (StepState.WAITING, StepState.COMPLETED),
-                         (StepState.PENDING, StepState.COMPLETED)]:
-            with pytest.raises(InternalConsistencyError):
-                assert_step_transition(cur, tgt)

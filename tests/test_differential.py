@@ -2,9 +2,11 @@
 
 Both engines run the same generated scenarios; every emitted artifact (plot
 data included) must match byte for byte, and so must every job's final
-journal. The generator favours ties: service times of 1 or 2 s at equal
-speeds, DAG joins of up to three predecessors, barriers, pools of 1 to 3,
-node failures, driver restarts and horizons that cut jobs mid-run.
+journal and every step's lifecycle state, which the per-step driver derives
+from its counts and the per-fragment driver stores. The generator favours
+ties: service times of 1 or 2 s at equal speeds, DAG joins of up to three
+predecessors, barriers, pools of 1 to 3, node failures, driver restarts and
+horizons that cut jobs mid-run.
 
 Both engines sample utilization in the loop they share, so the trace is also
 checked against a model of its own, rebuilt from the cost ledger and the
@@ -54,7 +56,7 @@ from hcs_sim.sim_engine import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import FragmentEngine  # noqa: E402
+from oracles import FragmentEngine, step_state  # noqa: E402
 
 TIER1_SEEDS = range(0, 300)
 
@@ -169,7 +171,9 @@ def utilization_violations(scenario: Scenario, report: RunReport) -> list[str]:
 
 
 def differences(scenario: Scenario) -> tuple[list[str], int]:
-    """Artifacts and journals on which the two engines disagree, the
+    """Artifacts, journals and step states on which the two engines
+    disagree (the per-step driver's derived, the per-fragment one's stored),
+    the
     utilization rules the per-step engine's report breaks and the prefix-law
     breaches of the per-fragment run; and how many step states that run
     checked against the prefix law."""
@@ -186,9 +190,12 @@ def differences(scenario: Scenario) -> tuple[list[str], int]:
         out = [n for n in names
                if (Path(tmp) / "fast" / n).read_bytes() != (Path(tmp) / "slow" / n).read_bytes()]
     for job_id, drv in sorted(fast_drivers.items()):
+        slow_drv = slow_drivers[job_id]
         for sid, rt in drv.steps.items():
-            if slow_drivers[job_id].journal[sid] != set(range(rt.done)):
+            if slow_drv.journal[sid] != set(range(rt.done)):
                 out.append(f"journal {job_id}/{sid}")
+            if step_state(drv, sid) is not slow_drv.steps[sid].state:
+                out.append(f"state {job_id}/{sid}")
     out += [f"prefix law {job_id}/{sid}: {breach}"
             for job_id, sid, breach in sorted(slow_engine.law_breaches)]
     out += [f"utilization: {p}" for p in utilization_violations(scenario, fast)]

@@ -15,17 +15,18 @@ from hcs_sim.core_model import (
     PipelineDag,
     ResourceVector,
     StepSpec,
-    StepState,
 )
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
 
 from oracles import (
+    StepState,
     chain_makespan,
     counting_completions,
     fragment_view,
     pipeline_makespan,
     rebuild_from_journal,
     rewalk_commit,
+    step_state,
 )
 
 CLOUD = "cloud"
@@ -48,7 +49,7 @@ def run_to_completion(driver, region=CLOUD, pools=None, deploy_at=0.0, until=Non
     when until, where the plan is committed instead, comes first."""
     for sid in driver.topo:
         pool = (pools or {}).get(sid, driver.steps[sid].spec.replicas)
-        driver.on_deploy(sid, region, pool, deploy_at)
+        driver.deploy(sid, region, pool, deploy_at)
     for t, sid in sorted((t, sid) for sid, t in driver.project(deploy_at)):
         if until is not None and t > until:
             driver.commit(until)
@@ -118,58 +119,58 @@ class TestPipeliningLaws:
 class TestDeploySemantics:
     def test_non_source_feed_forward_runs_with_nothing_in_flight(self):
         drv = PipelineDriver(make_job(2, 5))
-        drv.on_deploy("s1", CLOUD, 1, 0.0)
+        drv.deploy("s1", CLOUD, 1, 0.0)
         _, in_flight, _ = fragment_view(drv)["s1"]
-        assert drv.steps["s1"].state is StepState.RUNNING and not in_flight
+        assert step_state(drv, "s1") is StepState.RUNNING and not in_flight
 
     def test_barrier_step_waits_until_all_predecessors_finish(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
-        drv.on_deploy("s0", CLOUD, 1, 0.0)
-        drv.on_deploy("s1", CLOUD, 3, 0.0)
-        assert drv.steps["s1"].state is StepState.WAITING
+        drv.deploy("s0", CLOUD, 1, 0.0)
+        drv.deploy("s1", CLOUD, 3, 0.0)
+        assert step_state(drv, "s1") is StepState.WAITING
         drv.project(0.0)
         drv.commit(2.5)  # two of the three fragments are done at s0
         assert len(fragment_view(drv)["s0"][0]) == 2
-        assert drv.steps["s1"].state is StepState.WAITING and not fragment_view(drv)["s1"][1]
+        assert step_state(drv, "s1") is StepState.WAITING and not fragment_view(drv)["s1"][1]
         drv.project(2.5)
         drv.commit(3.0)
         # all fragments released at once
-        assert drv.steps["s1"].state is StepState.RUNNING
+        assert step_state(drv, "s1") is StepState.RUNNING
         assert list(fragment_view(drv)["s1"][1].values()) == [4.0, 4.0, 4.0]
 
     def test_barrier_commits_at_its_release_instant(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
-        drv.on_deploy("s0", CLOUD, 1, 0.0)
-        drv.on_deploy("s1", CLOUD, 3, 0.0)
+        drv.deploy("s0", CLOUD, 1, 0.0)
+        drv.deploy("s1", CLOUD, 3, 0.0)
         assert ("s0", 3.0) in drv.project(0.0)
         at, before = copy.deepcopy(drv), copy.deepcopy(drv)
         at.commit(3.0)
-        rt = at.steps["s1"]
-        assert rt.state is StepState.RUNNING and rt.barrier_released
+        assert step_state(at, "s1") is StepState.RUNNING
         _, in_flight, ready = fragment_view(at)["s1"]
         assert in_flight == {0: 4.0, 1: 4.0, 2: 4.0} and not ready
         before.commit(3.0 - 1e-9)
-        rt = before.steps["s1"]
-        assert rt.state is StepState.WAITING and not rt.barrier_released
+        assert step_state(before, "s1") is StepState.WAITING
         _, in_flight, ready = fragment_view(before)["s1"]
         assert not in_flight and not ready
 
     def test_barrier_journaled_before_release_is_an_internal_error(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
-        drv.on_deploy("s0", CLOUD, 1, 0.0)
+        drv.deploy("s0", CLOUD, 1, 0.0)
         drv.steps["s1"].done = 1
         with pytest.raises(InternalConsistencyError, match="journaled before release"):
             drv.project(0.0)
 
-    def test_double_deploy_rejected(self):
-        drv = PipelineDriver(make_job(1, 1))
-        drv.on_deploy("s0", CLOUD, 1, 0.0)
-        with pytest.raises(InternalConsistencyError):
-            drv.on_deploy("s0", CLOUD, 1, 0.0)
+    def test_deploying_a_completed_step_is_an_internal_error(self):
+        drv = PipelineDriver(make_job(2, 3), cloud_speed=1.0)
+        run_to_completion(drv, until=3.5)  # s0 completes at 3.0, s1 at 4.0
+        assert step_state(drv, "s0") is StepState.COMPLETED
+        drv.deploy("s1", EDGE, 1, 3.5)  # a second deploy moves a step
+        with pytest.raises(InternalConsistencyError, match="deploy of completed step"):
+            drv.deploy("s0", EDGE, 1, 3.5)
 
     def test_pool_bounds_concurrency(self):
         drv = PipelineDriver(make_job(1, 10, replicas=3), cloud_speed=1.0)
-        drv.on_deploy("s0", CLOUD, 3, 0.0)
+        drv.deploy("s0", CLOUD, 3, 0.0)
         assert len(fragment_view(drv)["s0"][1]) == 3
         drv.project(0.0)
         for t in (0.5, 1.0, 2.5):
@@ -190,7 +191,7 @@ class TestEviction:
     def make_running(self, m=6, service=2.0):
         drv = PipelineDriver(make_job(1, m, service, replicas=2), edge_speed=1.0,
                              cloud_speed=1.0)
-        drv.on_deploy("s0", EDGE, 2, 0.0)
+        drv.deploy("s0", EDGE, 2, 0.0)
         drv.project(0.0)
         return drv
 
@@ -225,7 +226,7 @@ class TestEviction:
         drv = self.make_running(service=2.0)
         drv.on_eviction_notice("s0", 5.0, 1.0)
         drv.project(1.0)
-        drv.redeploy("s0", CLOUD, 2, 5.0)
+        drv.deploy("s0", CLOUD, 2, 5.0)
         journal, in_flight, _ = fragment_view(drv)["s0"]
         assert journal == {0, 1}
         assert list(in_flight.values()) == [7.0, 7.0]
@@ -233,16 +234,16 @@ class TestEviction:
 
     def test_waiting_step_switches_silently(self):
         drv = PipelineDriver(make_job(2, 3, ff_flags=[True, False]), cloud_speed=1.0)
-        drv.on_deploy("s0", EDGE, 1, 0.0)
-        drv.on_deploy("s1", EDGE, 1, 0.0)
+        drv.deploy("s0", EDGE, 1, 0.0)
+        drv.deploy("s1", EDGE, 1, 0.0)
         drv.on_eviction_notice("s1", 30.0, 0.0)
         assert fragment_view(drv)["s1"] == (set(), {}, [])
-        drv.redeploy("s1", CLOUD, 1, 30.0)
-        assert not fragment_view(drv)["s1"][1] and drv.steps["s1"].state is StepState.WAITING
+        drv.deploy("s1", CLOUD, 1, 30.0)
+        assert not fragment_view(drv)["s1"][1] and step_state(drv, "s1") is StepState.WAITING
 
     def test_notice_for_cloud_step_rejected(self):
         drv = PipelineDriver(make_job(1, 2))
-        drv.on_deploy("s0", CLOUD, 1, 0.0)
+        drv.deploy("s0", CLOUD, 1, 0.0)
         with pytest.raises(InternalConsistencyError):
             drv.on_eviction_notice("s0", 5.0, 0.0)
 
@@ -251,7 +252,7 @@ class TestEviction:
         drv.on_eviction_notice("s0", 5.0, 0.5)
         assert drv.project(0.5) == [("s0", 1.0)]
         assert drv.on_step_complete("s0", 1.0)
-        assert drv.steps["s0"].state is StepState.COMPLETED
+        assert step_state(drv, "s0") is StepState.COMPLETED
         assert drv.steps["s0"].pending_switch is None
 
     @pytest.mark.parametrize("at", [5.0, 5.5])
@@ -260,13 +261,13 @@ class TestEviction:
         drv.on_eviction_notice("s0", 5.0, 1.0)
         drv.steps["s0"].flight = [6.0, 6.0]  # past the expiry, which the notice cut
         with pytest.raises(InternalConsistencyError, match="in-flight work at eviction expiry"):
-            drv.redeploy("s0", CLOUD, 2, at)
+            drv.deploy("s0", CLOUD, 2, at)
 
     def test_redeploy_inside_the_window_requeues_in_flight(self):
         # a node failure inside the window: fragments 0 and 1 start again
         drv = self.make_running(service=2.0)
         drv.on_eviction_notice("s0", 5.0, 1.0)
-        drv.redeploy("s0", CLOUD, 2, 1.5)
+        drv.deploy("s0", CLOUD, 2, 1.5)
         assert fragment_view(drv)["s0"][1] == {0: 3.5, 1: 3.5}
         assert drv.steps["s0"].pending_switch is None
 
@@ -287,14 +288,14 @@ class TestRecovery:
         run_to_completion(drv)
         assert drv.is_complete()
         drv.resume_from_journal(100.0)
-        assert all(rt.state is StepState.COMPLETED for rt in drv.steps.values())
+        assert all(step_state(drv, sid) is StepState.COMPLETED for sid in drv.steps)
         assert fragment_view(drv) == {"s0": (set(range(5)), {}, []),
                                       "s1": (set(range(5)), {}, [])}
 
     def test_resume_drops_stale_completions_and_preserves_exactly_once(self):
         drv = PipelineDriver(make_job(2, 20, 1.0), cloud_speed=1.0)
         for sid in drv.topo:
-            drv.on_deploy(sid, CLOUD, 1, 0.0)
+            drv.deploy(sid, CLOUD, 1, 0.0)
         plan = drv.project(0.0)
         heap = [(t, sid, drv.version) for sid, t in plan]
         heapq.heapify(heap)
@@ -323,10 +324,10 @@ class TestRecovery:
 
     def test_redeploy_requeues_in_flight(self):
         drv = PipelineDriver(make_job(1, 6, 5.0, replicas=2), edge_speed=1.0)
-        drv.on_deploy("s0", EDGE, 2, 0.0)
+        drv.deploy("s0", EDGE, 2, 0.0)
         drv.project(0.0)
         version = drv.version
-        drv.redeploy("s0", CLOUD, 2, 2.0)
+        drv.deploy("s0", CLOUD, 2, 2.0)
         # same fragments, restarted on the cloud; the old plan is superseded
         assert fragment_view(drv)["s0"][1] == {0: 7.0, 1: 7.0}
         assert drv.project(2.0) == [("s0", 17.0)] and drv.version == version + 1
@@ -350,8 +351,9 @@ def _clone(drv):
 
 
 def _state(drv):
-    return {sid: (rt.done, rt.flight, rt.ready, rt.state, rt.barrier_released,
-                  rt.pending_switch) for sid, rt in drv.steps.items()}
+    """The durable state a commit or a restart leaves."""
+    return {sid: (rt.done, rt.flight, rt.ready, rt.pending_switch)
+            for sid, rt in drv.steps.items()}
 
 
 def _random_job(rng, trial):
@@ -374,28 +376,24 @@ def _interrupt(drv, rng, now, pools):
     drv.commit(now)  # so the choices see the state the interruption meets
     rts = drv.steps
     choices = ["commit", "restart"]
-    choices += [("deploy", s) for s, rt in rts.items() if rt.region is None]
+    choices += [("deploy", s) for s, rt in rts.items() if rt.done < drv.m]
     choices += [("notice", s) for s, rt in rts.items() if rt.region == EDGE
-                and rt.pending_switch is None and rt.state is not StepState.COMPLETED]
+                and rt.pending_switch is None and rt.done < drv.m]
     choices += [("switch", s) for s, rt in rts.items()
                 if rt.pending_switch is not None and rt.pending_switch <= now]
-    choices += [("redeploy", s) for s, rt in rts.items()
-                if rt.region is not None and rt.state is not StepState.COMPLETED]
     pick = rng.choice(choices)
     if pick == "commit":
         pass
     elif pick == "restart":
         drv.resume_from_journal(now)
     elif pick[0] == "deploy":
-        drv.on_deploy(pick[1], rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), now)
+        drv.deploy(pick[1], rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), now)
     elif pick[0] == "notice":
         expiry = now + rng.choice([0.0, 0.7, 3.0])
         pools[pick[1]] = rng.randrange(1, 5)
         drv.on_eviction_notice(pick[1], expiry, now)
-    elif pick[0] == "switch":
-        drv.redeploy(pick[1], CLOUD, pools[pick[1]], now)
     else:
-        drv.redeploy(pick[1], rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), now)
+        drv.deploy(pick[1], CLOUD, pools[pick[1]], now)
 
 
 def _random_plans(rng, trials):
@@ -407,13 +405,13 @@ def _random_plans(rng, trials):
         drv = PipelineDriver(job, edge_speed=0.8, cloud_speed=1.0)
         for sid in drv.topo:
             if rng.random() < 0.7:
-                drv.on_deploy(sid, rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), 0.0)
+                drv.deploy(sid, rng.choice([EDGE, CLOUD]), rng.randrange(1, 5), 0.0)
         t0 = 0.0
         pools = {}
         for _ in range(8):
             drv.project(t0)
             times = {t0}
-            for _, rt, _, a_times, fins, _, _ in drv._plan:
+            for _, rt, _, a_times, fins, _ in drv._plan:
                 times.update(a_times, fins, rt.flight)
             cuts = sorted({c + e for c in times for e in (-1e-9, 0.0, 1e-9)})
             yield trial, drv, t0, cuts
@@ -429,7 +427,7 @@ def test_commit_cuts_the_plan_as_a_rewalk_would():
     cuts_checked = workers_bound = 0
     for trial, drv, t0, cuts in _random_plans(random.Random(8), 150):
         # cuts where the workers freed, not the fragments ready, bound the starts
-        for _, rt, n_ready, a_times, fins, free, _ in drv._plan:
+        for _, rt, n_ready, a_times, fins, free in drv._plan:
             for cut in cuts if free is not None else ():
                 freed = free + sum(fin <= cut for fin in [*rt.flight, *fins])
                 workers_bound += freed < n_ready + bisect_right(a_times, cut)
@@ -442,17 +440,9 @@ def test_commit_cuts_the_plan_as_a_rewalk_would():
     assert cuts_checked > 10000 and workers_bound > 1000
 
 
-def _restart_state(drv):
-    """The durable state a restart leaves; a feed-forward step's barrier flag
-    is left out, because nothing reads it."""
-    return {sid: (rt.done, rt.flight, rt.ready, rt.state, rt.pending_switch,
-                  None if rt.spec.feed_forward else rt.barrier_released)
-            for sid, rt in drv.steps.items()}
-
-
 def test_restart_requeues_as_a_rebuild_from_the_journal_would():
     """A restart at any instant of a plan leaves the same state as rebuilding
-    every step's queue, barrier flag and state from the journal."""
+    every step's queue from the journal."""
     cuts_checked = in_window = barrier_waiting = 0
     for trial, drv, _, cuts in _random_plans(random.Random(11), 140):
         for cut in cuts:
@@ -461,11 +451,11 @@ def test_restart_requeues_as_a_rebuild_from_the_journal_would():
             rebuilt = _clone(restarted)
             restarted.resume_from_journal(cut)
             rebuild_from_journal(rebuilt, cut)
-            assert _restart_state(restarted) == _restart_state(rebuilt), (trial, cut)
-            rts = restarted.steps.values()
+            assert _state(restarted) == _state(rebuilt), (trial, cut)
             cuts_checked += 1
-            in_window += any(rt.pending_switch is not None for rt in rts)
-            barrier_waiting += any(rt.state is StepState.WAITING for rt in rts)
+            in_window += any(rt.pending_switch is not None for rt in restarted.steps.values())
+            barrier_waiting += any(step_state(restarted, sid) is StepState.WAITING
+                                   for sid in restarted.steps)
     assert cuts_checked > 10000 and in_window > 1000 and barrier_waiting > 1000
 
 
@@ -484,7 +474,7 @@ def test_journaling_past_the_fragment_count_is_an_internal_error():
 
 def test_queued_fragment_landing_before_an_in_flight_one_is_an_internal_error():
     drv = PipelineDriver(make_job(1, 5, 1.0, replicas=2), cloud_speed=1.0)
-    drv.on_deploy("s0", CLOUD, 2, 0.0)
+    drv.deploy("s0", CLOUD, 2, 0.0)
     drv.project(0.0)  # 0 and 1 finish at 1.0, 2 and 3 at 2.0, 4 at 3.0
     drv.steps["s0"].flight = [1.0, 9.0]  # break the law: 1 finishes after 2 and 3
     with pytest.raises(InternalConsistencyError, match="before an in-flight one"):

@@ -176,7 +176,7 @@ class TestMetricsCollector:
         c = self.make()
         c.sample(1.0, s.edge_usage())
         assert c.samples[-1].capacity_cpu_millicores == 2000
-        s.handle_node_failure(1, 2.0)
+        s.handle_node_failure(1)
         c.sample(2.0, s.edge_usage())
         assert c.samples[-1].capacity_cpu_millicores == 1000
 

@@ -155,7 +155,7 @@ class TestEviction:
         s.run_round(30.0)
         s.submit_request(job_with_step("f", 4000), 31.0)
         s.run_round(60.0)
-        s.complete_step("g", "s0", 75.0)
+        s.complete_step("g", "s0")
         assert ("g", "s0") not in s.resident
         d = s.close_windows(90.0)
         assert d.directives == [DeployEdge("f", "s0", plan_of(s, "f", {0: 0}))]
@@ -191,8 +191,8 @@ class TestEviction:
         d = s.run_round(60.0)
         assert [e.job_id for e in evicts_of(d)] == ["g"]
         assert s.reservations[("f", "s0")][0].assignments == {0: 1}
-        s.complete_step("k", "s0", 65.0)
-        d = s.handle_node_failure(1, 70.0)
+        s.complete_step("k", "s0")
+        d = s.handle_node_failure(1)
         assert d.directives == [DeployCloud("g", "s0"),
                                 DeployEdge("f", "s0", plan_of(s, "f", {0: 0}))]
         assert s.close_windows(90.0).directives == []
@@ -233,26 +233,26 @@ class TestCompletion:
         s = HcsScheduler(one_node())
         s.submit_request(job_with_step("a", 1000), 0.0)
         s.run_round(30.0)
-        s.complete_step("a", "s0", 45.0)
+        s.complete_step("a", "s0")
         assert s._held[0] == [0, 0]
 
     def test_cloud_completion(self):
         s = HcsScheduler(one_node(cpu=100))
         s.submit_request(job_with_step("a", 1000), 0.0)
         s.run_round(30.0)
-        assert ("a", "s0") in s.cloud_active
-        s.complete_step("a", "s0", 45.0)
-        assert ("a", "s0") not in s.cloud_active and ("a", "s0") in s.completed
+        assert ("a", "s0") in s.cloud_sticky and ("a", "s0") not in s.completed
+        s.complete_step("a", "s0")
+        assert ("a", "s0") in s.cloud_sticky and ("a", "s0") in s.completed
 
     def test_unknown_or_double_completion_is_internal_error(self):
         s = HcsScheduler(one_node())
         with pytest.raises(InternalConsistencyError):
-            s.complete_step("ghost", "s0", 1.0)
+            s.complete_step("ghost", "s0")
         s.submit_request(job_with_step("a", 1000), 0.0)
         s.run_round(30.0)
-        s.complete_step("a", "s0", 45.0)
+        s.complete_step("a", "s0")
         with pytest.raises(InternalConsistencyError):
-            s.complete_step("a", "s0", 46.0)
+            s.complete_step("a", "s0")
 
 
 class TestNodeFailure:
@@ -264,7 +264,7 @@ class TestNodeFailure:
         s.submit_request(job_with_step("a", 1000, replicas=2), 0.0)
         s.run_round(30.0)
         assert {n for n in s.resident[("a", "s0")].assignments.values()} == {0, 1}
-        d = s.handle_node_failure(1, 40.0)
+        d = s.handle_node_failure(1)
         moved = edges_of(d)
         assert len(moved) == 1 and set(moved[0].plan.assignments.values()) == {0}
         assert d.expiry is None
@@ -276,7 +276,7 @@ class TestNodeFailure:
         s.submit_request(job_with_step("b", 1500), 0.0)
         s.run_round(30.0)
         victim_node = s.resident[("a", "s0")].assignments[0]
-        d = s.handle_node_failure(victim_node, 40.0)
+        d = s.handle_node_failure(victim_node)
         assert len(clouds_of(d)) == 1
         key = (clouds_of(d)[0].job_id, "s0")
         assert key in s.cloud_sticky
@@ -288,16 +288,16 @@ class TestNodeFailure:
         s.run_round(30.0)
         resident_before = dict(s.resident)
         dead = s.resident[("b", "s0")].assignments[0]
-        s.handle_node_failure(dead, 40.0)
+        s.handle_node_failure(dead)
         assert s.resident[("a", "s0")] == resident_before[("a", "s0")]
 
     def test_failed_node_rejected_twice(self):
         s = HcsScheduler(self.two_nodes())
-        s.handle_node_failure(0, 10.0)
+        s.handle_node_failure(0)
         with pytest.raises(ValidationError):
-            s.handle_node_failure(0, 20.0)
+            s.handle_node_failure(0)
         with pytest.raises(ValidationError):
-            s.handle_node_failure(7, 20.0)
+            s.handle_node_failure(7)
 
     def test_evicting_step_on_dead_node_goes_cloud_now(self):
         s = HcsScheduler(one_node(cpu=4000), cost_params=MEM_COST)
@@ -305,7 +305,7 @@ class TestNodeFailure:
         s.run_round(30.0)
         s.submit_request(job_with_step("a", 4000, mem=50), 31.0)
         s.run_round(60.0)
-        d = s.handle_node_failure(0, 70.0)
+        d = s.handle_node_failure(0)
         v_cloud = [c for c in clouds_of(d) if c.job_id == "v"]
         a_cloud = [c for c in clouds_of(d) if c.job_id == "a"]
         assert v_cloud
@@ -355,7 +355,7 @@ class TestCapacityBooks:
 
     def test_a_dead_node_holding_allocations_is_an_internal_error(self):
         s = HcsScheduler([ResourceVector(1000, 8192), ResourceVector(1000, 8192)])
-        s.handle_node_failure(1, 10.0)
+        s.handle_node_failure(1)
         s._check_capacity_books()
         s._held[1][0] = 500  # a held load no resident plan backs
         with pytest.raises(InternalConsistencyError, match="books differ"):
@@ -392,7 +392,7 @@ class TestHoldAndDrop:
 
     def test_hold_on_a_dead_node_is_an_internal_error(self):
         s = HcsScheduler([ResourceVector(4000, 8192), ResourceVector(4000, 8192)])
-        s.handle_node_failure(1, 10.0)
+        s.handle_node_failure(1)
         with pytest.raises(InternalConsistencyError,
                            match="plan assigns replicas to dead node 1"):
             s._hold(("a", "s0"), self.plan(1000, [0, 1]))
@@ -424,7 +424,7 @@ class TestRoundMemo:
         d = s.run_round(30.0)
         assert [e.job_id for e in edges_of(d)] == ["a"]
         assert [c.job_id for c in clouds_of(d)] == ["b"]
-        s.complete_step("a", "s0", 40.0)
+        s.complete_step("a", "s0")
         s.submit_request(job_with_step("c", 1000), 41.0)
         d = s.run_round(60.0)
         assert [e.job_id for e in edges_of(d)] == ["c"] and d.expiry is None
@@ -436,8 +436,8 @@ class TestRoundMemo:
             s.submit_request(job_with_step(name, 1000), 0.0)
         d = s.run_round(30.0)
         assert [c.job_id for c in clouds_of(d)] == ["z"]
-        s.complete_step("y", "s0", 35.0)
-        d = s.handle_node_failure(0, 40.0)
+        s.complete_step("y", "s0")
+        d = s.handle_node_failure(0)
         assert [(e.job_id, e.plan.assignments) for e in edges_of(d)] == [("x", {0: 1})]
         assert d.expiry is None
 
@@ -498,7 +498,7 @@ class TestInvariantStreams:
             keys = sorted(active)
             rng.shuffle(keys)
             for key in keys[:rng.randrange(0, len(keys) + 1)]:
-                s.complete_step(key[0], key[1], now + rng.uniform(0, 29.0))
+                s.complete_step(key[0], key[1])
                 del active[key]
         return s
 

@@ -35,7 +35,7 @@ from oracles import ReferenceScheduler  # noqa: E402
 
 TIER1_SEEDS = range(0, 80)
 ROUND = 30.0
-STATE = ("rr_cursor", "resident", "evicting", "reservations", "cloud_sticky", "cloud_active")
+STATE = ("rr_cursor", "resident", "evicting", "reservations", "cloud_sticky")
 
 
 class Mismatch(AssertionError):
@@ -68,6 +68,8 @@ class Pair:
         for name in STATE:
             if getattr(self.fast, name) != getattr(self.ref, name):
                 raise Mismatch(f"after call {self.calls}: {name} differs")
+        if self.fast.cloud_sticky - self.fast.completed != self.ref.cloud_active:
+            raise Mismatch(f"after call {self.calls}: cloud_active differs")
         nodes = self.ref.nodes
         if ([(alive, tuple(held)) for alive, held in zip(self.fast.alive, self.fast._held)]
                 != [(n.alive, (n.allocated.cpu_millicores, n.allocated.memory_mb))
@@ -131,11 +133,11 @@ def run_stream(seed: int) -> Pair:
                 pair("close_windows", e)
             alive = [i for i, up in enumerate(fast.alive) if up]
             if alive and rng.random() < fail_rate:
-                pair("handle_node_failure", rng.choice(alive), t)
-            active = sorted((set(fast.resident) | fast.cloud_active) - fast.completed)
+                pair("handle_node_failure", rng.choice(alive))
+            active = sorted((set(fast.resident) | fast.cloud_sticky) - fast.completed)
             rng.shuffle(active)
             for key in active[:rng.randrange(0, len(active) // 2 + 2)]:
-                pair("complete_step", key[0], key[1], t)
+                pair("complete_step", key[0], key[1])
             pair.compare()
             if t == now + ROUND:
                 break

@@ -339,10 +339,10 @@ class TestNodeFailure:
         real_failure = sched.handle_node_failure
         held = []
 
-        def failure(node_id, now):
+        def failure(node_id):
             held.append((set(sched.resident) - set(sched.evicting), set(sched.evicting),
                          set(sched.reservations)))
-            return real_failure(node_id, now)
+            return real_failure(node_id)
 
         sched.handle_node_failure = failure
         report = engine.run()
