@@ -35,8 +35,6 @@ from hcs_sim.sim_engine import (
     run,
 )
 
-log = logging.getLogger(__name__)
-
 _PLACEMENTS = tuple(p.value for p in PlacementPolicy)
 
 
@@ -502,8 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("HCS_SIM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a level name maps to its number; any other value reads as WARNING
+    level = logging.getLevelName(os.environ.get("HCS_SIM_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "sweep": cmd_sweep,

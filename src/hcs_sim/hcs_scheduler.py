@@ -74,13 +74,6 @@ class ScheduleDecision:
     expiry: float | None = None  # when the windows it opened close, if any
 
 
-@dataclass
-class _Request:
-    job: BatchJob
-    step: StepSpec
-    arrival: float
-
-
 def _clamp(book: list[int] | None, extra=(0, 0)) -> tuple[int, int] | None:
     """A book entry plus extra, each dimension at least 0 (None stays None)."""
     if book is None:
@@ -89,13 +82,12 @@ def _clamp(book: list[int] | None, extra=(0, 0)) -> tuple[int, int] | None:
     return (cpu if cpu > 0 else 0, mem if mem > 0 else 0)
 
 
-def _add_load(book: list, plan: PlacementPlan, sign: int = 1) -> None:
-    """Add (sign 1) or remove (sign -1) a plan's load on a per-node book."""
+def _add_load(book: list, plan: PlacementPlan) -> None:
+    """Add a plan's load to a per-node book, for a recompute from scratch."""
     d = plan.step.demand_per_replica
-    cpu, mem = sign * d.cpu_millicores, sign * d.memory_mb
-    for node_id in plan.assignments.values():
-        book[node_id][0] += cpu
-        book[node_id][1] += mem
+    for node_id, k in plan.nodes.items():
+        book[node_id][0] += k * d.cpu_millicores
+        book[node_id][1] += k * d.memory_mb
 
 
 def _covered(failed: list[tuple[int, int, int]], shape: tuple[int, int, int]) -> bool:
@@ -119,24 +111,25 @@ class HcsScheduler:
     `evicting` marks residents whose space frees at that expiry. A round
     that opens windows names their expiry in its decision, and the caller
     calls `close_windows` then: the one place a window ends. Per-node
-    books keep what a placement reads, updated by the method that changes
-    the state behind them, so no request rebuilds a view of the nodes or
-    walks the residents:
+    books keep what a placement reads, so no request rebuilds a view of the
+    nodes or walks the residents. One writer, `_shift`, moves a plan's load
+    on `_held`, `_free` and `_evicting_load` in one pass over the nodes the
+    plan touches: a hold, a drop, a reservation, an unreserve and a
+    window's opening each call it once, and `_held` moves only through
+    `_hold` and `_drop`. A node failure blanks the dead node's entries.
 
     - `_free`: capacity - held - reserved, None for a dead node. It can dip
-      below zero where a reservation is backed by evicting space. Updated
-      with every hold, drop, reservation and node failure.
+      below zero where a reservation is backed by evicting space.
     - `_evicting_load`: the load of the residents in an eviction window.
-      Updated when a window opens, expires, completes or dies with its node.
     - `_free_now` and `_free_after_evictions`: those two books clamped at
       zero, as `try_place_free` reads them (the second adds the evicting
-      load back). Re-derived for each node a book entry changes on.
+      load back). `_shift` re-derives them once per node it touches.
     - `_victims`: the residents outside an eviction window in (rcost, key)
       order, so eviction candidates are a prefix.
     - `_ff_from`: per demand shape (cpu, mem), the node first fit starts
       from, kept under first-fit placement only. No live node below it has
       room for one replica of that shape in `_free_now`. A first-fit plan
-      sets it to its first node, and `_book` lowers it to the lowest node
+      sets it to its first node, and `_shift` lowers it to the lowest node
       it touches whenever `_free` grows (a drop or an unreserve); holds,
       reservations and node deaths only take space, so they leave it.
 
@@ -165,7 +158,8 @@ class HcsScheduler:
         self.reservations: dict[StepKey, tuple[PlacementPlan, float]] = {}
         self.cloud_sticky: set[StepKey] = set()
         self.completed: set[StepKey] = set()
-        self.pending: list[_Request] = []
+        # (-rcost, arrival, job_id, step_id, step): a round sorts these as is
+        self.pending: list[tuple[float, float, str, str, StepSpec]] = []
         self.rr_cursor = 0
         self.edge_writes = 0
         self._jobs: dict[str, BatchJob] = {}
@@ -183,17 +177,26 @@ class HcsScheduler:
 
     # -- capacity books ---------------------------------------------------------
 
-    def _book(self, book: list, plan: PlacementPlan, sign: int) -> None:
-        """_add_load on one of the two books, then re-derive the views it
-        feeds; space freed on `_free` lowers the first-fit bounds past it."""
-        _add_load(book, plan, sign)
-        nodes = set(plan.assignments.values())
-        for node_id in nodes:
-            free = self._free[node_id]
-            self._free_now[node_id] = _clamp(free)
-            self._free_after_evictions[node_id] = _clamp(free, self._evicting_load[node_id])
-        if sign > 0 and book is self._free:
-            low = min(nodes)
+    def _shift(self, plan: PlacementPlan, held: int, free: int, evicting: int) -> None:
+        """Add a plan's load, times held, free and evicting (each -1, 0 or
+        1), to `_held`, `_free` and `_evicting_load`, and re-derive the two
+        clamped views on each node it touches; space freed on `_free` lowers
+        the first-fit bounds past it."""
+        d = plan.step.demand_per_replica
+        dc, dm = d.cpu_millicores, d.memory_mb
+        for node_id, k in plan.nodes.items():
+            cpu, mem = k * dc, k * dm
+            h, f, e = self._held[node_id], self._free[node_id], self._evicting_load[node_id]
+            h[0] += held * cpu
+            h[1] += held * mem
+            f[0] += free * cpu
+            f[1] += free * mem
+            e[0] += evicting * cpu
+            e[1] += evicting * mem
+            self._free_now[node_id] = _clamp(f)
+            self._free_after_evictions[node_id] = _clamp(f, e)
+        if free > 0:
+            low = min(plan.nodes)
             for shape, start in self._ff_from.items():
                 if start > low:
                     self._ff_from[shape] = low
@@ -202,40 +205,43 @@ class HcsScheduler:
         """Allocate a plan to a resident that cheaper newcomers cannot evict.
 
         A replica on a dead node or a node held over capacity means the
-        planner is broken. Checked per plan, so an activation that runs
-        before its victims' release is caught within the instant.
+        planner is broken, and the plan is refused before any book moves.
+        Checked per plan, so an activation that runs before its victims'
+        release is caught within the instant.
         """
-        _add_load(self._held, plan)
-        for node_id in set(plan.assignments.values()):
+        d = plan.step.demand_per_replica
+        for node_id, k in plan.nodes.items():
             if not self.alive[node_id]:
                 raise InternalConsistencyError(f"plan assigns replicas to dead node {node_id}")
             (cpu, mem), cap = self._held[node_id], self.capacities[node_id]
+            cpu, mem = cpu + k * d.cpu_millicores, mem + k * d.memory_mb
             if cpu > cap.cpu_millicores or mem > cap.memory_mb:
                 raise InternalConsistencyError(
                     f"node {node_id} over capacity: {cpu, mem} > {cap}")
         self.edge_writes += 1
-        self._book(self._free, plan, -1)
+        self._shift(plan, 1, -1, 0)
         self.resident[key] = plan
         insort(self._victims, (self.rcost_of(plan.step), key))
 
     def _drop(self, key: StepKey) -> None:
         """Release a resident's allocation, closing its eviction window if open."""
         plan = self.resident.pop(key)
-        _add_load(self._held, plan, -1)
-        for node_id in set(plan.assignments.values()):
-            if min(self._held[node_id]) < 0:
+        d = plan.step.demand_per_replica
+        for node_id, k in plan.nodes.items():
+            cpu, mem = self._held[node_id]
+            if cpu < k * d.cpu_millicores or mem < k * d.memory_mb:
                 raise InternalConsistencyError(
                     f"release of unheld allocation on node {node_id}")
         self.edge_writes += 1
-        self._book(self._free, plan, 1)
         if self.evicting.pop(key, None) is not None:
-            self._book(self._evicting_load, plan, -1)
+            self._shift(plan, -1, 1, -1)
         else:
+            self._shift(plan, -1, 1, 0)
             del self._victims[bisect_left(self._victims, (self.rcost_of(plan.step), key))]
 
     def _unreserve(self, key: StepKey) -> PlacementPlan:
         plan, _ = self.reservations.pop(key)
-        self._book(self._free, plan, 1)
+        self._shift(plan, 0, 1, 0)
         return plan
 
     def rcost_of(self, step: StepSpec) -> float:
@@ -258,7 +264,7 @@ class HcsScheduler:
             raise ValidationError(f"duplicate job_id {job.job_id!r}")
         self._jobs[job.job_id] = job
         for step in job.dag.steps:
-            self.pending.append(_Request(job, step, now))
+            self.pending.append((-self.rcost_of(step), now, job.job_id, step.step_id, step))
 
     def next_round_at(self, now: float) -> float:
         """First round boundary at or after now; boundaries sit at k*round_length, k>=1."""
@@ -291,25 +297,23 @@ class HcsScheduler:
         reservation takes space away.
         """
         decision = ScheduleDecision()
-        requests = sorted(
-            self.pending,
-            key=lambda r: (-self.rcost_of(r.step), r.arrival, r.job.job_id, r.step.step_id))
-        self.pending = []
+        requests, self.pending = self.pending, []
+        requests.sort()
         no_room: list[tuple[int, int, int]] = []
         no_victims: list[tuple[int, int, int]] = []
-        for req in requests:
-            key = (req.job.job_id, req.step.step_id)
+        for _, _, job_id, step_id, step in requests:
+            key = (job_id, step_id)
             if self.mode is SchedulerMode.CLOUD_ONLY or key in self.cloud_sticky:
                 self._deploy_cloud_now(key, decision)
                 continue
-            d = req.step.demand_per_replica
-            shape = (d.cpu_millicores, d.memory_mb, req.step.replicas)
+            d = step.demand_per_replica
+            shape = (d.cpu_millicores, d.memory_mb, step.replicas)
             if not _covered(no_room, shape):
-                if self._try_deploy_edge_now(req.step, key, decision):
+                if self._try_deploy_edge_now(step, key, decision):
                     continue
                 no_room.append(shape)
             if not _covered(no_victims, shape):
-                if self._try_deploy_with_eviction(req.step, key, decision, now):
+                if self._try_deploy_with_eviction(step, key, decision, now):
                     continue
                 no_victims.append(shape)
             self._deploy_cloud_now(key, decision)
@@ -329,7 +333,7 @@ class HcsScheduler:
         if plan is None:
             return False
         if self.policy is PlacementPolicy.FIRST_FIT:
-            self._ff_from[shape] = plan.assignments[0]
+            self._ff_from[shape] = next(iter(plan.nodes))
         self._hold(key, plan)
         self.rr_cursor = cursor
         decision.directives.append(DeployEdge(key[0], key[1], plan))
@@ -344,12 +348,15 @@ class HcsScheduler:
         which the replica slots (see `replica_slots`) suffice, and plans once
         on that view: the greedy policies place a replica set exactly when
         its slots suffice, so this is the first prefix a re-plan per
-        candidate would accept.
+        candidate would accept. A node without room for one replica has no
+        slot, so the count starts from the nodes with room.
         """
         cost = self.rcost_of(step)
         demand = step.demand_per_replica
+        dc, dm = demand.cpu_millicores, demand.memory_mb
         base = self._free_after_evictions
-        slots = sum(replica_slots(f, demand) for f in base)
+        slots = sum(replica_slots(f, demand) for f in base
+                    if f is not None and f[0] >= dc and f[1] >= dm)
         freed: dict[int, tuple[int, int]] = {}
         taken = 0
         stop = bisect_left(self._victims, (cost,))
@@ -357,10 +364,10 @@ class HcsScheduler:
             victim = self.resident[self._victims[taken][1]]
             taken += 1
             vd = victim.step.demand_per_replica
-            for node_id in victim.assignments.values():
+            for node_id, k in victim.nodes.items():
                 f = freed.get(node_id) or base[node_id]
                 slots -= replica_slots(f, demand)
-                f = freed[node_id] = (f[0] + vd.cpu_millicores, f[1] + vd.memory_mb)
+                f = freed[node_id] = (f[0] + k * vd.cpu_millicores, f[1] + k * vd.memory_mb)
                 slots += replica_slots(f, demand)
         if slots < step.replicas:
             return False
@@ -376,13 +383,13 @@ class HcsScheduler:
         del self._victims[:taken]
         for vic in victims:
             self.evicting[vic] = expiry
-            self._book(self._evicting_load, self.resident[vic], 1)
+            self._shift(self.resident[vic], 0, 0, 1)
             decision.directives.append(Evict(vic[0], vic[1], expiry))
             log.debug("t=%s evict %s (rcost %.1f) for %s (rcost %.1f)", now, vic,
                       self.rcost_of(self.resident[vic].step), key, cost)
         self.rr_cursor = cursor
         self.reservations[key] = (plan, expiry)
-        self._book(self._free, plan, -1)
+        self._shift(plan, 0, -1, 0)
         decision.expiry = expiry
         return True
 
@@ -454,10 +461,9 @@ class HcsScheduler:
             raise ValidationError(f"node {node_id} already dead")
         decision = ScheduleDecision()
 
-        hit_residents = [k for k, plan in self.resident.items()
-                         if node_id in plan.assignments.values()]
+        hit_residents = [k for k, plan in self.resident.items() if node_id in plan.nodes]
         hit_reservations = [k for k, (plan, _) in self.reservations.items()
-                            if node_id in plan.assignments.values()]
+                            if node_id in plan.nodes]
         was_evicting = {k for k in hit_residents if k in self.evicting}
         for key in hit_residents:
             self._drop(key)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from hcs_sim.core_model import ResourceVector, StepSpec, ValidationError
@@ -18,10 +18,13 @@ class PlacementPolicy(str, Enum):
 
 @dataclass
 class PlacementPlan:
-    """Committed outcome of a placement attempt: replica index -> node id."""
+    """Committed outcome of a placement attempt: node id -> replicas placed
+    there, in the order the nodes were chosen. Replicas are interchangeable,
+    so the counts are the whole plan. Keyword-only, so a replica -> node
+    dict cannot pass for one by position."""
 
     step: StepSpec
-    assignments: dict[int, int]
+    nodes: dict[int, int] = field(kw_only=True)
 
 
 def replica_slots(free: tuple[int, int] | None, demand: ResourceVector) -> float:
@@ -68,25 +71,24 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
     demand = step.demand_per_replica
     dc, dm = demand.cpu_millicores, demand.memory_mb
     if policy is PlacementPolicy.FIRST_FIT:
-        assignments: dict[int, int] = {}
+        nodes: dict[int, int] = {}
         placed, replicas = 0, step.replicas
         for i in range(start, len(free)):
             f = free[i]
             if f is not None and f[0] >= dc and f[1] >= dm:
-                take = min(replica_slots(f, demand), replicas - placed)
-                assignments.update(dict.fromkeys(range(placed, placed + take), i))
+                take = nodes[i] = min(replica_slots(f, demand), replicas - placed)
                 placed += take
                 if placed == replicas:
-                    return PlacementPlan(step, assignments), rr_cursor
+                    return PlacementPlan(step, nodes=nodes), rr_cursor
         return None, rr_cursor
     remaining = free  # the caller's list, copied before the first write
     n = len(remaining)
     if n == 0:
         return None, rr_cursor
-    assignments = {}
+    nodes = {}
     cursor = rr_cursor % n
 
-    for replica in range(step.replicas):
+    for _ in range(step.replicas):
         chosen = -1
         if policy is PlacementPolicy.BEST_FIT:
             best = None
@@ -118,12 +120,12 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
             raise ValidationError(f"unknown policy {policy!r}")
         if chosen < 0:
             return None, rr_cursor
-        assignments[replica] = chosen
+        nodes[chosen] = nodes.get(chosen, 0) + 1
         if remaining is free:
             remaining = list(free)
         f = remaining[chosen]
         remaining[chosen] = (f[0] - dc, f[1] - dm)
 
     new_cursor = cursor if policy is PlacementPolicy.ROUND_ROBIN else rr_cursor
-    return PlacementPlan(step, assignments), new_cursor
+    return PlacementPlan(step, nodes=nodes), new_cursor
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from hcs_sim.core_model import (
+    BatchJob,
     CostParams,
     InternalConsistencyError,
     ResourceVector,
@@ -173,8 +174,9 @@ def node_loads(plan):
     """Demand a plan puts on each node it touches."""
     loads = {}
     d = plan.step.demand_per_replica
-    for _, node_id in sorted(plan.assignments.items()):
-        loads[node_id] = vec_add(loads.get(node_id, ResourceVector()), d)
+    for node_id, count in plan.nodes.items():
+        for _ in range(count):
+            loads[node_id] = vec_add(loads.get(node_id, ResourceVector()), d)
     return loads
 
 
@@ -234,10 +236,10 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
     n = len(remaining)
     if n == 0:
         return None, rr_cursor
-    assignments: dict[int, int] = {}
+    chosen_nodes: list[int] = []
     cursor = rr_cursor % n
 
-    for replica in range(step.replicas):
+    for _ in range(step.replicas):
         chosen = -1
         if policy is PlacementPolicy.FIRST_FIT:
             for i, f in enumerate(remaining):
@@ -274,14 +276,14 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
             raise ValidationError(f"unknown policy {policy!r}")
         if chosen < 0:
             return None, rr_cursor
-        assignments[replica] = chosen
+        chosen_nodes.append(chosen)
         if remaining is free:
             remaining = list(free)
         f = remaining[chosen]
         remaining[chosen] = (f[0] - dc, f[1] - dm)
 
     new_cursor = cursor if policy is PlacementPolicy.ROUND_ROBIN else rr_cursor
-    return PlacementPlan(step, assignments), new_cursor
+    return PlacementPlan(step, nodes=dict(Counter(chosen_nodes))), new_cursor
 
 
 def try_place(step, nodes, policy, rr_cursor=0):
@@ -295,7 +297,7 @@ def oracle_feasible(step, nodes, max_replicas=12, max_nodes=6):
     """Exhaustive feasibility check for one replica set.
 
     Searches every way to split the replica count across nodes (replicas are
-    interchangeable, so assignments are multisets of node choices). Refuses
+    interchangeable, so plans are multisets of node choices). Refuses
     instances larger than the stated bounds rather than run forever.
     """
     alive = [n for n in nodes if n.alive]
@@ -763,21 +765,30 @@ class FragmentEngine(_Engine):
 # -- the scheduler without capacity books ----------------------------------------
 
 
+@dataclass
+class Request:
+    """One step waiting for a round, as ReferenceScheduler queues it."""
+
+    job: BatchJob
+    step: StepSpec
+    arrival: float
+
+
 class ReferenceScheduler:
     """HcsScheduler as it was before incremental capacity books.
 
     Every capacity view is rebuilt from NodeState and the reservations for
-    each request, rcost is recomputed at each use, and an eviction try filters
-    and sorts all residents, then re-plans once per candidate victim. Each
-    node's allocation is its own NodeState, written by apply_plan and
-    release, and every plan comes from the oracle try_place_free above,
-    which places one replica at a time. It also keeps cloud_active, the
-    cloud deployments not yet complete, which HcsScheduler reads off as
-    cloud_sticky - completed. Same constructor and calls as HcsScheduler, so
-    both can take one call stream.
+    each request, rcost is recomputed at each use (a round sorts its own
+    request records by it), and an eviction try filters and sorts all
+    residents, then re-plans once per candidate victim. Each node's
+    allocation is its own NodeState, written by apply_plan and release, and
+    every plan comes from the oracle try_place_free above, which places one
+    replica at a time. It also keeps cloud_active, the cloud deployments not
+    yet complete, which HcsScheduler reads off as cloud_sticky - completed.
+    Same constructor and calls as HcsScheduler, so both can take one call
+    stream.
     """
 
-    submit_request = HcsScheduler.submit_request
     next_round_at = HcsScheduler.next_round_at
 
     def __init__(self, capacities, cost_params=None, policy=PlacementPolicy.FIRST_FIT,
@@ -834,6 +845,13 @@ class ReferenceScheduler:
 
     def rcost_of(self, step):
         return rcost(step, self.cost_params)
+
+    def submit_request(self, job, now):
+        if job.job_id in self._jobs:
+            raise ValidationError(f"duplicate job_id {job.job_id!r}")
+        self._jobs[job.job_id] = job
+        for step in job.dag.steps:
+            self.pending.append(Request(job, step, now))
 
     def run_round(self, now):
         decision = ScheduleDecision()

@@ -461,6 +461,18 @@ class TestRunCommand:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
 
+    def test_log_setting_that_names_no_level_reads_as_warning(self, tmp_path):
+        # BASIC_FORMAT is a logging attribute but a format string, not a level
+        cfg = write_config(tmp_path, minimal_config())
+        src = str(Path(hcs_sim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hcs_sim.cli", "run", "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "HCS_SIM_LOG": "basic_format"})
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_import_loads_no_numpy(self):
         src = str(Path(hcs_sim.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

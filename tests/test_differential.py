@@ -222,7 +222,7 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
     real_close = HcsScheduler.close_windows
     real_notice = PipelineDriver.on_eviction_notice
     real_place = hcs_scheduler.try_place_free
-    real_book = HcsScheduler._book
+    real_shift = HcsScheduler._shift
 
     def close(self, expiry):
         decision = real_close(self, expiry)
@@ -242,16 +242,16 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
             seen.add("first-fit-skip")
         return real_place(step, free, policy, rr_cursor, start)
 
-    def book(self, book, plan, sign):
+    def shift(self, plan, held, free, evicting):
         before = dict(self._ff_from)
-        real_book(self, book, plan, sign)
+        real_shift(self, plan, held, free, evicting)
         if any(self._ff_from[shape] < start for shape, start in before.items()):
             seen.add("first-fit-lowered")
 
     monkeypatch.setattr(HcsScheduler, "close_windows", close)
     monkeypatch.setattr(PipelineDriver, "on_eviction_notice", notice)
     monkeypatch.setattr(hcs_scheduler, "try_place_free", place)
-    monkeypatch.setattr(HcsScheduler, "_book", book)
+    monkeypatch.setattr(HcsScheduler, "_shift", shift)
     for seed in TIER1_SEEDS:
         sc = random_scenario(seed)
         for job in sc.catalog.values():

@@ -277,7 +277,7 @@ class TestUtilizationInvariant:
     def test_samples_never_exceed_capacity(self):
         s = HcsScheduler([ResourceVector(1000, 2000)])
         s._hold(("j", "s"), PlacementPlan(StepSpec("s", ResourceVector(1000, 2000), 1, 1.0),
-                                          {0: 0}))
+                                          nodes={0: 1}))
         c = MetricsCollector()
         c.sample(1.0, s.edge_usage())
         s = c.samples[0]

@@ -32,7 +32,9 @@ def test_slot_count_decides_every_policy(free, cpu, mem, replicas, cursor):
     """Every greedy policy places a replica set iff its slots sum to the
     replica count, a failed try keeps the cursor, the view is unchanged,
     and the plan and cursor are the oracle's; first fit's are so from
-    every start up to the first node with room for one replica."""
+    every start up to the first node with room for one replica. A plan
+    counts at least one replica per node, all replicas in total, and
+    first fit names its nodes in increasing order."""
     step = StepSpec("s", ResourceVector(cpu, mem), replicas, 1.0)
     slots = sum(replica_slots(f, step.demand_per_replica) for f in free)
     before = list(free)
@@ -43,6 +45,11 @@ def test_slot_count_decides_every_policy(free, cpu, mem, replicas, cursor):
             assert new_cursor == cursor, policy
         assert free == before, policy
         assert (plan, new_cursor) == oracles.try_place_free(step, free, policy, cursor), policy
+        if plan is not None:
+            assert min(plan.nodes.values()) >= 1, policy
+            assert sum(plan.nodes.values()) == replicas, policy
+            if policy is PlacementPolicy.FIRST_FIT:
+                assert list(plan.nodes) == sorted(plan.nodes)
     first_room = next((i for i, f in enumerate(free)
                        if f is not None and f[0] >= cpu and f[1] >= mem), len(free))
     want = oracles.try_place_free(step, free, PlacementPolicy.FIRST_FIT, cursor)

@@ -3,6 +3,7 @@ capacity safety and node-failure handling."""
 
 import random
 from bisect import insort
+from collections import Counter
 
 import pytest
 
@@ -52,9 +53,9 @@ def evicts_of(decision):
     return [d for d in decision.directives if isinstance(d, Evict)]
 
 
-def plan_of(s, job_id, assignments):
-    """The plan that places job_id's one step on assignments."""
-    return PlacementPlan(s._jobs[job_id].dag.steps[0], assignments)
+def plan_of(s, job_id, nodes):
+    """The plan that places job_id's one step as nodes counts (node -> replicas)."""
+    return PlacementPlan(s._jobs[job_id].dag.steps[0], nodes=nodes)
 
 
 class TestRounds:
@@ -144,7 +145,7 @@ class TestEviction:
         s.run_round(60.0)
         d = s.close_windows(90.0)
         assert d.directives == [DeployCloud("g", "s0"),
-                                DeployEdge("f", "s0", plan_of(s, "f", {0: 0}))]
+                                DeployEdge("f", "s0", plan_of(s, "f", {0: 1}))]
         assert d.expiry is None
         assert s._held[0][0] == 4000
         assert ("g", "s0") in s.cloud_sticky and ("f", "s0") in s.resident
@@ -158,7 +159,7 @@ class TestEviction:
         s.complete_step("g", "s0")
         assert ("g", "s0") not in s.resident
         d = s.close_windows(90.0)
-        assert d.directives == [DeployEdge("f", "s0", plan_of(s, "f", {0: 0}))]
+        assert d.directives == [DeployEdge("f", "s0", plan_of(s, "f", {0: 1}))]
         assert ("g", "s0") not in s.cloud_sticky
 
     def test_second_newcomer_rides_existing_window(self):
@@ -175,8 +176,8 @@ class TestEviction:
         assert s.reservations[("a", "s0")][1] == s.reservations[("b", "s0")][1] == 90.0
         d = s.close_windows(90.0)
         assert d.directives == [DeployCloud("v", "s0"),
-                                DeployEdge("a", "s0", plan_of(s, "a", {0: 0})),
-                                DeployEdge("b", "s0", plan_of(s, "b", {0: 0}))]
+                                DeployEdge("a", "s0", plan_of(s, "a", {0: 1})),
+                                DeployEdge("b", "s0", plan_of(s, "b", {0: 1}))]
         assert s._held[0][0] == 3500
 
     def test_reservation_a_failure_rehomed_stays_put(self):
@@ -190,13 +191,13 @@ class TestEviction:
         s.submit_request(job_with_step("f", 4000), 31.0)
         d = s.run_round(60.0)
         assert [e.job_id for e in evicts_of(d)] == ["g"]
-        assert s.reservations[("f", "s0")][0].assignments == {0: 1}
+        assert s.reservations[("f", "s0")][0].nodes == {1: 1}
         s.complete_step("k", "s0")
         d = s.handle_node_failure(1)
         assert d.directives == [DeployCloud("g", "s0"),
-                                DeployEdge("f", "s0", plan_of(s, "f", {0: 0}))]
+                                DeployEdge("f", "s0", plan_of(s, "f", {0: 1}))]
         assert s.close_windows(90.0).directives == []
-        assert s.resident == {("f", "s0"): plan_of(s, "f", {0: 0})}
+        assert s.resident == {("f", "s0"): plan_of(s, "f", {0: 1})}
 
     def test_evicting_step_never_reevicted(self):
         s = HcsScheduler(one_node(cpu=4000), cost_params=MEM_COST)
@@ -263,10 +264,10 @@ class TestNodeFailure:
         s = HcsScheduler(self.two_nodes(), policy=PlacementPolicy.WORST_FIT)
         s.submit_request(job_with_step("a", 1000, replicas=2), 0.0)
         s.run_round(30.0)
-        assert {n for n in s.resident[("a", "s0")].assignments.values()} == {0, 1}
+        assert s.resident[("a", "s0")].nodes == {0: 1, 1: 1}
         d = s.handle_node_failure(1)
         moved = edges_of(d)
-        assert len(moved) == 1 and set(moved[0].plan.assignments.values()) == {0}
+        assert len(moved) == 1 and moved[0].plan.nodes == {0: 2}
         assert d.expiry is None
         assert not s.alive[1] and s._held[1] == [0, 0]
 
@@ -275,7 +276,7 @@ class TestNodeFailure:
         s.submit_request(job_with_step("a", 1500), 0.0)
         s.submit_request(job_with_step("b", 1500), 0.0)
         s.run_round(30.0)
-        victim_node = s.resident[("a", "s0")].assignments[0]
+        [victim_node] = s.resident[("a", "s0")].nodes
         d = s.handle_node_failure(victim_node)
         assert len(clouds_of(d)) == 1
         key = (clouds_of(d)[0].job_id, "s0")
@@ -287,7 +288,7 @@ class TestNodeFailure:
         s.submit_request(job_with_step("b", 1000), 0.0)
         s.run_round(30.0)
         resident_before = dict(s.resident)
-        dead = s.resident[("b", "s0")].assignments[0]
+        [dead] = s.resident[("b", "s0")].nodes
         s.handle_node_failure(dead)
         assert s.resident[("a", "s0")] == resident_before[("a", "s0")]
 
@@ -363,7 +364,7 @@ class TestCapacityBooks:
         s._held[1][0] = 0
         # a resident on the dead node with every book in step: only the
         # recompute's look at `alive` can refuse it
-        plan = PlacementPlan(job_with_step("ghost", 500).dag.steps[0], {0: 1})
+        plan = PlacementPlan(job_with_step("ghost", 500).dag.steps[0], nodes={1: 1})
         s.resident[("ghost", "s0")] = plan
         _add_load(s._held, plan)
         insort(s._victims, (s.rcost_of(plan.step), ("ghost", "s0")))
@@ -377,7 +378,7 @@ class TestHoldAndDrop:
 
     def plan(self, cpu, node_ids, mem=0):
         step = StepSpec("s0", ResourceVector(cpu, mem), len(node_ids), 1.0)
-        return PlacementPlan(step, dict(enumerate(node_ids)))
+        return PlacementPlan(step, nodes=dict(Counter(node_ids)))
 
     def test_round_trip(self):
         s = HcsScheduler([ResourceVector(4000, 8192), ResourceVector(4000, 8192)])
@@ -438,7 +439,7 @@ class TestRoundMemo:
         assert [c.job_id for c in clouds_of(d)] == ["z"]
         s.complete_step("y", "s0")
         d = s.handle_node_failure(0)
-        assert [(e.job_id, e.plan.assignments) for e in edges_of(d)] == [("x", {0: 1})]
+        assert [(e.job_id, e.plan.nodes) for e in edges_of(d)] == [("x", {1: 1})]
         assert d.expiry is None
 
 

@@ -147,10 +147,23 @@ def run_stream(seed: int) -> Pair:
 def test_streams_match_the_reference(monkeypatch):
     """Every tier-1 stream matches the reference, and together they skip
     tries the round already ruled out, kill some and all nodes of a cluster,
-    run more than 150 nodes and use every placement policy."""
+    run more than 150 nodes, use every placement policy, try an eviction
+    for a shape with a zero demand dimension and evict a resident that
+    holds at least 2 replicas on one node."""
     seen = set()
     real_covered = hcs_scheduler._covered
+    real_evict = HcsScheduler._try_deploy_with_eviction
     last_hit = [None]
+
+    def evict(self, step, key, decision, now):
+        d = step.demand_per_replica
+        if not (d.cpu_millicores and d.memory_mb):
+            seen.add("zero_dim_eviction_try")
+        before = set(self.evicting)
+        placed = real_evict(self, step, key, decision, now)
+        if any(max(self.resident[k].nodes.values()) >= 2 for k in self.evicting.keys() - before):
+            seen.add("stacked_victim")
+        return placed
 
     def covered(failed, shape):
         # a request checks its shape against the no-room memo, then, on a
@@ -163,6 +176,7 @@ def test_streams_match_the_reference(monkeypatch):
         return hit
 
     monkeypatch.setattr(hcs_scheduler, "_covered", covered)
+    monkeypatch.setattr(HcsScheduler, "_try_deploy_with_eviction", evict)
     for seed in TIER1_SEEDS:
         try:
             fast = run_stream(seed).fast
@@ -172,6 +186,7 @@ def test_streams_match_the_reference(monkeypatch):
         seen.add("all_dead" if alive == 0 else "some_dead" if alive < len(fast.alive) else "")
         seen.add("wide" if len(fast.alive) > 150 else fast.policy.value)
     assert {"no_room_memo", "no_victims_memo", "wide", "all_dead", "some_dead",
+            "zero_dim_eviction_try", "stacked_victim",
             *(p.value for p in PlacementPolicy)} <= seen, seen
 
 
