@@ -348,6 +348,68 @@ def test_non_finite_numbers_are_invalid_json(tmp_path, capsys, edit, token):
     assert not (tmp_path / "o").exists()
 
 
+def workload_edit(**fields):
+    return lambda c: c["workloads"]["w"].update(fields)
+
+
+POISSON = {"kind": "poisson", "rate": 1.0, "seed": 1, "count": 3}
+
+
+# (case, edit to minimal_config() that may return a whole new document, the
+# loader's exact diagnostics, with <file> for the scenario file's path)
+SHAPES = [
+    ("number", step_edit(service_time="1"),
+     ["workloads.w.steps[0].service_time: must be a number"]),
+    ("integer", workload_edit(fragment_count=1.5),
+     ["workloads.w.fragment_count: must be an integer"]),
+    ("string", step_edit(step_id=3), ["workloads.w.steps[0].step_id: must be a string"]),
+    ("boolean", step_edit(feed_forward="yes"),
+     ["workloads.w.steps[0].feed_forward: must be true or false"]),
+    ("policy", lambda c: c.update(scheduler={"policy": "fast"}),
+     ["scheduler.policy: must be one of cheapest_first, cloud_only"]),
+    ("placement", lambda c: c.update(scheduler={"placement": "xx"}),
+     ["scheduler.placement: must be one of ff, bf, rr, wf"]),
+    ("generator", lambda c: c.update(arrivals={**POISSON, "generator": "mt19937"}),
+     ["arrivals.generator: must be one of pcg64"]),
+    ("arrivals-kind", lambda c: c["arrivals"].update(kind="burst"),
+     ["arrivals.kind: must be one of poisson, explicit"]),
+    ("fault-kind", faults({"kind": "meteor", "time": 1.0}),
+     ["faults[0].kind: must be one of node_failure, driver_restart"]),
+    ("section-object", lambda c: c.update(cost=[1]), ["cost: must be an object"]),
+    ("step-object", workload_edit(steps=[3]), ["workloads.w.steps[0]: must be an object"]),
+    ("fault-object", faults(3), ["faults[0]: must be an object"]),
+    ("faults-list", lambda c: c.update(faults={"kind": "node_failure"}),
+     ["faults: must be a list"]),
+    ("steps-list", workload_edit(steps={"step_id": "s0"}),
+     ["workloads.w.steps: must be a list"]),
+    ("times", lambda c: c["arrivals"].update(times=[1.0, "2"]),
+     ["arrivals.times: must be a list of numbers"]),
+    ("templates", lambda c: c["arrivals"].update(templates=["w", 2]),
+     ["arrivals.templates: must be a list of template names"]),
+    ("edges-list", workload_edit(edges="s0"),
+     ["workloads.w.edges: must be a list of [from, to] pairs"]),
+    ("edge-pair", workload_edit(edges=[["s0"]]),
+     ["workloads.w.edges[0]: must be a [from, to] pair of step ids"]),
+    ("arrivals-section", lambda c: c.update(arrivals=None),
+     ["arrivals: section is required"]),
+    ("edge-section", lambda c: c.update(edge=None),
+     ["edge: section is required (node_count, node_cpu_millicores, node_memory_mb)"]),
+    ("edge-capacity", lambda c: c["edge"].update(node_memory_mb=None),
+     ["edge: node_cpu_millicores and node_memory_mb are required"]),
+    ("node-count", lambda c: c["edge"].update(node_count=-1), ["edge.node_count: must be >= 0"]),
+    ("top-level", lambda c: [c], ["<file>: top level must be an object"]),
+    ("workloads", lambda c: c.update(workloads=["w"]),
+     ["workloads: must be a non-empty object of named templates"]),
+]
+
+
+@pytest.mark.parametrize("edit, diagnostics", [pytest.param(*r[1:], id=r[0]) for r in SHAPES])
+def test_each_shape_problem_has_one_exact_diagnostic(tmp_path, edit, diagnostics):
+    cfg = minimal_config()
+    path = write_config(tmp_path, edit(cfg) or cfg)
+    assert load_scenario(path).diagnostics == [d.replace("<file>", path) for d in diagnostics]
+
+
 def test_library_scenario_matches_the_loaded_one(tmp_path):
     assert library_scenario() == load_scenario(
         write_config(tmp_path, minimal_config())).scenario
