@@ -59,54 +59,46 @@ class _Check:
     def err(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
-    def section(self, obj, path: str, keys: tuple[str, ...],
-                required: tuple[str, ...] = ()) -> dict | None:
-        """{key: value, None when absent or null} for an object; unknown keys
-        and absent required keys are problems. A non-object is a problem and
-        gives None."""
+    def fields(self, obj, path: str, table: dict) -> dict | None:
+        """{key: value read by its kind} for each table key that the object
+        sets or requires; None marks an absent required key or a value of the
+        wrong kind. Those are problems, as are unknown keys and a non-object,
+        which gives None. A key without a kind is left to its own reader."""
         if not isinstance(obj, dict):
             self.err(path, "must be an object")
             return None
+        at = f"{path}." if path else ""
         for key in obj:
-            if key not in keys:
-                self.err(f"{path}.{key}" if path else key, "unknown key")
-        for key in required:
-            if obj.get(key) is None:
-                self.err(f"{path}.{key}", "is required")
-        return {key: obj.get(key) for key in keys}
+            if key not in table:
+                self.err(at + key, "unknown key")
+        got = {}
+        for key, (kind, required) in table.items():
+            value = obj.get(key)
+            if value is None:
+                if required:
+                    self.err(at + key, "is required" if required is True else required)
+                    got[key] = None
+            elif kind is not None:
+                try:
+                    got[key] = kind(value)
+                except ValidationError as e:
+                    self.err(at + key, str(e))
+                    got[key] = None
+        return got
 
-    def number(self, value, path: str, integer=False):
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.err(path, "must be a number")
-            return None
-        if integer and not isinstance(value, int):
-            self.err(path, "must be an integer")
-            return None
-        return value
-
-    def real(self, value, path: str) -> float | None:
-        """A number as the float the domain field holds."""
-        value = self.number(value, path)
-        return None if value is None else float(value)
-
-    def string(self, value, path: str, choices=None, default=None):
-        if value is None:
-            return default
-        if not isinstance(value, str):
-            self.err(path, "must be a string")
-            return None
-        if choices is not None and value not in choices:
-            self.err(path, f"must be one of {', '.join(choices)}")
-            return None
-        return value
-
-    def boolean(self, value, path: str):
-        if value is not None and not isinstance(value, bool):
-            self.err(path, "must be true or false")
-            return None
-        return value
+    def variant(self, obj, path: str, kinds: dict):
+        """(type, fields) of an object whose `kind` key picks them from kinds;
+        (None, None) when the object or its kind is bad."""
+        if not isinstance(obj, dict):
+            self.err(path, "must be an object")
+            return None, None
+        tag = obj.get("kind")
+        if type(tag) is not str or tag not in kinds:
+            # read the bad tag alone, for its problem
+            self.fields({"kind": tag}, path, {"kind": (_one_of(*kinds), True)})
+            return None, None
+        cls, table = kinds[tag]
+        return cls, self.fields(obj, path, table)
 
     def build(self, prefix: str, cls, *args, **kwargs):
         """cls(*args, **kwargs), or None after recording each of its problems
@@ -131,116 +123,125 @@ def _finite(token: str, kind=float):
     return kind(token)
 
 
+def _is(types: tuple, problem: str):
+    """A value whose JSON type is one of types."""
+    def kind(value):
+        if type(value) not in types:
+            raise ValidationError(problem)
+        return value
+    return kind
+
+
+_number = _is((int, float), "must be a number")  # as written; a bool is no number
+_string = _is((str,), "must be a string")
+_boolean = _is((bool,), "must be true or false")
+_list = _is((list,), "must be a list")
+
+
+def _real(value) -> float:
+    """A number as the float the domain field holds."""
+    return float(_number(value))
+
+
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise ValidationError("must be an integer" if type(value) is float else "must be a number")
+    return value
+
+
+def _one_of(*choices, member=str):
+    """A string among choices, as member(value)."""
+    def kind(value):
+        if _string(value) not in choices:
+            raise ValidationError(f"must be one of {', '.join(choices)}")
+        return member(value)
+    return kind
+
+
+def _list_of(item, problem: str):
+    """A list as the tuple of item(element), or else the one problem."""
+    def kind(value) -> tuple:
+        if type(value) is list:
+            try:
+                return tuple(map(item, value))
+            except ValidationError:
+                pass
+        raise ValidationError(problem)
+    return kind
+
+
+_NO_EDGE = "section is required (node_count, node_cpu_millicores, node_memory_mb)"
+_NO_CATALOG = "must be a non-empty object of named templates"
+
+# One table per JSON object: key -> (kind, required). A kind takes a JSON value
+# and returns what the domain holds, or raises the value's problem. A required
+# key may name the problem of its absence; a key without a kind has its own reader.
+_TOP = {
+    "scenario_id": (_string, False), "edge": (_is((dict,), _NO_EDGE), _NO_EDGE),
+    "cloud": (None, False), "cost": (None, False), "scheduler": (None, False),
+    "workloads": (_is((dict,), _NO_CATALOG), _NO_CATALOG),
+    "arrivals": (None, "section is required"), "faults": (_list, False),
+    "horizon": (_real, False), "output_dir": (_string, False)}
+_EDGE = {"node_count": (_integer, True), "node_cpu_millicores": (_integer, False),
+         "node_memory_mb": (_integer, False), "speed_factor": (_real, False)}
+_CLOUD = {"speed_factor": (_real, False), "cloud_concurrency": (_integer, False)}
+_COST = {"c_cpu": (_real, False), "c_mem": (_real, False)}
+_SCHEDULER = {
+    "policy": (_one_of(*(m.value for m in SchedulerMode), member=SchedulerMode), False),
+    "placement": (_one_of(*_PLACEMENTS, member=PlacementPolicy), False),
+    "round_length": (_real, False), "eviction_deadline": (_real, False),
+    "execution_timeout": (_real, False)}
+_WORKLOAD = {
+    "fragment_count": (_integer, True), "deadline": (_number, True), "steps": (_list, True),
+    "edges": (_is((list,), "must be a list of [from, to] pairs"), False)}
+_STEP = {
+    "step_id": (_string, True), "cpu_millicores": (_integer, True),
+    "memory_mb": (_integer, True), "replicas": (_integer, False),
+    "service_time": (_number, True), "feed_forward": (_boolean, False)}
+# a kind-tagged object: kind -> (the type it builds, its table)
+_ARRIVALS = {
+    "poisson": (PoissonArrivals, {
+        "kind": (None, True), "generator": (_one_of("pcg64"), False),
+        "rate": (_real, True), "seed": (_integer, True), "count": (_integer, True)}),
+    "explicit": (ExplicitArrivals, {
+        "kind": (None, True), "times": (_list_of(_real, "must be a list of numbers"), True),
+        "templates": (_list_of(_string, "must be a list of template names"), False)})}
+_FAULTS = {
+    "node_failure": (NodeFailureFault, {
+        "kind": (None, True), "time": (_real, True), "node_id": (_integer, True)}),
+    "driver_restart": (DriverRestartFault, {
+        "kind": (None, True), "time": (_real, True), "job_index": (_integer, True)})}
+
+
 def _parse_step(obj, path: str, check: _Check) -> StepSpec | None:
-    got = check.section(obj, path, (
-        "step_id", "cpu_millicores", "memory_mb", "replicas", "service_time",
-        "feed_forward"), required=("step_id", "cpu_millicores", "memory_mb", "service_time"))
+    got = check.fields(obj, path, _STEP)
     if got is None:
         return None
-    sid = check.string(got["step_id"], f"{path}.step_id")
-    cpu = check.number(got["cpu_millicores"], f"{path}.cpu_millicores", integer=True)
-    mem = check.number(got["memory_mb"], f"{path}.memory_mb", integer=True)
-    replicas = (1 if got["replicas"] is None
-                else check.number(got["replicas"], f"{path}.replicas", integer=True))
-    svc = check.number(got["service_time"], f"{path}.service_time")
-    ff = check.boolean(got["feed_forward"], f"{path}.feed_forward")
+    replicas = got.get("replicas", 1)
+    sid, cpu, mem, svc = (got["step_id"], got["cpu_millicores"], got["memory_mb"],
+                          got["service_time"])
     if None in (sid, cpu, mem, replicas, svc):
         return None
-    # a bad demand is already a problem; the step is still built to report its own
-    demand = check.build(f"{path}.", ResourceVector, cpu, mem)
-    return check.build(f"{path}.", StepSpec, sid, demand, replicas, svc,
-                       **_given(feed_forward=ff))
+    return check.build(f"{path}.", StepSpec, sid, ResourceVector(cpu, mem), replicas, svc,
+                       **_given(feed_forward=got.get("feed_forward")))
 
 
 def _parse_workload(name: str, obj, check: _Check) -> BatchJob | None:
     path = f"workloads.{name}"
-    got = check.section(obj, path, ("fragment_count", "deadline", "steps", "edges"),
-                        required=("fragment_count", "deadline", "steps"))
-    if got is None:
-        return None
-    frags = check.number(got["fragment_count"], f"{path}.fragment_count", integer=True)
-    deadline = check.number(got["deadline"], f"{path}.deadline")
-    if not isinstance(got["steps"], list):
-        check.err(f"{path}.steps", "must be a list")
+    got = check.fields(obj, path, _WORKLOAD)
+    if got is None or got["steps"] is None:
         return None
     steps = [_parse_step(s, f"{path}.steps[{i}]", check) for i, s in enumerate(got["steps"])]
     edges = []
-    if not isinstance(got["edges"], (list, type(None))):
-        check.err(f"{path}.edges", "must be a list of [from, to] pairs")
-    else:
-        for i, e in enumerate(got["edges"] or ()):
-            if (not isinstance(e, list) or len(e) != 2
-                    or not all(isinstance(x, str) for x in e)):
-                check.err(f"{path}.edges[{i}]", "must be a [from, to] pair of step ids")
-            else:
-                edges.append((e[0], e[1]))
-    if frags is None or deadline is None:
+    for i, e in enumerate(got.get("edges") or ()):
+        if isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e):
+            edges.append((e[0], e[1]))
+        else:
+            check.err(f"{path}.edges[{i}]", "must be a [from, to] pair of step ids")
+    if got["fragment_count"] is None or got["deadline"] is None:
         return None
-    return check.build(f"{path}.", BatchJob, name,
-                       PipelineDag([s for s in steps if s], edges), frags, deadline)
-
-
-def _parse_arrivals(obj, check: _Check):
-    if not isinstance(obj, dict):
-        check.err("arrivals", "must be an object")
-        return None
-    if obj.get("kind") is None:
-        check.err("arrivals.kind", "is required")
-    kind = check.string(obj.get("kind"), "arrivals.kind", choices=("poisson", "explicit"))
-    if kind == "poisson":
-        got = check.section(obj, "arrivals", ("kind", "generator", "rate", "seed", "count"),
-                            required=("rate", "seed", "count"))
-        check.string(got["generator"], "arrivals.generator", choices=("pcg64",))
-        rate = check.real(got["rate"], "arrivals.rate")
-        seed = check.number(got["seed"], "arrivals.seed", integer=True)
-        count = check.number(got["count"], "arrivals.count", integer=True)
-        if None in (rate, seed, count):
-            return None
-        # the arrival types write the arrivals. path themselves
-        return check.build("", PoissonArrivals, rate, seed, count)
-    if kind != "explicit":
-        return None
-    got = check.section(obj, "arrivals", ("kind", "times", "templates"), required=("times",))
-    times, templates = got["times"], got["templates"]
-    if times is None:
-        return None
-    if not isinstance(times, list) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in times):
-        check.err("arrivals.times", "must be a list of numbers")
-        return None
-    if templates is not None:
-        if (not isinstance(templates, list)
-                or not all(isinstance(t, str) for t in templates)):
-            check.err("arrivals.templates", "must be a list of template names")
-            return None
-        templates = tuple(templates)
-    return check.build("", ExplicitArrivals, tuple(float(t) for t in times), templates)
-
-
-def _parse_faults(obj, check: _Check) -> tuple:
-    if not isinstance(obj, list):
-        check.err("faults", "must be a list")
-        return ()
-    faults = []
-    for i, f in enumerate(obj):
-        path = f"faults[{i}]"
-        if not isinstance(f, dict):
-            check.err(path, "must be an object")
-            continue
-        if f.get("kind") is None:
-            check.err(f"{path}.kind", "is required")
-        kind = check.string(f.get("kind"), f"{path}.kind",
-                            choices=("node_failure", "driver_restart"))
-        if kind is None:
-            continue
-        cls, target = ((NodeFailureFault, "node_id") if kind == "node_failure"
-                       else (DriverRestartFault, "job_index"))
-        got = check.section(f, path, ("kind", "time", target), required=("time", target))
-        t = check.real(got["time"], f"{path}.time")
-        ref = check.number(got[target], f"{path}.{target}", integer=True)
-        if t is not None and ref is not None:
-            faults.append(check.build(f"{path}.", cls, t, ref))
-    return tuple(faults)
+    return check.build(f"{path}.", BatchJob, name, PipelineDag([s for s in steps if s], edges),
+                       got["fragment_count"], got["deadline"])
 
 
 def load_scenario(path: str | Path) -> LoadResult:
@@ -262,85 +263,54 @@ def load_scenario(path: str | Path) -> LoadResult:
     if not isinstance(raw, dict):
         return LoadResult(None, None, [f"{path}: top level must be an object"])
 
-    top = check.section(raw, "", (
-        "scenario_id", "edge", "cloud", "cost", "scheduler", "workloads", "arrivals",
-        "faults", "horizon", "output_dir"))
-    scenario_id = check.string(top["scenario_id"], "scenario_id", default=Path(path).stem)
-
+    top = check.fields(raw, "", _TOP)
     nodes: tuple[ResourceVector, ...] = ()
-    edge = top["edge"]
-    if not isinstance(edge, dict):
-        check.err("edge", "section is required (node_count, node_cpu_millicores, "
-                          "node_memory_mb)")
-        edge = {}
-    else:
-        edge = check.section(edge, "edge", (
-            "node_count", "node_cpu_millicores", "node_memory_mb", "speed_factor"),
-            required=("node_count",))
-        node_count = check.number(edge["node_count"], "edge.node_count", integer=True)
-        cpu = check.number(edge["node_cpu_millicores"], "edge.node_cpu_millicores",
-                           integer=True)
-        mem = check.number(edge["node_memory_mb"], "edge.node_memory_mb", integer=True)
-        # the count exists only in the file: the scenario holds one capacity per node
-        if node_count is not None and not node_count >= 0:
-            check.err("edge.node_count", "must be >= 0")
-        elif node_count and (cpu is None or mem is None):
-            check.err("edge", "node_cpu_millicores and node_memory_mb are required")
-        elif node_count:
-            # the node's keys are the capacity's keys with node_ in front
-            nodes = (check.build("edge.node_", ResourceVector, cpu, mem),) * node_count
+    edge = {} if top["edge"] is None else check.fields(top["edge"], "edge", _EDGE)
+    node_count = edge.get("node_count")
+    cpu, mem = edge.get("node_cpu_millicores"), edge.get("node_memory_mb")
+    # the count exists only in the file: the scenario holds one capacity per node
+    if node_count is not None and not node_count >= 0:
+        check.err("edge.node_count", "must be >= 0")
+    elif node_count and (cpu is None or mem is None):
+        check.err("edge", "node_cpu_millicores and node_memory_mb are required")
+    elif node_count:
+        nodes = (ResourceVector(cpu, mem),) * node_count
 
-    cloud = check.section(raw.get("cloud", {}), "cloud",
-                          ("speed_factor", "cloud_concurrency")) or {}
-    cost = check.section(raw.get("cost", {}), "cost", ("c_cpu", "c_mem")) or {}
-    cost_params = check.build("cost.", CostParams, **_given(
-        c_cpu=check.real(cost.get("c_cpu"), "cost.c_cpu"),
-        c_mem=check.real(cost.get("c_mem"), "cost.c_mem")))
-    sched = check.section(raw.get("scheduler", {}), "scheduler", (
-        "policy", "placement", "round_length", "eviction_deadline",
-        "execution_timeout")) or {}
-    policy = check.string(sched.get("policy"), "scheduler.policy",
-                          choices=tuple(m.value for m in SchedulerMode))
-    placement = check.string(sched.get("placement"), "scheduler.placement",
-                             choices=_PLACEMENTS)
+    cloud = check.fields(raw.get("cloud", {}), "cloud", _CLOUD) or {}
+    cost = check.fields(raw.get("cost", {}), "cost", _COST) or {}
+    sched = check.fields(raw.get("scheduler", {}), "scheduler", _SCHEDULER) or {}
 
-    catalog: dict[str, BatchJob] = {}
-    if not isinstance(top["workloads"], dict):
-        check.err("workloads", "must be a non-empty object of named templates")
-    else:
-        for name, w in top["workloads"].items():
-            catalog[name] = _parse_workload(name, w, check)
+    catalog = {name: _parse_workload(name, w, check)
+               for name, w in (top["workloads"] or {}).items()}
 
     arrivals = None
-    if top["arrivals"] is None:
-        check.err("arrivals", "section is required")
-    else:
-        arrivals = _parse_arrivals(top["arrivals"], check)
+    if raw.get("arrivals") is not None:
+        cls, got = check.variant(raw["arrivals"], "arrivals", _ARRIVALS)
+        if cls is not None:
+            got.pop("generator", None)  # pcg64, the only one
+            if None not in got.values():
+                arrivals = check.build("", cls, **got)  # its type writes "arrivals."
+    faults = []
+    for i, f in enumerate(top.get("faults") or ()):
+        cls, got = check.variant(f, f"faults[{i}]", _FAULTS)
+        if cls is not None and None not in got.values():
+            faults.append(check.build(f"faults[{i}].", cls, **got))
 
+    # every other scheduler and cloud key is a Scenario field name
     settings = _given(
-        cost_params=cost_params,
-        mode=policy and SchedulerMode(policy),
-        placement=placement and PlacementPolicy(placement),
-        round_length=check.real(sched.get("round_length"), "scheduler.round_length"),
-        eviction_deadline=check.real(sched.get("eviction_deadline"),
-                                     "scheduler.eviction_deadline"),
-        edge_speed=check.real(edge.get("speed_factor"), "edge.speed_factor"),
-        cloud_speed=check.real(cloud.get("speed_factor"), "cloud.speed_factor"),
-        cloud_concurrency=check.number(cloud.get("cloud_concurrency"),
-                                       "cloud.cloud_concurrency", integer=True),
-        execution_timeout=check.real(sched.get("execution_timeout"),
-                                     "scheduler.execution_timeout"),
-        horizon=check.real(top["horizon"], "horizon"),
-        faults=None if top["faults"] is None else _parse_faults(top["faults"], check))
-    output_dir = check.string(top["output_dir"], "output_dir")
+        cost_params=check.build("cost.", CostParams, **_given(**cost)),
+        mode=sched.pop("policy", None), cloud_speed=cloud.pop("speed_factor", None),
+        edge_speed=edge.get("speed_factor"), horizon=top.get("horizon"),
+        faults=tuple(faults), **sched, **cloud)
 
     if check.problems:
         return LoadResult(None, None, sorted(set(check.problems)))
     try:
-        scenario = Scenario(scenario_id, nodes, catalog, arrivals, **settings)
+        scenario = Scenario(top.get("scenario_id", Path(path).stem), nodes, catalog,
+                            arrivals, **settings)
     except ValidationError as e:
         return LoadResult(None, None, sorted(set(e.problems)))
-    return LoadResult(scenario, output_dir, [])
+    return LoadResult(scenario, top.get("output_dir"), [])
 
 
 # -- commands -------------------------------------------------------------------

@@ -30,14 +30,11 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResourceVector:
-    """A CPU/memory quantity. CPU in integer millicores, memory in integer MB."""
+    """A CPU/memory quantity. CPU in integer millicores, memory in integer MB.
+    Unchecked: a step checks its demand, and a Scenario its node capacities."""
 
     cpu_millicores: int = 0
     memory_mb: int = 0
-
-    def __post_init__(self) -> None:
-        require((self.cpu_millicores >= 0, "cpu_millicores: must be >= 0"),
-                (self.memory_mb >= 0, "memory_mb: must be >= 0"))
 
 
 @dataclass(frozen=True)
@@ -64,6 +61,8 @@ class StepSpec:
 
     def __post_init__(self) -> None:
         require((self.step_id, "step_id: must be non-empty"),
+                (self.demand_per_replica.cpu_millicores >= 0, "cpu_millicores: must be >= 0"),
+                (self.demand_per_replica.memory_mb >= 0, "memory_mb: must be >= 0"),
                 (self.replicas >= 1, "replicas: must be >= 1"),
                 (self.service_time_per_fragment > 0, "service_time: must be > 0"))
 

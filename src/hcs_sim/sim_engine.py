@@ -168,7 +168,7 @@ class Scenario:
             (all(c.memory_mb >= 1 for c in self.node_capacities),
              "edge.node_memory_mb: must be >= 1"),
             (self.node_capacities or self.mode is SchedulerMode.CLOUD_ONLY,
-             "node_count: must be >= 1 unless the mode is cloud_only"),
+             "edge.node_count: must be >= 1 unless the mode is cloud_only"),
             (self.round_length > 0, "scheduler.round_length: must be > 0"),
             (self.eviction_deadline > 0, "scheduler.eviction_deadline: must be > 0"),
             (self.execution_timeout > 0, "scheduler.execution_timeout: must be > 0"),

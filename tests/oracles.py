@@ -36,6 +36,7 @@ from hcs_sim.core_model import (
     ValidationError,
     dag_violations,
     rcost,
+    require,
 )
 from hcs_sim.hcs_scheduler import (
     DEFAULT_EVICTION_DEADLINE,
@@ -153,7 +154,9 @@ def vec_add(a, b):
 
 def vec_sub(a, b):
     """a - b; a negative dimension is a ValidationError."""
-    return ResourceVector(a.cpu_millicores - b.cpu_millicores, a.memory_mb - b.memory_mb)
+    cpu, mem = a.cpu_millicores - b.cpu_millicores, a.memory_mb - b.memory_mb
+    require((cpu >= 0, "cpu_millicores: must be >= 0"), (mem >= 0, "memory_mb: must be >= 0"))
+    return ResourceVector(cpu, mem)
 
 
 def fits_within(a, b):

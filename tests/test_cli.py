@@ -165,6 +165,15 @@ class TestLoadScenario:
         assert res.diagnostics == [
             "horizon: must be > 0", "workloads.w: job w: edge references unknown step 'ghost'"]
 
+    def test_deadline_and_service_time_stay_as_written(self, tmp_path):
+        # a float would print a 10**10 deadline as 1e+10 in job_outcomes.csv
+        cfg = minimal_config()
+        cfg["workloads"]["w"]["deadline"] = 10**10
+        cfg["workloads"]["w"]["steps"][0]["service_time"] = 2
+        template = load_scenario(write_config(tmp_path, cfg)).scenario.catalog["w"]
+        assert type(template.deadline) is int and template.deadline == 10**10
+        assert type(template.dag.steps[0].service_time_per_fragment) is int
+
     def test_faults_parse_and_validate(self, tmp_path):
         cfg = minimal_config()
         cfg["faults"] = [
@@ -402,9 +411,27 @@ SHAPES = [
      ["workloads: must be a non-empty object of named templates"]),
 ]
 
+def drop_steps(cfg):
+    del cfg["workloads"]["w"]["steps"]
 
-@pytest.mark.parametrize("edit, diagnostics", [pytest.param(*r[1:], id=r[0]) for r in SHAPES])
-def test_each_shape_problem_has_one_exact_diagnostic(tmp_path, edit, diagnostics):
+
+# the same, for a missing steps list and for rules whose one owner sets the text
+OWNED_MESSAGES = [
+    ("steps-absent", drop_steps,
+     ["workloads.w.steps: is required"]),
+    ("steps-null", workload_edit(steps=None), ["workloads.w.steps: is required"]),
+    ("no-edge-nodes", lambda c: c["edge"].update(node_count=0),
+     ["edge.node_count: must be >= 1 unless the mode is cloud_only"]),
+    ("negative-node-cpu", lambda c: c["edge"].update(node_cpu_millicores=-1),
+     ["edge.node_cpu_millicores: must be >= 1"]),
+    ("zero-node-cpu", lambda c: c["edge"].update(node_cpu_millicores=0),
+     ["edge.node_cpu_millicores: must be >= 1"]),
+]
+
+
+@pytest.mark.parametrize("edit, diagnostics",
+                         [pytest.param(*r[1:], id=r[0]) for r in SHAPES + OWNED_MESSAGES])
+def test_each_problem_has_one_exact_diagnostic(tmp_path, edit, diagnostics):
     cfg = minimal_config()
     path = write_config(tmp_path, edit(cfg) or cfg)
     assert load_scenario(path).diagnostics == [d.replace("<file>", path) for d in diagnostics]
@@ -421,7 +448,7 @@ DAG = PipelineDag([StepSpec("s0", ResourceVector(1, 1), 1, 1.0)])
 
 # (case, constructor call, every problem it must report in one ValidationError)
 OWN_FIELDS = [
-    ("resource-vector", lambda: ResourceVector(-1, -1),
+    ("step-demand", lambda: StepSpec("s0", ResourceVector(-1, -1), 1, 1.0),
      ["cpu_millicores: must be >= 0", "memory_mb: must be >= 0"]),
     ("cost-params", lambda: CostParams(-1.0, NAN),
      ["c_cpu: must be >= 0", "c_mem: must be >= 0"]),

@@ -41,7 +41,7 @@ class TestResourceVector:
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
-            ResourceVector(-1, 0)
+            StepSpec("s0", ResourceVector(-1, 0), 1, 1.0)
         with pytest.raises(ValidationError):
             vec_sub(ResourceVector(100, 50), ResourceVector(200, 0))
 
