@@ -287,7 +287,7 @@ def load_scenario(path: str | Path) -> LoadResult:
     if raw.get("arrivals") is not None:
         cls, got = check.variant(raw["arrivals"], "arrivals", _ARRIVALS)
         if cls is not None:
-            got.pop("generator", None)  # pcg64, the only one
+            got.pop("generator", None)  # checked; pcg64 is the only generator
             if None not in got.values():
                 arrivals = check.build("", cls, **got)  # its type writes "arrivals."
     faults = []
