@@ -411,14 +411,14 @@ SHAPES = [
      ["workloads: must be a non-empty object of named templates"]),
 ]
 
+
 def drop_steps(cfg):
     del cfg["workloads"]["w"]["steps"]
 
 
 # the same, for a missing steps list and for rules whose one owner sets the text
 OWNED_MESSAGES = [
-    ("steps-absent", drop_steps,
-     ["workloads.w.steps: is required"]),
+    ("steps-absent", drop_steps, ["workloads.w.steps: is required"]),
     ("steps-null", workload_edit(steps=None), ["workloads.w.steps: is required"]),
     ("no-edge-nodes", lambda c: c["edge"].update(node_count=0),
      ["edge.node_count: must be >= 1 unless the mode is cloud_only"]),
