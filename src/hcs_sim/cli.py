@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -133,6 +134,7 @@ def _is(types: tuple, problem: str):
 
 
 _number = _is((int, float), "must be a number")  # as written; a bool is no number
+_object = _is((dict,), "must be an object")
 _string = _is((str,), "must be a string")
 _boolean = _is((bool,), "must be true or false")
 _list = _is((list,), "must be a list")
@@ -178,7 +180,7 @@ _NO_CATALOG = "must be a non-empty object of named templates"
 # key may name the problem of its absence; a key without a kind has its own reader.
 _TOP = {
     "scenario_id": (_string, False), "edge": (_is((dict,), _NO_EDGE), _NO_EDGE),
-    "cloud": (None, False), "cost": (None, False), "scheduler": (None, False),
+    "cloud": (_object, False), "cost": (_object, False), "scheduler": (_object, False),
     "workloads": (_is((dict,), _NO_CATALOG), _NO_CATALOG),
     "arrivals": (None, "section is required"), "faults": (_list, False),
     "horizon": (_real, False), "output_dir": (_string, False)}
@@ -276,9 +278,9 @@ def load_scenario(path: str | Path) -> LoadResult:
     elif node_count:
         nodes = (ResourceVector(cpu, mem),) * node_count
 
-    cloud = check.fields(raw.get("cloud", {}), "cloud", _CLOUD) or {}
-    cost = check.fields(raw.get("cost", {}), "cost", _COST) or {}
-    sched = check.fields(raw.get("scheduler", {}), "scheduler", _SCHEDULER) or {}
+    cloud = check.fields(top.get("cloud") or {}, "cloud", _CLOUD)
+    cost = check.fields(top.get("cost") or {}, "cost", _COST)
+    sched = check.fields(top.get("scheduler") or {}, "scheduler", _SCHEDULER)
 
     catalog = {name: _parse_workload(name, w, check)
                for name, w in (top["workloads"] or {}).items()}
@@ -477,6 +479,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "sweep": cmd_sweep,
                "baseline": cmd_baseline, "replicate": cmd_replicate}[args.command]
+    # A run makes no reference cycles, so the cyclic collector would find
+    # nothing to free in it: the command runs with the collector paused, and
+    # the collector is left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handler(args)
     except ValidationError as e:
@@ -485,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ and deterministic report files."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 from hcs_sim.core_model import InternalConsistencyError, ValidationError
@@ -65,11 +66,19 @@ class JobOutcome:
 
     @property
     def met(self) -> bool:
-        return self.completed and self.duration <= self.deadline
+        return self.verdict()[1]
 
     @property
     def miss_by(self) -> float:
-        return 0.0 if self.met else max(0.0, self.duration - self.deadline)
+        return self.verdict()[2]
+
+    def verdict(self) -> tuple[float, bool, float]:
+        """(duration, met, miss_by), each computed once: a job meets its
+        deadline if it completed within it, and misses it by how far its
+        duration so far runs past it."""
+        duration = self.duration
+        met = self.completed and duration <= self.deadline
+        return duration, met, 0.0 if met else max(0.0, duration - self.deadline)
 
 
 @dataclass
@@ -198,20 +207,50 @@ def round9(value: float) -> float:
     return float(format(value, _FLOAT))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write rows formatted column by column: a column of only floats, only
-    strs or only ints takes one path for all its cells, any other cell _fmt."""
+_QUOTED = ',"\r\n'  # a str cell with none of these goes out as it is
+
+
+def _plain(text: str) -> bool:
+    return not any(map(text.__contains__, _QUOTED))
+
+
+def _csv_cell(cell: str) -> str:
+    """A str cell as csv.writer writes it between other cells."""
+    if _plain(cell):
+        return cell
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((cell,))
+    return buf.getvalue()[:-1]
+
+
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """Write a table of two or more columns, each row through one %-template
+    built from its column kinds: a column of only floats prints _FLOAT, one
+    of only ints or only strs prints as str does, and any other goes through
+    _fmt. Str cells are quoted as csv.writer quotes them."""
+    if len(header) < 2:  # csv.writer writes a lone empty cell as ""
+        raise ValueError("a report table has two or more columns")
     cols: list = list(zip(*rows, strict=True))
+    slots, recast = [], False
     for i, col in enumerate(cols):
         kinds = set(map(type, col))
         if kinds == {float}:
-            cols[i] = map(format, col, repeat(_FLOAT))
-        elif kinds != {str} and kinds != {int}:  # csv writes an int as str does
-            cols[i] = map(_fmt, col)
+            slots.append("%" + _FLOAT)
+            continue
+        slots.append("%s")
+        if kinds == {int}:
+            continue
+        if kinds != {str}:
+            col = tuple(map(_fmt, col))
+        if not _plain("".join(col)):
+            col = tuple(map(_csv_cell, col))
+        if col is not cols[i]:
+            cols[i], recast = col, True
+    if recast:
+        rows = zip(*cols)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*cols))
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
+        fh.writelines(map((",".join(slots) + "\n").__mod__, rows))
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -248,32 +287,33 @@ def emit_report(report: RunReport, out_dir: str | Path,
     written: list[Path] = []
 
     p = out / "arrivals.csv"
-    _write_csv(p, ["time", "job_id", "template"],
-               [[t, j, tpl] for t, j, tpl in report.arrivals])
+    _write_csv(p, ["time", "job_id", "template"], report.arrivals)
     written.append(p)
 
     p = out / "utilization.csv"
     _write_csv(p, ["time", "allocated_cpu_millicores", "capacity_cpu_millicores",
                    "allocated_memory_mb", "capacity_memory_mb", "cpu_utilization"],
-               [[s.time, s.allocated_cpu_millicores, s.capacity_cpu_millicores,
-                 s.allocated_memory_mb, s.capacity_memory_mb, s.cpu_ratio]
+               [(s.time, s.allocated_cpu_millicores, s.capacity_cpu_millicores,
+                 s.allocated_memory_mb, s.capacity_memory_mb, s.cpu_ratio)
                 for s in report.utilization])
     written.append(p)
 
     p = out / "cost_ledger.csv"
-    ledger = sorted(report.cost_ledger, key=lambda e: (e.job_id, e.step_id, e.deploy_start))
+    ledger = sorted(report.cost_ledger, key=attrgetter("job_id", "step_id", "deploy_start"))
     _write_csv(p, ["job_id", "step_id", "region", "rcost_per_second",
                    "deploy_start", "deploy_end", "cost"],
-               [[e.job_id, e.step_id, e.region, e.rcost_per_second,
-                 e.deploy_start, e.deploy_end, e.cost] for e in ledger])
+               [(e.job_id, e.step_id, e.region, e.rcost_per_second,
+                 e.deploy_start, e.deploy_end, e.cost) for e in ledger])
     written.append(p)
 
     p = out / "job_outcomes.csv"
-    outcomes = sorted(report.job_outcomes, key=lambda o: (o.arrival, o.job_id))
+    outcomes = sorted(report.job_outcomes, key=attrgetter("arrival", "job_id"))
+    verdicts = map(JobOutcome.verdict, outcomes)
     _write_csv(p, ["job_id", "template", "arrival", "completion", "duration",
                    "deadline", "met", "miss_by", "completed"],
-               [[o.job_id, o.template, o.arrival, o.completion, o.duration,
-                 o.deadline, o.met, o.miss_by, o.completed] for o in outcomes])
+               [(o.job_id, o.template, o.arrival, o.completion, duration, o.deadline,
+                 met, miss_by, o.completed)
+                for o, (duration, met, miss_by) in zip(outcomes, verdicts)])
     written.append(p)
 
     p = out / "summary.json"
@@ -295,7 +335,7 @@ def _emit_plot_data(report: RunReport, out: Path) -> list[Path]:
     if samples and (not kept or kept[-1] is not samples[-1]):
         kept.append(samples[-1])
     p = out / "plot_utilization.csv"
-    _write_csv(p, ["time", "cpu_utilization"], [[s.time, s.cpu_ratio] for s in kept])
+    _write_csv(p, ["time", "cpu_utilization"], [(s.time, s.cpu_ratio) for s in kept])
     written.append(p)
 
     events = sorted((e.deploy_end, e.cost) for e in report.cost_ledger if e.cost > 0)
@@ -303,15 +343,16 @@ def _emit_plot_data(report: RunReport, out: Path) -> list[Path]:
     rows = []
     for t, c in events:
         running += c
-        rows.append([t, running])
+        rows.append((t, running))
     p = out / "plot_cost.csv"
     _write_csv(p, ["time", "cumulative_cost"], rows)
     written.append(p)
 
     p = out / "plot_durations.csv"
-    outcomes = sorted(report.job_outcomes, key=lambda o: (o.arrival, o.job_id))
+    outcomes = sorted(report.job_outcomes, key=attrgetter("arrival", "job_id"))
+    verdicts = map(JobOutcome.verdict, outcomes)
     _write_csv(p, ["job_id", "template", "duration", "deadline", "met"],
-               [[o.job_id, o.template, o.duration, o.deadline, o.met]
-                for o in outcomes])
+               [(o.job_id, o.template, duration, o.deadline, met)
+                for o, (duration, met, _) in zip(outcomes, verdicts)])
     written.append(p)
     return written

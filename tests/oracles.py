@@ -11,21 +11,25 @@ driver's counts; a view that expands those counts into fragment ids; the
 driver's commit before plans were kept, which walks the schedule again,
 over fragment ids, instead of cutting the stored plan; the driver's restart before it only requeued
 in-flight work, which rebuilds every queue from the journals; the per-cell
-report writer; the placement before first fit started from a per-shape
-bound, which places one replica at a time, first fit scanning from node 0
-for each; and the scheduler before incremental capacity books, the
-differential oracle for the scheduler, with the per-node allocation account
-it kept before the scheduler's books owned edge allocation.
+report writer, with random tables to check the report writer against it; the
+placement before first fit started from a per-shape bound, which places one
+replica at a time, first fit scanning from node 0 for each; and the
+scheduler before incremental capacity books, the differential oracle for the
+scheduler, with the per-node allocation account it kept before the
+scheduler's books owned edge allocation.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import random
+import tempfile
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 from hcs_sim.core_model import (
     BatchJob,
@@ -48,7 +52,7 @@ from hcs_sim.hcs_scheduler import (
     ScheduleDecision,
     SchedulerMode,
 )
-from hcs_sim.metrics import JobOutcome, _fmt
+from hcs_sim.metrics import JobOutcome, _fmt, _write_csv
 from hcs_sim.pipeline_driver import PipelineDriver
 from hcs_sim.placement import PlacementPlan, PlacementPolicy
 from hcs_sim.sim_engine import EventKind, _Engine, generate_arrivals
@@ -540,6 +544,47 @@ def write_csv_per_cell(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+_LETTERS = "abcxyz"
+_CHARS = ',"\r\n é' + _LETTERS  # every character csv may quote, and some it need not
+_FLOATS = (-0.0, 0.0, 1e300, -1e300, 1e-10, 0.1, 123456789.5, 2.0 ** 53)
+_CELLS = {
+    "str": lambda rng: "".join(rng.choices(rng.choice([_CHARS, _LETTERS]), k=rng.randint(0, 5))),
+    "float": lambda rng: rng.choice([rng.choice(_FLOATS), rng.uniform(-1e6, 1e6),
+                                     rng.random() * 10.0 ** rng.randint(-12, 12)]),
+    "int": lambda rng: rng.randint(-10 ** 6, 10 ** 6),
+    "big": lambda rng: rng.randint(10 ** 10, 10 ** 20),
+    "bool": lambda rng: rng.random() < 0.5,
+    "none": lambda rng: None,
+}
+# a column draws each cell from one of its kinds
+_COLUMNS = [("str",), ("float",), ("int",), ("big",), ("bool",), ("none",),
+            ("big", "float"), ("int", "bool"), ("str", "none"), tuple(_CELLS)]
+
+
+def random_table(rng: random.Random) -> tuple[list[str], list[tuple]]:
+    """A header and rows of 2-6 columns and 0-12 rows; each column takes its
+    cells from a random entry of _COLUMNS, so it may hold only floats, ints or
+    strs, ints of 10**10 and up among floats, or any mix with bools and None."""
+    kinds = [rng.choice(_COLUMNS) for _ in range(rng.randint(2, 6))]
+    rows = [tuple(_CELLS[rng.choice(k)](rng) for k in kinds) for _ in range(rng.randint(0, 12))]
+    return [f"c{i}" for i in range(len(kinds))], rows
+
+
+def writer_mismatches(seeds) -> list[int]:
+    """The seeds whose random_table metrics._write_csv writes other than the
+    per-cell writer does, on the running interpreter's csv module."""
+    bad = []
+    with tempfile.TemporaryDirectory() as tmp:
+        columns, cells = Path(tmp, "columns.csv"), Path(tmp, "cells.csv")
+        for seed in seeds:
+            header, rows = random_table(random.Random(seed))
+            _write_csv(columns, header, rows)
+            write_csv_per_cell(cells, header, rows)
+            if columns.read_bytes() != cells.read_bytes():
+                bad.append(seed)
+    return bad
 
 
 # -- the per-fragment engine ----------------------------------------------------

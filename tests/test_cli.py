@@ -1,5 +1,6 @@
 """Scenario file validation, subcommand orchestration, and artifact layout."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import hcs_sim
+from hcs_sim import cli
 from hcs_sim.cli import load_scenario, main
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
+    InternalConsistencyError,
     PipelineDag,
     ResourceVector,
     StepSpec,
@@ -385,6 +388,9 @@ SHAPES = [
     ("fault-kind", faults({"kind": "meteor", "time": 1.0}),
      ["faults[0].kind: must be one of node_failure, driver_restart"]),
     ("section-object", lambda c: c.update(cost=[1]), ["cost: must be an object"]),
+    ("cloud-object", lambda c: c.update(cloud=3), ["cloud: must be an object"]),
+    ("scheduler-object", lambda c: c.update(scheduler="ff"),
+     ["scheduler: must be an object"]),
     ("step-object", workload_edit(steps=[3]), ["workloads.w.steps[0]: must be an object"]),
     ("fault-object", faults(3), ["faults[0]: must be an object"]),
     ("faults-list", lambda c: c.update(faults={"kind": "node_failure"}),
@@ -429,8 +435,13 @@ OWNED_MESSAGES = [
 ]
 
 
-@pytest.mark.parametrize("edit, diagnostics",
-                         [pytest.param(*r[1:], id=r[0]) for r in SHAPES + OWNED_MESSAGES])
+# a section set to null reads as absent, as every other null key does
+NULL_SECTIONS = [(f"{key}-null", lambda c, key=key: c.update({key: None}), [])
+                 for key in ("cloud", "cost", "scheduler")]
+
+
+@pytest.mark.parametrize("edit, diagnostics", [pytest.param(*r[1:], id=r[0])
+                                               for r in SHAPES + OWNED_MESSAGES + NULL_SECTIONS])
 def test_each_problem_has_one_exact_diagnostic(tmp_path, edit, diagnostics):
     cfg = minimal_config()
     path = write_config(tmp_path, edit(cfg) or cfg)
@@ -440,6 +451,11 @@ def test_each_problem_has_one_exact_diagnostic(tmp_path, edit, diagnostics):
 def test_library_scenario_matches_the_loaded_one(tmp_path):
     assert library_scenario() == load_scenario(
         write_config(tmp_path, minimal_config())).scenario
+
+
+def test_null_sections_load_as_absent(tmp_path):
+    cfg = {**minimal_config(), "cloud": None, "cost": None, "scheduler": None}
+    assert library_scenario() == load_scenario(write_config(tmp_path, cfg)).scenario
 
 
 NAN = float("nan")
@@ -570,6 +586,56 @@ class TestRunCommand:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector paused, whatever its exit."""
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("problem, code", [
+        (None, 0), (ValidationError("bad"), 1), (InternalConsistencyError("books"), 2)])
+    def test_collector_restored_as_found(self, tmp_path, monkeypatch, capsys,
+                                         collecting, problem, code):
+        seen = []
+        real_run = cli.run
+
+        def run(*args, **kwargs):
+            seen.append(gc.isenabled())
+            if problem is not None:
+                raise problem
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", run)
+        cfg = write_config(tmp_path, minimal_config())
+        found = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if found else gc.disable)()
+        assert seen == [False]
+
+    def test_cyclic_garbage_does_not_grow_with_the_run(self, tmp_path, capsys):
+        """Runs make no reference cycles (test_differential checks that on
+        the generated scenarios). A command's own cyclic garbage, the parser
+        and json's indenting encoder, is the same for 1 job as for 60."""
+        def garbage(times):
+            cfg = minimal_config()
+            cfg["arrivals"]["times"] = times
+            path = write_config(tmp_path, cfg)
+            gc.collect()
+            assert main(["baseline", "--config", path, "--out", str(tmp_path / "o"),
+                         "--emit-plot-data"]) == 0
+            return gc.collect()
+
+        found = gc.isenabled()
+        gc.disable()
+        try:
+            assert garbage([1.0]) == garbage([t / 2 for t in range(60)])
+        finally:
+            if found:
+                gc.enable()
 
 
 class TestSweepCommand:

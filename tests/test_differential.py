@@ -27,6 +27,7 @@ rule or a prefix-law breach, or the number of seeds that passed.
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import sys
 import tempfile
@@ -52,6 +53,7 @@ from hcs_sim.sim_engine import (
     NodeFailureFault,
     Scenario,
     generate_arrivals,
+    run,
     run_detailed,
 )
 
@@ -212,6 +214,23 @@ def test_generated_scenarios_match_the_oracle():
             mismatched[seed] = diff
     assert not mismatched, mismatched
     assert law_checks > 100_000
+
+
+def test_runs_leave_no_cyclic_garbage():
+    """A command pauses the cyclic collector, which is safe only while runs
+    make no reference cycles: none of the generated scenarios, faults and
+    evictions included, may leave any."""
+    scenarios = [random_scenario(seed) for seed in TIER1_SEEDS]
+    found = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for sc in scenarios:
+            run(sc)
+        assert gc.collect() == 0
+    finally:
+        if found:
+            gc.enable()
 
 
 def test_generator_reaches_the_hard_cases(monkeypatch):

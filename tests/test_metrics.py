@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from hcs_sim.core_model import InternalConsistencyError, ResourceVector, StepSpec, ValidationError
+from hcs_sim import metrics
+from hcs_sim.core_model import (
+    BatchJob,
+    InternalConsistencyError,
+    PipelineDag,
+    ResourceVector,
+    StepSpec,
+    ValidationError,
+)
 from hcs_sim.hcs_scheduler import HcsScheduler
 from hcs_sim.metrics import (
     CostLedgerEntry,
@@ -19,8 +27,9 @@ from hcs_sim.metrics import (
     time_weighted_utilization,
 )
 from hcs_sim.placement import PlacementPlan
+from hcs_sim.sim_engine import ExplicitArrivals, Scenario, run
 
-from oracles import write_csv_per_cell
+from oracles import write_csv_per_cell, writer_mismatches
 
 
 def sample(t: float, alloc: int, cap: int = 1000) -> UtilizationSample:
@@ -255,9 +264,9 @@ class TestEmitReport:
         assert cost_lines[-1].split(",")[1] == format(1.0 / 3.0 + 150.0, ".9g")
 
     @pytest.mark.parametrize("rows", [
-        [[True, 3, -0.0, 'a, "b"', 1, None],
-         [False, -7, 1e-10, "plain", 2.5, 0.1],
-         [True, 0, 123456789.5, "", 4, "x"]],
+        [(True, 3, -0.0, 'a, "b"', 1, None),
+         (False, -7, 1e-10, "plain", 2.5, 0.1),
+         (True, 0, 123456789.5, "", 4, "x")],
         [],
     ])
     def test_column_writer_matches_the_per_cell_writer(self, tmp_path, rows):
@@ -266,6 +275,42 @@ class TestEmitReport:
         write_csv_per_cell(tmp_path / "cells.csv", header, rows)
         assert ((tmp_path / "columns.csv").read_bytes()
                 == (tmp_path / "cells.csv").read_bytes())
+
+    def test_column_writer_matches_the_per_cell_writer_on_random_tables(self):
+        assert writer_mismatches(range(300)) == []
+
+    def test_integer_deadline_stays_an_integer(self, tmp_path):
+        _write_csv(tmp_path / "t.csv", ["deadline", "value"], [(10 ** 10, 1e10), (7, 0.5)])
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == (
+            "deadline,value\n10000000000,1e+10\n7,0.5\n")
+
+    def test_one_column_table_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "t.csv", ["only"], [("",)])
+
+    def test_emit_report_matches_the_per_cell_writer(self, tmp_path, monkeypatch):
+        """Template and step ids with a comma, quotes and a newline, through
+        every report file, edge and cloud entries, met and missed deadlines."""
+        odd = 'w,"x"\ny'
+        steps = [StepSpec(f"{odd}{i}", ResourceVector(1000, 256), 2, 1.0) for i in range(2)]
+        dag = PipelineDag(steps, [(steps[0].step_id, steps[1].step_id)])
+        r = run(Scenario(odd, (ResourceVector(2000, 2048),), {odd: BatchJob(odd, dag, 6, 5)},
+                         ExplicitArrivals((0.0, 0.5, 1.0, 7.5)),
+                         round_length=1.0, eviction_deadline=1.0))
+        assert {e.region for e in r.cost_ledger} == {"edge", "cloud"}
+        assert {o.met for o in r.job_outcomes} == {True, False}
+        written = emit_report(r, tmp_path / "columns", emit_plot_data=True)
+        monkeypatch.setattr(metrics, "_write_csv", write_csv_per_cell)
+        for path in emit_report(r, tmp_path / "cells", emit_plot_data=True):
+            assert (tmp_path / "columns" / path.name).read_bytes() == path.read_bytes()
+        assert len(written) == 8
+        assert '"w,""x""\ny-0000"' in (tmp_path / "columns" / "job_outcomes.csv").read_text(
+            encoding="utf-8")
+
+    def test_open_entry_fails_the_report(self, tmp_path):
+        r = report(entries=[CostLedgerEntry("j", "s", "cloud", 1.0, 0.0)])
+        with pytest.raises(InternalConsistencyError):
+            emit_report(r, tmp_path)
 
     def test_outcomes_sorted_by_arrival(self, tmp_path):
         emit_report(self.full_report(), tmp_path)
