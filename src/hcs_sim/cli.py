@@ -257,6 +257,8 @@ def load_scenario(path: str | Path) -> LoadResult:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         return LoadResult(None, None, [f"{path}: {e.strerror or e}"])
+    except UnicodeDecodeError as e:
+        return LoadResult(None, None, [f"{path}: not UTF-8 text: {e.reason} at offset {e.start}"])
     try:
         raw = json.loads(text, parse_constant=_finite, parse_float=_finite,
                          parse_int=lambda token: _finite(token, int))

@@ -268,8 +268,6 @@ class HcsScheduler:
 
     def next_round_at(self, now: float) -> float:
         """First round boundary at or after now; boundaries sit at k*round_length, k>=1."""
-        if now <= 0:
-            return self.round_length
         k = int(now / self.round_length)
         boundary = k * self.round_length
         if boundary < now:

@@ -49,12 +49,15 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
                    ) -> tuple[PlacementPlan | None, int]:
     """Plan a full replica set against per-node free capacity, all-or-nothing.
 
-    First fit walks the nodes from start and fills each node with room
-    before it moves on: once a node's slots (see `replica_slots`) are used
-    it no longer fits, and the nodes before it did not fit and only lost
-    space, so this is the plan that placing one replica at a time on the
-    lowest node with room would make. The caller guarantees that no node
-    below start has room for one replica.
+    Every policy makes the plan that placing one replica at a time by its
+    rule would make. First fit and best fit fill each node with room before
+    they move on, taking its slots (see `replica_slots`): first fit walks the
+    nodes in index order from start, best fit the live nodes in ascending
+    (free cpu, free memory, index) order. A replica only lowers its node's
+    key and the other nodes keep theirs, so the tightest node with room stays
+    the tightest until its slots are used. Worst fit (most free cpu, then
+    memory, then the lowest index) and round robin (the first node with room
+    from the cursor on, wrapping) spread the replicas, one per pick.
 
     Args:
         step: step whose replicas are being placed.
@@ -63,6 +66,8 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
         policy: greedy rule choosing a node per replica.
         rr_cursor: round-robin position; ignored by the other policies.
         start: first node first fit looks at; ignored by the other policies.
+            The caller guarantees that no node below it has room for one
+            replica.
 
     Returns:
         (plan, new_cursor). plan is None when the replica set does not fit,
@@ -70,10 +75,15 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
     """
     demand = step.demand_per_replica
     dc, dm = demand.cpu_millicores, demand.memory_mb
-    if policy is PlacementPolicy.FIRST_FIT:
-        nodes: dict[int, int] = {}
+    nodes: dict[int, int] = {}
+    if policy is PlacementPolicy.FIRST_FIT or policy is PlacementPolicy.BEST_FIT:
+        if policy is PlacementPolicy.FIRST_FIT:
+            order = range(start, len(free))
+        else:
+            # a stable sort: nodes with equal free capacity stay in index order
+            order = sorted((i for i, f in enumerate(free) if f is not None), key=free.__getitem__)
         placed, replicas = 0, step.replicas
-        for i in range(start, len(free)):
+        for i in order:
             f = free[i]
             if f is not None and f[0] >= dc and f[1] >= dm:
                 take = nodes[i] = min(replica_slots(f, demand), replicas - placed)
@@ -81,51 +91,19 @@ def try_place_free(step: StepSpec, free: list[tuple[int, int] | None],
                 if placed == replicas:
                     return PlacementPlan(step, nodes=nodes), rr_cursor
         return None, rr_cursor
-    remaining = free  # the caller's list, copied before the first write
-    n = len(remaining)
-    if n == 0:
-        return None, rr_cursor
-    nodes = {}
-    cursor = rr_cursor % n
-
+    remaining, cursor = list(free), rr_cursor
     for _ in range(step.replicas):
-        chosen = -1
-        if policy is PlacementPolicy.BEST_FIT:
-            best = None
-            for i, f in enumerate(remaining):
-                if f is None or f[0] < dc or f[1] < dm:
-                    continue
-                key = (f[0], f[1], i)  # least remaining cpu, then memory, then index
-                if best is None or key < best:
-                    best = key
-                    chosen = i
-        elif policy is PlacementPolicy.WORST_FIT:
-            best = None
-            for i, f in enumerate(remaining):
-                if f is None or f[0] < dc or f[1] < dm:
-                    continue
-                key = (-f[0], -f[1], i)  # most remaining cpu, then memory, then index
-                if best is None or key < best:
-                    best = key
-                    chosen = i
+        room = [i for i, f in enumerate(remaining) if f is not None and f[0] >= dc and f[1] >= dm]
+        if not room:
+            return None, rr_cursor
+        if policy is PlacementPolicy.WORST_FIT:
+            i = max(room, key=remaining.__getitem__)  # the first of equals: the lowest index
         elif policy is PlacementPolicy.ROUND_ROBIN:
-            for off in range(n):
-                i = (cursor + off) % n
-                f = remaining[i]
-                if f is not None and f[0] >= dc and f[1] >= dm:
-                    chosen = i
-                    cursor = (i + 1) % n
-                    break
+            i = next((i for i in room if i >= cursor % len(free)), room[0])
+            cursor = (i + 1) % len(free)
         else:
             raise ValidationError(f"unknown policy {policy!r}")
-        if chosen < 0:
-            return None, rr_cursor
-        nodes[chosen] = nodes.get(chosen, 0) + 1
-        if remaining is free:
-            remaining = list(free)
-        f = remaining[chosen]
-        remaining[chosen] = (f[0] - dc, f[1] - dm)
-
-    new_cursor = cursor if policy is PlacementPolicy.ROUND_ROBIN else rr_cursor
-    return PlacementPlan(step, nodes=nodes), new_cursor
-
+        nodes[i] = nodes.get(i, 0) + 1
+        f = remaining[i]
+        remaining[i] = (f[0] - dc, f[1] - dm)
+    return PlacementPlan(step, nodes=nodes), cursor

@@ -215,7 +215,8 @@ def generate_arrivals(process: ArrivalProcess,
 
     Poisson inter-arrival gaps come from inverse-CDF exponentials over a
     PCG64 stream; the template pick for each arrival consumes the next draw
-    from the same stream, so one seed fixes the whole schedule.
+    from the same stream, so one seed fixes the whole schedule. A rate so
+    small that the times pass the float range is refused.
     """
     names = list(catalog)
     if isinstance(process, PoissonArrivals):
@@ -229,6 +230,8 @@ def generate_arrivals(process: ArrivalProcess,
             job = dataclasses.replace(
                 catalog[name], job_id=f"{name}-{i:04d}", arrival_time=t)
             out.append(ScheduledArrival(t, name, job))
+        require((math.isfinite(t), "arrivals.rate: must be large enough for every "
+                 "arrival time to be finite"))
         return out
 
     out = []
@@ -269,6 +272,11 @@ class _Engine:
         self.arrived = 0
         self.horizon_reached = False
         self._ticks: set[float] = set()
+        # each arrival asks next_round_at for its round: its time in rounds
+        require((math.isfinite(max((a.time for a in arrivals), default=0.0)
+                               / scenario.round_length),
+                 "scheduler.round_length: must be large enough for every arrival "
+                 "time to be a finite number of rounds"))
         # generous ceiling: a job is projected once per instant that touches
         # it, and each projection pushes at most one event per step. Those
         # instants are a few per step (its round, the rounds that evict or

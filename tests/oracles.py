@@ -13,7 +13,8 @@ over fragment ids, instead of cutting the stored plan; the driver's restart befo
 in-flight work, which rebuilds every queue from the journals; the per-cell
 report writer, with random tables to check the report writer against it; the
 placement before first fit started from a per-shape bound, which places one
-replica at a time, first fit scanning from node 0 for each; and the
+replica at a time, first fit scanning from node 0 for each, with random free
+views to check the package's placement against it; and the
 scheduler before incremental capacity books, the differential oracle for the
 scheduler, with the per-node allocation account it kept before the
 scheduler's books owned edge allocation.
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
+from hcs_sim import placement
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -298,6 +300,47 @@ def try_place(step, nodes, policy, rr_cursor=0):
     free = [(free_of(n).cpu_millicores, free_of(n).memory_mb) if n.alive else None
             for n in nodes]
     return try_place_free(step, free, policy, rr_cursor)
+
+
+def random_placement(rng: random.Random):
+    """A step and a free view of 0-8 nodes as the scheduler passes them: dead
+    nodes, dimensions clamped to zero, and few enough distinct values that
+    nodes tie on free capacity."""
+    dims = rng.choice([(0, 250, 500, 1000), tuple(range(0, 6001, 250))])
+    free = [None if rng.random() < 0.2 else (rng.choice(dims), rng.choice(dims))
+            for _ in range(rng.randint(0, 8))]
+    demand = ResourceVector(rng.choice([0, 1, 250, 1000, 2500]), rng.choice([0, 1, 250, 1000]))
+    return StepSpec("s", demand, rng.randint(1, 4), 1.0), free
+
+
+def placement_mismatches(seeds) -> list[int]:
+    """The seeds whose random_placement the package places other than the
+    one-replica-at-a-time try_place_free above does: another plan, node
+    order or cursor, for any policy and any round-robin cursor 0-9, and for
+    first fit from any start up to the first node with room."""
+    bad = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        step, free = random_placement(rng)
+        cursor = rng.randint(0, 9)
+        dc, dm = step.demand_per_replica.cpu_millicores, step.demand_per_replica.memory_mb
+        first_room = next((i for i, f in enumerate(free)
+                           if f is not None and f[0] >= dc and f[1] >= dm), len(free))
+        tries = [(policy, 0) for policy in PlacementPolicy]
+        tries += [(PlacementPolicy.FIRST_FIT, start) for start in range(1, first_room + 1)]
+        for policy, start in tries:
+            got = placement.try_place_free(step, free, policy, cursor, start)
+            want = try_place_free(step, free, policy, cursor)
+            if plan_items(got) != plan_items(want):
+                bad.append(seed)
+                break
+    return bad
+
+
+def plan_items(placed):
+    """(plan, cursor) with the plan as its (node, replicas) list, in order."""
+    plan, cursor = placed
+    return (None if plan is None else (plan.step, list(plan.nodes.items()))), cursor
 
 
 def oracle_feasible(step, nodes, max_replicas=12, max_nodes=6):

@@ -360,6 +360,40 @@ def test_non_finite_numbers_are_invalid_json(tmp_path, capsys, edit, token):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"scenario_id": "\xff\xfe"}')
+    assert load_scenario(path).diagnostics == [
+        f"{path}: not UTF-8 text: invalid start byte at offset 17"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: invalid start byte at offset 17\n")
+    assert not (tmp_path / "o").exists()
+
+
+SATURATING_MIX = Path(__file__).resolve().parent.parent / "scenarios" / "saturating_mix.json"
+
+
+# a valid file whose arrival times, or those times in rounds, pass the float range
+@pytest.mark.parametrize("section, key, problem", [
+    ("scheduler", "round_length", "scheduler.round_length: must be large enough for "
+     "every arrival time to be a finite number of rounds"),
+    ("arrivals", "rate", "arrivals.rate: must be large enough for every arrival time "
+     "to be finite"),
+])
+@pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+def test_a_schedule_past_the_float_range_is_refused_before_the_run(
+        tmp_path, capsys, command, section, key, problem):
+    cfg = json.loads(SATURATING_MIX.read_text(encoding="utf-8"))
+    cfg["arrivals"]["count"] = 5
+    cfg[section][key] = 1e-320
+    path = write_config(tmp_path, cfg)
+    assert load_scenario(path).diagnostics == []
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def workload_edit(**fields):
     return lambda c: c["workloads"]["w"].update(fields)
 

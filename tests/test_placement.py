@@ -8,7 +8,8 @@ import pytest
 from hcs_sim.core_model import ResourceVector, StepSpec, ValidationError
 from hcs_sim.placement import PlacementPolicy
 
-from oracles import NodeState, apply_plan, oracle_feasible, release, try_place
+from oracles import (NodeState, apply_plan, oracle_feasible, placement_mismatches, release,
+                     try_place)
 
 
 def nodes_of(*cpu_free, mem=8192, used_mem=0):
@@ -86,6 +87,13 @@ class TestPolicies:
         before = nodes[0].allocated
         try_place(step_of(replicas=3), nodes, PlacementPolicy.FIRST_FIT)
         assert nodes[0].allocated == before
+
+
+def test_package_placement_matches_the_oracle_on_seeded_views():
+    """Plan, node order and cursor, for every policy. A sample of the seeded
+    sweep; for a wide one, run `oracles.placement_mismatches(range(N))` from
+    tests/ with src/ on the path."""
+    assert placement_mismatches(range(2000)) == []
 
 
 class TestOracle:

@@ -34,25 +34,33 @@ def test_slot_count_decides_every_policy(free, cpu, mem, replicas, cursor):
     and the plan and cursor are the oracle's; first fit's are so from
     every start up to the first node with room for one replica. A plan
     counts at least one replica per node, all replicas in total, and
-    first fit names its nodes in increasing order."""
+    names its nodes in the oracle's order: first fit in increasing index
+    order, best fit in ascending (free cpu, free memory, index) order."""
     step = StepSpec("s", ResourceVector(cpu, mem), replicas, 1.0)
     slots = sum(replica_slots(f, step.demand_per_replica) for f in free)
     before = list(free)
     for policy in PlacementPolicy:
-        plan, new_cursor = try_place_free(step, free, policy, cursor)
+        placed = try_place_free(step, free, policy, cursor)
+        plan, new_cursor = placed
         assert (plan is not None) == (slots >= replicas), policy
         if plan is None:
             assert new_cursor == cursor, policy
         assert free == before, policy
-        assert (plan, new_cursor) == oracles.try_place_free(step, free, policy, cursor), policy
+        want = oracles.try_place_free(step, free, policy, cursor)
+        assert oracles.plan_items(placed) == oracles.plan_items(want), policy
         if plan is not None:
             assert min(plan.nodes.values()) >= 1, policy
             assert sum(plan.nodes.values()) == replicas, policy
             if policy is PlacementPolicy.FIRST_FIT:
                 assert list(plan.nodes) == sorted(plan.nodes)
+            elif policy is PlacementPolicy.BEST_FIT:
+                keys = [(*free[i], i) for i in plan.nodes]
+                assert keys == sorted(keys)
     first_room = next((i for i, f in enumerate(free)
                        if f is not None and f[0] >= cpu and f[1] >= mem), len(free))
-    want = oracles.try_place_free(step, free, PlacementPolicy.FIRST_FIT, cursor)
+    want = oracles.plan_items(
+        oracles.try_place_free(step, free, PlacementPolicy.FIRST_FIT, cursor))
     for start in range(first_room + 1):
-        assert try_place_free(step, free, PlacementPolicy.FIRST_FIT, cursor, start) == want, start
+        placed = try_place_free(step, free, PlacementPolicy.FIRST_FIT, cursor, start)
+        assert oracles.plan_items(placed) == want, start
 
