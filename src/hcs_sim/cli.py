@@ -11,7 +11,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+import time
 from pathlib import Path
 
 from hcs_sim.core_model import (
@@ -38,12 +38,20 @@ from hcs_sim.sim_engine import (
 
 _PLACEMENTS = tuple(p.value for p in PlacementPolicy)
 
+# by its import name: run as `python -m hcs_sim.cli`, this module is __main__
+log = logging.getLogger("hcs_sim.cli")
 
-@dataclass
+
 class LoadResult:
-    scenario: Scenario | None
-    output_dir: str | None
-    diagnostics: list[str]
+    """A loaded scenario and its output_dir, or the file's diagnostics."""
+
+    __slots__ = ("scenario", "output_dir", "diagnostics")
+
+    def __init__(self, scenario: Scenario | None, output_dir: str | None,
+                 diagnostics: list[str]):
+        self.scenario = scenario
+        self.output_dir = output_dir
+        self.diagnostics = diagnostics
 
 
 class _Check:
@@ -320,8 +328,17 @@ def load_scenario(path: str | Path) -> LoadResult:
 # -- commands -------------------------------------------------------------------
 
 
-def _load_or_fail(args) -> tuple[Scenario | None, Path | None]:
-    res = load_scenario(args.config)
+def _timed(phases: dict[str, float], phase: str, fn, *args):
+    """fn(*args), its wall-clock seconds added to phases[phase]."""
+    start = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        phases[phase] += time.perf_counter() - start
+
+
+def _load_or_fail(args, phases: dict[str, float]) -> tuple[Scenario | None, Path | None]:
+    res = _timed(phases, "load", load_scenario, args.config)
     if res.diagnostics:
         for d in res.diagnostics:
             print(f"error: {d}", file=sys.stderr)
@@ -330,20 +347,23 @@ def _load_or_fail(args) -> tuple[Scenario | None, Path | None]:
     return res.scenario, out
 
 
-def _run_one(scenario: Scenario, out: Path, emit_plot_data: bool, arrivals=None):
-    report = run(scenario, arrivals=arrivals)
-    emit_report(report, out, emit_plot_data)
+def _run_one(scenario: Scenario, out: Path, emit_plot_data: bool, phases, arrivals=None):
+    if arrivals is None:
+        arrivals = _timed(phases, "arrivals", generate_arrivals,
+                          scenario.arrivals, scenario.catalog)
+    report = _timed(phases, "simulate", run, scenario, arrivals)
+    _timed(phases, "emit", emit_report, report, out, emit_plot_data)
     return report
 
 
-def cmd_run(args) -> int:
-    scenario, out = _load_or_fail(args)
+def cmd_run(args, phases: dict[str, float]) -> int:
+    scenario, out = _load_or_fail(args, phases)
     if scenario is None:
         return 1
     if args.placement:
         scenario = dataclasses.replace(
             scenario, placement=PlacementPolicy(args.placement))
-    report = _run_one(scenario, out / "run", args.emit_plot_data)
+    report = _run_one(scenario, out / "run", args.emit_plot_data, phases)
     s = summary_dict(report)
     print(f"{s['scenario_id']}: {s['job_count']} jobs, total_cost {s['total_cost']:g}, "
           f"mean_utilization {s['mean_utilization']:.3f}, "
@@ -351,37 +371,37 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    scenario, out = _load_or_fail(args)
+def cmd_sweep(args, phases: dict[str, float]) -> int:
+    scenario, out = _load_or_fail(args, phases)
     if scenario is None:
         return 1
     placements = _PLACEMENTS if args.placement in (None, "all") else (args.placement,)
-    arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
+    arrivals = _timed(phases, "arrivals", generate_arrivals, scenario.arrivals, scenario.catalog)
     summary: dict[str, dict] = {}
     for p in placements:
         s = dataclasses.replace(scenario, placement=PlacementPolicy(p))
-        report = _run_one(s, out / p, args.emit_plot_data, arrivals)
+        report = _run_one(s, out / p, args.emit_plot_data, phases, arrivals)
         summary[p] = summary_dict(report)
         print(f"{p}: total_cost {summary[p]['total_cost']:g}, "
               f"mean_utilization {summary[p]['mean_utilization']:.3f}")
-    write_json(out / "sweep_summary.json",
-               {"scenario_id": scenario.scenario_id, "placements": summary})
+    _timed(phases, "emit", write_json, out / "sweep_summary.json",
+           {"scenario_id": scenario.scenario_id, "placements": summary})
     return 0
 
 
-def cmd_baseline(args) -> int:
-    scenario, out = _load_or_fail(args)
+def cmd_baseline(args, phases: dict[str, float]) -> int:
+    scenario, out = _load_or_fail(args, phases)
     if scenario is None:
         return 1
-    arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
+    arrivals = _timed(phases, "arrivals", generate_arrivals, scenario.arrivals, scenario.catalog)
     hybrid = _run_one(
         dataclasses.replace(scenario, mode=SchedulerMode.CHEAPEST_FIRST),
-        out / "hybrid", args.emit_plot_data, arrivals)
+        out / "hybrid", args.emit_plot_data, phases, arrivals)
     baseline = _run_one(
         dataclasses.replace(scenario, mode=SchedulerMode.CLOUD_ONLY),
-        out / "cloud_only", args.emit_plot_data, arrivals)
+        out / "cloud_only", args.emit_plot_data, phases, arrivals)
     pct = cost_vs_baseline(hybrid, baseline)
-    write_json(out / "baseline_summary.json", {
+    _timed(phases, "emit", write_json, out / "baseline_summary.json", {
         "scenario_id": scenario.scenario_id,
         "cost_vs_baseline_percent": round9(pct),
         "hybrid": summary_dict(hybrid),
@@ -392,8 +412,8 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def cmd_replicate(args) -> int:
-    scenario, out = _load_or_fail(args)
+def cmd_replicate(args, phases: dict[str, float]) -> int:
+    scenario, out = _load_or_fail(args, phases)
     if scenario is None:
         return 1
     if not isinstance(scenario.arrivals, PoissonArrivals):
@@ -422,7 +442,7 @@ def cmd_replicate(args) -> int:
     series: dict[str, list[float]] = {
         "total_cost": [], "mean_utilization": [], "deadline_met_fraction": []}
     for seed, s in scenarios:
-        report = _run_one(s, out / f"seed-{seed}", args.emit_plot_data)
+        report = _run_one(s, out / f"seed-{seed}", args.emit_plot_data, phases)
         d = summary_dict(report)
         per_seed[str(seed)] = d
         for k in series:
@@ -433,7 +453,7 @@ def cmd_replicate(args) -> int:
         k: {"mean": round9(statistics.mean(v)),
             "stdev": round9(statistics.stdev(v) if len(v) > 1 else 0.0)}
         for k, v in series.items()}
-    write_json(out / "replicate_summary.json", {
+    _timed(phases, "emit", write_json, out / "replicate_summary.json", {
         "scenario_id": scenario.scenario_id,
         "seeds": per_seed,
         "aggregate": aggregate,
@@ -486,8 +506,10 @@ def main(argv: list[str] | None = None) -> int:
     # the collector is left as it was found.
     collecting = gc.isenabled()
     gc.disable()
+    # wall-clock seconds per phase, summed over the command's runs
+    phases = dict.fromkeys(("load", "arrivals", "simulate", "emit"), 0.0)
     try:
-        return handler(args)
+        return handler(args, phases)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -497,6 +519,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+        log.info("wall-clock seconds by phase: load %.6f, arrivals %.6f, "
+                 "simulate %.6f, emit %.6f", *phases.values())
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, insort
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 
 from hcs_sim.core_model import (
@@ -39,39 +38,78 @@ class SchedulerMode(str, Enum):
     CLOUD_ONLY = "cloud_only"
 
 
-@dataclass(frozen=True)
 class DeployEdge:
     """The step deploys on the edge now, as the plan places its replicas."""
 
-    job_id: str
-    step_id: str
-    plan: PlacementPlan
+    __slots__ = ("job_id", "step_id", "plan")
+
+    def __init__(self, job_id: str, step_id: str, plan: PlacementPlan):
+        self.job_id = job_id
+        self.step_id = step_id
+        self.plan = plan
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is DeployEdge and self.job_id == other.job_id
+                and self.step_id == other.step_id and self.plan == other.plan)
+
+    def __repr__(self) -> str:
+        return f"DeployEdge({self.job_id!r}, {self.step_id!r}, {self.plan!r})"
 
 
-@dataclass(frozen=True)
 class DeployCloud:
     """The step moves to the cloud now, and stays there."""
 
-    job_id: str
-    step_id: str
+    __slots__ = ("job_id", "step_id")
+
+    def __init__(self, job_id: str, step_id: str):
+        self.job_id = job_id
+        self.step_id = step_id
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is DeployCloud and self.job_id == other.job_id
+                and self.step_id == other.step_id)
+
+    def __repr__(self) -> str:
+        return f"DeployCloud({self.job_id!r}, {self.step_id!r})"
 
 
-@dataclass(frozen=True)
 class Evict:
     """The step keeps its edge space until expiry_time, then moves to the cloud."""
 
-    job_id: str
-    step_id: str
-    expiry_time: float
+    __slots__ = ("job_id", "step_id", "expiry_time")
+
+    def __init__(self, job_id: str, step_id: str, expiry_time: float):
+        self.job_id = job_id
+        self.step_id = step_id
+        self.expiry_time = expiry_time
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is Evict and self.job_id == other.job_id
+                and self.step_id == other.step_id and self.expiry_time == other.expiry_time)
+
+    def __repr__(self) -> str:
+        return f"Evict({self.job_id!r}, {self.step_id!r}, {self.expiry_time!r})"
 
 
 Directive = DeployEdge | DeployCloud | Evict
 
 
-@dataclass
 class ScheduleDecision:
-    directives: list[Directive] = field(default_factory=list)  # to apply now
-    expiry: float | None = None  # when the windows it opened close, if any
+    """The directives to apply now, and when the windows they opened close,
+    if they opened any."""
+
+    __slots__ = ("directives", "expiry")
+
+    def __init__(self):
+        self.directives: list[Directive] = []
+        self.expiry: float | None = None
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is ScheduleDecision and self.directives == other.directives
+                and self.expiry == other.expiry)
+
+    def __repr__(self) -> str:
+        return f"ScheduleDecision(directives={self.directives!r}, expiry={self.expiry!r})"
 
 
 def _clamp(book: list[int] | None, extra=(0, 0)) -> tuple[int, int] | None:

@@ -41,7 +41,6 @@ only go back to the queue after a dispatch.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from heapq import heapify, heapreplace
 from itertools import accumulate, repeat
 
@@ -58,7 +57,6 @@ def cloud_pool_size(step: StepSpec, cloud_concurrency: int | None = None) -> int
     return step.replicas if cloud_concurrency is None else cloud_concurrency
 
 
-@dataclass
 class _StepRuntime:
     """A step's durable state, as counts of its fragments in index order.
 
@@ -70,15 +68,18 @@ class _StepRuntime:
     docstring).
     """
 
-    spec: StepSpec
-    region: str | None = None  # "edge" or "cloud" once deployed
-    pool: int = 0  # 0 until deployed, so an undeployed step never dispatches
-    done: int = 0
-    flight: list[float] = field(default_factory=list)
-    ready: int = 0
-    # the expiry of the eviction window a notice opened; the step dispatches
-    # nothing until the deploy that ends the window
-    pending_switch: float | None = None
+    __slots__ = ("spec", "region", "pool", "done", "flight", "ready", "pending_switch")
+
+    def __init__(self, spec: StepSpec):
+        self.spec = spec
+        self.region: str | None = None  # "edge" or "cloud" once deployed
+        self.pool = 0  # 0 until deployed, so an undeployed step never dispatches
+        self.done = 0
+        self.flight: list[float] = []
+        self.ready = 0
+        # the expiry of the eviction window a notice opened; the step
+        # dispatches nothing until the deploy that ends the window
+        self.pending_switch: float | None = None
 
 
 def _fifo(times: list[float], busy: list[float], free: int, t0: float,

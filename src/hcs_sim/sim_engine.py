@@ -92,7 +92,8 @@ class ExplicitArrivals:
     templates: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        require((all(t >= 0 for t in self.times), "arrivals.times: must be >= 0"),
+        require((all(0 <= t < math.inf for t in self.times),
+                 "arrivals.times: must be >= 0 and finite"),
                 (list(self.times) == sorted(self.times),
                  "arrivals.times: must be sorted ascending"),
                 (self.templates is None or len(self.templates) == len(self.times),
@@ -108,7 +109,7 @@ class NodeFailureFault:
     node_id: int
 
     def __post_init__(self) -> None:
-        require((self.time >= 0, "time: must be >= 0"),
+        require((0 <= self.time < math.inf, "time: must be >= 0 and finite"),
                 (self.node_id >= 0, "node_id: must be >= 0"))
 
 
@@ -118,18 +119,29 @@ class DriverRestartFault:
     job_index: int  # position in the generated arrival schedule
 
     def __post_init__(self) -> None:
-        require((self.time >= 0, "time: must be >= 0"),
+        require((0 <= self.time < math.inf, "time: must be >= 0 and finite"),
                 (self.job_index >= 0, "job_index: must be >= 0"))
 
 
 Fault = NodeFailureFault | DriverRestartFault
 
 
-@dataclass(frozen=True)
 class ScheduledArrival:
-    time: float
-    template: str
-    job: BatchJob
+    """One generated arrival: its time, its template's name and its job."""
+
+    __slots__ = ("time", "template", "job")
+
+    def __init__(self, time: float, template: str, job: BatchJob):
+        self.time = time
+        self.template = template
+        self.job = job
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is ScheduledArrival and self.time == other.time
+                and self.template == other.template and self.job == other.job)
+
+    def __repr__(self) -> str:
+        return f"ScheduledArrival({self.time!r}, {self.template!r}, {self.job!r})"
 
 
 @dataclass(frozen=True)
@@ -169,8 +181,10 @@ class Scenario:
              "edge.node_memory_mb: must be >= 1"),
             (self.node_capacities or self.mode is SchedulerMode.CLOUD_ONLY,
              "edge.node_count: must be >= 1 unless the mode is cloud_only"),
-            (self.round_length > 0, "scheduler.round_length: must be > 0"),
-            (self.eviction_deadline > 0, "scheduler.eviction_deadline: must be > 0"),
+            (0 < self.round_length < math.inf,
+             "scheduler.round_length: must be > 0 and finite"),
+            (0 < self.eviction_deadline < math.inf,
+             "scheduler.eviction_deadline: must be > 0 and finite"),
             (self.execution_timeout > 0, "scheduler.execution_timeout: must be > 0"),
             (self.horizon is None or self.horizon > 0, "horizon: must be > 0"),
             (self.catalog, "workloads: must be a non-empty object of named templates"),
@@ -227,9 +241,7 @@ def generate_arrivals(process: ArrivalProcess,
             u = rng.random()
             t += -math.log1p(-u) / process.rate
             name = names[rng.integers(len(names))]
-            job = dataclasses.replace(
-                catalog[name], job_id=f"{name}-{i:04d}", arrival_time=t)
-            out.append(ScheduledArrival(t, name, job))
+            out.append(ScheduledArrival(t, name, _job(catalog[name], f"{name}-{i:04d}", t)))
         require((math.isfinite(t), "arrivals.rate: must be large enough for every "
                  "arrival time to be finite"))
         return out
@@ -237,10 +249,16 @@ def generate_arrivals(process: ArrivalProcess,
     out = []
     for i, t in enumerate(process.times):
         name = process.templates[i] if process.templates else names[i % len(names)]
-        job = dataclasses.replace(
-            catalog[name], job_id=f"{name}-{i:04d}", arrival_time=t)
-        out.append(ScheduledArrival(t, name, job))
+        out.append(ScheduledArrival(t, name, _job(catalog[name], f"{name}-{i:04d}", t)))
     return out
+
+
+def _job(template: BatchJob, job_id: str, arrival_time: float) -> BatchJob:
+    """The template's job as it arrives: the job dataclasses.replace(template,
+    job_id=..., arrival_time=...) gives, from the constructor alone. So it
+    names every BatchJob field, and a field added there is passed here too."""
+    return BatchJob(job_id, template.dag, template.fragment_count, template.deadline,
+                    arrival_time)
 
 
 def inject_faults(scenario: Scenario, faults: list[Fault]) -> Scenario:

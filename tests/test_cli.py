@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -493,6 +494,7 @@ def test_null_sections_load_as_absent(tmp_path):
 
 
 NAN = float("nan")
+INF = float("inf")
 DAG = PipelineDag([StepSpec("s0", ResourceVector(1, 1), 1, 1.0)])
 
 
@@ -511,29 +513,38 @@ OWN_FIELDS = [
      ["arrivals.rate: must be > 0", "arrivals.seed: must be >= 0",
       "arrivals.count: must be >= 0"]),
     ("explicit-arrivals", lambda: ExplicitArrivals((2.0, -1.0), ("w",)),
-     ["arrivals.times: must be >= 0", "arrivals.times: must be sorted ascending",
+     ["arrivals.times: must be >= 0 and finite", "arrivals.times: must be sorted ascending",
       "arrivals.templates: must match times in length"]),
     ("explicit-arrivals-nan", lambda: ExplicitArrivals((NAN,)),
-     ["arrivals.times: must be >= 0"]),
+     ["arrivals.times: must be >= 0 and finite"]),
+    ("explicit-arrivals-inf", lambda: ExplicitArrivals((1.0, INF)),
+     ["arrivals.times: must be >= 0 and finite"]),
     ("node-failure", lambda: NodeFailureFault(NAN, -1),
-     ["time: must be >= 0", "node_id: must be >= 0"]),
+     ["time: must be >= 0 and finite", "node_id: must be >= 0"]),
+    ("node-failure-inf", lambda: NodeFailureFault(INF, 0), ["time: must be >= 0 and finite"]),
     ("driver-restart", lambda: DriverRestartFault(-1.0, -1),
-     ["time: must be >= 0", "job_index: must be >= 0"]),
+     ["time: must be >= 0 and finite", "job_index: must be >= 0"]),
+    ("driver-restart-inf", lambda: DriverRestartFault(INF, 0),
+     ["time: must be >= 0 and finite"]),
     ("scenario", lambda: library_scenario(
         node_capacities=(ResourceVector(0, 0),), edge_speed=NAN, cloud_speed=0.0,
         cloud_concurrency=0, round_length=NAN, eviction_deadline=-1.0,
         execution_timeout=NAN, horizon=0.0),
      ["edge.speed_factor: must be > 0", "cloud.speed_factor: must be > 0",
       "cloud.cloud_concurrency: must be >= 1", "edge.node_cpu_millicores: must be >= 1",
-      "edge.node_memory_mb: must be >= 1", "scheduler.round_length: must be > 0",
-      "scheduler.eviction_deadline: must be > 0",
+      "edge.node_memory_mb: must be >= 1", "scheduler.round_length: must be > 0 and finite",
+      "scheduler.eviction_deadline: must be > 0 and finite",
       "scheduler.execution_timeout: must be > 0", "horizon: must be > 0"]),
+    ("scenario-inf", lambda: library_scenario(round_length=INF, eviction_deadline=INF),
+     ["scheduler.round_length: must be > 0 and finite",
+      "scheduler.eviction_deadline: must be > 0 and finite"]),
 ]
 
 
 @pytest.mark.parametrize("build, problems", [pytest.param(*r[1:], id=r[0]) for r in OWN_FIELDS])
 def test_each_type_reports_all_of_its_own_bad_fields_at_once(build, problems):
-    """NaN fails every range rule, as it fails the loader's number check."""
+    """NaN fails every range rule, as it fails the loader's number check, and
+    the rules on times and the round grid refuse infinity, which no file holds."""
     with pytest.raises(ValidationError) as e:
         build()
     assert e.value.problems == problems
@@ -611,6 +622,32 @@ class TestRunCommand:
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": path, "HCS_SIM_LOG": "basic_format"})
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "baseline", "replicate"])
+    def test_info_log_has_one_phase_line_and_leaves_artifacts_alone(self, tmp_path, command):
+        cfg = minimal_config()
+        cfg["arrivals"] = {"kind": "poisson", "rate": 0.5, "seed": 1, "count": 4}
+        path = write_config(tmp_path, cfg)
+        argv = [command, "--config", path, "--emit-plot-data"] + (
+            ["--seeds", "1,2"] if command == "replicate" else [])
+        src = str(Path(hcs_sim.__file__).resolve().parent.parent)
+        pypath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hcs_sim.cli", *argv, "--out", str(tmp_path / "info")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": pypath, "HCS_SIM_LOG": "INFO"})
+        assert proc.returncode == 0, proc.stderr
+        phase_lines = [line for line in proc.stderr.splitlines() if "by phase" in line]
+        assert len(phase_lines) == 1, proc.stderr
+        assert re.fullmatch(r"INFO hcs_sim\.cli: wall-clock seconds by phase: load [0-9.]+, "
+                            r"arrivals [0-9.]+, simulate [0-9.]+, emit [0-9.]+", phase_lines[0])
+        assert main([*argv, "--out", str(tmp_path / "quiet")]) == 0
+
+        def artifacts(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        info, quiet = artifacts(tmp_path / "info"), artifacts(tmp_path / "quiet")
+        assert info == quiet and len(info) > 5
 
     def test_import_loads_no_numpy(self):
         src = str(Path(hcs_sim.__file__).resolve().parent.parent)

@@ -16,7 +16,7 @@ from hcs_sim.core_model import (
     ResourceVector,
     StepSpec,
 )
-from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
+from hcs_sim.pipeline_driver import PipelineDriver, _StepRuntime, cloud_pool_size
 
 from oracles import (
     StepState,
@@ -333,18 +333,20 @@ class TestRecovery:
         assert drv.project(2.0) == [("s0", 17.0)] and drv.version == version + 1
 
 
-def _shallow(obj):
-    """copy.copy without its reduce protocol, about a third of the time."""
-    c = object.__new__(type(obj))
-    c.__dict__.update(obj.__dict__)
+def _copy_step(rt):
+    """copy.copy of a step without its reduce protocol: its slots, one by one."""
+    c = object.__new__(_StepRuntime)
+    for name in _StepRuntime.__slots__:
+        setattr(c, name, getattr(rt, name))
     return c
 
 
 def _clone(drv):
     """A copy of a driver whose commit leaves the original as it was: a step
     holds scalars and a finish-time list the driver only ever replaces."""
-    c = _shallow(drv)
-    c.steps = {sid: _shallow(rt) for sid, rt in drv.steps.items()}
+    c = object.__new__(PipelineDriver)
+    c.__dict__.update(drv.__dict__)
+    c.steps = {sid: _copy_step(rt) for sid, rt in drv.steps.items()}
     if drv._plan is not None:
         c._plan = [(sid, c.steps[sid], *rest) for sid, _, *rest in drv._plan]
     return c

@@ -99,6 +99,25 @@ class TestGenerateArrivals:
         assert len(set(ids)) == 100
         assert all(a.job.arrival_time == a.time for a in arr)
 
+    @pytest.mark.parametrize("source", ["saturating_mix", "explicit_named"])
+    def test_jobs_are_their_templates_replaced(self, source):
+        """Each job is what dataclasses.replace makes of its template, every
+        other field kept, and shares the template's graph."""
+        if source == "saturating_mix":
+            s = load_scenario(Path(__file__).resolve().parent.parent
+                              / "scenarios" / "saturating_mix.json").scenario
+            process, catalog = s.arrivals, s.catalog
+        else:
+            process = ExplicitArrivals((0.0, 2.5, 2.5, 9.0), ("b", "a", "b", "b"))
+            catalog = self.CATALOG
+        arr = generate_arrivals(process, catalog)
+        assert len(arr) == (800 if source == "saturating_mix" else 4)
+        for i, a in enumerate(arr):
+            tpl = catalog[a.template]
+            assert a.job == dataclasses.replace(
+                tpl, job_id=f"{a.template}-{i:04d}", arrival_time=a.time), i
+            assert a.job.dag is tpl.dag
+
     def test_reference_stream_is_pinned(self):
         """The first arrivals of scenarios/saturating_mix.json (seed 2024), as
         numpy's Generator(PCG64(2024)) drew them."""
