@@ -19,6 +19,7 @@ from hcs_sim.core_model import (
     CostParams,
     InternalConsistencyError,
     PipelineDag,
+    Record,
     ResourceVector,
     StepSpec,
     ValidationError,
@@ -42,7 +43,7 @@ _PLACEMENTS = tuple(p.value for p in PlacementPolicy)
 log = logging.getLogger("hcs_sim.cli")
 
 
-class LoadResult:
+class LoadResult(Record):
     """A loaded scenario and its output_dir, or the file's diagnostics."""
 
     __slots__ = ("scenario", "output_dir", "diagnostics")

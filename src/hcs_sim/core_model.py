@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,6 +29,23 @@ class InternalConsistencyError(RuntimeError):
     """Internal bookkeeping broke an invariant; indicates a bug, aborts the run."""
 
 
+class Record:
+    """A plain record: the fields are its class's own `__slots__`, set by its
+    own `__init__`. Records of one type compare by their fields and print as
+    `Type(field=value, ...)`; they are unhashable, as defining `__eq__` makes
+    them."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 @dataclass(frozen=True)
 class ResourceVector:
     """A CPU/memory quantity. CPU in integer millicores, memory in integer MB.
@@ -45,8 +63,8 @@ class CostParams:
     c_mem: float = 0.1     # price per MB per second
 
     def __post_init__(self) -> None:
-        require((self.c_cpu >= 0, "c_cpu: must be >= 0"),
-                (self.c_mem >= 0, "c_mem: must be >= 0"))
+        require((0 <= self.c_cpu < math.inf, "c_cpu: must be >= 0 and finite"),
+                (0 <= self.c_mem < math.inf, "c_mem: must be >= 0 and finite"))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from hcs_sim.core_model import (
     BatchJob,
     CostParams,
     InternalConsistencyError,
+    Record,
     ResourceVector,
     StepSpec,
     ValidationError,
@@ -38,7 +39,7 @@ class SchedulerMode(str, Enum):
     CLOUD_ONLY = "cloud_only"
 
 
-class DeployEdge:
+class DeployEdge(Record):
     """The step deploys on the edge now, as the plan places its replicas."""
 
     __slots__ = ("job_id", "step_id", "plan")
@@ -48,15 +49,8 @@ class DeployEdge:
         self.step_id = step_id
         self.plan = plan
 
-    def __eq__(self, other) -> bool:
-        return (type(other) is DeployEdge and self.job_id == other.job_id
-                and self.step_id == other.step_id and self.plan == other.plan)
 
-    def __repr__(self) -> str:
-        return f"DeployEdge({self.job_id!r}, {self.step_id!r}, {self.plan!r})"
-
-
-class DeployCloud:
+class DeployCloud(Record):
     """The step moves to the cloud now, and stays there."""
 
     __slots__ = ("job_id", "step_id")
@@ -65,15 +59,8 @@ class DeployCloud:
         self.job_id = job_id
         self.step_id = step_id
 
-    def __eq__(self, other) -> bool:
-        return (type(other) is DeployCloud and self.job_id == other.job_id
-                and self.step_id == other.step_id)
 
-    def __repr__(self) -> str:
-        return f"DeployCloud({self.job_id!r}, {self.step_id!r})"
-
-
-class Evict:
+class Evict(Record):
     """The step keeps its edge space until expiry_time, then moves to the cloud."""
 
     __slots__ = ("job_id", "step_id", "expiry_time")
@@ -83,18 +70,11 @@ class Evict:
         self.step_id = step_id
         self.expiry_time = expiry_time
 
-    def __eq__(self, other) -> bool:
-        return (type(other) is Evict and self.job_id == other.job_id
-                and self.step_id == other.step_id and self.expiry_time == other.expiry_time)
-
-    def __repr__(self) -> str:
-        return f"Evict({self.job_id!r}, {self.step_id!r}, {self.expiry_time!r})"
-
 
 Directive = DeployEdge | DeployCloud | Evict
 
 
-class ScheduleDecision:
+class ScheduleDecision(Record):
     """The directives to apply now, and when the windows they opened close,
     if they opened any."""
 
@@ -103,13 +83,6 @@ class ScheduleDecision:
     def __init__(self):
         self.directives: list[Directive] = []
         self.expiry: float | None = None
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is ScheduleDecision and self.directives == other.directives
-                and self.expiry == other.expiry)
-
-    def __repr__(self) -> str:
-        return f"ScheduleDecision(directives={self.directives!r}, expiry={self.expiry!r})"
 
 
 def _clamp(book: list[int] | None, extra=(0, 0)) -> tuple[int, int] | None:
@@ -200,7 +173,7 @@ class HcsScheduler:
         self.pending: list[tuple[float, float, str, str, StepSpec]] = []
         self.rr_cursor = 0
         self.edge_writes = 0
-        self._jobs: dict[str, BatchJob] = {}
+        self._jobs: set[str] = set()  # ids seen, to refuse a duplicate
         self._rcosts: dict[int, tuple[float, StepSpec]] = {}
         self._held: list[list[int]] = [[0, 0] for _ in self.capacities]
         self._free: list[list[int] | None] = [
@@ -300,7 +273,7 @@ class HcsScheduler:
         """Queue all steps of a job for the round that now falls in."""
         if job.job_id in self._jobs:
             raise ValidationError(f"duplicate job_id {job.job_id!r}")
-        self._jobs[job.job_id] = job
+        self._jobs.add(job.job_id)
         for step in job.dag.steps:
             self.pending.append((-self.rcost_of(step), now, job.job_id, step.step_id, step))
 
@@ -319,8 +292,8 @@ class HcsScheduler:
 
         Requests are visited in descending rcost order so already-resident
         steps are never evicted for a cheaper same-round peer. Rule order per
-        request: sticky cloud, free edge capacity, eviction of strictly
-        cheaper residents, cloud fallback.
+        request: free edge capacity, eviction of strictly cheaper residents,
+        cloud fallback.
 
         Within a round free capacity only shrinks, so a (cpu, mem, replicas)
         shape that found no free room rules out every shape at least as large
@@ -339,7 +312,7 @@ class HcsScheduler:
         no_victims: list[tuple[int, int, int]] = []
         for _, _, job_id, step_id, step in requests:
             key = (job_id, step_id)
-            if self.mode is SchedulerMode.CLOUD_ONLY or key in self.cloud_sticky:
+            if self.mode is SchedulerMode.CLOUD_ONLY:
                 self._deploy_cloud_now(key, decision)
                 continue
             d = step.demand_per_replica
@@ -497,13 +470,16 @@ class HcsScheduler:
             raise ValidationError(f"node {node_id} already dead")
         decision = ScheduleDecision()
 
-        hit_residents = [k for k, plan in self.resident.items() if node_id in plan.nodes]
-        hit_reservations = [k for k, (plan, _) in self.reservations.items()
-                            if node_id in plan.nodes]
-        was_evicting = {k for k in hit_residents if k in self.evicting}
-        for key in hit_residents:
+        # (-rcost, key, step), sorted as is: the keys are unique
+        hit_residents = sorted((-self.rcost_of(plan.step), k, plan.step)
+                               for k, plan in self.resident.items() if node_id in plan.nodes)
+        hit_reservations = sorted((-self.rcost_of(plan.step), k, plan.step)
+                                  for k, (plan, _) in self.reservations.items()
+                                  if node_id in plan.nodes)
+        was_evicting = {k for _, k, _ in hit_residents if k in self.evicting}
+        for _, key, _ in hit_residents:
             self._drop(key)
-        for key in hit_reservations:
+        for _, key, _ in hit_reservations:
             self._unreserve(key)
         self.alive[node_id] = False
         self.edge_writes += 1
@@ -513,22 +489,19 @@ class HcsScheduler:
             raise InternalConsistencyError(f"dead node {node_id} still holds allocations")
         self._free[node_id] = self._free_now[node_id] = self._free_after_evictions[node_id] = None
 
-        def by_cost(k: StepKey):
-            return (-self.rcost_of(self._jobs[k[0]].dag.step(k[1])), k)
-
-        for key in sorted(hit_residents, key=by_cost):
+        for _, key, step in hit_residents:
             if key in was_evicting:
                 # already promised to the cloud; go now, the window is moot
                 self._deploy_cloud_now(key, decision)
             else:
-                self._replace_or_offload(key, decision)
-        for key in sorted(hit_reservations, key=by_cost):
-            self._replace_or_offload(key, decision)
+                self._replace_or_offload(step, key, decision)
+        for _, key, step in hit_reservations:
+            self._replace_or_offload(step, key, decision)
         self._check_capacity_books()
         return decision
 
-    def _replace_or_offload(self, key: StepKey, decision: ScheduleDecision) -> None:
-        step = self._jobs[key[0]].dag.step(key[1])
+    def _replace_or_offload(self, step: StepSpec, key: StepKey,
+                            decision: ScheduleDecision) -> None:
         if not self._try_deploy_edge_now(step, key, decision):
             self._deploy_cloud_now(key, decision)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from hcs_sim.core_model import ResourceVector, StepSpec, ValidationError
+from hcs_sim.core_model import Record, ResourceVector, StepSpec, ValidationError
 
 
 class PlacementPolicy(str, Enum):
@@ -15,24 +15,17 @@ class PlacementPolicy(str, Enum):
     WORST_FIT = "wf"
 
 
-class PlacementPlan:
+class PlacementPlan(Record):
     """Committed outcome of a placement attempt: node id -> replicas placed
     there, in the order the nodes were chosen. Replicas are interchangeable,
     so the counts are the whole plan. Keyword-only, so a replica -> node
-    dict cannot pass for one by position. Plans compare by value."""
+    dict cannot pass for one by position."""
 
     __slots__ = ("step", "nodes")
 
     def __init__(self, step: StepSpec, *, nodes: dict[int, int]):
         self.step = step
         self.nodes = nodes
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is PlacementPlan and self.step == other.step
-                and self.nodes == other.nodes)
-
-    def __repr__(self) -> str:
-        return f"PlacementPlan({self.step!r}, nodes={self.nodes!r})"
 
 
 def replica_slots(free: tuple[int, int] | None, demand: ResourceVector) -> float:

@@ -29,6 +29,7 @@ from hcs_sim.core_model import (
     BatchJob,
     CostParams,
     InternalConsistencyError,
+    Record,
     ResourceVector,
     ValidationError,
     require,
@@ -126,7 +127,7 @@ class DriverRestartFault:
 Fault = NodeFailureFault | DriverRestartFault
 
 
-class ScheduledArrival:
+class ScheduledArrival(Record):
     """One generated arrival: its time, its template's name and its job."""
 
     __slots__ = ("time", "template", "job")
@@ -135,13 +136,6 @@ class ScheduledArrival:
         self.time = time
         self.template = template
         self.job = job
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is ScheduledArrival and self.time == other.time
-                and self.template == other.template and self.job == other.job)
-
-    def __repr__(self) -> str:
-        return f"ScheduledArrival({self.time!r}, {self.template!r}, {self.job!r})"
 
 
 @dataclass(frozen=True)
@@ -289,7 +283,7 @@ class _Engine:
         self.last_event_time = 0.0
         self.arrived = 0
         self.horizon_reached = False
-        self._ticks: set[float] = set()
+        self._last_tick = 0.0  # the last round boundary pushed; each is > 0
         # each arrival asks next_round_at for its round: its time in rounds
         require((math.isfinite(max((a.time for a in arrivals), default=0.0)
                                / scenario.round_length),
@@ -347,13 +341,12 @@ class _Engine:
         self.templates[a.job.job_id] = a.template
         self.sched.submit_request(a.job, now)
         self.arrived += 1
+        # arrivals pop in time order and next_round_at never decreases, so
+        # a boundary already pushed is the last one pushed
         boundary = self.sched.next_round_at(now)
-        if boundary not in self._ticks:
-            self._ticks.add(boundary)
+        if boundary != self._last_tick:
+            self._last_tick = boundary
             self._push(boundary, EventKind.ROUND_TICK, None)
-
-    def _on_round_tick(self, now: float) -> None:
-        self._apply_decision(self.sched.run_round(now), now)
 
     def _apply_decision(self, decision: ScheduleDecision, now: float) -> None:
         """Deliver directives to drivers, and schedule the close of the
@@ -398,9 +391,6 @@ class _Engine:
                 job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
         return True
 
-    def _on_node_failure(self, node_id: int, now: float) -> None:
-        self._apply_decision(self.sched.handle_node_failure(node_id), now)
-
     def _on_driver_restart(self, job_id: str, now: float) -> None:
         drv = self.drivers.get(job_id)
         if drv is None or drv.is_complete():
@@ -436,13 +426,13 @@ class _Engine:
                 if kind == EventKind.EVICTION_EXPIRE:
                     self._apply_decision(self.sched.close_windows(time), time)
                 elif kind == EventKind.NODE_FAILURE:
-                    self._on_node_failure(payload, time)
+                    self._apply_decision(self.sched.handle_node_failure(payload), time)
                 elif kind == EventKind.DRIVER_RESTART:
                     self._on_driver_restart(payload, time)
                 elif kind == EventKind.JOB_ARRIVAL:
                     self._on_arrival(payload, time)
                 elif kind == EventKind.ROUND_TICK:
-                    self._on_round_tick(time)
+                    self._apply_decision(self.sched.run_round(time), time)
                 else:
                     raise InternalConsistencyError(f"unknown event kind {kind}")
             # a projection at this instant only yields completions after
@@ -451,7 +441,7 @@ class _Engine:
             if not self.heap or self.heap[0][0] > time:
                 self._end_instant(time)
 
-        end_time = self.horizon if self.horizon_reached else self.last_event_time
+        end_time = self.scenario.horizon if self.horizon_reached else self.last_event_time
         if not self.horizon_reached:
             incomplete = [jid for jid, drv in self.drivers.items() if not drv.is_complete()]
             if incomplete or self.arrived != len(self.arrivals):
@@ -469,11 +459,6 @@ class _Engine:
             end_time=end_time,
             horizon_reached=self.horizon_reached,
         )
-
-    @property
-    def horizon(self) -> float:
-        assert self.scenario.horizon is not None
-        return self.scenario.horizon
 
     def _finish_at_horizon(self, now: float) -> None:
         """Mark the cut if the cap interrupted work; unfinished jobs count as

@@ -299,9 +299,9 @@ RULES = [
      lambda: dict(catalog={"w": library_template(deadline=0.0)}),
      "workloads.w.deadline: must be > 0"),
     ("c-cpu", lambda c: c.update(cost={"c_cpu": -1.0}),
-     lambda: dict(cost_params=CostParams(c_cpu=-1.0)), "cost.c_cpu: must be >= 0"),
+     lambda: dict(cost_params=CostParams(c_cpu=-1.0)), "cost.c_cpu: must be >= 0 and finite"),
     ("c-mem", lambda c: c.update(cost={"c_mem": -0.5}),
-     lambda: dict(cost_params=CostParams(c_mem=-0.5)), "cost.c_mem: must be >= 0"),
+     lambda: dict(cost_params=CostParams(c_mem=-0.5)), "cost.c_mem: must be >= 0 and finite"),
     ("execution-timeout-zero", lambda c: c.update(scheduler={"execution_timeout": 0}),
      lambda: dict(execution_timeout=0.0), "scheduler.execution_timeout: must be > 0"),
     ("node-cpu", lambda c: c["edge"].update(node_cpu_millicores=0),
@@ -503,7 +503,9 @@ OWN_FIELDS = [
     ("step-demand", lambda: StepSpec("s0", ResourceVector(-1, -1), 1, 1.0),
      ["cpu_millicores: must be >= 0", "memory_mb: must be >= 0"]),
     ("cost-params", lambda: CostParams(-1.0, NAN),
-     ["c_cpu: must be >= 0", "c_mem: must be >= 0"]),
+     ["c_cpu: must be >= 0 and finite", "c_mem: must be >= 0 and finite"]),
+    ("cost-params-inf", lambda: CostParams(INF, INF),
+     ["c_cpu: must be >= 0 and finite", "c_mem: must be >= 0 and finite"]),
     ("step-spec", lambda: StepSpec("", ResourceVector(), 0, NAN),
      ["step_id: must be non-empty", "replicas: must be >= 1", "service_time: must be > 0"]),
     ("batch-job", lambda: BatchJob("", DAG, 0, NAN, -1.0),
@@ -544,7 +546,8 @@ OWN_FIELDS = [
 @pytest.mark.parametrize("build, problems", [pytest.param(*r[1:], id=r[0]) for r in OWN_FIELDS])
 def test_each_type_reports_all_of_its_own_bad_fields_at_once(build, problems):
     """NaN fails every range rule, as it fails the loader's number check, and
-    the rules on times and the round grid refuse infinity, which no file holds."""
+    the rules on times, the round grid and the prices refuse infinity, which no
+    file holds."""
     with pytest.raises(ValidationError) as e:
         build()
     assert e.value.problems == problems

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+import hcs_sim.cli  # noqa: F401  every module with a record is imported, for Record's subclasses
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
     PipelineDag,
+    Record,
     ResourceVector,
     StepSpec,
     ValidationError,
@@ -192,3 +194,54 @@ class TestDag:
         assert dag.terminal_ids == ("c",)
         assert dag_violations(dag) == []
 
+
+
+RECORDS = sorted(Record.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+def record(cls, **changed):
+    """A cls with each field set to a value named after the field (so fields
+    of one name hold equal values across types), changed ones overridden.
+    Built without __init__, so every field is set whatever the signature."""
+    obj = cls.__new__(cls)
+    for f in cls.__slots__:
+        setattr(obj, f, changed.get(f, f"{f}-value"))
+    return obj
+
+
+class TestRecord:
+    def test_the_plain_records_are_records(self):
+        assert {cls.__name__ for cls in RECORDS} >= {
+            "DeployEdge", "DeployCloud", "Evict", "ScheduleDecision", "PlacementPlan",
+            "ScheduledArrival", "LoadResult"}
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_slots_are_its_own_and_there_is_no_dict(self, cls):
+        # a subclass without __slots__ would inherit (): no field would compare
+        assert "__slots__" in vars(cls) and cls.__slots__
+        assert not hasattr(record(cls), "__dict__")
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_equal_fields_are_equal_and_each_field_counts(self, cls):
+        assert record(cls) == record(cls) and not record(cls) != record(cls)
+        for f in cls.__slots__:
+            other = record(cls, **{f: "changed"})
+            assert record(cls) != other and not record(cls) == other, f
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_never_equals_a_tuple_or_another_record_type(self, cls):
+        obj = record(cls)
+        assert obj != tuple(getattr(obj, f) for f in cls.__slots__)
+        for other in RECORDS:
+            if other is not cls:
+                assert obj != record(other) and record(other) != obj
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_unhashable(self, cls):
+        with pytest.raises(TypeError):
+            hash(record(cls))
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_repr_names_every_slot_in_order(self, cls):
+        fields = ", ".join(f"{f}='{f}-value'" for f in cls.__slots__)
+        assert repr(record(cls)) == f"{cls.__name__}({fields})"

@@ -53,9 +53,9 @@ def evicts_of(decision):
     return [d for d in decision.directives if isinstance(d, Evict)]
 
 
-def plan_of(s, job_id, nodes):
-    """The plan that places job_id's one step as nodes counts (node -> replicas)."""
-    return PlacementPlan(s._jobs[job_id].dag.steps[0], nodes=nodes)
+def plan_of(job, nodes):
+    """The plan that places job's one step as nodes counts (node -> replicas)."""
+    return PlacementPlan(job.dag.steps[0], nodes=nodes)
 
 
 class TestRounds:
@@ -141,11 +141,11 @@ class TestEviction:
         s = HcsScheduler(one_node(cpu=4000), cost_params=QUARTER_CPU)
         s.submit_request(job_with_step("g", 2000), 0.0)
         s.run_round(30.0)
-        s.submit_request(job_with_step("f", 4000), 31.0)
+        f = job_with_step("f", 4000)
+        s.submit_request(f, 31.0)
         s.run_round(60.0)
         d = s.close_windows(90.0)
-        assert d.directives == [DeployCloud("g", "s0"),
-                                DeployEdge("f", "s0", plan_of(s, "f", {0: 1}))]
+        assert d.directives == [DeployCloud("g", "s0"), DeployEdge("f", "s0", plan_of(f, {0: 1}))]
         assert d.expiry is None
         assert s._held[0][0] == 4000
         assert ("g", "s0") in s.cloud_sticky and ("f", "s0") in s.resident
@@ -154,12 +154,13 @@ class TestEviction:
         s = HcsScheduler(one_node(cpu=4000), cost_params=QUARTER_CPU)
         s.submit_request(job_with_step("g", 2000), 0.0)
         s.run_round(30.0)
-        s.submit_request(job_with_step("f", 4000), 31.0)
+        f = job_with_step("f", 4000)
+        s.submit_request(f, 31.0)
         s.run_round(60.0)
         s.complete_step("g", "s0")
         assert ("g", "s0") not in s.resident
         d = s.close_windows(90.0)
-        assert d.directives == [DeployEdge("f", "s0", plan_of(s, "f", {0: 1}))]
+        assert d.directives == [DeployEdge("f", "s0", plan_of(f, {0: 1}))]
         assert ("g", "s0") not in s.cloud_sticky
 
     def test_second_newcomer_rides_existing_window(self):
@@ -168,16 +169,17 @@ class TestEviction:
         s = HcsScheduler(one_node(cpu=4000), cost_params=MEM_COST)
         s.submit_request(job_with_step("v", 4000, mem=10), 0.0)
         s.run_round(30.0)
-        s.submit_request(job_with_step("a", 2000, mem=100), 31.0)
-        s.submit_request(job_with_step("b", 1500, mem=80), 32.0)
+        a, b = job_with_step("a", 2000, mem=100), job_with_step("b", 1500, mem=80)
+        s.submit_request(a, 31.0)
+        s.submit_request(b, 32.0)
         d = s.run_round(60.0)
         assert [e.job_id for e in evicts_of(d)] == ["v"]
         assert not edges_of(d) and d.expiry == 90.0
         assert s.reservations[("a", "s0")][1] == s.reservations[("b", "s0")][1] == 90.0
         d = s.close_windows(90.0)
         assert d.directives == [DeployCloud("v", "s0"),
-                                DeployEdge("a", "s0", plan_of(s, "a", {0: 1})),
-                                DeployEdge("b", "s0", plan_of(s, "b", {0: 1}))]
+                                DeployEdge("a", "s0", plan_of(a, {0: 1})),
+                                DeployEdge("b", "s0", plan_of(b, {0: 1}))]
         assert s._held[0][0] == 3500
 
     def test_reservation_a_failure_rehomed_stays_put(self):
@@ -188,16 +190,16 @@ class TestEviction:
         s.submit_request(job_with_step("k", 4000), 0.0)
         s.submit_request(job_with_step("g", 2000), 0.0)
         s.run_round(30.0)
-        s.submit_request(job_with_step("f", 4000), 31.0)
+        f = job_with_step("f", 4000)
+        s.submit_request(f, 31.0)
         d = s.run_round(60.0)
         assert [e.job_id for e in evicts_of(d)] == ["g"]
         assert s.reservations[("f", "s0")][0].nodes == {1: 1}
         s.complete_step("k", "s0")
         d = s.handle_node_failure(1)
-        assert d.directives == [DeployCloud("g", "s0"),
-                                DeployEdge("f", "s0", plan_of(s, "f", {0: 1}))]
+        assert d.directives == [DeployCloud("g", "s0"), DeployEdge("f", "s0", plan_of(f, {0: 1}))]
         assert s.close_windows(90.0).directives == []
-        assert s.resident == {("f", "s0"): plan_of(s, "f", {0: 1})}
+        assert s.resident == {("f", "s0"): plan_of(f, {0: 1})}
 
     def test_evicting_step_never_reevicted(self):
         s = HcsScheduler(one_node(cpu=4000), cost_params=MEM_COST)
@@ -213,13 +215,6 @@ class TestEviction:
 
 
 class TestSticky:
-    def test_sticky_step_goes_straight_to_cloud(self):
-        s = HcsScheduler(one_node())
-        s.cloud_sticky.add(("a", "s0"))
-        s.submit_request(job_with_step("a", 100), 0.0)
-        d = s.run_round(30.0)
-        assert not edges_of(d) and clouds_of(d)[0].job_id == "a"
-
     def test_cloud_only_mode_never_touches_edge(self):
         s = HcsScheduler(one_node(), mode=SchedulerMode.CLOUD_ONLY)
         for i in range(5):
@@ -457,6 +452,7 @@ class TestInvariantStreams:
         s = HcsScheduler(nodes, policy=policy)
         active = {}  # key -> region
         sticky_seen = set()
+        jobs = {}
         now = 0.0
         job_seq = 0
         for round_no in range(12):
@@ -466,6 +462,7 @@ class TestInvariantStreams:
                                     replicas=rng.randrange(1, 4),
                                     mem=rng.randrange(0, 2048))
                 job_seq += 1
+                jobs[job.job_id] = job
                 s.submit_request(job, now - rng.uniform(0.0, 29.9))
             decision = s.run_round(now)
             deploys = {}
@@ -482,7 +479,7 @@ class TestInvariantStreams:
             # edge-priority: immediate cloud fallbacks must not fit post-round
             for d in decision.directives:
                 if isinstance(d, DeployCloud):
-                    step = s._jobs[d.job_id].dag.step(d.step_id)
+                    step = jobs[d.job_id].dag.step(d.step_id)
                     plan, _ = try_place_free(step, s._free_after_evictions,
                                              policy, s.rr_cursor)
                     assert plan is None, "cloud fallback while edge had room"
