@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import logging
@@ -38,6 +37,7 @@ from hcs_sim.sim_engine import (
 )
 
 _PLACEMENTS = tuple(p.value for p in PlacementPolicy)
+MAX_NODE_COUNT = 1_000_000  # the largest edge.node_count a file may set
 
 # by its import name: run as `python -m hcs_sim.cli`, this module is __main__
 log = logging.getLogger("hcs_sim.cli")
@@ -284,6 +284,8 @@ def load_scenario(path: str | Path) -> LoadResult:
     # the count exists only in the file: the scenario holds one capacity per node
     if node_count is not None and not node_count >= 0:
         check.err("edge.node_count", "must be >= 0")
+    elif node_count is not None and not node_count <= MAX_NODE_COUNT:
+        check.err("edge.node_count", f"must be <= {MAX_NODE_COUNT}")
     elif node_count and (cpu is None or mem is None):
         check.err("edge", "node_cpu_millicores and node_memory_mb are required")
     elif node_count:
@@ -362,8 +364,7 @@ def cmd_run(args, phases: dict[str, float]) -> int:
     if scenario is None:
         return 1
     if args.placement:
-        scenario = dataclasses.replace(
-            scenario, placement=PlacementPolicy(args.placement))
+        scenario = scenario.replace(placement=PlacementPolicy(args.placement))
     report = _run_one(scenario, out / "run", args.emit_plot_data, phases)
     s = summary_dict(report)
     print(f"{s['scenario_id']}: {s['job_count']} jobs, total_cost {s['total_cost']:g}, "
@@ -380,7 +381,7 @@ def cmd_sweep(args, phases: dict[str, float]) -> int:
     arrivals = _timed(phases, "arrivals", generate_arrivals, scenario.arrivals, scenario.catalog)
     summary: dict[str, dict] = {}
     for p in placements:
-        s = dataclasses.replace(scenario, placement=PlacementPolicy(p))
+        s = scenario.replace(placement=PlacementPolicy(p))
         report = _run_one(s, out / p, args.emit_plot_data, phases, arrivals)
         summary[p] = summary_dict(report)
         print(f"{p}: total_cost {summary[p]['total_cost']:g}, "
@@ -396,10 +397,10 @@ def cmd_baseline(args, phases: dict[str, float]) -> int:
         return 1
     arrivals = _timed(phases, "arrivals", generate_arrivals, scenario.arrivals, scenario.catalog)
     hybrid = _run_one(
-        dataclasses.replace(scenario, mode=SchedulerMode.CHEAPEST_FIRST),
+        scenario.replace(mode=SchedulerMode.CHEAPEST_FIRST),
         out / "hybrid", args.emit_plot_data, phases, arrivals)
     baseline = _run_one(
-        dataclasses.replace(scenario, mode=SchedulerMode.CLOUD_ONLY),
+        scenario.replace(mode=SchedulerMode.CLOUD_ONLY),
         out / "cloud_only", args.emit_plot_data, phases, arrivals)
     pct = cost_vs_baseline(hybrid, baseline)
     _timed(phases, "emit", write_json, out / "baseline_summary.json", {
@@ -436,9 +437,8 @@ def cmd_replicate(args, phases: dict[str, float]) -> int:
               file=sys.stderr)
         return 1
     # every seed is checked before the first run
-    scenarios = [(seed, dataclasses.replace(
-        scenario, arrivals=dataclasses.replace(scenario.arrivals, seed=seed)))
-        for seed in seeds]
+    scenarios = [(seed, scenario.replace(arrivals=scenario.arrivals.replace(seed=seed)))
+                 for seed in seeds]
     per_seed: dict[str, dict] = {}
     series: dict[str, list[float]] = {
         "total_cost": [], "mean_utilization": [], "deadline_met_fraction": []}

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 
 class ValidationError(ValueError):
@@ -33,7 +31,8 @@ class Record:
     """A plain record: the fields are its class's own `__slots__`, set by its
     own `__init__`. Records of one type compare by their fields and print as
     `Type(field=value, ...)`; they are unhashable, as defining `__eq__` makes
-    them."""
+    them. Callers treat them as immutable: `replace` copies one whose
+    `__init__` takes its fields by name, as every public value type's does."""
 
     __slots__ = ()
 
@@ -45,56 +44,93 @@ class Record:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
+    def replace(self, **changes):
+        """A copy with the given fields changed, built through `__init__`, so
+        its checks run again; an unknown field raises TypeError."""
+        fields = {f: getattr(self, f) for f in self.__slots__}
+        fields.update(changes)
+        return type(self)(**fields)
 
-@dataclass(frozen=True)
-class ResourceVector:
+
+class ResourceVector(Record):
     """A CPU/memory quantity. CPU in integer millicores, memory in integer MB.
     Unchecked: a step checks its demand, and a Scenario its node capacities."""
 
-    cpu_millicores: int = 0
-    memory_mb: int = 0
+    __slots__ = ("cpu_millicores", "memory_mb")
+
+    def __init__(self, cpu_millicores: int = 0, memory_mb: int = 0):
+        self.cpu_millicores = cpu_millicores
+        self.memory_mb = memory_mb
 
 
-@dataclass(frozen=True)
-class CostParams:
+class CostParams(Record):
     """Per-unit prices for cloud resources. Edge resources are free."""
 
-    c_cpu: float = 1000.0  # price per whole vCPU per second
-    c_mem: float = 0.1     # price per MB per second
+    __slots__ = ("c_cpu", "c_mem")
 
-    def __post_init__(self) -> None:
-        require((0 <= self.c_cpu < math.inf, "c_cpu: must be >= 0 and finite"),
-                (0 <= self.c_mem < math.inf, "c_mem: must be >= 0 and finite"))
+    def __init__(self, c_cpu: float = 1000.0, c_mem: float = 0.1):
+        require((0 <= c_cpu < math.inf, "c_cpu: must be >= 0 and finite"),
+                (0 <= c_mem < math.inf, "c_mem: must be >= 0 and finite"))
+        self.c_cpu = c_cpu  # price per whole vCPU per second
+        self.c_mem = c_mem  # price per MB per second
 
 
-@dataclass(frozen=True)
-class StepSpec:
+class StepSpec(Record):
     """One processing step of a pipeline: a replicated serverless function."""
 
-    step_id: str
-    demand_per_replica: ResourceVector
-    replicas: int
-    service_time_per_fragment: float
-    feed_forward: bool = True
+    __slots__ = ("step_id", "demand_per_replica", "replicas", "service_time_per_fragment",
+                 "feed_forward")
 
-    def __post_init__(self) -> None:
-        require((self.step_id, "step_id: must be non-empty"),
-                (self.demand_per_replica.cpu_millicores >= 0, "cpu_millicores: must be >= 0"),
-                (self.demand_per_replica.memory_mb >= 0, "memory_mb: must be >= 0"),
-                (self.replicas >= 1, "replicas: must be >= 1"),
-                (self.service_time_per_fragment > 0, "service_time: must be > 0"))
+    def __init__(self, step_id: str, demand_per_replica: ResourceVector, replicas: int,
+                 service_time_per_fragment: float, feed_forward: bool = True):
+        require((step_id, "step_id: must be non-empty"),
+                (demand_per_replica.cpu_millicores >= 0, "cpu_millicores: must be >= 0"),
+                (demand_per_replica.memory_mb >= 0, "memory_mb: must be >= 0"),
+                (replicas >= 1, "replicas: must be >= 1"),
+                (service_time_per_fragment > 0, "service_time: must be > 0"))
+        self.step_id = step_id
+        self.demand_per_replica = demand_per_replica
+        self.replicas = replicas
+        self.service_time_per_fragment = service_time_per_fragment
+        self.feed_forward = feed_forward
 
 
-@dataclass(frozen=True)
-class PipelineDag:
-    """Directed graph of steps. Construction is permissive; see dag_violations."""
+class _DagIndex:
+    """PipelineDag's derived values: slots of a base class, so Record, which
+    reads PipelineDag's own `__slots__`, compares, prints and copies fields only."""
 
-    steps: tuple[StepSpec, ...]
-    edges: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("order", "predecessors_by_step", "terminal_ids")
+
+
+class PipelineDag(Record, _DagIndex):
+    """Directed graph of steps. Construction is permissive; see dag_violations.
+
+    `predecessors_by_step` (in edge order), `terminal_ids` (the steps without
+    successors) and `order`, a stable topological order (Kahn's algorithm),
+    are computed once here; jobs of one template share them with the graph.
+    Kahn's walk skips an edge to an unknown step. With unique ids and known
+    endpoints, a step on or behind a cycle never becomes ready, so the order
+    is short exactly when the graph is cyclic; dag_violations reads that, and
+    every Scenario template has passed it.
+    """
+
+    __slots__ = ("steps", "edges")
 
     def __init__(self, steps, edges=()):
-        object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "edges", tuple((a, b) for a, b in edges))
+        self.steps = tuple(steps)
+        self.edges = tuple((a, b) for a, b in edges)
+        self.predecessors_by_step = {s.step_id: tuple(self.predecessors(s.step_id))
+                                     for s in self.steps}
+        self.terminal_ids = tuple(s.step_id for s in self.steps if not self.successors(s.step_id))
+        indeg = {sid: len(p) for sid, p in self.predecessors_by_step.items()}
+        order = [sid for sid, d in indeg.items() if d == 0]
+        for sid in order:  # the list is the queue: it grows as steps get ready
+            for nxt in self.successors(sid):
+                if nxt in indeg:
+                    indeg[nxt] -= 1
+                    if indeg[nxt] == 0:
+                        order.append(nxt)
+        self.order = tuple(order)
 
     def step(self, step_id: str) -> StepSpec:
         for s in self.steps:
@@ -110,39 +146,6 @@ class PipelineDag:
 
     def source_ids(self) -> list[str]:
         return [s.step_id for s in self.steps if not self.predecessors(s.step_id)]
-
-    @cached_property
-    def terminal_ids(self) -> tuple[str, ...]:
-        """Steps without successors, computed once per graph."""
-        return tuple(s.step_id for s in self.steps if not self.successors(s.step_id))
-
-    @cached_property
-    def predecessors_by_step(self) -> dict[str, tuple[str, ...]]:
-        """Each step's predecessors in edge order, computed once per graph."""
-        return {s.step_id: tuple(self.predecessors(s.step_id)) for s in self.steps}
-
-    @cached_property
-    def order(self) -> tuple[str, ...]:
-        """Stable topological order of step ids (Kahn's algorithm), computed
-        once per graph.
-
-        Jobs of one template share the graph, so they share the order. With
-        unique ids and known endpoints, a step on or behind a cycle never
-        becomes ready, so the order is short exactly when the graph is
-        cyclic; dag_violations reads that, and every Scenario template has
-        passed it.
-        """
-        order: list[str] = []
-        indeg = {s.step_id: len(self.predecessors(s.step_id)) for s in self.steps}
-        ready = [sid for sid, d in indeg.items() if d == 0]
-        while ready:
-            sid = ready.pop(0)
-            order.append(sid)
-            for nxt in self.successors(sid):
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-        return tuple(order)
 
 
 def dag_violations(dag: PipelineDag) -> list[str]:
@@ -173,24 +176,24 @@ def dag_violations(dag: PipelineDag) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class BatchJob:
+class BatchJob(Record):
     """A batch of fragments pushed through a pipeline under a completion deadline."""
 
-    job_id: str
-    dag: PipelineDag
-    fragment_count: int
-    deadline: float
-    arrival_time: float = 0.0
+    __slots__ = ("job_id", "dag", "fragment_count", "deadline", "arrival_time")
 
-    def __post_init__(self) -> None:
+    def __init__(self, job_id: str, dag: PipelineDag, fragment_count: int, deadline: float,
+                 arrival_time: float = 0.0):
         # built once per arrival: the problem list waits for a failed check
-        if not (self.job_id and self.fragment_count >= 1 and self.deadline > 0
-                and self.arrival_time >= 0):
-            require((self.job_id, "job_id: must be non-empty"),
-                    (self.fragment_count >= 1, "fragment_count: must be >= 1"),
-                    (self.deadline > 0, "deadline: must be > 0"),
-                    (self.arrival_time >= 0, "arrival_time: must be >= 0"))
+        if not (job_id and fragment_count >= 1 and deadline > 0 and arrival_time >= 0):
+            require((job_id, "job_id: must be non-empty"),
+                    (fragment_count >= 1, "fragment_count: must be >= 1"),
+                    (deadline > 0, "deadline: must be > 0"),
+                    (arrival_time >= 0, "arrival_time: must be >= 0"))
+        self.job_id = job_id
+        self.dag = dag
+        self.fragment_count = fragment_count
+        self.deadline = deadline
+        self.arrival_time = arrival_time
 
 
 def rcost(step: StepSpec, params: CostParams) -> float:

@@ -6,22 +6,25 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from hcs_sim.core_model import InternalConsistencyError, ValidationError
+from hcs_sim.core_model import InternalConsistencyError, Record, ValidationError
 
 
-@dataclass(frozen=True)
-class UtilizationSample:
+class UtilizationSample(Record):
     """Edge allocation snapshot; capacity covers alive nodes only."""
 
-    time: float
-    allocated_cpu_millicores: int
-    capacity_cpu_millicores: int
-    allocated_memory_mb: int
-    capacity_memory_mb: int
+    __slots__ = ("time", "allocated_cpu_millicores", "capacity_cpu_millicores",
+                 "allocated_memory_mb", "capacity_memory_mb")
+
+    def __init__(self, time: float, allocated_cpu_millicores: int, capacity_cpu_millicores: int,
+                 allocated_memory_mb: int, capacity_memory_mb: int):
+        self.time = time
+        self.allocated_cpu_millicores = allocated_cpu_millicores
+        self.capacity_cpu_millicores = capacity_cpu_millicores
+        self.allocated_memory_mb = allocated_memory_mb
+        self.capacity_memory_mb = capacity_memory_mb
 
     @property
     def cpu_ratio(self) -> float:
@@ -30,16 +33,19 @@ class UtilizationSample:
         return self.allocated_cpu_millicores / self.capacity_cpu_millicores
 
 
-@dataclass
-class CostLedgerEntry:
+class CostLedgerEntry(Record):
     """One deployment interval of one step in one region."""
 
-    job_id: str
-    step_id: str
-    region: str  # "edge" | "cloud"
-    rcost_per_second: float
-    deploy_start: float
-    deploy_end: float | None = None
+    __slots__ = ("job_id", "step_id", "region", "rcost_per_second", "deploy_start", "deploy_end")
+
+    def __init__(self, job_id: str, step_id: str, region: str, rcost_per_second: float,
+                 deploy_start: float, deploy_end: float | None = None):
+        self.job_id = job_id
+        self.step_id = step_id
+        self.region = region  # "edge" | "cloud"
+        self.rcost_per_second = rcost_per_second
+        self.deploy_start = deploy_start
+        self.deploy_end = deploy_end
 
     @property
     def cost(self) -> float:
@@ -51,14 +57,17 @@ class CostLedgerEntry:
         return self.rcost_per_second * (self.deploy_end - self.deploy_start)
 
 
-@dataclass
-class JobOutcome:
-    job_id: str
-    template: str
-    arrival: float
-    completion: float
-    deadline: float
-    completed: bool = True
+class JobOutcome(Record):
+    __slots__ = ("job_id", "template", "arrival", "completion", "deadline", "completed")
+
+    def __init__(self, job_id: str, template: str, arrival: float, completion: float,
+                 deadline: float, completed: bool = True):
+        self.job_id = job_id
+        self.template = template
+        self.arrival = arrival
+        self.completion = completion
+        self.deadline = deadline
+        self.completed = completed
 
     @property
     def duration(self) -> float:
@@ -81,17 +90,23 @@ class JobOutcome:
         return duration, met, 0.0 if met else max(0.0, duration - self.deadline)
 
 
-@dataclass
-class RunReport:
-    scenario_id: str
-    mode: str
-    placement: str
-    arrivals: list[tuple[float, str, str]]  # (time, job_id, template)
-    utilization: list[UtilizationSample]
-    cost_ledger: list[CostLedgerEntry]
-    job_outcomes: list[JobOutcome]
-    end_time: float
-    horizon_reached: bool = False
+class RunReport(Record):
+    __slots__ = ("scenario_id", "mode", "placement", "arrivals", "utilization",
+                 "cost_ledger", "job_outcomes", "end_time", "horizon_reached")
+
+    def __init__(self, scenario_id: str, mode: str, placement: str,
+                 arrivals: list[tuple[float, str, str]], utilization: list[UtilizationSample],
+                 cost_ledger: list[CostLedgerEntry], job_outcomes: list[JobOutcome],
+                 end_time: float, horizon_reached: bool = False):
+        self.scenario_id = scenario_id
+        self.mode = mode
+        self.placement = placement
+        self.arrivals = arrivals  # (time, job_id, template)
+        self.utilization = utilization
+        self.cost_ledger = cost_ledger
+        self.job_outcomes = job_outcomes
+        self.end_time = end_time
+        self.horizon_reached = horizon_reached
 
     @property
     def total_cost(self) -> float:

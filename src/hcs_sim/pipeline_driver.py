@@ -141,8 +141,9 @@ class PipelineDriver:
         self.version = 0  # bumped by every projection
         self._plan: list[tuple] | None = None  # per unfinished step, see _follow
         self._steps_done = 0
+        specs = {s.step_id: s for s in job.dag.steps}
         for sid in self.topo:
-            rt = _StepRuntime(job.dag.step(sid))
+            rt = _StepRuntime(specs[sid])
             if not self._preds[sid]:
                 rt.ready = self.m
             self.steps[sid] = rt

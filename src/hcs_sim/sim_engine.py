@@ -17,12 +17,10 @@ takes its sample without projecting.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 from hcs_sim.core_model import (
@@ -71,57 +69,56 @@ class EventKind(IntEnum):
     SIMULATION_END = 6
 
 
-@dataclass(frozen=True)
-class PoissonArrivals:
+class PoissonArrivals(Record):
     """Exponential inter-arrival times from a seeded generator."""
 
-    rate: float
-    seed: int
-    count: int
+    __slots__ = ("rate", "seed", "count")
 
-    def __post_init__(self) -> None:
-        require((self.rate > 0, "arrivals.rate: must be > 0"),
-                (self.seed >= 0, "arrivals.seed: must be >= 0"),
-                (self.count >= 0, "arrivals.count: must be >= 0"))
+    def __init__(self, rate: float, seed: int, count: int):
+        require((rate > 0, "arrivals.rate: must be > 0"),
+                (seed >= 0, "arrivals.seed: must be >= 0"),
+                (count >= 0, "arrivals.count: must be >= 0"))
+        self.rate = rate
+        self.seed = seed
+        self.count = count
 
 
-@dataclass(frozen=True)
-class ExplicitArrivals:
+class ExplicitArrivals(Record):
     """Fixed arrival times; templates cycle through the catalog when unnamed."""
 
-    times: tuple[float, ...]
-    templates: tuple[str, ...] | None = None
+    __slots__ = ("times", "templates")
 
-    def __post_init__(self) -> None:
-        require((all(0 <= t < math.inf for t in self.times),
+    def __init__(self, times: tuple[float, ...], templates: tuple[str, ...] | None = None):
+        require((all(0 <= t < math.inf for t in times),
                  "arrivals.times: must be >= 0 and finite"),
-                (list(self.times) == sorted(self.times),
-                 "arrivals.times: must be sorted ascending"),
-                (self.templates is None or len(self.templates) == len(self.times),
+                (list(times) == sorted(times), "arrivals.times: must be sorted ascending"),
+                (templates is None or len(templates) == len(times),
                  "arrivals.templates: must match times in length"))
+        self.times = times
+        self.templates = templates
 
 
 ArrivalProcess = PoissonArrivals | ExplicitArrivals
 
 
-@dataclass(frozen=True)
-class NodeFailureFault:
-    time: float
-    node_id: int
+class NodeFailureFault(Record):
+    __slots__ = ("time", "node_id")
 
-    def __post_init__(self) -> None:
-        require((0 <= self.time < math.inf, "time: must be >= 0 and finite"),
-                (self.node_id >= 0, "node_id: must be >= 0"))
+    def __init__(self, time: float, node_id: int):
+        require((0 <= time < math.inf, "time: must be >= 0 and finite"),
+                (node_id >= 0, "node_id: must be >= 0"))
+        self.time = time
+        self.node_id = node_id
 
 
-@dataclass(frozen=True)
-class DriverRestartFault:
-    time: float
-    job_index: int  # position in the generated arrival schedule
+class DriverRestartFault(Record):
+    __slots__ = ("time", "job_index")
 
-    def __post_init__(self) -> None:
-        require((0 <= self.time < math.inf, "time: must be >= 0 and finite"),
-                (self.job_index >= 0, "job_index: must be >= 0"))
+    def __init__(self, time: float, job_index: int):
+        require((0 <= time < math.inf, "time: must be >= 0 and finite"),
+                (job_index >= 0, "job_index: must be >= 0"))
+        self.time = time
+        self.job_index = job_index  # position in the generated arrival schedule
 
 
 Fault = NodeFailureFault | DriverRestartFault
@@ -138,8 +135,7 @@ class ScheduledArrival(Record):
         self.job = job
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Everything a run depends on; equal scenarios give byte-identical reports.
 
     Valid by construction: every rule on its own fields and every rule that
@@ -147,23 +143,36 @@ class Scenario:
     one ValidationError, each under its scenario-file path.
     """
 
-    scenario_id: str
-    node_capacities: tuple[ResourceVector, ...]
-    catalog: dict[str, BatchJob]  # template name -> job template
-    arrivals: ArrivalProcess
-    cost_params: CostParams = field(default_factory=CostParams)
-    mode: SchedulerMode = SchedulerMode.CHEAPEST_FIRST
-    placement: PlacementPolicy = PlacementPolicy.FIRST_FIT
-    round_length: float = DEFAULT_ROUND_LENGTH
-    eviction_deadline: float = DEFAULT_EVICTION_DEADLINE
-    edge_speed: float = 0.8
-    cloud_speed: float = 1.0
-    cloud_concurrency: int | None = None
-    execution_timeout: float = 60.0
-    horizon: float | None = None
-    faults: tuple[Fault, ...] = ()
+    __slots__ = ("scenario_id", "node_capacities", "catalog", "arrivals", "cost_params",
+                 "mode", "placement", "round_length", "eviction_deadline", "edge_speed",
+                 "cloud_speed", "cloud_concurrency", "execution_timeout", "horizon", "faults")
 
-    def __post_init__(self) -> None:
+    def __init__(self, scenario_id: str, node_capacities: tuple[ResourceVector, ...],
+                 catalog: dict[str, BatchJob], arrivals: ArrivalProcess,
+                 cost_params: CostParams = CostParams(),
+                 mode: SchedulerMode = SchedulerMode.CHEAPEST_FIRST,
+                 placement: PlacementPolicy = PlacementPolicy.FIRST_FIT,
+                 round_length: float = DEFAULT_ROUND_LENGTH,
+                 eviction_deadline: float = DEFAULT_EVICTION_DEADLINE, edge_speed: float = 0.8,
+                 cloud_speed: float = 1.0, cloud_concurrency: int | None = None,
+                 execution_timeout: float = 60.0, horizon: float | None = None,
+                 faults: tuple[Fault, ...] = ()):
+        self.scenario_id = scenario_id
+        self.node_capacities = node_capacities
+        self.catalog = catalog  # template name -> job template
+        self.arrivals = arrivals
+        self.cost_params = cost_params
+        self.mode = mode
+        self.placement = placement
+        self.round_length = round_length
+        self.eviction_deadline = eviction_deadline
+        self.edge_speed = edge_speed
+        self.cloud_speed = cloud_speed
+        self.cloud_concurrency = cloud_concurrency
+        self.execution_timeout = execution_timeout
+        self.horizon = horizon
+        self.faults = faults
+
         problems = [problem for ok, problem in (
             (self.edge_speed > 0, "edge.speed_factor: must be > 0"),
             (self.cloud_speed > 0, "cloud.speed_factor: must be > 0"),
@@ -248,8 +257,8 @@ def generate_arrivals(process: ArrivalProcess,
 
 
 def _job(template: BatchJob, job_id: str, arrival_time: float) -> BatchJob:
-    """The template's job as it arrives: the job dataclasses.replace(template,
-    job_id=..., arrival_time=...) gives, from the constructor alone. So it
+    """The template's job as it arrives: the job template.replace(job_id=...,
+    arrival_time=...) gives, from the constructor alone. So it
     names every BatchJob field, and a field added there is passed here too."""
     return BatchJob(job_id, template.dag, template.fragment_count, template.deadline,
                     arrival_time)
@@ -258,7 +267,7 @@ def _job(template: BatchJob, job_id: str, arrival_time: float) -> BatchJob:
 def inject_faults(scenario: Scenario, faults: list[Fault]) -> Scenario:
     """Return a scenario with extra fault events merged in, in time order."""
     merged = sorted([*scenario.faults, *faults], key=lambda f: f.time)
-    return dataclasses.replace(scenario, faults=tuple(merged))
+    return scenario.replace(faults=tuple(merged))
 
 
 class _Engine:
@@ -370,7 +379,7 @@ class _Engine:
         the job is projected again after the event.
         """
         drv = self.drivers[job_id]
-        step = drv.job.dag.step(step_id)
+        step = drv.steps[step_id].spec
         self.collector.close_entry(job_id, step_id, now)
         self.collector.open_entry(job_id, step_id, region, self.sched.rcost_of(step), now)
         pool = (step.replicas if region == "edge"

@@ -8,7 +8,6 @@ utilization checks run the saturating scenario shipped in scenarios/.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import time
@@ -68,14 +67,12 @@ def saturating():
     scenario = result.scenario
     arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
     t = time.perf_counter()
-    baseline = run(dataclasses.replace(scenario, mode=SchedulerMode.CLOUD_ONLY),
-                   arrivals)
+    baseline = run(scenario.replace(mode=SchedulerMode.CLOUD_ONLY), arrivals)
     baseline_elapsed = time.perf_counter() - t
     reports, timings = {}, {}
     for policy in PlacementPolicy:
         t = time.perf_counter()
-        reports[policy] = run(dataclasses.replace(scenario, placement=policy),
-                              arrivals)
+        reports[policy] = run(scenario.replace(placement=policy), arrivals)
         timings[policy] = time.perf_counter() - t
     return SimpleNamespace(scenario=scenario, arrivals=arrivals,
                            baseline=baseline, baseline_elapsed=baseline_elapsed,
@@ -246,17 +243,15 @@ def test_scheduler_invariant_streams(announce):
 
 
 def test_artifacts_are_deterministic(saturating, announce, tmp_path):
-    scenario = dataclasses.replace(saturating.scenario,
-                                   placement=PlacementPolicy.FIRST_FIT)
+    scenario = saturating.scenario.replace(placement=PlacementPolicy.FIRST_FIT)
     emit_report(saturating.reports[PlacementPolicy.FIRST_FIT], tmp_path / "a")
     emit_report(run(scenario), tmp_path / "b")  # fresh arrivals, fresh run
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     identical = all((tmp_path / "a" / n).read_bytes()
                     == (tmp_path / "b" / n).read_bytes() for n in names)
 
-    reseeded = dataclasses.replace(
-        scenario, arrivals=dataclasses.replace(scenario.arrivals,
-                                               seed=scenario.arrivals.seed + 1))
+    reseeded = scenario.replace(
+        arrivals=scenario.arrivals.replace(seed=scenario.arrivals.seed + 1))
     emit_report(run(reseeded), tmp_path / "c")
     differs = ((tmp_path / "a" / "arrivals.csv").read_bytes()
                != (tmp_path / "c" / "arrivals.csv").read_bytes())
@@ -280,7 +275,7 @@ def test_faults_preserve_exactly_once_completion(announce):
         catalog={"duo": two_step, "solo": one_step},
         arrivals=ExplicitArrivals((5.0, 20.0, 40.0, 65.0, 95.0, 110.0)),
         faults=(NodeFailureFault(75.0, 0), DriverRestartFault(60.0, 1)))
-    clean_report, clean_drivers = run_detailed(dataclasses.replace(base, faults=()))
+    clean_report, clean_drivers = run_detailed(base.replace(faults=()))
     with counting_completions() as completions:
         fault_report, fault_drivers = run_detailed(base)
 
@@ -337,8 +332,7 @@ def test_hybrid_never_costlier_than_cloud_only_at_equal_speed(announce):
             edge_speed=1.0, cloud_speed=1.0)
         arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
         hybrid = run(scenario, arrivals)
-        cloud = run(dataclasses.replace(scenario, mode=SchedulerMode.CLOUD_ONLY),
-                    arrivals)
+        cloud = run(scenario.replace(mode=SchedulerMode.CLOUD_ONLY), arrivals)
         if hybrid.total_cost > cloud.total_cost * (1 + 1e-12):
             violations.append((trial, hybrid.total_cost, cloud.total_cost))
         if cloud.total_cost > 0:

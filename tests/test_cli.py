@@ -447,6 +447,10 @@ SHAPES = [
     ("edge-capacity", lambda c: c["edge"].update(node_memory_mb=None),
      ["edge: node_cpu_millicores and node_memory_mb are required"]),
     ("node-count", lambda c: c["edge"].update(node_count=-1), ["edge.node_count: must be >= 0"]),
+    ("node-count-limit", lambda c: c["edge"].update(node_count=1_000_001),
+     ["edge.node_count: must be <= 1000000"]),
+    ("node-count-huge", lambda c: c["edge"].update(node_count=10**30),
+     ["edge.node_count: must be <= 1000000"]),
     ("top-level", lambda c: [c], ["<file>: top level must be an object"]),
     ("workloads", lambda c: c.update(workloads=["w"]),
      ["workloads: must be a non-empty object of named templates"]),
@@ -481,6 +485,13 @@ def test_each_problem_has_one_exact_diagnostic(tmp_path, edit, diagnostics):
     cfg = minimal_config()
     path = write_config(tmp_path, edit(cfg) or cfg)
     assert load_scenario(path).diagnostics == [d.replace("<file>", path) for d in diagnostics]
+
+
+def test_node_count_at_the_limit_loads(tmp_path):
+    cfg = minimal_config()
+    cfg["edge"]["node_count"] = cli.MAX_NODE_COUNT
+    res = load_scenario(write_config(tmp_path, cfg))
+    assert res.diagnostics == [] and len(res.scenario.node_capacities) == 1_000_000
 
 
 def test_library_scenario_matches_the_loaded_one(tmp_path):
@@ -652,14 +663,23 @@ class TestRunCommand:
         info, quiet = artifacts(tmp_path / "info"), artifacts(tmp_path / "quiet")
         assert info == quiet and len(info) > 5
 
-    def test_import_loads_no_numpy(self):
+    @staticmethod
+    def loaded_by_import(*modules: str) -> list[str]:
+        """Which of modules a fresh interpreter has loaded after `import hcs_sim.cli`."""
         src = str(Path(hcs_sim.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, hcs_sim.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        code = f"import sys, hcs_sim.cli; print(*(m for m in {modules!r} if m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.split()
+
+    def test_import_loads_no_numpy(self):
+        assert self.loaded_by_import("numpy") == []
+
+    def test_import_loads_no_dataclasses_or_inspect(self):
+        # the records are plain classes: their setup cost stays out of every command
+        assert self.loaded_by_import("dataclasses", "inspect") == []
 
 
 class TestCollectorPause:

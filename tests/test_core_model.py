@@ -1,5 +1,6 @@
 """Cost model and domain type checks."""
 
+import inspect
 import math
 import random
 
@@ -17,6 +18,16 @@ from hcs_sim.core_model import (
     dag_violations,
     rcost,
     validate_job,
+)
+
+from hcs_sim.hcs_scheduler import SchedulerMode
+from hcs_sim.metrics import CostLedgerEntry, JobOutcome, RunReport, UtilizationSample
+from hcs_sim.sim_engine import (
+    DriverRestartFault,
+    ExplicitArrivals,
+    NodeFailureFault,
+    PoissonArrivals,
+    Scenario,
 )
 
 from oracles import fits_within, topological_order, total_cost, vec_add, vec_sub
@@ -245,3 +256,104 @@ class TestRecord:
     def test_repr_names_every_slot_in_order(self, cls):
         fields = ", ".join(f"{f}='{f}-value'" for f in cls.__slots__)
         assert repr(record(cls)) == f"{cls.__name__}({fields})"
+
+
+def valid_values():
+    """One record of each public value type, built by its constructor."""
+    job = chain_job(2)
+    sample = UtilizationSample(1.0, 500, 2000, 128, 4096)
+    entry = CostLedgerEntry("j0", "s0", "cloud", 625.0, 1.0, 3.0)
+    outcome = JobOutcome("j0", "w", 1.0, 9.0, 100.0)
+    return [
+        ResourceVector(500, 128), CostParams(900.0, 0.2), make_step(), job.dag, job,
+        PoissonArrivals(0.5, 7, 3), ExplicitArrivals((1.0, 2.0), ("w", "w")),
+        NodeFailureFault(5.0, 0), DriverRestartFault(4.0, 1),
+        Scenario("sc", (ResourceVector(2000, 4096),), {"w": job}, PoissonArrivals(0.5, 7, 3),
+                 faults=(NodeFailureFault(5.0, 0), DriverRestartFault(4.0, 1))),
+        sample, entry, outcome,
+        RunReport("sc", "cheapest_first", "first_fit", [(1.0, "j0", "w")], [sample], [entry],
+                  [outcome], 9.0)]
+
+
+VALUES = valid_values()
+
+
+def each_value(test):
+    return pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)(test)
+
+
+class TestPublicValueTypes:
+    def test_the_fourteen_types_are_records(self):
+        assert len({type(v) for v in VALUES}) == 14
+        assert all(isinstance(v, Record) for v in VALUES)
+
+    @each_value
+    def test_fields_are_the_constructor_parameters_in_order(self, value):
+        # replace passes every field back to __init__ by name
+        params = inspect.signature(type(value)).parameters
+        assert list(params) == list(type(value).__slots__)
+
+    @each_value
+    def test_equal_by_type_and_fields(self, value):
+        copy = value.replace()
+        assert copy is not value and copy == value and not copy != value
+        for f in type(value).__slots__:
+            changed = value.replace()
+            setattr(changed, f, "changed")
+            assert changed != value and value != changed, f
+
+    @each_value
+    def test_never_equals_a_tuple_of_its_fields(self, value):
+        assert value != tuple(getattr(value, f) for f in type(value).__slots__)
+
+    @each_value
+    def test_unhashable(self, value):
+        with pytest.raises(TypeError):
+            hash(value)
+
+    @each_value
+    def test_repr_names_the_fields_in_order(self, value):
+        fields = ", ".join(f"{f}={getattr(value, f)!r}" for f in type(value).__slots__)
+        assert repr(value) == f"{type(value).__name__}({fields})"
+
+    def test_repr_of_a_nested_record(self):
+        assert repr(make_step(cpu=1, mem=2)) == (
+            "StepSpec(step_id='s0', demand_per_replica=ResourceVector(cpu_millicores=1, "
+            "memory_mb=2), replicas=1, service_time_per_fragment=1.0, feed_forward=True)")
+
+    def test_replace_changes_the_named_fields_only(self):
+        scenario = VALUES[9]
+        moved = scenario.replace(mode=SchedulerMode.CLOUD_ONLY, horizon=50.0)
+        assert (moved.mode, moved.horizon) == (SchedulerMode.CLOUD_ONLY, 50.0)
+        assert moved == Scenario(*(getattr(scenario, f) for f in Scenario.__slots__[:4]),
+                                 mode=SchedulerMode.CLOUD_ONLY, horizon=50.0,
+                                 faults=scenario.faults)
+        assert scenario.mode is SchedulerMode.CHEAPEST_FIRST and scenario.horizon is None
+
+    def test_replace_runs_the_constructor_checks(self):
+        scenario = VALUES[9]
+        with pytest.raises(ValidationError) as built:
+            Scenario(*(getattr(scenario, f) for f in Scenario.__slots__[:4]), round_length=0.0,
+                     faults=scenario.faults)
+        with pytest.raises(ValidationError) as replaced:
+            scenario.replace(round_length=0.0)
+        assert replaced.value.problems == built.value.problems == [
+            "scheduler.round_length: must be > 0 and finite"]
+
+    def test_replace_of_an_unknown_field_raises_type_error(self):
+        with pytest.raises(TypeError):
+            VALUES[9].replace(round_lenght=5.0)
+
+    def test_dag_derives_its_order_once_and_again_on_replace(self):
+        dag = PipelineDag([make_step("a"), make_step("b"), make_step("c")],
+                          [("b", "a"), ("a", "c")])
+        assert (dag.order, dag.terminal_ids) == (("b", "a", "c"), ("c",))
+        assert dag.predecessors_by_step == {"a": ("b",), "b": (), "c": ("a",)}
+        flipped = dag.replace(edges=[("a", "b"), ("b", "c")])
+        assert flipped.order == ("a", "b", "c") and flipped != dag
+        assert "order" not in repr(dag)
+
+    def test_dag_with_an_edge_to_an_unknown_step_builds(self):
+        dag = PipelineDag([make_step("a"), make_step("b")], [("a", "zz"), ("a", "b")])
+        assert dag.order == ("a", "b")
+        assert dag_violations(dag) == ["edge references unknown step 'zz'"]

@@ -29,7 +29,6 @@ reference scenario.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -57,25 +56,23 @@ def scenarios():
 
 def with_prices(s: Scenario, factor: float) -> Scenario:
     p = s.cost_params
-    return dataclasses.replace(s, cost_params=CostParams(p.c_cpu * factor, p.c_mem * factor))
+    return s.replace(cost_params=CostParams(p.c_cpu * factor, p.c_mem * factor))
 
 
 def with_time(s: Scenario, factor: float) -> Scenario:
     def template(job):
-        steps = [dataclasses.replace(st, service_time_per_fragment=st.service_time_per_fragment
-                                     * factor) for st in job.dag.steps]
-        return dataclasses.replace(job, dag=PipelineDag(steps, job.dag.edges),
-                                   deadline=job.deadline * factor)
+        steps = [st.replace(service_time_per_fragment=st.service_time_per_fragment * factor)
+                 for st in job.dag.steps]
+        return job.replace(dag=PipelineDag(steps, job.dag.edges), deadline=job.deadline * factor)
 
     if isinstance(s.arrivals, PoissonArrivals):
-        arrivals = dataclasses.replace(s.arrivals, rate=s.arrivals.rate / factor)
+        arrivals = s.arrivals.replace(rate=s.arrivals.rate / factor)
     else:
-        arrivals = dataclasses.replace(
-            s.arrivals, times=tuple(t * factor for t in s.arrivals.times))
-    return dataclasses.replace(
-        s, catalog={name: template(job) for name, job in s.catalog.items()},
+        arrivals = s.arrivals.replace(times=tuple(t * factor for t in s.arrivals.times))
+    return s.replace(
+        catalog={name: template(job) for name, job in s.catalog.items()},
         arrivals=arrivals,
-        faults=tuple(dataclasses.replace(f, time=f.time * factor) for f in s.faults),
+        faults=tuple(f.replace(time=f.time * factor) for f in s.faults),
         round_length=s.round_length * factor,
         eviction_deadline=s.eviction_deadline * factor,
         execution_timeout=s.execution_timeout * factor,
@@ -87,24 +84,22 @@ def with_demand(s: Scenario, factor: int) -> Scenario:
         return ResourceVector(v.cpu_millicores * factor, v.memory_mb * factor)
 
     def template(job):
-        steps = [dataclasses.replace(st, demand_per_replica=scaled(st.demand_per_replica))
+        steps = [st.replace(demand_per_replica=scaled(st.demand_per_replica))
                  for st in job.dag.steps]
-        return dataclasses.replace(job, dag=PipelineDag(steps, job.dag.edges))
+        return job.replace(dag=PipelineDag(steps, job.dag.edges))
 
-    return dataclasses.replace(
-        s, catalog={name: template(job) for name, job in s.catalog.items()},
-        node_capacities=tuple(map(scaled, s.node_capacities)))
+    return s.replace(catalog={name: template(job) for name, job in s.catalog.items()},
+                     node_capacities=tuple(map(scaled, s.node_capacities)))
 
 
 def cloud_only(s: Scenario) -> Scenario:
-    return dataclasses.replace(s, mode=SchedulerMode.CLOUD_ONLY)
+    return s.replace(mode=SchedulerMode.CLOUD_ONLY)
 
 
 def with_more_nodes(s: Scenario) -> Scenario:
     """Three more 1000/1000 nodes under worst-fit placement."""
-    return dataclasses.replace(
-        s, node_capacities=s.node_capacities + (ResourceVector(1000, 1000),) * 3,
-        placement=PlacementPolicy.WORST_FIT)
+    return s.replace(node_capacities=s.node_capacities + (ResourceVector(1000, 1000),) * 3,
+                     placement=PlacementPolicy.WORST_FIT)
 
 
 def price_law_breaks(a: RunReport, b: RunReport, f: float) -> list[str]:
@@ -158,7 +153,7 @@ def time_law_breaks(a: RunReport, b: RunReport, f: float) -> list[str]:
     out = []
     if [(t * f, job_id, name) for t, job_id, name in a.arrivals] != b.arrivals:
         out.append("arrivals are not scaled")
-    if [dataclasses.replace(s, time=s.time * f) for s in a.utilization] != b.utilization:
+    if [s.replace(time=s.time * f) for s in a.utilization] != b.utilization:
         out.append("samples are not scaled")
     if [(e.job_id, e.step_id, e.region, e.rcost_per_second, e.deploy_start * f,
          e.deploy_end * f, e.cost * f) for e in a.cost_ledger] != [

@@ -1,7 +1,6 @@
 """End-to-end event-loop behavior: seeded arrivals, hand-traced runs,
 eviction handoffs, faults, horizon, and determinism."""
 
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -101,7 +100,7 @@ class TestGenerateArrivals:
 
     @pytest.mark.parametrize("source", ["saturating_mix", "explicit_named"])
     def test_jobs_are_their_templates_replaced(self, source):
-        """Each job is what dataclasses.replace makes of its template, every
+        """Each job is what Record.replace makes of its template, every
         other field kept, and shares the template's graph."""
         if source == "saturating_mix":
             s = load_scenario(Path(__file__).resolve().parent.parent
@@ -114,8 +113,7 @@ class TestGenerateArrivals:
         assert len(arr) == (800 if source == "saturating_mix" else 4)
         for i, a in enumerate(arr):
             tpl = catalog[a.template]
-            assert a.job == dataclasses.replace(
-                tpl, job_id=f"{a.template}-{i:04d}", arrival_time=a.time), i
+            assert a.job == tpl.replace(job_id=f"{a.template}-{i:04d}", arrival_time=a.time), i
             assert a.job.dag is tpl.dag
 
     def test_reference_stream_is_pinned(self):
@@ -255,7 +253,7 @@ class TestEvictionHandoff:
             return decision
 
         monkeypatch.setattr(HcsScheduler, "close_windows", drifting)
-        sc = dataclasses.replace(self.build(), eviction_deadline=10.0)
+        sc = self.build().replace(eviction_deadline=10.0)
         engine = _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog))
         with pytest.raises(InternalConsistencyError, match="candidate order"):
             engine.run()
@@ -314,7 +312,7 @@ class TestNodeFailure:
             arrivals=ExplicitArrivals((1.0,), ("t",)),
         )
         clean = run(base)
-        faulty = run(dataclasses.replace(base, faults=(NodeFailureFault(35.0, 1),)))
+        faulty = run(base.replace(faults=(NodeFailureFault(35.0, 1),)))
         assert faulty.job_outcomes == clean.job_outcomes
         assert faulty.total_cost == clean.total_cost == 0.0
         assert faulty.utilization[-1].capacity_cpu_millicores == 1000
