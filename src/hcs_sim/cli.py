@@ -273,6 +273,8 @@ def load_scenario(path: str | Path) -> LoadResult:
                          parse_int=lambda token: _finite(token, int))
     except ValueError as e:  # JSONDecodeError is one
         return LoadResult(None, None, [f"{path}: invalid JSON: {e}"])
+    except RecursionError:
+        return LoadResult(None, None, [f"{path}: invalid JSON: nested too deeply"])
     if not isinstance(raw, dict):
         return LoadResult(None, None, [f"{path}: top level must be an object"])
 
@@ -517,6 +519,10 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # an output path that cannot be written, or a full disk
+        print(f"error: {e.filename}: {e.strerror}" if e.filename is not None
+              else f"error: {e.strerror or e}", file=sys.stderr)
+        return 1
     finally:
         if collecting:
             gc.enable()

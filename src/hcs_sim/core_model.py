@@ -119,33 +119,23 @@ class PipelineDag(Record, _DagIndex):
     def __init__(self, steps, edges=()):
         self.steps = tuple(steps)
         self.edges = tuple((a, b) for a, b in edges)
-        self.predecessors_by_step = {s.step_id: tuple(self.predecessors(s.step_id))
-                                     for s in self.steps}
-        self.terminal_ids = tuple(s.step_id for s in self.steps if not self.successors(s.step_id))
-        indeg = {sid: len(p) for sid, p in self.predecessors_by_step.items()}
+        preds: dict[str, list[str]] = {s.step_id: [] for s in self.steps}
+        succs: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            if b in preds:
+                preds[b].append(a)
+            succs.setdefault(a, []).append(b)
+        self.predecessors_by_step = {sid: tuple(p) for sid, p in preds.items()}
+        self.terminal_ids = tuple(s.step_id for s in self.steps if s.step_id not in succs)
+        indeg = {sid: len(p) for sid, p in preds.items()}
         order = [sid for sid, d in indeg.items() if d == 0]
         for sid in order:  # the list is the queue: it grows as steps get ready
-            for nxt in self.successors(sid):
+            for nxt in succs.get(sid, ()):
                 if nxt in indeg:
                     indeg[nxt] -= 1
                     if indeg[nxt] == 0:
                         order.append(nxt)
         self.order = tuple(order)
-
-    def step(self, step_id: str) -> StepSpec:
-        for s in self.steps:
-            if s.step_id == step_id:
-                return s
-        raise KeyError(step_id)
-
-    def predecessors(self, step_id: str) -> list[str]:
-        return [a for a, b in self.edges if b == step_id]
-
-    def successors(self, step_id: str) -> list[str]:
-        return [b for a, b in self.edges if a == step_id]
-
-    def source_ids(self) -> list[str]:
-        return [s.step_id for s in self.steps if not self.predecessors(s.step_id)]
 
 
 def dag_violations(dag: PipelineDag) -> list[str]:
@@ -169,7 +159,7 @@ def dag_violations(dag: PipelineDag) -> list[str]:
             problems.append(f"self edge on step {a!r}")
     if problems:
         return problems
-    if not dag.source_ids():
+    if all(dag.predecessors_by_step.values()):
         problems.append("pipeline has no source step")
     if len(dag.order) != len(ids):
         problems.append("cycle detected")

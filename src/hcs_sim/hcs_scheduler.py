@@ -85,20 +85,12 @@ class ScheduleDecision(Record):
         self.expiry: float | None = None
 
 
-def _clamp(book: list[int] | None, extra=(0, 0)) -> tuple[int, int] | None:
-    """A book entry plus extra, each dimension at least 0 (None stays None)."""
+def _clamp(book: list[int] | None) -> tuple[int, int] | None:
+    """A book entry, each dimension at least 0 (None stays None)."""
     if book is None:
         return None
-    cpu, mem = book[0] + extra[0], book[1] + extra[1]
+    cpu, mem = book
     return (cpu if cpu > 0 else 0, mem if mem > 0 else 0)
-
-
-def _add_load(book: list, plan: PlacementPlan) -> None:
-    """Add a plan's load to a per-node book, for a recompute from scratch."""
-    d = plan.step.demand_per_replica
-    for node_id, k in plan.nodes.items():
-        book[node_id][0] += k * d.cpu_millicores
-        book[node_id][1] += k * d.memory_mb
 
 
 def _covered(failed: list[tuple[int, int, int]], shape: tuple[int, int, int]) -> bool:
@@ -132,9 +124,9 @@ class HcsScheduler:
     - `_free`: capacity - held - reserved, None for a dead node. It can dip
       below zero where a reservation is backed by evicting space.
     - `_evicting_load`: the load of the residents in an eviction window.
-    - `_free_now` and `_free_after_evictions`: those two books clamped at
-      zero, as `try_place_free` reads them (the second adds the evicting
-      load back). `_shift` re-derives them once per node it touches.
+    - `_free_now`: `_free` clamped at zero, as `try_place_free` reads it.
+    - `_free_after_evictions`: `_free` plus `_evicting_load`, which never
+      dips below zero. `_shift` re-derives both once per node it touches.
     - `_victims`: the residents outside an eviction window in (rcost, key)
       order, so eviction candidates are a prefix.
     - `_ff_from`: per demand shape (cpu, mem), the node first fit starts
@@ -144,11 +136,15 @@ class HcsScheduler:
       it touches whenever `_free` grows (a drop or an unreserve); holds,
       reservations and node deaths only take space, so they leave it.
 
-    `_check_capacity_books` recomputes all of them, `_held` included, from
-    the residents, windows and reservations, after each round and node
-    failure, and from `end_instant` after `close_windows` activates
-    reservations. The settings are a Scenario's, which guarantees positive
-    round and eviction lengths and at least one node in cheapest-first mode.
+    Each capacity rule is checked once, where the books move, and a
+    breach raises InternalConsistencyError: `_hold` refuses a replica on a
+    dead node or past a node's capacity, `_drop` a release of load not
+    held, `_shift` a node over capacity after its pending evictions (free
+    plus evicting below zero), and `handle_node_failure` a dead node that
+    still holds load. The books are not recomputed from scratch here; the
+    tests do that after every instant. The settings are a Scenario's, which
+    guarantees positive round and eviction lengths and at least one node in
+    cheapest-first mode.
     """
 
     def __init__(self, capacities: Sequence[ResourceVector],
@@ -184,15 +180,16 @@ class HcsScheduler:
         self._free_after_evictions = list(self._free_now)
         self._victims: list[tuple[float, StepKey]] = []
         self._ff_from: dict[tuple[int, int], int] = {}
-        self._unchecked = False  # activations since the last book check
 
     # -- capacity books ---------------------------------------------------------
 
     def _shift(self, plan: PlacementPlan, held: int, free: int, evicting: int) -> None:
         """Add a plan's load, times held, free and evicting (each -1, 0 or
         1), to `_held`, `_free` and `_evicting_load`, and re-derive the two
-        clamped views on each node it touches; space freed on `_free` lowers
-        the first-fit bounds past it."""
+        views on each node it touches; space freed on `_free` lowers the
+        first-fit bounds past it. A node whose free plus evicting load dips
+        below zero is over capacity after its pending evictions: a broken
+        planner, refused there."""
         d = plan.step.demand_per_replica
         dc, dm = d.cpu_millicores, d.memory_mb
         for node_id, k in plan.nodes.items():
@@ -205,7 +202,11 @@ class HcsScheduler:
             e[0] += evicting * cpu
             e[1] += evicting * mem
             self._free_now[node_id] = _clamp(f)
-            self._free_after_evictions[node_id] = _clamp(f, e)
+            after = (f[0] + e[0], f[1] + e[1])
+            if after[0] < 0 or after[1] < 0:
+                raise InternalConsistencyError(
+                    f"node {node_id} over capacity after pending evictions")
+            self._free_after_evictions[node_id] = after
         if free > 0:
             low = min(plan.nodes)
             for shape, start in self._ff_from.items():
@@ -326,7 +327,6 @@ class HcsScheduler:
                     continue
                 no_victims.append(shape)
             self._deploy_cloud_now(key, decision)
-        self._check_capacity_books()
         return decision
 
     def _deploy_cloud_now(self, key: StepKey, decision: ScheduleDecision) -> None:
@@ -420,7 +420,6 @@ class HcsScheduler:
             plan = self._unreserve(key)
             self._hold(key, plan)
             decision.directives.append(DeployEdge(key[0], key[1], plan))
-            self._unchecked = True
         return decision
 
     def edge_usage(self) -> tuple[int, int, int, int]:
@@ -434,12 +433,6 @@ class HcsScheduler:
                 mem += m
                 mem_cap += cap.memory_mb
         return cpu, cpu_cap, mem, mem_cap
-
-    def end_instant(self) -> None:
-        """Check the books once for the activations of the instant ending, if
-        no round or node failure checked them since."""
-        if self._unchecked:
-            self._check_capacity_books()
 
     # -- completions ------------------------------------------------------------
 
@@ -497,58 +490,9 @@ class HcsScheduler:
                 self._replace_or_offload(step, key, decision)
         for _, key, step in hit_reservations:
             self._replace_or_offload(step, key, decision)
-        self._check_capacity_books()
         return decision
 
     def _replace_or_offload(self, step: StepSpec, key: StepKey,
                             decision: ScheduleDecision) -> None:
         if not self._try_deploy_edge_now(step, key, decision):
             self._deploy_cloud_now(key, decision)
-
-    # -- invariants -----------------------------------------------------------------
-
-    def _check_capacity_books(self) -> None:
-        """Physical and promised capacity must both respect node limits, a
-        dead node must hold nothing, every book must equal its recompute
-        from the resident plans, the eviction windows and the reservations,
-        and no live node below a first-fit bound may have room for its shape."""
-        held = [[0, 0] for _ in self.capacities]
-        reserved = [[0, 0] for _ in self.capacities]
-        evicting = [[0, 0] for _ in self.capacities]
-        for plan in self.resident.values():
-            _add_load(held, plan)
-        for plan, _ in self.reservations.values():
-            _add_load(reserved, plan)
-        for key in self.evicting:
-            _add_load(evicting, self.resident[key])
-        free: list[list[int] | None] = []
-        for node_id, (cap, alive, h, res, ev) in enumerate(
-                zip(self.capacities, self.alive, held, reserved, evicting)):
-            f = [cap.cpu_millicores - h[0], cap.memory_mb - h[1]]
-            if f[0] < 0 or f[1] < 0:
-                raise InternalConsistencyError(f"node {node_id} physically over capacity")
-            if not alive and h != [0, 0]:
-                raise InternalConsistencyError(f"dead node {node_id} holds allocations")
-            f[0] -= res[0]
-            f[1] -= res[1]
-            if f[0] + ev[0] < 0 or f[1] + ev[1] < 0:
-                raise InternalConsistencyError(
-                    f"node {node_id} over capacity after pending evictions")
-            free.append(f if alive else None)
-        if (held != self._held or free != self._free or evicting != self._evicting_load
-                or list(map(_clamp, free)) != self._free_now
-                or list(map(_clamp, free, evicting)) != self._free_after_evictions):
-            raise InternalConsistencyError("capacity books differ from their recompute")
-        victims = sorted((self.rcost_of(plan.step), key) for key, plan in self.resident.items()
-                         if key not in self.evicting)
-        if victims != self._victims:
-            raise InternalConsistencyError("eviction candidate order drifted")
-        for (cpu, mem), start in self._ff_from.items():
-            for node_id, f in enumerate(self._free_now[:start]):
-                if f is not None and f[0] >= cpu and f[1] >= mem:
-                    raise InternalConsistencyError(
-                        f"node {node_id} has room for {cpu, mem} below first-fit bound {start}")
-        overlap = set(self.resident) & self.cloud_sticky
-        if overlap:
-            raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")
-        self._unchecked = False

@@ -53,11 +53,25 @@ log = logging.getLogger(__name__)
 class EventKind(IntEnum):
     """Tie-break priority at equal timestamps, lowest first.
 
-    Step completions (the last fragment of a step, as a job's current plan
-    projects it) and eviction expirations must be visible before the round
-    that schedules over them; arrivals land before the round boundary they
-    sit on. An eviction expiry is pushed once for each round whose decision
-    opened windows, even if they have all gone moot by then.
+    A step completion is the last fragment of a step, as a job's current
+    plan projects it. An eviction expiry is pushed once for each round whose
+    decision opened windows, even if they have all gone moot by then. Each
+    adjacent pair of kinds orders a same-instant tie this way:
+
+    - completion before expiry: a victim that completes at its window's
+      expiry releases its space first, and `close_windows` leaves it;
+    - expiry before failure: windows close, and their reservations
+      activate, before a node failure in the same instant re-homes them;
+    - failure before restart: a restart resumes its job after the failure
+      has re-homed the job's steps;
+    - restart before arrival: a restart at its job's own arrival time finds
+      no driver yet, so it is a no-op;
+    - arrival before round: a job that arrives on a boundary joins that
+      round;
+    - round before end: a round at the horizon runs before the cut.
+
+    So completions and expiries are visible to the round that schedules
+    over them.
     """
 
     STEP_COMPLETE = 0
@@ -329,10 +343,8 @@ class _Engine:
         self._touched[drv.job.job_id] = drv
 
     def _end_instant(self, now: float) -> None:
-        """After an instant's last event: check the scheduler's books if it
-        activated reservations, project the jobs the instant touched, and
-        sample utilization if the edge changed."""
-        self.sched.end_instant()
+        """After an instant's last event: project the jobs the instant
+        touched, and sample utilization if the edge changed."""
         for job_id, drv in self._touched.items():
             for step_id, time in drv.project(now):
                 self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))

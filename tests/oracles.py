@@ -14,7 +14,10 @@ in-flight work, which rebuilds every queue from the journals; the per-cell
 report writer, with random tables to check the report writer against it; the
 placement before first fit started from a per-shape bound, which places one
 replica at a time, first fit scanning from node 0 for each, with random free
-views to check the package's placement against it; and the
+views to check the package's placement against it; the recompute of the
+scheduler's capacity books from scratch, and the engine that runs it after
+every instant; the graph lookups PipelineDag no longer offers, read off its
+steps and edges; and the
 scheduler before incremental capacity books, the differential oracle for the
 scheduler, with the per-node allocation account it kept before the
 scheduler's books owned edge allocation.
@@ -144,6 +147,46 @@ def chain_makespan(n_steps, fragments, service=1.0, feed_forward=True, pool=1, s
     edges = [(f"s{i}", f"s{i+1}") for i in range(n_steps - 1)]
     pools = {f"s{i}": pool for i in range(n_steps)}
     return pipeline_makespan(steps, edges, fragments, pools, speed)
+
+
+# -- graph lookups that read a PipelineDag's steps and edges only ---------------
+
+
+def step_spec(dag, step_id):
+    """The step named step_id, by a scan over the steps."""
+    for s in dag.steps:
+        if s.step_id == step_id:
+            return s
+    raise KeyError(step_id)
+
+
+def predecessors(dag, step_id):
+    return [a for a, b in dag.edges if b == step_id]
+
+
+def successors(dag, step_id):
+    return [b for a, b in dag.edges if a == step_id]
+
+
+def source_ids(dag):
+    return [s.step_id for s in dag.steps if not predecessors(dag, s.step_id)]
+
+
+def dag_index(dag):
+    """(order, predecessors_by_step, terminal_ids) as PipelineDag derived
+    them before its one pass over the edges: a scan of the edges per step,
+    then Kahn's walk over those scans."""
+    preds = {s.step_id: tuple(predecessors(dag, s.step_id)) for s in dag.steps}
+    terminals = tuple(s.step_id for s in dag.steps if not successors(dag, s.step_id))
+    indeg = {sid: len(p) for sid, p in preds.items()}
+    order = [sid for sid, d in indeg.items() if d == 0]
+    for sid in order:
+        for nxt in successors(dag, sid):
+            if nxt in indeg:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    order.append(nxt)
+    return tuple(order), preds, terminals
 
 
 def topological_order(dag):
@@ -630,6 +673,82 @@ def writer_mismatches(seeds) -> list[int]:
     return bad
 
 
+# -- the scheduler's books, recomputed from scratch ------------------------------
+
+
+def add_load(book, plan):
+    """Add a plan's load to a per-node book."""
+    d = plan.step.demand_per_replica
+    for node_id, k in plan.nodes.items():
+        book[node_id][0] += k * d.cpu_millicores
+        book[node_id][1] += k * d.memory_mb
+
+
+def _clamped(book, extra=(0, 0)):
+    """A book entry plus extra, each dimension at least 0 (None stays None)."""
+    if book is None:
+        return None
+    return (max(book[0] + extra[0], 0), max(book[1] + extra[1], 0))
+
+
+def check_books(sched: HcsScheduler) -> None:
+    """Recompute every HcsScheduler book from the residents, the eviction
+    windows and the reservations, and raise InternalConsistencyError where
+    one differs: physical and promised capacity both respect node limits, a
+    dead node holds nothing, `_held`, `_free`, `_evicting_load` and both
+    clamped views equal their recompute, `_victims` lists the residents
+    outside a window in (rcost, key) order, no live node below a first-fit
+    bound has room for its shape, and no resident is cloud-sticky."""
+    held = [[0, 0] for _ in sched.capacities]
+    reserved = [[0, 0] for _ in sched.capacities]
+    evicting = [[0, 0] for _ in sched.capacities]
+    for plan in sched.resident.values():
+        add_load(held, plan)
+    for plan, _ in sched.reservations.values():
+        add_load(reserved, plan)
+    for key in sched.evicting:
+        add_load(evicting, sched.resident[key])
+    free = []
+    for node_id, (cap, alive, h, res, ev) in enumerate(
+            zip(sched.capacities, sched.alive, held, reserved, evicting)):
+        f = [cap.cpu_millicores - h[0], cap.memory_mb - h[1]]
+        if f[0] < 0 or f[1] < 0:
+            raise InternalConsistencyError(f"node {node_id} physically over capacity")
+        if not alive and h != [0, 0]:
+            raise InternalConsistencyError(f"dead node {node_id} holds allocations")
+        f[0] -= res[0]
+        f[1] -= res[1]
+        if f[0] + ev[0] < 0 or f[1] + ev[1] < 0:
+            raise InternalConsistencyError(
+                f"node {node_id} over capacity after pending evictions")
+        free.append(f if alive else None)
+    if (held != sched._held or free != sched._free or evicting != sched._evicting_load
+            or list(map(_clamped, free)) != sched._free_now
+            or list(map(_clamped, free, evicting)) != sched._free_after_evictions):
+        raise InternalConsistencyError("capacity books differ from their recompute")
+    victims = sorted((sched.rcost_of(plan.step), key) for key, plan in sched.resident.items()
+                     if key not in sched.evicting)
+    if victims != sched._victims:
+        raise InternalConsistencyError("eviction candidate order drifted")
+    for (cpu, mem), start in sched._ff_from.items():
+        for node_id, f in enumerate(sched._free_now[:start]):
+            if f is not None and f[0] >= cpu and f[1] >= mem:
+                raise InternalConsistencyError(
+                    f"node {node_id} has room for {cpu, mem} below first-fit bound {start}")
+    overlap = set(sched.resident) & sched.cloud_sticky
+    if overlap:
+        raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")
+
+
+class CheckedEngine(_Engine):
+    """The package's engine, with the scheduler's books recomputed from
+    scratch (check_books) after every instant."""
+
+    def _end_instant(self, now):
+        super()._end_instant(now)
+        check_books(self.sched)
+
+
 # -- the per-fragment engine ----------------------------------------------------
 
 
@@ -661,14 +780,14 @@ class FragmentDriver:
         self.topo = job.dag.order
         self.m = job.fragment_count
         self.journal = {sid: set() for sid in self.topo}
-        self._preds = {sid: job.dag.predecessors(sid) for sid in self.topo}
-        self._succs = {sid: job.dag.successors(sid) for sid in self.topo}
+        self._preds = {sid: predecessors(job.dag, sid) for sid in self.topo}
+        self._succs = {sid: successors(job.dag, sid) for sid in self.topo}
         self.terminal_ids = job.dag.terminal_ids
         self.completed_at = None
         self.outbox = []
         self.steps = {}
         for sid in self.topo:
-            rt = _FragmentStep(job.dag.step(sid))
+            rt = _FragmentStep(step_spec(job.dag, sid))
             if not self._preds[sid]:
                 rt.ready = deque(range(self.m))
                 rt.barrier_released = True
@@ -796,7 +915,7 @@ class FragmentDriver:
                 rt.state = StepState.WAITING
 
 
-class FragmentEngine(_Engine):
+class FragmentEngine(CheckedEngine):
     """The engine with one event per fragment completion instead of per step.
 
     Shares the scheduler and metrics orchestration with the package's engine
@@ -807,7 +926,8 @@ class FragmentEngine(_Engine):
     PipelineDriver keep counts instead of fragment ids: at every step of the
     driver after each live completion, and of every driver at the end of each
     instant. law_checks counts the step states checked, law_breaches names
-    the (job, step, breach) found.
+    the (job, step, breach) found. As a CheckedEngine, it also recomputes
+    the scheduler's books after every instant.
     """
 
     driver_type = FragmentDriver
@@ -1081,7 +1201,7 @@ class ReferenceScheduler:
             raise InternalConsistencyError(f"dead node {node_id} still holds allocations")
 
         def by_cost(k):
-            return (-self.rcost_of(self._jobs[k[0]].dag.step(k[1])), k)
+            return (-self.rcost_of(step_spec(self._jobs[k[0]].dag, k[1])), k)
 
         for key in sorted(hit_residents, key=by_cost):
             if key in was_evicting:
@@ -1094,7 +1214,7 @@ class ReferenceScheduler:
         return decision
 
     def _replace_or_offload(self, key, decision):
-        step = self._jobs[key[0]].dag.step(key[1])
+        step = step_spec(self._jobs[key[0]].dag, key[1])
         if not self._try_deploy_edge_now(step, key, decision):
             self._deploy_cloud_now(key, decision)
 

@@ -17,8 +17,8 @@ from types import SimpleNamespace
 import pytest
 
 import test_scheduler
-from oracles import (NodeState, chain_makespan, counting_completions, oracle_feasible,
-                     pipeline_makespan, try_place)
+from oracles import (CheckedEngine, NodeState, chain_makespan, counting_completions,
+                     oracle_feasible, pipeline_makespan, try_place)
 
 from hcs_sim import (
     BatchJob,
@@ -59,7 +59,8 @@ def announce(capsys):
 @pytest.fixture(scope="module")
 def saturating():
     """Shared runs of the shipped saturating scenario: a cloud-only baseline
-    plus every placement policy over one arrival schedule, with timings."""
+    plus every placement policy over one arrival schedule, with timings. The
+    hybrid runs recompute the scheduler's books after every instant."""
     from hcs_sim.cli import load_scenario
 
     result = load_scenario(SCENARIO_FILE)
@@ -72,7 +73,7 @@ def saturating():
     reports, timings = {}, {}
     for policy in PlacementPolicy:
         t = time.perf_counter()
-        reports[policy] = run(scenario.replace(placement=policy), arrivals)
+        reports[policy] = CheckedEngine(scenario.replace(placement=policy), arrivals).run()
         timings[policy] = time.perf_counter() - t
     return SimpleNamespace(scenario=scenario, arrivals=arrivals,
                            baseline=baseline, baseline_elapsed=baseline_elapsed,

@@ -1,5 +1,6 @@
 """Scenario file validation, subcommand orchestration, and artifact layout."""
 
+import errno
 import gc
 import json
 import os
@@ -370,6 +371,53 @@ def test_a_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {path}: not UTF-8 text: invalid start byte at offset 17\n")
     assert not (tmp_path / "o").exists()
+
+
+# past the JSON parser's nesting limit on every supported Python (3.13 parses
+# a 3,000-deep list)
+DEEP = 100_000
+
+
+@pytest.mark.parametrize("where", ["steps", "top"])
+def test_a_file_nested_too_deeply_is_one_diagnostic(tmp_path, capsys, where):
+    path = tmp_path / "scenario.json"
+    if where == "steps":
+        cfg = minimal_config()
+        cfg["workloads"]["w"]["steps"] = "DEEP"
+        text = json.dumps(cfg).replace('"DEEP"', "[" * DEEP + "]" * DEEP)
+    else:
+        text = "[" * DEEP + "]" * DEEP
+    path.write_text(text, encoding="utf-8")
+    assert load_scenario(path).diagnostics == [f"{path}: invalid JSON: nested too deeply"]
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: invalid JSON: nested too deeply\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", []), ("sweep", []), ("baseline", []), ("replicate", ["--seeds", "1,2"])])
+def test_an_output_path_that_is_a_file_is_one_diagnostic(tmp_path, capsys, command, extra):
+    cfg = minimal_config()
+    cfg["arrivals"] = {"kind": "poisson", "rate": 0.05, "seed": 1, "count": 2}
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(out), *extra]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {re.escape(str(out))}/[\w-]+: "
+                        rf"{re.escape(os.strerror(errno.ENOTDIR))}\n", err), err
+    assert out.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_a_write_error_without_a_path_is_one_diagnostic(tmp_path, capsys, monkeypatch):
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "emit_report", full)
+    argv = ["run", "--config", write_config(tmp_path, minimal_config()),
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}\n"
 
 
 SATURATING_MIX = Path(__file__).resolve().parent.parent / "scenarios" / "saturating_mix.json"

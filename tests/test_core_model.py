@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,7 +31,8 @@ from hcs_sim.sim_engine import (
     Scenario,
 )
 
-from oracles import fits_within, topological_order, total_cost, vec_add, vec_sub
+from oracles import (dag_index, fits_within, source_ids, topological_order, total_cost,
+                     vec_add, vec_sub)
 
 REL = 1e-9
 
@@ -201,9 +203,30 @@ class TestDag:
     def test_sources_and_terminals(self):
         dag = PipelineDag([make_step("a"), make_step("b"), make_step("c")],
                           [("a", "c"), ("b", "c")])
-        assert dag.source_ids() == ["a", "b"]
+        assert source_ids(dag) == ["a", "b"]
         assert dag.terminal_ids == ("c",)
         assert dag_violations(dag) == []
+
+    def test_derived_values_match_the_per_step_scans_on_any_graph(self):
+        """One pass over the edges gives the order, predecessors and
+        terminals the per-step edge scans give, on valid graphs and on
+        graphs with duplicate ids, unknown endpoints, self edges, repeated
+        edges and cycles; and the no-source verdict is the scans' too."""
+        rng = random.Random(7)
+        kinds = Counter()
+        for _ in range(3000):
+            ids = [f"s{rng.randrange(6)}" for _ in range(rng.randrange(0, 6))]
+            ends = ids + ["zz"] if rng.random() < 0.2 else ids
+            edges = ([(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randrange(0, 9))]
+                     if ends else [])
+            dag = PipelineDag([make_step(sid) for sid in ids], edges)
+            assert (dag.order, dag.predecessors_by_step, dag.terminal_ids) == dag_index(dag)
+            assert list(dag.predecessors_by_step) == list(dict.fromkeys(ids))
+            problems = dag_violations(dag)
+            kinds.update(problems or ["valid"])
+            if ids and not any("edge" in p or "duplicate" in p for p in problems):
+                assert ("pipeline has no source step" in problems) == (not source_ids(dag))
+        assert {"valid", "pipeline has no source step", "cycle detected"} <= set(kinds), kinds
 
 
 

@@ -58,7 +58,7 @@ from hcs_sim.sim_engine import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import FragmentEngine, step_state  # noqa: E402
+from oracles import FragmentEngine, predecessors, step_spec, step_state  # noqa: E402
 
 TIER1_SEEDS = range(0, 300)
 
@@ -146,7 +146,7 @@ def utilization_violations(scenario: Scenario, report: RunReport) -> list[str]:
     edge = []  # (start, end, cpu, memory) of each edge deployment
     for e in report.cost_ledger:
         if e.region == "edge":
-            spec = scenario.catalog[template[e.job_id]].dag.step(e.step_id)
+            spec = step_spec(scenario.catalog[template[e.job_id]].dag, e.step_id)
             d = spec.demand_per_replica
             edge.append((e.deploy_start, e.deploy_end,
                          d.cpu_millicores * spec.replicas, d.memory_mb * spec.replicas))
@@ -275,7 +275,7 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
         sc = random_scenario(seed)
         for job in sc.catalog.values():
             for s in job.dag.steps:
-                if s.feed_forward and len(job.dag.predecessors(s.step_id)) == 3:
+                if s.feed_forward and len(predecessors(job.dag, s.step_id)) == 3:
                     seen.add("join3")
                 if not s.feed_forward:
                     seen.add("barrier")

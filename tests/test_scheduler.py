@@ -22,9 +22,9 @@ from hcs_sim.hcs_scheduler import (
     Evict,
     HcsScheduler,
     SchedulerMode,
-    _add_load,
 )
 from hcs_sim.placement import PlacementPlan, PlacementPolicy, try_place_free
+from oracles import add_load, check_books, step_spec
 
 # c_cpu=250, c_mem=0 makes rcost equal cpu/4, so demands map to round rcosts
 QUARTER_CPU = CostParams(c_cpu=250.0, c_mem=0.0)
@@ -344,27 +344,44 @@ class TestCapacityBooks:
             "victim_missing", "held", "first_fit_bound"])
     def test_a_drifted_book_is_an_internal_error(self, fixture, corrupt):
         s = getattr(self, fixture)()
-        s._check_capacity_books()
+        check_books(s)
         corrupt(s)
         with pytest.raises(InternalConsistencyError):
-            s._check_capacity_books()
+            check_books(s)
+
+    @pytest.mark.parametrize("dim", [0, 1], ids=["cpu", "memory"])
+    def test_a_reservation_past_free_and_evicting_space_is_an_internal_error(self, dim):
+        """A reservation may take `_free` below zero only as far as evicting
+        load backs it: `_shift` takes a plan up to free + evicting on its
+        node, and refuses one unit more."""
+        s = self.loaded()
+        room = [f + e for f, e in zip(s._free[0], s._evicting_load[0])]
+        assert room == [0, 8192]
+        demand = [0, 0]
+        demand[dim] = room[dim]
+        s._shift(plan_of(job_with_step("x", demand[0], mem=demand[1]), {0: 1}), 0, -1, 0)
+        assert s._free_after_evictions[0] == (0, 8192 - demand[1])
+        demand[dim] = 1
+        with pytest.raises(InternalConsistencyError,
+                           match="node 0 over capacity after pending evictions"):
+            s._shift(plan_of(job_with_step("y", demand[0], mem=demand[1]), {0: 1}), 0, -1, 0)
 
     def test_a_dead_node_holding_allocations_is_an_internal_error(self):
         s = HcsScheduler([ResourceVector(1000, 8192), ResourceVector(1000, 8192)])
         s.handle_node_failure(1)
-        s._check_capacity_books()
+        check_books(s)
         s._held[1][0] = 500  # a held load no resident plan backs
         with pytest.raises(InternalConsistencyError, match="books differ"):
-            s._check_capacity_books()
+            check_books(s)
         s._held[1][0] = 0
         # a resident on the dead node with every book in step: only the
         # recompute's look at `alive` can refuse it
         plan = PlacementPlan(job_with_step("ghost", 500).dag.steps[0], nodes={1: 1})
         s.resident[("ghost", "s0")] = plan
-        _add_load(s._held, plan)
+        add_load(s._held, plan)
         insort(s._victims, (s.rcost_of(plan.step), ("ghost", "s0")))
         with pytest.raises(InternalConsistencyError, match="dead node 1"):
-            s._check_capacity_books()
+            check_books(s)
 
 
 class TestHoldAndDrop:
@@ -380,11 +397,11 @@ class TestHoldAndDrop:
         s._hold(("a", "s0"), self.plan(1000, [0, 1, 1], mem=100))
         assert s._held == [[1000, 100], [2000, 200]]
         assert s.edge_usage() == (3000, 8000, 300, 16384)
-        s._check_capacity_books()
+        check_books(s)
         s._drop(("a", "s0"))
         assert s._held == [[0, 0], [0, 0]] and s._free == [[4000, 8192], [4000, 8192]]
         assert s.edge_writes == 2
-        s._check_capacity_books()
+        check_books(s)
 
     def test_hold_on_a_dead_node_is_an_internal_error(self):
         s = HcsScheduler([ResourceVector(4000, 8192), ResourceVector(4000, 8192)])
@@ -440,8 +457,9 @@ class TestRoundMemo:
 
 class TestInvariantStreams:
     """Scaled-down randomized stream harness; the acceptance suite runs the
-    full-width version. Checks capacity books, stickiness monotonicity,
-    victim ordering and edge-priority after every round."""
+    full-width version. Checks the capacity books (check_books) after every
+    round, window close and completion, and stickiness monotonicity and
+    edge-priority after every round."""
 
     def run_stream(self, seed):
         rng = random.Random(seed)
@@ -465,6 +483,7 @@ class TestInvariantStreams:
                 jobs[job.job_id] = job
                 s.submit_request(job, now - rng.uniform(0.0, 29.9))
             decision = s.run_round(now)
+            check_books(s)
             deploys = {}
             for d in decision.directives:
                 key = (d.job_id, d.step_id)
@@ -479,7 +498,7 @@ class TestInvariantStreams:
             # edge-priority: immediate cloud fallbacks must not fit post-round
             for d in decision.directives:
                 if isinstance(d, DeployCloud):
-                    step = jobs[d.job_id].dag.step(d.step_id)
+                    step = step_spec(jobs[d.job_id].dag, d.step_id)
                     plan, _ = try_place_free(step, s._free_after_evictions,
                                              policy, s.rr_cursor)
                     assert plan is None, "cloud fallback while edge had room"
@@ -491,12 +510,13 @@ class TestInvariantStreams:
                 for d in s.close_windows(t).directives:
                     active[(d.job_id, d.step_id)] = (
                         "edge" if isinstance(d, DeployEdge) else "cloud")
-                s.end_instant()
+                check_books(s)
             # randomly complete some active steps
             keys = sorted(active)
             rng.shuffle(keys)
             for key in keys[:rng.randrange(0, len(keys) + 1)]:
                 s.complete_step(key[0], key[1])
+                check_books(s)
                 del active[key]
         return s
 

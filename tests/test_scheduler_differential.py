@@ -31,7 +31,7 @@ from hcs_sim.hcs_scheduler import HcsScheduler
 from hcs_sim.placement import PlacementPolicy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import ReferenceScheduler  # noqa: E402
+from oracles import ReferenceScheduler, check_books  # noqa: E402
 
 TIER1_SEEDS = range(0, 80)
 ROUND = 30.0
@@ -83,7 +83,7 @@ class Pair:
         if self.fast.edge_usage() != want:
             raise Mismatch(f"after call {self.calls}: edge usage "
                            f"{self.fast.edge_usage()} differs from the reference's {want}")
-        self.fast._check_capacity_books()
+        check_books(self.fast)
 
 
 def random_job(rng: random.Random, job_id: str) -> BatchJob:

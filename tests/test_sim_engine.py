@@ -30,6 +30,7 @@ from hcs_sim.sim_engine import (
     run,
     run_detailed,
 )
+from oracles import CheckedEngine
 
 
 def vec(cpu: int, mem: int = 0) -> ResourceVector:
@@ -244,7 +245,7 @@ class TestEvictionHandoff:
 
     def test_books_are_checked_at_an_activation_between_rounds(self, monkeypatch):
         """With a 10 s window the reservation activates at 70, between the
-        rounds at 60 and 90; a drift it leaves stops the run at 70."""
+        rounds at 60 and 90; a drift it leaves stops the checked run at 70."""
         real = HcsScheduler.close_windows
 
         def drifting(self, expiry):
@@ -254,7 +255,7 @@ class TestEvictionHandoff:
 
         monkeypatch.setattr(HcsScheduler, "close_windows", drifting)
         sc = self.build().replace(eviction_deadline=10.0)
-        engine = _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        engine = CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog))
         with pytest.raises(InternalConsistencyError, match="candidate order"):
             engine.run()
         assert engine.now == 70.0
