@@ -32,7 +32,9 @@ from hcs_sim.sim_engine import (
     NodeFailureFault,
     PoissonArrivals,
     Scenario,
+    ScheduledArrival,
     generate_arrivals,
+    require_finite_rounds,
     run,
 )
 
@@ -352,10 +354,23 @@ def _load_or_fail(args, phases: dict[str, float]) -> tuple[Scenario | None, Path
     return res.scenario, out
 
 
-def _run_one(scenario: Scenario, out: Path, emit_plot_data: bool, phases, arrivals=None):
-    if arrivals is None:
-        arrivals = _timed(phases, "arrivals", generate_arrivals,
-                          scenario.arrivals, scenario.catalog)
+def _prepare(phases: dict[str, float], dirs: list[Path],
+             *scenarios: Scenario) -> list[list[ScheduledArrival]]:
+    """Each scenario's arrival schedule. Every schedule is checked, and then
+    every run directory of the command made, before its first run: a
+    schedule out of range, or an output path that cannot be written, is
+    refused before any simulation."""
+    schedules = [_timed(phases, "arrivals", generate_arrivals, s.arrivals, s.catalog)
+                 for s in scenarios]
+    for s, arrivals in zip(scenarios, schedules):
+        require_finite_rounds(arrivals, s.round_length)
+    for d in dirs:
+        d.mkdir(parents=True, exist_ok=True)
+    return schedules
+
+
+def _run_one(scenario: Scenario, out: Path, emit_plot_data: bool, phases,
+             arrivals: list[ScheduledArrival]):
     report = _timed(phases, "simulate", run, scenario, arrivals)
     _timed(phases, "emit", emit_report, report, out, emit_plot_data)
     return report
@@ -367,7 +382,8 @@ def cmd_run(args, phases: dict[str, float]) -> int:
         return 1
     if args.placement:
         scenario = scenario.replace(placement=PlacementPolicy(args.placement))
-    report = _run_one(scenario, out / "run", args.emit_plot_data, phases)
+    [arrivals] = _prepare(phases, [out / "run"], scenario)
+    report = _run_one(scenario, out / "run", args.emit_plot_data, phases, arrivals)
     s = summary_dict(report)
     print(f"{s['scenario_id']}: {s['job_count']} jobs, total_cost {s['total_cost']:g}, "
           f"mean_utilization {s['mean_utilization']:.3f}, "
@@ -380,7 +396,7 @@ def cmd_sweep(args, phases: dict[str, float]) -> int:
     if scenario is None:
         return 1
     placements = _PLACEMENTS if args.placement in (None, "all") else (args.placement,)
-    arrivals = _timed(phases, "arrivals", generate_arrivals, scenario.arrivals, scenario.catalog)
+    [arrivals] = _prepare(phases, [out / p for p in placements], scenario)
     summary: dict[str, dict] = {}
     for p in placements:
         s = scenario.replace(placement=PlacementPolicy(p))
@@ -397,7 +413,7 @@ def cmd_baseline(args, phases: dict[str, float]) -> int:
     scenario, out = _load_or_fail(args, phases)
     if scenario is None:
         return 1
-    arrivals = _timed(phases, "arrivals", generate_arrivals, scenario.arrivals, scenario.catalog)
+    [arrivals] = _prepare(phases, [out / "hybrid", out / "cloud_only"], scenario)
     hybrid = _run_one(
         scenario.replace(mode=SchedulerMode.CHEAPEST_FIRST),
         out / "hybrid", args.emit_plot_data, phases, arrivals)
@@ -438,14 +454,15 @@ def cmd_replicate(args, phases: dict[str, float]) -> int:
         print(f"error: --seeds lists {', '.join(map(str, repeated))} more than once",
               file=sys.stderr)
         return 1
-    # every seed is checked before the first run
-    scenarios = [(seed, scenario.replace(arrivals=scenario.arrivals.replace(seed=seed)))
+    # every seed, and the schedule it draws, is checked before the first run
+    scenarios = [scenario.replace(arrivals=scenario.arrivals.replace(seed=seed))
                  for seed in seeds]
+    schedules = _prepare(phases, [out / f"seed-{seed}" for seed in seeds], *scenarios)
     per_seed: dict[str, dict] = {}
     series: dict[str, list[float]] = {
         "total_cost": [], "mean_utilization": [], "deadline_met_fraction": []}
-    for seed, s in scenarios:
-        report = _run_one(s, out / f"seed-{seed}", args.emit_plot_data, phases)
+    for seed, s, arrivals in zip(seeds, scenarios, schedules):
+        report = _run_one(s, out / f"seed-{seed}", args.emit_plot_data, phases, arrivals)
         d = summary_dict(report)
         per_seed[str(seed)] = d
         for k in series:

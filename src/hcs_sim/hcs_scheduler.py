@@ -388,14 +388,14 @@ class HcsScheduler:
         if plan is None:
             raise InternalConsistencyError(f"{key}: {slots} replica slots but no placement")
         expiry = now + self.eviction_deadline
-        victims = [k for _, k in self._victims[:taken]]
+        victims = self._victims[:taken]
         del self._victims[:taken]
-        for vic in victims:
+        for vic_cost, vic in victims:
             self.evicting[vic] = expiry
             self._shift(self.resident[vic], 0, 0, 1)
             decision.directives.append(Evict(vic[0], vic[1], expiry))
             log.debug("t=%s evict %s (rcost %.1f) for %s (rcost %.1f)", now, vic,
-                      self.rcost_of(self.resident[vic].step), key, cost)
+                      vic_cost, key, cost)
         self.rr_cursor = cursor
         self.reservations[key] = (plan, expiry)
         self._shift(plan, 0, -1, 0)

@@ -135,42 +135,6 @@ class RunReport(Record):
         return max((s.cpu_ratio for s in self.utilization), default=0.0)
 
 
-class MetricsCollector:
-    """Accumulates samples and ledger entries as the engine reports them."""
-
-    def __init__(self):
-        self.samples: list[UtilizationSample] = []
-        self.entries: list[CostLedgerEntry] = []
-        self._open: dict[tuple[str, str], CostLedgerEntry] = {}
-        self.outcomes: list[JobOutcome] = []
-
-    def sample(self, now: float, usage: tuple[int, int, int, int]) -> None:
-        """Record the edge allocation and live capacity at now, given as
-        (allocated cpu, capacity cpu, allocated memory, capacity memory)."""
-        self.samples.append(UtilizationSample(now, *usage))
-
-    def open_entry(self, job_id: str, step_id: str, region: str,
-                   rcost_per_second: float, start: float) -> None:
-        key = (job_id, step_id)
-        if key in self._open:
-            raise InternalConsistencyError(f"ledger entry already open for {key}")
-        entry = CostLedgerEntry(job_id, step_id, region, rcost_per_second, start)
-        self._open[key] = entry
-        self.entries.append(entry)
-
-    def close_entry(self, job_id: str, step_id: str, end: float) -> None:
-        entry = self._open.pop((job_id, step_id), None)
-        if entry is not None:
-            entry.deploy_end = end
-
-    def close_all(self, end: float) -> None:
-        for key in sorted(self._open):
-            self.close_entry(key[0], key[1], end)
-
-    def record_outcome(self, outcome: JobOutcome) -> None:
-        self.outcomes.append(outcome)
-
-
 def time_weighted_utilization(trace: list[UtilizationSample], t0: float, t1: float) -> float:
     """Integral of the piecewise-constant CPU allocation ratio over [t0, t1].
 
@@ -290,84 +254,56 @@ def summary_dict(report: RunReport) -> dict:
     }
 
 
-def emit_report(report: RunReport, out_dir: str | Path,
-                emit_plot_data: bool = False) -> list[Path]:
-    """Write the report as CSV files plus a JSON summary.
+def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = False) -> None:
+    """Write the report as CSV files plus a JSON summary; with emit_plot_data,
+    also three small ready-to-plot series taken from the same rows:
+    utilization over time, cumulative cloud cost over time, and per-job
+    durations.
 
     Output is byte-deterministic: stable sort orders, 9-significant-digit
     floats, LF newlines, UTF-8, and nothing time-of-day dependent.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    _write_csv(out / "arrivals.csv", ["time", "job_id", "template"], report.arrivals)
 
-    p = out / "arrivals.csv"
-    _write_csv(p, ["time", "job_id", "template"], report.arrivals)
-    written.append(p)
+    samples = [(s.time, s.allocated_cpu_millicores, s.capacity_cpu_millicores,
+                s.allocated_memory_mb, s.capacity_memory_mb, s.cpu_ratio)
+               for s in report.utilization]
+    _write_csv(out / "utilization.csv",
+               ["time", "allocated_cpu_millicores", "capacity_cpu_millicores",
+                "allocated_memory_mb", "capacity_memory_mb", "cpu_utilization"], samples)
 
-    p = out / "utilization.csv"
-    _write_csv(p, ["time", "allocated_cpu_millicores", "capacity_cpu_millicores",
-                   "allocated_memory_mb", "capacity_memory_mb", "cpu_utilization"],
-               [(s.time, s.allocated_cpu_millicores, s.capacity_cpu_millicores,
-                 s.allocated_memory_mb, s.capacity_memory_mb, s.cpu_ratio)
-                for s in report.utilization])
-    written.append(p)
+    ledger = [(e.job_id, e.step_id, e.region, e.rcost_per_second, e.deploy_start, e.deploy_end,
+               e.cost) for e in sorted(report.cost_ledger,
+                                       key=attrgetter("job_id", "step_id", "deploy_start"))]
+    _write_csv(out / "cost_ledger.csv", ["job_id", "step_id", "region", "rcost_per_second",
+                                         "deploy_start", "deploy_end", "cost"], ledger)
 
-    p = out / "cost_ledger.csv"
-    ledger = sorted(report.cost_ledger, key=attrgetter("job_id", "step_id", "deploy_start"))
-    _write_csv(p, ["job_id", "step_id", "region", "rcost_per_second",
-                   "deploy_start", "deploy_end", "cost"],
-               [(e.job_id, e.step_id, e.region, e.rcost_per_second,
-                 e.deploy_start, e.deploy_end, e.cost) for e in ledger])
-    written.append(p)
+    jobs = sorted(report.job_outcomes, key=attrgetter("arrival", "job_id"))
+    outcomes = [(o.job_id, o.template, o.arrival, o.completion, duration, o.deadline, met,
+                 miss_by, o.completed)
+                for o, (duration, met, miss_by) in zip(jobs, map(JobOutcome.verdict, jobs))]
+    _write_csv(out / "job_outcomes.csv", ["job_id", "template", "arrival", "completion",
+                                          "duration", "deadline", "met", "miss_by", "completed"],
+               outcomes)
 
-    p = out / "job_outcomes.csv"
-    outcomes = sorted(report.job_outcomes, key=attrgetter("arrival", "job_id"))
-    verdicts = map(JobOutcome.verdict, outcomes)
-    _write_csv(p, ["job_id", "template", "arrival", "completion", "duration",
-                   "deadline", "met", "miss_by", "completed"],
-               [(o.job_id, o.template, o.arrival, o.completion, duration, o.deadline,
-                 met, miss_by, o.completed)
-                for o, (duration, met, miss_by) in zip(outcomes, verdicts)])
-    written.append(p)
+    write_json(out / "summary.json", summary_dict(report))
+    if not emit_plot_data:
+        return
 
-    p = out / "summary.json"
-    write_json(p, summary_dict(report))
-    written.append(p)
-
-    if emit_plot_data:
-        written.extend(_emit_plot_data(report, out))
-    return written
-
-
-def _emit_plot_data(report: RunReport, out: Path) -> list[Path]:
-    """Small ready-to-plot series: utilization over time, cumulative cloud
-    cost over time, and per-job durations."""
-    written = []
-    samples = report.utilization
-    stride = max(1, len(samples) // 500)
-    kept = samples[::stride]
-    if samples and (not kept or kept[-1] is not samples[-1]):
+    kept = samples[::max(1, len(samples) // 500)]
+    if samples and kept[-1] is not samples[-1]:
         kept.append(samples[-1])
-    p = out / "plot_utilization.csv"
-    _write_csv(p, ["time", "cpu_utilization"], [(s.time, s.cpu_ratio) for s in kept])
-    written.append(p)
+    _write_csv(out / "plot_utilization.csv", ["time", "cpu_utilization"],
+               [(time, ratio) for time, *_, ratio in kept])
 
-    events = sorted((e.deploy_end, e.cost) for e in report.cost_ledger if e.cost > 0)
-    running = 0.0
-    rows = []
-    for t, c in events:
+    running, cost = 0.0, []
+    for end, c in sorted((end, c) for *_, end, c in ledger if c > 0):
         running += c
-        rows.append((t, running))
-    p = out / "plot_cost.csv"
-    _write_csv(p, ["time", "cumulative_cost"], rows)
-    written.append(p)
+        cost.append((end, running))
+    _write_csv(out / "plot_cost.csv", ["time", "cumulative_cost"], cost)
 
-    p = out / "plot_durations.csv"
-    outcomes = sorted(report.job_outcomes, key=attrgetter("arrival", "job_id"))
-    verdicts = map(JobOutcome.verdict, outcomes)
-    _write_csv(p, ["job_id", "template", "duration", "deadline", "met"],
-               [(o.job_id, o.template, duration, o.deadline, met)
-                for o, (duration, met, _) in zip(outcomes, verdicts)])
-    written.append(p)
-    return written
+    _write_csv(out / "plot_durations.csv", ["job_id", "template", "duration", "deadline", "met"],
+               [(job_id, template, duration, deadline, met)
+                for job_id, template, _, _, duration, deadline, met, _, _ in outcomes])

@@ -1,6 +1,7 @@
 """Deterministic discrete-event core: clock, total event ordering, seeded
 Poisson arrival generation, fault injection, and the scheduler/driver
-orchestration loop.
+orchestration loop, which records the run's utilization samples, cost
+ledger entries and job outcomes as its events happen.
 
 Fragments never enter the event queue. Each job's driver projects per-step
 schedules; the queue holds one event per projected step completion, tagged
@@ -42,7 +43,7 @@ from hcs_sim.hcs_scheduler import (
     ScheduleDecision,
     SchedulerMode,
 )
-from hcs_sim.metrics import JobOutcome, MetricsCollector, RunReport
+from hcs_sim.metrics import CostLedgerEntry, JobOutcome, RunReport, UtilizationSample
 from hcs_sim.pcg64 import Pcg64
 from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
 from hcs_sim.placement import PlacementPolicy
@@ -278,6 +279,14 @@ def _job(template: BatchJob, job_id: str, arrival_time: float) -> BatchJob:
                     arrival_time)
 
 
+def require_finite_rounds(arrivals: list[ScheduledArrival], round_length: float) -> None:
+    """Refuse a schedule with an arrival time that is not a finite number of
+    rounds: each arrival asks next_round_at for its round."""
+    require((math.isfinite(max((a.time for a in arrivals), default=0.0) / round_length),
+             "scheduler.round_length: must be large enough for every arrival "
+             "time to be a finite number of rounds"))
+
+
 def inject_faults(scenario: Scenario, faults: list[Fault]) -> Scenario:
     """Return a scenario with extra fault events merged in, in time order."""
     merged = sorted([*scenario.faults, *faults], key=lambda f: f.time)
@@ -295,7 +304,11 @@ class _Engine:
         self.sched = HcsScheduler(
             scenario.node_capacities, scenario.cost_params, scenario.placement,
             scenario.round_length, scenario.eviction_deadline, scenario.mode)
-        self.collector = MetricsCollector()
+        # the report's rows, appended as the run makes them
+        self.samples: list[UtilizationSample] = []
+        self.ledger: list[CostLedgerEntry] = []
+        self.outcomes: list[JobOutcome] = []
+        self._open: dict[tuple[str, str], CostLedgerEntry] = {}  # by deployed step
         self.drivers: dict[str, PipelineDriver] = {}
         self._touched: dict[str, PipelineDriver] = {}  # jobs to project again
         self._sampled_writes = 0  # sched.edge_writes at the last sample
@@ -304,14 +317,9 @@ class _Engine:
         self.seq = 0
         self.now = 0.0
         self.last_event_time = 0.0
-        self.arrived = 0
         self.horizon_reached = False
         self._last_tick = 0.0  # the last round boundary pushed; each is > 0
-        # each arrival asks next_round_at for its round: its time in rounds
-        require((math.isfinite(max((a.time for a in arrivals), default=0.0)
-                               / scenario.round_length),
-                 "scheduler.round_length: must be large enough for every arrival "
-                 "time to be a finite number of rounds"))
+        require_finite_rounds(arrivals, scenario.round_length)
         # generous ceiling: a job is projected once per instant that touches
         # it, and each projection pushes at most one event per step. Those
         # instants are a few per step (its round, the rounds that evict or
@@ -351,7 +359,7 @@ class _Engine:
         self._touched.clear()
         if self.sched.edge_writes != self._sampled_writes:
             self._sampled_writes = self.sched.edge_writes
-            self.collector.sample(now, self.sched.edge_usage())
+            self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))
 
     # -- event handlers -------------------------------------------------------
 
@@ -361,7 +369,6 @@ class _Engine:
             a.job, self.scenario.edge_speed, self.scenario.cloud_speed)
         self.templates[a.job.job_id] = a.template
         self.sched.submit_request(a.job, now)
-        self.arrived += 1
         # arrivals pop in time order and next_round_at never decreases, so
         # a boundary already pushed is the last one pushed
         boundary = self.sched.next_round_at(now)
@@ -392,8 +399,10 @@ class _Engine:
         """
         drv = self.drivers[job_id]
         step = drv.steps[step_id].spec
-        self.collector.close_entry(job_id, step_id, now)
-        self.collector.open_entry(job_id, step_id, region, self.sched.rcost_of(step), now)
+        self._close(job_id, step_id, now)
+        entry = CostLedgerEntry(job_id, step_id, region, self.sched.rcost_of(step), now)
+        self._open[job_id, step_id] = entry
+        self.ledger.append(entry)
         pool = (step.replicas if region == "edge"
                 else cloud_pool_size(step, self.scenario.cloud_concurrency))
         drv.deploy(step_id, region, pool, now)
@@ -406,11 +415,17 @@ class _Engine:
         if version != drv.version:
             return False  # the plan was superseded by an interruption
         self.sched.complete_step(job_id, step_id)
-        self.collector.close_entry(job_id, step_id, now)
+        self._close(job_id, step_id, now)
         if drv.on_step_complete(step_id, now):
-            self.collector.record_outcome(JobOutcome(
+            self.outcomes.append(JobOutcome(
                 job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
         return True
+
+    def _close(self, job_id: str, step_id: str, now: float) -> None:
+        """End the step's open ledger entry, if it has one, at now."""
+        entry = self._open.pop((job_id, step_id), None)
+        if entry is not None:
+            entry.deploy_end = now
 
     def _on_driver_restart(self, job_id: str, now: float) -> None:
         drv = self.drivers.get(job_id)
@@ -465,18 +480,19 @@ class _Engine:
         end_time = self.scenario.horizon if self.horizon_reached else self.last_event_time
         if not self.horizon_reached:
             incomplete = [jid for jid, drv in self.drivers.items() if not drv.is_complete()]
-            if incomplete or self.arrived != len(self.arrivals):
+            if incomplete or len(self.drivers) != len(self.arrivals):
                 raise InternalConsistencyError(
                     f"run drained with unfinished work: {incomplete or 'missing arrivals'}")
-        self.collector.close_all(end_time)
+        for entry in self._open.values():
+            entry.deploy_end = end_time
         return RunReport(
             scenario_id=self.scenario.scenario_id,
             mode=self.scenario.mode.value,
             placement=self.scenario.placement.value,
             arrivals=[(a.time, a.job.job_id, a.template) for a in self.arrivals],
-            utilization=self.collector.samples,
-            cost_ledger=self.collector.entries,
-            job_outcomes=self.collector.outcomes,
+            utilization=self.samples,
+            cost_ledger=self.ledger,
+            job_outcomes=self.outcomes,
             end_time=end_time,
             horizon_reached=self.horizon_reached,
         )
@@ -485,14 +501,14 @@ class _Engine:
         """Mark the cut if the cap interrupted work; unfinished jobs count as
         missed with the horizon as their completion time, and their journals
         hold what finished by it."""
-        unfinished = [a for a in self.arrivals[:self.arrived]
+        unfinished = [a for a in self.arrivals[:len(self.drivers)]
                       if not self.drivers[a.job.job_id].is_complete()]
-        if not unfinished and self.arrived == len(self.arrivals):
+        if not unfinished and len(self.drivers) == len(self.arrivals):
             return
         self.horizon_reached = True
         for a in unfinished:
             self.drivers[a.job.job_id].commit(now)
-            self.collector.record_outcome(JobOutcome(
+            self.outcomes.append(JobOutcome(
                 a.job.job_id, a.template, a.job.arrival_time,
                 completion=now, deadline=a.job.deadline, completed=False))
 

@@ -966,9 +966,9 @@ class FragmentEngine(CheckedEngine):
         job_id = drv.job.job_id
         for sid in completed:
             self.sched.complete_step(job_id, sid)
-            self.collector.close_entry(job_id, sid, now)
+            self._close(job_id, sid, now)
         if job_done:
-            self.collector.record_outcome(JobOutcome(
+            self.outcomes.append(JobOutcome(
                 job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
         return True
 

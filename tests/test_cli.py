@@ -396,7 +396,13 @@ def test_a_file_nested_too_deeply_is_one_diagnostic(tmp_path, capsys, where):
 
 @pytest.mark.parametrize("command, extra", [
     ("run", []), ("sweep", []), ("baseline", []), ("replicate", ["--seeds", "1,2"])])
-def test_an_output_path_that_is_a_file_is_one_diagnostic(tmp_path, capsys, command, extra):
+def test_an_output_path_that_is_a_file_is_one_diagnostic(tmp_path, capsys, monkeypatch,
+                                                         command, extra):
+    """Refused before the first simulation starts."""
+    def no_run(*args):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(cli, "run", no_run)
     cfg = minimal_config()
     cfg["arrivals"] = {"kind": "poisson", "rate": 0.05, "seed": 1, "count": 2}
     out = tmp_path / "taken"
@@ -430,7 +436,7 @@ SATURATING_MIX = Path(__file__).resolve().parent.parent / "scenarios" / "saturat
     ("arrivals", "rate", "arrivals.rate: must be large enough for every arrival time "
      "to be finite"),
 ])
-@pytest.mark.parametrize("command", ["run", "sweep", "baseline"])
+@pytest.mark.parametrize("command", ["run", "sweep", "baseline", "replicate"])
 def test_a_schedule_past_the_float_range_is_refused_before_the_run(
         tmp_path, capsys, command, section, key, problem):
     cfg = json.loads(SATURATING_MIX.read_text(encoding="utf-8"))
@@ -438,7 +444,8 @@ def test_a_schedule_past_the_float_range_is_refused_before_the_run(
     cfg[section][key] = 1e-320
     path = write_config(tmp_path, cfg)
     assert load_scenario(path).diagnostics == []
-    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    extra = ["--seeds", "1,2"] if command == "replicate" else []
+    assert main([command, "--config", path, "--out", str(tmp_path / "o"), *extra]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not (tmp_path / "o").exists()
 

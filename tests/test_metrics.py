@@ -18,7 +18,6 @@ from hcs_sim.hcs_scheduler import HcsScheduler
 from hcs_sim.metrics import (
     CostLedgerEntry,
     JobOutcome,
-    MetricsCollector,
     RunReport,
     UtilizationSample,
     _write_csv,
@@ -176,39 +175,6 @@ class TestRunReport:
         assert r.deadline_met_fraction == 1.0
 
 
-class TestMetricsCollector:
-    def make(self) -> MetricsCollector:
-        return MetricsCollector()
-
-    def test_dead_nodes_leave_the_denominator(self):
-        s = HcsScheduler([ResourceVector(1000, 1000), ResourceVector(1000, 1000)])
-        c = self.make()
-        c.sample(1.0, s.edge_usage())
-        assert c.samples[-1].capacity_cpu_millicores == 2000
-        s.handle_node_failure(1)
-        c.sample(2.0, s.edge_usage())
-        assert c.samples[-1].capacity_cpu_millicores == 1000
-
-    def test_entry_lifecycle(self):
-        c = self.make()
-        c.open_entry("j", "s", "cloud", 2.5, 10.0)
-        assert c.entries[0].deploy_end is None
-        with pytest.raises(InternalConsistencyError):
-            c.open_entry("j", "s", "cloud", 2.5, 11.0)
-        c.close_entry("j", "s", 30.0)
-        assert c.entries[0].deploy_end == 30.0
-        assert c.entries[0].cost == pytest.approx(50.0)
-        c.close_entry("j", "s", 40.0)  # double close tolerated, no effect
-        assert c.entries[0].deploy_end == 30.0
-
-    def test_close_all(self):
-        c = self.make()
-        c.open_entry("a", "s", "cloud", 1.0, 0.0)
-        c.open_entry("b", "s", "edge", 1.0, 5.0)
-        c.close_all(50.0)
-        assert all(e.deploy_end == 50.0 for e in c.entries)
-
-
 class TestEmitReport:
     def full_report(self) -> RunReport:
         entries = [cloud_entry("b-job", "s1", 3.0, 40.0, 90.0),
@@ -222,9 +188,10 @@ class TestEmitReport:
                          entries, outs, 90.0)
 
     def test_empty_run_emits_headers_only(self, tmp_path):
-        files = emit_report(report(end_time=0.0), tmp_path)
-        for f in files:
-            assert f.exists()
+        assert emit_report(report(end_time=0.0), tmp_path) is None
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "arrivals.csv", "utilization.csv", "cost_ledger.csv", "job_outcomes.csv",
+            "summary.json"}
         for name in ("arrivals.csv", "utilization.csv", "cost_ledger.csv",
                      "job_outcomes.csv"):
             lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
@@ -256,8 +223,8 @@ class TestEmitReport:
         assert "0.333333333" in text  # 1/3 rcost
 
     def test_plot_data_flag_adds_series(self, tmp_path):
-        files = emit_report(self.full_report(), tmp_path, emit_plot_data=True)
-        names = {f.name for f in files}
+        emit_report(self.full_report(), tmp_path, emit_plot_data=True)
+        names = {p.name for p in tmp_path.iterdir()}
         assert {"plot_utilization.csv", "plot_cost.csv", "plot_durations.csv"} <= names
         cost_lines = (tmp_path / "plot_cost.csv").read_text(encoding="utf-8").splitlines()
         # cumulative: 1/3 at t=61, then +150 at t=90
@@ -299,10 +266,14 @@ class TestEmitReport:
                          round_length=1.0, eviction_deadline=1.0))
         assert {e.region for e in r.cost_ledger} == {"edge", "cloud"}
         assert {o.met for o in r.job_outcomes} == {True, False}
-        written = emit_report(r, tmp_path / "columns", emit_plot_data=True)
+        emit_report(r, tmp_path / "columns", emit_plot_data=True)
         monkeypatch.setattr(metrics, "_write_csv", write_csv_per_cell)
-        for path in emit_report(r, tmp_path / "cells", emit_plot_data=True):
-            assert (tmp_path / "columns" / path.name).read_bytes() == path.read_bytes()
+        emit_report(r, tmp_path / "cells", emit_plot_data=True)
+        written = sorted(p.name for p in (tmp_path / "columns").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "cells").iterdir())
+        for name in written:
+            assert (tmp_path / "columns" / name).read_bytes() == (
+                tmp_path / "cells" / name).read_bytes()
         assert len(written) == 8
         assert '"w,""x""\ny-0000"' in (tmp_path / "columns" / "job_outcomes.csv").read_text(
             encoding="utf-8")
@@ -319,13 +290,17 @@ class TestEmitReport:
 
 
 class TestUtilizationInvariant:
+    def test_dead_nodes_leave_the_denominator(self):
+        sched = HcsScheduler([ResourceVector(1000, 1000), ResourceVector(1000, 1000)])
+        assert UtilizationSample(1.0, *sched.edge_usage()).capacity_cpu_millicores == 2000
+        sched.handle_node_failure(1)
+        assert UtilizationSample(2.0, *sched.edge_usage()).capacity_cpu_millicores == 1000
+
     def test_samples_never_exceed_capacity(self):
-        s = HcsScheduler([ResourceVector(1000, 2000)])
-        s._hold(("j", "s"), PlacementPlan(StepSpec("s", ResourceVector(1000, 2000), 1, 1.0),
-                                          nodes={0: 1}))
-        c = MetricsCollector()
-        c.sample(1.0, s.edge_usage())
-        s = c.samples[0]
+        sched = HcsScheduler([ResourceVector(1000, 2000)])
+        sched._hold(("j", "s"), PlacementPlan(StepSpec("s", ResourceVector(1000, 2000), 1, 1.0),
+                                              nodes={0: 1}))
+        s = UtilizationSample(1.0, *sched.edge_usage())
         assert s.cpu_ratio <= 1.0
         assert s.allocated_memory_mb <= s.capacity_memory_mb
         assert math.isclose(s.cpu_ratio, 1.0)

@@ -1,6 +1,7 @@
 """Cheapest-First round scheduling: rule order, eviction windows, stickiness,
 capacity safety and node-failure handling."""
 
+import logging
 import random
 from bisect import insort
 from collections import Counter
@@ -99,9 +100,10 @@ class TestRounds:
 
 
 class TestEviction:
-    def test_worked_eviction_example(self):
+    def test_worked_eviction_example(self, caplog):
         # 4000 mCPU edge, resident g (rcost 500, 2000 mCPU), newcomer f
         # (rcost 1000, 4000 mCPU): g is evicted, f deploys at now+30
+        caplog.set_level(logging.DEBUG, logger="hcs_sim.hcs_scheduler")
         s = HcsScheduler(one_node(cpu=4000), cost_params=QUARTER_CPU)
         s.submit_request(job_with_step("g", 2000), 0.0)
         s.run_round(30.0)
@@ -115,6 +117,8 @@ class TestEviction:
         assert s.reservations[("f", "s0")][1] == 90.0
         # during the window g still physically holds its space
         assert s._held[0][0] == 2000
+        assert caplog.messages == [
+            "t=60.0 evict ('g', 's0') (rcost 500.0) for ('f', 's0') (rcost 1000.0)"]
 
     def test_victims_strictly_cheaper(self):
         # equal-cost newcomer must not evict
