@@ -24,7 +24,7 @@ from hcs_sim.core_model import (
     ValidationError,
 )
 from hcs_sim.hcs_scheduler import SchedulerMode
-from hcs_sim.metrics import cost_vs_baseline, emit_report, round9, summary_dict, write_json
+from hcs_sim.metrics import cost_vs_baseline, emit_report, round9, write_json
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     ExplicitArrivals,
@@ -32,7 +32,6 @@ from hcs_sim.sim_engine import (
     NodeFailureFault,
     PoissonArrivals,
     Scenario,
-    ScheduledArrival,
     generate_arrivals,
     require_finite_rounds,
     run,
@@ -344,135 +343,91 @@ def _timed(phases: dict[str, float], phase: str, fn, *args):
         phases[phase] += time.perf_counter() - start
 
 
-def _load_or_fail(args, phases: dict[str, float]) -> tuple[Scenario | None, Path | None]:
-    res = _timed(phases, "load", load_scenario, args.config)
-    if res.diagnostics:
-        for d in res.diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        return None, None
-    out = Path(args.out or res.output_dir or "out")
-    return res.scenario, out
+def _runs(args, phases: dict[str, float], out: Path, runs: list[tuple[str, Scenario]]):
+    """Run and emit each (directory name, scenario) pair of a command under
+    out, yielding each run's (report, summary). Runs that share an arrival
+    process share its one schedule. Every schedule is checked, and then every
+    run directory made, before the first run: a schedule out of range, or an
+    output path that cannot be written, is refused before any simulation."""
+    schedules = {}  # by the identity of the arrival process
+    for _, s in runs:
+        if id(s.arrivals) not in schedules:
+            schedules[id(s.arrivals)] = _timed(phases, "arrivals", generate_arrivals,
+                                               s.arrivals, s.catalog)
+    for _, s in runs:
+        require_finite_rounds(schedules[id(s.arrivals)], s.round_length)
+    for name, _ in runs:
+        (out / name).mkdir(parents=True, exist_ok=True)
+    for name, s in runs:
+        report = _timed(phases, "simulate", run, s, schedules[id(s.arrivals)])
+        yield report, _timed(phases, "emit", emit_report, report, out / name,
+                             args.emit_plot_data)
 
 
-def _prepare(phases: dict[str, float], dirs: list[Path],
-             *scenarios: Scenario) -> list[list[ScheduledArrival]]:
-    """Each scenario's arrival schedule. Every schedule is checked, and then
-    every run directory of the command made, before its first run: a
-    schedule out of range, or an output path that cannot be written, is
-    refused before any simulation."""
-    schedules = [_timed(phases, "arrivals", generate_arrivals, s.arrivals, s.catalog)
-                 for s in scenarios]
-    for s, arrivals in zip(scenarios, schedules):
-        require_finite_rounds(arrivals, s.round_length)
-    for d in dirs:
-        d.mkdir(parents=True, exist_ok=True)
-    return schedules
-
-
-def _run_one(scenario: Scenario, out: Path, emit_plot_data: bool, phases,
-             arrivals: list[ScheduledArrival]):
-    report = _timed(phases, "simulate", run, scenario, arrivals)
-    _timed(phases, "emit", emit_report, report, out, emit_plot_data)
-    return report
-
-
-def cmd_run(args, phases: dict[str, float]) -> int:
-    scenario, out = _load_or_fail(args, phases)
-    if scenario is None:
-        return 1
+def cmd_run(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> int:
     if args.placement:
         scenario = scenario.replace(placement=PlacementPolicy(args.placement))
-    [arrivals] = _prepare(phases, [out / "run"], scenario)
-    report = _run_one(scenario, out / "run", args.emit_plot_data, phases, arrivals)
-    s = summary_dict(report)
+    [(_, s)] = _runs(args, phases, out, [("run", scenario)])
     print(f"{s['scenario_id']}: {s['job_count']} jobs, total_cost {s['total_cost']:g}, "
           f"mean_utilization {s['mean_utilization']:.3f}, "
           f"deadline_met {s['deadline_met_fraction']:.3f} -> {out / 'run'}")
     return 0
 
 
-def cmd_sweep(args, phases: dict[str, float]) -> int:
-    scenario, out = _load_or_fail(args, phases)
-    if scenario is None:
-        return 1
+def cmd_sweep(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> int:
     placements = _PLACEMENTS if args.placement in (None, "all") else (args.placement,)
-    [arrivals] = _prepare(phases, [out / p for p in placements], scenario)
+    runs = [(p, scenario.replace(placement=PlacementPolicy(p))) for p in placements]
     summary: dict[str, dict] = {}
-    for p in placements:
-        s = scenario.replace(placement=PlacementPolicy(p))
-        report = _run_one(s, out / p, args.emit_plot_data, phases, arrivals)
-        summary[p] = summary_dict(report)
-        print(f"{p}: total_cost {summary[p]['total_cost']:g}, "
-              f"mean_utilization {summary[p]['mean_utilization']:.3f}")
+    for p, (_, s) in zip(placements, _runs(args, phases, out, runs)):
+        summary[p] = s
+        print(f"{p}: total_cost {s['total_cost']:g}, "
+              f"mean_utilization {s['mean_utilization']:.3f}")
     _timed(phases, "emit", write_json, out / "sweep_summary.json",
            {"scenario_id": scenario.scenario_id, "placements": summary})
     return 0
 
 
-def cmd_baseline(args, phases: dict[str, float]) -> int:
-    scenario, out = _load_or_fail(args, phases)
-    if scenario is None:
-        return 1
-    [arrivals] = _prepare(phases, [out / "hybrid", out / "cloud_only"], scenario)
-    hybrid = _run_one(
-        scenario.replace(mode=SchedulerMode.CHEAPEST_FIRST),
-        out / "hybrid", args.emit_plot_data, phases, arrivals)
-    baseline = _run_one(
-        scenario.replace(mode=SchedulerMode.CLOUD_ONLY),
-        out / "cloud_only", args.emit_plot_data, phases, arrivals)
+def cmd_baseline(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> int:
+    (hybrid, hybrid_summary), (baseline, baseline_summary) = _runs(args, phases, out, [
+        ("hybrid", scenario.replace(mode=SchedulerMode.CHEAPEST_FIRST)),
+        ("cloud_only", scenario.replace(mode=SchedulerMode.CLOUD_ONLY))])
     pct = cost_vs_baseline(hybrid, baseline)
     _timed(phases, "emit", write_json, out / "baseline_summary.json", {
         "scenario_id": scenario.scenario_id,
         "cost_vs_baseline_percent": round9(pct),
-        "hybrid": summary_dict(hybrid),
-        "cloud_only": summary_dict(baseline),
+        "hybrid": hybrid_summary,
+        "cloud_only": baseline_summary,
     })
     print(f"hybrid cost is {pct:.2f}% of the cloud-only baseline "
           f"({hybrid.total_cost:g} vs {baseline.total_cost:g})")
     return 0
 
 
-def cmd_replicate(args, phases: dict[str, float]) -> int:
-    scenario, out = _load_or_fail(args, phases)
-    if scenario is None:
-        return 1
+def cmd_replicate(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> int:
     if not isinstance(scenario.arrivals, PoissonArrivals):
-        print("error: replicate needs poisson arrivals (explicit times have "
-              "no seed to sweep)", file=sys.stderr)
-        return 1
+        raise ValidationError("replicate needs poisson arrivals (explicit times have "
+                              "no seed to sweep)")
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError:
-        print(f"error: --seeds must be a comma-separated integer list, "
-              f"got {args.seeds!r}", file=sys.stderr)
-        return 1
+        raise ValidationError(f"--seeds must be a comma-separated integer list, "
+                              f"got {args.seeds!r}") from None
     if not seeds:
-        print("error: --seeds is empty", file=sys.stderr)
-        return 1
+        raise ValidationError("--seeds is empty")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
-        print(f"error: --seeds lists {', '.join(map(str, repeated))} more than once",
-              file=sys.stderr)
-        return 1
+        raise ValidationError(f"--seeds lists {', '.join(map(str, repeated))} more than once")
     # every seed, and the schedule it draws, is checked before the first run
-    scenarios = [scenario.replace(arrivals=scenario.arrivals.replace(seed=seed))
-                 for seed in seeds]
-    schedules = _prepare(phases, [out / f"seed-{seed}" for seed in seeds], *scenarios)
-    per_seed: dict[str, dict] = {}
-    series: dict[str, list[float]] = {
-        "total_cost": [], "mean_utilization": [], "deadline_met_fraction": []}
-    for seed, s, arrivals in zip(seeds, scenarios, schedules):
-        report = _run_one(s, out / f"seed-{seed}", args.emit_plot_data, phases, arrivals)
-        d = summary_dict(report)
-        per_seed[str(seed)] = d
-        for k in series:
-            series[k].append(d[k])
+    runs = [(f"seed-{seed}", scenario.replace(arrivals=scenario.arrivals.replace(seed=seed)))
+            for seed in seeds]
+    per_seed = {str(seed): s for seed, (_, s) in zip(seeds, _runs(args, phases, out, runs))}
     import statistics  # its only user; fractions and decimal load with it
 
-    aggregate = {
-        k: {"mean": round9(statistics.mean(v)),
-            "stdev": round9(statistics.stdev(v) if len(v) > 1 else 0.0)}
-        for k, v in series.items()}
+    aggregate = {}
+    for k in ("total_cost", "mean_utilization", "deadline_met_fraction"):
+        v = [s[k] for s in per_seed.values()]
+        aggregate[k] = {"mean": round9(statistics.mean(v)),
+                        "stdev": round9(statistics.stdev(v) if len(v) > 1 else 0.0)}
     _timed(phases, "emit", write_json, out / "replicate_summary.json", {
         "scenario_id": scenario.scenario_id,
         "seeds": per_seed,
@@ -529,9 +484,13 @@ def main(argv: list[str] | None = None) -> int:
     # wall-clock seconds per phase, summed over the command's runs
     phases = dict.fromkeys(("load", "arrivals", "simulate", "emit"), 0.0)
     try:
-        return handler(args, phases)
+        res = _timed(phases, "load", load_scenario, args.config)
+        if res.diagnostics:
+            raise ValidationError(*res.diagnostics)
+        return handler(args, res.scenario, Path(args.out or res.output_dir or "out"), phases)
     except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
+        for problem in e.problems:
+            print(f"error: {problem}", file=sys.stderr)
         return 1
     except InternalConsistencyError as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -254,11 +254,11 @@ def summary_dict(report: RunReport) -> dict:
     }
 
 
-def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = False) -> None:
-    """Write the report as CSV files plus a JSON summary; with emit_plot_data,
-    also three small ready-to-plot series taken from the same rows:
-    utilization over time, cumulative cloud cost over time, and per-job
-    durations.
+def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = False) -> dict:
+    """Write the report as CSV files plus a JSON summary, and return the
+    summary; with emit_plot_data, also three small ready-to-plot series taken
+    from the same rows: utilization over time, cumulative cloud cost over
+    time, and per-job durations.
 
     Output is byte-deterministic: stable sort orders, 9-significant-digit
     floats, LF newlines, UTF-8, and nothing time-of-day dependent.
@@ -288,9 +288,10 @@ def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = F
                                           "duration", "deadline", "met", "miss_by", "completed"],
                outcomes)
 
-    write_json(out / "summary.json", summary_dict(report))
+    summary = summary_dict(report)
+    write_json(out / "summary.json", summary)
     if not emit_plot_data:
-        return
+        return summary
 
     kept = samples[::max(1, len(samples) // 500)]
     if samples and kept[-1] is not samples[-1]:
@@ -307,3 +308,4 @@ def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = F
     _write_csv(out / "plot_durations.csv", ["job_id", "template", "duration", "deadline", "met"],
                [(job_id, template, duration, deadline, met)
                 for job_id, template, _, _, duration, deadline, met, _, _ in outcomes])
+    return summary

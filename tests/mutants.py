@@ -1,0 +1,151 @@
+"""Mutation check: does tier-1 catch small faults planted in src/?
+
+Each mutant names a module of hcs_sim, the exact texts it replaces and what
+it puts in their place, and the verdict it is expected to get. For each one
+the script copies src/, tests/ and scenarios/ to a temporary directory,
+applies the mutant there, and runs tier-1 against the copy with -x. The
+verdicts:
+
+- killed: a test failed; the first failing test is printed.
+- survived: every test passed, on a mutant that changes behaviour.
+- equivalent: every test passed, on a mutant listed as equivalent, next to
+  the argument for why it cannot change an output.
+- invalid: an old text does not occur exactly once, or the run failed on a
+  NameError, ImportError or SyntaxError, so the mutant is broken, not caught.
+
+Run from a checkout with
+
+    python3 tests/mutants.py [NAME ...]
+
+It exits 1 if a mutant's verdict is not the one expected. Each mutant costs
+up to one tier-1 run.
+"""
+
+from __future__ import annotations
+
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # a file of src/hcs_sim
+    edits: tuple[tuple[str, str], ...]  # (exact old text, new text), in order
+    expected: str  # "killed" or "equivalent"
+    why: str = ""  # an equivalent mutant's argument
+
+
+MUTANTS = [
+    Mutant("event-tie-order", "sim_engine.py", (
+        ("    EVICTION_EXPIRE = 1\n    NODE_FAILURE = 2\n",
+         "    EVICTION_EXPIRE = 2\n    NODE_FAILURE = 1\n"),), "killed"),
+    Mutant("commit-flight-bisect-left", "pipeline_driver.py", (
+        ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
+        ("n_fl = bisect_right(flight, now)", "n_fl = bisect_left(flight, now)")), "killed"),
+    Mutant("commit-landed-bisect-left", "pipeline_driver.py", (
+        ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
+        ("n_landed = bisect_right(fins, now)", "n_landed = bisect_left(fins, now)")),
+        "killed"),
+    Mutant("commit-arrived-bisect-left", "pipeline_driver.py", (
+        ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
+        ("bisect_right(a_times, now)", "bisect_left(a_times, now)")), "killed"),
+    Mutant("expiry-cut-bisect-left", "pipeline_driver.py", (
+        ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
+        ("keep = bisect_right(rt.flight, expiry)", "keep = bisect_left(rt.flight, expiry)")),
+        "killed"),
+    Mutant("drop-evicting-keeps-evicting-load", "hcs_scheduler.py", (
+        ("self._shift(plan, -1, 1, -1)", "self._shift(plan, -1, 1, 0)"),), "killed"),
+    Mutant("hold-skips-victim-insort", "hcs_scheduler.py", (
+        ("        insort(self._victims, (self.rcost_of(plan.step), key))\n", ""),), "killed"),
+    Mutant("shift-never-lowers-first-fit-start", "hcs_scheduler.py", (
+        ("self._ff_from[shape] = low", "pass"),), "killed"),
+    Mutant("runs-one-schedule-per-run", "cli.py", (
+        ("if id(s.arrivals) not in schedules:", "if True:"),), "killed"),
+    Mutant("command-summarises-again", "cli.py", (
+        ("    [(_, s)] = _runs(args, phases, out, [(\"run\", scenario)])\n",
+         "    [(report, _)] = _runs(args, phases, out, [(\"run\", scenario)])\n"
+         "    from hcs_sim.metrics import summary_dict\n"
+         "    s = summary_dict(report)\n"),), "killed"),
+    Mutant("sample-before-projecting", "sim_engine.py", (
+        ("        for job_id, drv in self._touched.items():\n"
+         "            for step_id, time in drv.project(now):\n"
+         "                self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))\n"
+         "        self._touched.clear()\n"
+         "        if self.sched.edge_writes != self._sampled_writes:\n"
+         "            self._sampled_writes = self.sched.edge_writes\n"
+         "            self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))\n",
+         "        if self.sched.edge_writes != self._sampled_writes:\n"
+         "            self._sampled_writes = self.sched.edge_writes\n"
+         "            self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))\n"
+         "        for job_id, drv in self._touched.items():\n"
+         "            for step_id, time in drv.project(now):\n"
+         "                self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))\n"
+         "        self._touched.clear()\n"),),
+        "equivalent",
+        "projection writes no scheduler state, so the edge usage sampled is the "
+        "same before it and after it; 0 of 4,000 generated scenarios differed"),
+]
+
+# a failure that shows the mutant itself is broken
+BROKEN = re.compile(r"^E\s+(?:\w+\.)*(NameError|ImportError|ModuleNotFoundError|"
+                    r"SyntaxError|IndentationError)\b", re.M)
+FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
+
+
+def verdict(mutant: Mutant, work: Path) -> tuple[str, str]:
+    """(verdict, detail) of one mutant, tried in the empty directory work."""
+    for part in ("src", "tests", "scenarios"):
+        shutil.copytree(ROOT / part, work / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    shutil.copy(ROOT / "pyproject.toml", work)  # its pytest settings put src on the path
+    path = work / "src" / "hcs_sim" / mutant.module
+    text = path.read_text(encoding="utf-8")
+    for old, new in mutant.edits:
+        if text.count(old) != 1:
+            return "invalid", f"old text occurs {text.count(old)} times: {old!r}"
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+        cwd=work, capture_output=True, text=True)
+    if proc.returncode == 0:
+        return "equivalent" if mutant.expected == "equivalent" else "survived", ""
+    first = FIRST_FAILURE.search(proc.stdout)
+    detail = first.group(1) if first else f"pytest exited {proc.returncode}"
+    broken = BROKEN.search(proc.stdout)
+    if broken:
+        return "invalid", f"{detail}: {broken.group(1)}"
+    return "killed", detail
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    wrong = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            got, detail = verdict(mutant, Path(tmp))
+        wrong += got != mutant.expected
+        note = detail or mutant.why
+        print(f"{mutant.name}: {got}{'' if got == mutant.expected else ' (UNEXPECTED)'}"
+              f"{f' - {note}' if note else ''} [{time.perf_counter() - start:.1f} s]",
+              flush=True)
+    print(f"{wrong} unexpected verdicts")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,4 +1,5 @@
-"""The four commands end to end: their artifacts are pinned.
+"""The four commands end to end: their artifacts are pinned, and each value a
+command needs is computed once.
 
 tests/command_digests.json holds one sha256 per command over the name, size
 and bytes of every file the command writes under --out, summary files and
@@ -17,10 +18,12 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from hcs_sim import cli, metrics
 from hcs_sim.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -68,6 +71,39 @@ def command_digest(command: str, directory: Path) -> str:
 def test_command_artifacts_match_their_pinned_digests(tmp_path, command):
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
     assert command_digest(command, tmp_path) == pinned[command]
+
+
+# (argv, calls to generate_arrivals, calls to summary_dict): one schedule per
+# arrival process, one summary per run
+ONCE = [
+    (["run"], 1, 1),
+    (["sweep", "--placement", "all"], 1, 4),
+    (["baseline"], 1, 2),
+    (["replicate", "--seeds", "3,4,5"], 3, 3),
+]
+
+
+@pytest.mark.parametrize("argv, schedules, summaries", ONCE, ids=[a[0] for a, *_ in ONCE])
+def test_each_value_is_computed_once(tmp_path, monkeypatch, argv, schedules, summaries):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "generate_arrivals",
+                        counted("generate_arrivals", cli.generate_arrivals))
+    # wherever a summary is looked up: the report writer's module, and the
+    # command's if it imports its own
+    summary_dict = counted("summary_dict", metrics.summary_dict)
+    for module in (cli, metrics):
+        if hasattr(module, "summary_dict"):
+            monkeypatch.setattr(module, "summary_dict", summary_dict)
+    path = write_scenario(tmp_path, 20)
+    assert main([*argv, "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"generate_arrivals": schedules, "summary_dict": summaries}
 
 
 def write_digests() -> None:

@@ -1,6 +1,7 @@
 """Utilization integration, cost accounting, outcome bookkeeping, and the
 deterministic report files."""
 
+import json
 import math
 
 import pytest
@@ -188,7 +189,8 @@ class TestEmitReport:
                          entries, outs, 90.0)
 
     def test_empty_run_emits_headers_only(self, tmp_path):
-        assert emit_report(report(end_time=0.0), tmp_path) is None
+        summary = emit_report(report(end_time=0.0), tmp_path)
+        assert summary == json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
         assert {p.name for p in tmp_path.iterdir()} == {
             "arrivals.csv", "utilization.csv", "cost_ledger.csv", "job_outcomes.csv",
             "summary.json"}
