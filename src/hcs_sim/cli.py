@@ -388,6 +388,9 @@ def cmd_sweep(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> 
 
 
 def cmd_baseline(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> int:
+    if not scenario.node_capacities:
+        raise ValidationError("baseline compares a hybrid run with a cloud-only one, and "
+                              "the hybrid run needs edge nodes (edge.node_count >= 1)")
     (hybrid, hybrid_summary), (baseline, baseline_summary) = _runs(args, phases, out, [
         ("hybrid", scenario.replace(mode=SchedulerMode.CHEAPEST_FIRST)),
         ("cloud_only", scenario.replace(mode=SchedulerMode.CLOUD_ONLY))])

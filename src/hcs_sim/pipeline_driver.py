@@ -14,6 +14,21 @@ commits it up to its instant, cutting each step's planned queue by bisection:
 fragments finished by then are journaled, started ones are in flight, ready
 ones queue. The interruption then applies and the job is projected again.
 
+A step with one worker plans no float per fragment in two cases: a backlog,
+every fragment ready by the first start, and ready times that are a run (the
+finish times of a one-worker predecessor) with none ready at the plan's start.
+Its finish times are then a run, first + k*step for k < n: one every service
+time, or one per arrival when the arrivals are spaced wider and the worker is
+free by the first; a fragment in flight that finishes one step before first
+extends it by one. A run is used only when it is exact: the start that first
+is summed from, the service time and the step are non-negative multiples of a
+common 2^-s, and the last time is at most 2^53 of those units, checked in
+integers. Then no float sum rounds, and each time equals, bit for bit, the
+running sum the loop would form; otherwise the step takes the list. A commit
+counts a run's times up to its cut by a quotient corrected by exact
+comparison; a join or a multi-worker successor lists the run where it reads
+it.
+
 Every step takes its fragments in index order: sources queue them so, a FIFO
 pool of equal service times finishes them in start order, a requeue puts the
 lower (cancelled or lost) indices first, and a fragment becomes ready at a
@@ -82,23 +97,106 @@ class _StepRuntime:
         self.pending_switch: float | None = None
 
 
-def _fifo(times: list[float], busy: list[float], free: int, t0: float,
-          duration: float) -> list[float]:
+_UNITS = 1 << 53  # the most units of a common 2^-s an exact run may reach
+
+
+def _exact(x: float, d: float, step: float, n: int) -> bool:
+    """Whether the values x + d + k*step, k < n, and every sum that forms
+    them, are exact in floats: x, d and step non-negative multiples of a
+    common 2^-s with d and step positive, and x + d + (n-1)*step at most 2^53
+    of those units. A float sum is exact when its result is representable, so
+    then first + k*step and the running sum give the same float."""
+    if not (x >= 0.0 and d > 0.0 and step > 0.0 and x + d + (n - 1) * step <= _UNITS):
+        return False  # also an infinite or nan operand, or a time past 2^53
+    (xn, xq), (dn, dq), (sn, sq) = (x.as_integer_ratio(), d.as_integer_ratio(),
+                                    step.as_integer_ratio())
+    q = max(xq, dq, sq)  # each a power of two
+    return xn * (q // xq) + dn * (q // dq) + (n - 1) * sn * (q // sq) <= _UNITS
+
+
+class _Run:
+    """The times first + k*step for k < n, n >= 1: a one-worker step's finish
+    times, or its successor's ready times, without a float per fragment.
+    first and step are multiples of a common 2^-s and last is at most 2^53 of
+    those units (see _exact), so each time is exact. Never changed after it
+    is built."""
+
+    __slots__ = ("first", "step", "n", "last")
+
+    def __init__(self, first: float, step: float, n: int):
+        self.first = first
+        self.step = step
+        self.n = n
+        self.last = first + (n - 1) * step
+
+    def values(self) -> list[float]:
+        """The times as a list: the running sum, which is exact."""
+        return list(accumulate(repeat(self.step, self.n - 1), initial=self.first))
+
+    def count(self, cut: float) -> int:
+        """How many of the times are at most cut."""
+        if cut < self.first:
+            return 0
+        if cut >= self.last:
+            return self.n
+        # the quotient rounds to the count or one less: cut - first and the
+        # division round monotonically, and first + k*step is exact
+        k = int((cut - self.first) / self.step)
+        while self.first + k * self.step <= cut:
+            k += 1
+        return k
+
+    def after(self, prev: float) -> list[float] | _Run:
+        """prev followed by the times: a run one longer when prev is first -
+        step. prev >= 0 puts step at or below first, on the run's grid and
+        within its bound, so the subtraction is exact."""
+        if prev == self.first - self.step and prev >= 0.0:
+            return _Run(prev, self.step, self.n + 1)
+        return [prev] + self.values()
+
+
+def _fifo(n_ready: int, arrivals: list[float] | _Run, busy: list[float], free: int,
+          t0: float, duration: float) -> list[float] | _Run:
     """Finish times of the queued fragments, in queue order.
 
-    times are the ready times (non-decreasing, at least one), busy the finish
-    times of the fragments in flight and free the idle workers at t0. Each
-    fragment takes the earliest free worker: start = max(ready, worker free),
-    finish = start + duration, the same float operations as one dispatch at
-    a time. Starts, and so finishes, are non-decreasing in queue order.
+    n_ready fragments are ready at t0 and the arrivals after them (ready
+    times, non-decreasing, a list or a run); busy are the finish times of the
+    fragments in flight and free the idle workers at t0. Each fragment takes
+    the earliest free worker: start = max(ready, worker free), finish = start
+    + duration, the same float operations as one dispatch at a time. Starts,
+    and so finishes, are non-decreasing in queue order.
+
+    With one worker free at w the finishes are a run, when exact (see
+    _exact), in two cases. A backlog, every fragment ready by the first start
+    s: s + duration, then one every duration. Arrivals a run (fa, da) and
+    none ready at t0: the worker paces them when da <= duration, giving
+    max(fa, w) + duration, then one every duration; it keeps up when da >
+    duration and w <= fa, giving fa + duration, then one every da. Otherwise
+    the list, by the loop.
     """
+    fed = arrivals.__class__ is _Run
+    if free + len(busy) == 1:
+        if fed:
+            n, head, tail = n_ready + arrivals.n, arrivals.first, arrivals.last
+        elif arrivals:
+            n, head, tail = n_ready + len(arrivals), arrivals[0], arrivals[-1]
+        else:
+            n, head, tail = n_ready, t0, t0
+        if n_ready:
+            head = t0
+        w = busy[0] if busy else t0
+        start = max(head, w)
+        if tail <= start:
+            if _exact(start, duration, duration, n):
+                return _Run(start + duration, duration, n)
+            # inexact: the running sum, computed in C
+            return list(accumulate(repeat(duration, n - 1), initial=start + duration))
+        if fed and not n_ready and (arrivals.step <= duration or w <= head):
+            step = max(arrivals.step, duration)
+            if _exact(start, duration, step, n):
+                return _Run(start + duration, step, n)
+    times = [t0] * n_ready + (arrivals.values() if fed else arrivals)
     workers = busy + [t0] * free
-    if len(workers) == 1 and times[-1] <= max(times[0], workers[0]):
-        # one worker and every fragment ready by the first start, the common
-        # case of a backlogged single-replica step: each starts when the
-        # previous finishes, a running sum computed in C
-        first = max(times[0], workers[0]) + duration
-        return list(accumulate(repeat(duration, len(times) - 1), initial=first))
     fins: list[float] = []
     heapify(workers)
     for ready in times:
@@ -179,10 +277,11 @@ class PipelineDriver:
     def commit(self, now: float) -> None:
         """Move the durable state along the current plan to now (no-op without one).
 
-        Each step's plan is cut at now by bisection. Its ready times and its
-        finish times are non-decreasing in queue order, and a FIFO pool has
-        started, by now, the fewer of the fragments ready and the workers
-        freed (idle at the plan's start, or released by a finish).
+        Each step's plan is cut at now by bisection, or a run by its count.
+        Its ready times and its finish times are non-decreasing in queue
+        order, and a FIFO pool has started, by now, the fewer of the
+        fragments ready and the workers freed (idle at the plan's start, or
+        released by a finish).
         """
         plan, self._plan = self._plan, None
         if plan is None:
@@ -190,15 +289,22 @@ class PipelineDriver:
         for sid, rt, n_ready, a_times, fins, free in plan:
             flight = rt.flight
             n_fl = bisect_right(flight, now)
-            n_landed = bisect_right(fins, now)
+            ran = fins.__class__ is _Run
+            n_landed = fins.count(now) if ran else bisect_right(fins, now)
             if n_landed and n_fl < len(flight):
                 raise InternalConsistencyError(
                     f"step {sid}: a queued fragment finished before an in-flight one")
-            n_arrived = n_ready + bisect_right(a_times, now)
+            n_arrived = n_ready + (a_times.count(now) if a_times.__class__ is _Run
+                                   else bisect_right(a_times, now))
             n_started = 0 if free is None else min(n_arrived, free + n_fl + n_landed)
             if n_fl or n_landed:
                 self._journal(rt, n_fl + n_landed)
-            rt.flight = flight[n_fl:] + fins[n_landed:n_started]
+            if not ran:
+                rt.flight = flight[n_fl:] + fins[n_landed:n_started]
+            elif n_started > n_landed:  # one worker: it starts one at most
+                rt.flight = flight[n_fl:] + [fins.first + n_landed * fins.step]
+            else:
+                rt.flight = flight[n_fl:]
             rt.ready = n_arrived - n_started
             if rt.done == self.m:
                 if rt.flight or rt.ready:
@@ -243,7 +349,8 @@ class PipelineDriver:
             aligned = []
             for p in preds:
                 lead = self.steps[p].done - avail
-                aligned.append([t0] * lead + done[p] if lead else done[p])
+                times = done[p] if done[p].__class__ is list else done[p].values()
+                aligned.append([t0] * lead + times if lead else times)
             return list(map(max, *aligned))
         # a barrier releases at its last predecessor's completion, and its
         # step journals nothing before that; released before the plan, its
@@ -262,12 +369,12 @@ class PipelineDriver:
         Returns the completion time of each step the schedule finishes. A
         step's plan holds the number of fragments ready at t0, the ready
         times of the ones that arrive after them, the finish times of the
-        queue and the idle workers at t0 (None when the step does not
-        dispatch). It stores no copy of the in-flight finish times: every
-        mutator commits before it replaces them.
+        queue (each a list or a run) and the idle workers at t0 (None when
+        the step does not dispatch). It stores no copy of the in-flight
+        finish times: every mutator commits before it replaces them.
         """
         # per step, the finish times of its next unjournaled fragments in the plan
-        done: dict[str, list[float]] = {}
+        done: dict[str, list[float] | _Run] = {}
         finished: dict[str, float] = {}
         plan = []
         for sid in self.topo:
@@ -278,14 +385,20 @@ class PipelineDriver:
             n_ready = rt.ready
             a_times = self._arrivals(sid, rt, t0, done, finished) if self._preds[sid] else []
             busy = rt.flight
-            fins: list[float] = []
+            fins: list[float] | _Run = []
             free = None
             if (n_ready or a_times) and rt.region is not None and rt.pending_switch is None:
                 free = rt.pool - len(busy)
-                fins = _fifo([t0] * n_ready + a_times, busy, free, t0, self._service(rt))
-            all_fins = busy + fins if busy else fins
+                fins = _fifo(n_ready, a_times, busy, free, t0, self._service(rt))
+            if fins.__class__ is _Run:  # one worker, so one fragment in flight at most
+                all_fins = fins.after(busy[0]) if busy else fins
+            else:
+                all_fins = busy + fins if busy else fins
             done[sid] = all_fins
-            if rt.done + len(all_fins) == self.m:
+            if all_fins.__class__ is _Run:
+                if rt.done + all_fins.n == self.m:
+                    finished[sid] = all_fins.last
+            elif rt.done + len(all_fins) == self.m:
                 finished[sid] = all_fins[-1]
             plan.append((sid, rt, n_ready, a_times, fins, free))
         self._plan = plan

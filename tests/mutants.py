@@ -52,11 +52,16 @@ MUTANTS = [
         ("n_fl = bisect_right(flight, now)", "n_fl = bisect_left(flight, now)")), "killed"),
     Mutant("commit-landed-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
-        ("n_landed = bisect_right(fins, now)", "n_landed = bisect_left(fins, now)")),
-        "killed"),
+        ("else bisect_right(fins, now)", "else bisect_left(fins, now)")), "killed"),
     Mutant("commit-arrived-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("bisect_right(a_times, now)", "bisect_left(a_times, now)")), "killed"),
+    Mutant("run-count-strict", "pipeline_driver.py", (
+        ("while self.first + k * self.step <= cut:", "while self.first + k * self.step < cut:"),),
+        "killed"),
+    Mutant("run-grid-check-accepts-all", "pipeline_driver.py", (
+        ("return xn * (q // xq) + dn * (q // dq) + (n - 1) * sn * (q // sq) <= _UNITS",
+         "return True"),), "killed"),
     Mutant("expiry-cut-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("keep = bisect_right(rt.flight, expiry)", "keep = bisect_left(rt.flight, expiry)")),

@@ -822,6 +822,19 @@ class TestBaselineCommand:
         cloud_arr = (tmp_path / "o" / "cloud_only" / "arrivals.csv").read_bytes()
         assert hybrid_arr == cloud_arr
 
+    def test_cloud_only_file_without_edge_nodes_is_refused_for_baseline(self, tmp_path, capsys):
+        cfg = minimal_config()
+        cfg["edge"] = {"node_count": 0}
+        cfg["scheduler"] = {"policy": "cloud_only"}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 0
+        capsys.readouterr()
+        assert main(["baseline", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: baseline ")
+        assert "hybrid run needs edge nodes" in err[0] and "unless the mode" not in err[0]
+        assert not (tmp_path / "o").exists()
+
 
 class TestReplicateCommand:
     def test_seed_sweep_aggregates(self, tmp_path):

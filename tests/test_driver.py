@@ -6,6 +6,7 @@ import heapq
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 
@@ -16,10 +17,17 @@ from hcs_sim.core_model import (
     ResourceVector,
     StepSpec,
 )
-from hcs_sim.pipeline_driver import PipelineDriver, _StepRuntime, cloud_pool_size
+from hcs_sim.pipeline_driver import (
+    PipelineDriver,
+    _fifo,
+    _Run,
+    _StepRuntime,
+    cloud_pool_size,
+)
 
 from oracles import (
     StepState,
+    _fifo_until,
     chain_makespan,
     counting_completions,
     fragment_view,
@@ -333,6 +341,11 @@ class TestRecovery:
         assert drv.project(2.0) == [("s0", 17.0)] and drv.version == version + 1
 
 
+def _values(times):
+    """A plan's times, a list or a run, as a list."""
+    return times if type(times) is list else times.values()
+
+
 def _copy_step(rt):
     """copy.copy of a step without its reduce protocol: its slots, one by one."""
     c = object.__new__(_StepRuntime)
@@ -414,7 +427,7 @@ def _random_plans(rng, trials):
             drv.project(t0)
             times = {t0}
             for _, rt, _, a_times, fins, _ in drv._plan:
-                times.update(a_times, fins, rt.flight)
+                times.update(_values(a_times), _values(fins), rt.flight)
             cuts = sorted({c + e for c in times for e in (-1e-9, 0.0, 1e-9)})
             yield trial, drv, t0, cuts
             t0 = rng.choice([c for c in cuts if c < 30.0] or [t0])
@@ -430,6 +443,7 @@ def test_commit_cuts_the_plan_as_a_rewalk_would():
     for trial, drv, t0, cuts in _random_plans(random.Random(8), 150):
         # cuts where the workers freed, not the fragments ready, bound the starts
         for _, rt, n_ready, a_times, fins, free in drv._plan:
+            a_times, fins = _values(a_times), _values(fins)
             for cut in cuts if free is not None else ():
                 freed = free + sum(fin <= cut for fin in [*rt.flight, *fins])
                 workers_bound += freed < n_ready + bisect_right(a_times, cut)
@@ -481,3 +495,115 @@ def test_queued_fragment_landing_before_an_in_flight_one_is_an_internal_error():
     drv.steps["s0"].flight = [1.0, 9.0]  # break the law: 1 finishes after 2 and 3
     with pytest.raises(InternalConsistencyError, match="before an in-flight one"):
         drv.commit(2.0)
+
+
+_UNITS = 2 ** 53
+
+
+def _grid_run(rng, scale, lo):
+    """Ready times spaced by a multiple of scale, the first at least lo, as a
+    run when it meets the driver's exactness rule, else as a list; and as a
+    list of floats computed from rationals."""
+    n = rng.randrange(1, 12)
+    first = (math.ceil(lo / scale) + rng.randrange(0, 6)) * scale
+    step = rng.randrange(1, 9) * scale
+    values = [float(Fraction(first) + k * Fraction(step)) for k in range(n)]
+    return (_Run(first, step, n) if _on_grid(first, step, n) else values), values
+
+
+def _on_grid(first, step, n):
+    """Whether first and step are multiples of a common 2^-s and the last
+    time, first + (n-1)*step, is at most 2^53 of those units."""
+    q = max(Fraction(first).denominator, Fraction(step).denominator)
+    return (Fraction(first) + (n - 1) * Fraction(step)) * q <= _UNITS
+
+
+def _fifo_case(rng):
+    """Random _fifo inputs: (n_ready, arrivals as given, arrivals as a list,
+    busy, free, t0, duration, the kind the result must be or None)."""
+    pick = rng.random()
+    if pick < 0.15:
+        # a backlog whose last finish is a few units of 2^-s either side of
+        # 2^53 units: a run at or below the bound, the running sum above it;
+        # an odd multiple of 2^-s as the service time makes 2^-s the grid
+        scale = rng.choice([1.0, 2.0 ** -3, 2.0 ** -52])
+        du, n, over = rng.choice([1, 3]), rng.randrange(1, 7), rng.randrange(-3, 4)
+        w = (_UNITS + over - n * du) * scale
+        return n, [], [], [w], 0, 0.0, du * scale, _Run if over <= 0 else list
+    if pick < 0.2:
+        # a service time that underflowed to 0
+        d = math.ulp(0.0) / 3.0
+        assert d == 0.0
+        return rng.randrange(1, 6), [], [], [], 1, rng.choice([0.0, 1.5, 0.1]), d, list
+    if pick < 0.3:
+        # a backlog on a step of 0.1 or 0.3: the running sum rounds
+        d = rng.choice([0.1, 0.3])
+        return rng.randrange(3, 12), [], [], [], 1, rng.choice([0.0, 0.1, 0.3, 2.0]), d, list
+    dyadic = rng.random() < 0.7
+    scale = rng.choice([1.0, 0.5, 0.25, 2.0 ** -10]) if dyadic else rng.choice([0.1, 0.3])
+    t0 = rng.randrange(0, 20) * scale
+    pool = rng.choice([1, 1, 1, 2, 3])
+    busy = sorted(t0 + rng.randrange(0, 12) * scale for _ in range(rng.randrange(0, pool + 1)))
+    n_ready = rng.choice([0, 0, 1, 4])
+    shape = rng.choice(["run", "run", "list", "empty"] if n_ready else ["run", "run", "list"])
+    if shape == "run":
+        arrivals, values = _grid_run(rng, scale, t0)
+    elif shape == "list":
+        values = sorted(t0 + rng.randrange(0, 30) * scale for _ in range(rng.randrange(1, 10)))
+        arrivals = values
+    else:
+        arrivals = values = []
+    d = rng.randrange(1, 8) * rng.choice([scale, scale / 2, 0.1])
+    return n_ready, arrivals, values, busy, pool - len(busy), t0, d, None
+
+
+def _cuts(values):
+    """Instants before the first value, on each value, between values and
+    after the last."""
+    cuts = {values[0] - 1.0, math.nextafter(values[0], -math.inf), values[-1] + 1.0}
+    for a, b in zip(values, values[1:]):
+        cuts.add((a + b) / 2)
+    for v in values:
+        cuts.update((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+    return sorted(cuts)
+
+
+def test_one_worker_runs_match_the_heap_loop():
+    """_fifo's finish times, a list or a run, are the heap loop's element for
+    element; a run's values are exact, and its count at any cut is the
+    bisection of its values."""
+    rng = random.Random(25)
+    kinds = {list: 0, _Run: 0}
+    runs_checked = kept_up = 0
+    for trial in range(20000):
+        n_ready, arrivals, values, busy, free, t0, d, kind = _fifo_case(rng)
+        got = _fifo(n_ready, arrivals, busy, free, t0, d)
+        want = _fifo_until([t0] * n_ready + values, busy, free, t0, d, math.inf)
+        assert _values(got) == want, trial
+        assert kind is None or type(got) is kind, (trial, n_ready, values, busy, free, t0, d)
+        kinds[type(got)] += 1
+        kept_up += type(got) is _Run and got.step != d  # one finish per arrival
+        checked = [(got, want)] if type(got) is _Run else []
+        if type(arrivals) is _Run:
+            checked.append((arrivals, values))
+        for run, vals in checked:
+            assert run.n == len(vals) and run.last == vals[-1], trial
+            assert _on_grid(run.first, run.step, run.n), trial
+            for k, v in enumerate(vals):
+                assert Fraction(run.first) + k * Fraction(run.step) == Fraction(v), (trial, k)
+                assert run.first + k * run.step == v, (trial, k)
+            for cut in _cuts(vals):
+                assert run.count(cut) == bisect_right(vals, cut), (trial, cut)
+            # an in-flight finish before the run: the term before it, or not
+            back = vals[0] - run.step
+            for prev in (back, math.nextafter(back, 0.0), vals[0] - 0.5 * run.step, vals[0] - 0.1):
+                if prev < 0:
+                    continue
+                longer = run.after(prev)
+                assert _values(longer) == [prev] + vals, trial
+                if type(longer) is _Run:
+                    assert _on_grid(longer.first, longer.step, longer.n), trial
+                    terms = [longer.first + k * longer.step for k in range(longer.n)]
+                    assert terms == [prev] + vals, trial
+            runs_checked += 1
+    assert kinds[list] > 8000 and kinds[_Run] > 3000 and kept_up > 300 and runs_checked > 6000
