@@ -30,7 +30,6 @@ from hcs_sim.sim_engine import (
     PoissonArrivals,
     Scenario,
     generate_arrivals,
-    inject_faults,
     run,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "cost_vs_baseline",
     "emit_report",
     "generate_arrivals",
-    "inject_faults",
     "rcost",
     "run",
     "time_weighted_utilization",

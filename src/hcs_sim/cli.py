@@ -476,6 +476,13 @@ def main(argv: list[str] | None = None) -> int:
     level = logging.getLevelName(os.environ.get("HCS_SIM_LOG", "WARNING").upper())
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes a word like -1,2 for an option, which leaves --seeds, or
+    # a prefix of it, without a value; joined as --seeds=-1,2 it is the value
+    for i in range(len(argv) - 2, -1, -1):
+        opt, val = argv[i:i + 2]
+        if len(opt) > 2 and "--seeds".startswith(opt) and val[:1] == "-" and val[1:2].isdigit():
+            argv = [*argv[:i], f"{opt}={val}", *argv[i + 2:]]
     args = build_parser().parse_args(argv)
     handler = {"run": cmd_run, "sweep": cmd_sweep,
                "baseline": cmd_baseline, "replicate": cmd_replicate}[args.command]

@@ -14,20 +14,9 @@ commits it up to its instant, cutting each step's planned queue by bisection:
 fragments finished by then are journaled, started ones are in flight, ready
 ones queue. The interruption then applies and the job is projected again.
 
-A step with one worker plans no float per fragment in two cases: a backlog,
-every fragment ready by the first start, and ready times that are a run (the
-finish times of a one-worker predecessor) with none ready at the plan's start.
-Its finish times are then a run, first + k*step for k < n: one every service
-time, or one per arrival when the arrivals are spaced wider and the worker is
-free by the first; a fragment in flight that finishes one step before first
-extends it by one. A run is used only when it is exact: the start that first
-is summed from, the service time and the step are non-negative multiples of a
-common 2^-s, and the last time is at most 2^53 of those units, checked in
-integers. Then no float sum rounds, and each time equals, bit for bit, the
-running sum the loop would form; otherwise the step takes the list. A commit
-counts a run's times up to its cut by a quotient corrected by exact
-comparison; a join or a multi-worker successor lists the run where it reads
-it.
+A one-worker step may plan its finish times as a run, first + k*step for
+k < n, in place of a float per fragment: _fifo gives the cases, and _exact the
+rule that makes each time equal, bit for bit, the running sum.
 
 Every step takes its fragments in index order: sources queue them so, a FIFO
 pool of equal service times finishes them in start order, a requeue puts the
@@ -67,11 +56,6 @@ from hcs_sim.core_model import (
 )
 
 
-def cloud_pool_size(step: StepSpec, cloud_concurrency: int | None = None) -> int:
-    """Worker pool for a cloud deployment: configured override or one per replica."""
-    return step.replicas if cloud_concurrency is None else cloud_concurrency
-
-
 class _StepRuntime:
     """A step's durable state, as counts of its fragments in index order.
 
@@ -104,8 +88,9 @@ def _exact(x: float, d: float, step: float, n: int) -> bool:
     """Whether the values x + d + k*step, k < n, and every sum that forms
     them, are exact in floats: x, d and step non-negative multiples of a
     common 2^-s with d and step positive, and x + d + (n-1)*step at most 2^53
-    of those units. A float sum is exact when its result is representable, so
-    then first + k*step and the running sum give the same float."""
+    of those units, checked in integers. A float sum is exact when its result
+    is representable, so then first + k*step and the running sum give the
+    same float; otherwise the step takes the list."""
     if not (x >= 0.0 and d > 0.0 and step > 0.0 and x + d + (n - 1) * step <= _UNITS):
         return False  # also an infinite or nan operand, or a time past 2^53
     (xn, xq), (dn, dq), (sn, sq) = (x.as_integer_ratio(), d.as_integer_ratio(),
@@ -115,11 +100,9 @@ def _exact(x: float, d: float, step: float, n: int) -> bool:
 
 
 class _Run:
-    """The times first + k*step for k < n, n >= 1: a one-worker step's finish
-    times, or its successor's ready times, without a float per fragment.
-    first and step are multiples of a common 2^-s and last is at most 2^53 of
-    those units (see _exact), so each time is exact. Never changed after it
-    is built."""
+    """The times first + k*step for k < n, n >= 1, made by _fifo only when
+    _exact holds: a one-worker step's finish times, or its successor's ready
+    times. Never changed after it is built."""
 
     __slots__ = ("first", "step", "n", "last")
 

@@ -45,7 +45,7 @@ from hcs_sim.hcs_scheduler import (
 )
 from hcs_sim.metrics import CostLedgerEntry, JobOutcome, RunReport, UtilizationSample
 from hcs_sim.pcg64 import Pcg64
-from hcs_sim.pipeline_driver import PipelineDriver, cloud_pool_size
+from hcs_sim.pipeline_driver import PipelineDriver
 from hcs_sim.placement import PlacementPolicy
 
 log = logging.getLogger(__name__)
@@ -287,12 +287,6 @@ def require_finite_rounds(arrivals: list[ScheduledArrival], round_length: float)
              "time to be a finite number of rounds"))
 
 
-def inject_faults(scenario: Scenario, faults: list[Fault]) -> Scenario:
-    """Return a scenario with extra fault events merged in, in time order."""
-    merged = sorted([*scenario.faults, *faults], key=lambda f: f.time)
-    return scenario.replace(faults=tuple(merged))
-
-
 class _Engine:
     """One run's mutable state; single-threaded, shares nothing."""
 
@@ -403,8 +397,9 @@ class _Engine:
         entry = CostLedgerEntry(job_id, step_id, region, self.sched.rcost_of(step), now)
         self._open[job_id, step_id] = entry
         self.ledger.append(entry)
+        # Scenario keeps cloud_concurrency None or >= 1, so "or" replaces only None
         pool = (step.replicas if region == "edge"
-                else cloud_pool_size(step, self.scenario.cloud_concurrency))
+                else self.scenario.cloud_concurrency or step.replicas)
         drv.deploy(step_id, region, pool, now)
         self._touch(drv)
 
@@ -513,20 +508,6 @@ class _Engine:
                 completion=now, deadline=a.job.deadline, completed=False))
 
 
-def run_detailed(scenario: Scenario,
-                 arrivals: list[ScheduledArrival] | None = None
-                 ) -> tuple[RunReport, dict[str, PipelineDriver]]:
-    """Like run(), but also returns the final per-job drivers so callers can
-    inspect each step's journal count (e.g. exactly-once verification)."""
-    if arrivals is None:
-        arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
-    log.info("run %s: %d arrivals, mode=%s placement=%s",
-             scenario.scenario_id, len(arrivals), scenario.mode.value,
-             scenario.placement.value)
-    engine = _Engine(scenario, arrivals)
-    return engine.run(), engine.drivers
-
-
 def run(scenario: Scenario,
         arrivals: list[ScheduledArrival] | None = None) -> RunReport:
     """Execute one scenario to completion (or its horizon) and report.
@@ -534,4 +515,9 @@ def run(scenario: Scenario,
     A precomputed arrival schedule may be passed in so paired runs (baseline
     comparisons, placement sweeps) consume identical arrivals.
     """
-    return run_detailed(scenario, arrivals)[0]
+    if arrivals is None:
+        arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
+    log.info("run %s: %d arrivals, mode=%s placement=%s",
+             scenario.scenario_id, len(arrivals), scenario.mode.value,
+             scenario.placement.value)
+    return _Engine(scenario, arrivals).run()

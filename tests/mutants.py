@@ -62,6 +62,25 @@ MUTANTS = [
     Mutant("run-grid-check-accepts-all", "pipeline_driver.py", (
         ("return xn * (q // xq) + dn * (q // dq) + (n - 1) * sn * (q // sq) <= _UNITS",
          "return True"),), "killed"),
+    Mutant("run-bound-strict", "pipeline_driver.py", (
+        ("(n - 1) * sn * (q // sq) <= _UNITS", "(n - 1) * sn * (q // sq) < _UNITS"),), "killed"),
+    Mutant("run-exact-drops-positive-duration", "pipeline_driver.py", (
+        ("x >= 0.0 and d > 0.0 and step > 0.0", "x >= 0.0 and step > 0.0"),),
+        "equivalent",
+        "d is a service time over a speed, so only a d that underflowed to 0 "
+        "fails the test; a backlog passes d as the step, which step > 0.0 still "
+        "refuses, and fed by a run with the worker free by its first time, each "
+        "fragment finishes at its ready time, so the run made is the arrivals' "
+        "own exact one, the times the loop lists (the property test draws it)"),
+    Mutant("run-after-drops-nonnegative-guard", "pipeline_driver.py", (
+        ("if prev == self.first - self.step and prev >= 0.0:",
+         "if prev == self.first - self.step:"),),
+        "equivalent",
+        "prev is an in-flight finish time, an event time (>= 0) plus a service "
+        "time (>= 0), so the guard never fails where after() is called"),
+    Mutant("run-count-drops-correction", "pipeline_driver.py", (
+        ("        while self.first + k * self.step <= cut:\n            k += 1\n", ""),),
+        "killed"),
     Mutant("expiry-cut-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("keep = bisect_right(rt.flight, expiry)", "keep = bisect_left(rt.flight, expiry)")),

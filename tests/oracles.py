@@ -16,7 +16,8 @@ placement before first fit started from a per-shape bound, which places one
 replica at a time, first fit scanning from node 0 for each, with random free
 views to check the package's placement against it; the recompute of the
 scheduler's capacity books from scratch, and the engine that runs it after
-every instant; the graph lookups PipelineDag no longer offers, read off its
+every instant; a run that also returns its per-job drivers, for the
+exactly-once tests; the graph lookups PipelineDag no longer offers, read off its
 steps and edges; and the
 scheduler before incremental capacity books, the differential oracle for the
 scheduler, with the per-node allocation account it kept before the
@@ -740,6 +741,15 @@ def check_books(sched: HcsScheduler) -> None:
         raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")
 
 
+def run_detailed(scenario, arrivals=None):
+    """Like hcs_sim.run, but also returns the final per-job drivers so tests
+    can inspect each step's journal count (exactly-once verification)."""
+    if arrivals is None:
+        arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
+    engine = _Engine(scenario, arrivals)
+    return engine.run(), engine.drivers
+
+
 class CheckedEngine(_Engine):
     """The package's engine, with the scheduler's books recomputed from
     scratch (check_books) after every instant."""
@@ -792,9 +802,6 @@ class FragmentDriver:
                 rt.ready = deque(range(self.m))
                 rt.barrier_released = True
             self.steps[sid] = rt
-
-    def step_runtime(self, step_id):
-        return self.steps[step_id]
 
     def is_complete(self):
         return all(self.steps[t].state is StepState.COMPLETED for t in self.terminal_ids)

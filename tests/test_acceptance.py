@@ -18,7 +18,7 @@ import pytest
 
 import test_scheduler
 from oracles import (CheckedEngine, NodeState, chain_makespan, counting_completions,
-                     oracle_feasible, pipeline_makespan, try_place)
+                     oracle_feasible, pipeline_makespan, run_detailed, try_place)
 
 from hcs_sim import (
     BatchJob,
@@ -40,7 +40,6 @@ from hcs_sim import (
     time_weighted_utilization,
 )
 from hcs_sim.core_model import rcost
-from hcs_sim.sim_engine import run_detailed
 
 SCENARIO_FILE = (Path(__file__).resolve().parent.parent
                  / "scenarios" / "saturating_mix.json")

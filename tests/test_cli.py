@@ -885,3 +885,24 @@ class TestReplicateCommand:
         err = capsys.readouterr().err
         assert "error: arrivals.seed" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seeds", [
+        ["--seeds", "-1,2"], ["--seeds", "-1"], ["--seeds=-1,2"], ["--seed", "-1,2"]],
+        ids=["spaced-list", "spaced", "joined", "abbreviated"])
+    def test_leading_negative_seed_reaches_the_seed_check(self, tmp_path, capsys, seeds):
+        # argparse alone reads "-1,2" as an option and leaves --seeds empty
+        cfg = minimal_config()
+        cfg["arrivals"] = {"kind": "poisson", "rate": 0.05, "seed": 1, "count": 2}
+        path = write_config(tmp_path, cfg)
+        assert main(["replicate", "--config", path, "--out", str(tmp_path / "o"), *seeds]) == 1
+        assert capsys.readouterr().err == "error: arrivals.seed: must be >= 0\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_missing_seed_list_is_a_usage_error(self, tmp_path):
+        cfg = minimal_config()
+        cfg["arrivals"] = {"kind": "poisson", "rate": 0.05, "seed": 1, "count": 2}
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replicate", "--config", path, "--out", str(tmp_path / "o"), "--seeds"])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "o").exists()

@@ -68,11 +68,11 @@ from hcs_sim.sim_engine import (
     Scenario,
     generate_arrivals,
     run,
-    run_detailed,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import FragmentEngine, predecessors, step_spec, step_state  # noqa: E402
+from oracles import (FragmentEngine, predecessors, run_detailed, step_spec,  # noqa: E402
+                     step_state)
 
 TIER1_SEEDS = range(0, 300)
 # the seeds of 0-3999 whose artifacts change when EVICTION_EXPIRE and

@@ -16,13 +16,13 @@ from hcs_sim.core_model import (
     PipelineDag,
     ResourceVector,
     StepSpec,
+    ValidationError,
 )
 from hcs_sim.pipeline_driver import (
     PipelineDriver,
     _fifo,
     _Run,
     _StepRuntime,
-    cloud_pool_size,
 )
 
 from oracles import (
@@ -125,6 +125,14 @@ class TestPipeliningLaws:
 
 
 class TestDeploySemantics:
+    def test_unknown_step_is_refused_by_deploy_and_eviction_notice(self):
+        drv = PipelineDriver(make_job(1, 3))
+        with pytest.raises(ValidationError, match=r"job j0 has no step 'nope'"):
+            drv.deploy("nope", "edge", 1, 0.0)
+        with pytest.raises(ValidationError, match=r"job j0 has no step 'nope'"):
+            drv.on_eviction_notice("nope", 5.0, 0.0)
+        assert drv.steps["s0"].region is None and drv.version == 0
+
     def test_non_source_feed_forward_runs_with_nothing_in_flight(self):
         drv = PipelineDriver(make_job(2, 5))
         drv.deploy("s1", CLOUD, 1, 0.0)
@@ -188,11 +196,6 @@ class TestDeploySemantics:
         drv.commit(3.0)
         journal, in_flight, _ = fragment_view(drv)["s0"]
         assert len(journal) == 9 and list(in_flight) == [9]
-
-    def test_cloud_pool_size_default_and_override(self):
-        step = StepSpec("s", ResourceVector(100, 16), 4, 1.0)
-        assert cloud_pool_size(step) == 4
-        assert cloud_pool_size(step, 8) == 8
 
 
 class TestEviction:
@@ -531,10 +534,14 @@ def _fifo_case(rng):
         w = (_UNITS + over - n * du) * scale
         return n, [], [], [w], 0, 0.0, du * scale, _Run if over <= 0 else list
     if pick < 0.2:
-        # a service time that underflowed to 0
+        # a service time that underflowed to 0, behind a backlog or fed by a
+        # run, whose times the finishes then repeat
         d = math.ulp(0.0) / 3.0
         assert d == 0.0
-        return rng.randrange(1, 6), [], [], [], 1, rng.choice([0.0, 1.5, 0.1]), d, list
+        if pick < 0.175:
+            return rng.randrange(1, 6), [], [], [], 1, rng.choice([0.0, 1.5, 0.1]), d, list
+        arrivals, values = _grid_run(rng, rng.choice([1.0, 0.25]), 0.0)
+        return 0, arrivals, values, [], 1, 0.0, d, None
     if pick < 0.3:
         # a backlog on a step of 0.1 or 0.3: the running sum rounds
         d = rng.choice([0.1, 0.3])

@@ -26,11 +26,9 @@ from hcs_sim.sim_engine import (
     Scenario,
     _Engine,
     generate_arrivals,
-    inject_faults,
     run,
-    run_detailed,
 )
-from oracles import CheckedEngine
+from oracles import CheckedEngine, run_detailed
 
 
 def vec(cpu: int, mem: int = 0) -> ResourceVector:
@@ -406,27 +404,22 @@ class TestDriverRestart:
 
 
 class TestInjectFaults:
-    def test_merges_and_sorts(self):
-        s = scenario(faults=(NodeFailureFault(50.0, 0),))
-        s2 = inject_faults(s, [DriverRestartFault(10.0, 0)])
-        assert [f.time for f in s2.faults] == [10.0, 50.0]
-
     def test_unknown_node_rejected(self):
         with pytest.raises(ValidationError):
-            inject_faults(scenario(), [NodeFailureFault(10.0, 9)])
+            scenario().replace(faults=(NodeFailureFault(10.0, 9),))
 
     def test_double_kill_rejected(self):
         with pytest.raises(ValidationError):
-            inject_faults(scenario(), [NodeFailureFault(10.0, 0),
-                                       NodeFailureFault(20.0, 0)])
+            scenario().replace(faults=(NodeFailureFault(10.0, 0),
+                                       NodeFailureFault(20.0, 0)))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValidationError):
-            inject_faults(scenario(), [DriverRestartFault(-1.0, 0)])
+            scenario().replace(faults=(DriverRestartFault(-1.0, 0),))
 
     def test_fault_past_horizon_rejected(self):
         with pytest.raises(ValidationError):
-            inject_faults(scenario(horizon=100.0), [NodeFailureFault(200.0, 0)])
+            scenario(horizon=100.0).replace(faults=(NodeFailureFault(200.0, 0),))
 
     def test_job_index_out_of_range_fails_at_run(self):
         with pytest.raises(ValidationError):
