@@ -18,7 +18,6 @@ from hcs_sim.core_model import (
     CostParams,
     InternalConsistencyError,
     PipelineDag,
-    Record,
     ResourceVector,
     StepSpec,
     ValidationError,
@@ -42,18 +41,6 @@ MAX_NODE_COUNT = 1_000_000  # the largest edge.node_count a file may set
 
 # by its import name: run as `python -m hcs_sim.cli`, this module is __main__
 log = logging.getLogger("hcs_sim.cli")
-
-
-class LoadResult(Record):
-    """A loaded scenario and its output_dir, or the file's diagnostics."""
-
-    __slots__ = ("scenario", "output_dir", "diagnostics")
-
-    def __init__(self, scenario: Scenario | None, output_dir: str | None,
-                 diagnostics: list[str]):
-        self.scenario = scenario
-        self.output_dir = output_dir
-        self.diagnostics = diagnostics
 
 
 class _Check:
@@ -256,8 +243,9 @@ def _parse_workload(name: str, obj, check: _Check) -> BatchJob | None:
                        got["fragment_count"], got["deadline"])
 
 
-def load_scenario(path: str | Path) -> LoadResult:
-    """Parse and validate a scenario file, reporting every violation at once.
+def load_scenario(path: str | Path) -> tuple[Scenario, str | None]:
+    """Parse and validate a scenario file: its Scenario and its output_dir,
+    or one ValidationError with every problem, sorted.
 
     The first pass reports every problem of the file's shape and types and of
     the objects built inside it; the second, every problem of the Scenario.
@@ -266,18 +254,18 @@ def load_scenario(path: str | Path) -> LoadResult:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        return LoadResult(None, None, [f"{path}: {e.strerror or e}"])
+        raise ValidationError(f"{path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
-        return LoadResult(None, None, [f"{path}: not UTF-8 text: {e.reason} at offset {e.start}"])
+        raise ValidationError(f"{path}: not UTF-8 text: {e.reason} at offset {e.start}") from None
     try:
         raw = json.loads(text, parse_constant=_finite, parse_float=_finite,
                          parse_int=lambda token: _finite(token, int))
     except ValueError as e:  # JSONDecodeError is one
-        return LoadResult(None, None, [f"{path}: invalid JSON: {e}"])
+        raise ValidationError(f"{path}: invalid JSON: {e}") from None
     except RecursionError:
-        return LoadResult(None, None, [f"{path}: invalid JSON: nested too deeply"])
+        raise ValidationError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
-        return LoadResult(None, None, [f"{path}: top level must be an object"])
+        raise ValidationError(f"{path}: top level must be an object")
 
     top = check.fields(raw, "", _TOP)
     nodes: tuple[ResourceVector, ...] = ()
@@ -322,13 +310,13 @@ def load_scenario(path: str | Path) -> LoadResult:
         faults=tuple(faults), **sched, **cloud)
 
     if check.problems:
-        return LoadResult(None, None, sorted(set(check.problems)))
+        raise ValidationError(*sorted(set(check.problems)))
     try:
         scenario = Scenario(top.get("scenario_id", Path(path).stem), nodes, catalog,
                             arrivals, **settings)
     except ValidationError as e:
-        return LoadResult(None, None, sorted(set(e.problems)))
-    return LoadResult(scenario, top.get("output_dir"), [])
+        raise ValidationError(*sorted(set(e.problems))) from None
+    return scenario, top.get("output_dir")
 
 
 # -- commands -------------------------------------------------------------------
@@ -494,10 +482,8 @@ def main(argv: list[str] | None = None) -> int:
     # wall-clock seconds per phase, summed over the command's runs
     phases = dict.fromkeys(("load", "arrivals", "simulate", "emit"), 0.0)
     try:
-        res = _timed(phases, "load", load_scenario, args.config)
-        if res.diagnostics:
-            raise ValidationError(*res.diagnostics)
-        return handler(args, res.scenario, Path(args.out or res.output_dir or "out"), phases)
+        scenario, output_dir = _timed(phases, "load", load_scenario, args.config)
+        return handler(args, scenario, Path(args.out or output_dir or "out"), phases)
     except ValidationError as e:
         for problem in e.problems:
             print(f"error: {problem}", file=sys.stderr)

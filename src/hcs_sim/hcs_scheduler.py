@@ -28,7 +28,6 @@ from hcs_sim.placement import PlacementPlan, PlacementPolicy, replica_slots, try
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ROUND_LENGTH = 30.0
 DEFAULT_EVICTION_DEADLINE = 30.0
 
 StepKey = tuple[str, str]  # (job_id, step_id)
@@ -116,17 +115,17 @@ class HcsScheduler:
     calls `close_windows` then: the one place a window ends. Per-node
     books keep what a placement reads, so no request rebuilds a view of the
     nodes or walks the residents. One writer, `_shift`, moves a plan's load
-    on `_held`, `_free` and `_evicting_load` in one pass over the nodes the
-    plan touches: a hold, a drop, a reservation, an unreserve and a
-    window's opening each call it once, and `_held` moves only through
-    `_hold` and `_drop`. A node failure blanks the dead node's entries.
+    on `_held`, `_free` and `_free_after_evictions`, and re-derives
+    `_free_now`, in one pass over the nodes the plan touches: a hold, a
+    drop, a reservation, an unreserve and a window's opening each call it
+    once, and `_held` moves only through `_hold` and `_drop`. A node failure
+    blanks the dead node's entries.
 
     - `_free`: capacity - held - reserved, None for a dead node. It can dip
       below zero where a reservation is backed by evicting space.
-    - `_evicting_load`: the load of the residents in an eviction window.
     - `_free_now`: `_free` clamped at zero, as `try_place_free` reads it.
-    - `_free_after_evictions`: `_free` plus `_evicting_load`, which never
-      dips below zero. `_shift` re-derives both once per node it touches.
+    - `_free_after_evictions`: `_free` plus the load of the residents in an
+      eviction window, which never dips below zero; None for a dead node.
     - `_victims`: the residents outside an eviction window in (rcost, key)
       order, so eviction candidates are a prefix.
     - `_ff_from`: per demand shape (cpu, mem), the node first fit starts
@@ -139,25 +138,23 @@ class HcsScheduler:
     Each capacity rule is checked once, where the books move, and a
     breach raises InternalConsistencyError: `_hold` refuses a replica on a
     dead node or past a node's capacity, `_drop` a release of load not
-    held, `_shift` a node over capacity after its pending evictions (free
-    plus evicting below zero), and `handle_node_failure` a dead node that
-    still holds load. The books are not recomputed from scratch here; the
-    tests do that after every instant. The settings are a Scenario's, which
-    guarantees positive round and eviction lengths and at least one node in
-    cheapest-first mode.
+    held, `_shift` a node over capacity after its pending evictions
+    (`_free_after_evictions` below zero), and `handle_node_failure` a dead
+    node that still holds load. The books are not recomputed from scratch
+    here; the tests do that after every instant. The settings are a
+    Scenario's, which guarantees a positive eviction length and at least one
+    node in cheapest-first mode.
     """
 
     def __init__(self, capacities: Sequence[ResourceVector],
                  cost_params: CostParams | None = None,
                  policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
-                 round_length: float = DEFAULT_ROUND_LENGTH,
                  eviction_deadline: float = DEFAULT_EVICTION_DEADLINE,
                  mode: SchedulerMode = SchedulerMode.CHEAPEST_FIRST):
         self.capacities = tuple(capacities)
         self.alive = [True] * len(self.capacities)
         self.cost_params = cost_params or CostParams()
         self.policy = policy
-        self.round_length = round_length
         self.eviction_deadline = eviction_deadline
         self.mode = mode
         self.resident: dict[StepKey, PlacementPlan] = {}
@@ -170,11 +167,9 @@ class HcsScheduler:
         self.rr_cursor = 0
         self.edge_writes = 0
         self._jobs: set[str] = set()  # ids seen, to refuse a duplicate
-        self._rcosts: dict[int, tuple[float, StepSpec]] = {}
         self._held: list[list[int]] = [[0, 0] for _ in self.capacities]
         self._free: list[list[int] | None] = [
             [c.cpu_millicores, c.memory_mb] for c in self.capacities]
-        self._evicting_load: list[list[int]] = [[0, 0] for _ in self.capacities]
         self._free_now: list[tuple[int, int] | None] = [
             _clamp(f) for f in self._free]
         self._free_after_evictions = list(self._free_now)
@@ -184,29 +179,28 @@ class HcsScheduler:
     # -- capacity books ---------------------------------------------------------
 
     def _shift(self, plan: PlacementPlan, held: int, free: int, evicting: int) -> None:
-        """Add a plan's load, times held, free and evicting (each -1, 0 or
-        1), to `_held`, `_free` and `_evicting_load`, and re-derive the two
-        views on each node it touches; space freed on `_free` lowers the
-        first-fit bounds past it. A node whose free plus evicting load dips
-        below zero is over capacity after its pending evictions: a broken
-        planner, refused there."""
+        """Add a plan's load, times held, free and free + evicting (held,
+        free and evicting each -1, 0 or 1), to `_held`, `_free` and
+        `_free_after_evictions`, and re-derive `_free_now` on each node it
+        touches; space freed on `_free` lowers the first-fit bounds past it.
+        A node whose space after its pending evictions dips below zero is
+        over capacity: a broken planner, refused there."""
         d = plan.step.demand_per_replica
         dc, dm = d.cpu_millicores, d.memory_mb
+        after = free + evicting
         for node_id, k in plan.nodes.items():
             cpu, mem = k * dc, k * dm
-            h, f, e = self._held[node_id], self._free[node_id], self._evicting_load[node_id]
+            h, f, a = self._held[node_id], self._free[node_id], self._free_after_evictions[node_id]
             h[0] += held * cpu
             h[1] += held * mem
             f[0] += free * cpu
             f[1] += free * mem
-            e[0] += evicting * cpu
-            e[1] += evicting * mem
             self._free_now[node_id] = _clamp(f)
-            after = (f[0] + e[0], f[1] + e[1])
-            if after[0] < 0 or after[1] < 0:
+            a = (a[0] + after * cpu, a[1] + after * mem)
+            if a[0] < 0 or a[1] < 0:
                 raise InternalConsistencyError(
                     f"node {node_id} over capacity after pending evictions")
-            self._free_after_evictions[node_id] = after
+            self._free_after_evictions[node_id] = a
         if free > 0:
             low = min(plan.nodes)
             for shape, start in self._ff_from.items():
@@ -233,7 +227,7 @@ class HcsScheduler:
         self.edge_writes += 1
         self._shift(plan, 1, -1, 0)
         self.resident[key] = plan
-        insort(self._victims, (self.rcost_of(plan.step), key))
+        insort(self._victims, (rcost(plan.step, self.cost_params), key))
 
     def _drop(self, key: StepKey) -> None:
         """Release a resident's allocation, closing its eviction window if open."""
@@ -249,24 +243,13 @@ class HcsScheduler:
             self._shift(plan, -1, 1, -1)
         else:
             self._shift(plan, -1, 1, 0)
-            del self._victims[bisect_left(self._victims, (self.rcost_of(plan.step), key))]
+            del self._victims[bisect_left(self._victims,
+                                          (rcost(plan.step, self.cost_params), key))]
 
     def _unreserve(self, key: StepKey) -> PlacementPlan:
         plan, _ = self.reservations.pop(key)
         self._shift(plan, 0, 1, 0)
         return plan
-
-    def rcost_of(self, step: StepSpec) -> float:
-        """rcost under this scheduler's prices, computed once per step spec.
-
-        Keyed by identity, which costs less than hashing the spec: jobs of one
-        template share their specs, and the cache holds each spec it keys, so
-        no other object can take its id.
-        """
-        hit = self._rcosts.get(id(step))
-        if hit is None:
-            hit = self._rcosts[id(step)] = (rcost(step, self.cost_params), step)
-        return hit[0]
 
     # -- request intake -------------------------------------------------------
 
@@ -276,15 +259,8 @@ class HcsScheduler:
             raise ValidationError(f"duplicate job_id {job.job_id!r}")
         self._jobs.add(job.job_id)
         for step in job.dag.steps:
-            self.pending.append((-self.rcost_of(step), now, job.job_id, step.step_id, step))
-
-    def next_round_at(self, now: float) -> float:
-        """First round boundary at or after now; boundaries sit at k*round_length, k>=1."""
-        k = int(now / self.round_length)
-        boundary = k * self.round_length
-        if boundary < now:
-            boundary = (k + 1) * self.round_length
-        return max(boundary, self.round_length)
+            cost = rcost(step, self.cost_params)
+            self.pending.append((-cost, now, job.job_id, step.step_id, step))
 
     # -- the round ------------------------------------------------------------
 
@@ -360,7 +336,7 @@ class HcsScheduler:
         candidate would accept. A node without room for one replica has no
         slot, so the count starts from the nodes with room.
         """
-        cost = self.rcost_of(step)
+        cost = rcost(step, self.cost_params)
         demand = step.demand_per_replica
         dc, dm = demand.cpu_millicores, demand.memory_mb
         base = self._free_after_evictions
@@ -464,9 +440,9 @@ class HcsScheduler:
         decision = ScheduleDecision()
 
         # (-rcost, key, step), sorted as is: the keys are unique
-        hit_residents = sorted((-self.rcost_of(plan.step), k, plan.step)
+        hit_residents = sorted((-rcost(plan.step, self.cost_params), k, plan.step)
                                for k, plan in self.resident.items() if node_id in plan.nodes)
-        hit_reservations = sorted((-self.rcost_of(plan.step), k, plan.step)
+        hit_reservations = sorted((-rcost(plan.step, self.cost_params), k, plan.step)
                                   for k, (plan, _) in self.reservations.items()
                                   if node_id in plan.nodes)
         was_evicting = {k for _, k, _ in hit_residents if k in self.evicting}

@@ -87,11 +87,13 @@ _UNITS = 1 << 53  # the most units of a common 2^-s an exact run may reach
 def _exact(x: float, d: float, step: float, n: int) -> bool:
     """Whether the values x + d + k*step, k < n, and every sum that forms
     them, are exact in floats: x, d and step non-negative multiples of a
-    common 2^-s with d and step positive, and x + d + (n-1)*step at most 2^53
-    of those units, checked in integers. A float sum is exact when its result
+    common 2^-s with step positive, and x + d + (n-1)*step at most 2^53 of
+    those units, checked in integers. A float sum is exact when its result
     is representable, so then first + k*step and the running sum give the
-    same float; otherwise the step takes the list."""
-    if not (x >= 0.0 and d > 0.0 and step > 0.0 and x + d + (n - 1) * step <= _UNITS):
+    same float; otherwise the step takes the list. d is 0 only when a
+    service time underflowed: a backlog then fails on step, and a run fed to
+    a worker free by its first time finishes at the run's own exact times."""
+    if not (x >= 0.0 and step > 0.0 and x + d + (n - 1) * step <= _UNITS):
         return False  # also an infinite or nan operand, or a time past 2^53
     (xn, xq), (dn, dq), (sn, sq) = (x.as_integer_ratio(), d.as_integer_ratio(),
                                     step.as_integer_ratio())
@@ -131,9 +133,9 @@ class _Run:
 
     def after(self, prev: float) -> list[float] | _Run:
         """prev followed by the times: a run one longer when prev is first -
-        step. prev >= 0 puts step at or below first, on the run's grid and
-        within its bound, so the subtraction is exact."""
-        if prev == self.first - self.step and prev >= 0.0:
+        step. prev, an in-flight finish time, is >= 0: step is then at most
+        first, on its grid and in its bound, so the subtraction is exact."""
+        if prev == self.first - self.step:
             return _Run(prev, self.step, self.n + 1)
         return [prev] + self.values()
 

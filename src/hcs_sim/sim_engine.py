@@ -31,12 +31,12 @@ from hcs_sim.core_model import (
     Record,
     ResourceVector,
     ValidationError,
+    rcost,
     require,
     validate_job,
 )
 from hcs_sim.hcs_scheduler import (
     DEFAULT_EVICTION_DEADLINE,
-    DEFAULT_ROUND_LENGTH,
     DeployCloud,
     Evict,
     HcsScheduler,
@@ -49,6 +49,7 @@ from hcs_sim.pipeline_driver import PipelineDriver
 from hcs_sim.placement import PlacementPolicy
 
 log = logging.getLogger(__name__)
+DEFAULT_ROUND_LENGTH = 30.0
 
 
 class EventKind(IntEnum):
@@ -280,11 +281,23 @@ def _job(template: BatchJob, job_id: str, arrival_time: float) -> BatchJob:
 
 
 def require_finite_rounds(arrivals: list[ScheduledArrival], round_length: float) -> None:
-    """Refuse a schedule with an arrival time that is not a finite number of
-    rounds: each arrival asks next_round_at for its round."""
-    require((math.isfinite(max((a.time for a in arrivals), default=0.0) / round_length),
+    """Refuse a schedule with an arrival time of 2^53 rounds or more, past
+    which next_round_at, which each arrival asks for its round, is not exact."""
+    require((max((a.time for a in arrivals), default=0.0) / round_length < 2.0 ** 53,
              "scheduler.round_length: must be large enough for every arrival "
              "time to be a finite number of rounds"))
+
+
+def next_round_at(now: float, round_length: float) -> float:
+    """First round boundary at or after now; boundaries sit at k*round_length,
+    k >= 1. Below 2^53 every integer is a float, so the rounded quotient
+    keeps k between the exact quotient's floor and ceiling, and one of
+    k*round_length and (k+1)*round_length is the boundary."""
+    k = int(now / round_length)
+    boundary = k * round_length
+    if boundary < now:
+        boundary = (k + 1) * round_length
+    return max(boundary, round_length)
 
 
 class _Engine:
@@ -297,7 +310,7 @@ class _Engine:
         self.arrivals = arrivals
         self.sched = HcsScheduler(
             scenario.node_capacities, scenario.cost_params, scenario.placement,
-            scenario.round_length, scenario.eviction_deadline, scenario.mode)
+            scenario.eviction_deadline, scenario.mode)
         # the report's rows, appended as the run makes them
         self.samples: list[UtilizationSample] = []
         self.ledger: list[CostLedgerEntry] = []
@@ -365,7 +378,7 @@ class _Engine:
         self.sched.submit_request(a.job, now)
         # arrivals pop in time order and next_round_at never decreases, so
         # a boundary already pushed is the last one pushed
-        boundary = self.sched.next_round_at(now)
+        boundary = next_round_at(now, self.scenario.round_length)
         if boundary != self._last_tick:
             self._last_tick = boundary
             self._push(boundary, EventKind.ROUND_TICK, None)
@@ -394,7 +407,8 @@ class _Engine:
         drv = self.drivers[job_id]
         step = drv.steps[step_id].spec
         self._close(job_id, step_id, now)
-        entry = CostLedgerEntry(job_id, step_id, region, self.sched.rcost_of(step), now)
+        entry = CostLedgerEntry(job_id, step_id, region,
+                                rcost(step, self.scenario.cost_params), now)
         self._open[job_id, step_id] = entry
         self.ledger.append(entry)
         # Scenario keeps cloud_concurrency None or >= 1, so "or" replaces only None

@@ -44,6 +44,10 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    Mutant("round-boundary-on-now-moves-on", "sim_engine.py", (
+        ("    if boundary < now:\n", "    if boundary <= now:\n"),), "killed"),
+    Mutant("round-boundary-drops-first-round-floor", "sim_engine.py", (
+        ("    return max(boundary, round_length)\n", "    return boundary\n"),), "killed"),
     Mutant("event-tie-order", "sim_engine.py", (
         ("    EVICTION_EXPIRE = 1\n    NODE_FAILURE = 2\n",
          "    EVICTION_EXPIRE = 2\n    NODE_FAILURE = 1\n"),), "killed"),
@@ -64,20 +68,6 @@ MUTANTS = [
          "return True"),), "killed"),
     Mutant("run-bound-strict", "pipeline_driver.py", (
         ("(n - 1) * sn * (q // sq) <= _UNITS", "(n - 1) * sn * (q // sq) < _UNITS"),), "killed"),
-    Mutant("run-exact-drops-positive-duration", "pipeline_driver.py", (
-        ("x >= 0.0 and d > 0.0 and step > 0.0", "x >= 0.0 and step > 0.0"),),
-        "equivalent",
-        "d is a service time over a speed, so only a d that underflowed to 0 "
-        "fails the test; a backlog passes d as the step, which step > 0.0 still "
-        "refuses, and fed by a run with the worker free by its first time, each "
-        "fragment finishes at its ready time, so the run made is the arrivals' "
-        "own exact one, the times the loop lists (the property test draws it)"),
-    Mutant("run-after-drops-nonnegative-guard", "pipeline_driver.py", (
-        ("if prev == self.first - self.step and prev >= 0.0:",
-         "if prev == self.first - self.step:"),),
-        "equivalent",
-        "prev is an in-flight finish time, an event time (>= 0) plus a service "
-        "time (>= 0), so the guard never fails where after() is called"),
     Mutant("run-count-drops-correction", "pipeline_driver.py", (
         ("        while self.first + k * self.step <= cut:\n            k += 1\n", ""),),
         "killed"),
@@ -88,7 +78,13 @@ MUTANTS = [
     Mutant("drop-evicting-keeps-evicting-load", "hcs_scheduler.py", (
         ("self._shift(plan, -1, 1, -1)", "self._shift(plan, -1, 1, 0)"),), "killed"),
     Mutant("hold-skips-victim-insort", "hcs_scheduler.py", (
-        ("        insort(self._victims, (self.rcost_of(plan.step), key))\n", ""),), "killed"),
+        ("        insort(self._victims, (rcost(plan.step, self.cost_params), key))\n", ""),),
+        "killed"),
+    Mutant("victims-include-equal-cost", "hcs_scheduler.py", (
+        ("from bisect import bisect_left, insort",
+         "from bisect import bisect_left, bisect_right, insort"),
+        ("stop = bisect_left(self._victims, (cost,))",
+         "stop = bisect_right(self._victims, cost, key=lambda v: v[0])")), "killed"),
     Mutant("shift-never-lowers-first-fit-start", "hcs_scheduler.py", (
         ("self._ff_from[shape] = low", "pass"),), "killed"),
     Mutant("runs-one-schedule-per-run", "cli.py", (

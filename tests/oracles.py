@@ -50,7 +50,6 @@ from hcs_sim.core_model import (
 )
 from hcs_sim.hcs_scheduler import (
     DEFAULT_EVICTION_DEADLINE,
-    DEFAULT_ROUND_LENGTH,
     DeployCloud,
     DeployEdge,
     Evict,
@@ -696,10 +695,11 @@ def check_books(sched: HcsScheduler) -> None:
     """Recompute every HcsScheduler book from the residents, the eviction
     windows and the reservations, and raise InternalConsistencyError where
     one differs: physical and promised capacity both respect node limits, a
-    dead node holds nothing, `_held`, `_free`, `_evicting_load` and both
-    clamped views equal their recompute, `_victims` lists the residents
-    outside a window in (rcost, key) order, no live node below a first-fit
-    bound has room for its shape, and no resident is cloud-sticky."""
+    dead node holds nothing, `_held`, `_free`, `_free_now` and
+    `_free_after_evictions` equal their recompute, `_victims` lists the
+    residents outside a window in (rcost, key) order, no live node below a
+    first-fit bound has room for its shape, and no resident is
+    cloud-sticky."""
     held = [[0, 0] for _ in sched.capacities]
     reserved = [[0, 0] for _ in sched.capacities]
     evicting = [[0, 0] for _ in sched.capacities]
@@ -723,11 +723,12 @@ def check_books(sched: HcsScheduler) -> None:
             raise InternalConsistencyError(
                 f"node {node_id} over capacity after pending evictions")
         free.append(f if alive else None)
-    if (held != sched._held or free != sched._free or evicting != sched._evicting_load
+    if (held != sched._held or free != sched._free
             or list(map(_clamped, free)) != sched._free_now
             or list(map(_clamped, free, evicting)) != sched._free_after_evictions):
         raise InternalConsistencyError("capacity books differ from their recompute")
-    victims = sorted((sched.rcost_of(plan.step), key) for key, plan in sched.resident.items()
+    victims = sorted((rcost(plan.step, sched.cost_params), key)
+                     for key, plan in sched.resident.items()
                      if key not in sched.evicting)
     if victims != sched._victims:
         raise InternalConsistencyError("eviction candidate order drifted")
@@ -1007,16 +1008,12 @@ class ReferenceScheduler:
     stream.
     """
 
-    next_round_at = HcsScheduler.next_round_at
-
     def __init__(self, capacities, cost_params=None, policy=PlacementPolicy.FIRST_FIT,
-                 round_length=DEFAULT_ROUND_LENGTH,
                  eviction_deadline=DEFAULT_EVICTION_DEADLINE,
                  mode=SchedulerMode.CHEAPEST_FIRST):
         self.nodes = [NodeState(i, c) for i, c in enumerate(capacities)]
         self.cost_params = cost_params or CostParams()
         self.policy = policy
-        self.round_length = round_length
         self.eviction_deadline = eviction_deadline
         self.mode = mode
         self.resident = {}

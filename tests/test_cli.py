@@ -55,11 +55,20 @@ def write_config(tmp_path, cfg, name="scenario.json"):
     return str(p)
 
 
+def problems(path) -> list[str]:
+    """The problems of the ValidationError load_scenario raises for a file,
+    or [] when it loads."""
+    try:
+        load_scenario(path)
+    except ValidationError as e:
+        return e.problems
+    return []
+
+
 class TestLoadScenario:
     def test_minimal_config_fills_documented_defaults(self, tmp_path):
-        res = load_scenario(write_config(tmp_path, minimal_config()))
-        assert res.diagnostics == []
-        s = res.scenario
+        s, output_dir = load_scenario(write_config(tmp_path, minimal_config()))
+        assert output_dir is None
         assert s.scenario_id == "scenario"
         assert s.round_length == 30.0
         assert s.eviction_deadline == 30.0
@@ -75,16 +84,12 @@ class TestLoadScenario:
     def test_negative_rate_diagnostic(self, tmp_path):
         cfg = minimal_config()
         cfg["arrivals"] = {"kind": "poisson", "rate": -0.5, "seed": 1, "count": 3}
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.scenario is None
-        assert "arrivals.rate: must be > 0" in res.diagnostics
+        assert "arrivals.rate: must be > 0" in problems(write_config(tmp_path, cfg))
 
     def test_service_time_beyond_timeout_cites_the_rule(self, tmp_path):
         cfg = minimal_config()
         cfg["workloads"]["w"]["steps"][0]["service_time"] = 61.0
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.scenario is None
-        assert any("execution timeout" in d for d in res.diagnostics)
+        assert any("execution timeout" in d for d in problems(write_config(tmp_path, cfg)))
 
     def test_unknown_keys_rejected_everywhere(self, tmp_path):
         cfg = minimal_config()
@@ -92,39 +97,32 @@ class TestLoadScenario:
         cfg["edge"]["colour"] = "blue"
         cfg["workloads"]["w"]["steps"][0]["nodes"] = 3
         cfg["workloads"]["w"]["steps"][0]["fragment_size_bytes"] = 1024
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.scenario is None
-        assert "extra_top: unknown key" in res.diagnostics
-        assert "edge.colour: unknown key" in res.diagnostics
-        assert "workloads.w.steps[0].nodes: unknown key" in res.diagnostics
-        assert "workloads.w.steps[0].fragment_size_bytes: unknown key" in res.diagnostics
+        got = problems(write_config(tmp_path, cfg))
+        assert "extra_top: unknown key" in got
+        assert "edge.colour: unknown key" in got
+        assert "workloads.w.steps[0].nodes: unknown key" in got
+        assert "workloads.w.steps[0].fragment_size_bytes: unknown key" in got
 
     def test_all_violations_reported_at_once(self, tmp_path):
         cfg = minimal_config()
         cfg["arrivals"] = {"kind": "poisson", "rate": 0, "seed": 1, "count": -2}
         cfg["scheduler"] = {"placement": "zz"}
         cfg["workloads"]["w"]["fragment_count"] = 0
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.scenario is None
-        assert len(res.diagnostics) >= 4
+        assert len(problems(write_config(tmp_path, cfg))) >= 4
 
     def test_arrival_generator_is_pinned(self, tmp_path):
         cfg = minimal_config()
         cfg["arrivals"] = {"kind": "poisson", "generator": "mt19937",
                            "rate": 1.0, "seed": 1, "count": 3}
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert any("pcg64" in d for d in res.diagnostics)
+        assert any("pcg64" in d for d in problems(write_config(tmp_path, cfg)))
         cfg["arrivals"]["generator"] = "pcg64"
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.diagnostics == []
-        assert res.scenario.arrivals == PoissonArrivals(1.0, 1, 3)
+        s, _ = load_scenario(write_config(tmp_path, cfg))
+        assert s.arrivals == PoissonArrivals(1.0, 1, 3)
 
     def test_dag_violations_surface(self, tmp_path):
         cfg = minimal_config()
         cfg["workloads"]["w"]["edges"] = [["s0", "ghost"]]
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.scenario is None
-        assert any("ghost" in d for d in res.diagnostics)
+        assert any("ghost" in d for d in problems(write_config(tmp_path, cfg)))
 
     def test_cloud_only_needs_no_edge_nodes(self, tmp_path):
         cfg = minimal_config()
@@ -132,32 +130,26 @@ class TestLoadScenario:
         del cfg["edge"]["node_cpu_millicores"]
         del cfg["edge"]["node_memory_mb"]
         cfg["scheduler"] = {"policy": "cloud_only"}
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.diagnostics == []
-        assert res.scenario.node_capacities == ()
+        s, _ = load_scenario(write_config(tmp_path, cfg))
+        assert s.node_capacities == ()
 
     def test_cheapest_first_requires_edge_nodes(self, tmp_path):
         cfg = minimal_config()
         cfg["edge"]["node_count"] = 0
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert any("node_count" in d for d in res.diagnostics)
+        assert any("node_count" in d for d in problems(write_config(tmp_path, cfg)))
 
     def test_missing_file_and_bad_json(self, tmp_path):
-        res = load_scenario(tmp_path / "nope.json")
-        assert res.scenario is None and res.diagnostics
+        assert problems(tmp_path / "nope.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
-        res = load_scenario(bad)
-        assert any("invalid JSON" in d for d in res.diagnostics)
+        assert any("invalid JSON" in d for d in problems(bad))
 
     def test_required_keys_absent_or_null(self, tmp_path):
         cfg = minimal_config()
         cfg["arrivals"] = {"times": [1.0]}
         cfg["faults"] = [{"kind": "node_failure"}, {"time": 1.0}]
         cfg["workloads"]["w"]["fragment_count"] = None
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.scenario is None
-        assert res.diagnostics == [
+        assert problems(write_config(tmp_path, cfg)) == [
             "arrivals.kind: is required", "faults[0].node_id: is required",
             "faults[0].time: is required", "faults[1].kind: is required",
             "workloads.w.fragment_count: is required"]
@@ -166,8 +158,7 @@ class TestLoadScenario:
         cfg = minimal_config()
         cfg["horizon"] = 0
         cfg["workloads"]["w"]["edges"] = [["s0", "ghost"]]
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.diagnostics == [
+        assert problems(write_config(tmp_path, cfg)) == [
             "horizon: must be > 0", "workloads.w: job w: edge references unknown step 'ghost'"]
 
     def test_deadline_and_service_time_stay_as_written(self, tmp_path):
@@ -175,7 +166,8 @@ class TestLoadScenario:
         cfg = minimal_config()
         cfg["workloads"]["w"]["deadline"] = 10**10
         cfg["workloads"]["w"]["steps"][0]["service_time"] = 2
-        template = load_scenario(write_config(tmp_path, cfg)).scenario.catalog["w"]
+        s, _ = load_scenario(write_config(tmp_path, cfg))
+        template = s.catalog["w"]
         assert type(template.deadline) is int and template.deadline == 10**10
         assert type(template.dag.steps[0].service_time_per_fragment) is int
 
@@ -185,12 +177,10 @@ class TestLoadScenario:
             {"kind": "node_failure", "time": 40.0, "node_id": 1},
             {"kind": "driver_restart", "time": 35.0, "job_index": 0},
         ]
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert res.diagnostics == []
-        assert len(res.scenario.faults) == 2
+        s, _ = load_scenario(write_config(tmp_path, cfg))
+        assert len(s.faults) == 2
         cfg["faults"].append({"kind": "node_failure", "time": 1.0, "node_id": 7})
-        res = load_scenario(write_config(tmp_path, cfg))
-        assert any("node_id" in d for d in res.diagnostics)
+        assert any("node_id" in d for d in problems(write_config(tmp_path, cfg)))
 
 
 def library_scenario(**overrides) -> Scenario:
@@ -322,9 +312,8 @@ def test_one_rule_every_entry_point(tmp_path, capsys, edit, overrides, diagnosti
     cfg = minimal_config()
     edit(cfg)
     path = write_config(tmp_path, cfg)
-    res = load_scenario(path)
-    assert res.scenario is None
-    assert any(diagnostic in d for d in res.diagnostics), res.diagnostics
+    got = problems(path)
+    assert any(diagnostic in d for d in got), got
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
     assert "error:" in capsys.readouterr().err
@@ -354,8 +343,7 @@ def test_non_finite_numbers_are_invalid_json(tmp_path, capsys, edit, token):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg).replace("1234.5", token), encoding="utf-8")
     assert token in path.read_text(encoding="utf-8")
-    assert load_scenario(path).diagnostics == [
-        f"{path}: invalid JSON: {token} is not a finite number"]
+    assert problems(path) == [f"{path}: invalid JSON: {token} is not a finite number"]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -365,8 +353,7 @@ def test_non_finite_numbers_are_invalid_json(tmp_path, capsys, edit, token):
 def test_a_file_that_is_not_utf8_is_one_diagnostic(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_bytes(b'{"scenario_id": "\xff\xfe"}')
-    assert load_scenario(path).diagnostics == [
-        f"{path}: not UTF-8 text: invalid start byte at offset 17"]
+    assert problems(path) == [f"{path}: not UTF-8 text: invalid start byte at offset 17"]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: not UTF-8 text: invalid start byte at offset 17\n")
@@ -388,7 +375,7 @@ def test_a_file_nested_too_deeply_is_one_diagnostic(tmp_path, capsys, where):
     else:
         text = "[" * DEEP + "]" * DEEP
     path.write_text(text, encoding="utf-8")
-    assert load_scenario(path).diagnostics == [f"{path}: invalid JSON: nested too deeply"]
+    assert problems(path) == [f"{path}: invalid JSON: nested too deeply"]
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {path}: invalid JSON: nested too deeply\n"
     assert not (tmp_path / "o").exists()
@@ -443,11 +430,31 @@ def test_a_schedule_past_the_float_range_is_refused_before_the_run(
     cfg["arrivals"]["count"] = 5
     cfg[section][key] = 1e-320
     path = write_config(tmp_path, cfg)
-    assert load_scenario(path).diagnostics == []
+    assert problems(path) == []
     extra = ["--seeds", "1,2"] if command == "replicate" else []
     assert main([command, "--config", path, "--out", str(tmp_path / "o"), *extra]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not (tmp_path / "o").exists()
+
+
+# 2^53 rounds of 1e-9 s end at about 9,007,199 s; past them int(now /
+# round_length) drops units, and the round an arrival asked for fell before it
+@pytest.mark.parametrize("time, code", [(9_000_000.0, 0), (381204856483.97473, 1)],
+                         ids=["inside", "past"])
+def test_an_arrival_past_2_53_rounds_is_refused_before_the_run(tmp_path, capsys, time, code):
+    cfg = minimal_config()
+    cfg["edge"]["node_count"] = 1
+    cfg["scheduler"] = {"round_length": 1e-9}
+    cfg["arrivals"] = {"kind": "explicit", "times": [time]}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: scheduler.round_length: must be large enough for every "
+                       "arrival time to be a finite number of rounds\n")
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == "" and (tmp_path / "o" / "run" / "summary.json").exists()
 
 
 def workload_edit(**fields):
@@ -539,24 +546,23 @@ NULL_SECTIONS = [(f"{key}-null", lambda c, key=key: c.update({key: None}), [])
 def test_each_problem_has_one_exact_diagnostic(tmp_path, edit, diagnostics):
     cfg = minimal_config()
     path = write_config(tmp_path, edit(cfg) or cfg)
-    assert load_scenario(path).diagnostics == [d.replace("<file>", path) for d in diagnostics]
+    assert problems(path) == [d.replace("<file>", path) for d in diagnostics]
 
 
 def test_node_count_at_the_limit_loads(tmp_path):
     cfg = minimal_config()
     cfg["edge"]["node_count"] = cli.MAX_NODE_COUNT
-    res = load_scenario(write_config(tmp_path, cfg))
-    assert res.diagnostics == [] and len(res.scenario.node_capacities) == 1_000_000
+    s, _ = load_scenario(write_config(tmp_path, cfg))
+    assert len(s.node_capacities) == 1_000_000
 
 
 def test_library_scenario_matches_the_loaded_one(tmp_path):
-    assert library_scenario() == load_scenario(
-        write_config(tmp_path, minimal_config())).scenario
+    assert library_scenario() == load_scenario(write_config(tmp_path, minimal_config()))[0]
 
 
 def test_null_sections_load_as_absent(tmp_path):
     cfg = {**minimal_config(), "cloud": None, "cost": None, "scheduler": None}
-    assert library_scenario() == load_scenario(write_config(tmp_path, cfg)).scenario
+    assert library_scenario() == load_scenario(write_config(tmp_path, cfg))[0]
 
 
 NAN = float("nan")

@@ -247,7 +247,7 @@ class TestRecord:
     def test_the_plain_records_are_records(self):
         assert {cls.__name__ for cls in RECORDS} >= {
             "DeployEdge", "DeployCloud", "Evict", "ScheduleDecision", "PlacementPlan",
-            "ScheduledArrival", "LoadResult"}
+            "ScheduledArrival"}
 
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
     def test_slots_are_its_own_and_there_is_no_dict(self, cls):

@@ -49,7 +49,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "saturating_m
 
 
 def scenarios():
-    yield "reference", load_scenario(REFERENCE).scenario
+    yield "reference", load_scenario(REFERENCE)[0]
     for seed in SEEDS:
         yield f"seed {seed}", random_scenario(seed)
 
@@ -202,7 +202,7 @@ def test_cloud_only_runs_ignore_the_edge_cluster():
 def test_the_laws_see_a_change():
     """A scaled run that ignored its scaling would break the scaling laws,
     and a run that kept the edge would break the cloud-only law."""
-    s = load_scenario(REFERENCE).scenario
+    s, _ = load_scenario(REFERENCE)
     base = run(s)
     assert price_law_breaks(base, base, 8.0) and time_law_breaks(base, base, 2.0)
     assert demand_law_breaks(base, base, 4)

@@ -16,6 +16,7 @@ from hcs_sim.core_model import (
     ResourceVector,
     StepSpec,
     ValidationError,
+    rcost,
 )
 from hcs_sim.hcs_scheduler import (
     DeployCloud,
@@ -60,14 +61,6 @@ def plan_of(job, nodes):
 
 
 class TestRounds:
-    def test_boundary_arithmetic(self):
-        s = HcsScheduler(one_node())
-        assert s.next_round_at(0.0) == 30.0
-        assert s.next_round_at(5.0) == 30.0
-        assert s.next_round_at(30.0) == 30.0
-        assert s.next_round_at(30.0000001) == 60.0
-        assert s.next_round_at(59.9) == 60.0
-
     def test_requests_in_same_round_decided_together(self):
         s = HcsScheduler(one_node())
         s.submit_request(job_with_step("a", 1000), 5.0)
@@ -337,7 +330,8 @@ class TestCapacityBooks:
 
     @pytest.mark.parametrize("fixture, corrupt", [
         ("loaded", lambda s: s._free[0].__setitem__(0, s._free[0][0] - 1)),
-        ("loaded", lambda s: s._evicting_load[0].__setitem__(1, 1)),
+        # the evicting load's share of the book, one unit of memory off
+        ("loaded", lambda s: s._free_after_evictions.__setitem__(0, (0, 8193))),
         ("loaded", lambda s: s._free_now.__setitem__(0, (0, 0))),
         ("loaded", lambda s: s._free_after_evictions.__setitem__(0, (6000, 8192))),
         ("loaded", lambda s: s._victims.reverse()),
@@ -359,7 +353,7 @@ class TestCapacityBooks:
         load backs it: `_shift` takes a plan up to free + evicting on its
         node, and refuses one unit more."""
         s = self.loaded()
-        room = [f + e for f, e in zip(s._free[0], s._evicting_load[0])]
+        room = list(s._free_after_evictions[0])
         assert room == [0, 8192]
         demand = [0, 0]
         demand[dim] = room[dim]
@@ -383,7 +377,7 @@ class TestCapacityBooks:
         plan = PlacementPlan(job_with_step("ghost", 500).dag.steps[0], nodes={1: 1})
         s.resident[("ghost", "s0")] = plan
         add_load(s._held, plan)
-        insort(s._victims, (s.rcost_of(plan.step), ("ghost", "s0")))
+        insort(s._victims, (rcost(plan.step, s.cost_params), ("ghost", "s0")))
         with pytest.raises(InternalConsistencyError, match="dead node 1"):
             check_books(s)
 

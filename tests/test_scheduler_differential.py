@@ -111,7 +111,6 @@ def run_stream(seed: int) -> Pair:
                 cost_params=rng.choice([CostParams(), CostParams(c_cpu=250.0, c_mem=0.0),
                                         CostParams(c_cpu=0.0, c_mem=1.0)]),
                 policy=rng.choice(list(PlacementPolicy)),
-                round_length=ROUND,
                 eviction_deadline=rng.choice([ROUND, 10.0, 45.0]))
     fast = pair.fast
     fail_rate = rng.choice([0.0, 0.05, 0.3])

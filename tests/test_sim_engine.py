@@ -1,6 +1,9 @@
 """End-to-end event-loop behavior: seeded arrivals, hand-traced runs,
 eviction handoffs, faults, horizon, and determinism."""
 
+import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,8 +27,11 @@ from hcs_sim.sim_engine import (
     NodeFailureFault,
     PoissonArrivals,
     Scenario,
+    ScheduledArrival,
     _Engine,
     generate_arrivals,
+    next_round_at,
+    require_finite_rounds,
     run,
 )
 from oracles import CheckedEngine, run_detailed
@@ -102,8 +108,8 @@ class TestGenerateArrivals:
         """Each job is what Record.replace makes of its template, every
         other field kept, and shares the template's graph."""
         if source == "saturating_mix":
-            s = load_scenario(Path(__file__).resolve().parent.parent
-                              / "scenarios" / "saturating_mix.json").scenario
+            s, _ = load_scenario(Path(__file__).resolve().parent.parent
+                                 / "scenarios" / "saturating_mix.json")
             process, catalog = s.arrivals, s.catalog
         else:
             process = ExplicitArrivals((0.0, 2.5, 2.5, 9.0), ("b", "a", "b", "b"))
@@ -118,8 +124,8 @@ class TestGenerateArrivals:
     def test_reference_stream_is_pinned(self):
         """The first arrivals of scenarios/saturating_mix.json (seed 2024), as
         numpy's Generator(PCG64(2024)) drew them."""
-        s = load_scenario(Path(__file__).resolve().parent.parent
-                          / "scenarios" / "saturating_mix.json").scenario
+        s, _ = load_scenario(Path(__file__).resolve().parent.parent
+                             / "scenarios" / "saturating_mix.json")
         arr = generate_arrivals(s.arrivals, s.catalog)[:6]
         assert [(a.time, a.template) for a in arr] == [
             (5.495079691945971, "alpha"), (7.3012740257268405, "beta"),
@@ -140,6 +146,47 @@ class TestGenerateArrivals:
         # the catalog belongs to the scenario, which owns the rule
         with pytest.raises(ValidationError):
             scenario(catalog=self.CATALOG, arrivals=ExplicitArrivals((1.0,), ("zzz",)))
+
+
+class TestRounds:
+    def test_boundary_arithmetic(self):
+        assert next_round_at(0.0, 30.0) == 30.0
+        assert next_round_at(5.0, 30.0) == 30.0
+        assert next_round_at(30.0, 30.0) == 30.0
+        assert next_round_at(30.0000001, 30.0) == 60.0
+        assert next_round_at(59.9, 30.0) == 60.0
+
+    def test_boundary_is_the_first_grid_point_at_or_after_now(self):
+        """Below 2^53 rounds, the bound require_finite_rounds keeps, the
+        boundary is the first float k*round_length, k >= 1, at or after now:
+        k is found here from the exact quotient."""
+        rng = random.Random(53)
+        top = 0
+        for trial in range(20000):
+            length = rng.choice([1e-9, 0.1, 0.3, 1.0, 30.0, 2.0 ** -30,
+                                 rng.uniform(1e-6, 100.0)])
+            rounds = rng.choice([0.0, 2.0 ** rng.uniform(0.0, 53.0),
+                                 float(rng.randrange(2 ** 53)),
+                                 2.0 ** 53 - rng.randrange(1, 1000)])
+            now = rounds * length
+            if rng.random() < 0.5:
+                now = math.nextafter(now, rng.choice([0.0, math.inf]))
+            arrivals = [ScheduledArrival(now, "a", None)]
+            if not now / length < 2.0 ** 53:
+                with pytest.raises(ValidationError, match="round_length"):
+                    require_finite_rounds(arrivals, length)
+                continue
+            require_finite_rounds(arrivals, length)
+            k = max(1, math.ceil(Fraction(now) / Fraction(length)))
+            while k > 1 and (k - 1) * length >= now:
+                k -= 1
+            boundary = next_round_at(now, length)
+            assert boundary >= now and boundary == k * length, (trial, now, length)
+            top += now / length >= 2.0 ** 52
+        assert top > 5000
+        require_finite_rounds([ScheduledArrival(2.0 ** 53 - 1.0, "a", None)], 1.0)
+        with pytest.raises(ValidationError, match="round_length"):
+            require_finite_rounds([ScheduledArrival(2.0 ** 53, "a", None)], 1.0)
 
 
 class TestSingleJobTrace:
@@ -369,7 +416,6 @@ class TestNodeFailure:
             "r-0000": ("cloud", 25.0), "g-0001": ("cloud", 26.0), "f-0002": ("cloud", 26.0)}
         assert not (sched.resident or sched.evicting or sched.reservations or sched._victims)
         assert sched._free == sched._free_now == sched._free_after_evictions == [None, None]
-        assert sched._evicting_load == [[0, 0], [0, 0]]
         assert report.utilization[-1].capacity_cpu_millicores == 0
 
 
