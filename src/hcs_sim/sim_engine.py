@@ -13,7 +13,9 @@ plan up to that instant, and the job is projected again once every event of
 that instant is handled.
 At that same point the engine takes the instant's one utilization sample,
 when the scheduler's edge writes moved since the last sample; the horizon
-takes its sample without projecting.
+takes its sample without projecting. Event kinds are plain ints bound once
+from EventKind, which alone defines their tie order; the loop dispatches all
+but a step completion and the horizon through one table of bound handlers.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ class EventKind(IntEnum):
     - round before end: a round at the horizon runs before the cut.
 
     So completions and expiries are visible to the round that schedules
-    over them.
+    over them. The engine runs on these values as plain ints, bound once
+    below; this class alone defines their order.
     """
 
     STEP_COMPLETE = 0
@@ -83,6 +86,9 @@ class EventKind(IntEnum):
     JOB_ARRIVAL = 4
     ROUND_TICK = 5
     SIMULATION_END = 6
+
+
+_COMPLETE, _EXPIRE, _FAILURE, _RESTART, _ARRIVAL, _ROUND, _END = map(int, EventKind)
 
 
 class PoissonArrivals(Record):
@@ -285,7 +291,7 @@ def require_finite_rounds(arrivals: list[ScheduledArrival], round_length: float)
     which next_round_at, which each arrival asks for its round, is not exact."""
     require((max((a.time for a in arrivals), default=0.0) / round_length < 2.0 ** 53,
              "scheduler.round_length: must be large enough for every arrival "
-             "time to be a finite number of rounds"))
+             "time to be fewer than 2^53 rounds"))
 
 
 def next_round_at(now: float, round_length: float) -> float:
@@ -339,18 +345,17 @@ class _Engine:
         self._event_budget = 10_000 + 100 * (pushes + len(arrivals) + len(scenario.faults))
 
         for i, a in enumerate(arrivals):
-            self._push(a.time, EventKind.JOB_ARRIVAL, i)
+            self._push(a.time, _ARRIVAL, i)
         for f in scenario.faults:
             if isinstance(f, NodeFailureFault):
-                self._push(f.time, EventKind.NODE_FAILURE, f.node_id)
+                self._push(f.time, _FAILURE, f.node_id)
             else:
-                self._push(f.time, EventKind.DRIVER_RESTART,
-                           arrivals[f.job_index].job.job_id)
+                self._push(f.time, _RESTART, arrivals[f.job_index].job.job_id)
         if scenario.horizon is not None:
-            self._push(scenario.horizon, EventKind.SIMULATION_END, None)
+            self._push(scenario.horizon, _END, None)
 
-    def _push(self, time: float, kind: EventKind, payload: object) -> None:
-        heapq.heappush(self.heap, (time, int(kind), self.seq, payload))
+    def _push(self, time: float, kind: int, payload: object) -> None:
+        heapq.heappush(self.heap, (time, kind, self.seq, payload))
         self.seq += 1
 
     def _touch(self, drv: PipelineDriver) -> None:
@@ -360,9 +365,12 @@ class _Engine:
     def _end_instant(self, now: float) -> None:
         """After an instant's last event: project the jobs the instant
         touched, and sample utilization if the edge changed."""
+        heap, push, seq = self.heap, heapq.heappush, self.seq
         for job_id, drv in self._touched.items():
             for step_id, time in drv.project(now):
-                self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))
+                push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))
+                seq += 1
+        self.seq = seq
         self._touched.clear()
         if self.sched.edge_writes != self._sampled_writes:
             self._sampled_writes = self.sched.edge_writes
@@ -381,7 +389,7 @@ class _Engine:
         boundary = next_round_at(now, self.scenario.round_length)
         if boundary != self._last_tick:
             self._last_tick = boundary
-            self._push(boundary, EventKind.ROUND_TICK, None)
+            self._push(boundary, _ROUND, None)
 
     def _apply_decision(self, decision: ScheduleDecision, now: float) -> None:
         """Deliver directives to drivers, and schedule the close of the
@@ -395,7 +403,7 @@ class _Engine:
                 region = "cloud" if isinstance(d, DeployCloud) else "edge"
                 self._move_step(d.job_id, d.step_id, region, now)
         if decision.expiry is not None:
-            self._push(decision.expiry, EventKind.EVICTION_EXPIRE, None)
+            self._push(decision.expiry, _EXPIRE, None)
 
     def _move_step(self, job_id: str, step_id: str, region: str, now: float) -> None:
         """Deploy a step in region now: first deployment, a re-homing after a
@@ -446,45 +454,47 @@ class _Engine:
     # -- the loop ---------------------------------------------------------------
 
     def run(self) -> RunReport:
+        # bound as the run starts, so a method patched before it is the one
+        # called; heappop through the module's heapq name, which a tracer may replace
+        heap, pop, now, budget = self.heap, heapq.heappop, self.now, self._event_budget
+        on_completion, end_instant = self._on_completion, self._end_instant
+        sched, apply = self.sched, self._apply_decision
+        handlers = {_EXPIRE: lambda _, t: apply(sched.close_windows(t), t),
+                    _FAILURE: lambda node_id, t: apply(sched.handle_node_failure(node_id), t),
+                    _RESTART: self._on_driver_restart, _ARRIVAL: self._on_arrival,
+                    _ROUND: lambda _, t: apply(sched.run_round(t), t)}
         processed = 0
-        while self.heap:
-            time, kind, _, payload = heapq.heappop(self.heap)
-            if time < self.now:
+        while heap:
+            time, kind, _, payload = pop(heap)
+            if time < now:
                 raise InternalConsistencyError(
-                    f"event at {time} scheduled before current time {self.now}")
+                    f"event at {time} scheduled before current time {now}")
             processed += 1
-            if processed > self._event_budget:
+            if processed > budget:
                 raise InternalConsistencyError(
-                    f"event budget {self._event_budget} exhausted; likely a livelock")
-            self.now = time
-            if kind == EventKind.STEP_COMPLETE:
+                    f"event budget {budget} exhausted; likely a livelock")
+            now = self.now = time
+            if kind == _COMPLETE:
                 # a superseded completion leaves no trace, not even the end time
-                if self._on_completion(payload, time):
+                if on_completion(payload, time):
                     self.last_event_time = time
-            elif kind == EventKind.SIMULATION_END:
+            elif kind == _END:
                 self._finish_at_horizon(time)
                 self._touched.clear()  # the cut ends every plan
-                self._end_instant(time)
+                end_instant(time)
                 break
             else:
                 self.last_event_time = time
-                if kind == EventKind.EVICTION_EXPIRE:
-                    self._apply_decision(self.sched.close_windows(time), time)
-                elif kind == EventKind.NODE_FAILURE:
-                    self._apply_decision(self.sched.handle_node_failure(payload), time)
-                elif kind == EventKind.DRIVER_RESTART:
-                    self._on_driver_restart(payload, time)
-                elif kind == EventKind.JOB_ARRIVAL:
-                    self._on_arrival(payload, time)
-                elif kind == EventKind.ROUND_TICK:
-                    self._apply_decision(self.sched.run_round(time), time)
-                else:
-                    raise InternalConsistencyError(f"unknown event kind {kind}")
+                try:
+                    handler = handlers[kind]
+                except KeyError:
+                    raise InternalConsistencyError(f"unknown event kind {kind}") from None
+                handler(payload, time)
             # a projection at this instant only yields completions after
             # it, so the jobs touched here are projected once, and the edge
             # sampled once, after the instant's last event
-            if not self.heap or self.heap[0][0] > time:
-                self._end_instant(time)
+            if not heap or heap[0][0] > time:
+                end_instant(time)
 
         end_time = self.scenario.horizon if self.horizon_reached else self.last_event_time
         if not self.horizon_reached:

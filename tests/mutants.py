@@ -3,8 +3,9 @@
 Each mutant names a module of hcs_sim, the exact texts it replaces and what
 it puts in their place, and the verdict it is expected to get. For each one
 the script copies src/, tests/ and scenarios/ to a temporary directory,
-applies the mutant there, and runs tier-1 against the copy with -x. The
-verdicts:
+applies the mutant there, and runs tier-1 against the copy with -x; a
+mutant that lists test files runs those first, and the whole suite only if
+they pass, so the verdict is the whole suite's. The verdicts:
 
 - killed: a test failed; the first failing test is printed.
 - survived: every test passed, on a mutant that changes behaviour.
@@ -41,6 +42,7 @@ class Mutant(NamedTuple):
     edits: tuple[tuple[str, str], ...]  # (exact old text, new text), in order
     expected: str  # "killed" or "equivalent"
     why: str = ""  # an equivalent mutant's argument
+    first: tuple[str, ...] = ()  # test files that kill it, tried before the whole suite
 
 
 MUTANTS = [
@@ -51,6 +53,24 @@ MUTANTS = [
     Mutant("event-tie-order", "sim_engine.py", (
         ("    EVICTION_EXPIRE = 1\n    NODE_FAILURE = 2\n",
          "    EVICTION_EXPIRE = 2\n    NODE_FAILURE = 1\n"),), "killed"),
+    Mutant("event-tie-complete-expiry", "sim_engine.py", (
+        ("    STEP_COMPLETE = 0\n    EVICTION_EXPIRE = 1\n",
+         "    STEP_COMPLETE = 1\n    EVICTION_EXPIRE = 0\n"),), "killed"),
+    Mutant("event-tie-failure-restart", "sim_engine.py", (
+        ("    NODE_FAILURE = 2\n    DRIVER_RESTART = 3\n",
+         "    NODE_FAILURE = 3\n    DRIVER_RESTART = 2\n"),), "killed",
+        first=("tests/test_sim_engine.py",)),
+    Mutant("event-tie-restart-arrival", "sim_engine.py", (
+        ("    DRIVER_RESTART = 3\n    JOB_ARRIVAL = 4\n",
+         "    DRIVER_RESTART = 4\n    JOB_ARRIVAL = 3\n"),), "killed",
+        first=("tests/test_sim_engine.py",)),
+    Mutant("event-tie-arrival-round", "sim_engine.py", (
+        ("    JOB_ARRIVAL = 4\n    ROUND_TICK = 5\n",
+         "    JOB_ARRIVAL = 5\n    ROUND_TICK = 4\n"),), "killed"),
+    Mutant("event-tie-round-end", "sim_engine.py", (
+        ("    ROUND_TICK = 5\n    SIMULATION_END = 6\n",
+         "    ROUND_TICK = 6\n    SIMULATION_END = 5\n"),), "killed",
+        first=("tests/test_sim_engine.py",)),
     Mutant("commit-flight-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("n_fl = bisect_right(flight, now)", "n_fl = bisect_left(flight, now)")), "killed"),
@@ -65,9 +85,11 @@ MUTANTS = [
         "killed"),
     Mutant("run-grid-check-accepts-all", "pipeline_driver.py", (
         ("return xn * (q // xq) + dn * (q // dq) + (n - 1) * sn * (q // sq) <= _UNITS",
-         "return True"),), "killed"),
+         "return True"),), "killed",
+        first=("tests/test_driver.py",)),
     Mutant("run-bound-strict", "pipeline_driver.py", (
-        ("(n - 1) * sn * (q // sq) <= _UNITS", "(n - 1) * sn * (q // sq) < _UNITS"),), "killed"),
+        ("(n - 1) * sn * (q // sq) <= _UNITS", "(n - 1) * sn * (q // sq) < _UNITS"),), "killed",
+        first=("tests/test_driver.py",)),
     Mutant("run-count-drops-correction", "pipeline_driver.py", (
         ("        while self.first + k * self.step <= cut:\n            k += 1\n", ""),),
         "killed"),
@@ -95,9 +117,12 @@ MUTANTS = [
          "    from hcs_sim.metrics import summary_dict\n"
          "    s = summary_dict(report)\n"),), "killed"),
     Mutant("sample-before-projecting", "sim_engine.py", (
-        ("        for job_id, drv in self._touched.items():\n"
+        ("        heap, push, seq = self.heap, heapq.heappush, self.seq\n"
+         "        for job_id, drv in self._touched.items():\n"
          "            for step_id, time in drv.project(now):\n"
-         "                self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))\n"
+         "                push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))\n"
+         "                seq += 1\n"
+         "        self.seq = seq\n"
          "        self._touched.clear()\n"
          "        if self.sched.edge_writes != self._sampled_writes:\n"
          "            self._sampled_writes = self.sched.edge_writes\n"
@@ -105,9 +130,12 @@ MUTANTS = [
          "        if self.sched.edge_writes != self._sampled_writes:\n"
          "            self._sampled_writes = self.sched.edge_writes\n"
          "            self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))\n"
+         "        heap, push, seq = self.heap, heapq.heappush, self.seq\n"
          "        for job_id, drv in self._touched.items():\n"
          "            for step_id, time in drv.project(now):\n"
-         "                self._push(time, EventKind.STEP_COMPLETE, (job_id, step_id, drv.version))\n"
+         "                push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))\n"
+         "                seq += 1\n"
+         "        self.seq = seq\n"
          "        self._touched.clear()\n"),),
         "equivalent",
         "projection writes no scheduler state, so the edge usage sampled is the "
@@ -133,9 +161,12 @@ def verdict(mutant: Mutant, work: Path) -> tuple[str, str]:
             return "invalid", f"old text occurs {text.count(old)} times: {old!r}"
         text = text.replace(old, new)
     path.write_text(text, encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-        cwd=work, capture_output=True, text=True)
+    for paths in [mutant.first, ()] if mutant.first else [()]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *paths],
+            cwd=work, capture_output=True, text=True)
+        if proc.returncode:
+            break
     if proc.returncode == 0:
         return "equivalent" if mutant.expected == "equivalent" else "survived", ""
     first = FIRST_FAILURE.search(proc.stdout)

@@ -419,7 +419,7 @@ SATURATING_MIX = Path(__file__).resolve().parent.parent / "scenarios" / "saturat
 # a valid file whose arrival times, or those times in rounds, pass the float range
 @pytest.mark.parametrize("section, key, problem", [
     ("scheduler", "round_length", "scheduler.round_length: must be large enough for "
-     "every arrival time to be a finite number of rounds"),
+     "every arrival time to be fewer than 2^53 rounds"),
     ("arrivals", "rate", "arrivals.rate: must be large enough for every arrival time "
      "to be finite"),
 ])
@@ -451,7 +451,7 @@ def test_an_arrival_past_2_53_rounds_is_refused_before_the_run(tmp_path, capsys,
     err = capsys.readouterr().err
     if code:
         assert err == ("error: scheduler.round_length: must be large enough for every "
-                       "arrival time to be a finite number of rounds\n")
+                       "arrival time to be fewer than 2^53 rounds\n")
         assert not (tmp_path / "o").exists()
     else:
         assert err == "" and (tmp_path / "o" / "run" / "summary.json").exists()

@@ -1,14 +1,19 @@
 """End-to-end event-loop behavior: seeded arrivals, hand-traced runs,
 eviction handoffs, faults, horizon, and determinism."""
 
+import heapq
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hcs_sim.cli import load_scenario
+from hcs_sim import sim_engine
+from hcs_sim.cli import load_scenario, main
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -448,6 +453,32 @@ class TestDriverRestart:
         early = run(self.build([DriverRestartFault(0.5, 0)]))
         assert early.job_outcomes == clean.job_outcomes
 
+    # Two equal one-step jobs, one per node, deployed by the t=30 round,
+    # finish in the same instant; their completions, and so their outcome
+    # rows, come in the order the jobs were last touched.
+    @staticmethod
+    def twins(times, faults):
+        tpl = template([step("s0", cpu=800, mem=0)], frags=10, deadline=500.0)
+        return run(scenario(node_capacities=(vec(1000, 1024),) * 2, catalog={"t": tpl},
+                            arrivals=ExplicitArrivals(times), edge_speed=1.0,
+                            faults=faults))
+
+    def test_a_restart_at_a_failure_comes_after_it(self):
+        # node 1 fails at 32 and job 1 moves to the cloud; job 0 restarts
+        # at 32 on node 0, and both finish at 40
+        r = self.twins((1.0, 2.0), (NodeFailureFault(32.0, 1), DriverRestartFault(32.0, 0)))
+        assert [(e.job_id, e.region, e.deploy_start) for e in r.cost_ledger] == [
+            ("t-0000", "edge", 30.0), ("t-0001", "edge", 30.0), ("t-0001", "cloud", 32.0)]
+        assert [(o.job_id, o.completion) for o in r.job_outcomes] == [
+            ("t-0001", 40.0), ("t-0000", 40.0)]
+
+    def test_a_restart_at_its_jobs_arrival_touches_nothing(self):
+        # job 1 arrives on the t=30 boundary; its restart then finds no
+        # driver, so the round alone orders the two jobs
+        r = self.twins((1.0, 30.0), (DriverRestartFault(30.0, 1),))
+        assert [(o.job_id, o.completion) for o in r.job_outcomes] == [
+            ("t-0000", 40.0), ("t-0001", 40.0)]
+
 
 class TestInjectFaults:
     def test_unknown_node_rejected(self):
@@ -622,3 +653,63 @@ class TestEventBudget:
         monkeypatch.setattr(_Engine, "_on_completion", repush)
         with pytest.raises(InternalConsistencyError, match="event budget 10200 exhausted"):
             run(scenario())
+
+
+class TestDispatch:
+    def test_every_pop_goes_through_the_module_heapq_to_its_handler(self, monkeypatch):
+        """Counting pops through sim_engine's heapq name, as a tracer does,
+        sees every event of a run with every kind, and each kind reaches
+        its own handler as often as it is popped."""
+        popped, handled = Counter(), Counter()
+
+        def heappop(heap):
+            item = heapq.heappop(heap)
+            popped[item[1]] += 1
+            return item
+
+        monkeypatch.setattr(sim_engine, "heapq",
+                            SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+        for owner, name, kind in [
+                (_Engine, "_on_completion", EventKind.STEP_COMPLETE),
+                (HcsScheduler, "close_windows", EventKind.EVICTION_EXPIRE),
+                (HcsScheduler, "handle_node_failure", EventKind.NODE_FAILURE),
+                (_Engine, "_on_driver_restart", EventKind.DRIVER_RESTART),
+                (_Engine, "_on_arrival", EventKind.JOB_ARRIVAL),
+                (HcsScheduler, "run_round", EventKind.ROUND_TICK),
+                (_Engine, "_finish_at_horizon", EventKind.SIMULATION_END)]:
+            def counted(*args, _real=getattr(owner, name), _kind=kind):
+                handled[_kind] += 1
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        # the eviction handoff, with a small second node that fails, a
+        # restart of the victim, and a horizon before the victim finishes
+        sc = TestEvictionHandoff().build().replace(
+            node_capacities=(vec(4000, 8192), vec(500, 8192)),
+            faults=(NodeFailureFault(50.0, 1), DriverRestartFault(100.0, 0)), horizon=120.0)
+        engine = _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        report = engine.run()
+        assert report.horizon_reached
+        assert set(popped) == set(EventKind)
+        assert popped == handled
+        # every push takes one sequence number; the cut leaves the rest queued
+        assert popped.total() == engine.seq - len(engine.heap)
+
+    def test_an_unknown_kind_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        real = _Engine.__init__
+
+        def init(self, *args):
+            real(self, *args)
+            self._push(0.5, 9, None)
+
+        monkeypatch.setattr(_Engine, "__init__", init)
+        with pytest.raises(InternalConsistencyError, match=r"^unknown event kind 9$"):
+            run(scenario())
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({
+            "edge": {"node_count": 1, "node_cpu_millicores": 2000, "node_memory_mb": 2048},
+            "workloads": {"w": {"fragment_count": 2, "deadline": 300, "steps": [
+                {"step_id": "s0", "cpu_millicores": 500, "memory_mb": 256,
+                 "service_time": 1.0}]}},
+            "arrivals": {"kind": "explicit", "times": [1.0]}}), encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "internal error: unknown event kind 9\n"
