@@ -128,12 +128,6 @@ class HcsScheduler:
       eviction window, which never dips below zero; None for a dead node.
     - `_victims`: the residents outside an eviction window in (rcost, key)
       order, so eviction candidates are a prefix.
-    - `_ff_from`: per demand shape (cpu, mem), the node first fit starts
-      from, kept under first-fit placement only. No live node below it has
-      room for one replica of that shape in `_free_now`. A first-fit plan
-      sets it to its first node, and `_shift` lowers it to the lowest node
-      it touches whenever `_free` grows (a drop or an unreserve); holds,
-      reservations and node deaths only take space, so they leave it.
 
     Each capacity rule is checked once, where the books move, and a
     breach raises InternalConsistencyError: `_hold` refuses a replica on a
@@ -174,7 +168,6 @@ class HcsScheduler:
             _clamp(f) for f in self._free]
         self._free_after_evictions = list(self._free_now)
         self._victims: list[tuple[float, StepKey]] = []
-        self._ff_from: dict[tuple[int, int], int] = {}
 
     # -- capacity books ---------------------------------------------------------
 
@@ -182,9 +175,8 @@ class HcsScheduler:
         """Add a plan's load, times held, free and free + evicting (held,
         free and evicting each -1, 0 or 1), to `_held`, `_free` and
         `_free_after_evictions`, and re-derive `_free_now` on each node it
-        touches; space freed on `_free` lowers the first-fit bounds past it.
-        A node whose space after its pending evictions dips below zero is
-        over capacity: a broken planner, refused there."""
+        touches. A node whose space after its pending evictions dips below
+        zero is over capacity: a broken planner, refused there."""
         d = plan.step.demand_per_replica
         dc, dm = d.cpu_millicores, d.memory_mb
         after = free + evicting
@@ -201,11 +193,6 @@ class HcsScheduler:
                 raise InternalConsistencyError(
                     f"node {node_id} over capacity after pending evictions")
             self._free_after_evictions[node_id] = a
-        if free > 0:
-            low = min(plan.nodes)
-            for shape, start in self._ff_from.items():
-                if start > low:
-                    self._ff_from[shape] = low
 
     def _hold(self, key: StepKey, plan: PlacementPlan) -> None:
         """Allocate a plan to a resident that cheaper newcomers cannot evict.
@@ -280,13 +267,16 @@ class HcsScheduler:
         cost no more, so they have no more candidates; a step placed this
         round costs at least as much as any later request, so it is never
         one; and an eviction turns candidates into evicting space while its
-        reservation takes space away.
+        reservation takes space away. For the same reason no live node below
+        the first node of a shape's last first-fit plan this round has room
+        for it, so first fit starts there (`starts`).
         """
         decision = ScheduleDecision()
         requests, self.pending = self.pending, []
         requests.sort()
         no_room: list[tuple[int, int, int]] = []
         no_victims: list[tuple[int, int, int]] = []
+        starts: dict[tuple[int, int], int] = {}
         for _, _, job_id, step_id, step in requests:
             key = (job_id, step_id)
             if self.mode is SchedulerMode.CLOUD_ONLY:
@@ -295,7 +285,7 @@ class HcsScheduler:
             d = step.demand_per_replica
             shape = (d.cpu_millicores, d.memory_mb, step.replicas)
             if not _covered(no_room, shape):
-                if self._try_deploy_edge_now(step, key, decision):
+                if self._try_deploy_edge_now(step, key, decision, starts):
                     continue
                 no_room.append(shape)
             if not _covered(no_victims, shape):
@@ -309,16 +299,18 @@ class HcsScheduler:
         self.cloud_sticky.add(key)
         decision.directives.append(DeployCloud(key[0], key[1]))
 
-    def _try_deploy_edge_now(self, step: StepSpec, key: StepKey,
-                             decision: ScheduleDecision) -> bool:
+    def _try_deploy_edge_now(self, step: StepSpec, key: StepKey, decision: ScheduleDecision,
+                             starts: dict[tuple[int, int], int]) -> bool:
+        """Place the step on free edge space, first fit from its shape's
+        entry in starts, which the caller keeps while free space only shrinks."""
         d = step.demand_per_replica
         shape = (d.cpu_millicores, d.memory_mb)
         plan, cursor = try_place_free(step, self._free_now, self.policy, self.rr_cursor,
-                                      self._ff_from.get(shape, 0))
+                                      starts.get(shape, 0))
         if plan is None:
             return False
         if self.policy is PlacementPolicy.FIRST_FIT:
-            self._ff_from[shape] = next(iter(plan.nodes))
+            starts[shape] = next(iter(plan.nodes))
         self._hold(key, plan)
         self.rr_cursor = cursor
         decision.directives.append(DeployEdge(key[0], key[1], plan))
@@ -359,7 +351,7 @@ class HcsScheduler:
         view = list(base) if freed else base
         for node_id, f in freed.items():
             view[node_id] = f
-        # the first-fit bounds hold on `_free_now` only, so this plan starts at node 0
+        # the round's first-fit starts hold on `_free_now` only, so this plan starts at node 0
         plan, cursor = try_place_free(step, view, self.policy, self.rr_cursor)
         if plan is None:
             raise InternalConsistencyError(f"{key}: {slots} replica slots but no placement")
@@ -458,17 +450,10 @@ class HcsScheduler:
             raise InternalConsistencyError(f"dead node {node_id} still holds allocations")
         self._free[node_id] = self._free_now[node_id] = self._free_after_evictions[node_id] = None
 
-        for _, key, step in hit_residents:
-            if key in was_evicting:
-                # already promised to the cloud; go now, the window is moot
+        starts: dict[tuple[int, int], int] = {}  # from here on, space is only taken
+        for _, key, step in hit_residents + hit_reservations:
+            # an evicting resident is already promised to the cloud: it goes
+            # now, the window is moot
+            if key in was_evicting or not self._try_deploy_edge_now(step, key, decision, starts):
                 self._deploy_cloud_now(key, decision)
-            else:
-                self._replace_or_offload(step, key, decision)
-        for _, key, step in hit_reservations:
-            self._replace_or_offload(step, key, decision)
         return decision
-
-    def _replace_or_offload(self, step: StepSpec, key: StepKey,
-                            decision: ScheduleDecision) -> None:
-        if not self._try_deploy_edge_now(step, key, decision):
-            self._deploy_cloud_now(key, decision)

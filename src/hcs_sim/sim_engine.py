@@ -328,7 +328,6 @@ class _Engine:
         self.templates: dict[str, str] = {}
         self.heap: list[tuple[float, int, int, object]] = []
         self.seq = 0
-        self.now = 0.0
         self.last_event_time = 0.0
         self.horizon_reached = False
         self._last_tick = 0.0  # the last round boundary pushed; each is > 0
@@ -456,7 +455,7 @@ class _Engine:
     def run(self) -> RunReport:
         # bound as the run starts, so a method patched before it is the one
         # called; heappop through the module's heapq name, which a tracer may replace
-        heap, pop, now, budget = self.heap, heapq.heappop, self.now, self._event_budget
+        heap, pop, now, budget = self.heap, heapq.heappop, 0.0, self._event_budget
         on_completion, end_instant = self._on_completion, self._end_instant
         sched, apply = self.sched, self._apply_decision
         handlers = {_EXPIRE: lambda _, t: apply(sched.close_windows(t), t),
@@ -473,7 +472,7 @@ class _Engine:
             if processed > budget:
                 raise InternalConsistencyError(
                     f"event budget {budget} exhausted; likely a livelock")
-            now = self.now = time
+            now = time
             if kind == _COMPLETE:
                 # a superseded completion leaves no trace, not even the end time
                 if on_completion(payload, time):

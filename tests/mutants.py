@@ -47,12 +47,14 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("round-boundary-on-now-moves-on", "sim_engine.py", (
-        ("    if boundary < now:\n", "    if boundary <= now:\n"),), "killed"),
+        ("    if boundary < now:\n", "    if boundary <= now:\n"),), "killed",
+        first=("tests/test_sim_engine.py",)),
     Mutant("round-boundary-drops-first-round-floor", "sim_engine.py", (
         ("    return max(boundary, round_length)\n", "    return boundary\n"),), "killed"),
     Mutant("event-tie-order", "sim_engine.py", (
         ("    EVICTION_EXPIRE = 1\n    NODE_FAILURE = 2\n",
-         "    EVICTION_EXPIRE = 2\n    NODE_FAILURE = 1\n"),), "killed"),
+         "    EVICTION_EXPIRE = 2\n    NODE_FAILURE = 1\n"),), "killed",
+        first=("tests/test_differential.py",)),
     Mutant("event-tie-complete-expiry", "sim_engine.py", (
         ("    STEP_COMPLETE = 0\n    EVICTION_EXPIRE = 1\n",
          "    STEP_COMPLETE = 1\n    EVICTION_EXPIRE = 0\n"),), "killed"),
@@ -66,7 +68,8 @@ MUTANTS = [
         first=("tests/test_sim_engine.py",)),
     Mutant("event-tie-arrival-round", "sim_engine.py", (
         ("    JOB_ARRIVAL = 4\n    ROUND_TICK = 5\n",
-         "    JOB_ARRIVAL = 5\n    ROUND_TICK = 4\n"),), "killed"),
+         "    JOB_ARRIVAL = 5\n    ROUND_TICK = 4\n"),), "killed",
+        first=("tests/test_sim_engine.py",)),
     Mutant("event-tie-round-end", "sim_engine.py", (
         ("    ROUND_TICK = 5\n    SIMULATION_END = 6\n",
          "    ROUND_TICK = 6\n    SIMULATION_END = 5\n"),), "killed",
@@ -82,7 +85,7 @@ MUTANTS = [
         ("bisect_right(a_times, now)", "bisect_left(a_times, now)")), "killed"),
     Mutant("run-count-strict", "pipeline_driver.py", (
         ("while self.first + k * self.step <= cut:", "while self.first + k * self.step < cut:"),),
-        "killed"),
+        "killed", first=("tests/test_driver.py",)),
     Mutant("run-grid-check-accepts-all", "pipeline_driver.py", (
         ("return xn * (q // xq) + dn * (q // dq) + (n - 1) * sn * (q // sq) <= _UNITS",
          "return True"),), "killed",
@@ -92,11 +95,11 @@ MUTANTS = [
         first=("tests/test_driver.py",)),
     Mutant("run-count-drops-correction", "pipeline_driver.py", (
         ("        while self.first + k * self.step <= cut:\n            k += 1\n", ""),),
-        "killed"),
+        "killed", first=("tests/test_driver.py",)),
     Mutant("expiry-cut-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("keep = bisect_right(rt.flight, expiry)", "keep = bisect_left(rt.flight, expiry)")),
-        "killed"),
+        "killed", first=("tests/test_differential.py",)),
     Mutant("drop-evicting-keeps-evicting-load", "hcs_scheduler.py", (
         ("self._shift(plan, -1, 1, -1)", "self._shift(plan, -1, 1, 0)"),), "killed"),
     Mutant("hold-skips-victim-insort", "hcs_scheduler.py", (
@@ -107,15 +110,33 @@ MUTANTS = [
          "from bisect import bisect_left, bisect_right, insort"),
         ("stop = bisect_left(self._victims, (cost,))",
          "stop = bisect_right(self._victims, cost, key=lambda v: v[0])")), "killed"),
-    Mutant("shift-never-lowers-first-fit-start", "hcs_scheduler.py", (
-        ("self._ff_from[shape] = low", "pass"),), "killed"),
+    Mutant("first-fit-starts-outlive-the-round", "hcs_scheduler.py", (
+        ("        starts: dict[tuple[int, int], int] = {}\n        for _, _, job_id",
+         "        starts = self.__dict__.setdefault(\"_starts\", {})\n        for _, _, job_id"),),
+        "killed", first=("tests/test_scheduler.py",)),
+    Mutant("first-fit-start-past-first-node", "hcs_scheduler.py", (
+        ("starts[shape] = next(iter(plan.nodes))", "starts[shape] = next(iter(plan.nodes)) + 1"),),
+        "killed", first=("tests/test_scheduler.py",)),
+    Mutant("covered-cpu-strict", "hcs_scheduler.py", (
+        ("cpu >= a and", "cpu > a and"),), "killed", first=("tests/test_scheduler.py",)),
+    Mutant("covered-mem-strict", "hcs_scheduler.py", (
+        ("mem >= b and", "mem > b and"),), "killed", first=("tests/test_scheduler.py",)),
+    Mutant("covered-replicas-strict", "hcs_scheduler.py", (
+        ("replicas >= c for", "replicas > c for"),), "killed", first=("tests/test_scheduler.py",)),
+    Mutant("eviction-final-slots-check-non-strict", "hcs_scheduler.py", (
+        ("        if slots < step.replicas:\n", "        if slots <= step.replicas:\n"),),
+        "killed", first=("tests/test_acceptance.py",)),
+    Mutant("eviction-loop-slots-check-non-strict", "hcs_scheduler.py", (
+        ("while slots < step.replicas and", "while slots <= step.replicas and"),), "killed",
+        first=("tests/test_scheduler.py",)),
     Mutant("runs-one-schedule-per-run", "cli.py", (
-        ("if id(s.arrivals) not in schedules:", "if True:"),), "killed"),
+        ("if id(s.arrivals) not in schedules:", "if True:"),), "killed",
+        first=("tests/test_commands.py",)),
     Mutant("command-summarises-again", "cli.py", (
         ("    [(_, s)] = _runs(args, phases, out, [(\"run\", scenario)])\n",
          "    [(report, _)] = _runs(args, phases, out, [(\"run\", scenario)])\n"
          "    from hcs_sim.metrics import summary_dict\n"
-         "    s = summary_dict(report)\n"),), "killed"),
+         "    s = summary_dict(report)\n"),), "killed", first=("tests/test_commands.py",)),
     Mutant("sample-before-projecting", "sim_engine.py", (
         ("        heap, push, seq = self.heap, heapq.heappush, self.seq\n"
          "        for job_id, drv in self._touched.items():\n"

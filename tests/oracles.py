@@ -16,9 +16,9 @@ placement before first fit started from a per-shape bound, which places one
 replica at a time, first fit scanning from node 0 for each, with random free
 views to check the package's placement against it; the recompute of the
 scheduler's capacity books from scratch, and the engine that runs it after
-every instant; a run that also returns its per-job drivers, for the
-exactly-once tests; the graph lookups PipelineDag no longer offers, read off its
-steps and edges; and the
+every instant and checks each first-fit start where it is used; a run
+that also returns its per-job drivers, for the exactly-once tests; the graph
+lookups PipelineDag no longer offers, read off its steps and edges; and the
 scheduler before incremental capacity books, the differential oracle for the
 scheduler, with the per-node allocation account it kept before the
 scheduler's books owned edge allocation.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from hcs_sim import placement
+from hcs_sim import hcs_scheduler, placement
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -697,9 +697,10 @@ def check_books(sched: HcsScheduler) -> None:
     one differs: physical and promised capacity both respect node limits, a
     dead node holds nothing, `_held`, `_free`, `_free_now` and
     `_free_after_evictions` equal their recompute, `_victims` lists the
-    residents outside a window in (rcost, key) order, no live node below a
-    first-fit bound has room for its shape, and no resident is
-    cloud-sticky."""
+    residents outside a window in (rcost, key) order, and no resident is
+    cloud-sticky. The first-fit starts live only inside a round or a node
+    failure, so they are checked where they are used
+    (check_first_fit_start)."""
     held = [[0, 0] for _ in sched.capacities]
     reserved = [[0, 0] for _ in sched.capacities]
     evicting = [[0, 0] for _ in sched.capacities]
@@ -732,11 +733,6 @@ def check_books(sched: HcsScheduler) -> None:
                      if key not in sched.evicting)
     if victims != sched._victims:
         raise InternalConsistencyError("eviction candidate order drifted")
-    for (cpu, mem), start in sched._ff_from.items():
-        for node_id, f in enumerate(sched._free_now[:start]):
-            if f is not None and f[0] >= cpu and f[1] >= mem:
-                raise InternalConsistencyError(
-                    f"node {node_id} has room for {cpu, mem} below first-fit bound {start}")
     overlap = set(sched.resident) & sched.cloud_sticky
     if overlap:
         raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")
@@ -751,9 +747,40 @@ def run_detailed(scenario, arrivals=None):
     return engine.run(), engine.drivers
 
 
+def check_first_fit_start(step, free, start) -> None:
+    """Raise InternalConsistencyError if a live node below a first-fit start
+    has room for one replica of step in the free view the plan reads; first
+    fit from start would then place other than first fit from node 0."""
+    d = step.demand_per_replica
+    for node_id, f in enumerate(free[:start]):
+        if f is not None and f[0] >= d.cpu_millicores and f[1] >= d.memory_mb:
+            raise InternalConsistencyError(
+                f"node {node_id} has room for {d} below first-fit start {start}")
+
+
 class CheckedEngine(_Engine):
     """The package's engine, with the scheduler's books recomputed from
-    scratch (check_books) after every instant."""
+    scratch (check_books) after every instant, and every first-fit plan that
+    starts past node 0 checked as it is made (check_first_fit_start).
+    bounded_first_fits counts those plans, so a caller sees that the check
+    ran."""
+
+    bounded_first_fits = 0
+
+    def run(self):
+        real = hcs_scheduler.try_place_free
+
+        def place(step, free, policy, rr_cursor=0, start=0):
+            if policy is PlacementPolicy.FIRST_FIT and start > 0:
+                check_first_fit_start(step, free, start)
+                self.bounded_first_fits += 1
+            return real(step, free, policy, rr_cursor, start)
+
+        hcs_scheduler.try_place_free = place
+        try:
+            return super().run()
+        finally:
+            hcs_scheduler.try_place_free = real
 
     def _end_instant(self, now):
         super()._end_instant(now)

@@ -271,13 +271,16 @@ def test_runs_leave_no_cyclic_garbage():
 
 def test_generator_reaches_the_hard_cases(monkeypatch):
     """The tier-1 seeds exercise joins, barriers, evictions, evictions that
-    cancel in-flight work, faults, cuts, a first fit whose bound skips a node
-    and a bound that a release lowers."""
+    cancel in-flight work, faults, cuts, a first fit whose start skips a node,
+    and a round's first-fit plan that starts below where an earlier round's
+    plan of its shape started, which a start kept across rounds would miss."""
     seen = set()
     real_close = HcsScheduler.close_windows
     real_notice = PipelineDriver.on_eviction_notice
     real_place = hcs_scheduler.try_place_free
-    real_shift = HcsScheduler._shift
+    real_round = HcsScheduler.run_round
+    real_edge = HcsScheduler._try_deploy_edge_now
+    rounds = []  # the scheduler whose round is running
 
     def close(self, expiry):
         decision = real_close(self, expiry)
@@ -297,16 +300,32 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
             seen.add("first-fit-skip")
         return real_place(step, free, policy, rr_cursor, start)
 
-    def shift(self, plan, held, free, evicting):
-        before = dict(self._ff_from)
-        real_shift(self, plan, held, free, evicting)
-        if any(self._ff_from[shape] < start for shape, start in before.items()):
-            seen.add("first-fit-lowered")
+    def round_(self, now):
+        rounds.append(self)
+        try:
+            return real_round(self, now)
+        finally:
+            rounds.pop()
+
+    def edge(self, step, key, decision, starts):
+        placed = real_edge(self, step, key, decision, starts)
+        if placed and rounds and self.policy is PlacementPolicy.FIRST_FIT:
+            d = step.demand_per_replica
+            shape = (d.cpu_millicores, d.memory_mb)
+            first = next(iter(decision.directives[-1].plan.nodes))
+            # a shape's plans never start lower within a round, so a lower
+            # first node than the last plan's is a later round's
+            last = self.__dict__.setdefault("first_nodes", {})
+            if first < last.get(shape, 0):
+                seen.add("first-fit-starts-lower")
+            last[shape] = first
+        return placed
 
     monkeypatch.setattr(HcsScheduler, "close_windows", close)
     monkeypatch.setattr(PipelineDriver, "on_eviction_notice", notice)
     monkeypatch.setattr(hcs_scheduler, "try_place_free", place)
-    monkeypatch.setattr(HcsScheduler, "_shift", shift)
+    monkeypatch.setattr(HcsScheduler, "run_round", round_)
+    monkeypatch.setattr(HcsScheduler, "_try_deploy_edge_now", edge)
     for seed in TIER1_SEEDS:
         sc = random_scenario(seed)
         for job in sc.catalog.values():
@@ -322,7 +341,7 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
             seen.add("cloud_only")
         seen.add(sc.placement.value)
     assert {"join3", "barrier", "eviction", "eviction-cancels", "NodeFailureFault",
-            "DriverRestartFault", "cut", "cloud_only", "first-fit-skip", "first-fit-lowered",
+            "DriverRestartFault", "cut", "cloud_only", "first-fit-skip", "first-fit-starts-lower",
             *(p.value for p in PlacementPolicy)} <= seen
 
 

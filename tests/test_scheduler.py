@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from hcs_sim import hcs_scheduler
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -26,7 +27,8 @@ from hcs_sim.hcs_scheduler import (
     SchedulerMode,
 )
 from hcs_sim.placement import PlacementPlan, PlacementPolicy, try_place_free
-from oracles import add_load, check_books, step_spec
+from hcs_sim.sim_engine import ExplicitArrivals, Scenario, generate_arrivals
+from oracles import CheckedEngine, add_load, check_books, step_spec
 
 # c_cpu=250, c_mem=0 makes rcost equal cpu/4, so demands map to round rcosts
 QUARTER_CPU = CostParams(c_cpu=250.0, c_mem=0.0)
@@ -320,14 +322,6 @@ class TestCapacityBooks:
         assert [k for _, k in s._victims] == [("h", "s0"), ("r", "s0")]
         return s
 
-    def spare(self):
-        """a on node 0 of two, with room left there for another of its shape."""
-        s = HcsScheduler([ResourceVector(4000, 8192)] * 2)
-        s.submit_request(job_with_step("a", 1000), 0.0)
-        s.run_round(30.0)
-        assert s._ff_from == {(1000, 0): 0} and s._free_now[0] == (3000, 8192)
-        return s
-
     @pytest.mark.parametrize("fixture, corrupt", [
         ("loaded", lambda s: s._free[0].__setitem__(0, s._free[0][0] - 1)),
         # the evicting load's share of the book, one unit of memory off
@@ -337,9 +331,8 @@ class TestCapacityBooks:
         ("loaded", lambda s: s._victims.reverse()),
         ("loaded", lambda s: s._victims.pop()),
         ("loaded", lambda s: s._held[0].__setitem__(0, s._held[0][0] + 1)),
-        ("spare", lambda s: s._ff_from.__setitem__((1000, 0), 1)),
     ], ids=["free", "evicting", "free_now", "free_after_evictions", "victim_order",
-            "victim_missing", "held", "first_fit_bound"])
+            "victim_missing", "held"])
     def test_a_drifted_book_is_an_internal_error(self, fixture, corrupt):
         s = getattr(self, fixture)()
         check_books(s)
@@ -363,6 +356,28 @@ class TestCapacityBooks:
         with pytest.raises(InternalConsistencyError,
                            match="node 0 over capacity after pending evictions"):
             s._shift(plan_of(job_with_step("y", demand[0], mem=demand[1]), {0: 1}), 0, -1, 0)
+
+    def test_a_first_fit_start_past_a_node_with_room_is_an_internal_error(self, monkeypatch):
+        """A first-fit start is checked where a plan reads it: moved one node
+        on after each plan, it skips node 0, which still has room for the
+        round's second request, and the checked run stops there."""
+        sc = Scenario(scenario_id="hand", node_capacities=(ResourceVector(4000, 8192),) * 2,
+                      catalog={"t": job_with_step("t", 1000)},
+                      arrivals=ExplicitArrivals((0.0, 1.0)), round_length=10.0)
+        engine = CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        engine.run()
+        assert engine.bounded_first_fits == 0  # both plans start at node 0
+        real = HcsScheduler._try_deploy_edge_now
+
+        def drifting(self, step, key, decision, starts):
+            placed = real(self, step, key, decision, starts)
+            for shape in starts:
+                starts[shape] += 1
+            return placed
+
+        monkeypatch.setattr(HcsScheduler, "_try_deploy_edge_now", drifting)
+        with pytest.raises(InternalConsistencyError, match="node 0 has room .* start 1"):
+            CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog)).run()
 
     def test_a_dead_node_holding_allocations_is_an_internal_error(self):
         s = HcsScheduler([ResourceVector(1000, 8192), ResourceVector(1000, 8192)])
@@ -425,8 +440,49 @@ class TestHoldAndDrop:
 
 
 class TestRoundMemo:
-    """A try that failed rules out larger shapes for the rest of its round
-    only, and never for failure handling."""
+    """A try that failed rules out larger shapes, and a first-fit plan moves
+    its shape's start, for the rest of its round only, and never for failure
+    handling."""
+
+    def test_a_failed_shape_is_not_tried_again_in_its_round(self, monkeypatch):
+        """b equals a, which found neither free room nor a cheaper victim, so
+        b goes to the cloud untried: one free-space plan and one eviction try
+        for the two."""
+        calls = Counter()
+        real_place = hcs_scheduler.try_place_free
+        real_evict = HcsScheduler._try_deploy_with_eviction
+
+        def place(*args):
+            calls["place"] += 1
+            return real_place(*args)
+
+        def evict(self, *args):
+            calls["evict"] += 1
+            return real_evict(self, *args)
+
+        monkeypatch.setattr(hcs_scheduler, "try_place_free", place)
+        monkeypatch.setattr(HcsScheduler, "_try_deploy_with_eviction", evict)
+        s = HcsScheduler(one_node(), cost_params=QUARTER_CPU)
+        s.submit_request(job_with_step("r", 3000), 0.0)
+        s.run_round(30.0)
+        calls.clear()
+        for name in "ab":
+            s.submit_request(job_with_step(name, 2000), 31.0)
+        d = s.run_round(60.0)
+        assert [c.job_id for c in clouds_of(d)] == ["a", "b"]
+        assert calls == {"place": 1, "evict": 1}
+
+    def test_a_first_fit_start_lives_for_one_round(self):
+        """Round 1 fills node 0 and moves the shape's start to node 1; a
+        completion frees room on node 0, where round 2 places the shape."""
+        s = HcsScheduler([ResourceVector(4000, 8192)] * 2)
+        for name in "abcde":
+            s.submit_request(job_with_step(name, 1000), 0.0)
+        d = s.run_round(30.0)
+        assert [e.plan.nodes for e in edges_of(d)] == [{0: 1}] * 4 + [{1: 1}]
+        s.complete_step("a", "s0")
+        s.submit_request(job_with_step("f", 1000), 31.0)
+        assert [e.plan.nodes for e in edges_of(s.run_round(60.0))] == [{0: 1}]
 
     def test_no_fit_ends_with_its_round(self):
         s = HcsScheduler(one_node(cpu=1000), cost_params=QUARTER_CPU)

@@ -308,7 +308,7 @@ class TestEvictionHandoff:
         engine = CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog))
         with pytest.raises(InternalConsistencyError, match="candidate order"):
             engine.run()
-        assert engine.now == 70.0
+        assert engine.last_event_time == 70.0
 
     def test_one_expiry_event_closes_the_window(self, monkeypatch):
         """The round at 60 evicts cheap for rich: one expiry event at 90
