@@ -6,11 +6,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import os
 import sys
 import time
+from itertools import permutations, product
 from pathlib import Path
 
 from hcs_sim.core_model import (
@@ -21,6 +21,7 @@ from hcs_sim.core_model import (
     ResourceVector,
     StepSpec,
     ValidationError,
+    log,
 )
 from hcs_sim.hcs_scheduler import SchedulerMode
 from hcs_sim.metrics import cost_vs_baseline, emit_report, round9, write_json
@@ -38,9 +39,6 @@ from hcs_sim.sim_engine import (
 
 _PLACEMENTS = tuple(p.value for p in PlacementPolicy)
 MAX_NODE_COUNT = 1_000_000  # the largest edge.node_count a file may set
-
-# by its import name: run as `python -m hcs_sim.cli`, this module is __main__
-log = logging.getLogger("hcs_sim.cli")
 
 
 class _Check:
@@ -113,39 +111,50 @@ def _given(**fields) -> dict:
     return {key: value for key, value in fields.items() if value is not None}
 
 
-def _finite(token: str, kind=float):
-    """A JSON number token as kind; NaN, Infinity, -Infinity and literals past
-    the float range are not numbers a scenario can hold."""
-    if not math.isfinite(float(token)):
+def _finite(token: str) -> float:
+    """A JSON number or constant token as a float, parsed once; NaN, Infinity,
+    -Infinity and literals past the float range are not numbers a scenario
+    can hold."""
+    value = float(token)
+    if not math.isfinite(value):
         raise ValueError(f"{token} is not a finite number")
-    return kind(token)
+    return value
 
 
-def _is(types: tuple, problem: str):
-    """A value whose JSON type is one of types."""
+def _finite_int(token: str) -> int:
+    """A JSON integer token as an int. One of fewer than 309 characters has
+    at most 308 digits, so it lies below 1e308, inside the float range."""
+    if len(token) >= 309:
+        _finite(token)
+    return int(token)
+
+
+def _is(types: tuple, problem: str, cast=None):
+    """A value whose JSON type is one of types, as cast(value) when a cast is
+    given. `_shapes` reads both."""
     def kind(value):
         if type(value) not in types:
             raise ValidationError(problem)
-        return value
+        return value if cast is None else cast(value)
+    kind.types, kind.cast = types, cast
     return kind
 
 
 _number = _is((int, float), "must be a number")  # as written; a bool is no number
+_real = _is((int, float), "must be a number", float)  # as the float the domain field holds
 _object = _is((dict,), "must be an object")
 _string = _is((str,), "must be a string")
 _boolean = _is((bool,), "must be true or false")
 _list = _is((list,), "must be a list")
 
 
-def _real(value) -> float:
-    """A number as the float the domain field holds."""
-    return float(_number(value))
-
-
 def _integer(value) -> int:
     if type(value) is not int:
         raise ValidationError("must be an integer" if type(value) is float else "must be a number")
     return value
+
+
+_integer.types, _integer.cast = (int,), None  # as `_is` marks its kinds, for `_shapes`
 
 
 def _one_of(*choices, member=str):
@@ -212,6 +221,47 @@ _FAULTS = {
         "kind": (None, True), "time": (_real, True), "job_index": (_integer, True)})}
 
 
+def _shapes(kinds: dict) -> dict:
+    """The accept test of a kind-tagged object, derived from its tables:
+    {(tag, *keys, *JSON value types): (type, ((key, cast), ...))} for every
+    order of a table's keys and every type that each key's kind takes. An
+    object of such a shape has no problem of its own shape or types, so it
+    builds from its values, each cast where its kind casts its type."""
+    shapes = {}
+    for tag, (cls, table) in kinds.items():
+        for keys in permutations(table):
+            fields = [table[key][0] for key in keys]  # the tag's key has no kind
+            takes = [(str,) if kind is None else kind.types for kind in fields]
+            for types in product(*takes):
+                casts = tuple((key, kind.cast) for key, kind, t in zip(keys, fields, types)
+                              if kind is not None and kind.cast not in (None, t))
+                shapes[(tag, *keys, *types)] = (cls, casts)
+    return shapes
+
+
+_FAULT_SHAPES = _shapes(_FAULTS)
+
+
+def _built(obj, shapes: dict):
+    """What an object of one of shapes builds, in one lookup; None for any
+    other object, and for one its type refuses. `_Check` reads those again,
+    as the one source of their problems."""
+    if type(obj) is not dict or type(tag := obj.get("kind")) is not str:
+        return None
+    shape = shapes.get((tag, *obj, *map(type, obj.values())))
+    if shape is None:
+        return None
+    cls, casts = shape
+    got = obj.copy()
+    del got["kind"]
+    for key, cast in casts:
+        got[key] = cast(got[key])
+    try:
+        return cls(**got)
+    except ValidationError:
+        return None
+
+
 def _parse_step(obj, path: str, check: _Check) -> StepSpec | None:
     got = check.fields(obj, path, _STEP)
     if got is None:
@@ -259,7 +309,7 @@ def load_scenario(path: str | Path) -> tuple[Scenario, str | None]:
         raise ValidationError(f"{path}: not UTF-8 text: {e.reason} at offset {e.start}") from None
     try:
         raw = json.loads(text, parse_constant=_finite, parse_float=_finite,
-                         parse_int=lambda token: _finite(token, int))
+                         parse_int=_finite_int)
     except ValueError as e:  # JSONDecodeError is one
         raise ValidationError(f"{path}: invalid JSON: {e}") from None
     except RecursionError:
@@ -298,9 +348,13 @@ def load_scenario(path: str | Path) -> tuple[Scenario, str | None]:
                 arrivals = check.build("", cls, **got)  # its type writes "arrivals."
     faults = []
     for i, f in enumerate(top.get("faults") or ()):
-        cls, got = check.variant(f, f"faults[{i}]", _FAULTS)
-        if cls is not None and None not in got.values():
-            faults.append(check.build(f"faults[{i}].", cls, **got))
+        fault = _built(f, _FAULT_SHAPES)
+        if fault is None:
+            cls, got = check.variant(f, f"faults[{i}]", _FAULTS)
+            if cls is None or None in got.values():
+                continue
+            fault = check.build(f"faults[{i}].", cls, **got)
+        faults.append(fault)
 
     # every other scheduler and cloud key is a Scenario field name
     settings = _given(
@@ -460,10 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # a level name maps to its number; any other value reads as WARNING
-    level = logging.getLevelName(os.environ.get("HCS_SIM_LOG", "WARNING").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    setting = os.environ.get("HCS_SIM_LOG", "WARNING").upper()
+    # At WARNING the package logs nothing, so logging is loaded only for another
+    # setting, or configured as before when the host process has already loaded it.
+    if setting != "WARNING" or "logging" in sys.modules:
+        import logging
+
+        # a level name maps to its number; any other value reads as WARNING
+        level = logging.getLevelName(setting)
+        logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
+                            format="%(levelname)s %(name)s: %(message)s")
     argv = sys.argv[1:] if argv is None else argv
     # argparse takes a word like -1,2 for an option, which leaves --seeds, or
     # a prefix of it, without a value; joined as --seeds=-1,2 it is the value
@@ -498,8 +558,9 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
-        log.info("wall-clock seconds by phase: load %.6f, arrivals %.6f, "
-                 "simulate %.6f, emit %.6f", *phases.values())
+        # by its import name: run as `python -m hcs_sim.cli`, this module is __main__
+        log("hcs_sim.cli", "info", "wall-clock seconds by phase: load %.6f, arrivals %.6f, "
+            "simulate %.6f, emit %.6f", *phases.values())
 
 
 if __name__ == "__main__":

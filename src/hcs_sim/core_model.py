@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 
 class ValidationError(ValueError):
@@ -18,9 +19,19 @@ def require(*checks: tuple[object, str]) -> None:
 
     Each condition is written so that NaN fails it (`x > 0`, not `x <= 0`).
     """
-    problems = [problem for ok, problem in checks if not ok]
-    if problems:
-        raise ValidationError(*problems)
+    for ok, _ in checks:
+        if not ok:
+            raise ValidationError(*[problem for ok, problem in checks if not ok])
+
+
+def log(logger: str, level: str, message: str, *args) -> None:
+    """`logging.getLogger(logger).<level>(message, *args)`, charged to the
+    caller, once the process has loaded logging. The package never loads it
+    itself (`cli.main` does when HCS_SIM_LOG asks for output), and before
+    logging is loaded no handler could receive the record."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        getattr(logging.getLogger(logger), level)(message, *args, stacklevel=2)
 
 
 class InternalConsistencyError(RuntimeError):

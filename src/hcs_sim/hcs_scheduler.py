@@ -9,7 +9,6 @@ to the cloud. Anything sent to the cloud stays there for its lifetime.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from enum import Enum
@@ -22,11 +21,10 @@ from hcs_sim.core_model import (
     ResourceVector,
     StepSpec,
     ValidationError,
+    log,
     rcost,
 )
 from hcs_sim.placement import PlacementPlan, PlacementPolicy, replica_slots, try_place_free
-
-log = logging.getLogger(__name__)
 
 DEFAULT_EVICTION_DEADLINE = 30.0
 
@@ -362,8 +360,8 @@ class HcsScheduler:
             self.evicting[vic] = expiry
             self._shift(self.resident[vic], 0, 0, 1)
             decision.directives.append(Evict(vic[0], vic[1], expiry))
-            log.debug("t=%s evict %s (rcost %.1f) for %s (rcost %.1f)", now, vic,
-                      vic_cost, key, cost)
+            log(__name__, "debug", "t=%s evict %s (rcost %.1f) for %s (rcost %.1f)", now,
+                vic, vic_cost, key, cost)
         self.rr_cursor = cursor
         self.reservations[key] = (plan, expiry)
         self._shift(plan, 0, -1, 0)

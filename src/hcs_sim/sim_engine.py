@@ -21,7 +21,6 @@ but a step completion and the horizon through one table of bound handlers.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from collections import Counter
 from enum import IntEnum
@@ -33,6 +32,7 @@ from hcs_sim.core_model import (
     Record,
     ResourceVector,
     ValidationError,
+    log,
     rcost,
     require,
     validate_job,
@@ -50,7 +50,6 @@ from hcs_sim.pcg64 import Pcg64
 from hcs_sim.pipeline_driver import PipelineDriver
 from hcs_sim.placement import PlacementPolicy
 
-log = logging.getLogger(__name__)
 DEFAULT_ROUND_LENGTH = 30.0
 
 
@@ -540,7 +539,6 @@ def run(scenario: Scenario,
     """
     if arrivals is None:
         arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
-    log.info("run %s: %d arrivals, mode=%s placement=%s",
-             scenario.scenario_id, len(arrivals), scenario.mode.value,
-             scenario.placement.value)
+    log(__name__, "info", "run %s: %d arrivals, mode=%s placement=%s",
+        scenario.scenario_id, len(arrivals), scenario.mode.value, scenario.placement.value)
     return _Engine(scenario, arrivals).run()

@@ -137,6 +137,20 @@ MUTANTS = [
          "    [(report, _)] = _runs(args, phases, out, [(\"run\", scenario)])\n"
          "    from hcs_sim.metrics import summary_dict\n"
          "    s = summary_dict(report)\n"),), "killed", first=("tests/test_commands.py",)),
+    Mutant("fault-shape-takes-a-bool", "cli.py", (
+        ("else kind.types for kind in fields]", "else (*kind.types, bool) for kind in fields]"),),
+        "killed",
+        first=("tests/test_cli.py",)),
+    Mutant("fault-shape-keeps-an-int-time", "cli.py", (
+        ("        got[key] = cast(got[key])\n", "        got[key] = got[key]\n"),), "killed",
+        first=("tests/test_cli.py",)),
+    Mutant("int-token-guard-one-longer", "cli.py", (
+        ("if len(token) >= 309:", "if len(token) >= 310:"),), "killed",
+        first=("tests/test_cli.py",)),
+    Mutant("logging-condition-inverted", "cli.py", (
+        ('if setting != "WARNING" or "logging" in sys.modules:',
+         'if not (setting != "WARNING" or "logging" in sys.modules):'),), "killed",
+        first=("tests/test_cli.py",)),
     Mutant("sample-before-projecting", "sim_engine.py", (
         ("        heap, push, seq = self.heap, heapq.heappush, self.seq\n"
          "        for job_id, drv in self._touched.items():\n"

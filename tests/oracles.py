@@ -21,7 +21,9 @@ that also returns its per-job drivers, for the exactly-once tests; the graph
 lookups PipelineDag no longer offers, read off its steps and edges; and the
 scheduler before incremental capacity books, the differential oracle for the
 scheduler, with the per-node allocation account it kept before the
-scheduler's books owned edge allocation.
+scheduler's books owned edge allocation. Last, the loader's fault list read
+one object at a time through its diagnostic path alone, the reference for
+the shapes it builds in one lookup.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from hcs_sim import hcs_scheduler, placement
+from hcs_sim import cli, hcs_scheduler, placement
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -1261,3 +1263,17 @@ class ReferenceScheduler:
         overlap = set(self.resident) & self.cloud_sticky
         if overlap:
             raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")
+
+
+def faults_per_object(objects) -> tuple[tuple, list[str]]:
+    """(faults, problems) of a file's fault list read by `cli._Check.variant`
+    and `build` alone, as the loader read every fault object before it built
+    the accepted shapes in one lookup: the faults built, and every problem
+    of the objects, sorted. A Scenario checks the faults' own rules."""
+    check = cli._Check()
+    faults = []
+    for i, obj in enumerate(objects):
+        cls, got = check.variant(obj, f"faults[{i}]", cli._FAULTS)
+        if cls is not None and None not in got.values():
+            faults.append(check.build(f"faults[{i}].", cls, **got))
+    return tuple(faults), sorted(set(check.problems))

@@ -565,6 +565,88 @@ def test_null_sections_load_as_absent(tmp_path):
     assert library_scenario() == load_scenario(write_config(tmp_path, cfg))[0]
 
 
+NF, DR = "node_failure", "driver_restart"
+
+# (case, a file's fault list, and the repr of the faults it loads to or else
+# its exact diagnostics). The loader builds a fault whose keys and value types
+# its table accepts in one lookup and reads any other through _Check; these
+# sit on both sides of that line. Faults compare by repr, as == cannot tell
+# an int time from a float one.
+FAULT_EDGES = [
+    ("int-time", [{"kind": NF, "time": 40, "node_id": 1}, {"kind": DR, "time": 0, "job_index": 0}],
+     "(NodeFailureFault(time=40.0, node_id=1), DriverRestartFault(time=0.0, job_index=0))"),
+    ("negative-zero-time", [{"kind": NF, "time": -0.0, "node_id": 0}],
+     "(NodeFailureFault(time=-0.0, node_id=0),)"),
+    ("any-key-order", [{"node_id": 1, "time": 3, "kind": NF},
+                       {"job_index": 1, "kind": DR, "time": 2.5}],
+     "(NodeFailureFault(time=3.0, node_id=1), DriverRestartFault(time=2.5, job_index=1))"),
+    ("bool-node-id", [{"kind": NF, "time": 1.0, "node_id": True}],
+     ["faults[0].node_id: must be a number"]),
+    ("bool-job-index", [{"kind": DR, "time": 1.0, "job_index": False}],
+     ["faults[0].job_index: must be a number"]),
+    ("bool-time", [{"kind": NF, "time": True, "node_id": 0}], ["faults[0].time: must be a number"]),
+    ("float-node-id", [{"kind": NF, "time": 1.0, "node_id": 1.0}],
+     ["faults[0].node_id: must be an integer"]),
+    ("string-time", [{"kind": NF, "time": "1", "node_id": 0}],
+     ["faults[0].time: must be a number"]),
+    ("extra-key", [{"kind": NF, "time": 1.0, "node_id": 0, "note": "x"}],
+     ["faults[0].note: unknown key"]),
+    ("other-kinds-key", [{"kind": NF, "time": 1.0, "job_index": 0}],
+     ["faults[0].job_index: unknown key", "faults[0].node_id: is required"]),
+    ("null-index", [{"kind": DR, "time": 1.0, "job_index": None}],
+     ["faults[0].job_index: is required"]),
+    ("null-time", [{"kind": DR, "time": None, "job_index": 0}], ["faults[0].time: is required"]),
+    ("negative-index", [{"kind": DR, "time": 1.0, "job_index": -1}],
+     ["faults[0].job_index: must be >= 0"]),
+    ("negative-node-id", [{"kind": NF, "time": 1.0, "node_id": -1}],
+     ["faults[0].node_id: must be >= 0"]),
+    ("negative-time-and-index", [{"kind": DR, "time": -1, "job_index": -1}],
+     ["faults[0].job_index: must be >= 0", "faults[0].time: must be >= 0 and finite"]),
+    ("non-objects", [{"kind": NF, "time": 1.0, "node_id": 0}, [NF, 1.0, 0], "x"],
+     ["faults[1]: must be an object", "faults[2]: must be an object"]),
+    ("missing-kind", [{"time": 1.0, "node_id": 0}], ["faults[0].kind: is required"]),
+    ("null-kind", [{"kind": None, "time": 1.0, "node_id": 0}], ["faults[0].kind: is required"]),
+    ("unknown-kind", [{"kind": "meteor", "time": 1.0, "node_id": 0}],
+     ["faults[0].kind: must be one of node_failure, driver_restart"]),
+    ("list-kind", [{"kind": [NF], "time": 1.0, "node_id": 0}],
+     ["faults[0].kind: must be a string"]),
+]
+
+
+@pytest.mark.parametrize("objects, expected", [pytest.param(*r[1:], id=r[0])
+                                               for r in FAULT_EDGES])
+def test_fault_objects_at_every_rule_edge(tmp_path, objects, expected):
+    path = write_config(tmp_path, {**minimal_config(), "faults": objects})
+    if isinstance(expected, str):
+        assert repr(load_scenario(path)[0].faults) == expected
+    else:
+        assert problems(path) == expected
+
+
+# An integer token of fewer than 309 characters is inside the float range;
+# a longer one is checked. deadline keeps the integer as written.
+@pytest.mark.parametrize("token, diagnostics", [
+    pytest.param("1" + "0" * 308, [], id="1e308"),
+    pytest.param("9" * 308, [], id="308-nines"),
+    pytest.param("2" + "0" * 308, ["<file>: invalid JSON: <token> is not a finite number"],
+                 id="2e308"),
+    pytest.param("-" + "9" * 308, ["workloads.w.deadline: must be > 0"], id="minus-308-nines"),
+    pytest.param("-1" + "0" * 308, ["workloads.w.deadline: must be > 0"], id="minus-1e308"),
+    pytest.param("-2" + "0" * 308, ["<file>: invalid JSON: <token> is not a finite number"],
+                 id="minus-2e308"),
+])
+def test_integer_tokens_at_the_float_range_edge(tmp_path, token, diagnostics):
+    cfg = minimal_config()
+    cfg["workloads"]["w"]["deadline"] = 1234.5
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg).replace("1234.5", token), encoding="utf-8")
+    assert problems(path) == [d.replace("<file>", str(path)).replace("<token>", token)
+                              for d in diagnostics]
+    if not diagnostics:
+        deadline = load_scenario(path)[0].catalog["w"].deadline
+        assert type(deadline) is int and deadline == int(token)
+
+
 NAN = float("nan")
 INF = float("inf")
 DAG = PipelineDag([StepSpec("s0", ResourceVector(1, 1), 1, 1.0)])
@@ -741,6 +823,54 @@ class TestRunCommand:
     def test_import_loads_no_dataclasses_or_inspect(self):
         # the records are plain classes: their setup cost stays out of every command
         assert self.loaded_by_import("dataclasses", "inspect") == []
+
+    def test_import_loads_no_logging(self):
+        assert self.loaded_by_import("logging") == []
+
+    @staticmethod
+    def run_in_child(cfg: str, out, log_setting: str | None) -> subprocess.CompletedProcess:
+        """A `run` through cli.main in a fresh interpreter, with HCS_SIM_LOG set
+        to log_setting or unset; its stdout ends with whether logging loaded."""
+        src = str(Path(hcs_sim.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("HCS_SIM_LOG", None)
+        if log_setting is not None:
+            env["HCS_SIM_LOG"] = log_setting
+        code = ("import sys; from hcs_sim.cli import main; code = main(sys.argv[1:]); "
+                "print('logging' in sys.modules); sys.exit(code)")
+        return subprocess.run(
+            [sys.executable, "-c", code, "run", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, env=env)
+
+    @pytest.mark.parametrize("log_setting", [None, "WARNING"], ids=["unset", "warning"])
+    def test_a_run_that_logs_nothing_loads_no_logging(self, tmp_path, log_setting):
+        proc = self.run_in_child(write_config(tmp_path, minimal_config()), tmp_path / "o",
+                                 log_setting)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_debug_log_names_each_eviction(self, tmp_path):
+        # one 4000 mCPU node: the dear job's step evicts the cheap one's at t=60
+        cfg = minimal_config()
+        cfg["edge"] = {"node_count": 1, "node_cpu_millicores": 4000, "node_memory_mb": 4096}
+        step = {"step_id": "s0", "memory_mb": 256, "service_time": 10.0}
+        cfg["workloads"] = {
+            "cheap": {"fragment_count": 20, "deadline": 600,
+                      "steps": [{**step, "cpu_millicores": 2000}]},
+            "dear": {"fragment_count": 2, "deadline": 600,
+                     "steps": [{**step, "cpu_millicores": 4000}]}}
+        cfg["arrivals"] = {"kind": "explicit", "times": [1.0, 31.0],
+                           "templates": ["cheap", "dear"]}
+        proc = self.run_in_child(write_config(tmp_path, cfg), tmp_path / "o", "DEBUG")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
+        lines = proc.stderr.splitlines()
+        assert lines[:2] == [
+            "INFO hcs_sim.sim_engine: run scenario: 2 arrivals, mode=cheapest_first placement=ff",
+            "DEBUG hcs_sim.hcs_scheduler: t=60.0 evict ('cheap-0000', 's0') (rcost 2025.6) "
+            "for ('dear-0001', 's0') (rcost 4025.6)"]
+        assert len(lines) == 3 and "by phase" in lines[2]
 
 
 class TestCollectorPause:
