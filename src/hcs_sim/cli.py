@@ -167,9 +167,15 @@ def _one_of(*choices, member=str):
 
 
 def _list_of(item, problem: str):
-    """A list as the tuple of item(element), or else the one problem."""
+    """A list as the tuple of item(element), or else the one problem. A list
+    whose elements all have a type that item returns unchanged (by the marks
+    of `_is`: no cast, or a cast to that same type) is taken whole."""
+    unchanged = {t for t in item.types if item.cast in (None, t)}
+
     def kind(value) -> tuple:
         if type(value) is list:
+            if set(map(type, value)) <= unchanged:
+                return tuple(value)
             try:
                 return tuple(map(item, value))
             except ValidationError:

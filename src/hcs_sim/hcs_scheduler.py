@@ -106,7 +106,9 @@ class HcsScheduler:
     window, written only by `_hold` and `_drop`, and `alive`, written only by
     `handle_node_failure`. `edge_writes` counts holds, drops and deaths, so
     a caller sees whether the edge changed without asking why, and
-    `edge_usage` sums what a utilization sample records. `reservations`
+    `edge_usage` reads what a utilization sample records from running sums
+    of the held load and the live capacity, which `_shift` and
+    `handle_node_failure` move with the per-node books. `reservations`
     promise capacity to steps that activate at an eviction expiry;
     `evicting` marks residents whose space frees at that expiry. A round
     that opens windows names their expiry in its decision, and the caller
@@ -166,6 +168,11 @@ class HcsScheduler:
             _clamp(f) for f in self._free]
         self._free_after_evictions = list(self._free_now)
         self._victims: list[tuple[float, StepKey]] = []
+        # edge_usage's sums: held load over every node, as a dead node holds
+        # nothing, and the capacity of the live ones
+        self._held_cpu = self._held_mem = 0
+        self._live_cpu = sum(c.cpu_millicores for c in self.capacities)
+        self._live_mem = sum(c.memory_mb for c in self.capacities)
 
     # -- capacity books ---------------------------------------------------------
 
@@ -173,24 +180,31 @@ class HcsScheduler:
         """Add a plan's load, times held, free and free + evicting (held,
         free and evicting each -1, 0 or 1), to `_held`, `_free` and
         `_free_after_evictions`, and re-derive `_free_now` on each node it
-        touches. A node whose space after its pending evictions dips below
-        zero is over capacity: a broken planner, refused there."""
+        touches; held moves edge_usage's sums too. A node whose space after
+        its pending evictions dips below zero is over capacity: a broken
+        planner, refused there."""
         d = plan.step.demand_per_replica
         dc, dm = d.cpu_millicores, d.memory_mb
         after = free + evicting
+        replicas = 0
         for node_id, k in plan.nodes.items():
+            replicas += k
             cpu, mem = k * dc, k * dm
             h, f, a = self._held[node_id], self._free[node_id], self._free_after_evictions[node_id]
             h[0] += held * cpu
             h[1] += held * mem
             f[0] += free * cpu
             f[1] += free * mem
-            self._free_now[node_id] = _clamp(f)
+            fc, fm = f  # _clamp(f), inline: this is the scheduler's hottest loop
+            self._free_now[node_id] = (fc if fc > 0 else 0, fm if fm > 0 else 0)
             a = (a[0] + after * cpu, a[1] + after * mem)
             if a[0] < 0 or a[1] < 0:
                 raise InternalConsistencyError(
                     f"node {node_id} over capacity after pending evictions")
             self._free_after_evictions[node_id] = a
+        if held:
+            self._held_cpu += held * replicas * dc
+            self._held_mem += held * replicas * dm
 
     def _hold(self, key: StepKey, plan: PlacementPlan) -> None:
         """Allocate a plan to a resident that cheaper newcomers cannot evict.
@@ -391,14 +405,7 @@ class HcsScheduler:
     def edge_usage(self) -> tuple[int, int, int, int]:
         """(held cpu, capacity cpu, held memory, capacity memory) summed over
         the alive nodes: what a utilization sample records."""
-        cpu = cpu_cap = mem = mem_cap = 0
-        for alive, (c, m), cap in zip(self.alive, self._held, self.capacities):
-            if alive:
-                cpu += c
-                cpu_cap += cap.cpu_millicores
-                mem += m
-                mem_cap += cap.memory_mb
-        return cpu, cpu_cap, mem, mem_cap
+        return self._held_cpu, self._live_cpu, self._held_mem, self._live_mem
 
     # -- completions ------------------------------------------------------------
 
@@ -446,6 +453,8 @@ class HcsScheduler:
         if (self._held[node_id] != [0, 0]
                 or self._free[node_id] != [cap.cpu_millicores, cap.memory_mb]):
             raise InternalConsistencyError(f"dead node {node_id} still holds allocations")
+        self._live_cpu -= cap.cpu_millicores
+        self._live_mem -= cap.memory_mb
         self._free[node_id] = self._free_now[node_id] = self._free_after_evictions[node_id] = None
 
         starts: dict[tuple[int, int], int] = {}  # from here on, space is only taken

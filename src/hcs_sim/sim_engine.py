@@ -16,6 +16,12 @@ when the scheduler's edge writes moved since the last sample; the horizon
 takes its sample without projecting. Event kinds are plain ints bound once
 from EventKind, which alone defines their tie order; the loop dispatches all
 but a step completion and the horizon through one table of bound handlers.
+
+A cloud-only run without faults or a horizon needs no queue: nothing
+interrupts its jobs, which share only the round grid. run() computes it job
+by job (_run_cloud_only) and sorts the rows into the event loop's order. The
+event loop, _Engine, stays the one general path and the reference the tests
+check that shortcut against.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import heapq
 import math
 from collections import Counter
 from enum import IntEnum
+from operator import itemgetter
 
 from hcs_sim.core_model import (
     BatchJob,
@@ -305,6 +312,15 @@ def next_round_at(now: float, round_length: float) -> float:
     return max(boundary, round_length)
 
 
+def _require_drained(drivers: dict[str, PipelineDriver], arrival_count: int) -> None:
+    """Refuse a run that ended without its horizon with an arrival that never
+    came or a job left unfinished: a bug, not a result."""
+    incomplete = [jid for jid, drv in drivers.items() if not drv.is_complete()]
+    if incomplete or len(drivers) != arrival_count:
+        raise InternalConsistencyError(
+            f"run drained with unfinished work: {incomplete or 'missing arrivals'}")
+
+
 class _Engine:
     """One run's mutable state; single-threaded, shares nothing."""
 
@@ -496,10 +512,7 @@ class _Engine:
 
         end_time = self.scenario.horizon if self.horizon_reached else self.last_event_time
         if not self.horizon_reached:
-            incomplete = [jid for jid, drv in self.drivers.items() if not drv.is_complete()]
-            if incomplete or len(self.drivers) != len(self.arrivals):
-                raise InternalConsistencyError(
-                    f"run drained with unfinished work: {incomplete or 'missing arrivals'}")
+            _require_drained(self.drivers, len(self.arrivals))
         for entry in self._open.values():
             entry.deploy_end = end_time
         return RunReport(
@@ -530,15 +543,77 @@ class _Engine:
                 completion=now, deadline=a.job.deadline, completed=False))
 
 
+def _run_cloud_only(scenario: Scenario, arrivals: list[ScheduledArrival]) -> RunReport:
+    """The report _Engine gives a cloud-only run without faults or a horizon,
+    computed job by job without its event queue or a scheduler.
+
+    Nothing can interrupt such a job, and jobs share nothing but the round
+    grid: every step of a job deploys in the cloud at the round after its
+    arrival, its driver projects once, and each step completes as projected.
+    The rows are then sorted into the order the event loop appends them:
+    ledger rows by round, then in the round's (-rcost, arrival, job_id,
+    step_id) request order; outcomes by completion time, then by the order
+    the round projects jobs in, which is that of each job's first request.
+    Arrivals, rounds and completions never precede the round a job deploys
+    in, so the last completion ends the run. A duplicate job id runs through
+    _Engine, whose scheduler refuses it.
+    """
+    require_finite_rounds(arrivals, scenario.round_length)
+    if len({a.job.job_id for a in arrivals}) != len(arrivals):
+        return _Engine(scenario, arrivals).run()
+    params, concurrency = scenario.cost_params, scenario.cloud_concurrency
+    ledger: list[tuple] = []  # (round, -rcost, arrival, job_id, step_id, entry)
+    # (completion, round, the job's first request's -rcost, arrival, job_id, outcome)
+    outcomes: list[tuple] = []
+    drivers: dict[str, PipelineDriver] = {}
+    for a in arrivals:
+        job, now = a.job, next_round_at(a.time, scenario.round_length)
+        drv = drivers[job.job_id] = PipelineDriver(job, scenario.edge_speed, scenario.cloud_speed)
+        requests = sorted((-rcost(step, params), step.step_id, step) for step in job.dag.steps)
+        entries = {}
+        for cost, step_id, step in requests:
+            entry = entries[step_id] = CostLedgerEntry(job.job_id, step_id, "cloud", -cost, now)
+            ledger.append((now, cost, a.time, job.job_id, step_id, entry))
+            drv.deploy(step_id, "cloud", concurrency or step.replicas, now)
+        # projected completions in the order their events pop: by time, ties
+        # in projection order
+        for step_id, time in sorted(drv.project(now), key=itemgetter(1)):
+            entries[step_id].deploy_end = time
+            if drv.on_step_complete(step_id, time):
+                outcomes.append((time, now, requests[0][0], a.time, job.job_id, JobOutcome(
+                    job.job_id, a.template, job.arrival_time, time, job.deadline)))
+    if len(outcomes) != len(arrivals):  # a finished job's driver has checked its journal
+        _require_drained(drivers, len(arrivals))
+    # the keys are unique, so no sort compares the records at their ends
+    ledger.sort()
+    outcomes.sort()
+    return RunReport(
+        scenario_id=scenario.scenario_id,
+        mode=scenario.mode.value,
+        placement=scenario.placement.value,
+        arrivals=[(a.time, a.job.job_id, a.template) for a in arrivals],
+        utilization=[],
+        cost_ledger=[row[-1] for row in ledger],
+        job_outcomes=[row[-1] for row in outcomes],
+        end_time=outcomes[-1][0] if outcomes else 0.0,
+    )
+
+
 def run(scenario: Scenario,
         arrivals: list[ScheduledArrival] | None = None) -> RunReport:
     """Execute one scenario to completion (or its horizon) and report.
 
     A precomputed arrival schedule may be passed in so paired runs (baseline
-    comparisons, placement sweeps) consume identical arrivals.
+    comparisons, placement sweeps) consume identical arrivals. A cloud-only
+    run without faults or a horizon is computed job by job
+    (_run_cloud_only); every other run goes through the event loop (_Engine),
+    the one general path, against which the tests check the first.
     """
     if arrivals is None:
         arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
     log(__name__, "info", "run %s: %d arrivals, mode=%s placement=%s",
         scenario.scenario_id, len(arrivals), scenario.mode.value, scenario.placement.value)
+    if (scenario.mode is SchedulerMode.CLOUD_ONLY and not scenario.faults
+            and scenario.horizon is None):
+        return _run_cloud_only(scenario, arrivals)
     return _Engine(scenario, arrivals).run()

@@ -74,6 +74,11 @@ MUTANTS = [
         ("    ROUND_TICK = 5\n    SIMULATION_END = 6\n",
          "    ROUND_TICK = 6\n    SIMULATION_END = 5\n"),), "killed",
         first=("tests/test_sim_engine.py",)),
+    Mutant("job-by-job-outcomes-by-time-alone", "sim_engine.py", (
+        ("    outcomes.sort()\n", "    outcomes.sort(key=itemgetter(0))\n"),), "killed",
+        first=("tests/test_differential.py",)),
+    Mutant("job-by-job-ledger-in-arrival-order", "sim_engine.py", (
+        ("    ledger.sort()\n", ""),), "killed", first=("tests/test_differential.py",)),
     Mutant("commit-flight-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("n_fl = bisect_right(flight, now)", "n_fl = bisect_left(flight, now)")), "killed"),

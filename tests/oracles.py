@@ -693,13 +693,27 @@ def _clamped(book, extra=(0, 0)):
     return (max(book[0] + extra[0], 0), max(book[1] + extra[1], 0))
 
 
+def edge_usage_walk(sched: HcsScheduler) -> tuple[int, int, int, int]:
+    """What HcsScheduler.edge_usage sums, walked over the nodes: the held
+    load and the capacity of every alive node."""
+    cpu = cpu_cap = mem = mem_cap = 0
+    for alive, (c, m), cap in zip(sched.alive, sched._held, sched.capacities):
+        if alive:
+            cpu += c
+            cpu_cap += cap.cpu_millicores
+            mem += m
+            mem_cap += cap.memory_mb
+    return cpu, cpu_cap, mem, mem_cap
+
+
 def check_books(sched: HcsScheduler) -> None:
     """Recompute every HcsScheduler book from the residents, the eviction
     windows and the reservations, and raise InternalConsistencyError where
     one differs: physical and promised capacity both respect node limits, a
     dead node holds nothing, `_held`, `_free`, `_free_now` and
     `_free_after_evictions` equal their recompute, `_victims` lists the
-    residents outside a window in (rcost, key) order, and no resident is
+    residents outside a window in (rcost, key) order, `edge_usage()` equals
+    its walk over the nodes (edge_usage_walk), and no resident is
     cloud-sticky. The first-fit starts live only inside a round or a node
     failure, so they are checked where they are used
     (check_first_fit_start)."""
@@ -735,6 +749,8 @@ def check_books(sched: HcsScheduler) -> None:
                      if key not in sched.evicting)
     if victims != sched._victims:
         raise InternalConsistencyError("eviction candidate order drifted")
+    if sched.edge_usage() != edge_usage_walk(sched):
+        raise InternalConsistencyError("edge usage sums differ from the walk over the nodes")
     overlap = set(sched.resident) & sched.cloud_sticky
     if overlap:
         raise InternalConsistencyError(f"steps both resident and cloud-sticky: {overlap}")

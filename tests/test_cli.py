@@ -23,7 +23,7 @@ from hcs_sim.core_model import (
     StepSpec,
     ValidationError,
 )
-from hcs_sim.hcs_scheduler import SchedulerMode
+from hcs_sim.hcs_scheduler import HcsScheduler, SchedulerMode
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     DriverRestartFault,
@@ -496,6 +496,10 @@ SHAPES = [
      ["workloads.w.steps: must be a list"]),
     ("times", lambda c: c["arrivals"].update(times=[1.0, "2"]),
      ["arrivals.times: must be a list of numbers"]),
+    ("times-bool", lambda c: c["arrivals"].update(times=[1.0, True]),
+     ["arrivals.times: must be a list of numbers"]),
+    ("times-int", lambda c: c["arrivals"].update(times=[1, 2.5]),
+     "ExplicitArrivals(times=(1.0, 2.5), templates=None)"),
     ("templates", lambda c: c["arrivals"].update(templates=["w", 2]),
      ["arrivals.templates: must be a list of template names"]),
     ("edges-list", workload_edit(edges="s0"),
@@ -523,7 +527,14 @@ def drop_steps(cfg):
     del cfg["workloads"]["w"]["steps"]
 
 
-# the same, for a missing steps list and for rules whose one owner sets the text
+def cloud_only_slow_edge(cfg):
+    cfg.update(scheduler={"policy": "cloud_only"})
+    cfg["edge"]["speed_factor"] = 0.5  # 40 s of service takes 80 s there, past the timeout
+    cfg["workloads"]["w"]["steps"][0]["service_time"] = 40.0
+
+
+# the same, for a missing steps list, for rules whose one owner sets the text
+# and for range rules at their bounds
 OWNED_MESSAGES = [
     ("steps-absent", drop_steps, ["workloads.w.steps: is required"]),
     ("steps-null", workload_edit(steps=None), ["workloads.w.steps: is required"]),
@@ -533,6 +544,18 @@ OWNED_MESSAGES = [
      ["edge.node_cpu_millicores: must be >= 1"]),
     ("zero-node-cpu", lambda c: c["edge"].update(node_cpu_millicores=0),
      ["edge.node_cpu_millicores: must be >= 1"]),
+    ("seed-zero", lambda c: c.update(arrivals={**POISSON, "seed": 0}), []),
+    ("one-mcpu-node", lambda c: c["edge"].update(node_cpu_millicores=1), []),
+    ("one-mb-node", lambda c: c["edge"].update(node_memory_mb=1), []),
+    ("cloud-speed-zero", lambda c: c.update(cloud={"speed_factor": 0}),
+     ["cloud.speed_factor: must be > 0"]),
+    ("execution-timeout-zero", lambda c: c.update(scheduler={"execution_timeout": 0}),
+     ["scheduler.execution_timeout: must be > 0"]),
+    ("cloud-only-slow-edge", cloud_only_slow_edge, []),
+    ("fault-at-horizon", lambda c: c.update(horizon=100.0, faults=[
+        {"kind": "node_failure", "time": 100.0, "node_id": 0}]), []),
+    ("node-id-at-node-count", faults({"kind": "node_failure", "time": 1.0, "node_id": 2}),
+     ["faults[0].node_id: must be < 2, the node count"]),
 ]
 
 
@@ -541,12 +564,17 @@ NULL_SECTIONS = [(f"{key}-null", lambda c, key=key: c.update({key: None}), [])
                  for key in ("cloud", "cost", "scheduler")]
 
 
+# a row's expected value is its exact diagnostics, or the repr of the
+# arrivals the file loads to, which tells an int time from a float one
 @pytest.mark.parametrize("edit, diagnostics", [pytest.param(*r[1:], id=r[0])
                                                for r in SHAPES + OWNED_MESSAGES + NULL_SECTIONS])
 def test_each_problem_has_one_exact_diagnostic(tmp_path, edit, diagnostics):
     cfg = minimal_config()
     path = write_config(tmp_path, edit(cfg) or cfg)
-    assert problems(path) == [d.replace("<file>", path) for d in diagnostics]
+    if isinstance(diagnostics, str):
+        assert repr(load_scenario(path)[0].arrivals) == diagnostics
+    else:
+        assert problems(path) == [d.replace("<file>", path) for d in diagnostics]
 
 
 def test_node_count_at_the_limit_loads(tmp_path):
@@ -665,6 +693,7 @@ OWN_FIELDS = [
     ("batch-job", lambda: BatchJob("", DAG, 0, NAN, -1.0),
      ["job_id: must be non-empty", "fragment_count: must be >= 1", "deadline: must be > 0",
       "arrival_time: must be >= 0"]),
+    ("batch-job-one-fragment", lambda: BatchJob("j", DAG, 1, 0.0), ["deadline: must be > 0"]),
     ("poisson-arrivals", lambda: PoissonArrivals(0.0, -1, -1),
      ["arrivals.rate: must be > 0", "arrivals.seed: must be >= 0",
       "arrivals.count: must be >= 0"]),
@@ -694,6 +723,8 @@ OWN_FIELDS = [
     ("scenario-inf", lambda: library_scenario(round_length=INF, eviction_deadline=INF),
      ["scheduler.round_length: must be > 0 and finite",
       "scheduler.eviction_deadline: must be > 0 and finite"]),
+    ("failure-of-node-count", lambda: HcsScheduler((ResourceVector(1, 1),) * 2)
+     .handle_node_failure(2), ["unknown node 2"]),
 ]
 
 

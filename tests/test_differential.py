@@ -16,6 +16,12 @@ lets the per-step driver keep counts: each step's journal is 0..k-1, its
 in-flight fragments follow with non-decreasing finish times, and its ready
 queue follows them.
 
+run() computes a cloud-only run without faults or a horizon job by job,
+outside the event loop. Each generated scenario, forced to such a run, is
+also run both ways, and the two reports must be equal, every list in the
+same order and every float the same, and write the same bytes
+(job_by_job_differences).
+
 The engines share the event order, so a change to it passes the
 differential. tests/generated_digests.json pins the engine's artifacts
 instead: one sha256 per seed, over the name and bytes of every file the
@@ -32,8 +38,8 @@ Run a wider sweep from a checkout with
     PYTHONPATH=src python3 tests/test_differential.py --seeds 0:4000
 
 which prints the first seed with a differing file, a broken utilization
-rule, a prefix-law breach or artifacts off their pinned digest, or the
-number of seeds that passed.
+rule, a prefix-law breach, artifacts off their pinned digest or a job-by-job
+run that differs from the event loop's, or the number of seeds that passed.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from pathlib import Path
 
 import pytest
 
-from hcs_sim import hcs_scheduler
+from hcs_sim import hcs_scheduler, sim_engine
 from hcs_sim.core_model import (
     BatchJob,
     CostParams,
@@ -66,6 +72,7 @@ from hcs_sim.sim_engine import (
     ExplicitArrivals,
     NodeFailureFault,
     Scenario,
+    _Engine,
     generate_arrivals,
     run,
 )
@@ -238,6 +245,29 @@ def differences(scenario: Scenario, digest: str | None = None) -> tuple[list[str
     return out, slow_engine.law_checks
 
 
+def cloud_only(scenario: Scenario) -> Scenario:
+    """The scenario forced to cloud-only, without its faults or horizon: a
+    run that run() computes job by job."""
+    return scenario.replace(mode=SchedulerMode.CLOUD_ONLY, faults=(), horizon=None)
+
+
+def job_by_job_differences(scenario: Scenario) -> list[str]:
+    """Where run()'s report of a cloud-only scenario without faults or a
+    horizon differs from the event loop's: the reports by Record equality
+    (every list in order, every float), and each artifact's bytes."""
+    arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
+    fast, loop = run(scenario, arrivals), _Engine(scenario, arrivals).run()
+    out = [] if fast == loop else ["job-by-job report"]
+    with tempfile.TemporaryDirectory() as tmp:
+        fast_dir, loop_dir = Path(tmp) / "fast", Path(tmp) / "loop"
+        emit_report(fast, fast_dir, emit_plot_data=True)
+        emit_report(loop, loop_dir, emit_plot_data=True)
+        names = sorted({p.name for p in [*fast_dir.iterdir(), *loop_dir.iterdir()]})
+        out += [f"job-by-job {n}" for n in names
+                if (fast_dir / n).read_bytes() != (loop_dir / n).read_bytes()]
+    return out
+
+
 def test_generated_scenarios_match_the_oracle():
     pinned = read_digests()
     assert set(pinned) == {*TIER1_SEEDS, *TIE_ORDER_SEEDS}
@@ -252,11 +282,30 @@ def test_generated_scenarios_match_the_oracle():
     assert law_checks > 100_000
 
 
+def test_cloud_only_runs_match_the_event_loop(monkeypatch):
+    """Every generated scenario, forced to cloud-only without faults or a
+    horizon, gives run() and the event loop equal reports and equal bytes;
+    run() takes the job-by-job path on each, never the event loop."""
+    scenarios = [cloud_only(random_scenario(seed)) for seed in TIER1_SEEDS]
+    mismatched = {seed: diff for seed, sc in zip(TIER1_SEEDS, scenarios)
+                  if (diff := job_by_job_differences(sc))}
+    assert not mismatched, mismatched
+
+    def event_loop(*args):
+        raise AssertionError("a cloud-only run without faults or a horizon reached _Engine")
+
+    monkeypatch.setattr(sim_engine, "_Engine", event_loop)
+    for sc in scenarios:
+        run(sc)
+
+
 def test_runs_leave_no_cyclic_garbage():
     """A command pauses the cyclic collector, which is safe only while runs
     make no reference cycles: none of the generated scenarios, faults and
-    evictions included, may leave any."""
+    evictions included, may leave any, nor their cloud-only runs without
+    faults or a horizon, which take the job-by-job path."""
     scenarios = [random_scenario(seed) for seed in TIER1_SEEDS]
+    scenarios += [cloud_only(sc) for sc in scenarios]
     found = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -474,12 +523,13 @@ def main(argv: list[str] | None = None) -> int:
     law_checks = 0
     for seed in args.seeds:
         diff, checks = differences(random_scenario(seed), pinned.get(seed))
+        diff += job_by_job_differences(cloud_only(random_scenario(seed)))
         law_checks += checks
         if diff:
             print(f"seed {seed}: {', '.join(diff)}")
             return 1
-    print(f"{len(args.seeds)} seeds, no differences, utilization rules hold, "
-          f"prefix law held at {law_checks} step checks, "
+    print(f"{len(args.seeds)} seeds, no differences, job-by-job cloud-only runs equal "
+          f"the event loop's, utilization rules hold, prefix law held at {law_checks} step checks, "
           f"{len(pinned.keys() & set(args.seeds))} pinned digests matched")
     return 0
 
