@@ -24,7 +24,7 @@ from hcs_sim.core_model import (
     log,
 )
 from hcs_sim.hcs_scheduler import SchedulerMode
-from hcs_sim.metrics import cost_vs_baseline, emit_report, round9, write_json
+from hcs_sim.metrics import arrivals_csv, cost_vs_baseline, emit_report, round9, write_json
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     ExplicitArrivals,
@@ -394,10 +394,12 @@ def _timed(phases: dict[str, float], phase: str, fn, *args):
 def _runs(args, phases: dict[str, float], out: Path, runs: list[tuple[str, Scenario]]):
     """Run and emit each (directory name, scenario) pair of a command under
     out, yielding each run's (report, summary). Runs that share an arrival
-    process share its one schedule. Every schedule is checked, and then every
-    run directory made, before the first run: a schedule out of range, or an
-    output path that cannot be written, is refused before any simulation."""
+    process share its one schedule, and the bytes of its arrivals.csv. Every
+    schedule is checked, and then every run directory made, before the first
+    run: a schedule out of range, or an output path that cannot be written,
+    is refused before any simulation."""
     schedules = {}  # by the identity of the arrival process
+    csvs = {}  # arrivals.csv, by the same key
     for _, s in runs:
         if id(s.arrivals) not in schedules:
             schedules[id(s.arrivals)] = _timed(phases, "arrivals", generate_arrivals,
@@ -408,8 +410,10 @@ def _runs(args, phases: dict[str, float], out: Path, runs: list[tuple[str, Scena
         (out / name).mkdir(parents=True, exist_ok=True)
     for name, s in runs:
         report = _timed(phases, "simulate", run, s, schedules[id(s.arrivals)])
+        if id(s.arrivals) not in csvs:
+            csvs[id(s.arrivals)] = _timed(phases, "emit", arrivals_csv, report)
         yield report, _timed(phases, "emit", emit_report, report, out / name,
-                             args.emit_plot_data)
+                             args.emit_plot_data, csvs[id(s.arrivals)])
 
 
 def cmd_run(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> int:

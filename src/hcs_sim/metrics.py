@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -202,11 +204,11 @@ def _csv_cell(cell: str) -> str:
     return buf.getvalue()[:-1]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """Write a table of two or more columns, each row through one %-template
-    built from its column kinds: a column of only floats prints _FLOAT, one
-    of only ints or only strs prints as str does, and any other goes through
-    _fmt. Str cells are quoted as csv.writer quotes them."""
+def _csv_lines(header: list[str], rows: list[tuple]) -> Iterator[str]:
+    """The lines of a table of two or more columns, each row through one
+    %-template built from its column kinds: a column of only floats prints
+    _FLOAT, one of only ints or only strs prints as str does, and any other
+    goes through _fmt. Str cells are quoted as csv.writer quotes them."""
     if len(header) < 2:  # csv.writer writes a lone empty cell as ""
         raise ValueError("a report table has two or more columns")
     cols: list = list(zip(*rows, strict=True))
@@ -227,9 +229,18 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             cols[i], recast = col, True
     if recast:
         rows = zip(*cols)
+    return chain((",".join(map(_csv_cell, header)) + "\n",),
+                 map((",".join(slots) + "\n").__mod__, rows))
+
+
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(map(_csv_cell, header)) + "\n")
-        fh.writelines(map((",".join(slots) + "\n").__mod__, rows))
+        fh.writelines(_csv_lines(header, rows))
+
+
+def arrivals_csv(report: RunReport) -> bytes:
+    """The bytes of arrivals.csv, the same for every run of one schedule."""
+    return "".join(_csv_lines(["time", "job_id", "template"], report.arrivals)).encode()
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -254,18 +265,20 @@ def summary_dict(report: RunReport) -> dict:
     }
 
 
-def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = False) -> dict:
+def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = False,
+                arrivals: bytes | None = None) -> dict:
     """Write the report as CSV files plus a JSON summary, and return the
     summary; with emit_plot_data, also three small ready-to-plot series taken
     from the same rows: utilization over time, cumulative cloud cost over
-    time, and per-job durations.
+    time, and per-job durations. arrivals, when given, is arrivals_csv of a
+    run of the same schedule, written as it is.
 
     Output is byte-deterministic: stable sort orders, 9-significant-digit
     floats, LF newlines, UTF-8, and nothing time-of-day dependent.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "arrivals.csv", ["time", "job_id", "template"], report.arrivals)
+    (out / "arrivals.csv").write_bytes(arrivals_csv(report) if arrivals is None else arrivals)
 
     samples = [(s.time, s.allocated_cpu_millicores, s.capacity_cpu_millicores,
                 s.allocated_memory_mb, s.capacity_memory_mb, s.cpu_ratio)

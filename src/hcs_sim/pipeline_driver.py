@@ -13,6 +13,10 @@ step completion. The projection is kept as the plan. An interruption first
 commits it up to its instant, cutting each step's planned queue by bisection:
 fragments finished by then are journaled, started ones are in flight, ready
 ones queue. The interruption then applies and the job is projected again.
+A plan follows from the state, the DAG, the fragment count, the speeds and
+the instant alone, so jobs alike in all of them may share one first plan
+(project's memo). Plans, and the lists and runs in them, are therefore
+read-only: a commit slices them into new lists.
 
 A one-worker step may plan its finish times as a run, first + k*step for
 k < n, in place of a float per fragment: _fifo gives the cases, and _exact the
@@ -203,13 +207,14 @@ class PipelineDriver:
     graph, the speeds and the pools come from a Scenario, which has validated
     them.
 
-    Protocol: project(now) plans the job and returns its step completions;
-    the caller reports each with on_step_complete(step, time) while the plan
-    is current (version unchanged). Every interruption method commits the
-    plan first, and the caller projects again after the interruptions of one
-    instant. A step runs in a region, "edge" or "cloud", which sets its
-    speed; after an eviction notice it dispatches nothing until the deploy
-    that moves it to the cloud at the expiry.
+    Protocol: project(now, memo) plans the job and returns its step
+    completions, which may be shared with other jobs and are read-only, as
+    is the plan; the caller reports each with on_step_complete(step, time)
+    while the plan is current (version unchanged). Every interruption method
+    commits the plan first, and the caller projects again after the
+    interruptions of one instant. A step runs in a region, "edge" or
+    "cloud", which sets its speed; after an eviction notice it dispatches
+    nothing until the deploy that moves it to the cloud at the expiry.
     """
 
     def __init__(self, job: BatchJob, edge_speed: float = 0.8, cloud_speed: float = 1.0):
@@ -248,16 +253,54 @@ class PipelineDriver:
 
     # -- plans ----------------------------------------------------------------
 
-    def project(self, now: float) -> list[tuple[str, float]]:
+    def project(self, now: float, memo: dict | None = None) -> list[tuple[str, float]]:
         """Plan every step from the state committed at now.
 
         Returns (step_id, completion time) for each step the plan finishes;
         the plan holds until the next commit and is identified by version.
+        The list, and the times of the plan, may be shared with other jobs
+        and are read-only.
+
+        memo, kept by the caller for one instant, shares first plans: a job
+        projected for the first time takes the completions and the plan of
+        an earlier job in memo with the same DAG, fragment count and state
+        of every step (_state_key), and does not walk them. Every job that
+        uses one memo has the same now and speeds, and its DAG stays alive,
+        so the DAG's identity stands for its step specs. Later plans, which
+        rarely repeat, are walked without a key.
         """
         if self._plan is not None:
             raise InternalConsistencyError(f"job {self.job.job_id} projected twice")
         self.version += 1
-        return list(self._follow(now).items())
+        if memo is None or self.version != 1:
+            return list(self._follow(now).items())
+        group = (id(self.job.dag), self.m)
+        plans = memo.get(group)
+        if plans is None:
+            # the group's first job is keyed only when a second one comes;
+            # projecting does not change its state
+            done = list(self._follow(now).items())
+            memo[group] = (self, done)
+            return done
+        if plans.__class__ is tuple:
+            first, done = plans
+            plans = memo[group] = {first._state_key(): (done, first._plan)}
+        key = self._state_key()
+        served = plans.get(key)
+        if served is None:
+            done = list(self._follow(now).items())
+            plans[key] = (done, self._plan)
+            return done
+        done, plan = served
+        steps = self.steps
+        self._plan = [(sid, steps[sid], n_ready, a_times, fins, free)
+                      for sid, _, n_ready, a_times, fins, free in plan]
+        return done
+
+    def _state_key(self) -> tuple:
+        """Every step's state that its plan is walked from, in topological order."""
+        return tuple([(rt.region, rt.pool, rt.pending_switch, rt.done, tuple(rt.flight), rt.ready)
+                      for rt in self.steps.values()])
 
     def commit(self, now: float) -> None:
         """Move the durable state along the current plan to now (no-op without one).

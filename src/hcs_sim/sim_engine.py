@@ -10,7 +10,8 @@ expiry per round that opened windows, at which the scheduler closes them.
 Every decision the scheduler returns, a round's, a failure's or an
 expiry's, is applied the same way. An event that touches a job commits its
 plan up to that instant, and the job is projected again once every event of
-that instant is handled.
+that instant is handled. The jobs projected at one instant share one memo,
+so jobs of one template deployed alike by a round walk their first plan once.
 At that same point the engine takes the instant's one utilization sample,
 when the scheduler's edge writes moved since the last sample; the horizon
 takes its sample without projecting. Event kinds are plain ints bound once
@@ -378,14 +379,18 @@ class _Engine:
 
     def _end_instant(self, now: float) -> None:
         """After an instant's last event: project the jobs the instant
-        touched, and sample utilization if the edge changed."""
-        heap, push, seq = self.heap, heapq.heappush, self.seq
-        for job_id, drv in self._touched.items():
-            for step_id, time in drv.project(now):
-                push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))
-                seq += 1
-        self.seq = seq
-        self._touched.clear()
+        touched, and sample utilization if the edge changed. The projections
+        share one memo, which lives for this instant only: now and the speeds
+        are then the same for every job, and every DAG it keys stays alive."""
+        if self._touched:
+            heap, push, seq = self.heap, heapq.heappush, self.seq
+            memo: dict = {}  # this instant's shared first plans
+            for job_id, drv in self._touched.items():
+                for step_id, time in drv.project(now, memo):
+                    push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))
+                    seq += 1
+            self.seq = seq
+            self._touched.clear()
         if self.sched.edge_writes != self._sampled_writes:
             self._sampled_writes = self.sched.edge_writes
             self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))

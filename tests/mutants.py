@@ -156,27 +156,41 @@ MUTANTS = [
         ('if setting != "WARNING" or "logging" in sys.modules:',
          'if not (setting != "WARNING" or "logging" in sys.modules):'),), "killed",
         first=("tests/test_cli.py",)),
+    Mutant("projection-memo-ignores-flight", "pipeline_driver.py", (
+        ("rt.done, tuple(rt.flight), rt.ready)", "rt.done, rt.ready)"),), "killed",
+        first=("tests/test_driver.py",)),
+    Mutant("projection-memo-ignores-fragment-count", "pipeline_driver.py", (
+        ("group = (id(self.job.dag), self.m)", "group = (id(self.job.dag), 0)"),), "killed",
+        first=("tests/test_driver.py",)),
+    Mutant("projection-memo-outlives-its-instant", "sim_engine.py", (
+        ("            memo: dict = {}  #",
+         "            memo: dict = self.__dict__.setdefault(\"_memo\", {})  #"),),
+        "killed", first=("tests/test_differential.py",)),
     Mutant("sample-before-projecting", "sim_engine.py", (
-        ("        heap, push, seq = self.heap, heapq.heappush, self.seq\n"
-         "        for job_id, drv in self._touched.items():\n"
-         "            for step_id, time in drv.project(now):\n"
-         "                push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))\n"
-         "                seq += 1\n"
-         "        self.seq = seq\n"
-         "        self._touched.clear()\n"
+        ("        if self._touched:\n"
+         "            heap, push, seq = self.heap, heapq.heappush, self.seq\n"
+         "            memo: dict = {}  # this instant's shared first plans\n"
+         "            for job_id, drv in self._touched.items():\n"
+         "                for step_id, time in drv.project(now, memo):\n"
+         "                    push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))\n"
+         "                    seq += 1\n"
+         "            self.seq = seq\n"
+         "            self._touched.clear()\n"
          "        if self.sched.edge_writes != self._sampled_writes:\n"
          "            self._sampled_writes = self.sched.edge_writes\n"
          "            self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))\n",
          "        if self.sched.edge_writes != self._sampled_writes:\n"
          "            self._sampled_writes = self.sched.edge_writes\n"
          "            self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))\n"
-         "        heap, push, seq = self.heap, heapq.heappush, self.seq\n"
-         "        for job_id, drv in self._touched.items():\n"
-         "            for step_id, time in drv.project(now):\n"
-         "                push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))\n"
-         "                seq += 1\n"
-         "        self.seq = seq\n"
-         "        self._touched.clear()\n"),),
+         "        if self._touched:\n"
+         "            heap, push, seq = self.heap, heapq.heappush, self.seq\n"
+         "            memo: dict = {}  # this instant's shared first plans\n"
+         "            for job_id, drv in self._touched.items():\n"
+         "                for step_id, time in drv.project(now, memo):\n"
+         "                    push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))\n"
+         "                    seq += 1\n"
+         "            self.seq = seq\n"
+         "            self._touched.clear()\n"),),
         "equivalent",
         "projection writes no scheduler state, so the edge usage sampled is the "
         "same before it and after it; 0 of 4,000 generated scenarios differed"),

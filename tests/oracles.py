@@ -16,7 +16,8 @@ placement before first fit started from a per-shape bound, which places one
 replica at a time, first fit scanning from node 0 for each, with random free
 views to check the package's placement against it; the recompute of the
 scheduler's capacity books from scratch, and the engine that runs it after
-every instant and checks each first-fit start where it is used; a run
+every instant and checks each first-fit start where it is used and each
+plan a projection memo serves against a walk of its own; a run
 that also returns its per-job drivers, for the exactly-once tests; the graph
 lookups PipelineDag no longer offers, read off its steps and edges; and the
 scheduler before incremental capacity books, the differential oracle for the
@@ -60,7 +61,7 @@ from hcs_sim.hcs_scheduler import (
     SchedulerMode,
 )
 from hcs_sim.metrics import JobOutcome, _fmt, _write_csv
-from hcs_sim.pipeline_driver import PipelineDriver
+from hcs_sim.pipeline_driver import PipelineDriver, _Run, _StepRuntime
 from hcs_sim.placement import PlacementPlan, PlacementPolicy
 from hcs_sim.sim_engine import EventKind, _Engine, generate_arrivals
 
@@ -776,14 +777,70 @@ def check_first_fit_start(step, free, start) -> None:
                 f"node {node_id} has room for {d} below first-fit start {start}")
 
 
+def clone_driver(drv):
+    """A copy of a driver whose commit leaves the original as it was: a step
+    holds scalars and a finish-time list the driver only ever replaces."""
+    c = object.__new__(PipelineDriver)
+    c.__dict__.update(drv.__dict__)
+    c.steps = {}
+    for sid, rt in drv.steps.items():
+        c.steps[sid] = copy = object.__new__(_StepRuntime)
+        for name in _StepRuntime.__slots__:
+            setattr(copy, name, getattr(rt, name))
+    if drv._plan is not None:
+        c._plan = [(sid, c.steps[sid], *rest) for sid, _, *rest in drv._plan]
+    return c
+
+
+def plan_view(drv):
+    """A driver's plan with each run as its (first, step, n) and each step
+    as whether it is the driver's own, so two plans compare by value."""
+    def times(t):
+        return ("run", t.first, t.step, t.n) if type(t) is _Run else list(t)
+
+    return [(sid, rt is drv.steps[sid], n_ready, times(a_times), times(fins), free)
+            for sid, rt, n_ready, a_times, fins, free in drv._plan]
+
+
+class CheckedDriver(PipelineDriver):
+    """The package's driver, noting whether its last projection walked the
+    plan or a projection memo served it, and the completions it returned."""
+
+    walked = False
+
+    def project(self, now, memo=None):
+        self.walked = False
+        self.completions = super().project(now, memo)
+        return self.completions
+
+    def _follow(self, t0):
+        self.walked = True
+        return super()._follow(t0)
+
+
+def check_served_projection(drv, now) -> None:
+    """Raise InternalConsistencyError unless the completions and the plan a
+    projection memo served drv at now are the ones _follow walks from a
+    copy of drv's state."""
+    fresh = clone_driver(drv)
+    fresh._plan = None
+    completions = list(PipelineDriver._follow(fresh, now).items())
+    if drv.completions != completions or plan_view(drv) != plan_view(fresh):
+        raise InternalConsistencyError(
+            f"job {drv.job.job_id}: the plan served at {now} is not the one walked")
+
+
 class CheckedEngine(_Engine):
     """The package's engine, with the scheduler's books recomputed from
-    scratch (check_books) after every instant, and every first-fit plan that
-    starts past node 0 checked as it is made (check_first_fit_start).
-    bounded_first_fits counts those plans, so a caller sees that the check
-    ran."""
+    scratch (check_books) after every instant, every first-fit plan that
+    starts past node 0 checked as it is made (check_first_fit_start), and
+    every plan a projection memo serves checked after its instant
+    (check_served_projection). bounded_first_fits and served_projections
+    count those checks, so a caller sees that they ran."""
 
+    driver_type = CheckedDriver
     bounded_first_fits = 0
+    served_projections = 0
 
     def run(self):
         real = hcs_scheduler.try_place_free
@@ -801,7 +858,12 @@ class CheckedEngine(_Engine):
             hcs_scheduler.try_place_free = real
 
     def _end_instant(self, now):
+        touched = list(self._touched.values())
         super()._end_instant(now)
+        for drv in touched:
+            if not drv.walked:
+                check_served_projection(drv, now)
+                self.served_projections += 1
         check_books(self.sched)
 
 

@@ -73,8 +73,9 @@ def test_command_artifacts_match_their_pinned_digests(tmp_path, command):
     assert command_digest(command, tmp_path) == pinned[command]
 
 
-# (argv, calls to generate_arrivals, calls to summary_dict): one schedule per
-# arrival process, one summary per run
+# (argv, calls to generate_arrivals and to arrivals_csv, calls to
+# summary_dict): one schedule, and one arrivals.csv, per arrival process, one
+# summary per run
 ONCE = [
     (["run"], 1, 1),
     (["sweep", "--placement", "all"], 1, 4),
@@ -95,6 +96,10 @@ def test_each_value_is_computed_once(tmp_path, monkeypatch, argv, schedules, sum
 
     monkeypatch.setattr(cli, "generate_arrivals",
                         counted("generate_arrivals", cli.generate_arrivals))
+    # by the command, and by the report writer if it is not handed the bytes
+    arrivals_csv = counted("arrivals_csv", metrics.arrivals_csv)
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "arrivals_csv", arrivals_csv)
     # wherever a summary is looked up: the report writer's module, and the
     # command's if it imports its own
     summary_dict = counted("summary_dict", metrics.summary_dict)
@@ -103,7 +108,8 @@ def test_each_value_is_computed_once(tmp_path, monkeypatch, argv, schedules, sum
             monkeypatch.setattr(module, "summary_dict", summary_dict)
     path = write_scenario(tmp_path, 20)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"generate_arrivals": schedules, "summary_dict": summaries}
+    assert calls == {"generate_arrivals": schedules, "arrivals_csv": schedules,
+                     "summary_dict": summaries}
 
 
 def write_digests() -> None:

@@ -321,9 +321,28 @@ def test_runs_leave_no_cyclic_garbage():
 def test_generator_reaches_the_hard_cases(monkeypatch):
     """The tier-1 seeds exercise joins, barriers, evictions, evictions that
     cancel in-flight work, faults, cuts, a first fit whose start skips a node,
-    and a round's first-fit plan that starts below where an earlier round's
-    plan of its shape started, which a start kept across rounds would miss."""
+    a round's first-fit plan that starts below where an earlier round's
+    plan of its shape started, which a start kept across rounds would miss,
+    and first plans a projection memo serves, and walks, after a job of the
+    same DAG and fragment count at the same instant."""
     seen = set()
+    real_project = PipelineDriver.project
+    real_follow = PipelineDriver._follow
+    walks = []
+
+    def project(self, now, memo=None):
+        grouped = (memo is not None and self.version == 0
+                   and (id(self.job.dag), self.m) in memo)
+        walked = len(walks)
+        completions = real_project(self, now, memo)
+        if grouped:
+            seen.add("memo-miss" if len(walks) > walked else "memo-served")
+        return completions
+
+    def follow(self, t0):
+        walks.append(t0)
+        return real_follow(self, t0)
+
     real_close = HcsScheduler.close_windows
     real_notice = PipelineDriver.on_eviction_notice
     real_place = hcs_scheduler.try_place_free
@@ -375,6 +394,8 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
     monkeypatch.setattr(hcs_scheduler, "try_place_free", place)
     monkeypatch.setattr(HcsScheduler, "run_round", round_)
     monkeypatch.setattr(HcsScheduler, "_try_deploy_edge_now", edge)
+    monkeypatch.setattr(PipelineDriver, "project", project)
+    monkeypatch.setattr(PipelineDriver, "_follow", follow)
     for seed in TIER1_SEEDS:
         sc = random_scenario(seed)
         for job in sc.catalog.values():
@@ -391,7 +412,7 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
         seen.add(sc.placement.value)
     assert {"join3", "barrier", "eviction", "eviction-cancels", "NodeFailureFault",
             "DriverRestartFault", "cut", "cloud_only", "first-fit-skip", "first-fit-starts-lower",
-            *(p.value for p in PlacementPolicy)} <= seen
+            "memo-served", "memo-miss", *(p.value for p in PlacementPolicy)} <= seen
 
 
 def _step(sid, cpu, replicas=1, service=1.0, ff=True):

@@ -22,16 +22,17 @@ from hcs_sim.pipeline_driver import (
     PipelineDriver,
     _fifo,
     _Run,
-    _StepRuntime,
 )
 
 from oracles import (
     StepState,
     _fifo_until,
     chain_makespan,
+    clone_driver,
     counting_completions,
     fragment_view,
     pipeline_makespan,
+    plan_view,
     rebuild_from_journal,
     rewalk_commit,
     step_state,
@@ -349,25 +350,6 @@ def _values(times):
     return times if type(times) is list else times.values()
 
 
-def _copy_step(rt):
-    """copy.copy of a step without its reduce protocol: its slots, one by one."""
-    c = object.__new__(_StepRuntime)
-    for name in _StepRuntime.__slots__:
-        setattr(c, name, getattr(rt, name))
-    return c
-
-
-def _clone(drv):
-    """A copy of a driver whose commit leaves the original as it was: a step
-    holds scalars and a finish-time list the driver only ever replaces."""
-    c = object.__new__(PipelineDriver)
-    c.__dict__.update(drv.__dict__)
-    c.steps = {sid: _copy_step(rt) for sid, rt in drv.steps.items()}
-    if drv._plan is not None:
-        c._plan = [(sid, c.steps[sid], *rest) for sid, _, *rest in drv._plan]
-    return c
-
-
 def _state(drv):
     """The durable state a commit or a restart leaves."""
     return {sid: (rt.done, rt.flight, rt.ready, rt.pending_switch)
@@ -451,7 +433,7 @@ def test_commit_cuts_the_plan_as_a_rewalk_would():
                 freed = free + sum(fin <= cut for fin in [*rt.flight, *fins])
                 workers_bound += freed < n_ready + bisect_right(a_times, cut)
         for cut in cuts:
-            cut_drv, walk_drv = _clone(drv), _clone(drv)
+            cut_drv, walk_drv = clone_driver(drv), clone_driver(drv)
             cut_drv.commit(cut)
             rewalk_commit(walk_drv, t0, cut)
             assert _state(cut_drv) == _state(walk_drv), (trial, t0, cut)
@@ -465,9 +447,9 @@ def test_restart_requeues_as_a_rebuild_from_the_journal_would():
     cuts_checked = in_window = barrier_waiting = 0
     for trial, drv, _, cuts in _random_plans(random.Random(11), 140):
         for cut in cuts:
-            restarted = _clone(drv)
+            restarted = clone_driver(drv)
             restarted.commit(cut)
-            rebuilt = _clone(restarted)
+            rebuilt = clone_driver(restarted)
             restarted.resume_from_journal(cut)
             rebuild_from_journal(rebuilt, cut)
             assert _state(restarted) == _state(rebuilt), (trial, cut)
@@ -476,6 +458,102 @@ def test_restart_requeues_as_a_rebuild_from_the_journal_would():
             barrier_waiting += any(step_state(restarted, sid) is StepState.WAITING
                                    for sid in restarted.steps)
     assert cuts_checked > 10000 and in_window > 1000 and barrier_waiting > 1000
+
+
+def _count_walks(monkeypatch):
+    """A list whose length is the number of _follow walks from now on."""
+    walks, real = [], PipelineDriver._follow
+
+    def follow(self, t0):
+        walks.append(self.job.job_id)
+        return real(self, t0)
+
+    monkeypatch.setattr(PipelineDriver, "_follow", follow)
+    return walks
+
+
+def _unmemoized(drv, now):
+    """drv's completions and plan at now, projected on a copy without a memo."""
+    fresh = clone_driver(drv)
+    return fresh.project(now), plan_view(fresh)
+
+
+def _of_template(template, job_id, fragments=None):
+    """A job of template's DAG, the one object, as the engine's jobs share it."""
+    return BatchJob(job_id, template.dag, fragments or template.fragment_count, 1e6)
+
+
+def test_jobs_of_one_template_deployed_alike_share_one_walk(monkeypatch):
+    """Jobs of one template deployed alike at one instant walk their plan
+    once; each takes a plan equal to its own unmemoized projection, over its
+    own steps, and a commit of one leaves the others' plans as they were."""
+    template = make_job(5, 9, 1.5, replicas=2, edges=[
+        ("s0", "s3"), ("s1", "s3"), ("s2", "s3"), ("s3", "s4")],
+        ff_flags=[True, True, True, True, False])
+    drivers = [PipelineDriver(_of_template(template, f"j{i}")) for i in range(4)]
+    for drv in drivers:
+        for sid, region, pool in [("s0", EDGE, 2), ("s1", CLOUD, 3), ("s2", EDGE, 1),
+                                  ("s3", CLOUD, 2), ("s4", EDGE, 2)]:
+            drv.deploy(sid, region, pool, 10.0)
+    want = [_unmemoized(drv, 10.0) for drv in drivers]
+    walks = _count_walks(monkeypatch)
+    memo = {}
+    got = [drv.project(10.0, memo) for drv in drivers]
+    assert walks == ["j0"]
+    for drv, completions, (want_completions, want_plan) in zip(drivers, got, want):
+        assert completions == want_completions and plan_view(drv) == want_plan
+        assert all(rt is drv.steps[sid] for sid, rt, *_ in drv._plan)
+    drivers[0].commit(13.0)
+    assert [plan_view(drv) for drv in drivers[1:]] == [plan for _, plan in want[1:]]
+    # a later plan walks, even with the same memo
+    drivers[0].project(13.0, memo)
+    assert walks == ["j0", "j0"]
+
+
+# a value for one field of s1 that _mid_run sets otherwise
+_ONE_FIELD = {"region": CLOUD, "pool": 3, "pending_switch": 9.0, "done": 2, "flight": [4.75],
+              "ready": 2}
+
+
+def _mid_run(job):
+    """A driver of job in a state its first plan is walked from at 4.0: s0
+    on the cloud with 3 fragments journaled, s1 on the edge with 1, s2, a
+    barrier, waiting. _ONE_FIELD's changes need not keep the prefix law:
+    the memo's key, not the law, is under test."""
+    drv = PipelineDriver(job)
+    for sid, region, pool, done, flight, ready in [
+            ("s0", CLOUD, 1, 3, [4.5], 2), ("s1", EDGE, 2, 1, [4.25], 1),
+            ("s2", CLOUD, 1, 0, [], 0)]:
+        rt = drv.steps[sid]
+        rt.region, rt.pool, rt.done, rt.flight, rt.ready = region, pool, done, flight, ready
+    return drv
+
+
+@pytest.mark.parametrize("field", [*_ONE_FIELD, "fragment_count", "service_time"])
+def test_a_job_differing_in_one_key_field_walks_its_own_plan(monkeypatch, field):
+    """A job whose state, fragment count or template differs from an
+    earlier job's in one field walks afresh and gets its own unmemoized
+    plan, which differs from the earlier one's; a third job alike to the
+    first is served the first's plan."""
+    template = make_job(3, 6, 1.0, replicas=2, ff_flags=[True, True, False])
+    base = _mid_run(_of_template(template, "base"))
+    if field == "fragment_count":
+        other = _mid_run(_of_template(template, "other", fragments=7))
+    elif field == "service_time":  # the same step ids, another DAG
+        other = _mid_run(make_job(3, 6, 1.25, replicas=2, ff_flags=[True, True, False],
+                                  job_id="other"))
+    else:
+        other = _mid_run(_of_template(template, "other"))
+        setattr(other.steps["s1"], field, _ONE_FIELD[field])
+    alike = _mid_run(_of_template(template, "alike"))
+    want_base, want_other = _unmemoized(base, 4.0), _unmemoized(other, 4.0)
+    assert want_base != want_other
+    walks = _count_walks(monkeypatch)
+    memo = {}
+    got = [drv.project(4.0, memo) for drv in (base, other, alike)]
+    assert walks == ["base", "other"]
+    assert (got[1], plan_view(other)) == want_other
+    assert (got[0], plan_view(base)) == (got[2], plan_view(alike)) == want_base
 
 
 def test_journaling_past_the_fragment_count_is_an_internal_error():

@@ -24,6 +24,7 @@ from hcs_sim.core_model import (
     ValidationError,
 )
 from hcs_sim.hcs_scheduler import HcsScheduler, SchedulerMode
+from hcs_sim.pipeline_driver import PipelineDriver
 from hcs_sim.placement import PlacementPolicy
 from hcs_sim.sim_engine import (
     DriverRestartFault,
@@ -192,6 +193,24 @@ class TestRounds:
         require_finite_rounds([ScheduledArrival(2.0 ** 53 - 1.0, "a", None)], 1.0)
         with pytest.raises(ValidationError, match="round_length"):
             require_finite_rounds([ScheduledArrival(2.0 ** 53, "a", None)], 1.0)
+
+    def test_a_served_plan_other_than_the_walked_one_is_an_internal_error(self, monkeypatch):
+        """Three jobs of one template join the round at 10, and the node
+        holds two, so the third runs on the cloud. The checked run walks
+        again the plan the second job is served; under a key that ignores
+        every step's state, the third is served the edge plan, and the
+        checked run stops at 10."""
+        sc = scenario(node_capacities=(vec(2000, 4096),),
+                      catalog={"basic": template([step(cpu=1000)], frags=4)},
+                      arrivals=ExplicitArrivals((1.0, 2.0, 3.0)), round_length=10.0)
+        engine = CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        engine.run()
+        assert engine.served_projections == 1
+        monkeypatch.setattr(PipelineDriver, "_state_key", lambda self: ())
+        engine = CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        with pytest.raises(InternalConsistencyError, match="is not the one walked"):
+            engine.run()
+        assert engine.last_event_time == 10.0
 
 
 class TestSingleJobTrace:
