@@ -94,7 +94,10 @@ def _covered(failed: list[tuple[int, int, int]], shape: tuple[int, int, int]) ->
     """Whether a (cpu, mem, replicas) shape is at least as large, coordinate
     by coordinate, as one that failed."""
     cpu, mem, replicas = shape
-    return any(cpu >= a and mem >= b and replicas >= c for a, b, c in failed)
+    for a, b, c in failed:
+        if cpu >= a and mem >= b and replicas >= c:
+            return True
+    return False
 
 
 class HcsScheduler:

@@ -43,7 +43,10 @@ feed-forward or every predecessor is complete, WAITING when it is not. Two
 facts make the counts enough. An undeployed step has a pool of 0, so it
 never dispatches. A barrier's ready count stays 0 until its predecessors
 complete: it gains fragments only at its release, and in-flight fragments
-only go back to the queue after a dispatch.
+only go back to the queue after a dispatch. deploy is the one writer of a
+step's region, pool and service time (the fragment's over the region's
+speed), and _journal of k and of the count of terminal steps short of the
+fragment count, which is_complete reads.
 """
 
 from __future__ import annotations
@@ -68,15 +71,17 @@ class _StepRuntime:
     fragments after those queue. flight is only ever replaced, never changed
     in place: a plan shares it. The step's lifecycle follows from these
     counts, its region and its predecessors' counts (see the module
-    docstring).
+    docstring). PipelineDriver.deploy is the one writer of region, pool and
+    service, and PipelineDriver._journal the one writer of done.
     """
 
-    __slots__ = ("spec", "region", "pool", "done", "flight", "ready", "pending_switch")
+    __slots__ = ("spec", "region", "pool", "service", "done", "flight", "ready", "pending_switch")
 
     def __init__(self, spec: StepSpec):
         self.spec = spec
         self.region: str | None = None  # "edge" or "cloud" once deployed
         self.pool = 0  # 0 until deployed, so an undeployed step never dispatches
+        self.service = 0.0  # a fragment's service time in the region, once deployed
         self.done = 0
         self.flight: list[float] = []
         self.ready = 0
@@ -161,10 +166,12 @@ def _fifo(n_ready: int, arrivals: list[float] | _Run, busy: list[float], free: i
     none ready at t0: the worker paces them when da <= duration, giving
     max(fa, w) + duration, then one every duration; it keeps up when da >
     duration and w <= fa, giving fa + duration, then one every da. Otherwise
-    the list, by the loop.
+    the list, by the loop; with one worker fin = max(ready, fin) + duration
+    from fin = w, the float operations of a heap of one.
     """
     fed = arrivals.__class__ is _Run
-    if free + len(busy) == 1:
+    one = free + len(busy) == 1
+    if one:
         if fed:
             n, head, tail = n_ready + arrivals.n, arrivals.first, arrivals.last
         elif arrivals:
@@ -185,8 +192,14 @@ def _fifo(n_ready: int, arrivals: list[float] | _Run, busy: list[float], free: i
             if _exact(start, duration, step, n):
                 return _Run(start + duration, step, n)
     times = [t0] * n_ready + (arrivals.values() if fed else arrivals)
-    workers = busy + [t0] * free
     fins: list[float] = []
+    if one:
+        fin = w
+        for ready in times:
+            fin = (ready if ready > fin else fin) + duration
+            fins.append(fin)
+        return fins
+    workers = busy + [t0] * free
     heapify(workers)
     for ready in times:
         start = workers[0]
@@ -226,6 +239,7 @@ class PipelineDriver:
         self.steps: dict[str, _StepRuntime] = {}
         self._preds = job.dag.predecessors_by_step
         self.terminal_ids = job.dag.terminal_ids
+        self._terminals_left = len(self.terminal_ids)  # not yet fully journaled
         self.version = 0  # bumped by every projection
         self._plan: list[tuple] | None = None  # per unfinished step, see _follow
         self._steps_done = 0
@@ -245,11 +259,7 @@ class PipelineDriver:
         return rt
 
     def is_complete(self) -> bool:
-        return all(self.steps[t].done == self.m for t in self.terminal_ids)
-
-    def _service(self, rt: _StepRuntime) -> float:
-        speed = self.edge_speed if rt.region == "edge" else self.cloud_speed
-        return rt.spec.service_time_per_fragment / speed
+        return not self._terminals_left
 
     # -- plans ----------------------------------------------------------------
 
@@ -354,12 +364,14 @@ class PipelineDriver:
         return True
 
     def _journal(self, rt: _StepRuntime, count: int) -> None:
-        """Record the next count completed fragments at a step; the only
-        writer of the journal."""
+        """Record the next count (>= 1) completed fragments at a step; the
+        only writer of the journal and of the count of terminal steps left."""
         if rt.done + count > self.m:
             raise InternalConsistencyError(
                 f"fragment journaled twice at step {rt.spec.step_id}")
         rt.done += count
+        if rt.done == self.m and rt.spec.step_id in self.terminal_ids:
+            self._terminals_left -= 1
 
     def _arrivals(self, sid: str, rt: _StepRuntime, t0: float, done: dict,
                   finished: dict) -> list[float]:
@@ -417,7 +429,7 @@ class PipelineDriver:
             free = None
             if (n_ready or a_times) and rt.region is not None and rt.pending_switch is None:
                 free = rt.pool - len(busy)
-                fins = _fifo(n_ready, a_times, busy, free, t0, self._service(rt))
+                fins = _fifo(n_ready, a_times, busy, free, t0, rt.service)
             if fins.__class__ is _Run:  # one worker, so one fragment in flight at most
                 all_fins = fins.after(busy[0]) if busy else fins
             else:
@@ -432,20 +444,13 @@ class PipelineDriver:
         self._plan = plan
         return finished
 
-    def _start_ready(self, rt: _StepRuntime, now: float) -> None:
-        """Hand ready fragments to idle workers at an interruption's instant."""
-        if rt.pending_switch is not None:
-            return
-        n = min(rt.ready, rt.pool - len(rt.flight))
-        if n > 0:
-            rt.flight = rt.flight + [now + self._service(rt)] * n
-            rt.ready -= n
-
     def _requeue(self, rt: _StepRuntime, now: float) -> None:
-        """Requeue in-flight fragments at the front of the queue and start them."""
-        rt.ready += len(rt.flight)
-        rt.flight = []
-        self._start_ready(rt, now)
+        """Requeue in-flight fragments at the front of the queue, then start what
+        the pool takes of it unless an eviction window holds the step."""
+        ready = rt.ready + len(rt.flight)
+        n = 0 if rt.pending_switch is not None else min(ready, rt.pool)
+        rt.flight = [now + rt.service] * n
+        rt.ready = ready - n
 
     # -- deployment -----------------------------------------------------------
 
@@ -466,6 +471,8 @@ class PipelineDriver:
         rt.pending_switch = None
         rt.region = region
         rt.pool = pool_size
+        rt.service = rt.spec.service_time_per_fragment / (
+            self.edge_speed if region == "edge" else self.cloud_speed)
         self._requeue(rt, now)
 
     # -- eviction -------------------------------------------------------------

@@ -516,7 +516,7 @@ class _Engine:
                 end_instant(time)
 
         end_time = self.scenario.horizon if self.horizon_reached else self.last_event_time
-        if not self.horizon_reached:
+        if not self.horizon_reached and len(self.outcomes) != len(self.arrivals):
             _require_drained(self.drivers, len(self.arrivals))
         for entry in self._open.values():
             entry.deploy_end = end_time

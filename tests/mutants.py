@@ -79,6 +79,12 @@ MUTANTS = [
         first=("tests/test_differential.py",)),
     Mutant("job-by-job-ledger-in-arrival-order", "sim_engine.py", (
         ("    ledger.sort()\n", ""),), "killed", first=("tests/test_differential.py",)),
+    Mutant("drained-check-dropped", "sim_engine.py", (
+        ("_require_drained(self.drivers, len(self.arrivals))", "pass"),), "killed",
+        first=("tests/test_sim_engine.py",)),
+    Mutant("job-by-job-drained-check-dropped", "sim_engine.py", (
+        ("_require_drained(drivers, len(arrivals))", "pass"),), "killed",
+        first=("tests/test_sim_engine.py",)),
     Mutant("commit-flight-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("n_fl = bisect_right(flight, now)", "n_fl = bisect_left(flight, now)")), "killed"),
@@ -101,6 +107,18 @@ MUTANTS = [
     Mutant("run-count-drops-correction", "pipeline_driver.py", (
         ("        while self.first + k * self.step <= cut:\n            k += 1\n", ""),),
         "killed", first=("tests/test_driver.py",)),
+    Mutant("completion-count-any-step", "pipeline_driver.py", (
+        ("if rt.done == self.m and rt.spec.step_id in self.terminal_ids:",
+         "if rt.done == self.m:"),), "killed", first=("tests/test_sim_engine.py",)),
+    Mutant("requeue-ignores-eviction-window", "pipeline_driver.py", (
+        ("n = 0 if rt.pending_switch is not None else min(ready, rt.pool)",
+         "n = min(ready, rt.pool)"),), "killed", first=("tests/test_driver.py",)),
+    Mutant("service-at-edge-speed", "pipeline_driver.py", (
+        ("self.edge_speed if region == \"edge\" else self.cloud_speed)", "self.edge_speed)"),),
+        "killed", first=("tests/test_driver.py",)),
+    Mutant("one-worker-fin-ignores-ready", "pipeline_driver.py", (
+        ("fin = (ready if ready > fin else fin) + duration", "fin = fin + duration"),), "killed",
+        first=("tests/test_driver.py",)),
     Mutant("expiry-cut-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("keep = bisect_right(rt.flight, expiry)", "keep = bisect_left(rt.flight, expiry)")),
@@ -127,7 +145,7 @@ MUTANTS = [
     Mutant("covered-mem-strict", "hcs_scheduler.py", (
         ("mem >= b and", "mem > b and"),), "killed", first=("tests/test_scheduler.py",)),
     Mutant("covered-replicas-strict", "hcs_scheduler.py", (
-        ("replicas >= c for", "replicas > c for"),), "killed", first=("tests/test_scheduler.py",)),
+        ("replicas >= c:", "replicas > c:"),), "killed", first=("tests/test_scheduler.py",)),
     Mutant("eviction-final-slots-check-non-strict", "hcs_scheduler.py", (
         ("        if slots < step.replicas:\n", "        if slots <= step.replicas:\n"),),
         "killed", first=("tests/test_acceptance.py",)),

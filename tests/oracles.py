@@ -554,7 +554,7 @@ def rewalk_commit(drv, t0, cut):
         if (frags and rt.region is not None and rt.pending_switch is None
                 and (rt.spec.feed_forward or was_released[sid] or released)):
             new_fins = _fifo_until(times, [fin for fin, _ in flight], rt.pool - len(flight),
-                                   t0, drv._service(rt), cut)
+                                   t0, rt.service, cut)
         n_started = len(new_fins)
         n_landed = sum(1 for fin in new_fins if fin <= cut)
         fins += new_fins[:n_landed]
@@ -597,7 +597,7 @@ def rebuild_from_journal(drv, now):
             rt.ready = len(range(rt.done, min(upstream)))
         else:
             rt.ready = 0
-        drv._start_ready(rt, now)
+        drv._requeue(rt, now)  # requeues nothing: flight is empty
 
 
 # -- the step lifecycle -------------------------------------------------------------
@@ -830,19 +830,42 @@ def check_served_projection(drv, now) -> None:
             f"job {drv.job.job_id}: the plan served at {now} is not the one walked")
 
 
+def check_driver_state(drv) -> None:
+    """Raise InternalConsistencyError unless drv's completion count agrees
+    with a walk of its terminal steps' journals, and each deployed step's
+    service time is its spec's over its region's speed."""
+    walked = all(drv.steps[t].done == drv.m for t in drv.terminal_ids)
+    if drv.is_complete() != walked:
+        raise InternalConsistencyError(
+            f"job {drv.job.job_id}: is_complete() is {drv.is_complete()}, "
+            f"its journal says {walked}")
+    for sid, rt in drv.steps.items():
+        if rt.region is None:
+            continue
+        speed = drv.edge_speed if rt.region == "edge" else drv.cloud_speed
+        if rt.service != rt.spec.service_time_per_fragment / speed:
+            raise InternalConsistencyError(
+                f"job {drv.job.job_id} step {sid}: service time {rt.service} in the "
+                f"{rt.region}, not {rt.spec.service_time_per_fragment} / {speed}")
+
+
 class CheckedEngine(_Engine):
     """The package's engine, with the scheduler's books recomputed from
     scratch (check_books) after every instant, every first-fit plan that
-    starts past node 0 checked as it is made (check_first_fit_start), and
-    every plan a projection memo serves checked after its instant
-    (check_served_projection). bounded_first_fits and served_projections
-    count those checks, so a caller sees that they ran."""
+    starts past node 0 checked as it is made (check_first_fit_start), every
+    plan a projection memo serves checked after its instant
+    (check_served_projection), and every driver an instant touched, by an
+    interruption or a live completion, checked after it
+    (check_driver_state). bounded_first_fits, served_projections and
+    completion_checks count those checks, so a caller sees that they ran."""
 
     driver_type = CheckedDriver
     bounded_first_fits = 0
     served_projections = 0
+    completion_checks = 0
 
     def run(self):
+        self._completed = {}  # the drivers of this instant's live completions
         real = hcs_scheduler.try_place_free
 
         def place(step, free, policy, rr_cursor=0, start=0):
@@ -857,6 +880,12 @@ class CheckedEngine(_Engine):
         finally:
             hcs_scheduler.try_place_free = real
 
+    def _on_completion(self, event, now):
+        live = super()._on_completion(event, now)
+        if live:
+            self._completed[event[0]] = self.drivers[event[0]]
+        return live
+
     def _end_instant(self, now):
         touched = list(self._touched.values())
         super()._end_instant(now)
@@ -864,6 +893,10 @@ class CheckedEngine(_Engine):
             if not drv.walked:
                 check_served_projection(drv, now)
                 self.served_projections += 1
+        for drv in {*touched, *self._completed.values()}:
+            check_driver_state(drv)
+            self.completion_checks += 1
+        self._completed.clear()
         check_books(self.sched)
 
 

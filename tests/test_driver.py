@@ -515,6 +515,14 @@ _ONE_FIELD = {"region": CLOUD, "pool": 3, "pending_switch": 9.0, "done": 2, "fli
               "ready": 2}
 
 
+def _set_region(drv, rt, region):
+    """Write a step's region as deploy does, with its service time by
+    deploy's rule, but without deploy's requeue."""
+    rt.region = region
+    rt.service = rt.spec.service_time_per_fragment / (
+        drv.edge_speed if region == EDGE else drv.cloud_speed)
+
+
 def _mid_run(job):
     """A driver of job in a state its first plan is walked from at 4.0: s0
     on the cloud with 3 fragments journaled, s1 on the edge with 1, s2, a
@@ -525,7 +533,8 @@ def _mid_run(job):
             ("s0", CLOUD, 1, 3, [4.5], 2), ("s1", EDGE, 2, 1, [4.25], 1),
             ("s2", CLOUD, 1, 0, [], 0)]:
         rt = drv.steps[sid]
-        rt.region, rt.pool, rt.done, rt.flight, rt.ready = region, pool, done, flight, ready
+        rt.pool, rt.done, rt.flight, rt.ready = pool, done, flight, ready
+        _set_region(drv, rt, region)
     return drv
 
 
@@ -544,7 +553,10 @@ def test_a_job_differing_in_one_key_field_walks_its_own_plan(monkeypatch, field)
                                   job_id="other"))
     else:
         other = _mid_run(_of_template(template, "other"))
-        setattr(other.steps["s1"], field, _ONE_FIELD[field])
+        if field == "region":
+            _set_region(other, other.steps["s1"], _ONE_FIELD[field])
+        else:
+            setattr(other.steps["s1"], field, _ONE_FIELD[field])
     alike = _mid_run(_of_template(template, "alike"))
     want_base, want_other = _unmemoized(base, 4.0), _unmemoized(other, 4.0)
     assert want_base != want_other
@@ -692,3 +704,31 @@ def test_one_worker_runs_match_the_heap_loop():
                     assert terms == [prev] + vals, trial
             runs_checked += 1
     assert kinds[list] > 8000 and kinds[_Run] > 3000 and kept_up > 300 and runs_checked > 6000
+
+
+def test_one_worker_list_plans_match_the_heap_loop_bit_for_bit():
+    """With one worker, _fifo's list is the heap loop's, float for float,
+    over ready and service times that are not short binary fractions, such
+    as multiples of 0.1, which round at every sum."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    times = st.one_of(st.integers(0, 10 ** 4).map(lambda k: k * 0.1),
+                      st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False))
+    durations = st.one_of(st.integers(1, 100).map(lambda k: k * 0.1),
+                          st.floats(1e-6, 1e3, allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=400, deadline=None)
+    @given(t0=times, offsets=st.lists(times, max_size=12), n_ready=st.integers(0, 4),
+           busy=st.one_of(st.none(), times), duration=durations)
+    def check(t0, offsets, n_ready, busy, duration):
+        assume(n_ready or offsets)  # a step with nothing queued plans nothing
+        arrivals = sorted(t0 + x for x in offsets)
+        in_flight = [] if busy is None else [t0 + busy]
+        got = _fifo(n_ready, arrivals, in_flight, 1 - len(in_flight), t0, duration)
+        want = _fifo_until([t0] * n_ready + arrivals, in_flight, 1 - len(in_flight), t0,
+                           duration, math.inf)
+        assert [x.hex() for x in _values(got)] == [x.hex() for x in want]
+
+    check()

@@ -212,6 +212,33 @@ class TestRounds:
             engine.run()
         assert engine.last_event_time == 10.0
 
+    def test_a_completion_count_or_a_service_time_off_its_rule_is_an_internal_error(
+            self, monkeypatch):
+        """The checked run checks the driver after each instant that touches
+        it: a count that calls the job complete before its journal does, or
+        a service time deploy did not divide from the region's speed, stops
+        it at the job's first round."""
+        sc = scenario(catalog={"basic": template([step(), step("s1")], [("s0", "s1")])})
+        engine = CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        engine.run()
+        # the round at 30 deploys both steps, then s0 and s1 complete apart
+        assert engine.completion_checks == 3
+        real = PipelineDriver.deploy
+
+        def deploy(self, step_id, region, pool_size, now):
+            real(self, step_id, region, pool_size, now)
+            self.steps[step_id].service *= 2
+
+        for name, patch, message in [
+                ("is_complete", lambda self: True, r"is_complete\(\) is True, its journal says False"),
+                ("deploy", deploy, r"step s0: service time 2\.5 in the edge, not 1\.0 / 0\.8")]:
+            with monkeypatch.context() as m:
+                m.setattr(PipelineDriver, name, patch)
+                engine = CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+                with pytest.raises(InternalConsistencyError, match=message):
+                    engine.run()
+                assert engine.last_event_time == 30.0
+
 
 class TestSingleJobTrace:
     def test_zero_jobs_is_an_empty_report(self):
@@ -467,6 +494,26 @@ class TestDriverRestart:
         assert late.job_outcomes == clean.job_outcomes
         assert late.cost_ledger == clean.cost_ledger
 
+    def test_a_restart_is_a_noop_only_once_every_terminal_step_completed(self):
+        # b and c are both terminal; c, four times slower, still runs when b ends
+        tpl = template([step("a"), step("b"), step("c", svc=4.0)], [("a", "b"), ("a", "c")],
+                       frags=4, deadline=500.0)
+
+        def run_with(faults):
+            return run(scenario(catalog={"t": tpl}, arrivals=ExplicitArrivals((1.0,), ("t",)),
+                                faults=faults))
+
+        clean = run_with(())
+        ends = {e.step_id: e.deploy_end for e in clean.cost_ledger}
+        done_by = clean.job_outcomes[0].completion
+        assert ends["a"] < ends["b"] < done_by == ends["c"]
+        # c's fragment in flight half a second after b ends starts again
+        mid = run_with((DriverRestartFault(ends["b"] + 0.5, 0),))
+        assert mid.job_outcomes[0].completion == done_by + 0.5
+        # at the instant c ends its completion comes first, so the job is done
+        late = run_with((DriverRestartFault(done_by, 0),))
+        assert (late.job_outcomes, late.cost_ledger) == (clean.job_outcomes, clean.cost_ledger)
+
     def test_restart_before_arrival_is_a_noop(self):
         clean = run(self.build())
         early = run(self.build([DriverRestartFault(0.5, 0)]))
@@ -497,6 +544,23 @@ class TestDriverRestart:
         r = self.twins((1.0, 30.0), (DriverRestartFault(30.0, 1),))
         assert [(o.job_id, o.completion) for o in r.job_outcomes] == [
             ("t-0000", 40.0), ("t-0001", 40.0)]
+
+
+class TestDrained:
+    """A run that ends before any horizon with a job that never reported its
+    last step is an internal error, on the event loop and job by job."""
+
+    @pytest.mark.parametrize("compute", [
+        lambda sc, arrivals: _Engine(sc, arrivals).run(),
+        lambda sc, arrivals: sim_engine._run_cloud_only(
+            sc.replace(mode=SchedulerMode.CLOUD_ONLY), arrivals),
+    ], ids=["event-loop", "job-by-job"])
+    def test_a_job_short_of_its_last_step_is_refused(self, monkeypatch, compute):
+        monkeypatch.setattr(PipelineDriver, "on_step_complete", lambda self, step_id, now: False)
+        sc = scenario()
+        with pytest.raises(InternalConsistencyError) as err:
+            compute(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        assert str(err.value) == "run drained with unfinished work: ['basic-0000']"
 
 
 class TestInjectFaults:
