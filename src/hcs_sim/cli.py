@@ -10,7 +10,6 @@ import math
 import os
 import sys
 import time
-from itertools import permutations, product
 from pathlib import Path
 
 from hcs_sim.core_model import (
@@ -131,7 +130,7 @@ def _finite_int(token: str) -> int:
 
 def _is(types: tuple, problem: str, cast=None):
     """A value whose JSON type is one of types, as cast(value) when a cast is
-    given. `_shapes` reads both."""
+    given. `_built` and `_list_of` read both."""
     def kind(value):
         if type(value) not in types:
             raise ValidationError(problem)
@@ -154,7 +153,7 @@ def _integer(value) -> int:
     return value
 
 
-_integer.types, _integer.cast = (int,), None  # as `_is` marks its kinds, for `_shapes`
+_integer.types, _integer.cast = (int,), None  # as `_is` marks its kinds, for `_built`
 
 
 def _one_of(*choices, member=str):
@@ -227,41 +226,23 @@ _FAULTS = {
         "kind": (None, True), "time": (_real, True), "job_index": (_integer, True)})}
 
 
-def _shapes(kinds: dict) -> dict:
-    """The accept test of a kind-tagged object, derived from its tables:
-    {(tag, *keys, *JSON value types): (type, ((key, cast), ...))} for every
-    order of a table's keys and every type that each key's kind takes. An
-    object of such a shape has no problem of its own shape or types, so it
-    builds from its values, each cast where its kind casts its type."""
-    shapes = {}
-    for tag, (cls, table) in kinds.items():
-        for keys in permutations(table):
-            fields = [table[key][0] for key in keys]  # the tag's key has no kind
-            takes = [(str,) if kind is None else kind.types for kind in fields]
-            for types in product(*takes):
-                casts = tuple((key, kind.cast) for key, kind, t in zip(keys, fields, types)
-                              if kind is not None and kind.cast not in (None, t))
-                shapes[(tag, *keys, *types)] = (cls, casts)
-    return shapes
-
-
-_FAULT_SHAPES = _shapes(_FAULTS)
-
-
-def _built(obj, shapes: dict):
-    """What an object of one of shapes builds, in one lookup; None for any
-    other object, and for one its type refuses. `_Check` reads those again,
-    as the one source of their problems."""
-    if type(obj) is not dict or type(tag := obj.get("kind")) is not str:
+def _built(obj, kinds: dict):
+    """What a kind-tagged object builds when it has its kind's keys, in any
+    order, each with a JSON type its key's kind takes, cast as that kind casts
+    it; None for any other object, and for one its type refuses. `_Check`
+    reads those again, as the one source of their problems."""
+    if type(obj) is not dict or type(tag := obj.get("kind")) is not str or tag not in kinds:
         return None
-    shape = shapes.get((tag, *obj, *map(type, obj.values())))
-    if shape is None:
+    cls, table = kinds[tag]
+    if obj.keys() != table.keys():  # order-free
         return None
-    cls, casts = shape
-    got = obj.copy()
-    del got["kind"]
-    for key, cast in casts:
-        got[key] = cast(got[key])
+    got = {}
+    for key, (kind, _) in table.items():
+        if kind is not None:  # the tag's key has no kind
+            value = obj[key]
+            if type(value) not in kind.types:
+                return None
+            got[key] = value if kind.cast is None else kind.cast(value)
     try:
         return cls(**got)
     except ValidationError:
@@ -354,7 +335,7 @@ def load_scenario(path: str | Path) -> tuple[Scenario, str | None]:
                 arrivals = check.build("", cls, **got)  # its type writes "arrivals."
     faults = []
     for i, f in enumerate(top.get("faults") or ()):
-        fault = _built(f, _FAULT_SHAPES)
+        fault = _built(f, _FAULTS)
         if fault is None:
             cls, got = check.variant(f, f"faults[{i}]", _FAULTS)
             if cls is None or None in got.values():

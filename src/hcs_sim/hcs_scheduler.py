@@ -82,14 +82,6 @@ class ScheduleDecision(Record):
         self.expiry: float | None = None
 
 
-def _clamp(book: list[int] | None) -> tuple[int, int] | None:
-    """A book entry, each dimension at least 0 (None stays None)."""
-    if book is None:
-        return None
-    cpu, mem = book
-    return (cpu if cpu > 0 else 0, mem if mem > 0 else 0)
-
-
 def _covered(failed: list[tuple[int, int, int]], shape: tuple[int, int, int]) -> bool:
     """Whether a (cpu, mem, replicas) shape is at least as large, coordinate
     by coordinate, as one that failed."""
@@ -168,7 +160,7 @@ class HcsScheduler:
         self._free: list[list[int] | None] = [
             [c.cpu_millicores, c.memory_mb] for c in self.capacities]
         self._free_now: list[tuple[int, int] | None] = [
-            _clamp(f) for f in self._free]
+            (c.cpu_millicores, c.memory_mb) for c in self.capacities]  # >= 1 in a Scenario
         self._free_after_evictions = list(self._free_now)
         self._victims: list[tuple[float, StepKey]] = []
         # edge_usage's sums: held load over every node, as a dead node holds
@@ -198,7 +190,7 @@ class HcsScheduler:
             h[1] += held * mem
             f[0] += free * cpu
             f[1] += free * mem
-            fc, fm = f  # _clamp(f), inline: this is the scheduler's hottest loop
+            fc, fm = f  # clamped inline: this is the scheduler's hottest loop
             self._free_now[node_id] = (fc if fc > 0 else 0, fm if fm > 0 else 0)
             a = (a[0] + after * cpu, a[1] + after * mem)
             if a[0] < 0 or a[1] < 0:

@@ -45,8 +45,8 @@ never dispatches. A barrier's ready count stays 0 until its predecessors
 complete: it gains fragments only at its release, and in-flight fragments
 only go back to the queue after a dispatch. deploy is the one writer of a
 step's region, pool and service time (the fragment's over the region's
-speed), and _journal of k and of the count of terminal steps short of the
-fragment count, which is_complete reads.
+speed), and _journal of k; is_complete reads the count of steps whose
+completion on_step_complete took, once each.
 """
 
 from __future__ import annotations
@@ -239,10 +239,9 @@ class PipelineDriver:
         self.steps: dict[str, _StepRuntime] = {}
         self._preds = job.dag.predecessors_by_step
         self.terminal_ids = job.dag.terminal_ids
-        self._terminals_left = len(self.terminal_ids)  # not yet fully journaled
         self.version = 0  # bumped by every projection
         self._plan: list[tuple] | None = None  # per unfinished step, see _follow
-        self._steps_done = 0
+        self._steps_done = 0  # steps whose completion on_step_complete took
         specs = {s.step_id: s for s in job.dag.steps}
         for sid in self.topo:
             rt = _StepRuntime(specs[sid])
@@ -259,7 +258,7 @@ class PipelineDriver:
         return rt
 
     def is_complete(self) -> bool:
-        return not self._terminals_left
+        return self._steps_done == len(self.topo)
 
     # -- plans ----------------------------------------------------------------
 
@@ -358,20 +357,19 @@ class PipelineDriver:
         if self._steps_done < len(self.topo):
             return False
         self.commit(now)
-        if not self.is_complete():
-            raise InternalConsistencyError(
-                f"job {self.job.job_id}: every step reported complete, journal disagrees")
+        for sid in self.terminal_ids:
+            if self.steps[sid].done != self.m:
+                raise InternalConsistencyError(
+                    f"job {self.job.job_id}: every step reported complete, journal disagrees")
         return True
 
     def _journal(self, rt: _StepRuntime, count: int) -> None:
         """Record the next count (>= 1) completed fragments at a step; the
-        only writer of the journal and of the count of terminal steps left."""
+        only writer of the journal."""
         if rt.done + count > self.m:
             raise InternalConsistencyError(
                 f"fragment journaled twice at step {rt.spec.step_id}")
         rt.done += count
-        if rt.done == self.m and rt.spec.step_id in self.terminal_ids:
-            self._terminals_left -= 1
 
     def _arrivals(self, sid: str, rt: _StepRuntime, t0: float, done: dict,
                   finished: dict) -> list[float]:

@@ -107,9 +107,10 @@ MUTANTS = [
     Mutant("run-count-drops-correction", "pipeline_driver.py", (
         ("        while self.first + k * self.step <= cut:\n            k += 1\n", ""),),
         "killed", first=("tests/test_driver.py",)),
-    Mutant("completion-count-any-step", "pipeline_driver.py", (
-        ("if rt.done == self.m and rt.spec.step_id in self.terminal_ids:",
-         "if rt.done == self.m:"),), "killed", first=("tests/test_sim_engine.py",)),
+    Mutant("completion-count-one-short", "pipeline_driver.py", (
+        ("return self._steps_done == len(self.topo)",
+         "return self._steps_done >= len(self.topo) - 1"),), "killed",
+        first=("tests/test_sim_engine.py",)),
     Mutant("requeue-ignores-eviction-window", "pipeline_driver.py", (
         ("n = 0 if rt.pending_switch is not None else min(ready, rt.pool)",
          "n = min(ready, rt.pool)"),), "killed", first=("tests/test_driver.py",)),
@@ -161,11 +162,12 @@ MUTANTS = [
          "    from hcs_sim.metrics import summary_dict\n"
          "    s = summary_dict(report)\n"),), "killed", first=("tests/test_commands.py",)),
     Mutant("fault-shape-takes-a-bool", "cli.py", (
-        ("else kind.types for kind in fields]", "else (*kind.types, bool) for kind in fields]"),),
+        ("if type(value) not in kind.types:", "if type(value) not in (*kind.types, bool):"),),
         "killed",
         first=("tests/test_cli.py",)),
     Mutant("fault-shape-keeps-an-int-time", "cli.py", (
-        ("        got[key] = cast(got[key])\n", "        got[key] = got[key]\n"),), "killed",
+        ("got[key] = value if kind.cast is None else kind.cast(value)", "got[key] = value"),),
+        "killed",
         first=("tests/test_cli.py",)),
     Mutant("int-token-guard-one-longer", "cli.py", (
         ("if len(token) >= 309:", "if len(token) >= 310:"),), "killed",

@@ -24,7 +24,7 @@ scheduler before incremental capacity books, the differential oracle for the
 scheduler, with the per-node allocation account it kept before the
 scheduler's books owned edge allocation. Last, the loader's fault list read
 one object at a time through its diagnostic path alone, the reference for
-the shapes it builds in one lookup.
+the objects `cli._built` builds.
 """
 
 from __future__ import annotations
@@ -1378,8 +1378,8 @@ class ReferenceScheduler:
 
 def faults_per_object(objects) -> tuple[tuple, list[str]]:
     """(faults, problems) of a file's fault list read by `cli._Check.variant`
-    and `build` alone, as the loader read every fault object before it built
-    the accepted shapes in one lookup: the faults built, and every problem
+    and `build` alone, as the loader read every fault object before
+    `cli._built` took the accepted ones: the faults built, and every problem
     of the objects, sorted. A Scenario checks the faults' own rules."""
     check = cli._Check()
     faults = []

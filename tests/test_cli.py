@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -597,7 +598,7 @@ NF, DR = "node_failure", "driver_restart"
 
 # (case, a file's fault list, and the repr of the faults it loads to or else
 # its exact diagnostics). The loader builds a fault whose keys and value types
-# its table accepts in one lookup and reads any other through _Check; these
+# its table accepts with `_built` and reads any other through _Check; these
 # sit on both sides of that line. Faults compare by repr, as == cannot tell
 # an int time from a float one.
 FAULT_EDGES = [
@@ -649,6 +650,33 @@ def test_fault_objects_at_every_rule_edge(tmp_path, objects, expected):
         assert repr(load_scenario(path)[0].faults) == expected
     else:
         assert problems(path) == expected
+
+
+@pytest.mark.parametrize("time", [3, 2.5], ids=["int-time", "float-time"])
+@pytest.mark.parametrize("keys", [pytest.param(keys, id="-".join(keys))
+                                  for _, table in cli._FAULTS.values()
+                                  for keys in permutations(table)])
+def test_a_fault_object_in_any_key_order_builds_as_checked(keys, time):
+    """`_built` takes a fault object's keys in any order, and an int time as
+    the float `_Check` casts it to: the fault is the one `_Check` builds."""
+    values = {"time": time, "node_id": 1, "job_index": 1}
+    tag = NF if "node_id" in keys else DR
+    obj = {key: tag if key == "kind" else values[key] for key in keys}
+    check = cli._Check()
+    cls, got = check.variant(obj, "faults[0]", cli._FAULTS)
+    expected = check.build("faults[0].", cls, **got)
+    assert check.problems == []
+    assert repr(cli._built(obj, cli._FAULTS)) == repr(expected)
+
+
+@pytest.mark.parametrize("objects", [
+    pytest.param(row[1], id=row[0]) for row in FAULT_EDGES
+    if row[0] in ("extra-key", "other-kinds-key", "bool-node-id", "bool-job-index", "bool-time",
+                  "null-index", "null-time")])
+def test_built_leaves_a_fault_object_off_its_shape_to_check(objects):
+    """An extra or foreign key, a bool or a null is not built: `_Check` reads
+    the object again for its problems."""
+    assert [cli._built(obj, cli._FAULTS) for obj in objects] == [None]
 
 
 # An integer token of fewer than 309 characters is inside the float range;

@@ -1,5 +1,6 @@
-"""Property test: the loader's fault list, whose accepted shapes it builds
-in one lookup, reads as every fault object read through `_Check` alone
+"""Property test: the loader's fault list, whose objects of an accepted
+shape it builds by comparing their keys with their kind's table, reads as
+every fault object read through `_Check` alone
 (tests/oracles.faults_per_object): the same faults, compared by repr, or the
 same sorted problems.
 
@@ -11,7 +12,7 @@ import json
 
 import pytest
 
-from hcs_sim.cli import _FAULT_SHAPES, _FAULTS, _built, load_scenario
+from hcs_sim.cli import _FAULTS, _built, load_scenario
 from hcs_sim.core_model import ValidationError
 
 import oracles
@@ -76,14 +77,14 @@ def test_fault_lists_read_as_through_the_diagnostic_path(tmp_path_factory, objec
 
 
 def test_the_drawn_objects_reach_both_paths():
-    """Drawn objects are built in one lookup for each kind, with an int time
-    and with a float one, and others are read by _Check."""
+    """Drawn objects are built by _built for each kind, with an int time and
+    with a float one, and others are read by _Check."""
     seen = set()
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(obj=_fault_objects())
     def collect(obj):
-        built = _built(obj, _FAULT_SHAPES) is not None
+        built = _built(obj, _FAULTS) is not None
         seen.add((obj["kind"], type(obj["time"])) if built else "checked")
 
     collect()
