@@ -82,16 +82,6 @@ class ScheduleDecision(Record):
         self.expiry: float | None = None
 
 
-def _covered(failed: list[tuple[int, int, int]], shape: tuple[int, int, int]) -> bool:
-    """Whether a (cpu, mem, replicas) shape is at least as large, coordinate
-    by coordinate, as one that failed."""
-    cpu, mem, replicas = shape
-    for a, b, c in failed:
-        if cpu >= a and mem >= b and replicas >= c:
-            return True
-    return False
-
-
 class HcsScheduler:
     """Owns the edge allocation account and emits deployment directives.
 
@@ -266,23 +256,18 @@ class HcsScheduler:
         request: free edge capacity, eviction of strictly cheaper residents,
         cloud fallback.
 
-        Within a round free capacity only shrinks, so a (cpu, mem, replicas)
-        shape that found no free room rules out every shape at least as large
-        for the rest of the round. So does a failed eviction try: what a try
-        could free, the space after pending evictions plus every strictly
-        cheaper resident, only shrinks as the round goes on. Later requests
-        cost no more, so they have no more candidates; a step placed this
-        round costs at least as much as any later request, so it is never
-        one; and an eviction turns candidates into evicting space while its
-        reservation takes space away. For the same reason no live node below
-        the first node of a shape's last first-fit plan this round has room
-        for it, so first fit starts there (`starts`).
+        Within a round free room and the strictly cheaper residents only
+        shrink, so a (cpu, mem, replicas) shape whose try failed fails again
+        for the rest of the round, and `no_room` and `no_victims` skip it.
+        For the same reason no live node below the first node of a shape's
+        last first-fit plan this round has room for it, so first fit starts
+        there (`starts`).
         """
         decision = ScheduleDecision()
         requests, self.pending = self.pending, []
         requests.sort()
-        no_room: list[tuple[int, int, int]] = []
-        no_victims: list[tuple[int, int, int]] = []
+        no_room: set[tuple[int, int, int]] = set()
+        no_victims: set[tuple[int, int, int]] = set()
         starts: dict[tuple[int, int], int] = {}
         for _, _, job_id, step_id, step in requests:
             key = (job_id, step_id)
@@ -291,14 +276,14 @@ class HcsScheduler:
                 continue
             d = step.demand_per_replica
             shape = (d.cpu_millicores, d.memory_mb, step.replicas)
-            if not _covered(no_room, shape):
+            if shape not in no_room:
                 if self._try_deploy_edge_now(step, key, decision, starts):
                     continue
-                no_room.append(shape)
-            if not _covered(no_victims, shape):
+                no_room.add(shape)
+            if shape not in no_victims:
                 if self._try_deploy_with_eviction(step, key, decision, now):
                     continue
-                no_victims.append(shape)
+                no_victims.add(shape)
             self._deploy_cloud_now(key, decision)
         return decision
 

@@ -9,6 +9,8 @@ For each workload it checks that
   completion count and service times hold (CheckedEngine raises otherwise);
 - `wide` makes bounded first-fit calls and serves projections, and `faulty`
   checks driver states, so none of those checks runs empty;
+- `wide`'s round memos skip at least one try; for each mode it prints the
+  free-room tries, eviction tries and memo skips that CheckedEngine counts;
 - on `reference`, the job-by-job cloud-only run of `run()` equals the event
   loop's.
 
@@ -61,15 +63,21 @@ def main() -> None:
                 start = time.perf_counter()
                 engine = CheckedEngine(scenario.replace(mode=mode), arrivals)
                 engine.run()
+                tries = engine.round_tries
+                skips = tries["room_skips"] + tries["victim_skips"]
                 print(f"{name} {mode.value}: books checked after every instant, "
                       f"{engine.bounded_first_fits} bounded first-fit calls checked, "
                       f"{engine.served_projections} served projections checked, "
                       f"{engine.completion_checks} driver states checked, "
+                      f"{tries['room']} free-room tries, {tries['evict']} eviction tries, "
+                      f"{skips} memo skips, "
                       f"in {time.perf_counter() - start:.2f} s")
                 if name == "wide" and not engine.bounded_first_fits:
                     sys.exit("wide: no first-fit call started past node 0, so none was checked")
                 if name == "wide" and not engine.served_projections:
                     sys.exit("wide: the projection memo served no plan, so none was checked")
+                if name == "wide" and not skips:
+                    sys.exit("wide: the round memos skipped no try")
                 if name == "faulty" and not engine.completion_checks:
                     sys.exit("faulty: no driver state was checked")
             if name == "reference":

@@ -141,12 +141,12 @@ MUTANTS = [
     Mutant("first-fit-start-past-first-node", "hcs_scheduler.py", (
         ("starts[shape] = next(iter(plan.nodes))", "starts[shape] = next(iter(plan.nodes)) + 1"),),
         "killed", first=("tests/test_scheduler.py",)),
-    Mutant("covered-cpu-strict", "hcs_scheduler.py", (
-        ("cpu >= a and", "cpu > a and"),), "killed", first=("tests/test_scheduler.py",)),
-    Mutant("covered-mem-strict", "hcs_scheduler.py", (
-        ("mem >= b and", "mem > b and"),), "killed", first=("tests/test_scheduler.py",)),
-    Mutant("covered-replicas-strict", "hcs_scheduler.py", (
-        ("replicas >= c:", "replicas > c:"),), "killed", first=("tests/test_scheduler.py",)),
+    Mutant("memo-shape-ignores-replicas", "hcs_scheduler.py", (
+        ("shape = (d.cpu_millicores, d.memory_mb, step.replicas)",
+         "shape = (d.cpu_millicores, d.memory_mb, 1)"),), "killed"),
+    Mutant("one-memo-for-room-and-victims", "hcs_scheduler.py", (
+        ("        no_victims: set[tuple[int, int, int]] = set()\n",
+         "        no_victims = no_room\n"),), "killed"),
     Mutant("eviction-final-slots-check-non-strict", "hcs_scheduler.py", (
         ("        if slots < step.replicas:\n", "        if slots <= step.replicas:\n"),),
         "killed", first=("tests/test_acceptance.py",)),

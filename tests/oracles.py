@@ -849,6 +849,42 @@ def check_driver_state(drv) -> None:
                 f"{rt.region}, not {rt.spec.service_time_per_fragment} / {speed}")
 
 
+def count_round_tries(sched: HcsScheduler, counts: Counter) -> None:
+    """Wrap sched's run_round and its two tries so that counts sums, over its
+    cheapest-first rounds, the free-room tries ("room"), the eviction tries
+    ("evict") and the tries the no_room and no_victims memos skipped
+    ("room_skips", "victim_skips"). A request tries free room unless no_room
+    holds its shape, and one that free room did not place tries eviction
+    unless no_victims does. A node failure's re-placements are not counted."""
+    real_round, real_room = sched.run_round, sched._try_deploy_edge_now
+    real_evict = sched._try_deploy_with_eviction
+    tries = Counter()  # the current round's
+
+    def room(*args):
+        placed = real_room(*args)
+        tries["room"] += 1
+        tries["placed"] += placed
+        return placed
+
+    def evict(*args):
+        tries["evict"] += 1
+        return real_evict(*args)
+
+    def round_(now):
+        tries.clear()
+        requests = len(sched.pending)
+        decision = real_round(now)
+        if sched.mode is SchedulerMode.CHEAPEST_FIRST:
+            counts["room"] += tries["room"]
+            counts["evict"] += tries["evict"]
+            counts["room_skips"] += requests - tries["room"]
+            counts["victim_skips"] += requests - tries["placed"] - tries["evict"]
+        return decision
+
+    sched.run_round, sched._try_deploy_edge_now = round_, room
+    sched._try_deploy_with_eviction = evict
+
+
 class CheckedEngine(_Engine):
     """The package's engine, with the scheduler's books recomputed from
     scratch (check_books) after every instant, every first-fit plan that
@@ -857,7 +893,8 @@ class CheckedEngine(_Engine):
     (check_served_projection), and every driver an instant touched, by an
     interruption or a live completion, checked after it
     (check_driver_state). bounded_first_fits, served_projections and
-    completion_checks count those checks, so a caller sees that they ran."""
+    completion_checks count those checks, so a caller sees that they ran;
+    round_tries counts the rounds' tries and memo skips (count_round_tries)."""
 
     driver_type = CheckedDriver
     bounded_first_fits = 0
@@ -866,6 +903,8 @@ class CheckedEngine(_Engine):
 
     def run(self):
         self._completed = {}  # the drivers of this instant's live completions
+        self.round_tries = Counter()
+        count_round_tries(self.sched, self.round_tries)
         real = hcs_scheduler.try_place_free
 
         def place(step, free, policy, rr_cursor=0, start=0):

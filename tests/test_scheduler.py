@@ -440,14 +440,13 @@ class TestHoldAndDrop:
 
 
 class TestRoundMemo:
-    """A try that failed rules out larger shapes, and a first-fit plan moves
+    """A try that failed rules out the same shape, and a first-fit plan moves
     its shape's start, for the rest of its round only, and never for failure
     handling."""
 
-    def test_a_failed_shape_is_not_tried_again_in_its_round(self, monkeypatch):
-        """b equals a, which found neither free room nor a cheaper victim, so
-        b goes to the cloud untried: one free-space plan and one eviction try
-        for the two."""
+    @staticmethod
+    def count_tries(monkeypatch):
+        """Counts of free-space plans and eviction tries, from now on."""
         calls = Counter()
         real_place = hcs_scheduler.try_place_free
         real_evict = HcsScheduler._try_deploy_with_eviction
@@ -462,6 +461,13 @@ class TestRoundMemo:
 
         monkeypatch.setattr(hcs_scheduler, "try_place_free", place)
         monkeypatch.setattr(HcsScheduler, "_try_deploy_with_eviction", evict)
+        return calls
+
+    def test_a_failed_shape_is_not_tried_again_in_its_round(self, monkeypatch):
+        """b equals a, which found neither free room nor a cheaper victim, so
+        b goes to the cloud untried: one free-space plan and one eviction try
+        for the two."""
+        calls = self.count_tries(monkeypatch)
         s = HcsScheduler(one_node(), cost_params=QUARTER_CPU)
         s.submit_request(job_with_step("r", 3000), 0.0)
         s.run_round(30.0)
@@ -471,6 +477,21 @@ class TestRoundMemo:
         d = s.run_round(60.0)
         assert [c.job_id for c in clouds_of(d)] == ["a", "b"]
         assert calls == {"place": 1, "evict": 1}
+
+    def test_a_larger_shape_than_a_failed_one_is_tried(self, monkeypatch):
+        """a and b cost what the resident r costs, so neither has a strictly
+        cheaper victim; b is larger than a in cpu, not the same shape, so it
+        is tried: two free-space plans and two eviction tries."""
+        calls = self.count_tries(monkeypatch)
+        s = HcsScheduler(one_node(cpu=1000), cost_params=MEM_COST)
+        s.submit_request(job_with_step("r", 1000, mem=100), 0.0)
+        assert [e.job_id for e in edges_of(s.run_round(30.0))] == ["r"]
+        calls.clear()
+        s.submit_request(job_with_step("a", 500, mem=100), 31.0)
+        s.submit_request(job_with_step("b", 800, mem=100), 31.0)
+        d = s.run_round(60.0)
+        assert [c.job_id for c in clouds_of(d)] == ["a", "b"]
+        assert calls == {"place": 2, "evict": 2}
 
     def test_a_first_fit_start_lives_for_one_round(self):
         """Round 1 fills node 0 and moves the shape's start to node 1; a
