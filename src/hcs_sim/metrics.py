@@ -8,7 +8,7 @@ import io
 import json
 from collections.abc import Iterator
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from hcs_sim.core_model import InternalConsistencyError, Record, ValidationError
@@ -112,13 +112,11 @@ class RunReport(Record):
 
     @property
     def total_cost(self) -> float:
-        return sum(e.cost for e in self.cost_ledger)
+        return sum(e.cost for e in self.cost_ledger)  # in ledger order, as emit_report sums
 
     @property
     def deadline_met_fraction(self) -> float:
-        if not self.job_outcomes:
-            return 1.0
-        return sum(1 for o in self.job_outcomes if o.met) / len(self.job_outcomes)
+        return met_fraction([o.met for o in self.job_outcomes])
 
     @property
     def mean_utilization(self) -> float:
@@ -135,6 +133,12 @@ class RunReport(Record):
     @property
     def peak_utilization(self) -> float:
         return max((s.cpu_ratio for s in self.utilization), default=0.0)
+
+
+def met_fraction(met: list[bool]) -> float:
+    """The share of jobs that met their deadline, of the jobs' verdicts;
+    1.0 when there are none."""
+    return sum(met) / len(met) if met else 1.0
 
 
 def time_weighted_utilization(trace: list[UtilizationSample], t0: float, t1: float) -> float:
@@ -250,16 +254,18 @@ def write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def summary_dict(report: RunReport) -> dict:
+def summary_dict(report: RunReport, total_cost: float, deadline_met_fraction: float) -> dict:
+    """The run's summary, with the report's total cost and fraction of
+    deadlines met as the writer computed them from its rows."""
     return {
         "scenario_id": report.scenario_id,
         "mode": report.mode,
         "placement": report.placement,
         "job_count": len(report.job_outcomes),
-        "total_cost": round9(report.total_cost),
+        "total_cost": round9(total_cost),
         "mean_utilization": round9(report.mean_utilization),
         "peak_utilization": round9(report.peak_utilization),
-        "deadline_met_fraction": round9(report.deadline_met_fraction),
+        "deadline_met_fraction": round9(deadline_met_fraction),
         "end_time": round9(report.end_time),
         "horizon_reached": report.horizon_reached,
     }
@@ -287,9 +293,11 @@ def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = F
                ["time", "allocated_cpu_millicores", "capacity_cpu_millicores",
                 "allocated_memory_mb", "capacity_memory_mb", "cpu_utilization"], samples)
 
+    # each cost read once; the total sums them in ledger order, as RunReport.total_cost does
     ledger = [(e.job_id, e.step_id, e.region, e.rcost_per_second, e.deploy_start, e.deploy_end,
-               e.cost) for e in sorted(report.cost_ledger,
-                                       key=attrgetter("job_id", "step_id", "deploy_start"))]
+               e.cost) for e in report.cost_ledger]
+    total_cost = sum([row[6] for row in ledger])
+    ledger.sort(key=itemgetter(0, 1, 4))  # by job_id, step_id and deploy_start
     _write_csv(out / "cost_ledger.csv", ["job_id", "step_id", "region", "rcost_per_second",
                                          "deploy_start", "deploy_end", "cost"], ledger)
 
@@ -301,7 +309,7 @@ def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = F
                                           "duration", "deadline", "met", "miss_by", "completed"],
                outcomes)
 
-    summary = summary_dict(report)
+    summary = summary_dict(report, total_cost, met_fraction([row[6] for row in outcomes]))
     write_json(out / "summary.json", summary)
     if not emit_plot_data:
         return summary

@@ -20,9 +20,9 @@ but a step completion and the horizon through one table of bound handlers.
 
 A cloud-only run without faults or a horizon needs no queue: nothing
 interrupts its jobs, which share only the round grid. run() computes it job
-by job (_run_cloud_only) and sorts the rows into the event loop's order. The
-event loop, _Engine, stays the one general path and the reference the tests
-check that shortcut against.
+by job (_run_cloud_only), jobs alike in template and round once, and sorts
+the rows into the event loop's order. The event loop, _Engine, stays the one
+general path and the reference the tests check that shortcut against.
 """
 
 from __future__ import annotations
@@ -555,13 +555,16 @@ def _run_cloud_only(scenario: Scenario, arrivals: list[ScheduledArrival]) -> Run
     Nothing can interrupt such a job, and jobs share nothing but the round
     grid: every step of a job deploys in the cloud at the round after its
     arrival, its driver projects once, and each step completes as projected.
-    The rows are then sorted into the order the event loop appends them:
-    ledger rows by round, then in the round's (-rcost, arrival, job_id,
-    step_id) request order; outcomes by completion time, then by the order
-    the round projects jobs in, which is that of each job's first request.
-    Arrivals, rounds and completions never precede the round a job deploys
-    in, so the last completion ends the run. A duplicate job id runs through
-    _Engine, whose scheduler refuses it.
+    The speeds and pools are the run's, so jobs alike in template (DAG and
+    fragment count) and round complete alike, and are computed once: the
+    first job of each runs its driver, and the later ones take its
+    completions and build none. The rows are then sorted into the order the
+    event loop appends them: ledger rows by round, then in the round's
+    (-rcost, arrival, job_id, step_id) request order; outcomes by completion
+    time, then by the order the round projects jobs in, which is that of each
+    job's first request. Arrivals, rounds and completions never precede the
+    round a job deploys in, so the last completion ends the run. A duplicate
+    job id runs through _Engine, whose scheduler refuses it.
     """
     require_finite_rounds(arrivals, scenario.round_length)
     if len({a.job.job_id for a in arrivals}) != len(arrivals):
@@ -570,23 +573,38 @@ def _run_cloud_only(scenario: Scenario, arrivals: list[ScheduledArrival]) -> Run
     ledger: list[tuple] = []  # (round, -rcost, arrival, job_id, step_id, entry)
     # (completion, round, the job's first request's -rcost, arrival, job_id, outcome)
     outcomes: list[tuple] = []
-    drivers: dict[str, PipelineDriver] = {}
+    drivers: dict[str, PipelineDriver] = {}  # each job's id to the driver that computed it
+    requests_of: dict[int, list] = {}  # by DAG: its steps in request order
+    # by (DAG, fragment count, round): the driver, each step's completion and
+    # the job's end; every DAG keyed stays alive with the arrivals
+    computed: dict[tuple, tuple] = {}
     for a in arrivals:
         job, now = a.job, next_round_at(a.time, scenario.round_length)
-        drv = drivers[job.job_id] = PipelineDriver(job, scenario.edge_speed, scenario.cloud_speed)
-        requests = sorted((-rcost(step, params), step.step_id, step) for step in job.dag.steps)
-        entries = {}
-        for cost, step_id, step in requests:
-            entry = entries[step_id] = CostLedgerEntry(job.job_id, step_id, "cloud", -cost, now)
-            ledger.append((now, cost, a.time, job.job_id, step_id, entry))
-            drv.deploy(step_id, "cloud", concurrency or step.replicas, now)
-        # projected completions in the order their events pop: by time, ties
-        # in projection order
-        for step_id, time in sorted(drv.project(now), key=itemgetter(1)):
-            entries[step_id].deploy_end = time
-            if drv.on_step_complete(step_id, time):
-                outcomes.append((time, now, requests[0][0], a.time, job.job_id, JobOutcome(
-                    job.job_id, a.template, job.arrival_time, time, job.deadline)))
+        requests = requests_of.get(id(job.dag))
+        if requests is None:
+            requests = requests_of[id(job.dag)] = sorted(
+                (-rcost(step, params), step.step_id, step) for step in job.dag.steps)
+        key = (id(job.dag), job.fragment_count, now)
+        seen = computed.get(key)
+        if seen is None:
+            drv, end = PipelineDriver(job, scenario.edge_speed, scenario.cloud_speed), None
+            for _, step_id, step in requests:
+                drv.deploy(step_id, "cloud", concurrency or step.replicas, now)
+            # projected completions in the order their events pop: by time,
+            # ties in projection order
+            done = sorted(drv.project(now), key=itemgetter(1))
+            for step_id, time in done:
+                if drv.on_step_complete(step_id, time):
+                    end = time
+            seen = computed[key] = (drv, dict(done), end)
+        drv, ends, end = seen
+        drivers[job.job_id] = drv
+        for cost, step_id, _ in requests:
+            ledger.append((now, cost, a.time, job.job_id, step_id, CostLedgerEntry(
+                job.job_id, step_id, "cloud", -cost, now, ends.get(step_id))))
+        if end is not None:
+            outcomes.append((end, now, requests[0][0], a.time, job.job_id, JobOutcome(
+                job.job_id, a.template, job.arrival_time, end, job.deadline)))
     if len(outcomes) != len(arrivals):  # a finished job's driver has checked its journal
         _require_drained(drivers, len(arrivals))
     # the keys are unique, so no sort compares the records at their ends

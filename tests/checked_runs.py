@@ -12,7 +12,8 @@ For each workload it checks that
 - `wide`'s round memos skip at least one try; for each mode it prints the
   free-room tries, eviction tries and memo skips that CheckedEngine counts;
 - on `reference`, the job-by-job cloud-only run of `run()` equals the event
-  loop's.
+  loop's, and computes some jobs alike in template and round once: it prints
+  the drivers it built and the jobs served without one, and fails if none was.
 
 Run from a checkout with
 
@@ -29,8 +30,9 @@ import tempfile
 import time
 from pathlib import Path
 
-from hcs_sim import SchedulerMode, generate_arrivals, run
+from hcs_sim import SchedulerMode, generate_arrivals, run, sim_engine
 from hcs_sim.cli import load_scenario
+from hcs_sim.pipeline_driver import PipelineDriver
 from hcs_sim.sim_engine import _Engine
 from oracles import CheckedEngine, faults_per_object
 from workloads import DEFAULT_SEED, WORKLOADS
@@ -44,6 +46,15 @@ def main() -> None:
         return real_pop(heap)
 
     heapq.heappop = counting_pop  # events a run handles, counted as popped
+    built = [0]
+
+    class CountedDriver(PipelineDriver):
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    # the job-by-job path builds its drivers through this name; _Engine does not
+    sim_engine.PipelineDriver = CountedDriver
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in WORKLOADS.items():
             path = Path(tmp) / f"{name}.json"
@@ -83,16 +94,20 @@ def main() -> None:
             if name == "reference":
                 # fault-free and without a horizon: run() computes it job by job
                 cloud = scenario.replace(mode=SchedulerMode.CLOUD_ONLY)
-                counts = []
+                counts, built[0] = [], 0
                 for compute in (lambda: run(cloud, arrivals),
                                 lambda: _Engine(cloud, arrivals).run()):
                     popped[0] = 0
                     counts.append((compute(), popped[0]))
                 (fast, fast_events), (loop, loop_events) = counts
+                drivers = built[0]
                 print(f"reference cloud_only: run() handled {fast_events} events, "
-                      f"_Engine {loop_events}")
+                      f"_Engine {loop_events}; run() built {drivers} drivers and served "
+                      f"{len(arrivals) - drivers} of {len(arrivals)} jobs without one")
                 if fast != loop:
                     sys.exit("reference cloud_only: run() and _Engine(...).run() differ")
+                if drivers >= len(arrivals):
+                    sys.exit("reference cloud_only: run() served no job without a driver")
 
 
 if __name__ == "__main__":

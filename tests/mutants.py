@@ -79,6 +79,13 @@ MUTANTS = [
         first=("tests/test_differential.py",)),
     Mutant("job-by-job-ledger-in-arrival-order", "sim_engine.py", (
         ("    ledger.sort()\n", ""),), "killed", first=("tests/test_differential.py",)),
+    Mutant("cloud-only-key-ignores-fragment-count", "sim_engine.py", (
+        ("key = (id(job.dag), job.fragment_count, now)", "key = (id(job.dag), now)"),),
+        "killed", first=("tests/test_differential.py",)),
+    Mutant("cloud-only-key-ignores-round", "sim_engine.py", (
+        ("key = (id(job.dag), job.fragment_count, now)",
+         "key = (id(job.dag), job.fragment_count)"),), "killed",
+        first=("tests/test_differential.py",)),
     Mutant("drained-check-dropped", "sim_engine.py", (
         ("_require_drained(self.drivers, len(self.arrivals))", "pass"),), "killed",
         first=("tests/test_sim_engine.py",)),
@@ -160,7 +167,8 @@ MUTANTS = [
         ("    [(_, s)] = _runs(args, phases, out, [(\"run\", scenario)])\n",
          "    [(report, _)] = _runs(args, phases, out, [(\"run\", scenario)])\n"
          "    from hcs_sim.metrics import summary_dict\n"
-         "    s = summary_dict(report)\n"),), "killed", first=("tests/test_commands.py",)),
+         "    s = summary_dict(report, report.total_cost, report.deadline_met_fraction)\n"),),
+        "killed", first=("tests/test_commands.py",)),
     Mutant("fault-shape-takes-a-bool", "cli.py", (
         ("if type(value) not in kind.types:", "if type(value) not in (*kind.types, bool):"),),
         "killed",

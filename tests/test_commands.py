@@ -74,18 +74,27 @@ def test_command_artifacts_match_their_pinned_digests(tmp_path, command):
 
 
 # (argv, calls to generate_arrivals and to arrivals_csv, calls to
-# summary_dict): one schedule, and one arrivals.csv, per arrival process, one
-# summary per run
+# summary_dict, reads of each cost per cost_ledger.csv row): one schedule, and
+# one arrivals.csv, per arrival process, one summary per run, and each cost
+# read where its row is written; baseline also sums both ledgers through
+# cost_vs_baseline and again for its printout
 ONCE = [
-    (["run"], 1, 1),
-    (["sweep", "--placement", "all"], 1, 4),
-    (["baseline"], 1, 2),
-    (["replicate", "--seeds", "3,4,5"], 3, 3),
+    (["run"], 1, 1, 1),
+    (["sweep", "--placement", "all"], 1, 4, 1),
+    (["baseline"], 1, 2, 3),
+    (["replicate", "--seeds", "3,4,5"], 3, 3, 1),
 ]
 
 
-@pytest.mark.parametrize("argv, schedules, summaries", ONCE, ids=[a[0] for a, *_ in ONCE])
-def test_each_value_is_computed_once(tmp_path, monkeypatch, argv, schedules, summaries):
+def rows_written(out: Path, name: str) -> int:
+    """The rows of every file called name under out, headers not counted."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines()) - 1 for p in out.rglob(name))
+
+
+@pytest.mark.parametrize("argv, schedules, summaries, cost_reads", ONCE,
+                         ids=[a[0] for a, *_ in ONCE])
+def test_each_value_is_computed_once(tmp_path, monkeypatch, argv, schedules, summaries,
+                                     cost_reads):
     calls = Counter()
 
     def counted(name, fn):
@@ -106,10 +115,19 @@ def test_each_value_is_computed_once(tmp_path, monkeypatch, argv, schedules, sum
     for module in (cli, metrics):
         if hasattr(module, "summary_dict"):
             monkeypatch.setattr(module, "summary_dict", summary_dict)
+    # a summary's total cost and fraction of deadlines met come from the
+    # costs and verdicts of the rows the writer computed for its tables
+    monkeypatch.setattr(metrics.CostLedgerEntry, "cost",
+                        property(counted("cost", metrics.CostLedgerEntry.cost.fget)))
+    monkeypatch.setattr(metrics.JobOutcome, "verdict",
+                        counted("verdict", metrics.JobOutcome.verdict))
     path = write_scenario(tmp_path, 20)
-    assert main([*argv, "--config", path, "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"generate_arrivals": schedules, "arrivals_csv": schedules,
-                     "summary_dict": summaries}
+    out = tmp_path / "o"
+    assert main([*argv, "--config", path, "--out", str(out)]) == 0
+    ledger_rows = rows_written(out, "cost_ledger.csv")
+    assert ledger_rows and calls == {
+        "generate_arrivals": schedules, "arrivals_csv": schedules, "summary_dict": summaries,
+        "cost": cost_reads * ledger_rows, "verdict": rows_written(out, "job_outcomes.csv")}
 
 
 def write_digests() -> None:

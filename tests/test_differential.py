@@ -299,6 +299,23 @@ def test_cloud_only_runs_match_the_event_loop(monkeypatch):
         run(sc)
 
 
+def test_cloud_only_jobs_of_one_dag_and_round_differ_by_fragment_count():
+    """Two templates share one PipelineDag object but not their fragment
+    count, and jobs of both arrive in one round and in the next: run(),
+    which computes jobs alike in template and round once, must give the
+    event loop's report and bytes. The generated scenarios share no DAG
+    object between templates, so only this scenario tells the fragment
+    count apart in that key."""
+    dag = PipelineDag((StepSpec("a", ResourceVector(500, 256), 1, 1.0),
+                       StepSpec("b", ResourceVector(250, 512), 2, 2.0, False)), (("a", "b"),))
+    sc = Scenario("shared-dag", (), {"few": BatchJob("few", dag, 2, 600.0),
+                                     "many": BatchJob("many", dag, 5, 600.0)},
+                  ExplicitArrivals((1.0, 2.0, 3.0, 4.0, 31.0, 32.0),
+                                   ("few", "many", "few", "many", "many", "few")),
+                  mode=SchedulerMode.CLOUD_ONLY)
+    assert job_by_job_differences(sc) == []
+
+
 def test_runs_leave_no_cyclic_garbage():
     """A command pauses the cyclic collector, which is safe only while runs
     make no reference cycles: none of the generated scenarios, faults and

@@ -556,11 +556,34 @@ class TestDrained:
             sc.replace(mode=SchedulerMode.CLOUD_ONLY), arrivals),
     ], ids=["event-loop", "job-by-job"])
     def test_a_job_short_of_its_last_step_is_refused(self, monkeypatch, compute):
+        """Every unfinished job is named, the second of two alike in
+        template and round too, which job by job builds no driver."""
         monkeypatch.setattr(PipelineDriver, "on_step_complete", lambda self, step_id, now: False)
-        sc = scenario()
-        with pytest.raises(InternalConsistencyError) as err:
-            compute(sc, generate_arrivals(sc.arrivals, sc.catalog))
-        assert str(err.value) == "run drained with unfinished work: ['basic-0000']"
+        for times, unfinished in [((5.0,), "['basic-0000']"),
+                                  ((5.0, 6.0), "['basic-0000', 'basic-0001']")]:
+            sc = scenario(arrivals=ExplicitArrivals(times))
+            with pytest.raises(InternalConsistencyError) as err:
+                compute(sc, generate_arrivals(sc.arrivals, sc.catalog))
+            assert str(err.value) == f"run drained with unfinished work: {unfinished}"
+
+
+class TestCloudOnlyMemo:
+    def test_jobs_alike_in_template_and_round_build_one_driver(self, monkeypatch):
+        """saturating_mix, forced cloud-only, builds a driver for 513 of its
+        800 jobs: each later job of a template in a round takes the first
+        one's completions."""
+        built = []
+
+        class CountedDriver(PipelineDriver):
+            def __init__(self, *args):
+                built.append(args[0].job_id)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sim_engine, "PipelineDriver", CountedDriver)
+        s, _ = load_scenario(Path(__file__).resolve().parent.parent
+                             / "scenarios" / "saturating_mix.json")
+        r = run(s.replace(mode=SchedulerMode.CLOUD_ONLY))
+        assert (len(built), len(r.job_outcomes)) == (513, 800)
 
 
 class TestInjectFaults:
