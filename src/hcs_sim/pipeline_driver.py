@@ -15,8 +15,9 @@ fragments finished by then are journaled, started ones are in flight, ready
 ones queue. The interruption then applies and the job is projected again.
 A plan follows from the state, the DAG, the fragment count, the speeds and
 the instant alone, so jobs alike in all of them may share one first plan
-(project's memo). Plans, and the lists and runs in them, are therefore
-read-only: a commit slices them into new lists.
+(project's memo). A plan names each step by its id and holds nothing of one
+driver, so a shared plan is used as it is. Plans, and the lists and runs in
+them, are therefore read-only: a commit slices them into new lists.
 
 A one-worker step may plan its finish times as a run, first + k*step for
 k < n, in place of a float per fragment: _fifo gives the cases, and _exact the
@@ -271,39 +272,25 @@ class PipelineDriver:
         and are read-only.
 
         memo, kept by the caller for one instant, shares first plans: a job
-        projected for the first time takes the completions and the plan of
-        an earlier job in memo with the same DAG, fragment count and state
-        of every step (_state_key), and does not walk them. Every job that
-        uses one memo has the same now and speeds, and its DAG stays alive,
-        so the DAG's identity stands for its step specs. Later plans, which
-        rarely repeat, are walked without a key.
+        projected for the first time is keyed by its DAG, fragment count and
+        every step's state (_state_key), and takes the completions and plan
+        of an earlier job of its key as they are, without a walk. Every job
+        that uses one memo has the same now and speeds, and its DAG stays
+        alive, so the DAG's identity stands for its step specs. Later plans,
+        which rarely repeat, are walked without a key.
         """
         if self._plan is not None:
             raise InternalConsistencyError(f"job {self.job.job_id} projected twice")
         self.version += 1
         if memo is None or self.version != 1:
             return list(self._follow(now).items())
-        group = (id(self.job.dag), self.m)
-        plans = memo.get(group)
-        if plans is None:
-            # the group's first job is keyed only when a second one comes;
-            # projecting does not change its state
-            done = list(self._follow(now).items())
-            memo[group] = (self, done)
-            return done
-        if plans.__class__ is tuple:
-            first, done = plans
-            plans = memo[group] = {first._state_key(): (done, first._plan)}
-        key = self._state_key()
-        served = plans.get(key)
+        key = (id(self.job.dag), self.m, self._state_key())
+        served = memo.get(key)
         if served is None:
             done = list(self._follow(now).items())
-            plans[key] = (done, self._plan)
+            memo[key] = (done, self._plan)
             return done
-        done, plan = served
-        steps = self.steps
-        self._plan = [(sid, steps[sid], n_ready, a_times, fins, free)
-                      for sid, _, n_ready, a_times, fins, free in plan]
+        done, self._plan = served
         return done
 
     def _state_key(self) -> tuple:
@@ -323,7 +310,9 @@ class PipelineDriver:
         plan, self._plan = self._plan, None
         if plan is None:
             return
-        for sid, rt, n_ready, a_times, fins, free in plan:
+        steps = self.steps
+        for sid, n_ready, a_times, fins, free in plan:
+            rt = steps[sid]
             flight = rt.flight
             n_fl = bisect_right(flight, now)
             ran = fins.__class__ is _Run
@@ -404,12 +393,13 @@ class PipelineDriver:
         """Walk every step's schedule from the durable state at t0 and keep it
         as the plan commit cuts.
 
-        Returns the completion time of each step the schedule finishes. A
-        step's plan holds the number of fragments ready at t0, the ready
-        times of the ones that arrive after them, the finish times of the
-        queue (each a list or a run) and the idle workers at t0 (None when
-        the step does not dispatch). It stores no copy of the in-flight
-        finish times: every mutator commits before it replaces them.
+        Returns the completion time of each step the schedule finishes. Per
+        unfinished step the plan holds (sid, n_ready, a_times, fins, free):
+        its id, the fragments ready at t0, the ready times of the ones that
+        arrive after them, the queue's finish times (each a list or a run)
+        and the idle workers at t0 (None when it does not dispatch). It holds
+        no runtime or in-flight finish times: commit reads the driver's own,
+        and every mutator commits before it replaces them.
         """
         # per step, the finish times of its next unjournaled fragments in the plan
         done: dict[str, list[float] | _Run] = {}
@@ -438,7 +428,7 @@ class PipelineDriver:
                     finished[sid] = all_fins.last
             elif rt.done + len(all_fins) == self.m:
                 finished[sid] = all_fins[-1]
-            plan.append((sid, rt, n_ready, a_times, fins, free))
+            plan.append((sid, n_ready, a_times, fins, free))
         self._plan = plan
         return finished
 

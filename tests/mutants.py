@@ -188,12 +188,17 @@ MUTANTS = [
         ("rt.done, tuple(rt.flight), rt.ready)", "rt.done, rt.ready)"),), "killed",
         first=("tests/test_driver.py",)),
     Mutant("projection-memo-ignores-fragment-count", "pipeline_driver.py", (
-        ("group = (id(self.job.dag), self.m)", "group = (id(self.job.dag), 0)"),), "killed",
+        ("key = (id(self.job.dag), self.m, self._state_key())",
+         "key = (id(self.job.dag), 0, self._state_key())"),), "killed",
+        first=("tests/test_driver.py",)),
+    Mutant("projection-memo-ignores-dag", "pipeline_driver.py", (
+        ("key = (id(self.job.dag), self.m, self._state_key())",
+         "key = (self.m, self._state_key())"),), "killed",
         first=("tests/test_driver.py",)),
     Mutant("projection-memo-outlives-its-instant", "sim_engine.py", (
         ("            memo: dict = {}  #",
          "            memo: dict = self.__dict__.setdefault(\"_memo\", {})  #"),),
-        "killed", first=("tests/test_differential.py",)),
+        "killed", first=("tests/test_sim_engine.py",)),
     Mutant("sample-before-projecting", "sim_engine.py", (
         ("        if self._touched:\n"
          "            heap, push, seq = self.heap, heapq.heappush, self.seq\n"

@@ -779,7 +779,8 @@ def check_first_fit_start(step, free, start) -> None:
 
 def clone_driver(drv):
     """A copy of a driver whose commit leaves the original as it was: a step
-    holds scalars and a finish-time list the driver only ever replaces."""
+    holds scalars and a finish-time list the driver only ever replaces, and
+    the plan, which names its steps, is read-only."""
     c = object.__new__(PipelineDriver)
     c.__dict__.update(drv.__dict__)
     c.steps = {}
@@ -787,19 +788,17 @@ def clone_driver(drv):
         c.steps[sid] = copy = object.__new__(_StepRuntime)
         for name in _StepRuntime.__slots__:
             setattr(copy, name, getattr(rt, name))
-    if drv._plan is not None:
-        c._plan = [(sid, c.steps[sid], *rest) for sid, _, *rest in drv._plan]
     return c
 
 
 def plan_view(drv):
-    """A driver's plan with each run as its (first, step, n) and each step
-    as whether it is the driver's own, so two plans compare by value."""
+    """A driver's plan with each run as its (first, step, n), so two plans
+    compare by value."""
     def times(t):
         return ("run", t.first, t.step, t.n) if type(t) is _Run else list(t)
 
-    return [(sid, rt is drv.steps[sid], n_ready, times(a_times), times(fins), free)
-            for sid, rt, n_ready, a_times, fins, free in drv._plan]
+    return [(sid, n_ready, times(a_times), times(fins), free)
+            for sid, n_ready, a_times, fins, free in drv._plan]
 
 
 class CheckedDriver(PipelineDriver):

@@ -348,8 +348,9 @@ def test_generator_reaches_the_hard_cases(monkeypatch):
     walks = []
 
     def project(self, now, memo=None):
+        group = (id(self.job.dag), self.m)
         grouped = (memo is not None and self.version == 0
-                   and (id(self.job.dag), self.m) in memo)
+                   and any(key[:2] == group for key in memo))
         walked = len(walks)
         completions = real_project(self, now, memo)
         if grouped:

@@ -411,8 +411,8 @@ def _random_plans(rng, trials):
         for _ in range(8):
             drv.project(t0)
             times = {t0}
-            for _, rt, _, a_times, fins, _ in drv._plan:
-                times.update(_values(a_times), _values(fins), rt.flight)
+            for sid, _, a_times, fins, _ in drv._plan:
+                times.update(_values(a_times), _values(fins), drv.steps[sid].flight)
             cuts = sorted({c + e for c in times for e in (-1e-9, 0.0, 1e-9)})
             yield trial, drv, t0, cuts
             t0 = rng.choice([c for c in cuts if c < 30.0] or [t0])
@@ -427,10 +427,11 @@ def test_commit_cuts_the_plan_as_a_rewalk_would():
     cuts_checked = workers_bound = 0
     for trial, drv, t0, cuts in _random_plans(random.Random(8), 150):
         # cuts where the workers freed, not the fragments ready, bound the starts
-        for _, rt, n_ready, a_times, fins, free in drv._plan:
+        for sid, n_ready, a_times, fins, free in drv._plan:
             a_times, fins = _values(a_times), _values(fins)
+            flight = drv.steps[sid].flight
             for cut in cuts if free is not None else ():
-                freed = free + sum(fin <= cut for fin in [*rt.flight, *fins])
+                freed = free + sum(fin <= cut for fin in [*flight, *fins])
                 workers_bound += freed < n_ready + bisect_right(a_times, cut)
         for cut in cuts:
             cut_drv, walk_drv = clone_driver(drv), clone_driver(drv)
@@ -485,8 +486,9 @@ def _of_template(template, job_id, fragments=None):
 
 def test_jobs_of_one_template_deployed_alike_share_one_walk(monkeypatch):
     """Jobs of one template deployed alike at one instant walk their plan
-    once; each takes a plan equal to its own unmemoized projection, over its
-    own steps, and a commit of one leaves the others' plans as they were."""
+    once; each takes the first's plan itself, which equals its own
+    unmemoized projection, and a commit of one leaves the others' plans and
+    states as they were."""
     template = make_job(5, 9, 1.5, replicas=2, edges=[
         ("s0", "s3"), ("s1", "s3"), ("s2", "s3"), ("s3", "s4")],
         ff_flags=[True, True, True, True, False])
@@ -502,9 +504,13 @@ def test_jobs_of_one_template_deployed_alike_share_one_walk(monkeypatch):
     assert walks == ["j0"]
     for drv, completions, (want_completions, want_plan) in zip(drivers, got, want):
         assert completions == want_completions and plan_view(drv) == want_plan
-        assert all(rt is drv.steps[sid] for sid, rt, *_ in drv._plan)
+    assert all(drv._plan is drivers[0]._plan for drv in drivers[1:])
+    keys = [drv._state_key() for drv in drivers[1:]]
     drivers[0].commit(13.0)
     assert [plan_view(drv) for drv in drivers[1:]] == [plan for _, plan in want[1:]]
+    # a commit of the shared plan writes only the committing job's steps
+    assert [drv._state_key() for drv in drivers[1:]] == keys
+    assert drivers[0]._state_key() != keys[0]
     # a later plan walks, even with the same memo
     drivers[0].project(13.0, memo)
     assert walks == ["j0", "j0"]

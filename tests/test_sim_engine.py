@@ -194,6 +194,27 @@ class TestRounds:
         with pytest.raises(ValidationError, match="round_length"):
             require_finite_rounds([ScheduledArrival(2.0 ** 53, "a", None)], 1.0)
 
+    def test_each_instant_projects_with_a_memo_of_its_own(self, monkeypatch):
+        """The projection memo keys no instant, so the engine hands each
+        instant that projects a fresh one: jobs arriving in two rounds
+        project at both round instants, and no memo is seen at two."""
+        sc = scenario(catalog={"basic": template([step(), step("s1")], [("s0", "s1")])},
+                      arrivals=ExplicitArrivals((1.0, 2.0, 11.0, 12.0)), round_length=10.0)
+        seen: list[tuple[dict, float]] = []  # holds each memo, so no id is reused
+        real = PipelineDriver.project
+
+        def project(self, now, memo=None):
+            seen.append((memo, now))
+            return real(self, now, memo)
+
+        monkeypatch.setattr(PipelineDriver, "project", project)
+        _Engine(sc, generate_arrivals(sc.arrivals, sc.catalog)).run()
+        instants = {}
+        for memo, now in seen:
+            instants.setdefault(id(memo), set()).add(now)
+        assert {now for _, now in seen} == {10.0, 20.0}
+        assert all(len(nows) == 1 for nows in instants.values())
+
     def test_a_served_plan_other_than_the_walked_one_is_an_internal_error(self, monkeypatch):
         """Three jobs of one template join the round at 10, and the node
         holds two, so the third runs on the cloud. The checked run walks
