@@ -427,7 +427,8 @@ def cmd_baseline(args, scenario: Scenario, out: Path, phases: dict[str, float]) 
     (hybrid, hybrid_summary), (baseline, baseline_summary) = _runs(args, phases, out, [
         ("hybrid", scenario.replace(mode=SchedulerMode.CHEAPEST_FIRST)),
         ("cloud_only", scenario.replace(mode=SchedulerMode.CLOUD_ONLY))])
-    pct = cost_vs_baseline(hybrid, baseline)
+    hybrid_cost, baseline_cost = hybrid.total_cost, baseline.total_cost  # each read once
+    pct = cost_vs_baseline(hybrid_cost, baseline_cost)
     _timed(phases, "emit", write_json, out / "baseline_summary.json", {
         "scenario_id": scenario.scenario_id,
         "cost_vs_baseline_percent": round9(pct),
@@ -435,7 +436,7 @@ def cmd_baseline(args, scenario: Scenario, out: Path, phases: dict[str, float]) 
         "cloud_only": baseline_summary,
     })
     print(f"hybrid cost is {pct:.2f}% of the cloud-only baseline "
-          f"({hybrid.total_cost:g} vs {baseline.total_cost:g})")
+          f"({hybrid_cost:g} vs {baseline_cost:g})")
     return 0
 
 

@@ -208,15 +208,14 @@ def rcost(step: StepSpec, params: CostParams) -> float:
     return per_replica * step.replicas
 
 
-def validate_job(job: BatchJob, execution_timeout: float = 60.0,
-                 min_speed_factor: float = 1.0) -> list[str]:
+def validate_job(job: BatchJob, execution_timeout: float, min_speed_factor: float) -> list[str]:
     """Collect every invariant violation in a job spec; empty list means acceptable.
 
     Args:
         job: candidate job.
-        execution_timeout: per-fragment wall-clock limit enforced at admission.
-        min_speed_factor: slowest region's speed factor, > 0; effective service
-            time is service_time / speed, and the slowest region is the binding one.
+        execution_timeout: the scenario's per-fragment wall-clock limit.
+        min_speed_factor: the speed factor of the scenario's slowest region, > 0;
+            effective service time is service_time / speed, and that region binds.
 
     Returns:
         Human-readable violations; callers decide whether to raise.

@@ -165,15 +165,13 @@ def time_weighted_utilization(trace: list[UtilizationSample], t0: float, t1: flo
     return area / (t1 - t0)
 
 
-def cost_vs_baseline(report: RunReport, baseline: RunReport) -> float:
-    """Hybrid cost as a percentage of the baseline's."""
-    base = baseline.total_cost
-    hybrid = report.total_cost
-    if base == 0.0:
-        if hybrid > 0.0:
+def cost_vs_baseline(cost: float, baseline_cost: float) -> float:
+    """A run's total cost as a percentage of its baseline's; 100 when both are 0."""
+    if baseline_cost == 0.0:
+        if cost > 0.0:
             raise ValidationError("baseline run has zero cost but hybrid does not")
         return 100.0
-    return 100.0 * hybrid / base
+    return 100.0 * cost / baseline_cost
 
 
 _FLOAT = ".9g"  # every float the reports print

@@ -154,12 +154,11 @@ Fault = NodeFailureFault | DriverRestartFault
 
 
 class ScheduledArrival(Record):
-    """One generated arrival: its time, its template's name and its job."""
+    """One generated arrival: its template's name and its job; its time is job.arrival_time."""
 
-    __slots__ = ("time", "template", "job")
+    __slots__ = ("template", "job")
 
-    def __init__(self, time: float, template: str, job: BatchJob):
-        self.time = time
+    def __init__(self, template: str, job: BatchJob):
         self.template = template
         self.job = job
 
@@ -273,7 +272,7 @@ def generate_arrivals(process: ArrivalProcess,
             u = rng.random()
             t += -math.log1p(-u) / process.rate
             name = names[rng.integers(len(names))]
-            out.append(ScheduledArrival(t, name, _job(catalog[name], f"{name}-{i:04d}", t)))
+            out.append(ScheduledArrival(name, _job(catalog[name], f"{name}-{i:04d}", t)))
         require((math.isfinite(t), "arrivals.rate: must be large enough for every "
                  "arrival time to be finite"))
         return out
@@ -281,7 +280,7 @@ def generate_arrivals(process: ArrivalProcess,
     out = []
     for i, t in enumerate(process.times):
         name = process.templates[i] if process.templates else names[i % len(names)]
-        out.append(ScheduledArrival(t, name, _job(catalog[name], f"{name}-{i:04d}", t)))
+        out.append(ScheduledArrival(name, _job(catalog[name], f"{name}-{i:04d}", t)))
     return out
 
 
@@ -296,7 +295,7 @@ def _job(template: BatchJob, job_id: str, arrival_time: float) -> BatchJob:
 def require_finite_rounds(arrivals: list[ScheduledArrival], round_length: float) -> None:
     """Refuse a schedule with an arrival time of 2^53 rounds or more, past
     which next_round_at, which each arrival asks for its round, is not exact."""
-    require((max((a.time for a in arrivals), default=0.0) / round_length < 2.0 ** 53,
+    require((max((a.job.arrival_time for a in arrivals), default=0.0) / round_length < 2.0 ** 53,
              "scheduler.round_length: must be large enough for every arrival "
              "time to be fewer than 2^53 rounds"))
 
@@ -320,6 +319,14 @@ def _require_drained(drivers: dict[str, PipelineDriver], arrival_count: int) -> 
     if incomplete or len(drivers) != arrival_count:
         raise InternalConsistencyError(
             f"run drained with unfinished work: {incomplete or 'missing arrivals'}")
+
+
+def _report(scenario: Scenario, arrivals: list[ScheduledArrival], samples: list, ledger: list,
+            outcomes: list, end_time: float, horizon_reached: bool = False) -> RunReport:
+    """The RunReport of a run over arrivals, from its rows; both paths of run() build it here."""
+    return RunReport(scenario.scenario_id, scenario.mode.value, scenario.placement.value,
+                     [(a.job.arrival_time, a.job.job_id, a.template) for a in arrivals],
+                     samples, ledger, outcomes, end_time, horizon_reached)
 
 
 class _Engine:
@@ -347,7 +354,6 @@ class _Engine:
         self.last_event_time = 0.0
         self.horizon_reached = False
         self._last_tick = 0.0  # the last round boundary pushed; each is > 0
-        require_finite_rounds(arrivals, scenario.round_length)
         # generous ceiling: a job is projected once per instant that touches
         # it, and each projection pushes at most one event per step. Those
         # instants are a few per step (its round, the rounds that evict or
@@ -360,7 +366,7 @@ class _Engine:
         self._event_budget = 10_000 + 100 * (pushes + len(arrivals) + len(scenario.faults))
 
         for i, a in enumerate(arrivals):
-            self._push(a.time, _ARRIVAL, i)
+            self._push(a.job.arrival_time, _ARRIVAL, i)
         for f in scenario.faults:
             if isinstance(f, NodeFailureFault):
                 self._push(f.time, _FAILURE, f.node_id)
@@ -520,17 +526,8 @@ class _Engine:
             _require_drained(self.drivers, len(self.arrivals))
         for entry in self._open.values():
             entry.deploy_end = end_time
-        return RunReport(
-            scenario_id=self.scenario.scenario_id,
-            mode=self.scenario.mode.value,
-            placement=self.scenario.placement.value,
-            arrivals=[(a.time, a.job.job_id, a.template) for a in self.arrivals],
-            utilization=self.samples,
-            cost_ledger=self.ledger,
-            job_outcomes=self.outcomes,
-            end_time=end_time,
-            horizon_reached=self.horizon_reached,
-        )
+        return _report(self.scenario, self.arrivals, self.samples, self.ledger, self.outcomes,
+                       end_time, self.horizon_reached)
 
     def _finish_at_horizon(self, now: float) -> None:
         """Mark the cut if the cap interrupted work; unfinished jobs count as
@@ -550,7 +547,8 @@ class _Engine:
 
 def _run_cloud_only(scenario: Scenario, arrivals: list[ScheduledArrival]) -> RunReport:
     """The report _Engine gives a cloud-only run without faults or a horizon,
-    computed job by job without its event queue or a scheduler.
+    computed job by job without its event queue or a scheduler, on a
+    schedule whose round grid run() has checked.
 
     Nothing can interrupt such a job, and jobs share nothing but the round
     grid: every step of a job deploys in the cloud at the round after its
@@ -566,7 +564,6 @@ def _run_cloud_only(scenario: Scenario, arrivals: list[ScheduledArrival]) -> Run
     round a job deploys in, so the last completion ends the run. A duplicate
     job id runs through _Engine, whose scheduler refuses it.
     """
-    require_finite_rounds(arrivals, scenario.round_length)
     if len({a.job.job_id for a in arrivals}) != len(arrivals):
         return _Engine(scenario, arrivals).run()
     params, concurrency = scenario.cost_params, scenario.cloud_concurrency
@@ -579,7 +576,7 @@ def _run_cloud_only(scenario: Scenario, arrivals: list[ScheduledArrival]) -> Run
     # the job's end; every DAG keyed stays alive with the arrivals
     computed: dict[tuple, tuple] = {}
     for a in arrivals:
-        job, now = a.job, next_round_at(a.time, scenario.round_length)
+        job, now = a.job, next_round_at(a.job.arrival_time, scenario.round_length)
         requests = requests_of.get(id(job.dag))
         if requests is None:
             requests = requests_of[id(job.dag)] = sorted(
@@ -600,26 +597,18 @@ def _run_cloud_only(scenario: Scenario, arrivals: list[ScheduledArrival]) -> Run
         drv, ends, end = seen
         drivers[job.job_id] = drv
         for cost, step_id, _ in requests:
-            ledger.append((now, cost, a.time, job.job_id, step_id, CostLedgerEntry(
+            ledger.append((now, cost, job.arrival_time, job.job_id, step_id, CostLedgerEntry(
                 job.job_id, step_id, "cloud", -cost, now, ends.get(step_id))))
         if end is not None:
-            outcomes.append((end, now, requests[0][0], a.time, job.job_id, JobOutcome(
+            outcomes.append((end, now, requests[0][0], job.arrival_time, job.job_id, JobOutcome(
                 job.job_id, a.template, job.arrival_time, end, job.deadline)))
     if len(outcomes) != len(arrivals):  # a finished job's driver has checked its journal
         _require_drained(drivers, len(arrivals))
     # the keys are unique, so no sort compares the records at their ends
     ledger.sort()
     outcomes.sort()
-    return RunReport(
-        scenario_id=scenario.scenario_id,
-        mode=scenario.mode.value,
-        placement=scenario.placement.value,
-        arrivals=[(a.time, a.job.job_id, a.template) for a in arrivals],
-        utilization=[],
-        cost_ledger=[row[-1] for row in ledger],
-        job_outcomes=[row[-1] for row in outcomes],
-        end_time=outcomes[-1][0] if outcomes else 0.0,
-    )
+    return _report(scenario, arrivals, [], [row[-1] for row in ledger],
+                   [row[-1] for row in outcomes], outcomes[-1][0] if outcomes else 0.0)
 
 
 def run(scenario: Scenario,
@@ -627,13 +616,15 @@ def run(scenario: Scenario,
     """Execute one scenario to completion (or its horizon) and report.
 
     A precomputed arrival schedule may be passed in so paired runs (baseline
-    comparisons, placement sweeps) consume identical arrivals. A cloud-only
-    run without faults or a horizon is computed job by job
-    (_run_cloud_only); every other run goes through the event loop (_Engine),
-    the one general path, against which the tests check the first.
+    comparisons, placement sweeps) consume identical arrivals; its round grid
+    is checked here, once for both paths. A cloud-only run without faults or
+    a horizon is computed job by job (_run_cloud_only); every other run goes
+    through the event loop (_Engine), the one general path, against which the
+    tests check the first.
     """
     if arrivals is None:
         arrivals = generate_arrivals(scenario.arrivals, scenario.catalog)
+    require_finite_rounds(arrivals, scenario.round_length)
     log(__name__, "info", "run %s: %d arrivals, mode=%s placement=%s",
         scenario.scenario_id, len(arrivals), scenario.mode.value, scenario.placement.value)
     if (scenario.mode is SchedulerMode.CLOUD_ONLY and not scenario.faults

@@ -92,6 +92,10 @@ MUTANTS = [
     Mutant("job-by-job-drained-check-dropped", "sim_engine.py", (
         ("_require_drained(drivers, len(arrivals))", "pass"),), "killed",
         first=("tests/test_sim_engine.py",)),
+    Mutant("report-drops-horizon", "sim_engine.py", (
+        ("samples, ledger, outcomes, end_time, horizon_reached)",
+         "samples, ledger, outcomes, end_time, False)"),), "killed",
+        first=("tests/test_sim_engine.py",)),
     Mutant("commit-flight-bisect-left", "pipeline_driver.py", (
         ("from bisect import bisect_right", "from bisect import bisect_left, bisect_right"),
         ("n_fl = bisect_right(flight, now)", "n_fl = bisect_left(flight, now)")), "killed"),
@@ -169,6 +173,10 @@ MUTANTS = [
          "    from hcs_sim.metrics import summary_dict\n"
          "    s = summary_dict(report, report.total_cost, report.deadline_met_fraction)\n"),),
         "killed", first=("tests/test_commands.py",)),
+    Mutant("baseline-percent-inverted", "cli.py", (
+        ("pct = cost_vs_baseline(hybrid_cost, baseline_cost)",
+         "pct = cost_vs_baseline(baseline_cost, hybrid_cost)"),), "killed",
+        first=("tests/test_cli.py",)),
     Mutant("fault-shape-takes-a-bool", "cli.py", (
         ("if type(value) not in kind.types:", "if type(value) not in (*kind.types, bool):"),),
         "killed",

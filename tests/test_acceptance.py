@@ -95,7 +95,7 @@ def template_makespan(job, speed):
 
 def test_hybrid_cost_lands_in_expected_band(saturating, announce):
     report = saturating.reports[PlacementPolicy.FIRST_FIT]
-    pct = cost_vs_baseline(report, saturating.baseline)
+    pct = cost_vs_baseline(report.total_cost, saturating.baseline.total_cost)
     elapsed = (saturating.baseline_elapsed
                + saturating.timings[PlacementPolicy.FIRST_FIT])
     ok = 8.0 <= pct <= 18.0 and elapsed < 30.0

@@ -774,6 +774,15 @@ def test_zero_capacity_node_rejected():
                                 "edge.node_memory_mb: must be >= 1"]
 
 
+def test_a_default_scenario_binds_the_timeout_at_its_slowest_region():
+    """50 s per fragment takes 62.5 s at the default edge speed of 0.8, over
+    the default timeout of 60 s: Scenario passes validate_job both values."""
+    with pytest.raises(ValidationError) as e:
+        library_scenario(catalog={"w": library_template(service_time=50.0)})
+    assert e.value.problems == ["workloads.w: job w step s0: effective service time 62.5s "
+                                "exceeds the execution timeout 60s"]
+
+
 class TestRunCommand:
     def test_run_writes_artifacts_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, minimal_config())

@@ -76,12 +76,12 @@ def test_command_artifacts_match_their_pinned_digests(tmp_path, command):
 # (argv, calls to generate_arrivals and to arrivals_csv, calls to
 # summary_dict, reads of each cost per cost_ledger.csv row): one schedule, and
 # one arrivals.csv, per arrival process, one summary per run, and each cost
-# read where its row is written; baseline also sums both ledgers through
-# cost_vs_baseline and again for its printout
+# read where its row is written; baseline also sums both ledgers once, for
+# cost_vs_baseline and its printout
 ONCE = [
     (["run"], 1, 1, 1),
     (["sweep", "--placement", "all"], 1, 4, 1),
-    (["baseline"], 1, 2, 3),
+    (["baseline"], 1, 2, 2),
     (["replicate", "--seeds", "3,4,5"], 3, 3, 1),
 ]
 

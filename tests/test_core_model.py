@@ -134,39 +134,39 @@ class TestSpecValidation:
             BatchJob("j", PipelineDag([make_step()]), 1, 0.0)
 
     def test_linear_pipeline_ok(self):
-        assert validate_job(chain_job(3), execution_timeout=60.0) == []
+        assert validate_job(chain_job(3), 60.0, 1.0) == []
 
     def test_cycle_detected(self):
         steps = [make_step("a"), make_step("b")]
         job = BatchJob("j", PipelineDag(steps, [("a", "b"), ("b", "a")]), 1, 10.0)
-        problems = validate_job(job, 60.0)
+        problems = validate_job(job, 60.0, 1.0)
         assert any("cycle" in p for p in problems)
         # a cycle behind a source
         steps = [make_step("a"), make_step("b"), make_step("c")]
         job = BatchJob("j", PipelineDag(steps, [("a", "b"), ("b", "c"), ("c", "b")]), 1, 10.0)
-        assert validate_job(job, 60.0) == ["job j: cycle detected"]
+        assert validate_job(job, 60.0, 1.0) == ["job j: cycle detected"]
 
     def test_timeout_violation(self):
         steps = [StepSpec("slow", ResourceVector(100, 10), 1, 61.0)]
         job = BatchJob("j", PipelineDag(steps), 1, 10.0)
-        problems = validate_job(job, 60.0)
+        problems = validate_job(job, 60.0, 1.0)
         assert len(problems) == 1 and "timeout" in problems[0]
         # exactly at the limit is allowed
         ok = BatchJob("j2", PipelineDag([StepSpec("s", ResourceVector(1, 1), 1, 60.0)]), 1, 10.0)
-        assert validate_job(ok, 60.0) == []
+        assert validate_job(ok, 60.0, 1.0) == []
 
     def test_timeout_uses_slowest_region(self):
         # 50 s of work takes 62.5 s at a 0.8-speed region
         steps = [StepSpec("s", ResourceVector(100, 10), 1, 50.0)]
         job = BatchJob("j", PipelineDag(steps), 1, 10.0)
-        assert validate_job(job, 60.0, min_speed_factor=0.8)
-        assert validate_job(job, 60.0, min_speed_factor=1.0) == []
+        assert validate_job(job, 60.0, 0.8)
+        assert validate_job(job, 60.0, 1.0) == []
 
     def test_duplicate_and_unknown_ids(self):
         job = BatchJob("j", PipelineDag([make_step("a"), make_step("a")]), 1, 10.0)
-        assert any("duplicate" in p for p in validate_job(job, 60.0))
+        assert any("duplicate" in p for p in validate_job(job, 60.0, 1.0))
         job2 = BatchJob("j", PipelineDag([make_step("a")], [("a", "zz")]), 1, 10.0)
-        assert any("unknown" in p for p in validate_job(job2, 60.0))
+        assert any("unknown" in p for p in validate_job(job2, 60.0, 1.0))
 
     def test_random_dags_accepted_iff_invariants_hold(self):
         # random DAG layering always yields acyclic graphs; reversing one edge
@@ -181,11 +181,11 @@ class TestSpecValidation:
                     if rng.random() < 0.4:
                         edges.append((f"s{i}", f"s{j}"))
             job = BatchJob("j", PipelineDag(steps, edges), 1, 10.0)
-            assert validate_job(job, 60.0) == []
+            assert validate_job(job, 60.0, 1.0) == []
             if edges and rng.random() < 0.5:
                 a, b = edges[rng.randrange(len(edges))]
                 bad = BatchJob("j", PipelineDag(steps, edges + [(b, a)]), 1, 10.0)
-                assert validate_job(bad, 60.0) != []
+                assert validate_job(bad, 60.0, 1.0) != []
 
 
 class TestDag:

@@ -110,27 +110,29 @@ class TestCostLedger:
 
 
 class TestCostVsBaseline:
+    """It takes the two runs' totals, as RunReport.total_cost gives them."""
+
     def test_identical_reports_are_100_percent(self):
         r = report(entries=[cloud_entry("j", "s", 10.0, 0.0, 10.0)])
-        assert cost_vs_baseline(r, r) == pytest.approx(100.0)
+        assert cost_vs_baseline(r.total_cost, r.total_cost) == pytest.approx(100.0)
 
     def test_thirteen_percent(self):
         hybrid = report(entries=[cloud_entry("j", "s", 1.0, 0.0, 13.0)])
         base = report(entries=[cloud_entry("j", "s", 1.0, 0.0, 100.0)])
-        assert cost_vs_baseline(hybrid, base) == pytest.approx(13.0)
+        assert cost_vs_baseline(hybrid.total_cost, base.total_cost) == pytest.approx(13.0)
 
     def test_all_edge_is_zero_percent(self):
         hybrid = report(entries=[CostLedgerEntry("j", "s", "edge", 5.0, 0.0, 10.0)])
         base = report(entries=[cloud_entry("j", "s", 5.0, 0.0, 10.0)])
-        assert cost_vs_baseline(hybrid, base) == 0.0
+        assert cost_vs_baseline(hybrid.total_cost, base.total_cost) == 0.0
 
     def test_zero_baseline_zero_hybrid(self):
-        assert cost_vs_baseline(report(), report()) == 100.0
+        assert cost_vs_baseline(report().total_cost, report().total_cost) == 100.0
 
     def test_zero_baseline_nonzero_hybrid_rejected(self):
         hybrid = report(entries=[cloud_entry("j", "s", 1.0, 0.0, 1.0)])
         with pytest.raises(ValidationError):
-            cost_vs_baseline(hybrid, report())
+            cost_vs_baseline(hybrid.total_cost, report().total_cost)
 
 
 class TestJobOutcome:
