@@ -374,11 +374,11 @@ def _timed(phases: dict[str, float], phase: str, fn, *args):
 
 def _runs(args, phases: dict[str, float], out: Path, runs: list[tuple[str, Scenario]]):
     """Run and emit each (directory name, scenario) pair of a command under
-    out, yielding each run's (report, summary). Runs that share an arrival
-    process share its one schedule, and the bytes of its arrivals.csv. Every
-    schedule is checked, and then every run directory made, before the first
-    run: a schedule out of range, or an output path that cannot be written,
-    is refused before any simulation."""
+    out, yielding each run's (summary, total cost) as emit_report returns
+    them. Runs that share an arrival process share its one schedule, and the
+    bytes of its arrivals.csv. Every schedule is checked, and then every run
+    directory made, before the first run: a schedule out of range, or an
+    output path that cannot be written, is refused before any simulation."""
     schedules = {}  # by the identity of the arrival process
     csvs = {}  # arrivals.csv, by the same key
     for _, s in runs:
@@ -393,14 +393,14 @@ def _runs(args, phases: dict[str, float], out: Path, runs: list[tuple[str, Scena
         report = _timed(phases, "simulate", run, s, schedules[id(s.arrivals)])
         if id(s.arrivals) not in csvs:
             csvs[id(s.arrivals)] = _timed(phases, "emit", arrivals_csv, report)
-        yield report, _timed(phases, "emit", emit_report, report, out / name,
-                             args.emit_plot_data, csvs[id(s.arrivals)])
+        yield _timed(phases, "emit", emit_report, report, out / name,
+                     args.emit_plot_data, csvs[id(s.arrivals)])
 
 
 def cmd_run(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> int:
     if args.placement:
         scenario = scenario.replace(placement=PlacementPolicy(args.placement))
-    [(_, s)] = _runs(args, phases, out, [("run", scenario)])
+    [(s, _)] = _runs(args, phases, out, [("run", scenario)])
     print(f"{s['scenario_id']}: {s['job_count']} jobs, total_cost {s['total_cost']:g}, "
           f"mean_utilization {s['mean_utilization']:.3f}, "
           f"deadline_met {s['deadline_met_fraction']:.3f} -> {out / 'run'}")
@@ -411,7 +411,7 @@ def cmd_sweep(args, scenario: Scenario, out: Path, phases: dict[str, float]) -> 
     placements = _PLACEMENTS if args.placement in (None, "all") else (args.placement,)
     runs = [(p, scenario.replace(placement=PlacementPolicy(p))) for p in placements]
     summary: dict[str, dict] = {}
-    for p, (_, s) in zip(placements, _runs(args, phases, out, runs)):
+    for p, (s, _) in zip(placements, _runs(args, phases, out, runs)):
         summary[p] = s
         print(f"{p}: total_cost {s['total_cost']:g}, "
               f"mean_utilization {s['mean_utilization']:.3f}")
@@ -424,10 +424,10 @@ def cmd_baseline(args, scenario: Scenario, out: Path, phases: dict[str, float]) 
     if not scenario.node_capacities:
         raise ValidationError("baseline compares a hybrid run with a cloud-only one, and "
                               "the hybrid run needs edge nodes (edge.node_count >= 1)")
-    (hybrid, hybrid_summary), (baseline, baseline_summary) = _runs(args, phases, out, [
-        ("hybrid", scenario.replace(mode=SchedulerMode.CHEAPEST_FIRST)),
-        ("cloud_only", scenario.replace(mode=SchedulerMode.CLOUD_ONLY))])
-    hybrid_cost, baseline_cost = hybrid.total_cost, baseline.total_cost  # each read once
+    # each total cost as the report writer summed it
+    (hybrid_summary, hybrid_cost), (baseline_summary, baseline_cost) = _runs(
+        args, phases, out, [("hybrid", scenario.replace(mode=SchedulerMode.CHEAPEST_FIRST)),
+                            ("cloud_only", scenario.replace(mode=SchedulerMode.CLOUD_ONLY))])
     pct = cost_vs_baseline(hybrid_cost, baseline_cost)
     _timed(phases, "emit", write_json, out / "baseline_summary.json", {
         "scenario_id": scenario.scenario_id,
@@ -457,7 +457,7 @@ def cmd_replicate(args, scenario: Scenario, out: Path, phases: dict[str, float])
     # every seed, and the schedule it draws, is checked before the first run
     runs = [(f"seed-{seed}", scenario.replace(arrivals=scenario.arrivals.replace(seed=seed)))
             for seed in seeds]
-    per_seed = {str(seed): s for seed, (_, s) in zip(seeds, _runs(args, phases, out, runs))}
+    per_seed = {str(seed): s for seed, (s, _) in zip(seeds, _runs(args, phases, out, runs))}
     import statistics  # its only user; fractions and decimal load with it
 
     aggregate = {}

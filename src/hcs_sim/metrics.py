@@ -270,11 +270,12 @@ def summary_dict(report: RunReport, total_cost: float, deadline_met_fraction: fl
 
 
 def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = False,
-                arrivals: bytes | None = None) -> dict:
+                arrivals: bytes | None = None) -> tuple[dict, float]:
     """Write the report as CSV files plus a JSON summary, and return the
-    summary; with emit_plot_data, also three small ready-to-plot series taken
-    from the same rows: utilization over time, cumulative cloud cost over
-    time, and per-job durations. arrivals, when given, is arrivals_csv of a
+    summary and the unrounded total cost it rounds, which equals the
+    report's total_cost; with emit_plot_data, also three small ready-to-plot
+    series taken from the same rows: utilization over time, cumulative cloud
+    cost over time, and per-job durations. arrivals, when given, is arrivals_csv of a
     run of the same schedule, written as it is.
 
     Output is byte-deterministic: stable sort orders, 9-significant-digit
@@ -310,7 +311,7 @@ def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = F
     summary = summary_dict(report, total_cost, met_fraction([row[6] for row in outcomes]))
     write_json(out / "summary.json", summary)
     if not emit_plot_data:
-        return summary
+        return summary, total_cost
 
     kept = samples[::max(1, len(samples) // 500)]
     if samples and kept[-1] is not samples[-1]:
@@ -327,4 +328,4 @@ def emit_report(report: RunReport, out_dir: str | Path, emit_plot_data: bool = F
     _write_csv(out / "plot_durations.csv", ["job_id", "template", "duration", "deadline", "met"],
                [(job_id, template, duration, deadline, met)
                 for job_id, template, _, _, duration, deadline, met, _, _ in outcomes])
-    return summary
+    return summary, total_cost

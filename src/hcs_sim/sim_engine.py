@@ -4,9 +4,11 @@ orchestration loop, which records the run's utilization samples, cost
 ledger entries and job outcomes as its events happen.
 
 Fragments never enter the event queue. Each job's driver projects per-step
-schedules; the queue holds one event per projected step completion, tagged
-with the plan's version, next to arrivals, rounds, faults and one eviction
-expiry per round that opened windows, at which the scheduler closes them.
+schedules; the queue holds one event per instant and completion time, which
+lists the steps those projections complete then, each tagged with its plan's
+version, next to arrivals, rounds, faults and one eviction expiry per round
+that opened windows, at which the scheduler closes them. A completion after
+its job's next driver restart is never queued, as that restart supersedes it.
 Every decision the scheduler returns, a round's, a failure's or an
 expiry's, is applied the same way. An event that touches a job commits its
 plan up to that instant, and the job is projected again once every event of
@@ -29,8 +31,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import Counter
 from enum import IntEnum
+from heapq import heapify
 from operator import itemgetter
 
 from hcs_sim.core_model import (
@@ -64,8 +68,9 @@ DEFAULT_ROUND_LENGTH = 30.0
 class EventKind(IntEnum):
     """Tie-break priority at equal timestamps, lowest first.
 
-    A step completion is the last fragment of a step, as a job's current
-    plan projects it. An eviction expiry is pushed once for each round whose
+    A step completion event lists the steps that the projections of one
+    instant complete at one time, a step completing at its last fragment, in
+    projection order. An eviction expiry is pushed once for each round whose
     decision opened windows, even if they have all gone moot by then. Each
     adjacent pair of kinds orders a same-instant tie this way:
 
@@ -82,8 +87,10 @@ class EventKind(IntEnum):
     - round before end: a round at the horizon runs before the cut.
 
     So completions and expiries are visible to the round that schedules
-    over them. The engine runs on these values as plain ints, bound once
-    below; this class alone defines their order.
+    over them, and a completion at its job's restart lands before the
+    restart, which is why a projection keeps the completions at the job's
+    next restart and drops only later ones. The engine runs on these values
+    as plain ints, bound once below; this class alone defines their order.
     """
 
     STEP_COMPLETE = 0
@@ -96,6 +103,7 @@ class EventKind(IntEnum):
 
 
 _COMPLETE, _EXPIRE, _FAILURE, _RESTART, _ARRIVAL, _ROUND, _END = map(int, EventKind)
+_NEVER = (math.inf,)  # the restart times of a job that has none
 
 
 class PoissonArrivals(Record):
@@ -349,31 +357,39 @@ class _Engine:
         self._touched: dict[str, PipelineDriver] = {}  # jobs to project again
         self._sampled_writes = 0  # sched.edge_writes at the last sample
         self.templates: dict[str, str] = {}
-        self.heap: list[tuple[float, int, int, object]] = []
-        self.seq = 0
         self.last_event_time = 0.0
         self.horizon_reached = False
         self._last_tick = 0.0  # the last round boundary pushed; each is > 0
+        # the arrivals, the faults and the horizon, each with the sequence
+        # number its push in that order would take, queued by one heapify
+        heap = [(a.job.arrival_time, _ARRIVAL, i, i) for i, a in enumerate(arrivals)]
+        restarts: Counter = Counter()  # by job index
+        # by job id: its restart times, sorted, and inf after the last
+        self._restarts: dict[str, list[float]] = {}
+        for f in scenario.faults:
+            if isinstance(f, NodeFailureFault):
+                heap.append((f.time, _FAILURE, len(heap), f.node_id))
+            else:
+                job_id = arrivals[f.job_index].job.job_id
+                heap.append((f.time, _RESTART, len(heap), job_id))
+                restarts[f.job_index] += 1
+                self._restarts.setdefault(job_id, [math.inf]).append(f.time)
+        for times in self._restarts.values():
+            times.sort()
+        if scenario.horizon is not None:
+            heap.append((scenario.horizon, _END, len(heap), None))
+        heapify(heap)
+        self.heap: list[tuple[float, int, int, object]] = heap
+        self.seq = len(heap)
         # generous ceiling: a job is projected once per instant that touches
-        # it, and each projection pushes at most one event per step. Those
-        # instants are a few per step (its round, the rounds that evict or
-        # re-home it, their expiries), its restarts and the node failures.
-        restarts = Counter(f.job_index for f in scenario.faults
-                           if isinstance(f, DriverRestartFault))
+        # it, and each projection adds at most one event per step, fewer when
+        # completions share a time. Those instants are a few per step (its
+        # round, the rounds that evict or re-home it, their expiries), its
+        # restarts and the node failures.
         failures = len(scenario.faults) - restarts.total()
         pushes = sum(len(a.job.dag.steps) * (len(a.job.dag.steps) + restarts[i] + failures)
                      for i, a in enumerate(arrivals))
         self._event_budget = 10_000 + 100 * (pushes + len(arrivals) + len(scenario.faults))
-
-        for i, a in enumerate(arrivals):
-            self._push(a.job.arrival_time, _ARRIVAL, i)
-        for f in scenario.faults:
-            if isinstance(f, NodeFailureFault):
-                self._push(f.time, _FAILURE, f.node_id)
-            else:
-                self._push(f.time, _RESTART, arrivals[f.job_index].job.job_id)
-        if scenario.horizon is not None:
-            self._push(scenario.horizon, _END, None)
 
     def _push(self, time: float, kind: int, payload: object) -> None:
         heapq.heappush(self.heap, (time, kind, self.seq, payload))
@@ -387,14 +403,38 @@ class _Engine:
         """After an instant's last event: project the jobs the instant
         touched, and sample utilization if the edge changed. The projections
         share one memo, which lives for this instant only: now and the speeds
-        are then the same for every job, and every DAG it keys stays alive."""
+        are then the same for every job, and every DAG it keys stays alive.
+
+        The instant queues one completion event per distinct time projected,
+        whose payload lists its (job_id, step_id, version) entries in
+        projection order; the events take consecutive sequence numbers, so
+        the completions pop in the order one event each would give. A
+        completion after the job's next restart is not queued: that restart
+        finds the job unfinished and projects it again, so the event could
+        only pop stale. One at the restart's time pops before it and stays.
+        """
         if self._touched:
-            heap, push, seq = self.heap, heapq.heappush, self.seq
             memo: dict = {}  # this instant's shared first plans
+            batches: dict[float, list] = {}  # by completion time
+            restarts, cut = self._restarts, math.inf
             for job_id, drv in self._touched.items():
-                for step_id, time in drv.project(now, memo):
-                    push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))
-                    seq += 1
+                done = drv.project(now, memo)
+                version = drv.version
+                if restarts:
+                    times = restarts.get(job_id, _NEVER)
+                    cut = times[bisect_right(times, now)]
+                for step_id, time in done:
+                    if time > cut:
+                        continue
+                    batch = batches.get(time)
+                    if batch is None:
+                        batches[time] = [(job_id, step_id, version)]
+                    else:
+                        batch.append((job_id, step_id, version))
+            heap, push, seq = self.heap, heapq.heappush, self.seq
+            for time, batch in batches.items():
+                push(heap, (time, _COMPLETE, seq, batch))
+                seq += 1
             self.seq = seq
             self._touched.clear()
         if self.sched.edge_writes != self._sampled_writes:
@@ -450,18 +490,21 @@ class _Engine:
         drv.deploy(step_id, region, pool, now)
         self._touch(drv)
 
-    def _on_completion(self, event: tuple[str, str, int], now: float) -> bool:
-        """Handle a projected step completion; returns whether it was live."""
-        job_id, step_id, version = event
-        drv = self.drivers[job_id]
-        if version != drv.version:
-            return False  # the plan was superseded by an interruption
-        self.sched.complete_step(job_id, step_id)
-        self._close(job_id, step_id, now)
-        if drv.on_step_complete(step_id, now):
-            self.outcomes.append(JobOutcome(
-                job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
-        return True
+    def _on_completion(self, batch: list[tuple[str, str, int]], now: float) -> bool:
+        """Handle one instant's projected step completions at now, in
+        projection order; returns whether any was live."""
+        live = False
+        for job_id, step_id, version in batch:
+            drv = self.drivers[job_id]
+            if version != drv.version:
+                continue  # the plan was superseded by an interruption
+            self.sched.complete_step(job_id, step_id)
+            self._close(job_id, step_id, now)
+            if drv.on_step_complete(step_id, now):
+                self.outcomes.append(JobOutcome(
+                    job_id, self.templates[job_id], drv.job.arrival_time, now, drv.job.deadline))
+            live = True
+        return live
 
     def _close(self, job_id: str, step_id: str, now: float) -> None:
         """End the step's open ledger entry, if it has one, at now."""

@@ -11,6 +11,9 @@ For each workload it checks that
   checks driver states, so none of those checks runs empty;
 - `wide`'s round memos skip at least one try; for each mode it prints the
   free-room tries, eviction tries and memo skips that CheckedEngine counts;
+- for each mode it prints the completion events popped and the live and
+  stale entries they carried; `wide`'s events carry more entries than there
+  are events, and `faulty` pops fewer stale entries than live ones;
 - on `reference`, the job-by-job cloud-only run of `run()` equals the event
   loop's, and computes some jobs alike in template and round once: it prints
   the drivers it built and the jobs served without one, and fails if none was.
@@ -82,6 +85,8 @@ def main() -> None:
                       f"{engine.completion_checks} driver states checked, "
                       f"{tries['room']} free-room tries, {tries['evict']} eviction tries, "
                       f"{skips} memo skips, "
+                      f"{engine.completion_events} completion events carrying "
+                      f"{engine.live_entries} live and {engine.stale_entries} stale entries, "
                       f"in {time.perf_counter() - start:.2f} s")
                 if name == "wide" and not engine.bounded_first_fits:
                     sys.exit("wide: no first-fit call started past node 0, so none was checked")
@@ -91,6 +96,13 @@ def main() -> None:
                     sys.exit("wide: the round memos skipped no try")
                 if name == "faulty" and not engine.completion_checks:
                     sys.exit("faulty: no driver state was checked")
+                entries = engine.live_entries + engine.stale_entries
+                if name == "wide" and entries <= engine.completion_events:
+                    sys.exit(f"wide: {engine.completion_events} completion events carry "
+                             f"only {entries} entries")
+                if name == "faulty" and engine.stale_entries >= engine.live_entries:
+                    sys.exit(f"faulty: {engine.stale_entries} stale completion entries, "
+                             f"not fewer than the {engine.live_entries} live ones")
             if name == "reference":
                 # fault-free and without a horizon: run() computes it job by job
                 cloud = scenario.replace(mode=SchedulerMode.CLOUD_ONLY)

@@ -168,10 +168,12 @@ MUTANTS = [
         ("if id(s.arrivals) not in schedules:", "if True:"),), "killed",
         first=("tests/test_commands.py",)),
     Mutant("command-summarises-again", "cli.py", (
-        ("    [(_, s)] = _runs(args, phases, out, [(\"run\", scenario)])\n",
-         "    [(report, _)] = _runs(args, phases, out, [(\"run\", scenario)])\n"
-         "    from hcs_sim.metrics import summary_dict\n"
-         "    s = summary_dict(report, report.total_cost, report.deadline_met_fraction)\n"),),
+        ("        yield _timed(phases, \"emit\", emit_report, report, out / name,\n"
+         "                     args.emit_plot_data, csvs[id(s.arrivals)])\n",
+         "        _, total = _timed(phases, \"emit\", emit_report, report, out / name,\n"
+         "                          args.emit_plot_data, csvs[id(s.arrivals)])\n"
+         "        from hcs_sim.metrics import summary_dict\n"
+         "        yield summary_dict(report, total, report.deadline_met_fraction), total\n"),),
         "killed", first=("tests/test_commands.py",)),
     Mutant("baseline-percent-inverted", "cli.py", (
         ("pct = cost_vs_baseline(hybrid_cost, baseline_cost)",
@@ -208,33 +210,33 @@ MUTANTS = [
          "            memo: dict = self.__dict__.setdefault(\"_memo\", {})  #"),),
         "killed", first=("tests/test_sim_engine.py",)),
     Mutant("sample-before-projecting", "sim_engine.py", (
-        ("        if self._touched:\n"
-         "            heap, push, seq = self.heap, heapq.heappush, self.seq\n"
-         "            memo: dict = {}  # this instant's shared first plans\n"
-         "            for job_id, drv in self._touched.items():\n"
-         "                for step_id, time in drv.project(now, memo):\n"
-         "                    push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))\n"
-         "                    seq += 1\n"
-         "            self.seq = seq\n"
-         "            self._touched.clear()\n"
+        ("            self._touched.clear()\n"
          "        if self.sched.edge_writes != self._sampled_writes:\n"
          "            self._sampled_writes = self.sched.edge_writes\n"
          "            self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))\n",
+         "            self._touched.clear()\n"),
+        ('        """\n        if self._touched:\n',
+         '        """\n'
          "        if self.sched.edge_writes != self._sampled_writes:\n"
          "            self._sampled_writes = self.sched.edge_writes\n"
          "            self.samples.append(UtilizationSample(now, *self.sched.edge_usage()))\n"
-         "        if self._touched:\n"
-         "            heap, push, seq = self.heap, heapq.heappush, self.seq\n"
-         "            memo: dict = {}  # this instant's shared first plans\n"
-         "            for job_id, drv in self._touched.items():\n"
-         "                for step_id, time in drv.project(now, memo):\n"
-         "                    push(heap, (time, _COMPLETE, seq, (job_id, step_id, drv.version)))\n"
-         "                    seq += 1\n"
-         "            self.seq = seq\n"
-         "            self._touched.clear()\n"),),
+         "        if self._touched:\n")),
         "equivalent",
         "projection writes no scheduler state, so the edge usage sampled is the "
         "same before it and after it; 0 of 4,000 generated scenarios differed"),
+    Mutant("restart-cut-inclusive", "sim_engine.py", (
+        ("                    if time > cut:\n", "                    if time >= cut:\n"),),
+        "killed", first=("tests/test_sim_engine.py",)),
+    Mutant("restart-cut-takes-a-past-restart", "sim_engine.py", (
+        ("from bisect import bisect_right\n", "from bisect import bisect_left, bisect_right\n"),
+        ("cut = times[bisect_right(times, now)]", "cut = times[bisect_left(times, now)]")),
+        "killed", first=("tests/test_sim_engine.py",)),
+    Mutant("completions-batched-per-job", "sim_engine.py", (
+        ("batch = batches.get(time)", "batch = batches.get((job_id, time))"),
+        ("batches[time] = [", "batches[job_id, time] = ["),
+        ("            for time, batch in batches.items():\n",
+         "            for (_, time), batch in batches.items():\n")),
+        "killed", first=("tests/test_sim_engine.py",)),
 ]
 
 # a failure that shows the mutant itself is broken

@@ -893,12 +893,15 @@ class CheckedEngine(_Engine):
     interruption or a live completion, checked after it
     (check_driver_state). bounded_first_fits, served_projections and
     completion_checks count those checks, so a caller sees that they ran;
-    round_tries counts the rounds' tries and memo skips (count_round_tries)."""
+    round_tries counts the rounds' tries and memo skips (count_round_tries);
+    completion_events counts the completion events popped, and live_entries
+    and stale_entries the entries they carried."""
 
     driver_type = CheckedDriver
     bounded_first_fits = 0
     served_projections = 0
     completion_checks = 0
+    completion_events = live_entries = stale_entries = 0
 
     def run(self):
         self._completed = {}  # the drivers of this instant's live completions
@@ -918,10 +921,16 @@ class CheckedEngine(_Engine):
         finally:
             hcs_scheduler.try_place_free = real
 
-    def _on_completion(self, event, now):
-        live = super()._on_completion(event, now)
-        if live:
-            self._completed[event[0]] = self.drivers[event[0]]
+    def _on_completion(self, batch, now):
+        self.completion_events += 1
+        live = False
+        for entry in batch:  # one at a time, to see which entries were live
+            if super()._on_completion([entry], now):
+                self._completed[entry[0]] = self.drivers[entry[0]]
+                self.live_entries += 1
+                live = True
+            else:
+                self.stale_entries += 1
         return live
 
     def _end_instant(self, now):

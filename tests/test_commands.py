@@ -76,12 +76,12 @@ def test_command_artifacts_match_their_pinned_digests(tmp_path, command):
 # (argv, calls to generate_arrivals and to arrivals_csv, calls to
 # summary_dict, reads of each cost per cost_ledger.csv row): one schedule, and
 # one arrivals.csv, per arrival process, one summary per run, and each cost
-# read where its row is written; baseline also sums both ledgers once, for
-# cost_vs_baseline and its printout
+# read where its row is written; baseline takes both totals, for
+# cost_vs_baseline and its printout, from the report writer
 ONCE = [
     (["run"], 1, 1, 1),
     (["sweep", "--placement", "all"], 1, 4, 1),
-    (["baseline"], 1, 2, 2),
+    (["baseline"], 1, 2, 1),
     (["replicate", "--seeds", "3,4,5"], 3, 3, 1),
 ]
 

@@ -24,6 +24,7 @@ from hcs_sim.metrics import (
     _write_csv,
     cost_vs_baseline,
     emit_report,
+    round9,
     time_weighted_utilization,
 )
 from hcs_sim.placement import PlacementPlan
@@ -191,8 +192,9 @@ class TestEmitReport:
                          entries, outs, 90.0)
 
     def test_empty_run_emits_headers_only(self, tmp_path):
-        summary = emit_report(report(end_time=0.0), tmp_path)
+        summary, total_cost = emit_report(report(end_time=0.0), tmp_path)
         assert summary == json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert total_cost == 0.0
         assert {p.name for p in tmp_path.iterdir()} == {
             "arrivals.csv", "utilization.csv", "cost_ledger.csv", "job_outcomes.csv",
             "summary.json"}
@@ -202,6 +204,13 @@ class TestEmitReport:
             assert len(lines) == 1  # header only
         summary = (tmp_path / "summary.json").read_text(encoding="utf-8")
         assert '"total_cost": 0' in summary
+
+    @pytest.mark.parametrize("plot", [False, True])
+    def test_returns_the_unrounded_total_it_rounds(self, tmp_path, plot):
+        r = self.full_report()
+        summary, total_cost = emit_report(r, tmp_path, emit_plot_data=plot)
+        assert total_cost == r.total_cost == 3.0 * 50 + 1.0 / 3.0
+        assert summary["total_cost"] == round9(total_cost) != total_cost
 
     def test_emitted_twice_is_byte_identical(self, tmp_path):
         r = self.full_report()

@@ -40,7 +40,8 @@ from hcs_sim.sim_engine import (
     require_finite_rounds,
     run,
 )
-from oracles import CheckedEngine, run_detailed
+import oracles
+from oracles import CheckedEngine, FragmentEngine, run_detailed
 
 
 def vec(cpu: int, mem: int = 0) -> ResourceVector:
@@ -785,6 +786,119 @@ class TestEventBudget:
         monkeypatch.setattr(_Engine, "_on_completion", repush)
         with pytest.raises(InternalConsistencyError, match="event budget 10200 exhausted"):
             run(scenario())
+
+
+class TestCompletionEvents:
+    """One completion event per instant and completion time, listing its
+    steps in projection order, and none after the job's next restart."""
+
+    @staticmethod
+    def counted(monkeypatch) -> Counter:
+        """Completion events popped, and the entries they carried."""
+        counts = Counter()
+        real = _Engine._on_completion
+
+        def on_completion(self, batch, now):
+            counts["events"] += 1
+            counts["entries"] += len(batch)
+            return real(self, batch, now)
+
+        monkeypatch.setattr(_Engine, "_on_completion", on_completion)
+        return counts
+
+    @staticmethod
+    def many_jobs() -> Scenario:
+        """24 jobs of two templates, one each 2.5 s over two rounds, more than
+        the edge holds: alike jobs of one round complete together, on the
+        edge or in the cloud."""
+        chain = template([step("a", 500, 512, 1, 2.0), step("b", 1000, 512, 2, 1.0)],
+                         [("a", "b")], frags=6, deadline=500.0)
+        fan = template([step("x", 700, 256, 1, 1.5), step("y"), step("z", svc=3.0)],
+                       [("x", "y"), ("x", "z")], frags=4, deadline=500.0)
+        return scenario(node_capacities=(vec(4000, 8192),) * 3,
+                        catalog={"chain": chain, "fan": fan},
+                        arrivals=ExplicitArrivals(tuple(2.5 * i for i in range(1, 25))))
+
+    @pytest.mark.parametrize("name, events, entries", [
+        ("saturating_mix", 723, 1349),
+        ("many_jobs", 10, 60),
+    ])
+    def test_pinned_event_and_entry_counts(self, monkeypatch, name, events, entries):
+        if name == "saturating_mix":
+            sc, _ = load_scenario(Path(__file__).resolve().parent.parent
+                                  / "scenarios" / "saturating_mix.json")
+            assert sc.mode is SchedulerMode.CHEAPEST_FIRST
+        else:
+            sc = self.many_jobs()
+        counts = self.counted(monkeypatch)
+        run(sc)
+        assert counts == {"events": events, "entries": entries}
+
+    def test_a_completion_at_its_jobs_restart_is_live_and_none_after_is_queued(
+            self, monkeypatch):
+        # a then b, one 10 s fragment each: the t=30 round deploys both, a
+        # completes at 40, the first restart's time, and b would at 50. The
+        # restart at 40 starts b's fragment again, which would end at 50, past
+        # the restart at 45, which starts it again to end at 55.
+        tpl = template([step("a", svc=10.0), step("b", svc=10.0)], [("a", "b")],
+                       deadline=500.0)
+        sc = scenario(catalog={"t": tpl}, arrivals=ExplicitArrivals((1.0,)), edge_speed=1.0,
+                      faults=(DriverRestartFault(45.0, 0), DriverRestartFault(40.0, 0)))
+        arrivals = generate_arrivals(sc.arrivals, sc.catalog)
+        oracle = FragmentEngine(sc, arrivals).run()
+        queued, instant, live = [], [0.0], []  # (instant, time) of each queued completion
+        real_end, real_completion = _Engine._end_instant, _Engine._on_completion
+
+        def end_instant(self, now):
+            instant[0] = now
+            real_end(self, now)
+
+        def on_completion(self, batch, now):
+            live.extend((now, entry[1]) for entry in batch
+                        if entry[2] == self.drivers[entry[0]].version)
+            return real_completion(self, batch, now)
+
+        def heappush(heap, item):
+            if item[1] == EventKind.STEP_COMPLETE:
+                queued.append((instant[0], item[0]))
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(_Engine, "_end_instant", end_instant)
+        monkeypatch.setattr(_Engine, "_on_completion", on_completion)
+        monkeypatch.setattr(sim_engine, "heapq",
+                            SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        report = _Engine(sc, arrivals).run()
+        assert queued == [(30.0, 40.0), (45.0, 55.0)]
+        assert live == [(40.0, "a"), (55.0, "b")]
+        assert [(o.completion, o.completed) for o in report.job_outcomes] == [(55.0, True)]
+        assert (report.job_outcomes, report.cost_ledger) == (oracle.job_outcomes,
+                                                             oracle.cost_ledger)
+
+    def test_the_checked_engine_checks_every_live_entry_of_an_event(self, monkeypatch):
+        # two equal one-step jobs, one per node, finish together at 40, at
+        # an instant that touches neither, in one event
+        tpl = template([step("s0", cpu=800, mem=0)], frags=10, deadline=500.0)
+        sc = scenario(node_capacities=(vec(1000, 1024),) * 2, catalog={"t": tpl},
+                      arrivals=ExplicitArrivals((1.0, 2.0)), edge_speed=1.0)
+        batches, checked = [], Counter()
+        real_completion, real_check = CheckedEngine._on_completion, oracles.check_driver_state
+
+        def on_completion(self, batch, now):
+            batches.append((now, list(batch)))
+            return real_completion(self, batch, now)
+
+        def check_driver_state(drv):
+            checked[drv.job.job_id] += 1
+            real_check(drv)
+
+        monkeypatch.setattr(CheckedEngine, "_on_completion", on_completion)
+        monkeypatch.setattr(oracles, "check_driver_state", check_driver_state)
+        engine = CheckedEngine(sc, generate_arrivals(sc.arrivals, sc.catalog))
+        engine.run()
+        assert batches == [(40.0, [("t-0000", "s0", 1), ("t-0001", "s0", 1)])]
+        # each after its deploy at 30 and after its completion at 40
+        assert checked == {"t-0000": 2, "t-0001": 2} and engine.completion_checks == 4
+        assert (engine.completion_events, engine.live_entries, engine.stale_entries) == (1, 2, 0)
 
 
 class TestDispatch:
